@@ -1,0 +1,5 @@
+"""The repository's benchmark: MPMCS workloads driven through the public API.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
