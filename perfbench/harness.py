@@ -3,7 +3,9 @@
 End-to-end metrics come from the untraced phase.  With ``trace`` on, the
 untraced phase is followed by a traced phase on freshly set-up state with
 the same inputs, which yields the per-layer metrics and the tracing
-overhead (traced over untraced busy time).
+overhead (traced over untraced busy time).  Every time is reference time
+(:class:`perfbench.cpus.HostClock`); the record keeps the wall times and
+the host-speed readings beside it.
 """
 
 from __future__ import annotations
@@ -14,32 +16,34 @@ import os
 import platform
 import resource
 import statistics
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from perfbench.cpus import FastestCpu
+from perfbench.cpus import NOMINAL_REFERENCE_S, HostClock
 from perfbench.tracing import Recorder, per_layer_metrics
 from perfbench.workloads import FULL, WORKLOADS, Phase, Scale, Workload, measure
 
-__all__ = ["END_TO_END", "SETUP_REPEATS", "percentile", "run"]
+__all__ = ["END_TO_END", "percentile", "run"]
 
-#: Set-ups per run: at least ``SETUP_REPEATS``, and more, up to
+#: Set-ups per run: at least ``Workload.setup_repeats``, and more, up to
 #: ``SETUP_MAX_REPEATS``, until ``SETUP_BUDGET_S`` has been spent, so
-#: millisecond set-ups get enough samples.  ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: millisecond set-ups get enough samples.  ``setup_s`` is the median of
+#: these and of the set-ups a workload repeats in its timed phase.
 SETUP_MAX_REPEATS = 200
 SETUP_BUDGET_S = 1.0
 
-#: A phase stops early once it has run this many times its nominal length.
-MAX_SLOWDOWN = 5
+#: A phase stops early, between input items, once it has run this many
+#: times its nominal length, so a run on a slow host or of a slow commit
+#: still ends in time.  Every item of a workload is alike, so a shorter
+#: phase only holds fewer samples.
+MAX_SLOWDOWN = 1.25
 
 #: ``(name, unit)`` of every end-to-end metric.  An operation is an
 #: analysis (``e4-cold``), a scenario (sweeps) or an update (monitor).
 END_TO_END: Tuple[Tuple[str, str], ...] = (
     ("ops_per_s", "1/s"),
     ("op_ms_p50", "ms"),
-    ("op_ms_p90", "ms"),
+    ("op_ms_p95", "ms"),
     ("first_result_s", "s"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
@@ -67,23 +71,6 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def reference_ms(loops: int = 5) -> float:
-    """Fastest of ``loops`` timings of a fixed pure-Python loop, in ms.
-
-    A reading of host speed, kept in the record beside the metrics: shared
-    hosts slow every process down by up to ~1.6x for minutes at a time,
-    and this shows which runs were measured in such a period.
-    """
-    timings = []
-    for _ in range(loops):
-        started = time.perf_counter()
-        total = 0
-        for value in range(100_000):
-            total += value * value
-        timings.append((time.perf_counter() - started) * 1e3)
-    return min(timings)
-
-
 def end_to_end_metrics(
     phase: Phase, setup_samples: List[float], rss_mb: float
 ) -> Dict[str, Dict[str, Any]]:
@@ -91,9 +78,9 @@ def end_to_end_metrics(
     values = {
         "ops_per_s": phase.completed / phase.busy_s if phase.busy_s else 0.0,
         "op_ms_p50": percentile(latencies_ms, 50),
-        "op_ms_p90": percentile(latencies_ms, 90),
+        "op_ms_p95": percentile(latencies_ms, 95),
         "first_result_s": statistics.median(phase.first_results_s) if phase.first_results_s else 0.0,
-        "setup_s": statistics.median(setup_samples),
+        "setup_s": statistics.median(setup_samples + phase.setups_s),
         "peak_rss_mb": rss_mb,
     }
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
@@ -116,6 +103,7 @@ def host_info() -> Dict[str, Any]:
         "numpy": numpy_version,
         "kernel_tier": kernels.select().name,
         "platform": platform.platform(),
+        "python_hash_seed": os.environ.get("PYTHONHASHSEED"),
     }
 
 
@@ -140,18 +128,29 @@ def source_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def _timed_setups(workload: Workload, items: int, cpu: FastestCpu) -> Tuple[List[float], Any]:
+def _timed_setups(workload: Workload, items: int, clock: HostClock) -> Tuple[List[float], Any]:
     """Set-up durations and the state of the last set-up."""
     samples: List[float] = []
-    while len(samples) < SETUP_REPEATS or (
+    while len(samples) < workload.setup_repeats or (
         sum(samples) < SETUP_BUDGET_S and len(samples) < SETUP_MAX_REPEATS
     ):
         state = None  # free the previous state before building the next
-        cpu.settle()
-        started = time.perf_counter()
+        started = clock.start()
         state = workload.setup(items)
-        samples.append(time.perf_counter() - started)
+        samples.append(clock.stop(started))
     return samples, state
+
+
+def _readings(clock: HostClock) -> Dict[str, Any]:
+    readings = sorted(clock.readings_s)
+    return {
+        "nominal_s": NOMINAL_REFERENCE_S,
+        "count": len(readings),
+        "min_s": readings[0] if readings else None,
+        "median_s": statistics.median(readings) if readings else None,
+        "max_s": readings[-1] if readings else None,
+        "wall_s": sum(clock.walls_s),
+    }
 
 
 def run(
@@ -166,15 +165,13 @@ def run(
     """Run one workload; return the printed result, the record and the spans."""
     started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
     workload = WORKLOADS[workload_name](seed, scale)
-    cpu = FastestCpu(active=workload.pin_cpu)
+    clock = HostClock()
     try:
-        cpu.settle()
-        host_reference = [reference_ms()]
-        setup_samples, state = _timed_setups(workload, workload.items_for(seconds), cpu)
+        setup_samples, state = _timed_setups(workload, workload.items_for(seconds), clock)
         workload.warm_up(state)
-        phase = measure(workload, state, deadline_s=MAX_SLOWDOWN * seconds, settle=cpu.settle)
+        phase = measure(workload, state, deadline_s=MAX_SLOWDOWN * seconds, clock=clock)
         rss_mb = peak_rss_mb()
-        host_reference.append(reference_ms())
+        untraced_clock = _readings(clock)
         checked = [(state, phase)]
         spans: Optional[Dict[str, Any]] = None
         traced_record: Dict[str, Any] = {}
@@ -184,7 +181,7 @@ def run(
                 traced_state = workload.setup(len(phase.plan))
                 recorder.reset()
                 with recorder.tracing() as tracer:
-                    traced = measure(workload, traced_state, settle=cpu.settle)
+                    traced = measure(workload, traced_state, clock=clock)
             overhead = traced.busy_s / phase.busy_s if phase.busy_s else 0.0
             metrics = per_layer_metrics(recorder, tracer, traced.completed, overhead)
             checked.append((traced_state, traced))
@@ -198,7 +195,7 @@ def run(
         else:
             metrics = end_to_end_metrics(phase, setup_samples, rss_mb)
     finally:
-        cpu.release()
+        clock.release()
 
     mismatches = sum(workload.mismatches(s, p) for s, p in checked)
     attempted = sum(p.attempted for _, p in checked)
@@ -222,8 +219,8 @@ def run(
         "trace": int(trace),
         "started_utc": started_utc,
         "host": host_info(),
-        "host_reference_ms": host_reference,
-        "cpu_pinning": {"cpus": cpu.cpus, "checks": cpu.checks, "moves": cpu.moves},
+        "host_speed": untraced_clock,
+        "cpu_pinning": {"cpus": clock.cpu.cpus, "checks": clock.cpu.checks, "moves": clock.cpu.moves},
         "commit": commit_of(root),
         "source_sha256": source_digest(root),
         "attempted": attempted,
@@ -233,7 +230,7 @@ def run(
         "errors": errors,
         "metrics": metrics,
         "samples": {
-            "setup_s": setup_samples,
+            "setup_s": setup_samples + phase.setups_s,
             "busy_s": phase.busy_s,
             "completed": phase.completed,
             "latency_ms": latencies_ms,

@@ -27,7 +27,7 @@ from perfbench.workloads import WORKLOADS, Scale
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Small inputs that exercise the same code paths in a few seconds.
-TINY = Scale(e4_pool=((40, 0), (80, 1)), pinned_tree=(20, 5), grid_size=6)
+TINY = Scale(e4_pool=((40, 0), (80, 1)), pinned_tree=(20, 5), grid_size=6, episode_updates=5)
 
 #: The 80-event, generator-seed-5 tree: explicit cut-set seeding of the
 #: sweep exceeds its intermediate-product guard and raises AnalysisError.
@@ -110,6 +110,16 @@ def test_tiny_workload_passes_its_oracle(name, trace):
     else:
         _assert_metrics(result["metrics"], END_TO_END)
         assert result["metrics"]["ops_per_s"]["value"] > 0
+
+
+def test_monitor_episodes_each_start_from_a_fresh_monitor():
+    episodes = 2
+    seconds = episodes * WORKLOADS["monitor-flip"].item_s
+    result, record, _ = run("monitor-flip", 3, seconds, False, root=ROOT, scale=TINY)
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["attempted"] == episodes * TINY.episode_updates
+    # at least one timed set-up, then one monitor build per later episode
+    assert len(record["samples"]["setup_s"]) >= 1 + episodes - 1
 
 
 def test_failing_sweep_reports_every_scenario_failed():

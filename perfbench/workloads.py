@@ -6,6 +6,10 @@ returned.  An operation is one ``AnalysisSession().analyze`` call
 (``e4-cold``), one scenario of a ``SweepExecutor.run`` call (the sweeps) or
 one ``TreeMonitor.apply_update`` call (``monitor-flip``).
 
+Every operation is timed in reference time by a :class:`HostClock`, which
+takes the host's changing speed out of the figures (see
+:mod:`perfbench.cpus`).
+
 Inputs depend only on the workload seed and are built during set-up:
 input item ``i`` depends only on the seed and ``i``.  Structures whose cost
 swings by orders of magnitude between generator seeds are pinned (see
@@ -26,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from perfbench.cpus import HostClock
 from repro.api import AnalysisSession
 from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.ordering import variable_order
@@ -72,6 +77,12 @@ BDD_ORACLE_MAX_EVENTS = 800
 #: E4's log-uniform event probability range (the generator default).
 E4_PROBABILITY_RANGE = (1e-5, 0.2)
 
+#: Probability draws per E4 structure in the corpus every run covers.  With
+#: a fresh draw per cycle from the workload seed, one structure's facade
+#: time moved by up to 2.5x between draws, and runs of different seeds
+#: differed by 25% in throughput, reproducibly, on the draws they held.
+E4_DRAWS = 10
+
 #: Probability range of the drift and flip scenarios.
 SCENARIO_PROBABILITY_RANGE = (1e-4, 0.5)
 
@@ -88,21 +99,26 @@ class Scale:
 
     ``e4_pool`` holds ``(basic events, generator seed)`` of the pinned E4
     structures; ``pinned_tree`` the same for the tree the sweeps and the
-    monitor share; ``grid_size`` the scenarios per sweep ``run()`` call.
+    monitor share; ``grid_size`` the scenarios per sweep ``run()`` call;
+    ``episode_updates`` the updates per monitor episode.
     """
 
     e4_pool: Tuple[Tuple[int, int], ...]
     pinned_tree: Tuple[int, int]
     grid_size: int
+    episode_updates: int = 250
 
 
-#: The benchmark's inputs.  The E4 structures were picked for facade times
-#: near the middle of their size class (0.2 s to 3 s on a 2-core host); the
-#: pinned tree has 4104 minimal cut sets and about 0.8 s of cut-set seeding.
+#: The benchmark's inputs.  The E4 structures span 200 to 800 basic events,
+#: with facade times of 0.3 s to 1 s on a 2-core host: one analysis of a
+#: tree of 1000 or 2000 events took 1.2 s to 7 s and moved 2x between
+#: probability draws, so a run of tens of seconds held too few of them to
+#: report a steady figure.  The pinned tree has 4104 minimal cut sets and
+#: about 0.8 s of cut-set seeding.
 FULL = Scale(
-    e4_pool=((250, 0), (500, 1), (1000, 3), (2000, 2)),
+    e4_pool=((200, 0), (300, 0), (500, 1), (600, 1), (800, 0)),
     pinned_tree=(60, 5),
-    grid_size=300,
+    grid_size=150,
 )
 
 
@@ -142,19 +158,16 @@ def redraw_probabilities(tree: FaultTree, rng: random.Random) -> FaultTree:
     return copy
 
 
-def _no_op() -> None:
-    pass
-
-
 @dataclass
 class Phase:
     """What one timed phase did: its inputs, timings, errors and answers.
 
-    ``plan`` lists the input items processed, in order.  ``busy_s`` is the wall time
-    spent inside operations; benchmark bookkeeping between operations is
-    excluded.  ``answers`` holds one entry per attempted operation, ``None``
-    where the operation raised.  ``settle`` runs before every operation,
-    outside its timing.
+    ``plan`` lists the input items processed, in order.  ``busy_s`` is the
+    reference time spent inside operations; benchmark bookkeeping between
+    operations is excluded.  ``answers`` holds one entry per attempted
+    operation, ``None`` where the operation raised.  ``setups_s`` holds the
+    reference times of set-ups a workload repeats inside the phase (the
+    monitor's, one per episode).  ``clock`` times everything.
     """
 
     plan: List[Any] = field(default_factory=list)
@@ -165,7 +178,8 @@ class Phase:
     first_results_s: List[float] = field(default_factory=list)
     errors: Counter = field(default_factory=Counter)
     answers: List[Any] = field(default_factory=list)
-    settle: Callable[[], None] = field(default=_no_op, repr=False)
+    setups_s: List[float] = field(default_factory=list)
+    clock: HostClock = field(default_factory=HostClock, repr=False)
 
     @property
     def failed(self) -> int:
@@ -177,17 +191,16 @@ class Phase:
         An error from ``COUNTED_ERRORS`` is counted, leaves ``None`` as the
         answer, and the run goes on.
         """
-        self.settle()
         self.attempted += 1
-        started = time.perf_counter()
+        started = self.clock.start()
         try:
             answer = call()
         except COUNTED_ERRORS as exc:
-            self.busy_s += time.perf_counter() - started
+            self.busy_s += self.clock.stop(started)
             self.errors[type(exc).__name__] += 1
             self.answers.append(None)
             return
-        elapsed = time.perf_counter() - started
+        elapsed = self.clock.stop(started)
         self.busy_s += elapsed
         self.completed += 1
         self.latencies_s.append(elapsed)
@@ -202,14 +215,13 @@ class Workload:
     host (2 cores, CPython 3.11).  A run of ``seconds`` processes
     ``round(seconds / item_s)`` items, so two commits measured with the same
     ``seconds`` do exactly the same work, and a run takes about ``seconds``.
-    ``pin_cpu`` lets the harness keep the run on the fastest CPU
-    (:class:`perfbench.cpus.FastestCpu`).
+    ``setup_repeats`` is the least number of timed set-ups per run.
     """
 
     name = ""
     why = ""
     item_s = 1.0
-    pin_cpu = True
+    setup_repeats = 3
 
     def __init__(self, seed: int, scale: Scale = FULL) -> None:
         self.seed = seed
@@ -240,16 +252,15 @@ def measure(
     state: Any,
     *,
     deadline_s: Optional[float] = None,
-    settle: Callable[[], None] = _no_op,
+    clock: Optional[HostClock] = None,
 ) -> Phase:
-    """Process every input item of ``state`` in order.
+    """Process every input item of ``state`` in order, timed by ``clock``.
 
-    ``deadline_s`` cuts the phase short, between items, once that much time
-    has passed; it keeps a run of a much slower commit within the time a
-    run may take.  ``settle`` runs before every operation, outside its
-    timing.
+    ``deadline_s`` cuts the phase short, between items, once that much wall
+    time has passed; it keeps a run of a much slower commit within the time
+    a run may take.
     """
-    phase = Phase(settle=settle)
+    phase = Phase(clock=clock or HostClock())
     started = time.perf_counter()
     for item in state.inputs:
         phase.plan.append(item)
@@ -291,33 +302,42 @@ class _E4State:
 class E4Cold(Workload):
     """Fresh ``AnalysisSession().analyze(tree, ["mpmcs"])`` per tree.
 
-    One input item is a cycle over Fig. 1 and every pinned structure, each
-    structure with probabilities redrawn from the seed, in a seeded order.
-    Whole cycles keep the size mix of every phase the same.  Set-up builds
-    the structures and every cycle.
+    The inputs come from a fixed corpus: ``E4_DRAWS`` probability draws of
+    every pinned structure.  One input item is a cycle over Fig. 1 and one
+    draw of every structure, in a seeded order; the seed also deals each
+    structure's draws to the cycles, so ``E4_DRAWS`` cycles hold every draw
+    once.  Whole cycles keep the size mix of every phase the same.  Set-up
+    builds the corpus and a copy of each tree per cycle.
     """
 
     name = "e4-cold"
     why = "the paper's scalability claim on the path users run: cold facade, portfolio and SAT"
-    item_s = 5.0
-    #: The portfolio's engine threads would inherit a pinned CPU; users run
-    #: them on every CPU, and so does this workload.
-    pin_cpu = False
+    item_s = 2.0
 
     def __init__(self, seed: int, scale: Scale = FULL) -> None:
         super().__init__(seed, scale)
+        #: Oracle BDDs by structure name: every tree of one structure shares it.
+        self._functions: Dict[str, BDD] = {}
         #: Oracle optima by tree content, so the traced replay's identical
         #: inputs reuse the untraced phase's answers.
         self._expected: Dict[Tuple[Any, ...], float] = {}
 
     def setup(self, items: int) -> _E4State:
         fig1 = fire_protection_system()
-        structures = [e4_tree(events, seed) for events, seed in self.scale.e4_pool]
+        corpus = []
+        for events, generator_seed in self.scale.e4_pool:
+            structure = e4_tree(events, generator_seed)
+            corpus.append(
+                [redraw_probabilities(structure, random.Random(draw)) for draw in range(E4_DRAWS)]
+            )
+        deal = random.Random(self.seed)
+        orders = [deal.sample(range(E4_DRAWS), E4_DRAWS) for _ in corpus]
         cycles = []
         for cycle in range(items):
-            rng = _rng(self.seed, cycle)
-            trees = [fig1] + [redraw_probabilities(structure, rng) for structure in structures]
-            rng.shuffle(trees)
+            trees = [fig1] + [
+                draws[order[cycle % E4_DRAWS]].copy() for draws, order in zip(corpus, orders)
+            ]
+            _rng(self.seed, cycle).shuffle(trees)
             cycles.append(trees)
         return _E4State(inputs=cycles)
 
@@ -333,12 +353,16 @@ class E4Cold(Workload):
         mpmcs = AnalysisSession().analyze(tree, ["mpmcs"]).mpmcs
         return mpmcs.events, mpmcs.probability
 
-    @staticmethod
-    def oracle_probability(tree: FaultTree) -> float:
-        """The optimum from the BDD backend, or from RC2 on large trees."""
+    def oracle_probability(self, tree: FaultTree) -> float:
+        """The optimum from the structure's BDD, or from RC2 on large trees.
+
+        The BDD is the one the ``bdd`` backend compiles, compiled once per
+        structure and evaluated with each tree's probabilities.
+        """
         if len(tree.event_names) <= BDD_ORACLE_MAX_EVENTS:
-            report = AnalysisSession().analyze(tree, ["mpmcs"], backend="bdd")
-            return report.mpmcs.probability
+            if tree.name not in self._functions:
+                self._functions[tree.name] = compile_bdd(tree)
+            return mpmcs_of_bdd(self._functions[tree.name], tree.probabilities())[1]
         return MPMCSSolver(single_engine=RC2Engine()).solve(tree).probability
 
     def mismatches(self, state: _E4State, phase: Phase) -> int:
@@ -393,7 +417,7 @@ class _Sweep(Workload):
     first result instead.
     """
 
-    item_s = 5.0
+    item_s = 2.5
 
     def setup(self, items: int) -> _SweepState:
         tree = pinned_tree(self.scale)
@@ -409,33 +433,29 @@ class _Sweep(Workload):
         raise NotImplementedError
 
     def operate(self, state: _SweepState, grid: List[Scenario], phase: Phase) -> None:
-        # A call lasts seconds, so ``settle`` also runs between scenarios,
-        # inside the outcome callback; the time it takes there is cut out of
-        # the outcome times and the busy time.
-        stamps: List[float] = []
-        paused = 0.0
+        # A call lasts seconds, so the clock splits it at every outcome,
+        # taking a speed reading (and re-pinning) there.
+        parts: List[float] = []
+        clock = phase.clock
 
         def on_outcome(_: Any) -> None:
-            nonlocal paused
-            stamps.append(time.perf_counter() - paused)
-            settling = time.perf_counter()
-            phase.settle()
-            paused += time.perf_counter() - settling
+            nonlocal mark
+            elapsed, mark = clock.mark(mark)
+            parts.append(elapsed)
 
-        phase.settle()
         phase.attempted += len(grid)
-        started = time.perf_counter()
+        mark = clock.start()
         try:
             report = SweepExecutor(backend="maxsat").run(state.tree, grid, on_outcome=on_outcome)
         except COUNTED_ERRORS as exc:
-            phase.busy_s += time.perf_counter() - started - paused
+            phase.busy_s += sum(parts) + clock.stop(mark)
             phase.errors[type(exc).__name__] += len(grid)
             phase.answers.extend([None] * len(grid))
             return
-        phase.busy_s += time.perf_counter() - started - paused
-        if stamps:
-            phase.first_results_s.append(stamps[0] - started)
-            phase.latencies_s.extend(later - earlier for earlier, later in zip(stamps, stamps[1:]))
+        phase.busy_s += sum(parts) + clock.stop(mark)
+        if parts:
+            phase.first_results_s.append(parts[0])
+            phase.latencies_s.extend(parts[1:])
         for outcome in report.outcomes:
             if outcome.error is not None:
                 phase.errors["ScenarioError"] += 1
@@ -498,48 +518,86 @@ class SweepFlip(_Sweep):
 class _MonitorState:
     tree: FaultTree
     monitor: TreeMonitor
-    inputs: List[ProbabilityUpdate]
+    inputs: List[List[ProbabilityUpdate]]
+    #: Whether ``monitor`` has not been fed yet.
+    fresh: bool = True
+
+
+def build_monitor(tree: FaultTree) -> TreeMonitor:
+    """A live monitor of ``tree`` with its base analysis done."""
+    monitor = TreeMonitor(tree, rules=(MpmcsChanged(), PTopJump(0.5)))
+    monitor.ensure_base()
+    return monitor
 
 
 class MonitorFlip(Workload):
-    """One live ``TreeMonitor`` fed a seeded probability walk, one update at a time."""
+    """Fresh ``TreeMonitor`` objects fed seeded probability walks, one update at a time.
+
+    One input item is an *episode*: a fresh monitor fed one walk of
+    ``scale.episode_updates`` updates from the tree's base probabilities.
+    A monitor's update latency grows with its age, as its solver session
+    collects cores and optima (from 11 ms to 15-28 ms over 1500 updates,
+    depending on the walk), so one long walk per run made the figures
+    depend on the run's length and swing between seeds; episodes of equal
+    length keep every run's mix of ages the same.  Set-up builds every walk
+    and the first monitor; each later episode builds its own monitor,
+    timed as a set-up.
+    """
 
     name = "monitor-flip"
     why = "the per-request latency path: warm solve_tree, scalar BDD and alerts per update"
-    item_s = 0.02
+    item_s = 4.0
+    #: Every later episode times a monitor build as a set-up as well.
+    setup_repeats = 1
 
     def setup(self, items: int) -> _MonitorState:
         tree = pinned_tree(self.scale)
-        monitor = TreeMonitor(tree, rules=(MpmcsChanged(), PTopJump(0.5)))
-        monitor.ensure_base()
-        walk = probability_walk(
-            tree,
-            steps=items,
-            seed=self.seed,
-            events_per_step=EVENTS_PER_CHANGE,
-            volatility=WALK_VOLATILITY,
-        )
-        updates = [
-            ProbabilityUpdate.create(values, seq=seq, timestamp=float(seq))
-            for seq, values in enumerate(walk, start=1)
-        ]
-        return _MonitorState(tree=tree, monitor=monitor, inputs=updates)
+        episodes = []
+        for episode in range(items):
+            walk = probability_walk(
+                tree,
+                steps=self.scale.episode_updates,
+                seed=self.seed * 1_000_003 + episode,
+                events_per_step=EVENTS_PER_CHANGE,
+                volatility=WALK_VOLATILITY,
+            )
+            episodes.append(
+                [
+                    ProbabilityUpdate.create(values, seq=seq, timestamp=float(seq))
+                    for seq, values in enumerate(walk, start=1)
+                ]
+            )
+        return _MonitorState(tree=tree, monitor=build_monitor(tree), inputs=episodes)
 
-    def operate(self, state: _MonitorState, update: ProbabilityUpdate, phase: Phase) -> None:
-        def apply() -> Tuple[Optional[Tuple[str, ...]], Optional[float], Optional[float]]:
-            delta = state.monitor.apply_update(update)
-            return delta.mpmcs_events, delta.mpmcs_probability, delta.ptop
+    def operate(
+        self, state: _MonitorState, episode: List[ProbabilityUpdate], phase: Phase
+    ) -> None:
+        if not state.fresh:
+            started = phase.clock.start()
+            state.monitor = None  # free the previous monitor before building the next
+            state.monitor = build_monitor(state.tree)
+            phase.setups_s.append(phase.clock.stop(started))
+        state.fresh = False
+        monitor = state.monitor
 
-        phase.single(apply)
+        for update in episode:
+
+            def apply(update: ProbabilityUpdate = update) -> Tuple[Any, ...]:
+                delta = monitor.apply_update(update)
+                return delta.mpmcs_events, delta.mpmcs_probability, delta.ptop
+
+            phase.single(apply)
 
     def mismatches(self, state: _MonitorState, phase: Phase) -> int:
         function = compile_bdd(state.tree)
-        current = dict(state.tree.probabilities())
+        answers = iter(phase.answers)
         wrong = 0
-        for update, answer in zip(phase.plan, phase.answers):
-            current.update(update.values)
-            if answer is not None and not _answer_matches(state.tree, function, current, answer):
-                wrong += 1
+        for episode in phase.plan:
+            current = dict(state.tree.probabilities())
+            for update, answer in zip(episode, answers):
+                current.update(update.values)
+                if answer is not None and not _answer_matches(state.tree, function, current, answer):
+                    wrong += 1
         return wrong
 
 
