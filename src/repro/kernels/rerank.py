@@ -6,18 +6,22 @@ the pooled candidate cut sets, their feasibility verdicts — is computed once
 by :class:`repro.maxsat.incremental.IncrementalMaxSATSession`; what remains
 per scenario is pure integer scoring, and that is what these kernels batch:
 
-* :func:`score_candidates_*` — the cost of every pooled candidate under every
-  scenario in one pass.  Inputs are a candidate incidence structure (each
-  candidate as a sorted list of event-column indices) and a
-  ``scenarios × events`` matrix of *scaled integer* weights; the output is the
-  ``candidates × scenarios`` score matrix.  On the numpy tier this is a single
-  int64 matmul of the 0/1 incidence matrix against the weight matrix.
-* :func:`greedy_lower_bound_*` — the disjoint-core packing bound.  Given a
-  family of pairwise-disjoint cores (as event-column index lists, selected
-  once per core state by the session), any hitting set must pay at least the
+* :func:`greedy_lower_bound_*` — the disjoint-core packing bound, the one
+  kernel the session's batched re-rank calls.  Given a family of
+  pairwise-disjoint cores (as event-column index lists, selected once per
+  core state by the session), any hitting set must pay at least the
   cheapest element of each core, so ``LB_k = Σ_core min_{e ∈ core} W[k][e]``
   lower-bounds the scenario's minimum hitting-set cost.  The numpy tier turns
   the inner ``min`` into one vectorised column-wise reduction per core.
+* :func:`score_candidates_*` — the cost of every candidate under every
+  scenario in one pass: a candidate incidence structure (each candidate as a
+  sorted list of event-column indices) against a ``scenarios × events``
+  matrix of *scaled integer* weights gives the ``candidates × scenarios``
+  score matrix (one int64 matmul on the numpy tier).  The library no longer
+  calls it: the session stopped scoring a minimal-hitting-set family because
+  the enumeration cost more than it saved.  It stays only because the
+  benchmark's tracing wrapper rebuilds :class:`repro.kernels.KernelSuite` by
+  field name; it can go once a benchmark-only change drops that wrapper.
 
 All arithmetic is on Python/``int64`` integers (the solver's scaled-weight
 domain), so every tier returns **identical** exact values — there is no

@@ -12,10 +12,12 @@ cost, and no solution can cost less than a minimum hitting set of a subset of
 the cores, so the model is optimal.  If it fails, the returned core is added
 to the collection and the loop repeats.
 
-The hitting set sub-problem is solved exactly with a branch-and-bound search;
-core collections produced by fault-tree instances are small, so this is not a
-bottleneck in practice (a safety cap turns pathological runs into an UNKNOWN
-result instead of letting them run away).
+The hitting set sub-problem is solved exactly with a branch-and-bound search
+(a safety cap turns pathological runs into an UNKNOWN result instead of
+letting them run away).  It is cheap on most fault trees, but not on all: on
+the 600-event E4 structure (generator seed 1) a cold incremental session
+collects up to 223 cores, and one of its first solves spent about 73% of its
+time in :func:`minimum_cost_hitting_set` under cProfile.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ solver restart.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -66,7 +65,7 @@ class IncrementalSolveResult:
     must use) and ``cost`` the float ``-log`` objective.
 
     ``rerank`` records which tier of the batched re-rank ladder produced the
-    result (``"pooled"``, ``"certified"``, ``"fallback"`` or ``"cold"``); it
+    result (``"pooled"``, ``"certified"`` or ``"fallback"``); it
     is empty for plain per-scenario solves and is telemetry only — it never
     participates in result comparison.
     """
@@ -89,7 +88,6 @@ class _RerankPrep:
     solve grows the core collection mid-batch.
     """
 
-    block_assumptions: List[Literal]
     signature: FrozenSet[Literal]
     blocked_sets: Tuple[FrozenSet[str], ...]
     core_count: int
@@ -99,14 +97,6 @@ class _RerankPrep:
     #: Pairwise-disjoint usable cores as event-column lists: the packing
     #: family behind the vectorised hitting-set lower bound.
     disjoint_columns: List[List[int]]
-    #: All subset-minimal hitting sets of ``usable`` — the weight-independent
-    #: candidate family whose per-scenario score minimum *is* the exact
-    #: optimal hitting-set cost.  ``None`` when enumeration blew its cap (the
-    #: packing lower bound then gates the pooled tier instead).
-    mhs_literals: Optional[List[FrozenSet[Literal]]] = None
-    mhs_events: Optional[List[Tuple[str, ...]]] = None
-    mhs_columns: Optional[List[List[int]]] = None
-    mhs_index: Optional[Dict[Tuple[str, ...], int]] = None
 
 
 class IncrementalMaxSATSession:
@@ -137,10 +127,9 @@ class IncrementalMaxSATSession:
         cold portfolio.
     kernels:
         Kernel suite (:func:`repro.kernels.select`) used by the batched
-        re-rank path (:meth:`solve_batch`) for candidate scoring and
-        hitting-set lower bounds.  Defaults to the auto-selected tier.  The
-        re-rank kernels work on scaled integers, so the tier never changes
-        results.
+        re-rank path (:meth:`solve_batch`) for its hitting-set lower bounds.
+        Defaults to the auto-selected tier.  The re-rank kernels work on
+        scaled integers, so the tier never changes results.
     """
 
     def __init__(
@@ -162,10 +151,6 @@ class IncrementalMaxSATSession:
         self.precision = precision
         self.max_rounds = max_rounds
         self._kernels = kernels if kernels is not None else _kernels.select(None)
-        #: Retained for the per-scenario cold fallback of :meth:`solve_chunk`
-        #: (only the structure is ever read; weights always come per solve).
-        self._tree = tree
-        self._cache = cache
 
         encoding = assemble_structure_cnf(tree, cache)
         self._solver = CDCLSolver()
@@ -222,18 +207,8 @@ class IncrementalMaxSATSession:
         #: ever produced.  Feasibility ("the hard clauses admit a model whose
         #: true events are exactly this set") is weight-independent, so a
         #: pooled candidate certifies later scenarios without an oracle call.
-        self._pool_order: List[Tuple[str, ...]] = []
-        self._pool_index: Dict[Tuple[str, ...], int] = {}
-        self._pool_columns: List[List[int]] = []
-        self._pool_masks: List[int] = []
-        #: Memoised minimal-hitting-set enumerations, keyed by
-        #: ``(core count, block signature)``: ``(family or None on overflow,
-        #: node budget used, family cap used)``.  An overflow is retried only
-        #: when a later batch brings a larger budget.
-        self._mhs_families: Dict[
-            Tuple[int, FrozenSet[Literal]],
-            Tuple[Optional[List[FrozenSet[Literal]]], int, int],
-        ] = {}
+        #: Maps each candidate to its event-column bitmask.
+        self._pool: Dict[Tuple[str, ...], int] = {}
 
         self.encode_time = time.perf_counter() - started
         self.sat_calls = 0
@@ -246,9 +221,6 @@ class IncrementalMaxSATSession:
             "bnb": 0,
             "fallback": 0,
         }
-        #: Scenarios rescued by the per-scenario cold fallback in
-        #: :meth:`solve_chunk` after a :class:`BudgetExceededError`.
-        self.chunk_fallbacks = 0
 
     # -- weights ---------------------------------------------------------------
 
@@ -330,112 +302,6 @@ class IncrementalMaxSATSession:
                 span.add("hs_rounds", self.rounds - rounds_before)
                 span.add("solutions", 0 if result is None else 1)
             return result
-
-    def solve_chunk(
-        self,
-        weights_seq: Sequence[Dict[str, float]],
-        blocked: Sequence[Tuple[str, ...]] = (),
-    ) -> List[Optional[IncrementalSolveResult]]:
-        """Re-rank a whole scenario chunk of weight-only re-solves per call.
-
-        Equivalent to calling :meth:`solve` once per element of
-        ``weights_seq`` (same results, in order), but under a single trace
-        span: one ``maxsat.solve_chunk`` span instead of one span per
-        scenario, which is what makes chunked sweep execution cheap to
-        observe.  Each scenario after the first starts with every core,
-        learned clause and hitting-set memo its predecessors discovered
-        already hot — the chunk shape matches how
-        :class:`~repro.scenarios.sweep.SweepExecutor` and the monitoring
-        batch path feed scenarios through a warm session.
-
-        A :class:`BudgetExceededError` raised mid-chunk is contained to the
-        scenario that blew the budget: that scenario alone falls back to a
-        cold one-shot solve (counted in ``chunk_fallbacks``) and the chunk
-        continues — earlier results are never thrown away.
-        """
-        with _trace.span(
-            "maxsat.solve_chunk", scenarios=len(weights_seq), blocked=len(blocked)
-        ) as span:
-            calls_before = self.sat_calls
-            rounds_before = self.rounds
-            fallbacks_before = self.chunk_fallbacks
-            results: List[Optional[IncrementalSolveResult]] = []
-            for weights in weights_seq:
-                try:
-                    results.append(self._solve_impl(weights, blocked))
-                except BudgetExceededError:
-                    self.chunk_fallbacks += 1
-                    results.append(self._cold_solve(weights, blocked))
-            if self.chunk_fallbacks > fallbacks_before:
-                from repro.observability.metrics import get_metrics
-
-                get_metrics().inc(
-                    "repro_maxsat_chunk_fallbacks_total",
-                    amount=self.chunk_fallbacks - fallbacks_before,
-                )
-            if span.is_recording:
-                span.add("chunk_fallbacks", self.chunk_fallbacks - fallbacks_before)
-                span.add("sat_calls", self.sat_calls - calls_before)
-                span.add("hs_rounds", self.rounds - rounds_before)
-                span.add(
-                    "solutions", sum(1 for result in results if result is not None)
-                )
-            return results
-
-    def _cold_solve(
-        self,
-        weights: Dict[str, float],
-        blocked: Sequence[Tuple[str, ...]],
-    ) -> Optional[IncrementalSolveResult]:
-        """One-shot cold solve of a single scenario, bypassing session state.
-
-        The rescue path for a scenario whose incremental solve blew a search
-        budget: re-encode the structure (through the shared fragment cache, so
-        this is cheap), materialise the scenario's weights as probabilities
-        ``exp(-w)``, forbid the blocked cut sets with plain hard clauses and
-        run the cold portfolio.  The session's cores, memo and solver are left
-        untouched — a pathological scenario must not poison its successors.
-        """
-        # Lazy for the same cycle reason as the constructor's encoder import.
-        from repro.core.encoder import encode_mpmcs
-        from repro.core.pipeline import MPMCSSolver
-
-        started = time.perf_counter()
-        patched = self._tree.copy()
-        for name in self.event_vars:
-            patched.set_probability(name, max(math.exp(-weights[name]), 5e-324))
-        encoding = encode_mpmcs(patched, precision=self.precision, cache=self._cache)
-        for cut_set in blocked:
-            try:
-                encoding.instance.add_hard(
-                    [-encoding.event_vars[name] for name in cut_set]
-                )
-            except KeyError as exc:
-                raise AnalysisError(
-                    f"cannot block cut set {tuple(sorted(cut_set))!r}: event "
-                    f"{exc.args[0]!r} is not part of this structure"
-                ) from None
-        try:
-            outcome = MPMCSSolver(precision=self.precision).solve_encoding(
-                patched, encoding
-            )
-        except AnalysisError as exc:
-            if "no cut set" in str(exc):
-                self.solves += 1
-                return None
-            raise
-        events = tuple(sorted(outcome.events))
-        probability_weights = {name: weights[name] for name in events}
-        self.solves += 1
-        return IncrementalSolveResult(
-            events=events,
-            scaled_cost=self.scaled_cost_of(events, weights),
-            cost=sum(probability_weights.values()),
-            probability_weights=probability_weights,
-            sat_calls=0,
-            solve_time=time.perf_counter() - started,
-            rerank="cold",
-        )
 
     def _solve_impl(
         self,
@@ -533,20 +399,18 @@ class IncrementalMaxSATSession:
 
     def _register_candidate(self, events: Tuple[str, ...]) -> None:
         """Admit a SAT-verified optimal cut set into the candidate pool."""
-        if events in self._pool_index:
-            return
-        self._pool_index[events] = len(self._pool_order)
-        self._pool_order.append(events)
-        columns = [self._event_column[name] for name in events]
-        self._pool_columns.append(columns)
-        mask = 0
-        for column in columns:
-            mask |= 1 << column
-        self._pool_masks.append(mask)
+        if events not in self._pool:
+            self._pool[events] = self._event_mask(events)
 
     @property
     def pool_size(self) -> int:
-        return len(self._pool_order)
+        return len(self._pool)
+
+    def _event_mask(self, events: Tuple[str, ...]) -> int:
+        mask = 0
+        for name in events:
+            mask |= 1 << self._event_column[name]
+        return mask
 
     def _contains_pooled(self, events: Tuple[str, ...]) -> bool:
         """Whether some pooled candidate is a subset of ``events``.
@@ -555,12 +419,10 @@ class IncrementalMaxSATSession:
         verified cut set, and any superset of a cut set admits a model, so the
         oracle call the sequential loop would make is guaranteed to succeed.
         """
-        if events in self._pool_index:
+        if events in self._pool:
             return True
-        mask = 0
-        for name in events:
-            mask |= 1 << self._event_column[name]
-        return any(candidate & ~mask == 0 for candidate in self._pool_masks)
+        mask = self._event_mask(events)
+        return any(candidate & ~mask == 0 for candidate in self._pool.values())
 
     @staticmethod
     def _admissible(
@@ -570,108 +432,12 @@ class IncrementalMaxSATSession:
         event_set = frozenset(events)
         return all(not blocked <= event_set for blocked in blocked_sets)
 
-    #: Node / family-size caps for minimal-hitting-set enumeration; blowing
-    #: either cap disables the exact pooled gate for that core state (the
-    #: packing lower bound takes over — still correct, just less often tight).
-    #: The node cap is a ceiling: the per-batch budget scales with the number
-    #: of scenarios the enumeration can amortise over (``_MHS_NODES_PER_ROW``),
-    #: so a small monitor batch never pays a long enumeration it cannot recoup.
-    #: The family cap is tier-aware: scoring thousands of candidates is one
-    #: cheap matmul on the numpy tier but real per-candidate loop work on the
-    #: stdlib tiers.
-    _MHS_NODE_CAP = 1_000_000
-    _MHS_NODES_PER_ROW = 2_000
-    _MHS_NODE_FLOOR = 25_000
-    _MHS_SET_CAP = 4096
-    _MHS_SET_CAP_SCALAR = 512
-
-    def _mhs_budgets(self, scenarios: int) -> Tuple[int, int]:
-        """(node budget, family cap) for a batch of ``scenarios`` re-solves."""
-        node_budget = min(
-            self._MHS_NODE_CAP,
-            max(self._MHS_NODE_FLOOR, self._MHS_NODES_PER_ROW * scenarios),
-        )
-        set_cap = (
-            self._MHS_SET_CAP
-            if self._kernels.name == "numpy"
-            else self._MHS_SET_CAP_SCALAR
-        )
-        return node_budget, set_cap
-
-    def _minimal_hitting_sets(
-        self,
-        usable: List[FrozenSet[Literal]],
-        index: CoverageIndex,
-        node_budget: Optional[int] = None,
-        set_cap: Optional[int] = None,
-    ) -> Optional[List[FrozenSet[Literal]]]:
-        """All subset-minimal hitting sets of ``usable``, or ``None`` on overflow.
-
-        Weight-independent, so computed once per core state.  With strictly
-        positive weights every minimum-cost hitting set is subset-minimal, so
-        this family always contains the per-scenario optimum — which is what
-        turns per-scenario optimality into a pure scoring problem.
-        """
-        if node_budget is None:
-            node_budget = self._MHS_NODE_CAP
-        if set_cap is None:
-            set_cap = self._MHS_SET_CAP
-        coverage = index.coverage
-        branch_order = [sorted(core, key=abs) for core in usable]
-        found: Set[FrozenSet[Literal]] = set()
-        nodes = 0
-
-        def search(chosen: Set[Literal], unhit_mask: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget or len(found) > set_cap:
-                return False
-            if not unhit_mask:
-                found.add(frozenset(chosen))
-                return True
-            core_index = (unhit_mask & -unhit_mask).bit_length() - 1
-            for element in branch_order[core_index]:
-                if element in chosen:
-                    continue
-                chosen.add(element)
-                if not search(chosen, unhit_mask & ~coverage[element]):
-                    return False
-                chosen.discard(element)
-            return True
-
-        if not search(set(), index.all_mask):
-            return None
-        # The search emits every minimal hitting set (choosing its elements in
-        # core order) but also non-minimal combinations; filter by subset.
-        by_size = sorted(found, key=lambda s: (len(s), sorted(s, key=abs)))
-        minimal: List[FrozenSet[Literal]] = []
-        for candidate in by_size:
-            if not any(kept < candidate for kept in minimal):
-                minimal.append(candidate)
-        return minimal
-
-    def _prepare_rerank(
-        self, blocked: Sequence[Tuple[str, ...]], scenarios: int = 1
-    ) -> _RerankPrep:
-        """The weight-independent batch state for the current core collection.
-
-        ``scenarios`` sizes the minimal-hitting-set enumeration budget: the
-        family is worth enumerating in proportion to the number of re-solves
-        it can answer SAT-free.  Enumerations (including overflows) are
-        memoised per ``(core count, block signature)`` on the session, so a
-        long-lived monitor pays the enumeration once, not once per batch.
-        """
-        block_assumptions = sorted(
-            (self._block_assumption(cut_set) for cut_set in blocked), key=abs
-        )
-        active_blocks = set(block_assumptions)
+    def _prepare_rerank(self, blocked: Sequence[Tuple[str, ...]]) -> _RerankPrep:
+        """The weight-independent batch state for the current core collection."""
+        active_blocks = {self._block_assumption(cut_set) for cut_set in blocked}
         usable, exhausted = self._usable_cores(active_blocks)
         index: Optional[CoverageIndex] = None
         disjoint_columns: List[List[int]] = []
-        mhs_literals: Optional[List[FrozenSet[Literal]]] = None
-        mhs_events: Optional[List[Tuple[str, ...]]] = None
-        mhs_columns: Optional[List[List[int]]] = None
-        mhs_index: Optional[Dict[Tuple[str, ...], int]] = None
         if not exhausted:
             index = CoverageIndex(usable)
             # Greedy disjoint-core packing in discovery order: any hitting set
@@ -683,33 +449,7 @@ class IncrementalMaxSATSession:
                     disjoint_columns.append(
                         sorted(self._selector_column[literal] for literal in core)
                     )
-            node_budget, set_cap = self._mhs_budgets(scenarios)
-            state_key = (len(self._cores), frozenset(active_blocks))
-            cached = self._mhs_families.get(state_key)
-            if cached is not None and (
-                cached[0] is not None
-                or (cached[1] >= node_budget and cached[2] >= set_cap)
-            ):
-                mhs_literals = cached[0]
-            else:
-                if len(self._mhs_families) >= 64:  # tiny, but never unbounded
-                    self._mhs_families.clear()
-                mhs_literals = self._minimal_hitting_sets(
-                    usable, index, node_budget, set_cap
-                )
-                self._mhs_families[state_key] = (mhs_literals, node_budget, set_cap)
-            if mhs_literals is not None:
-                mhs_events = [
-                    tuple(sorted(self._var_events[abs(literal)] for literal in s))
-                    for s in mhs_literals
-                ]
-                mhs_columns = [
-                    sorted(self._selector_column[literal] for literal in s)
-                    for s in mhs_literals
-                ]
-                mhs_index = {events: i for i, events in enumerate(mhs_events)}
         return _RerankPrep(
-            block_assumptions=block_assumptions,
             signature=frozenset(active_blocks),
             blocked_sets=tuple(frozenset(cut_set) for cut_set in blocked),
             core_count=len(self._cores),
@@ -717,10 +457,6 @@ class IncrementalMaxSATSession:
             exhausted=exhausted,
             index=index,
             disjoint_columns=disjoint_columns,
-            mhs_literals=mhs_literals,
-            mhs_events=mhs_events,
-            mhs_columns=mhs_columns,
-            mhs_index=mhs_index,
         )
 
     def _scaled_row(self, weights: Dict[str, float]) -> List[int]:
@@ -734,23 +470,6 @@ class IncrementalMaxSATSession:
         if prep.exhausted or not prep.disjoint_columns:
             return [0] * len(rows)
         return self._kernels.greedy_lower_bound(prep.disjoint_columns, rows)
-
-    def _mhs_scores(
-        self, prep: _RerankPrep, rows: Sequence[Sequence[int]]
-    ) -> Tuple[List[List[int]], List[int]]:
-        """Score the minimal-hitting-set family over the whole batch.
-
-        One kernel call builds the ``candidates × scenarios`` matrix (a single
-        int64 matmul on the numpy tier); the per-scenario column minimum is
-        the **exact** minimum hitting-set cost, since every minimum-cost
-        hitting set under strictly positive weights is subset-minimal and the
-        family enumerates all of those.
-        """
-        if prep.exhausted or prep.mhs_columns is None:
-            return [], [0] * len(rows)
-        scores = self._kernels.score_candidates(prep.mhs_columns, rows)
-        opts = [min(column) for column in zip(*scores)]
-        return scores, opts
 
     def _result_for(
         self,
@@ -778,9 +497,6 @@ class IncrementalMaxSATSession:
         prep: _RerankPrep,
         row: Sequence[int],
         lower_bound: int,
-        mhs_scores: Sequence[Sequence[int]],
-        opts: Sequence[int],
-        position: int,
     ) -> Optional[IncrementalSolveResult]:
         """Resolve one batch scenario through the pool/certify/B&B/fallback ladder."""
         started = time.perf_counter()
@@ -788,17 +504,14 @@ class IncrementalMaxSATSession:
             self.solves += 1
             self.rerank_stats["pooled"] += 1
             return None
-        exact = prep.mhs_columns is not None
-        optimum = opts[position] if exact else None
 
-        # Pooled tier, seed gate: the memoised hitting set for this block
-        # signature (the previous scenario's optimum, in steady state).  When
-        # it still hits every core, its cost attains the scenario's exact
-        # optimum (or, in the enumeration-overflow regime, the packing lower
-        # bound), it contains a pooled cut set and no blocking clause forbids
-        # it, it is *provably* what the sequential loop would return: the
-        # seeded branch-and-bound adopts an optimal seed unchanged, and pool
-        # containment certifies the SAT call — zero oracle work.
+        # Pooled tier: the memoised hitting set for this block signature (the
+        # previous scenario's optimum, in steady state).  When it still hits
+        # every core, its cost attains the packing lower bound (so it is
+        # optimal), it contains a pooled cut set and no blocking clause
+        # forbids it, it is *provably* what the sequential loop would return:
+        # the seeded branch-and-bound adopts an optimal seed unchanged, and
+        # pool containment certifies the SAT call — zero oracle work.
         seed = self._hs_memo.get(prep.signature) if prep.usable else set()
         if seed is not None and prep.index is not None and prep.index.covers_all(seed):
             seed_events = tuple(
@@ -807,20 +520,8 @@ class IncrementalMaxSATSession:
             if self._admissible(seed_events, prep.blocked_sets) and self._contains_pooled(
                 seed_events
             ):
-                if exact:
-                    mhs_position = prep.mhs_index.get(seed_events)
-                    seed_score = (
-                        mhs_scores[mhs_position][position]
-                        if mhs_position is not None
-                        else sum(row[self._event_column[name]] for name in seed_events)
-                    )
-                    seed_optimal = seed_score == optimum
-                else:
-                    seed_score = sum(
-                        row[self._event_column[name]] for name in seed_events
-                    )
-                    seed_optimal = seed_score == lower_bound
-                if seed_optimal:
+                seed_score = sum(row[self._event_column[name]] for name in seed_events)
+                if seed_score == lower_bound:
                     self._hs_memo[prep.signature] = set(seed)
                     self.solves += 1
                     self._register_candidate(seed_events)
@@ -829,32 +530,10 @@ class IncrementalMaxSATSession:
                         seed_events, seed_score, weights, started, "pooled"
                     )
 
-        # Pooled tier, argmin gate: with the minimal-hitting-set family
-        # enumerated, the scored argmin *is* the optimum whenever it is
-        # unique — the branch-and-bound must return that same set (a tie
-        # would require a second minimum-score candidate, and any seed
-        # adoption is itself min-cost hence minimal hence in the family).
-        if exact:
-            winners = [
-                index
-                for index, candidate_scores in enumerate(mhs_scores)
-                if candidate_scores[position] == optimum
-            ]
-            if len(winners) == 1:
-                events = prep.mhs_events[winners[0]]
-                if self._contains_pooled(events) and self._admissible(
-                    events, prep.blocked_sets
-                ):
-                    self._hs_memo[prep.signature] = set(prep.mhs_literals[winners[0]])
-                    self.solves += 1
-                    self._register_candidate(events)
-                    self.rerank_stats["pooled"] += 1
-                    return self._result_for(events, optimum, weights, started, "pooled")
-
-        # B&B tier: tied optima with a stale seed, an un-certifiable winner
-        # or an overflowed enumeration — run the exact hitting-set search,
-        # exactly as the sequential loop's first round would, then try to
-        # certify its result without the SAT call.
+        # B&B tier: a stale seed, or a packing bound too loose to prove the
+        # seed optimal — run the exact hitting-set search, exactly as the
+        # sequential loop's first round would, then try to certify its result
+        # without the SAT call.
         self.rerank_stats["bnb"] += 1
         scaled: Dict[Literal, int] = {
             selector: row[column] for selector, column in self._selector_column.items()
@@ -895,14 +574,12 @@ class IncrementalMaxSATSession:
         """Batched weight-only re-rank: results identical to a :meth:`solve` loop.
 
         Everything weight-independent is computed once per batch — the usable
-        cores, their :class:`~repro.kernels.bitset.CoverageIndex`, a greedy
-        disjoint-core packing, the candidate pool's incidence structure — and
-        the per-scenario work collapses to integer scoring through the
-        session's kernel suite: one ``candidates × scenarios`` score matrix
-        (a single int64 matmul on the numpy tier) plus one vectorised packing
-        lower bound per scenario.  Each scenario then walks the ladder in
-        :meth:`_ranked_one`: **pooled** (zero SAT calls) → **certified** (one
-        B&B, zero SAT calls) → **fallback** (full sequential loop).
+        cores, their :class:`~repro.kernels.bitset.CoverageIndex` and a greedy
+        disjoint-core packing — and the per-scenario packing lower bounds come
+        from one call into the session's kernel suite.  Each scenario then
+        walks the ladder in :meth:`_ranked_one`: **pooled** (seed proven
+        optimal by the bound, zero SAT calls) → **certified** (one seeded B&B,
+        zero SAT calls) → **fallback** (full sequential loop).
 
         The returned results — events, scaled cost, float cost, probability
         weights — are byte-identical to calling :meth:`solve` once per
@@ -924,16 +601,14 @@ class IncrementalMaxSATSession:
             results: List[Optional[IncrementalSolveResult]] = []
             if weights_seq:
                 rows = [self._scaled_row(weights) for weights in weights_seq]
-                prep = self._prepare_rerank(blocked, len(weights_seq))
+                prep = self._prepare_rerank(blocked)
                 lower_bounds = self._lower_bounds(prep, rows)
-                mhs_scores, opts = self._mhs_scores(prep, rows)
                 for position, weights in enumerate(weights_seq):
                     if prep.core_count != len(self._cores):
-                        # A fallback discovered new cores: the coverage index,
-                        # packing bound and score matrix are stale — rebuild.
-                        prep = self._prepare_rerank(blocked, len(weights_seq))
+                        # A fallback discovered new cores: the coverage index
+                        # and packing bounds are stale — rebuild.
+                        prep = self._prepare_rerank(blocked)
                         lower_bounds = self._lower_bounds(prep, rows)
-                        mhs_scores, opts = self._mhs_scores(prep, rows)
                     results.append(
                         self._ranked_one(
                             weights,
@@ -941,9 +616,6 @@ class IncrementalMaxSATSession:
                             prep,
                             rows[position],
                             lower_bounds[position],
-                            mhs_scores,
-                            opts,
-                            position,
                         )
                     )
             if span.is_recording:
@@ -982,8 +654,7 @@ class IncrementalMaxSATSession:
             "num_hard": self.num_hard,
             "encode_seconds": self.encode_time,
             "kernel": self._kernels.name,
-            "pool_candidates": len(self._pool_order),
-            "chunk_fallbacks": self.chunk_fallbacks,
+            "pool_candidates": len(self._pool),
             "rerank_pooled": self.rerank_stats["pooled"],
             "rerank_certified": self.rerank_stats["certified"],
             "rerank_bnb": self.rerank_stats["bnb"],

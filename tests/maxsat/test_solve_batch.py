@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.exceptions import BudgetExceededError
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system
@@ -150,7 +149,31 @@ class TestRerankLadder:
         weights_seq = _weight_grid(session, seed=11, count=6)
         results = session.solve_batch(weights_seq)
         for result in results:
-            assert result.rerank in {"pooled", "certified", "fallback", "cold"}
+            assert result.rerank in {"pooled", "certified", "fallback"}
+
+    def test_flips_between_pooled_optima_are_sat_free(self):
+        tree = fire_protection_system()
+        batch_session = IncrementalMaxSATSession(tree)
+        loop_session = IncrementalMaxSATSession(tree)
+        first = _weight_grid(batch_session, seed=23, count=1)[0]
+        optimum = batch_session.solve(first).events
+        # Make the first optimum expensive so the second vector moves it.
+        second = {
+            name: weight * 10.0 if name in optimum else weight
+            for name, weight in first.items()
+        }
+        assert batch_session.solve(second).events != optimum
+        loop_session.solve(first)
+        loop_session.solve(second)
+        assert batch_session.pool_size == 2
+
+        weights_seq = [first, second] * 5
+        calls_before = batch_session.sat_calls
+        batched = batch_session.solve_batch(weights_seq)
+        sequential = [loop_session.solve(weights) for weights in weights_seq]
+        assert [_essence(r) for r in batched] == [_essence(r) for r in sequential]
+        assert batch_session.sat_calls == calls_before
+        assert batch_session.rerank_stats["fallback"] == 0
 
     def test_plain_solve_is_untagged(self):
         tree = fire_protection_system()
@@ -165,7 +188,6 @@ class TestRerankLadder:
         for key in (
             "kernel",
             "pool_candidates",
-            "chunk_fallbacks",
             "rerank_pooled",
             "rerank_certified",
             "rerank_bnb",
@@ -173,48 +195,6 @@ class TestRerankLadder:
         ):
             assert key in stats
         assert stats["kernel"] in TIERS
-
-
-class TestChunkBudgetContainment:
-    """S1 regression: a mid-chunk budget blowout must not abort the chunk."""
-
-    def test_budget_error_falls_back_cold_and_continues(self, monkeypatch):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        reference = IncrementalMaxSATSession(tree)
-        weights_seq = _weight_grid(session, seed=17, count=5)
-        expected = [reference.solve(weights) for weights in weights_seq]
-
-        real_impl = IncrementalMaxSATSession._solve_impl
-        state = {"calls": 0}
-
-        def flaky_impl(self, weights, blocked):
-            state["calls"] += 1
-            if state["calls"] == 3:  # blow the budget mid-chunk only
-                raise BudgetExceededError("injected: hitting-set budget exhausted")
-            return real_impl(self, weights, blocked)
-
-        monkeypatch.setattr(IncrementalMaxSATSession, "_solve_impl", flaky_impl)
-        results = session.solve_chunk(weights_seq)
-
-        assert session.chunk_fallbacks == 1
-        assert len(results) == 5
-        assert results[2].rerank == "cold"
-        # The cold rescue returns the scenario's true optimum, and the
-        # scenarios after the blowout are unaffected.
-        assert [_essence(r) for r in results] == [_essence(r) for r in expected]
-
-    def test_fallback_count_survives_in_stats(self, monkeypatch):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        weights_seq = _weight_grid(session, seed=19, count=2)
-
-        def always_broke(self, weights, blocked):
-            raise BudgetExceededError("injected")
-
-        monkeypatch.setattr(IncrementalMaxSATSession, "_solve_impl", always_broke)
-        session.solve_chunk(weights_seq)
-        assert session.stats()["chunk_fallbacks"] == 2
 
 
 class TestBatchProperty:

@@ -46,7 +46,7 @@ class TestAppend:
             _record(tmp_path / "kernels.json",
                     "E15-kernel-batch-bdd-eval", numpy_speedup_vs_scalar=15.0),
             _record(tmp_path / "rerank.json",
-                    "E16-maxsat-rerank-batch", batch_speedup_vs_chunk=6.0),
+                    "E16-maxsat-rerank-batch", batch_speedup_vs_loop=6.0),
         ]
         code = bench_history.main(
             [str(path) for path in records] + ["--history", str(history)]

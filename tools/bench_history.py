@@ -40,7 +40,7 @@ HEADLINE_METRICS = {
     "E13-campaign-resume-overhead": "resume_speedup",
     "E14-live-monitor-updates": "speedup_vs_cold",
     "E15-kernel-batch-bdd-eval": "numpy_speedup_vs_scalar",
-    "E16-maxsat-rerank-batch": "batch_speedup_vs_chunk",
+    "E16-maxsat-rerank-batch": "batch_speedup_vs_loop",
 }
 
 #: (env var, default filename) pairs probed when no record paths are given.
