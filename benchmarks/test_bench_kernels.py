@@ -4,15 +4,15 @@ The tentpole claim of the kernel layer: on a node-heavy BDD (voting gates,
 ~13k nodes) and a 1000-scenario probability grid, one vectorised pass through
 the ``numpy`` kernel tier is **≥10x faster** than evaluating the same grid
 scenario-by-scenario with scalar :func:`probability_of_bdd` walks — with
-**exact float equality** across every kernel tier (the three tiers execute
+**exact float equality** across every kernel tier (both tiers execute
 the identical IEEE-754 operation sequence per node, so they are
 interchangeable without perturbing canonical reports).
 
 The smoke variant emits a machine-readable ``BENCH_kernels.json`` (node and
 scenario counts, wall-clocks and per-tier speedups) so the CI benchmark job
 can upload it as an artifact and seed the perf trajectory.  Without numpy
-the benchmark still runs: it checks the stdlib tiers' exactness and records
-their speedups, skipping only the ≥10x assertion.
+the benchmark still runs: it checks the python reference tier's exactness
+and records its speedup, skipping only the ≥10x assertion.
 """
 
 import json
@@ -108,5 +108,3 @@ def test_bench_kernels_batch_vs_scalar(tmp_path):
         # (~15x measured on one core; the margin is not runner-sensitive
         # because both sides are single-threaded CPU-bound loops).
         assert tier_results["numpy"]["speedup_vs_scalar"] >= 10.0
-    # The stdlib batch tier must never lose to the per-scenario reference.
-    assert tier_results["array"]["speedup_vs_scalar"] >= 1.0

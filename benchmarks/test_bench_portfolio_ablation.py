@@ -41,7 +41,6 @@ def instances():
 
 ENGINE_FACTORIES = [
     ("rc2", RC2Engine),
-    ("rc2-stratified", lambda: RC2Engine(stratified=True)),
     ("fu-malik", FuMalikEngine),
     ("linear-sat-unsat", LinearSearchEngine),
 ]

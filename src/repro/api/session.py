@@ -105,7 +105,7 @@ class AnalysisSession:
         across sessions); a fresh one is created otherwise.
     kernel_tier:
         Compute-kernel tier for batch evaluation hot paths (``"numpy"``,
-        ``"array"``, ``"python"`` or ``"auto"``); resolved once here via
+        ``"python"`` or ``"auto"``); resolved once here via
         :func:`repro.kernels.select` and surfaced in
         ``AnalysisReport.profile["kernel"]``.  All tiers produce bit-identical
         results — this only trades speed.

@@ -60,7 +60,6 @@ from repro.monitoring import (
     TreeMonitor,
     feed_from_spec,
 )
-from repro.maxsat.binary_search import BinarySearchEngine
 from repro.maxsat.bruteforce import BruteForceEngine
 from repro.maxsat.fumalik import FuMalikEngine
 from repro.maxsat.hitting_set import HittingSetEngine
@@ -120,10 +119,8 @@ from repro.workloads.library import NAMED_TREES, get_tree
 #: MaxSAT engine factories selectable from the command line.
 _ENGINE_FACTORIES = {
     "rc2": RC2Engine,
-    "rc2-stratified": lambda: RC2Engine(stratified=True),
     "fu-malik": FuMalikEngine,
     "linear": LinearSearchEngine,
-    "binary-search": BinarySearchEngine,
     "hitting-set": HittingSetEngine,
     "brute-force": BruteForceEngine,
 }
@@ -162,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--kernel",
-        choices=("auto", "numpy", "array", "python"),
+        choices=("auto", "numpy", "python"),
         default="auto",
         help="numeric kernel tier for batch evaluation (default: auto = fastest available)",
     )

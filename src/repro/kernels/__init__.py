@@ -11,12 +11,9 @@ implementation *tier* without changing any semantics:
     pass per node over the whole grid; the MaxSAT re-rank's packing lower
     bound as one column-wise ``min`` per core).  Only available when numpy
     is importable and not disabled via ``REPRO_NO_NUMPY=1``.
-``array``
-    Stdlib :mod:`array`-module buffers: contiguous ``float``/``int`` storage,
-    no third-party dependency.
 ``python``
-    Plain-list reference implementation.  Kept permanently as the oracle the
-    test suite compares the other tiers against.
+    Plain-list reference implementation: the tier used when numpy is absent,
+    and the oracle the test suite compares the numpy tier against.
 
 All tiers perform the *identical IEEE-754 operation sequence* per BDD node
 (``p * P(high) + (1 - p) * P(low)`` in children-first order), so results are
@@ -25,16 +22,15 @@ tier ran.  The MaxSAT re-rank kernels (:mod:`repro.kernels.rerank`) operate
 on the solver's *scaled integer* weights and are exact on every tier by
 construction.
 
-Selection: :func:`select` resolves ``None``/``"auto"`` to the best available
-tier (numpy → array → python).  The environment variable ``REPRO_KERNEL``
-overrides the default, and ``analyze --kernel`` / ``AnalysisSession(
-kernel_tier=...)`` override both.  The chosen tier is surfaced in
-``AnalysisReport.profile["kernel"]`` and ``analyze --profile`` output.
+Selection: :func:`select` resolves ``None``/``"auto"`` to numpy when it is
+available and to the python reference otherwise; ``analyze --kernel`` /
+``AnalysisSession(kernel_tier=...)`` pick a tier explicitly.  The chosen tier
+is surfaced in ``AnalysisReport.profile["kernel"]`` and ``analyze --profile``
+output.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,15 +39,11 @@ from repro.kernels import bdd_eval, rerank
 from repro.numerics import HAVE_NUMPY
 
 __all__ = [
-    "KERNEL_ENV",
     "KernelSuite",
     "available_tiers",
     "batch_probability_of_bdd",
     "select",
 ]
-
-#: Environment override for the default kernel tier.
-KERNEL_ENV = "REPRO_KERNEL"
 
 
 @dataclass(frozen=True)
@@ -80,12 +72,6 @@ _SUITES = {
         score_candidates=rerank.score_candidates_python,
         greedy_lower_bound=rerank.greedy_lower_bound_python,
     ),
-    "array": KernelSuite(
-        name="array",
-        eval_bdd_batch=bdd_eval.eval_bdd_batch_array,
-        score_candidates=rerank.score_candidates_array,
-        greedy_lower_bound=rerank.greedy_lower_bound_array,
-    ),
     "numpy": KernelSuite(
         name="numpy",
         eval_bdd_batch=bdd_eval.eval_bdd_batch_numpy,
@@ -94,7 +80,7 @@ _SUITES = {
     ),
 }
 
-_PREFERENCE = ("numpy", "array", "python")
+_PREFERENCE = ("numpy", "python")
 
 
 def available_tiers() -> Tuple[str, ...]:
@@ -105,14 +91,11 @@ def available_tiers() -> Tuple[str, ...]:
 def select(tier: Optional[str] = None) -> KernelSuite:
     """Resolve a kernel tier name to its :class:`KernelSuite`.
 
-    ``None`` or ``"auto"`` picks the fastest available tier, honouring the
-    ``REPRO_KERNEL`` environment override first.  Explicit names are
-    validated: requesting ``"numpy"`` without numpy raises
+    ``None`` or ``"auto"`` picks the fastest available tier.  Explicit names
+    are validated: requesting ``"numpy"`` without numpy raises
     :class:`~repro.exceptions.ConfigurationError` rather than silently
     downgrading.
     """
-    if tier is None or tier == "auto":
-        tier = os.environ.get(KERNEL_ENV) or None
     if tier is None or tier == "auto":
         return _SUITES[available_tiers()[0]]
     if tier not in _SUITES:

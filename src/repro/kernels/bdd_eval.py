@@ -11,7 +11,7 @@ order::
     P(node) = p * P(high) + (1 - p) * P(low)
 
 with the identical IEEE-754 operation sequence (multiply, subtract-from-one,
-multiply, add), so the three tiers return bit-for-bit equal doubles.  The
+multiply, add), so both tiers return bit-for-bit equal doubles.  The
 ``python`` tier is the reference oracle; the ``numpy`` tier flips the loop
 structure — one vectorised pass *across all scenarios* per node — which is
 where the batch speedup comes from on wide scenario grids.
@@ -24,7 +24,6 @@ from typing import List, Sequence
 from repro.numerics import require_numpy
 
 __all__ = [
-    "eval_bdd_batch_array",
     "eval_bdd_batch_numpy",
     "eval_bdd_batch_python",
 ]
@@ -41,29 +40,6 @@ def eval_bdd_batch_python(flat, rows: Sequence[Sequence[float]]) -> List[float]:
             p = row[index]
             append(p * values[hi] + (1.0 - p) * values[lo])
         out.append(values[root])
-    return out
-
-
-def eval_bdd_batch_array(flat, rows: Sequence[Sequence[float]]) -> List[float]:
-    """Stdlib tier: value buffer and node quadruples preallocated once.
-
-    The node walk ``(position, event-column, low, high)`` is materialised as
-    one tuple list up front and the value buffer is reused across scenarios
-    (children-first ordering guarantees every read position was written
-    earlier in the same scenario), so the per-scenario cost is the bare
-    recurrence — measurably faster than the reference tier on wide batches.
-    """
-    root = flat.root
-    walk = list(zip(range(2, flat.num_nodes), flat.var_index, flat.low, flat.high))
-    values = [0.0] * flat.num_nodes
-    values[1] = 1.0
-    out: List[float] = []
-    append = out.append
-    for row in rows:
-        for position, index, lo, hi in walk:
-            p = row[index]
-            values[position] = p * values[hi] + (1.0 - p) * values[lo]
-        append(values[root])
     return out
 
 

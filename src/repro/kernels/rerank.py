@@ -26,7 +26,7 @@ per scenario is pure integer scoring, and that is what these kernels batch:
 All arithmetic is on Python/``int64`` integers (the solver's scaled-weight
 domain), so every tier returns **identical** exact values — there is no
 floating-point divergence to manage.  The ``python`` tier is the oracle the
-property tests compare the others against.
+property tests compare the numpy tier against.
 
 The numpy tier delegates to the reference implementation when a weight could
 overflow signed 64-bit accumulation (absurdly large ``precision`` settings);
@@ -35,16 +35,13 @@ results stay exact either way.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Sequence
 
 from repro.numerics import require_numpy
 
 __all__ = [
-    "greedy_lower_bound_array",
     "greedy_lower_bound_numpy",
     "greedy_lower_bound_python",
-    "score_candidates_array",
     "score_candidates_numpy",
     "score_candidates_python",
 ]
@@ -67,25 +64,6 @@ def score_candidates_python(
     for candidate in candidates:
         members = list(candidate)
         out.append([sum(row[j] for j in members) for row in rows])
-    return out
-
-
-def score_candidates_array(
-    candidates: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
-) -> List[List[int]]:
-    """Stdlib tier: contiguous ``array('q')`` score buffers per candidate.
-
-    Same exact integers as the reference tier; the signed 64-bit buffers keep
-    the score matrix compact on wide scenario batches.
-    """
-    out: List[List[int]] = []
-    num_rows = len(rows)
-    for candidate in candidates:
-        members = list(candidate)
-        scores = array("q", bytes(8 * num_rows))
-        for position, row in enumerate(rows):
-            scores[position] = sum(row[j] for j in members)
-        out.append(list(scores))
     return out
 
 
@@ -114,17 +92,6 @@ def greedy_lower_bound_python(
     """Reference tier: per-scenario disjoint-core packing bound."""
     members = [list(core) for core in cores]
     return [sum(min(row[j] for j in core) for core in members) for row in rows]
-
-
-def greedy_lower_bound_array(
-    cores: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
-) -> List[int]:
-    """Stdlib tier: the packing bound accumulated in an ``array('q')`` buffer."""
-    members = [list(core) for core in cores]
-    totals = array("q", bytes(8 * len(rows)))
-    for position, row in enumerate(rows):
-        totals[position] = sum(min(row[j] for j in core) for core in members)
-    return list(totals)
 
 
 def greedy_lower_bound_numpy(

@@ -6,24 +6,20 @@ reproduction environment, this package implements the solvers themselves on
 top of the CDCL SAT engine of :mod:`repro.sat`:
 
 * :class:`repro.maxsat.rc2.RC2Engine` — OLL/RC2-style core-guided search with
-  weight-aware core relaxation and optional stratification (the algorithm used
-  by the RC2 solver the original MPMCS4FTA tool can call through pysat).
+  weight-aware core relaxation (the algorithm used by the RC2 solver the
+  original MPMCS4FTA tool can call through pysat).
 * :class:`repro.maxsat.fumalik.FuMalikEngine` — the classic Fu–Malik / WPM1
   core-guided algorithm generalised to weights via weight splitting.
 * :class:`repro.maxsat.linear.LinearSearchEngine` — model-improving linear
   SAT–UNSAT search using a generalized totalizer pseudo-Boolean encoding.
 * :class:`repro.maxsat.hitting_set.HittingSetEngine` — MaxHS-style implicit
   hitting set search (the approach of the paper's reference [5]).
-* :class:`repro.maxsat.binary_search.BinarySearchEngine` — cost-interval
-  bisection with a pseudo-Boolean bound constraint.
 * :class:`repro.maxsat.bruteforce.BruteForceEngine` — an exhaustive reference
   solver used by the test suite on small instances.
 * :class:`repro.maxsat.preprocess.PreprocessingEngine` — WCNF preprocessing
   (unit propagation, subsumption, soft merging) wrapped around any engine.
-* :mod:`repro.maxsat.local_search` — stochastic local search producing
-  feasible upper bounds (not proofs), used for warm starts and sanity checks.
 * :class:`repro.maxsat.portfolio.PortfolioSolver` — the parallel portfolio of
-  Step 5: heterogeneous engine configurations race on the same instance and the
+  Step 5: RC2, linear search and Fu–Malik race on the same instance and the
   first completed result wins.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
   implicit-hitting-set solving for weight-only re-solves across scenario
@@ -37,11 +33,9 @@ from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.fumalik import FuMalikEngine
 from repro.maxsat.linear import LinearSearchEngine
-from repro.maxsat.binary_search import BinarySearchEngine
 from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import IncrementalMaxSATSession, IncrementalSolveResult
 from repro.maxsat.bruteforce import BruteForceEngine
-from repro.maxsat.local_search import LocalSearchResult, stochastic_upper_bound
 from repro.maxsat.preprocess import (
     PreprocessingEngine,
     PreprocessResult,
@@ -51,14 +45,12 @@ from repro.maxsat.preprocess import (
 from repro.maxsat.portfolio import PortfolioSolver, PortfolioReport
 
 __all__ = [
-    "BinarySearchEngine",
     "BruteForceEngine",
     "FuMalikEngine",
     "HittingSetEngine",
     "IncrementalMaxSATSession",
     "IncrementalSolveResult",
     "LinearSearchEngine",
-    "LocalSearchResult",
     "MaxSATEngine",
     "MaxSATResult",
     "MaxSATStatus",
@@ -71,5 +63,4 @@ __all__ = [
     "SoftClause",
     "WPMaxSATInstance",
     "preprocess_instance",
-    "stochastic_upper_bound",
 ]

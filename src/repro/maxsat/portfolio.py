@@ -5,15 +5,16 @@ across instances, and therefore runs *multiple pre-configured solvers in
 parallel, picking up the solution of the solver that finishes first*.  This
 module reproduces that architecture:
 
-* a :class:`PortfolioSolver` holds a list of heterogeneous engine
-  configurations (RC2, stratified RC2, Fu–Malik, linear search, ...);
+* a :class:`PortfolioSolver` holds a list of heterogeneous engines (by
+  default RC2, linear SAT-UNSAT search and Fu–Malik);
 * ``solve`` launches every engine on the same instance — in worker threads
   (default, with cooperative cancellation of the losers), in worker processes
   (true OS-level parallelism, matching the original tool most closely), or
   sequentially (deterministic, useful for tests and ablation benchmarks);
 * the first engine to return a conclusive result (OPTIMUM or UNSATISFIABLE)
   wins; its result is returned together with a :class:`PortfolioReport`
-  recording per-engine timings.
+  recording per-engine timings.  Sequential mode stops at the first
+  conclusive engine in list order, so the later engines never run.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ _VALID_MODES = ("thread", "process", "sequential")
 
 def default_engines() -> List[MaxSATEngine]:
     """The default heterogeneous engine line-up used by the MPMCS pipeline."""
-    return [
-        RC2Engine(),
-        RC2Engine(stratified=True),
-        LinearSearchEngine(),
-        FuMalikEngine(),
-    ]
+    return [RC2Engine(), LinearSearchEngine(), FuMalikEngine()]
 
 
 @dataclass
@@ -89,9 +85,9 @@ class PortfolioSolver:
         ``"thread"`` (default) races the engines in threads with cooperative
         cancellation; ``"process"`` uses one OS process per engine (closest to
         the original tool's architecture, at the price of fork/pickle
-        overhead); ``"sequential"`` runs engines one after another and keeps
-        the best/first conclusive result (used by deterministic tests and the
-        ablation benchmark).
+        overhead); ``"sequential"`` runs engines one after another in list
+        order and returns the first conclusive result without starting the
+        rest (used by deterministic tests and the ablation benchmark).
     """
 
     def __init__(
@@ -139,7 +135,6 @@ class PortfolioSolver:
         start = time.perf_counter()
         times: Dict[str, float] = {}
         statuses: Dict[str, str] = {}
-        winner: Optional[Tuple[str, MaxSATResult]] = None
         for engine in self.engines:
             engine.stop_check = self.external_stop
             engine_start = time.perf_counter()
@@ -148,20 +143,18 @@ class PortfolioSolver:
                 statuses[engine.name] = result.status.value
             except SolverError as exc:
                 statuses[engine.name] = f"error: {exc}"
-                times[engine.name] = time.perf_counter() - engine_start
                 continue
-            times[engine.name] = time.perf_counter() - engine_start
-            if winner is None and result.status is not MaxSATStatus.UNKNOWN:
-                winner = (engine.name, result)
-        if winner is None:
-            raise SolverError("no portfolio engine produced a conclusive result")
-        return PortfolioReport(
-            winner=winner[0],
-            result=winner[1],
-            engine_times=times,
-            engine_statuses=statuses,
-            total_time=time.perf_counter() - start,
-        )
+            finally:
+                times[engine.name] = time.perf_counter() - engine_start
+            if result.status is not MaxSATStatus.UNKNOWN:
+                return PortfolioReport(
+                    winner=engine.name,
+                    result=result,
+                    engine_times=times,
+                    engine_statuses=statuses,
+                    total_time=time.perf_counter() - start,
+                )
+        raise SolverError("no portfolio engine produced a conclusive result")
 
     # -- thread mode -------------------------------------------------------------------
 

@@ -13,14 +13,15 @@ which itself implements the OLL strategy:
    (sum) selector;
 5. when a sum selector later reappears in a core its bound is incremented.
 
-Weight *stratification* (activating high-weight strata first) is available as
-an option and is exposed as a distinct configuration in the parallel portfolio.
+Every selector is active from the first SAT call.  One stratum per distinct
+weight (the naive alternative to RC2's diversity-based stratification) costs
+about one SAT call per event under ``-log`` weights, so it is not offered.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import BudgetExceededError, SolverInterrupted
 from repro.logic.cnf import Literal
@@ -39,25 +40,12 @@ class RC2Engine(MaxSATEngine):
 
     Parameters
     ----------
-    stratified:
-        When true, selectors are activated stratum by stratum in decreasing
-        weight order.  Stratification pays off on instances with highly skewed
-        weights, such as fault trees mixing very likely and very unlikely
-        events, and gives the portfolio a genuinely different configuration.
     max_conflicts:
         Optional conflict budget for the underlying CDCL solver; when exhausted
         the engine returns a result with status ``UNKNOWN``.
     """
 
-    def __init__(
-        self,
-        *,
-        stratified: bool = False,
-        max_conflicts: Optional[int] = None,
-    ) -> None:
-        super().__init__(max_conflicts=max_conflicts)
-        self.stratified = stratified
-        self.name = "rc2-stratified" if stratified else "rc2"
+    name = "rc2"
 
     # ------------------------------------------------------------------ solve
 
@@ -73,34 +61,14 @@ class RC2Engine(MaxSATEngine):
 
         sat_calls = 0
 
-        # Stratification: original selectors may start *inactive* and are
-        # activated stratum by stratum (highest weight first).  Sum selectors
-        # created by core relaxation are always active immediately.
-        if self.stratified:
-            strata = self._strata(weights)[1:]  # the first stratum starts active
-            inactive: Set[Literal] = set().union(*strata) if strata else set()
-        else:
-            strata = []
-            inactive = set()
-        stratum_index = 0
-
         try:
             while True:
                 self._check_stop()
-                assumptions = [
-                    sel
-                    for sel, weight in weights.items()
-                    if weight > 0 and sel not in inactive
-                ]
+                assumptions = [sel for sel, weight in weights.items() if weight > 0]
                 result = solver.solve(assumptions)
                 sat_calls += 1
 
                 if result.status is SatStatus.SAT:
-                    if stratum_index < len(strata):
-                        # Activate the next weight stratum and keep refining.
-                        inactive -= strata[stratum_index]
-                        stratum_index += 1
-                        continue
                     model = result.model or {}
                     return self._result_from_model(
                         instance,
@@ -215,13 +183,3 @@ class RC2Engine(MaxSATEngine):
             new_selector = -totalizer.at_least(new_bound + 1)
             weights[new_selector] = weights.get(new_selector, 0) + min_weight
             sums[new_selector] = (totalizer, new_bound)
-
-    # ------------------------------------------------------------- stratification
-
-    @staticmethod
-    def _strata(weights: Dict[Literal, int]) -> List[Set[Literal]]:
-        """Group selectors into strata of equal weight, highest weight first."""
-        by_weight: Dict[int, Set[Literal]] = {}
-        for sel, weight in weights.items():
-            by_weight.setdefault(weight, set()).add(sel)
-        return [by_weight[w] for w in sorted(by_weight, reverse=True)]

@@ -6,7 +6,7 @@ from repro.cli import build_parser, main
 
 
 class TestAnalyzeKernelFlag:
-    @pytest.mark.parametrize("tier", ["auto", "python", "array"])
+    @pytest.mark.parametrize("tier", ["auto", "python"])
     def test_kernel_choices_run(self, tier, capsys):
         assert main(
             ["analyze", "--builtin", "fps", "--quiet", "--kernel", tier]

@@ -40,7 +40,6 @@ def build_instance(hard: List[List[int]], soft: List[Tuple[int, int]]) -> WPMaxS
 
 PRODUCTION_ENGINES = [
     ("rc2", RC2Engine),
-    ("rc2-stratified", lambda: RC2Engine(stratified=True)),
     ("fu-malik", FuMalikEngine),
     ("linear", LinearSearchEngine),
 ]

@@ -15,13 +15,12 @@ from repro.maxsat import (
 
 ALL_ENGINES = [
     RC2Engine,
-    lambda: RC2Engine(stratified=True),
     FuMalikEngine,
     LinearSearchEngine,
     BruteForceEngine,
 ]
 
-ENGINE_IDS = ["rc2", "rc2-stratified", "fu-malik", "linear", "brute-force"]
+ENGINE_IDS = ["rc2", "fu-malik", "linear", "brute-force"]
 
 
 def make_engine(factory):
@@ -170,14 +169,3 @@ class TestEngineSpecificBehaviour:
         for engine in (RC2Engine(), BruteForceEngine()):
             result = engine.solve(instance)
             assert result.cost == 8  # violate -3 and -1 (3 + 5) or -2 alone (8)
-
-    def test_stratified_rc2_matches_plain_rc2(self):
-        instance = WPMaxSATInstance(precision=1)
-        instance.add_hard([1, 2, 3])
-        instance.add_hard([-1, -2])
-        instance.add_soft([-1], 1)
-        instance.add_soft([-2], 1000)
-        instance.add_soft([-3], 10)
-        plain = RC2Engine().solve(instance)
-        stratified = RC2Engine(stratified=True).solve(instance)
-        assert plain.cost == stratified.cost == 1

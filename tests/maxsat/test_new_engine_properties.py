@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.maxsat import (
-    BinarySearchEngine,
     BruteForceEngine,
     HittingSetEngine,
     MaxSATStatus,
     PreprocessingEngine,
     RC2Engine,
     WPMaxSATInstance,
-    stochastic_upper_bound,
 )
 
 from tests.conftest import cnf_clause_lists
@@ -41,7 +39,6 @@ def build_instance(hard: List[List[int]], soft: List[Tuple[int, int]]) -> WPMaxS
 
 NEW_ENGINES = [
     ("hitting-set", HittingSetEngine),
-    ("binary-search", BinarySearchEngine),
     ("preprocess+rc2", lambda: PreprocessingEngine(RC2Engine())),
 ]
 
@@ -67,17 +64,3 @@ class TestNewEnginesMatchBruteForce:
                 assert check.hard_satisfied_by(result.model), name
                 assert check.cost_of_model(result.model) == result.cost, name
 
-
-class TestLocalSearchIsAnUpperBound:
-    @settings(max_examples=30, deadline=None)
-    @given(cnf_clause_lists(max_vars=5, max_clauses=8), weighted_soft_units())
-    def test_never_below_the_optimum(self, hard, soft):
-        instance = build_instance(hard, soft)
-        reference = BruteForceEngine().solve(build_instance(hard, soft))
-        bound = stochastic_upper_bound(instance, seed=1, max_flips=300, restarts=1)
-        if reference.status is MaxSATStatus.UNSATISFIABLE:
-            assert bound is None
-        else:
-            assert bound is not None
-            assert bound.cost >= reference.cost
-            assert instance.hard_satisfied_by(bound.model)

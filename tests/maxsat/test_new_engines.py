@@ -1,10 +1,9 @@
-"""Unit tests for the implicit hitting set and binary search MaxSAT engines."""
+"""Unit tests for the implicit hitting set MaxSAT engine."""
 
 import pytest
 
 from repro.exceptions import BudgetExceededError
 from repro.maxsat import (
-    BinarySearchEngine,
     BruteForceEngine,
     HittingSetEngine,
     MaxSATStatus,
@@ -12,8 +11,8 @@ from repro.maxsat import (
 )
 from repro.maxsat.hitting_set import minimum_cost_hitting_set
 
-NEW_ENGINES = [HittingSetEngine, BinarySearchEngine]
-ENGINE_IDS = ["hitting-set", "binary-search"]
+NEW_ENGINES = [HittingSetEngine]
+ENGINE_IDS = ["hitting-set"]
 
 
 @pytest.fixture(params=NEW_ENGINES, ids=ENGINE_IDS)

@@ -7,6 +7,8 @@ from repro.maxsat import (
     BruteForceEngine,
     FuMalikEngine,
     LinearSearchEngine,
+    MaxSATEngine,
+    MaxSATResult,
     MaxSATStatus,
     PortfolioSolver,
     RC2Engine,
@@ -30,6 +32,7 @@ class TestConfiguration:
         engines = default_engines()
         assert len(engines) >= 3
         assert len({engine.name for engine in engines}) == len(engines)
+        assert [engine.name for engine in engines] == ["rc2", "linear-sat-unsat", "fu-malik"]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -93,10 +96,46 @@ class TestCostOfSampleInstance:
         assert result.cost == 6
 
 
+class CountingEngine(MaxSATEngine):
+    """Stub engine that counts ``solve`` calls and returns a fixed status."""
+
+    def __init__(self, name, status):
+        super().__init__()
+        self.name = name
+        self.status = status
+        self.calls = 0
+
+    def solve(self, instance):
+        self.calls += 1
+        return MaxSATResult(status=self.status, engine=self.name)
+
+
+class TestSequentialStopsAtFirstConclusive:
+    def test_second_engine_never_runs_after_a_conclusive_first(self):
+        first = CountingEngine("first", MaxSATStatus.OPTIMUM)
+        second = CountingEngine("second", MaxSATStatus.OPTIMUM)
+        report = PortfolioSolver(engines=[first, second], mode="sequential").solve_with_report(
+            sample_instance()
+        )
+        assert report.winner == "first"
+        assert (first.calls, second.calls) == (1, 0)
+        assert set(report.engine_statuses) == {"first"}
+
+    def test_inconclusive_engine_falls_through_to_the_next(self):
+        first = CountingEngine("first", MaxSATStatus.UNKNOWN)
+        second = CountingEngine("second", MaxSATStatus.OPTIMUM)
+        report = PortfolioSolver(engines=[first, second], mode="sequential").solve_with_report(
+            sample_instance()
+        )
+        assert report.winner == "second"
+        assert (first.calls, second.calls) == (1, 1)
+        assert report.engine_statuses == {"first": "unknown", "second": "optimum"}
+
+
 class TestThreadCancellation:
     def test_losing_engines_are_cancelled_or_finish(self):
         portfolio = PortfolioSolver(
-            engines=[RC2Engine(), RC2Engine(stratified=True), FuMalikEngine()], mode="thread"
+            engines=[RC2Engine(), LinearSearchEngine(), FuMalikEngine()], mode="thread"
         )
         report = portfolio.solve_with_report(sample_instance())
         # every engine either produced a result or was cancelled -> has a status
@@ -108,11 +147,10 @@ class TestThreadCancellation:
         "engine_factory",
         [
             RC2Engine,
-            lambda: RC2Engine(stratified=True),
             FuMalikEngine,
             LinearSearchEngine,
         ],
-        ids=["rc2", "rc2-stratified", "fu-malik", "linear"],
+        ids=["rc2", "fu-malik", "linear"],
     )
     def test_cancellation_observed_between_engine_iterations(self, engine_factory):
         """A pre-fired stop check halts the engine before its first oracle call.

@@ -92,7 +92,7 @@ class TestSolveWcnfCommand:
         path.write_text(text, encoding="utf-8")
         return path
 
-    @pytest.mark.parametrize("engine", ["rc2", "hitting-set", "binary-search", "brute-force"])
+    @pytest.mark.parametrize("engine", ["rc2", "hitting-set", "brute-force"])
     def test_solves_with_every_engine(self, wcnf_file, capsys, engine):
         exit_code = main(["solve-wcnf", str(wcnf_file), "--engine", engine])
         assert exit_code == 0
