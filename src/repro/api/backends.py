@@ -121,6 +121,8 @@ def _summary_from_collection(
 class _CutSetBackend(AnalysisBackend):
     """Shared implementation for backends that analyse a full MCS collection."""
 
+    CUT_SET_ANALYSES = frozenset({"mcs", "mpmcs", "ranking", "top_event", "importance"})
+
     def _cut_sets(self, tree: FaultTree) -> CutSetCollection:
         raise NotImplementedError
 
@@ -141,9 +143,8 @@ class _CutSetBackend(AnalysisBackend):
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         report = AnalysisReport(tree=tree, request=request)
-        needs_collection = {"mcs", "mpmcs", "ranking", "top_event", "importance"}
         collection: Optional[CutSetCollection] = None
-        if needs_collection & set(request.analyses):
+        if self.CUT_SET_ANALYSES & set(request.analyses):
             start = time.perf_counter()
             collection = self._cut_sets(tree)
             elapsed = time.perf_counter() - start
@@ -534,6 +535,7 @@ class BDDBackend(AnalysisBackend):
 
     name = "bdd"
     CAPABILITIES = frozenset({"mcs", "mpmcs", "ranking", "top_event"})
+    CUT_SET_ANALYSES = frozenset({"mcs", "ranking"})
 
     def _function(self, tree: FaultTree) -> BDD:
         def build() -> BDD:

@@ -5,8 +5,9 @@
 structure-preserving patch (only probabilities move, never the tree), so the
 re-analysis rides the full incremental stack:
 
-* the subtree cut-set structure is one cache hit per update (structure-only
-  hashes never change);
+* with a cut-set backend (``mocus``, ``brute-force``), the subtree cut-set
+  structure is one cache hit per update (structure-only hashes never change);
+  the default ``maxsat`` backend never reads cut sets, so none are built;
 * with the ``maxsat`` backend inside the monitor's warm scope, each update is
   a weight-only re-solve on the persistent
   :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`;

@@ -112,12 +112,15 @@ def incremental_cut_sets(tree: FaultTree, cache: ArtifactCache) -> CutSetCollect
 def seed_session_cut_sets(tree: FaultTree, cache: ArtifactCache) -> CutSetCollection:
     """Compute cut sets incrementally and seed them as the whole-tree artifact.
 
-    After seeding, any cut-set-driven backend (``mocus``, ``brute-force``, the
-    BDD cut-set path) asking the session cache for
-    :data:`~repro.api.cache.ARTIFACT_CUT_SETS` on this tree hits the
-    incrementally assembled collection instead of enumerating from scratch —
-    this is the bridge that lets the sweep executor layer on the ordinary
-    :class:`~repro.api.session.AnalysisSession` without modifying backends.
+    After seeding, a backend that reads
+    :data:`~repro.api.cache.ARTIFACT_CUT_SETS` on this tree — ``mocus`` and
+    ``brute-force`` for every cut-set analysis, ``bdd`` for ``mcs`` and
+    ``ranking`` (each backend's ``CUT_SET_ANALYSES``) — hits the
+    incrementally assembled collection instead of enumerating from scratch.
+    This is the bridge that lets the sweep executor layer on the ordinary
+    :class:`~repro.api.session.AnalysisSession` without modifying backends;
+    the executor calls it only when such a backend will run.  ``maxsat`` and
+    ``monte-carlo`` never read the artifact.
     """
     collection = incremental_cut_sets(tree, cache)
     cache.put(tree, ARTIFACT_CUT_SETS, collection)

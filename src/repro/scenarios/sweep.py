@@ -3,13 +3,16 @@
 :class:`SweepExecutor` layers on the ordinary
 :class:`~repro.api.session.AnalysisSession` — every scenario is analysed
 through the same backend registry, request validation and report types as a
-one-off analysis — and adds the incremental path: before each scenario is
-handed to the session, its minimal cut sets are assembled from the session
-cache's *subtree* artifacts (see :mod:`repro.scenarios.incremental`) and
-seeded as the scenario tree's whole-tree cut-set artifact.  Cut-set-driven
-backends then hit that artifact instead of re-enumerating, which turns a
-200-scenario probability sweep into one structural enumeration plus 200
-cheap probability re-rankings.
+one-off analysis — and adds the incremental path: when a requested analysis
+is routed to a backend that reads the whole-tree cut-set artifact (its
+:attr:`~repro.api.registry.AnalysisBackend.CUT_SET_ANALYSES`: ``mocus``,
+``brute-force``, and ``bdd`` for ``mcs``/``ranking``), each scenario's minimal
+cut sets are assembled from the session cache's *subtree* artifacts (see
+:mod:`repro.scenarios.incremental`) and seeded as that artifact before the
+scenario is handed to the session.  Those backends then hit it instead of
+re-enumerating, which turns a 200-scenario probability sweep into one
+structural enumeration plus 200 cheap probability re-rankings.  Backends that
+never read it (``maxsat``, ``monte-carlo``) skip the enumeration altogether.
 
 The results are identical to fresh per-scenario analysis (the seeded
 artifact is exactly what the backend would have computed); the tests
@@ -66,9 +69,12 @@ class SweepExecutor:
         fully warm).  A fresh session is created otherwise.
     incremental:
         When true (default), seed each scenario's cut sets from the subtree
-        cache before analysis.  ``False`` forces the naive path — every
-        scenario re-enumerates from scratch — which exists for correctness
-        cross-checks and the speedup benchmark.
+        cache before analysis — for cut-set backends only, i.e. when a
+        requested analysis is routed to a backend that declares it in
+        :attr:`~repro.api.registry.AnalysisBackend.CUT_SET_ANALYSES` — and
+        keep warm MaxSAT sessions for the ``maxsat`` backend.  ``False``
+        forces the naive path — every scenario re-enumerates from scratch —
+        which exists for correctness cross-checks and the speedup benchmark.
     backend:
         Registry name of the backend analysing every scenario.
     exact_top_event:
@@ -98,6 +104,11 @@ class SweepExecutor:
         self.exact_top_event = exact_top_event
         self._bdd_unavailable: Set[str] = set()
         self._fill_top_event = False
+        #: Whether :meth:`analyze_tree` seeds whole-tree cut sets; decided per
+        #: analysis list by :meth:`prepare_analyses`.  Until then it follows
+        #: ``incremental``: seeding only pre-fills a cache entry, so a wrong
+        #: guess costs time, never an answer.
+        self._seeds_cut_sets = incremental
         #: Batch-precomputed exact P(top) values, keyed by ``id(tree)`` and
         #: holding a strong reference to the tree so ids cannot be recycled
         #: while an entry is pending.  Filled by :meth:`precompute_top_events`,
@@ -161,27 +172,43 @@ class SweepExecutor:
         """Resolve the analyses the backend itself will run (see :meth:`run`).
 
         Splits off the ``top_event`` request when the configured backend
-        cannot serve it (the structure-keyed BDD fills it instead) and
-        records that decision for :meth:`analyze_tree`.
+        cannot serve it (the structure-keyed BDD fills it instead), and
+        decides whether cut sets are seeded: only when ``incremental`` is on
+        and a backend the analyses are routed to reads the cut-set artifact.
+        Both decisions are recorded for :meth:`analyze_tree`.
         """
         requested = tuple(analyses)
+        run_analyses = requested
         self._fill_top_event = False
         if self._capabilities is not None and "top_event" not in self._capabilities:
+            # With an empty remainder this is a probability-only sweep: no
+            # backend analyses at all — the structure-keyed BDD serves
+            # ``top_event`` on its own, and :meth:`precompute_top_events`
+            # evaluates whole scenario grids in one kernel call.
             run_analyses = tuple(a for a in requested if a != "top_event")
             self._fill_top_event = "top_event" in requested
-            if not run_analyses:
-                if self._fill_top_event:
-                    # Probability-only sweep: no backend analyses at all — the
-                    # structure-keyed BDD serves ``top_event`` on its own, and
-                    # :meth:`precompute_top_events` evaluates whole scenario
-                    # grids in one kernel call.
-                    return ()
+            if not run_analyses and not self._fill_top_event:
                 raise ReproError(
                     f"backend {self.backend!r} supports none of the requested "
                     f"analyses {requested!r}"
                 )
-            return run_analyses
-        return requested
+        self._seeds_cut_sets = self.incremental and self._reads_cut_sets(run_analyses)
+        return run_analyses
+
+    def _reads_cut_sets(self, analyses: Tuple[str, ...]) -> bool:
+        """True when a backend the session routes ``analyses`` to reads the
+        whole-tree cut-set artifact (its ``CUT_SET_ANALYSES``)."""
+        if not analyses:
+            return False
+        try:
+            plan = self.session._plan(AnalysisRequest.create(analyses, backend=self.backend))
+        except AnalysisError:
+            # The session rejects the request itself on every analysis.
+            return False
+        return any(
+            backend_class(name).CUT_SET_ANALYSES.intersection(assigned)
+            for name, assigned in plan
+        )
 
     def analyze_tree(
         self,
@@ -196,7 +223,8 @@ class SweepExecutor:
 
         The single-scenario core of the sweep loop, exposed for callers that
         produce trees one at a time (the live monitor): cut sets are seeded
-        from the subtree cache when ``incremental`` is on, the session
+        from the subtree cache when :meth:`prepare_analyses` decided that a
+        cut-set backend will read them, the session
         analyses through the configured backend, and the exact BDD top event
         is merged in where only bounds exist.  ``analyses`` should come from
         :meth:`prepare_analyses`.  Warm solver sessions apply only inside
@@ -206,7 +234,7 @@ class SweepExecutor:
             return self._bdd_only_report(
                 tree, top_k=top_k, samples=samples, seed=seed
             )
-        if self.incremental:
+        if self._seeds_cut_sets:
             seed_session_cut_sets(tree, self.session.artifacts)
         report = self.session.analyze(
             tree, analyses, backend=self.backend, top_k=top_k, samples=samples, seed=seed
