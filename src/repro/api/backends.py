@@ -321,6 +321,13 @@ class MaxSATBackend(AnalysisBackend):
         and the re-rank tier that served the first solve (``None`` when it
         ran through the plain sequential path).
 
+        Once a blocked solve returns a second optimum at the head cost, the
+        remaining head ties come from one :meth:`~IncrementalMaxSATSession.solve_ties`
+        call instead of a blocked solve each, so a scenario with many tied
+        optima costs about as much as one with a single tie.  The first
+        blocked solve stays: in the common untied case it is the proof that
+        no tie exists.
+
         Raises :class:`BudgetExceededError` when the session blows its core
         budget — the caller then falls back to the cold portfolio path.
         """
@@ -335,10 +342,15 @@ class MaxSATBackend(AnalysisBackend):
         results: List[Tuple[MPMCSResult, int]] = []
         blocked: List[Tuple[str, ...]] = []
         head_cost: Optional[int] = None
+        #: The remaining head ties, once ``solve_ties`` has enumerated them.
+        ties: Optional[List[IncrementalSolveResult]] = None
+        searched_ties = False
         while True:
             if not blocked and pending is not None and pending[0] is tree:
                 _, outcome, rerank_tier = pending
                 pending = None
+            elif ties is not None:
+                outcome = ties.pop(0) if ties else None
             else:
                 outcome = session.solve_tree(tree, blocked)
             if outcome is None:
@@ -369,6 +381,9 @@ class MaxSATBackend(AnalysisBackend):
             blocked.append(outcome.events)
             if len(results) >= count and not (request.deterministic and cost == head_cost):
                 break
+            if len(results) >= max(count, 2) and not searched_ties:
+                searched_ties = True
+                ties = session.solve_ties(tree, head_cost, blocked)
         return results, encode_seconds, rerank_tier
 
     def _solve_blocked(

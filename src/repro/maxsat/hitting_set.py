@@ -33,7 +33,7 @@ from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.sat.types import SatStatus
 
-__all__ = ["HittingSetEngine", "minimum_cost_hitting_set"]
+__all__ = ["HittingSetEngine", "hitting_sets_of_cost", "minimum_cost_hitting_set"]
 
 #: Poll the cooperative stop flag every this many search nodes.
 _STOP_CHECK_INTERVAL = 256
@@ -137,6 +137,78 @@ def minimum_cost_hitting_set(
 
     search(set(), 0, all_mask)
     return best_set, best_cost
+
+
+def hitting_sets_of_cost(
+    cores: List[FrozenSet[Literal]],
+    weights: Dict[Literal, int],
+    cost: int,
+    *,
+    max_nodes: int = 10_000,
+) -> Optional[List[Set[Literal]]]:
+    """Every hitting set of ``cores`` whose cost is exactly ``cost``.
+
+    Every weight must be positive.  When ``cost`` is the minimum hitting-set
+    cost, each such set is minimal, and branching on the elements of an unhit
+    core — excluding the elements of earlier sibling branches — finds every
+    one exactly once.  Returns ``None`` when ``cost`` is not the minimum (a
+    cheaper hitting set exists) or the search exceeds ``max_nodes`` nodes.
+    """
+    if not cores:
+        return [set()] if cost == 0 else None
+    index = CoverageIndex(cores)
+    coverage = index.coverage
+    sorted_cores = [
+        sorted(core, key=lambda lit: (weights.get(lit, 0), lit)) for core in cores
+    ]
+    found: List[Set[Literal]] = []
+    excluded: Set[Literal] = set()
+    nodes = 0
+
+    def search(chosen: Set[Literal], spent: int, unhit_mask: int) -> bool:
+        """Extend ``chosen``; false when the enumeration cannot be completed."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            return False
+        if not unhit_mask:
+            if spent < cost:
+                return False
+            found.append(set(chosen))
+            return True
+        # Branch on the unhit core with the fewest admissible elements.
+        branch: Optional[List[Literal]] = None
+        probe = unhit_mask
+        while probe:
+            position = (probe & -probe).bit_length() - 1
+            probe &= probe - 1
+            admissible = [
+                element
+                for element in sorted_cores[position]
+                if element not in excluded and spent + weights.get(element, 0) <= cost
+            ]
+            if branch is None or len(admissible) < len(branch):
+                branch = admissible
+                if len(branch) <= 1:
+                    break
+        tried: List[Literal] = []
+        complete = True
+        for element in branch or ():
+            chosen.add(element)
+            complete = search(
+                chosen, spent + weights.get(element, 0), unhit_mask & ~coverage[element]
+            )
+            chosen.discard(element)
+            if not complete:
+                break
+            excluded.add(element)
+            tried.append(element)
+        excluded.difference_update(tried)
+        return complete
+
+    if not search(set(), 0, index.all_mask):
+        return None
+    return found
 
 
 class HittingSetEngine(MaxSATEngine):

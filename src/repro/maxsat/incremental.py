@@ -47,7 +47,7 @@ from repro.exceptions import AnalysisError, BudgetExceededError, SolverError
 from repro.fta.tree import FaultTree
 from repro.kernels.bitset import CoverageIndex
 from repro.logic.cnf import Literal
-from repro.maxsat.hitting_set import minimum_cost_hitting_set
+from repro.maxsat.hitting_set import hitting_sets_of_cost, minimum_cost_hitting_set
 from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 from repro.observability import trace as _trace
 from repro.sat.cdcl import CDCLSolver
@@ -192,9 +192,11 @@ class IncrementalMaxSATSession:
         self.num_hard = encoding.cnf.num_clauses
         self.num_aux_vars = len(encoding.aux_vars)
 
-        #: Cached cores: frozensets of assumption literals (event selectors
-        #: and possibly block-activation assumptions).  Weight-independent.
-        self._cores: List[FrozenSet[Literal]] = []
+        #: Cached cores: sets of assumption literals (event selectors and
+        #: possibly block-activation assumptions), each kept split into its
+        #: block literals and the rest — which literals are block assumptions
+        #: is fixed when the core is found.  Weight-independent.
+        self._cores: List[Tuple[FrozenSet[Literal], FrozenSet[Literal]]] = []
         #: Persistent blocking clauses: cut set -> activation variable ``r``.
         self._block_vars: Dict[Tuple[str, ...], int] = {}
         self._block_var_set: Set[int] = set()
@@ -203,10 +205,11 @@ class IncrementalMaxSATSession:
         #: branch-and-bound with a near-tight upper bound.
         self._hs_memo: Dict[FrozenSet[Literal], Set[Literal]] = {}
 
-        #: Candidate pool: every SAT-verified optimal cut set this session has
-        #: ever produced.  Feasibility ("the hard clauses admit a model whose
-        #: true events are exactly this set") is weight-independent, so a
-        #: pooled candidate certifies later scenarios without an oracle call.
+        #: Candidate pool: every optimal cut set this session has ever
+        #: produced, by a SAT model or by :meth:`solve_ties`.  Feasibility
+        #: ("the hard clauses admit a model whose true events are exactly
+        #: this set") is weight-independent, so a pooled candidate certifies
+        #: later scenarios without an oracle call.
         #: Maps each candidate to its event-column bitmask.
         self._pool: Dict[Tuple[str, ...], int] = {}
 
@@ -367,11 +370,65 @@ class IncrementalMaxSATSession:
                 self.solves += 1
                 self.sat_calls += sat_calls
                 return None
-            self._cores.append(core)
+            block_part = frozenset(
+                literal for literal in core if abs(literal) in self._block_var_set
+            )
+            self._cores.append((block_part, core - block_part))
 
         raise BudgetExceededError(
             f"incremental MaxSAT session exceeded {self.max_rounds} core rounds"
         )
+
+    def solve_ties(
+        self, tree: FaultTree, cost: int, found: Sequence[Tuple[str, ...]]
+    ) -> Optional[List[IncrementalSolveResult]]:
+        """The optima of scaled cost ``cost`` for ``tree`` not in ``found``, without SAT calls.
+
+        ``cost`` must be the optimum for ``tree``'s probabilities, as a solve
+        returned it.  Every cut set hits every cached core, so the optima are
+        exactly the minimum-cost hitting sets of the block-free cores whose
+        events form a cut set: they are enumerated, and each is checked
+        against the pool or by evaluating ``tree``.  Results come in event
+        order.  ``None`` when the enumeration exceeds its budget; callers
+        then go on with blocked solves.
+        """
+        from repro.core.weights import log_weight  # lazy: avoids an import cycle
+
+        started = time.perf_counter()
+        probabilities = tree.probabilities()
+        scaled: Dict[Literal, int] = {
+            -var: self._scale_weight(log_weight(probabilities[name]))
+            for name, var in self.event_vars.items()
+        }
+        usable, _ = self._usable_cores(set())
+        candidates = hitting_sets_of_cost(usable, scaled, cost)
+        if candidates is None:
+            return None
+        known = set(found)
+        ties = sorted(
+            events
+            for events in (
+                tuple(sorted(self._var_events[-literal] for literal in hitting_set))
+                for hitting_set in candidates
+            )
+            if events not in known
+            and (self._contains_pooled(events) or tree.is_cut_set(events))
+        )
+        results: List[IncrementalSolveResult] = []
+        for events in ties:
+            self._register_candidate(events)
+            probability_weights = {name: log_weight(probabilities[name]) for name in events}
+            results.append(
+                IncrementalSolveResult(
+                    events=events,
+                    scaled_cost=cost,
+                    cost=sum(probability_weights.values()),
+                    probability_weights=probability_weights,
+                    sat_calls=0,
+                    solve_time=time.perf_counter() - started,
+                )
+            )
+        return results
 
     def _usable_cores(
         self, active_blocks: Set[Literal]
@@ -383,13 +440,9 @@ class IncrementalMaxSATSession:
         exhaust the structure, so the solve's answer is ``None``.
         """
         usable: List[FrozenSet[Literal]] = []
-        for core in self._cores:
-            block_part = frozenset(
-                literal for literal in core if abs(literal) in self._block_var_set
-            )
+        for block_part, stripped in self._cores:
             if not block_part <= active_blocks:
                 continue  # depends on a blocking clause that is not active
-            stripped = core - block_part
             if not stripped:
                 return [], True
             usable.append(stripped)
@@ -398,7 +451,7 @@ class IncrementalMaxSATSession:
     # -- batched re-rank -------------------------------------------------------
 
     def _register_candidate(self, events: Tuple[str, ...]) -> None:
-        """Admit a SAT-verified optimal cut set into the candidate pool."""
+        """Admit a verified optimal cut set into the candidate pool."""
         if events not in self._pool:
             self._pool[events] = self._event_mask(events)
 
