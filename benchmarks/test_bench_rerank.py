@@ -1,18 +1,20 @@
-"""E16 — Batched weight-only MaxSAT re-rank: solve_batch vs a solve loop.
+"""E16 — Warm weight-only MaxSAT re-solves: the per-scenario ``solve`` loop.
 
-The claim: on a 500-scenario weight-only sweep, one ``solve_batch`` call —
-seed gate proven by the vectorised packing lower bound, SAT-free
-certification of the seeded branch-and-bound — is **≥3x faster** than a
-plain per-scenario ``solve`` loop on an identically warmed session, returns
-**byte-identical** results, and spends **< 0.1 SAT calls per scenario** in
-steady state.
+The claim: on a 500-scenario weight-only drift sweep, a warm
+``IncrementalMaxSATSession`` answers almost every scenario from its candidate
+pool — a minimum-cost hitting set of the cached cores that contains a pooled
+cut set is the optimum, with no SAT call — so the loop spends **< 0.1 SAT
+calls per scenario** in steady state and agrees with fresh sessions on every
+sampled scenario's optimum.  Its throughput (``loop_scenarios_per_s``) is
+recorded for the perf history.
 
-The sweep-level variant re-asserts byte-identity where it matters to users:
-``SweepExecutor`` canonical scenario reports with the batch path on vs off.
+The sweep-level variant asserts what users see: a warm ``maxsat``
+``SweepExecutor`` produces the same per-scenario MPMCS and P(top) as fresh
+per-scenario analysis.
 
 The smoke variant emits a machine-readable ``BENCH_rerank.json`` (scenario
-count, wall-clocks, speedup, SAT calls per scenario, ladder split) for the CI
-benchmark artifact and the perf trajectory in ``tools/bench_history.py``.
+count, wall-clock, throughput, SAT calls per scenario, certified/fallback
+split) for the CI benchmark artifact and ``tools/bench_history.py``.
 """
 
 import json
@@ -20,12 +22,12 @@ import os
 import time
 from pathlib import Path
 
+from repro.api import AnalysisSession
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.scenarios import SweepExecutor, probability_sweep
 from repro.workloads.generator import random_fault_tree
 
 from benchmarks.conftest import emit
-
 
 def _drift_grid(session, tree, scenarios=500):
     """A drift-shaped weight grid: one event sweeps, the rest breathe gently.
@@ -52,88 +54,74 @@ def _drift_grid(session, tree, scenarios=500):
     return rows
 
 
-def _essence(result):
-    if result is None:
-        return None
-    return (
-        result.events,
-        result.scaled_cost,
-        result.cost,
-        result.probability_weights,
-    )
-
-
-def test_bench_rerank_batch_smoke(tmp_path):
-    """500 drift scenarios: ≥3x over the solve loop, SAT-free steady state."""
+def test_bench_rerank_loop_smoke(tmp_path):
+    """500 drift scenarios through the warm solve loop: SAT-free steady state."""
     tree = random_fault_tree(num_basic_events=60, seed=13)
-    loop_session = IncrementalMaxSATSession(tree)
-    batch_session = IncrementalMaxSATSession(tree)
-    # Warm both sessions identically: one full solve seeds cores and pool.
-    loop_session.solve_tree(tree)
-    batch_session.solve_tree(tree)
-    weights_seq = _drift_grid(batch_session, tree, scenarios=500)
+    session = IncrementalMaxSATSession(tree)
+    # Warm the session: one full solve seeds the cores and the pool.
+    session.solve_tree(tree)
+    weights_seq = _drift_grid(session, tree, scenarios=500)
 
+    calls_before = session.sat_calls
+    stats_before = dict(session.rerank_stats)
     started = time.perf_counter()
-    loop_results = [loop_session.solve(weights) for weights in weights_seq]
+    results = [session.solve(weights) for weights in weights_seq]
     loop_s = time.perf_counter() - started
+    sat_per_scenario = (session.sat_calls - calls_before) / len(weights_seq)
 
-    calls_before = batch_session.sat_calls
-    started = time.perf_counter()
-    batch_results = batch_session.solve_batch(weights_seq)
-    batch_s = time.perf_counter() - started
-    sat_per_scenario = (batch_session.sat_calls - calls_before) / len(weights_seq)
-
-    assert [_essence(r) for r in batch_results] == [
-        _essence(r) for r in loop_results
-    ]
-    speedup = loop_s / batch_s if batch_s else float("inf")
+    # Every 25th scenario against a fresh session: the same optimum cost.
+    for position in range(0, len(weights_seq), 25):
+        fresh = IncrementalMaxSATSession(tree).solve(weights_seq[position])
+        assert results[position].scaled_cost == fresh.scaled_cost
+        assert tree.is_minimal_cut_set(results[position].events)
 
     record = {
-        "benchmark": "E16-maxsat-rerank-batch",
+        "benchmark": "E16-maxsat-warm-solve-loop",
         "scenarios": len(weights_seq),
         "events": 60,
         "loop_wall_clock_s": round(loop_s, 4),
-        "batch_wall_clock_s": round(batch_s, 4),
-        "batch_speedup_vs_loop": round(speedup, 2),
+        "loop_scenarios_per_s": round(len(weights_seq) / loop_s, 1) if loop_s else None,
         "sat_calls_per_scenario": round(sat_per_scenario, 4),
-        "kernel": batch_session.stats()["kernel"],
-        "pool_candidates": batch_session.pool_size,
-        "rerank_split": dict(batch_session.rerank_stats),
+        "pool_candidates": session.pool_size,
+        "solve_split": {
+            tier: count - stats_before[tier]
+            for tier, count in session.rerank_stats.items()
+        },
     }
     output = Path(os.environ.get("BENCH_RERANK_JSON", "BENCH_rerank.json"))
     output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     emit(
-        "E16 (smoke) — batched re-rank vs per-scenario solve loop",
+        "E16 (smoke) — warm weight-only solve loop",
         [f"{key:26}: {value}" for key, value in record.items()]
         + [f"{'json record':26}: {output}"],
     )
 
-    # Acceptance criteria: measured ~7x and 0.0 SAT calls/scenario on a
-    # single core; the asserted margins leave room for starved CI runners.
-    assert speedup >= 3.0
     assert sat_per_scenario < 0.1
 
 
 def test_bench_rerank_sweep_byte_identity():
-    """Sweep-level contract: batch path on vs off, canonical reports equal."""
+    """Sweep-level contract: a warm maxsat sweep equals fresh analysis."""
     tree = random_fault_tree(num_basic_events=30, seed=13)
     event = sorted(tree.events_reachable_from_top())[0]
     scenarios = probability_sweep(event, start=1e-4, stop=0.6, steps=60)
 
-    batched = SweepExecutor(backend="maxsat").run(tree, scenarios)
+    report = SweepExecutor(backend="maxsat").run(tree, scenarios)
 
-    unbatched_executor = SweepExecutor(backend="maxsat")
-    unbatched_executor.precompute_rerank = lambda trees: 0
-    unbatched = unbatched_executor.run(tree, scenarios)
-
-    left = json.dumps(batched.to_canonical_dict(), sort_keys=True)
-    right = json.dumps(unbatched.to_canonical_dict(), sort_keys=True)
-    assert left == right
+    swept = [
+        (outcome.mpmcs_events, outcome.mpmcs_probability, outcome.top_event)
+        for outcome in report.outcomes
+    ]
+    fresh = []
+    for scenario in scenarios:
+        patched = scenario.apply(tree)
+        mpmcs = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat").mpmcs
+        exact = AnalysisSession().analyze(patched, ["top_event"], backend="bdd").top_event
+        fresh.append((mpmcs.events, mpmcs.probability, exact.best_estimate))
+    assert swept == fresh
     emit(
-        "E16 — sweep-level byte identity",
+        "E16 — sweep-level identity with fresh analysis",
         [
-            f"{'scenarios':26}: {len(batched)}",
-            f"{'canonical bytes':26}: {len(left)}",
+            f"{'scenarios':26}: {len(report)}",
             f"{'identical':26}: True",
         ],
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
 from repro.analysis.cutsets import CutSetCollection
@@ -51,7 +51,7 @@ from repro.bdd.probability import mpmcs_of_bdd, probability_of_bdd
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs
 from repro.core.pipeline import MPMCSResult, MPMCSSolver
 from repro.core.topk import RankedCutSet
-from repro.core.weights import log_weight, probability_of_cut_set, weight_of_cut_set
+from repro.core.weights import probability_of_cut_set, weight_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError
 from repro.fta.tree import FaultTree
 from repro.maxsat.incremental import IncrementalMaxSATSession, IncrementalSolveResult
@@ -199,13 +199,6 @@ class MaxSATBackend(AnalysisBackend):
         #: :meth:`enable_warm_sessions` — one-off analyses keep the portfolio.
         self._warm_sessions: "OrderedDict[str, IncrementalMaxSATSession]" = OrderedDict()
         self.warm_enabled = False
-        #: Batch-precomputed first solves, keyed by ``id(tree)`` and holding
-        #: a strong reference to the tree so ids cannot be recycled while an
-        #: entry is pending.  Filled by :meth:`precompute_rerank`, consumed
-        #: (identity-checked) by :meth:`_enumerate_warm`.
-        self._pending_rerank: Dict[
-            int, Tuple[FaultTree, Optional[IncrementalSolveResult], str]
-        ] = {}
 
     def _solver(self) -> MPMCSSolver:
         if self.context.solver is None:
@@ -261,65 +254,12 @@ class MaxSATBackend(AnalysisBackend):
             self._warm_sessions.move_to_end(key)
         return session
 
-    def precompute_rerank(self, trees: Sequence[FaultTree]) -> int:
-        """Batch the first (unblocked) solve of every tree through the kernel seam.
-
-        Trees are grouped by structure and each group's weight grid is pushed
-        through :meth:`IncrementalMaxSATSession.solve_batch` — the pooled /
-        certified / B&B / fallback re-rank ladder, whose per-scenario results
-        are byte-identical to the sequential warm loop.  Results are staged
-        for :meth:`_enumerate_warm`, which consumes each tree's entry for its
-        first enumeration step (later blocked steps, reached only for head
-        ties or top-k requests, stay per-tree).
-
-        Groups whose batch blows a search budget are simply not staged — the
-        per-tree warm path then re-raises and falls back to the cold
-        portfolio, preserving the unbatched error handling.  Returns the
-        number of staged solves.
-        """
-        registry = get_metrics()
-        groups: Dict[str, List[FaultTree]] = {}
-        for tree in trees:
-            key = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
-            groups.setdefault(key, []).append(tree)
-        staged = 0
-        for group in groups.values():
-            session = self._warm_session_for(group[0])
-            weights_seq = [
-                {
-                    name: log_weight(probabilities[name])
-                    for name in session.event_vars
-                }
-                for probabilities in (tree.probabilities() for tree in group)
-            ]
-            stats_before = dict(session.rerank_stats)
-            try:
-                outcomes = session.solve_batch(weights_seq)
-            except BudgetExceededError:
-                continue
-            finally:
-                for tier, count in session.rerank_stats.items():
-                    delta = count - stats_before[tier]
-                    if delta:
-                        registry.inc(f"repro_maxsat_rerank_{tier}_total", amount=delta)
-            for tree, outcome in zip(group, outcomes):
-                tier = outcome.rerank if outcome is not None else "pooled"
-                self._pending_rerank[id(tree)] = (tree, outcome, tier)
-                staged += 1
-        return staged
-
-    def clear_staged_rerank(self) -> None:
-        """Drop staged batch solves (sweep teardown; frees the tree refs)."""
-        self._pending_rerank.clear()
-
     def _enumerate_warm(
         self, tree: FaultTree, request: AnalysisRequest, count: int
-    ) -> Tuple[List[Tuple[MPMCSResult, int]], float, Optional[str]]:
+    ) -> Tuple[List[Tuple[MPMCSResult, int]], float]:
         """Blocked enumeration through the warm session (same contract as
-        :meth:`_enumerate`); returns the results, the session encode time
-        attributable to this call (non-zero only when the session was built)
-        and the re-rank tier that served the first solve (``None`` when it
-        ran through the plain sequential path).
+        :meth:`_enumerate`); returns the results and the session encode time
+        attributable to this call (non-zero only when the session was built).
 
         Once a blocked solve returns a second optimum at the head cost, the
         remaining head ties come from one :meth:`~IncrementalMaxSATSession.solve_ties`
@@ -336,8 +276,6 @@ class MaxSATBackend(AnalysisBackend):
         encode_seconds = 0.0 if known else session.encode_time
         probabilities = tree.probabilities()
         verify = self._solver().verify
-        pending = self._pending_rerank.pop(id(tree), None)
-        rerank_tier: Optional[str] = None
 
         results: List[Tuple[MPMCSResult, int]] = []
         blocked: List[Tuple[str, ...]] = []
@@ -346,10 +284,7 @@ class MaxSATBackend(AnalysisBackend):
         ties: Optional[List[IncrementalSolveResult]] = None
         searched_ties = False
         while True:
-            if not blocked and pending is not None and pending[0] is tree:
-                _, outcome, rerank_tier = pending
-                pending = None
-            elif ties is not None:
+            if ties is not None:
                 outcome = ties.pop(0) if ties else None
             else:
                 outcome = session.solve_tree(tree, blocked)
@@ -384,7 +319,7 @@ class MaxSATBackend(AnalysisBackend):
             if len(results) >= max(count, 2) and not searched_ties:
                 searched_ties = True
                 ties = session.solve_ties(tree, head_cost, blocked)
-        return results, encode_seconds, rerank_tier
+        return results, encode_seconds
 
     def _solve_blocked(
         self, tree: FaultTree, encoding: MPMCSEncoding, blocked: List[Tuple[str, ...]]
@@ -450,9 +385,7 @@ class MaxSATBackend(AnalysisBackend):
         if self.warm_enabled:
             solve_start = time.perf_counter()
             try:
-                enumerated, encode_seconds, rerank_tier = self._enumerate_warm(
-                    tree, request, count
-                )
+                enumerated, encode_seconds = self._enumerate_warm(tree, request, count)
             except BudgetExceededError:
                 # Pathological structure for the hitting-set loop: fall back
                 # to the cold portfolio for this tree.
@@ -464,8 +397,6 @@ class MaxSATBackend(AnalysisBackend):
                     time.perf_counter() - solve_start - encode_seconds
                 )
                 report.profile["warm_solves"] = 1
-                if rerank_tier is not None:
-                    report.profile[f"rerank_{rerank_tier}"] = 1
                 registry.inc("repro_solver_warm_solves_total")
         if enumerated is None:
             registry.inc("repro_solver_cold_solves_total")

@@ -8,9 +8,8 @@ implementation *tier* without changing any semantics:
 
 ``numpy``
     Vectorised batch kernels (scenario-grid BDD evaluation as one forward
-    pass per node over the whole grid; the MaxSAT re-rank's packing lower
-    bound as one column-wise ``min`` per core).  Only available when numpy
-    is importable and not disabled via ``REPRO_NO_NUMPY=1``.
+    pass per node over the whole grid).  Only available when numpy is
+    importable and not disabled via ``REPRO_NO_NUMPY=1``.
 ``python``
     Plain-list reference implementation: the tier used when numpy is absent,
     and the oracle the test suite compares the numpy tier against.
@@ -18,9 +17,9 @@ implementation *tier* without changing any semantics:
 All tiers perform the *identical IEEE-754 operation sequence* per BDD node
 (``p * P(high) + (1 - p) * P(low)`` in children-first order), so results are
 bit-for-bit equal across tiers — canonical reports do not depend on which
-tier ran.  The MaxSAT re-rank kernels (:mod:`repro.kernels.rerank`) operate
-on the solver's *scaled integer* weights and are exact on every tier by
-construction.
+tier ran.  The former MaxSAT re-rank kernels (:mod:`repro.kernels.rerank`)
+have no caller left in the library; they stay in :class:`KernelSuite` only
+because the benchmark's tracer rebuilds the suite by field name.
 
 Selection: :func:`select` resolves ``None``/``"auto"`` to numpy when it is
 available and to the python reference otherwise; ``analyze --kernel`` /
@@ -55,13 +54,14 @@ class KernelSuite:
     #: ``flat.events`` order) -> per-scenario P(top) floats.
     eval_bdd_batch: Callable[..., List[float]]
     #: Candidate scoring: (candidate event-index lists, scenarios×events
-    #: scaled-weight rows) -> candidates×scenarios integer score matrix.  No
-    #: library code calls it any more; the field stays because the
-    #: benchmark's tracing wrapper rebuilds the suite by field name, and it
-    #: can go once a benchmark-only change drops that wrapper.
+    #: scaled-weight rows) -> candidates×scenarios integer score matrix.
     score_candidates: Callable[..., List[List[int]]]
     #: Disjoint-core packing bound: (disjoint core event-index lists,
     #: scaled-weight rows) -> per-scenario hitting-set cost lower bound.
+    #: No library code calls this or ``score_candidates`` any more; both
+    #: fields stay because the benchmark's tracing wrapper rebuilds the
+    #: suite by field name, and can go once a benchmark-only change drops
+    #: that wrapper.
     greedy_lower_bound: Callable[..., List[int]]
 
 

@@ -1,27 +1,23 @@
-"""Batched MaxSAT re-rank scoring kernels (one per dispatch tier).
+"""Former MaxSAT re-rank scoring kernels (one per dispatch tier), kept for the benchmark.
 
-A weight-only sweep re-optimises the *same* implicit hitting set problem
-under many weight vectors.  Everything weight-independent — the unsat cores,
-the pooled candidate cut sets, their feasibility verdicts — is computed once
-by :class:`repro.maxsat.incremental.IncrementalMaxSATSession`; what remains
-per scenario is pure integer scoring, and that is what these kernels batch:
+Nothing in the library calls these kernels any more.  The batched re-rank
+ladder that used them was deleted: a warm
+:class:`repro.maxsat.incremental.IncrementalMaxSATSession` now certifies
+re-solves from its candidate pool inside ``solve``.  They stay only because
+the benchmark's tracing wrapper rebuilds :class:`repro.kernels.KernelSuite`
+by field name; they can go once a benchmark-only change drops that wrapper.
 
-* :func:`greedy_lower_bound_*` — the disjoint-core packing bound, the one
-  kernel the session's batched re-rank calls.  Given a family of
-  pairwise-disjoint cores (as event-column index lists, selected once per
-  core state by the session), any hitting set must pay at least the
-  cheapest element of each core, so ``LB_k = Σ_core min_{e ∈ core} W[k][e]``
-  lower-bounds the scenario's minimum hitting-set cost.  The numpy tier turns
-  the inner ``min`` into one vectorised column-wise reduction per core.
+* :func:`greedy_lower_bound_*` — the disjoint-core packing bound.  Given a
+  family of pairwise-disjoint cores (as event-column index lists), any
+  hitting set must pay at least the cheapest element of each core, so
+  ``LB_k = Σ_core min_{e ∈ core} W[k][e]`` lower-bounds scenario ``k``'s
+  minimum hitting-set cost.  The numpy tier turns the inner ``min`` into one
+  vectorised column-wise reduction per core.
 * :func:`score_candidates_*` — the cost of every candidate under every
   scenario in one pass: a candidate incidence structure (each candidate as a
   sorted list of event-column indices) against a ``scenarios × events``
   matrix of *scaled integer* weights gives the ``candidates × scenarios``
-  score matrix (one int64 matmul on the numpy tier).  The library no longer
-  calls it: the session stopped scoring a minimal-hitting-set family because
-  the enumeration cost more than it saved.  It stays only because the
-  benchmark's tracing wrapper rebuilds :class:`repro.kernels.KernelSuite` by
-  field name; it can go once a benchmark-only change drops that wrapper.
+  score matrix (one int64 matmul on the numpy tier).
 
 All arithmetic is on Python/``int64`` integers (the solver's scaled-weight
 domain), so every tier returns **identical** exact values — there is no

@@ -89,9 +89,8 @@ def minimum_cost_hitting_set(
             # whenever the seed is optimal, the search returns the seed
             # itself.  Incremental callers rely on this: it makes the result
             # a deterministic function of (cores, weights, seed), independent
-            # of greedy/search exploration order, which is what lets the
-            # batched re-rank path certify a pooled solution without
-            # re-running the search at all.
+            # of greedy/search exploration order, so a still-optimal previous
+            # optimum is kept and can be certified from the session's pool.
             if seed_cost <= best_cost:
                 best_set, best_cost = set(seed), seed_cost
 

@@ -21,9 +21,14 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
 
 1. compute a minimum-cost hitting set of the cached cores under the
    *current* scenario's weights;
-2. one SAT call assuming every soft clause outside the hitting set — on a
-   warm session this is typically the *only* oracle work a scenario needs;
-3. SAT: the model is optimal (its cost is bounded by the hitting set's cost,
+2. when the hitting set is a cut set that no active blocking clause forbids,
+   it is the answer, with no oracle call (see
+   :meth:`IncrementalMaxSATSession.solve`).  It is known to be a cut set when
+   it contains one the session has already produced (its *candidate pool*),
+   or, when the session solves for a tree, by evaluating the tree.  In a
+   weight-only sweep most scenarios are answered this way;
+3. otherwise one SAT call assuming every soft clause outside the hitting set.
+   SAT: the model is optimal (its cost is bounded by the hitting set's cost,
    which lower-bounds every solution).  UNSAT: cache the new core and repeat.
 
 Blocking clauses for tied-optimum / top-k enumeration are added once with an
@@ -37,7 +42,6 @@ solver restart.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -45,7 +49,6 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 from repro import kernels as _kernels
 from repro.exceptions import AnalysisError, BudgetExceededError, SolverError
 from repro.fta.tree import FaultTree
-from repro.kernels.bitset import CoverageIndex
 from repro.logic.cnf import Literal
 from repro.maxsat.hitting_set import hitting_sets_of_cost, minimum_cost_hitting_set
 from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
@@ -63,11 +66,6 @@ class IncrementalSolveResult:
     ``events`` is the extracted minimal cut set, ``scaled_cost`` the integer
     objective at the session's precision (the granularity every tie decision
     must use) and ``cost`` the float ``-log`` objective.
-
-    ``rerank`` records which tier of the batched re-rank ladder produced the
-    result (``"pooled"``, ``"certified"`` or ``"fallback"``); it
-    is empty for plain per-scenario solves and is telemetry only — it never
-    participates in result comparison.
     """
 
     events: Tuple[str, ...]
@@ -76,27 +74,6 @@ class IncrementalSolveResult:
     probability_weights: Dict[str, float]
     sat_calls: int
     solve_time: float
-    rerank: str = ""
-
-
-@dataclass
-class _RerankPrep:
-    """Weight-independent per-batch state of :meth:`solve_batch`.
-
-    Everything here is a function of (cores, blocking clauses, blocked set)
-    only — it is computed once per batch and recomputed only when a fallback
-    solve grows the core collection mid-batch.
-    """
-
-    signature: FrozenSet[Literal]
-    blocked_sets: Tuple[FrozenSet[str], ...]
-    core_count: int
-    usable: List[FrozenSet[Literal]]
-    exhausted: bool
-    index: Optional[CoverageIndex]
-    #: Pairwise-disjoint usable cores as event-column lists: the packing
-    #: family behind the vectorised hitting-set lower bound.
-    disjoint_columns: List[List[int]]
 
 
 class IncrementalMaxSATSession:
@@ -126,10 +103,9 @@ class IncrementalMaxSATSession:
         raises :class:`BudgetExceededError` so callers can fall back to the
         cold portfolio.
     kernels:
-        Kernel suite (:func:`repro.kernels.select`) used by the batched
-        re-rank path (:meth:`solve_batch`) for its hitting-set lower bounds.
-        Defaults to the auto-selected tier.  The re-rank kernels work on
-        scaled integers, so the tier never changes results.
+        Kernel suite (:func:`repro.kernels.select`) of the analysis session;
+        defaults to the auto-selected tier.  No solve step depends on it: it
+        is only reported by :meth:`stats`.
     """
 
     def __init__(
@@ -177,16 +153,10 @@ class IncrementalMaxSATSession:
         self._selectors: Tuple[Literal, ...] = tuple(
             -var for var in sorted(self._var_events)
         )
-        #: Event names in selector order — the column order of every scaled
-        #: weight row the re-rank kernels consume.
-        self._event_order: Tuple[str, ...] = tuple(
-            self._var_events[var] for var in sorted(self._var_events)
-        )
+        #: Bit position of each event in the pool's bitmasks.
         self._event_column: Dict[str, int] = {
-            name: column for column, name in enumerate(self._event_order)
-        }
-        self._selector_column: Dict[Literal, int] = {
-            -var: column for column, var in enumerate(sorted(self._var_events))
+            self._var_events[var]: column
+            for column, var in enumerate(sorted(self._var_events))
         }
         self.num_vars = encoding.cnf.num_vars
         self.num_hard = encoding.cnf.num_clauses
@@ -206,10 +176,9 @@ class IncrementalMaxSATSession:
         self._hs_memo: Dict[FrozenSet[Literal], Set[Literal]] = {}
 
         #: Candidate pool: every optimal cut set this session has ever
-        #: produced, by a SAT model or by :meth:`solve_ties`.  Feasibility
-        #: ("the hard clauses admit a model whose true events are exactly
-        #: this set") is weight-independent, so a pooled candidate certifies
-        #: later scenarios without an oracle call.
+        #: produced.  Feasibility ("the hard clauses admit a model whose true
+        #: events are exactly this set") is weight-independent, so a pooled
+        #: candidate certifies later scenarios without an oracle call.
         #: Maps each candidate to its event-column bitmask.
         self._pool: Dict[Tuple[str, ...], int] = {}
 
@@ -217,7 +186,10 @@ class IncrementalMaxSATSession:
         self.sat_calls = 0
         self.solves = 0
         self.rounds = 0
-        #: How each :meth:`solve_batch` scenario was resolved, cumulatively.
+        #: How solves were answered, cumulatively: ``certified`` without a
+        #: SAT call (see :meth:`solve`), ``fallback`` by one.  ``pooled`` and
+        #: ``bnb`` are kept at 0 for readers of the former batched re-rank
+        #: split.
         self.rerank_stats: Dict[str, int] = {
             "pooled": 0,
             "certified": 0,
@@ -272,8 +244,10 @@ class IncrementalMaxSATSession:
     ) -> Optional[IncrementalSolveResult]:
         """Solve for ``tree``'s probabilities (its structure must match).
 
-        Convenience wrapper deriving the ``-log`` weights from the tree's
-        event probabilities exactly like the cold pipeline's Step 3.
+        Derives the ``-log`` weights from the tree's event probabilities
+        exactly like the cold pipeline's Step 3, then solves like
+        :meth:`solve`, with ``tree`` at hand to certify hitting sets by
+        evaluation.
         """
         from repro.core.weights import log_weight  # lazy: avoids an import cycle
 
@@ -281,7 +255,7 @@ class IncrementalMaxSATSession:
         weights = {
             name: log_weight(probabilities[name]) for name in self.event_vars
         }
-        return self.solve(weights, blocked)
+        return self._solve(weights, blocked, tree)
 
     def solve(
         self,
@@ -295,21 +269,61 @@ class IncrementalMaxSATSession:
         forbidden by ``blocked``.  Raises :class:`BudgetExceededError` when
         the core-discovery loop exceeds ``max_rounds`` (callers then fall
         back to a cold solve).
+
+        A round whose minimum-cost hitting set is a cut set, with no blocked
+        set inside it, returns that hitting set without a SAT call.  Here
+        the hitting set counts as a cut set when it contains a pooled one;
+        :meth:`solve_tree` also evaluates its tree.  This is exactly what
+        the SAT call would return: the hitting set is a cut set that no
+        active blocking clause forbids, so the call is satisfiable; the
+        model's true events hit every cached core, so they cost at least as
+        much as the hitting set, and with every scaled weight at least 1 a
+        subset of equal cost is the hitting set itself.
         """
+        return self._solve(weights, blocked, None)
+
+    def _solve(
+        self,
+        weights: Dict[str, float],
+        blocked: Sequence[Tuple[str, ...]],
+        tree: Optional[FaultTree],
+    ) -> Optional[IncrementalSolveResult]:
         with _trace.span("maxsat.solve", blocked=len(blocked)) as span:
             calls_before = self.sat_calls
             rounds_before = self.rounds
-            result = self._solve_impl(weights, blocked)
+            result = self._solve_impl(weights, blocked, tree)
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 span.add("hs_rounds", self.rounds - rounds_before)
                 span.add("solutions", 0 if result is None else 1)
             return result
 
+    def solve_batch(
+        self,
+        weights_seq: Sequence[Dict[str, float]],
+        blocked: Sequence[Tuple[str, ...]] = (),
+    ) -> List[Optional[IncrementalSolveResult]]:
+        """:meth:`solve` for each weight vector in order, in one span."""
+        with _trace.span(
+            "maxsat.solve_batch", scenarios=len(weights_seq), blocked=len(blocked)
+        ) as span:
+            stats_before = dict(self.rerank_stats)
+            calls_before = self.sat_calls
+            results = [self.solve(weights, blocked) for weights in weights_seq]
+            if span.is_recording:
+                span.add("sat_calls", self.sat_calls - calls_before)
+                for tier, count in self.rerank_stats.items():
+                    span.add(tier, count - stats_before[tier])
+                span.add(
+                    "solutions", sum(1 for result in results if result is not None)
+                )
+            return results
+
     def _solve_impl(
         self,
         weights: Dict[str, float],
         blocked: Sequence[Tuple[str, ...]],
+        tree: Optional[FaultTree],
     ) -> Optional[IncrementalSolveResult]:
         started = time.perf_counter()
         scaled: Dict[Literal, int] = {
@@ -320,21 +334,27 @@ class IncrementalMaxSATSession:
             (self._block_assumption(cut_set) for cut_set in blocked), key=abs
         )
         active_blocks = set(block_assumptions)
+        signature = frozenset(active_blocks)
+        blocked_sets = tuple(frozenset(cut_set) for cut_set in blocked)
 
         sat_calls = 0
+        certified = False
+        events: Optional[Tuple[str, ...]] = None
         for _ in range(self.max_rounds):
             self.rounds += 1
             usable, exhausted = self._usable_cores(active_blocks)
             if exhausted:
-                self.solves += 1
-                self.sat_calls += sat_calls
-                return None
+                break
 
-            signature = frozenset(active_blocks)
             hitting_set, _ = minimum_cost_hitting_set(
                 usable, scaled, seed=self._hs_memo.get(signature)
             )
             self._hs_memo[signature] = hitting_set
+            candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
+            if self._admissible(candidate, blocked_sets) and self._is_cut_set(candidate, tree):
+                events, certified = candidate, True
+                break
+
             assumptions = block_assumptions + [
                 selector for selector in self._selectors if selector not in hitting_set
             ]
@@ -350,33 +370,39 @@ class IncrementalMaxSATSession:
                         if model.get(var, False)
                     )
                 )
-                self.solves += 1
-                self.sat_calls += sat_calls
-                self._register_candidate(events)
-                probability_weights = {name: weights[name] for name in events}
-                return IncrementalSolveResult(
-                    events=events,
-                    scaled_cost=self.scaled_cost_of(events, weights),
-                    cost=sum(probability_weights.values()),
-                    probability_weights=probability_weights,
-                    sat_calls=sat_calls,
-                    solve_time=time.perf_counter() - started,
-                )
+                break
 
             core = frozenset(result.core)
             if not core:
                 # Conflict independent of every assumption: the structure
                 # itself is unsatisfiable — the top event cannot occur.
-                self.solves += 1
-                self.sat_calls += sat_calls
-                return None
+                break
             block_part = frozenset(
                 literal for literal in core if abs(literal) in self._block_var_set
             )
             self._cores.append((block_part, core - block_part))
+        else:
+            raise BudgetExceededError(
+                f"incremental MaxSAT session exceeded {self.max_rounds} core rounds"
+            )
 
-        raise BudgetExceededError(
-            f"incremental MaxSAT session exceeded {self.max_rounds} core rounds"
+        self.solves += 1
+        self.sat_calls += sat_calls
+        if certified:
+            self.rerank_stats["certified"] += 1
+        elif sat_calls:
+            self.rerank_stats["fallback"] += 1
+        if events is None:
+            return None
+        self._register_candidate(events)
+        probability_weights = {name: weights[name] for name in events}
+        return IncrementalSolveResult(
+            events=events,
+            scaled_cost=self.scaled_cost_of(events, weights),
+            cost=sum(probability_weights.values()),
+            probability_weights=probability_weights,
+            sat_calls=sat_calls,
+            solve_time=time.perf_counter() - started,
         )
 
     def solve_ties(
@@ -411,8 +437,7 @@ class IncrementalMaxSATSession:
                 tuple(sorted(self._var_events[-literal] for literal in hitting_set))
                 for hitting_set in candidates
             )
-            if events not in known
-            and (self._contains_pooled(events) or tree.is_cut_set(events))
+            if events not in known and self._is_cut_set(events, tree)
         )
         results: List[IncrementalSolveResult] = []
         for events in ties:
@@ -448,7 +473,7 @@ class IncrementalMaxSATSession:
             usable.append(stripped)
         return usable, False
 
-    # -- batched re-rank -------------------------------------------------------
+    # -- candidate pool --------------------------------------------------------
 
     def _register_candidate(self, events: Tuple[str, ...]) -> None:
         """Admit a verified optimal cut set into the candidate pool."""
@@ -468,14 +493,19 @@ class IncrementalMaxSATSession:
     def _contains_pooled(self, events: Tuple[str, ...]) -> bool:
         """Whether some pooled candidate is a subset of ``events``.
 
-        This is the SAT-free feasibility certificate: a pooled candidate is a
+        The weight-free feasibility certificate: a pooled candidate is a
         verified cut set, and any superset of a cut set admits a model, so the
-        oracle call the sequential loop would make is guaranteed to succeed.
+        oracle call of a solve round on ``events`` is guaranteed to succeed.
         """
         if events in self._pool:
             return True
         mask = self._event_mask(events)
         return any(candidate & ~mask == 0 for candidate in self._pool.values())
+
+    def _is_cut_set(self, events: Tuple[str, ...], tree: Optional[FaultTree]) -> bool:
+        """Whether ``events`` is a cut set: a superset of a pooled one, or,
+        with ``tree`` at hand, by evaluating it."""
+        return self._contains_pooled(events) or (tree is not None and tree.is_cut_set(events))
 
     @staticmethod
     def _admissible(
@@ -484,201 +514,6 @@ class IncrementalMaxSATSession:
         """No active blocking clause forbids ``events`` (or a superset rule)."""
         event_set = frozenset(events)
         return all(not blocked <= event_set for blocked in blocked_sets)
-
-    def _prepare_rerank(self, blocked: Sequence[Tuple[str, ...]]) -> _RerankPrep:
-        """The weight-independent batch state for the current core collection."""
-        active_blocks = {self._block_assumption(cut_set) for cut_set in blocked}
-        usable, exhausted = self._usable_cores(active_blocks)
-        index: Optional[CoverageIndex] = None
-        disjoint_columns: List[List[int]] = []
-        if not exhausted:
-            index = CoverageIndex(usable)
-            # Greedy disjoint-core packing in discovery order: any hitting set
-            # must pay at least the cheapest element of each selected core.
-            claimed: Set[Literal] = set()
-            for core in usable:
-                if claimed.isdisjoint(core):
-                    claimed |= core
-                    disjoint_columns.append(
-                        sorted(self._selector_column[literal] for literal in core)
-                    )
-        return _RerankPrep(
-            signature=frozenset(active_blocks),
-            blocked_sets=tuple(frozenset(cut_set) for cut_set in blocked),
-            core_count=len(self._cores),
-            usable=usable,
-            exhausted=exhausted,
-            index=index,
-            disjoint_columns=disjoint_columns,
-        )
-
-    def _scaled_row(self, weights: Dict[str, float]) -> List[int]:
-        """One scenario's scaled weights in event-column order."""
-        return [self._scale_weight(weights[name]) for name in self._event_order]
-
-    def _lower_bounds(
-        self, prep: _RerankPrep, rows: Sequence[Sequence[int]]
-    ) -> List[int]:
-        """Per-scenario packing lower bound on the minimum hitting-set cost."""
-        if prep.exhausted or not prep.disjoint_columns:
-            return [0] * len(rows)
-        return self._kernels.greedy_lower_bound(prep.disjoint_columns, rows)
-
-    def _result_for(
-        self,
-        events: Tuple[str, ...],
-        scaled_cost: int,
-        weights: Dict[str, float],
-        started: float,
-        tier: str,
-    ) -> IncrementalSolveResult:
-        probability_weights = {name: weights[name] for name in events}
-        return IncrementalSolveResult(
-            events=events,
-            scaled_cost=scaled_cost,
-            cost=sum(probability_weights.values()),
-            probability_weights=probability_weights,
-            sat_calls=0,
-            solve_time=time.perf_counter() - started,
-            rerank=tier,
-        )
-
-    def _ranked_one(
-        self,
-        weights: Dict[str, float],
-        blocked: Sequence[Tuple[str, ...]],
-        prep: _RerankPrep,
-        row: Sequence[int],
-        lower_bound: int,
-    ) -> Optional[IncrementalSolveResult]:
-        """Resolve one batch scenario through the pool/certify/B&B/fallback ladder."""
-        started = time.perf_counter()
-        if prep.exhausted:
-            self.solves += 1
-            self.rerank_stats["pooled"] += 1
-            return None
-
-        # Pooled tier: the memoised hitting set for this block signature (the
-        # previous scenario's optimum, in steady state).  When it still hits
-        # every core, its cost attains the packing lower bound (so it is
-        # optimal), it contains a pooled cut set and no blocking clause
-        # forbids it, it is *provably* what the sequential loop would return:
-        # the seeded branch-and-bound adopts an optimal seed unchanged, and
-        # pool containment certifies the SAT call — zero oracle work.
-        seed = self._hs_memo.get(prep.signature) if prep.usable else set()
-        if seed is not None and prep.index is not None and prep.index.covers_all(seed):
-            seed_events = tuple(
-                sorted(self._var_events[abs(literal)] for literal in seed)
-            )
-            if self._admissible(seed_events, prep.blocked_sets) and self._contains_pooled(
-                seed_events
-            ):
-                seed_score = sum(row[self._event_column[name]] for name in seed_events)
-                if seed_score == lower_bound:
-                    self._hs_memo[prep.signature] = set(seed)
-                    self.solves += 1
-                    self._register_candidate(seed_events)
-                    self.rerank_stats["pooled"] += 1
-                    return self._result_for(
-                        seed_events, seed_score, weights, started, "pooled"
-                    )
-
-        # B&B tier: a stale seed, or a packing bound too loose to prove the
-        # seed optimal — run the exact hitting-set search, exactly as the
-        # sequential loop's first round would, then try to certify its result
-        # without the SAT call.
-        self.rerank_stats["bnb"] += 1
-        scaled: Dict[Literal, int] = {
-            selector: row[column] for selector, column in self._selector_column.items()
-        }
-        hitting_set, hs_cost = minimum_cost_hitting_set(
-            prep.usable, scaled, seed=self._hs_memo.get(prep.signature)
-        )
-        hs_events = tuple(
-            sorted(self._var_events[abs(literal)] for literal in hitting_set)
-        )
-        if self._contains_pooled(hs_events) and self._admissible(
-            hs_events, prep.blocked_sets
-        ):
-            # Feasible (superset of a verified cut set) and block-admissible:
-            # the sequential SAT call succeeds, and with strictly positive
-            # scaled weights its model's true events are exactly the hitting
-            # set — so this *is* the sequential result, SAT-free.
-            self._hs_memo[prep.signature] = hitting_set
-            self.solves += 1
-            self._register_candidate(hs_events)
-            self.rerank_stats["certified"] += 1
-            return self._result_for(hs_events, hs_cost, weights, started, "certified")
-
-        # Fallback: no SAT-free certificate — run the full core-discovery
-        # loop.  ``_solve_impl`` was not passed any state from the ladder, so
-        # its memo/core/pool evolution is identical to the sequential path.
-        self.rerank_stats["fallback"] += 1
-        result = self._solve_impl(weights, blocked)
-        if result is not None:
-            result = dataclasses.replace(result, rerank="fallback")
-        return result
-
-    def solve_batch(
-        self,
-        weights_seq: Sequence[Dict[str, float]],
-        blocked: Sequence[Tuple[str, ...]] = (),
-    ) -> List[Optional[IncrementalSolveResult]]:
-        """Batched weight-only re-rank: results identical to a :meth:`solve` loop.
-
-        Everything weight-independent is computed once per batch — the usable
-        cores, their :class:`~repro.kernels.bitset.CoverageIndex` and a greedy
-        disjoint-core packing — and the per-scenario packing lower bounds come
-        from one call into the session's kernel suite.  Each scenario then
-        walks the ladder in :meth:`_ranked_one`: **pooled** (seed proven
-        optimal by the bound, zero SAT calls) → **certified** (one seeded B&B,
-        zero SAT calls) → **fallback** (full sequential loop).
-
-        The returned results — events, scaled cost, float cost, probability
-        weights — are byte-identical to calling :meth:`solve` once per
-        scenario in order, because every SAT-free tier fires only when the
-        sequential outcome is provable: the seeded branch-and-bound is a
-        deterministic function of (cores, weights, seed), scaled weights are
-        strictly positive (so a SAT model's events equal the hitting set
-        exactly), and pool membership certifies the oracle call.  Only the
-        telemetry differs: ``sat_calls``/``solve_time`` reflect the work
-        actually done, and ``rerank`` names the tier that resolved each
-        scenario.  Raises the same exceptions the sequential loop would
-        (:class:`BudgetExceededError` from the search budgets included).
-        """
-        with _trace.span(
-            "maxsat.solve_batch", scenarios=len(weights_seq), blocked=len(blocked)
-        ) as span:
-            stats_before = dict(self.rerank_stats)
-            calls_before = self.sat_calls
-            results: List[Optional[IncrementalSolveResult]] = []
-            if weights_seq:
-                rows = [self._scaled_row(weights) for weights in weights_seq]
-                prep = self._prepare_rerank(blocked)
-                lower_bounds = self._lower_bounds(prep, rows)
-                for position, weights in enumerate(weights_seq):
-                    if prep.core_count != len(self._cores):
-                        # A fallback discovered new cores: the coverage index
-                        # and packing bounds are stale — rebuild.
-                        prep = self._prepare_rerank(blocked)
-                        lower_bounds = self._lower_bounds(prep, rows)
-                    results.append(
-                        self._ranked_one(
-                            weights,
-                            blocked,
-                            prep,
-                            rows[position],
-                            lower_bounds[position],
-                        )
-                    )
-            if span.is_recording:
-                span.add("sat_calls", self.sat_calls - calls_before)
-                for tier, count in self.rerank_stats.items():
-                    span.add(tier, count - stats_before[tier])
-                span.add(
-                    "solutions", sum(1 for result in results if result is not None)
-                )
-            return results
 
     # -- introspection ---------------------------------------------------------
 

@@ -304,11 +304,12 @@ class TreeMonitor:
         changed: List[str],
         patched: FaultTree,
         started: float,
+        ptop: Optional[float] = None,
     ) -> MonitorDelta:
         registry = get_metrics()
         with self.executor.warm_scope():
             report = self.executor.analyze_tree(
-                patched, self._analyses, top_k=self.top_k
+                patched, self._analyses, top_k=self.top_k, ptop=ptop
             )
         self.executor.evict_tree_artifacts(self.tree, patched)
 
@@ -365,15 +366,13 @@ class TreeMonitor:
         All updates are staged first (cumulatively, in order), their exact
         top-event probabilities are evaluated in a single kernel call over
         the whole ``(updates × events)`` grid
-        (:meth:`SweepExecutor.precompute_top_events`), their MaxSAT re-solves
-        run through the batched re-rank ladder
-        (:meth:`SweepExecutor.precompute_rerank` — vectorised scoring over
-        the warm session's candidate pool, near-zero SAT calls in steady
-        state), and then each update runs the ordinary per-update analysis,
-        which consumes its precomputed values.  The per-update deltas,
-        reports, alerts and streamed events are identical to calling
+        (:meth:`SweepExecutor.precompute_top_events`), and then each update
+        runs the ordinary per-update analysis with its precomputed P(top).
+        The MaxSAT re-solves are the per-update ones, answered from the warm
+        session's candidate pool where it certifies them.  The per-update
+        deltas, reports, alerts and streamed events are identical to calling
         :meth:`apply_update` in a loop — batching only removes per-update
-        solver and BDD work.
+        BDD work.
         """
         if not updates:
             return []
@@ -384,22 +383,15 @@ class TreeMonitor:
                 started = time.perf_counter()
                 changed, patched = self._stage_locked(update)
                 staged.append((update, changed, patched, started))
-            patched_trees = [patched for _, _, patched, _ in staged]
+            ptops: List[Optional[float]] = [None] * len(staged)
             if self.executor.uses_bdd_top_event:
-                self.executor.precompute_top_events(patched_trees)
-            if self.executor.uses_batched_rerank and any(
-                analysis in ("mpmcs", "ranking") for analysis in self._analyses
-            ):
-                self.executor.precompute_rerank(patched_trees)
-            try:
-                return [
-                    self._analyze_locked(update, changed, patched, started)
-                    for update, changed, patched, started in staged
-                ]
-            finally:
-                # A failed analysis must not leak its staged solve (and the
-                # strong tree reference it holds) into the next batch.
-                self.executor.clear_staged_rerank()
+                ptops = self.executor.precompute_top_events(
+                    [patched for _, _, patched, _ in staged]
+                )
+            return [
+                self._analyze_locked(update, changed, patched, started, ptop)
+                for (update, changed, patched, started), ptop in zip(staged, ptops)
+            ]
 
     # -- the watchdog ------------------------------------------------------
 

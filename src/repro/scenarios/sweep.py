@@ -109,11 +109,6 @@ class SweepExecutor:
         #: ``incremental``: seeding only pre-fills a cache entry, so a wrong
         #: guess costs time, never an answer.
         self._seeds_cut_sets = incremental
-        #: Batch-precomputed exact P(top) values, keyed by ``id(tree)`` and
-        #: holding a strong reference to the tree so ids cannot be recycled
-        #: while an entry is pending.  Filled by :meth:`precompute_top_events`,
-        #: consumed (and identity-checked) by :meth:`_bdd_top_event`.
-        self._pending_ptop: Dict[int, Tuple[FaultTree, float]] = {}
         if backend == "auto":
             # Automatic routing covers every analysis; mpmcs routes to maxsat.
             self._capabilities: Optional[frozenset] = None
@@ -218,6 +213,7 @@ class SweepExecutor:
         top_k: int = 5,
         samples: int = 0,
         seed: int = 0,
+        ptop: Optional[float] = None,
     ) -> AnalysisReport:
         """One incremental analysis of ``tree``: seed, analyse, augment.
 
@@ -229,21 +225,30 @@ class SweepExecutor:
         is merged in where only bounds exist.  ``analyses`` should come from
         :meth:`prepare_analyses`.  Warm solver sessions apply only inside
         :meth:`warm_scope`.
+
+        ``ptop`` is ``tree``'s exact P(top) when the caller already has it
+        from :meth:`precompute_top_events`; the BDD walk is then skipped.
         """
         if not analyses and self._fill_top_event:
             return self._bdd_only_report(
-                tree, top_k=top_k, samples=samples, seed=seed
+                tree, top_k=top_k, samples=samples, seed=seed, ptop=ptop
             )
         if self._seeds_cut_sets:
             seed_session_cut_sets(tree, self.session.artifacts)
         report = self.session.analyze(
             tree, analyses, backend=self.backend, top_k=top_k, samples=samples, seed=seed
         )
-        self._augment_exact_top_event(tree, report)
+        self._augment_exact_top_event(tree, report, ptop)
         return report
 
     def _bdd_only_report(
-        self, tree: FaultTree, *, top_k: int, samples: int, seed: int
+        self,
+        tree: FaultTree,
+        *,
+        top_k: int,
+        samples: int,
+        seed: int,
+        ptop: Optional[float],
     ) -> AnalysisReport:
         """The probability-only fast path: a report served entirely by the BDD.
 
@@ -265,7 +270,7 @@ class SweepExecutor:
             ),
         )
         report.profile["kernel"] = self.session.kernels.name
-        self._augment_exact_top_event(tree, report)
+        self._augment_exact_top_event(tree, report, ptop)
         if report.top_event is None:
             raise AnalysisError(
                 f"backend {self.backend!r} does not support 'top_event' and the "
@@ -274,30 +279,31 @@ class SweepExecutor:
         report.cache_stats = self.session.artifacts.stats()
         return report
 
-    def precompute_top_events(self, trees: Sequence[FaultTree]) -> int:
+    def precompute_top_events(
+        self, trees: Sequence[FaultTree]
+    ) -> List[Optional[float]]:
         """Batch-evaluate exact P(top) for ``trees`` through the kernel seam.
 
-        Trees are grouped by their (structure-keyed, cached) compiled BDD and
+        Trees are grouped by structure (one compiled, cached BDD each) and
         each group's scenario grid is evaluated in **one** kernel call — a
         ``(scenarios × events)`` probability matrix in, a P(top) vector out —
-        instead of one :func:`probability_of_bdd` walk per scenario.  Results
-        are staged for :meth:`_bdd_top_event`, which consumes them during the
-        per-scenario analysis; values are bit-identical to the scalar walk on
-        every kernel tier.
+        instead of one :func:`probability_of_bdd` walk per scenario.  Returns
+        one value per tree, in order, for the caller to hand to
+        :meth:`analyze_tree` as ``ptop``; values are bit-identical to the
+        scalar walk on every kernel tier.
 
-        Trees whose BDD cannot be built or evaluated are simply left out:
-        the scalar fallback reproduces the exact per-scenario error handling
-        (including marking the structure unavailable), and once a structure
-        fails here no later tree of the same structure is batched, preserving
-        the unbatched path's ordering semantics.  Returns the number of
-        precomputed values.
+        A tree whose BDD cannot be built or evaluated gets ``None``: the
+        scalar walk in :meth:`analyze_tree` then reproduces the per-scenario
+        error handling (including marking the structure unavailable), and
+        once a structure fails here no later tree of the same structure is
+        batched, preserving the unbatched path's ordering semantics.
         """
         cache = self.session.artifacts
         suite = self.session.kernels
-        groups: Dict[int, Tuple[FlatBDD, List[FaultTree], List[List[float]]]] = {}
+        values: List[Optional[float]] = [None] * len(trees)
+        groups: Dict[str, Tuple[FlatBDD, List[int], List[List[float]]]] = {}
         failed_structures: Set[str] = set()
-        staged = 0
-        for tree in trees:
+        for position, tree in enumerate(trees):
             structure_key = cache.structure_keys_for(tree)[tree.top_event]
             if structure_key in self._bdd_unavailable or structure_key in failed_structures:
                 continue
@@ -315,49 +321,23 @@ class SweepExecutor:
             except (ReproError, MemoryError, RecursionError):
                 failed_structures.add(structure_key)
                 continue
-            group = groups.setdefault(id(function), (flat, [], []))
-            group[1].append(tree)
+            group = groups.setdefault(structure_key, (flat, [], []))
+            group[1].append(position)
             group[2].append(row)
-        for flat, group_trees, rows in groups.values():
-            values = suite.eval_bdd_batch(flat, rows)
-            for group_tree, value in zip(group_trees, values):
-                self._pending_ptop[id(group_tree)] = (group_tree, value)
-                staged += 1
-        return staged
-
-    @property
-    def uses_batched_rerank(self) -> bool:
-        """True when maxsat solves can be batched through the re-rank kernel.
-
-        Requires the warm incremental backend (so scenarios are weight-only
-        re-solves on persistent sessions) — batch callers use this to decide
-        whether :meth:`precompute_rerank` will pay off.
-        """
-        return self._warm_backend is not None and getattr(
-            self._warm_backend, "precompute_rerank", None
-        ) is not None
+        for flat, positions, rows in groups.values():
+            for position, value in zip(positions, suite.eval_bdd_batch(flat, rows)):
+                values[position] = value
+        return values
 
     def precompute_rerank(self, trees: Sequence[FaultTree]) -> int:
-        """Batch the first MaxSAT solve of ``trees`` through the re-rank kernel.
+        """Does nothing and returns 0.
 
-        Delegates to the warm backend's
-        :meth:`~repro.api.backends.MaxSATBackend.precompute_rerank`: trees are
-        grouped by structure and each group's weight grid runs through the
-        pooled / certified / B&B / fallback ladder of
-        :meth:`~repro.maxsat.incremental.IncrementalMaxSATSession.solve_batch`
-        in one call — results byte-identical to the per-scenario loop, SAT
-        calls near zero in steady state.  The per-scenario analysis then
-        consumes the staged solves transparently.  Returns the number staged
-        (0 when the backend has no batch path).
+        Kept only because the benchmark tracer wraps it by name: every MaxSAT
+        solve now runs per scenario, certified from the warm session's
+        candidate pool where possible (see
+        :meth:`~repro.maxsat.incremental.IncrementalMaxSATSession.solve`).
         """
-        if not self.uses_batched_rerank:
-            return 0
-        return self._warm_backend.precompute_rerank(trees)
-
-    def clear_staged_rerank(self) -> None:
-        """Drop unconsumed staged batch solves (frees their tree references)."""
-        if self.uses_batched_rerank:
-            self._warm_backend.clear_staged_rerank()
+        return 0
 
     def evict_tree_artifacts(self, base: FaultTree, patched: FaultTree) -> None:
         """Public alias of the per-scenario cache eviction (see below)."""
@@ -451,25 +431,23 @@ class SweepExecutor:
         )
 
         # Batched precomputation: when the structure-keyed BDD serves the top
-        # event and/or the warm MaxSAT backend can batch its re-ranks,
-        # pre-apply every patch and push the whole scenario grid through the
-        # kernel seam — one BDD evaluation pass and one solve_batch per
-        # structure; the loop below then consumes the staged values.
+        # event, pre-apply every patch and push the whole scenario grid
+        # through the kernel seam — one BDD evaluation pass per structure;
+        # the loop below hands each scenario its value.
         prepared: List[Tuple[Optional[FaultTree], Optional[ReproError]]] = []
-        batch_rerank = self.uses_batched_rerank and any(
-            analysis in ("mpmcs", "ranking") for analysis in analyses
-        )
-        if self._fill_top_event or batch_rerank:
+        ptops: List[Optional[float]] = [None] * len(scenario_list)
+        if self._fill_top_event:
             for scenario in scenario_list:
                 try:
                     prepared.append((scenario.apply(tree), None))
                 except ReproError as exc:
                     prepared.append((None, exc))
-            patched_trees = [patched for patched, _ in prepared if patched is not None]
-            if self._fill_top_event:
-                self.precompute_top_events(patched_trees)
-            if batch_rerank:
-                self.precompute_rerank(patched_trees)
+            values = iter(
+                self.precompute_top_events(
+                    [patched for patched, _ in prepared if patched is not None]
+                )
+            )
+            ptops = [next(values) if patched is not None else None for patched, _ in prepared]
 
         for position, scenario in enumerate(scenario_list):
             # Outside the try: a cancellation raised here must abort the
@@ -485,7 +463,12 @@ class SweepExecutor:
                 else:
                     patched = scenario.apply(tree)
                 partial = self.analyze_tree(
-                    patched, analyses, top_k=top_k, samples=samples, seed=seed
+                    patched,
+                    analyses,
+                    top_k=top_k,
+                    samples=samples,
+                    seed=seed,
+                    ptop=ptops[position],
                 )
             except ReproError as exc:
                 failed = ScenarioOutcome(
@@ -524,13 +507,13 @@ class SweepExecutor:
             if on_outcome is not None:
                 on_outcome(outcome)
 
-        self._pending_ptop.clear()
-        self.clear_staged_rerank()
         report.cache_stats = self.session.cache_info()
         report.total_time_s = time.perf_counter() - started
         return report
 
-    def _augment_exact_top_event(self, tree: FaultTree, report: AnalysisReport) -> None:
+    def _augment_exact_top_event(
+        self, tree: FaultTree, report: AnalysisReport, ptop: Optional[float] = None
+    ) -> None:
         """Fill in the exact BDD top-event probability where only bounds exist.
 
         The cut-set backends stop computing exact inclusion-exclusion beyond
@@ -538,6 +521,7 @@ class SweepExecutor:
         This resolves the exact value through a BDD compiled once per
         *structure* (probability-only scenarios share it) and merges it into
         the report's :class:`TopEventSummary`, keeping the bounds alongside.
+        ``ptop`` is a value already evaluated by :meth:`precompute_top_events`.
         """
         if not self.exact_top_event and not getattr(self, "_fill_top_event", False):
             return
@@ -546,7 +530,7 @@ class SweepExecutor:
             return
         if summary is not None and summary.exact is not None:
             return
-        exact = self._bdd_top_event(tree)
+        exact = self._bdd_top_event(tree, ptop)
         if exact is None:
             return
         filled = TopEventSummary(exact=exact, backend="bdd")
@@ -554,16 +538,17 @@ class SweepExecutor:
         previous = report.backends.get("top_event")
         report.backends["top_event"] = f"{previous}+bdd" if previous else "bdd"
 
-    def _bdd_top_event(self, tree: FaultTree) -> Optional[float]:
-        """Exact P(top) via the structure-keyed BDD; ``None`` when unavailable."""
+    def _bdd_top_event(self, tree: FaultTree, ptop: Optional[float]) -> Optional[float]:
+        """Exact P(top) via the structure-keyed BDD; ``None`` when unavailable.
+
+        ``ptop``, when given, is the precomputed value and is returned as is.
+        """
         cache = self.session.artifacts
         structure_key = cache.structure_keys_for(tree)[tree.top_event]
         if structure_key in self._bdd_unavailable:
-            self._pending_ptop.pop(id(tree), None)
             return None
-        pending = self._pending_ptop.pop(id(tree), None)
-        if pending is not None and pending[0] is tree:
-            return pending[1]
+        if ptop is not None:
+            return ptop
 
         def build() -> BDD:
             manager = BDDManager(variable_order(tree, heuristic="dfs"))

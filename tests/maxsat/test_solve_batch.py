@@ -1,11 +1,14 @@
-"""The batched weight-only re-rank: solve_batch ≡ the per-scenario solve loop.
+"""Weight-only re-solves on a warm session and the candidate-pool certificate.
 
-The contract under test is the tentpole guarantee: for any scenario batch,
 ``solve_batch(weights_seq, blocked)`` returns exactly what calling
 ``solve(weights, blocked)`` once per scenario would — same events, same
-scaled cost, same float cost — while the pooled / certified / B&B ladder
-keeps SAT work near zero.  ``sat_calls``/``solve_time``/``rerank`` are
-telemetry and deliberately excluded from equality.
+scaled cost, same float cost.  Inside ``solve``, a round whose minimum-cost
+hitting set contains a pooled cut set that no active block forbids is
+answered without a SAT call (``solve_tree`` also certifies a hitting set by
+evaluating its tree); the tests below check that this keeps SAT work near
+zero on warm sessions and never changes an answer against a fresh session
+or brute force.  ``sat_calls``/``solve_time`` are telemetry and
+deliberately excluded from equality.
 """
 
 import random
@@ -15,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.analysis.bruteforce import brute_force_minimal_cut_sets
+from repro.core.weights import log_weight
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system
@@ -43,6 +48,12 @@ def _blocked_sets(session, seed, count):
         size = rng.randint(1, max(1, len(names) // 3))
         blocked.append(tuple(sorted(rng.sample(names, size))))
     return blocked
+
+
+def _tree_weights(session, tree):
+    """The ``-log`` weights ``solve_tree`` derives from ``tree``."""
+    probabilities = tree.probabilities()
+    return {name: log_weight(probabilities[name]) for name in session.event_vars}
 
 
 def _essence(result):
@@ -111,29 +122,35 @@ class TestBatchEqualsSequential:
         session = IncrementalMaxSATSession(tree)
         weights_seq = _weight_grid(session, seed=5, count=4)
         assert session.solve_batch(weights_seq, blocked) == [None] * 4
-        # Proving exhaustion on a cold session needs one SAT-backed fallback;
-        # every scenario after that is answered SAT-free from the cores.
-        assert session.rerank_stats["fallback"] == 1
-        assert session.rerank_stats["pooled"] == 3
+        # Proving exhaustion on a cold session needs SAT calls once; every
+        # scenario after that is answered from the cores alone.
+        assert session.rerank_stats == {
+            "pooled": 0,
+            "certified": 0,
+            "bnb": 0,
+            "fallback": 1,
+        }
 
 
 class TestRerankLadder:
+    """The pool certificate inside ``solve``."""
+
     def test_warm_batch_is_mostly_sat_free(self):
         tree = fire_protection_system()
         session = IncrementalMaxSATSession(tree)
         session.solve_tree(tree)  # warm the core collection
         calls_before = session.sat_calls
         weights_seq = _weight_grid(session, seed=7, count=50)
-        results = session.solve_batch(weights_seq)
+        results = [session.solve(weights) for weights in weights_seq]
         assert all(result is not None for result in results)
         stats = session.rerank_stats
-        assert sum(stats.values()) >= 50
-        # The pooled tier must carry the batch: SAT work stays far below the
-        # ≥ 1 call per scenario the sequential loop pays.  (The steady-state
-        # < 0.1 criterion is asserted on E16's drift-shaped sweep; this grid
-        # is fully random, so a few core discoveries are legitimate.)
+        assert stats["certified"] + stats["fallback"] == 51
+        # The certificate must carry the loop: SAT work stays far below one
+        # call per scenario.  (The steady-state < 0.1 criterion is asserted
+        # on E16's drift-shaped sweep; this grid is fully random, so a few
+        # core discoveries are legitimate.)
         assert (session.sat_calls - calls_before) / 50 < 0.25
-        assert stats["pooled"] > 0
+        assert stats["certified"] > 0
 
     def test_pool_grows_from_solves(self):
         tree = fire_protection_system()
@@ -142,43 +159,69 @@ class TestRerankLadder:
         session.solve_tree(tree)
         assert session.pool_size >= 1
 
-    def test_batch_results_tag_their_tier(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        session.solve_tree(tree)
-        weights_seq = _weight_grid(session, seed=11, count=6)
-        results = session.solve_batch(weights_seq)
-        for result in results:
-            assert result.rerank in {"pooled", "certified", "fallback"}
-
     def test_flips_between_pooled_optima_are_sat_free(self):
         tree = fire_protection_system()
-        batch_session = IncrementalMaxSATSession(tree)
-        loop_session = IncrementalMaxSATSession(tree)
-        first = _weight_grid(batch_session, seed=23, count=1)[0]
-        optimum = batch_session.solve(first).events
+        session = IncrementalMaxSATSession(tree)
+        first = _weight_grid(session, seed=23, count=1)[0]
+        optimum = session.solve(first).events
         # Make the first optimum expensive so the second vector moves it.
         second = {
             name: weight * 10.0 if name in optimum else weight
             for name, weight in first.items()
         }
-        assert batch_session.solve(second).events != optimum
-        loop_session.solve(first)
-        loop_session.solve(second)
-        assert batch_session.pool_size == 2
+        assert session.solve(second).events != optimum
+        assert session.pool_size == 2
 
         weights_seq = [first, second] * 5
-        calls_before = batch_session.sat_calls
-        batched = batch_session.solve_batch(weights_seq)
-        sequential = [loop_session.solve(weights) for weights in weights_seq]
-        assert [_essence(r) for r in batched] == [_essence(r) for r in sequential]
-        assert batch_session.sat_calls == calls_before
-        assert batch_session.rerank_stats["fallback"] == 0
+        calls_before = session.sat_calls
+        fallbacks_before = session.rerank_stats["fallback"]
+        warm = [session.solve(weights) for weights in weights_seq]
+        fresh = [IncrementalMaxSATSession(tree).solve(weights) for weights in weights_seq]
+        assert [_essence(r) for r in warm] == [_essence(r) for r in fresh]
+        assert session.sat_calls == calls_before
+        assert session.rerank_stats["fallback"] == fallbacks_before
 
-    def test_plain_solve_is_untagged(self):
+    def test_blocked_pooled_set_is_not_certified(self):
         tree = fire_protection_system()
         session = IncrementalMaxSATSession(tree)
-        assert session.solve_tree(tree).rerank == ""
+        weights = _weight_grid(session, seed=31, count=1)[0]
+        optimum = session.solve(weights).events
+        assert session.pool_size == 1
+        # The pooled optimum is the unblocked hitting set, but its block
+        # forbids it: the solve must go back to the oracle, not certify it.
+        calls_before = session.sat_calls
+        blocked = session.solve(weights, [optimum])
+        assert blocked is not None and blocked.events != optimum
+        assert session.sat_calls > calls_before
+        fresh = IncrementalMaxSATSession(tree).solve(weights, [optimum])
+        assert _essence(blocked) == _essence(fresh)
+        # Once the runner-up is pooled too, the same blocked solve is
+        # certified by it: no SAT call.
+        calls_before = session.sat_calls
+        again = session.solve(weights, [optimum])
+        assert _essence(again) == _essence(fresh)
+        assert session.sat_calls == calls_before
+
+    def test_solve_tree_certifies_cut_sets_by_evaluation(self):
+        tree = random_fault_tree(num_basic_events=25, seed=7)
+        session = IncrementalMaxSATSession(tree)
+        result = session.solve_tree(tree)
+        # Cold, with an empty pool: every SAT call found a core, and the
+        # final hitting set was certified by evaluating the tree.
+        assert session.sat_calls == session.num_cores
+        assert session.rerank_stats["certified"] == 1
+        assert session.rerank_stats["fallback"] == 0
+        fresh = IncrementalMaxSATSession(tree).solve(_tree_weights(session, tree))
+        assert _essence(result) == _essence(fresh)
+
+    def test_blocked_cut_set_is_not_certified_by_evaluation(self):
+        tree = random_fault_tree(num_basic_events=25, seed=7)
+        session = IncrementalMaxSATSession(tree)
+        optimum = session.solve_tree(tree).events
+        blocked = session.solve_tree(tree, [optimum])
+        assert blocked is not None and blocked.events != optimum
+        fresh = IncrementalMaxSATSession(tree).solve(_tree_weights(session, tree), [optimum])
+        assert _essence(blocked) == _essence(fresh)
 
     def test_stats_expose_the_ladder(self):
         tree = fire_protection_system()
@@ -220,3 +263,63 @@ class TestBatchProperty:
         )
         blocked = _blocked_sets(probe, seed=grid_seed + 1, count=blocks)
         _assert_batch_matches_sequential(tree, weights_seq, blocked, tier=tier)
+
+
+def _probability_walk(names, rng, steps):
+    """A random walk of event probabilities over ``names``."""
+    current = {name: rng.uniform(0.01, 0.6) for name in names}
+    walk = []
+    for _ in range(steps):
+        for name in rng.sample(names, rng.randint(1, len(names))):
+            current[name] = min(0.95, max(1e-4, current[name] * rng.uniform(0.1, 5.0)))
+        walk.append(dict(current))
+    return walk
+
+
+def _brute_force_optimum(session, minimal_cut_sets, weights, blocked):
+    """Least scaled cost over the minimal cut sets no blocked set is inside."""
+    costs = [
+        session.scaled_cost_of(cut_set, weights)
+        for cut_set in minimal_cut_sets
+        if not any(set(block) <= cut_set for block in blocked)
+    ]
+    return min(costs) if costs else None
+
+
+class TestCertificateProperty:
+    """Warm (certificate firing), fresh and brute-force optima agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tree_seed=st.integers(min_value=0, max_value=40),
+        walk_seed=st.integers(min_value=0, max_value=10_000),
+        steps=st.integers(min_value=1, max_value=8),
+    )
+    def test_warm_fresh_and_brute_force_agree(self, tree_seed, walk_seed, steps):
+        tree = random_fault_tree(num_basic_events=9, seed=tree_seed, voting_ratio=0.2)
+        # One warm session certifies from its pool only (``solve``), the
+        # other also by evaluating the scenario tree (``solve_tree``).
+        warm = IncrementalMaxSATSession(tree)
+        warm_tree = IncrementalMaxSATSession(tree)
+        names = sorted(warm.event_vars)
+        minimal_cut_sets = [frozenset(cut_set) for cut_set in brute_force_minimal_cut_sets(tree)]
+        rng = random.Random(walk_seed)
+        for probabilities in _probability_walk(names, rng, steps):
+            scenario = tree.copy()
+            for name, probability in probabilities.items():
+                scenario.set_probability(name, probability)
+            weights = {name: log_weight(probability) for name, probability in probabilities.items()}
+            blocked = _blocked_sets(warm, seed=rng.randrange(10_000), count=rng.randint(0, 2))
+            results = [
+                warm.solve(weights, blocked),
+                warm_tree.solve_tree(scenario, blocked),
+                IncrementalMaxSATSession(tree).solve(weights, blocked),
+            ]
+            expected = _brute_force_optimum(warm, minimal_cut_sets, weights, blocked)
+            if expected is None:
+                assert results == [None, None, None]
+                continue
+            assert [result.scaled_cost for result in results] == [expected] * 3
+            for result in results[:2]:
+                assert tree.is_minimal_cut_set(result.events)
+                assert not any(set(block) <= set(result.events) for block in blocked)

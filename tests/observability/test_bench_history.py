@@ -46,7 +46,7 @@ class TestAppend:
             _record(tmp_path / "kernels.json",
                     "E15-kernel-batch-bdd-eval", numpy_speedup_vs_scalar=15.0),
             _record(tmp_path / "rerank.json",
-                    "E16-maxsat-rerank-batch", batch_speedup_vs_loop=6.0),
+                    "E16-maxsat-warm-solve-loop", loop_scenarios_per_s=600.0),
         ]
         code = bench_history.main(
             [str(path) for path in records] + ["--history", str(history)]
@@ -55,7 +55,7 @@ class TestAppend:
         document = json.loads(history.read_text())
         assert set(document) == set(bench_history.HEADLINE_METRICS)
         assert [entries[-1]["headline"] for entries in document.values()] == [
-            10.0, 40.0, 14.0, 15.0, 6.0
+            10.0, 40.0, 14.0, 15.0, 600.0
         ]
 
     def test_entries_accumulate_newest_last(self, tmp_path):

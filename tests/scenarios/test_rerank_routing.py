@@ -1,113 +1,48 @@
-"""Routing of the batched MaxSAT re-rank through sweeps, sessions and monitors.
+"""MaxSAT solves of sweeps and monitors go through the warm session's one path.
 
-The kernel itself is proven byte-identical in ``tests/maxsat/test_solve_batch``;
-here we assert the plumbing: the sweep executor stages batched solves and the
-per-scenario analyses consume them without changing any canonical report, the
-profile and Prometheus counters expose the pooled/certified/bnb/fallback
-split, and staged state never leaks past a run.
+The certificate itself is proven in ``tests/maxsat/test_solve_batch``; here we
+assert the plumbing: a ``maxsat`` sweep matches fresh per-scenario analysis,
+a batched monitor update is certified from the candidate pool like a single
+one, and the no-op kept for the benchmark tracer stays a no-op.
 """
-
-import json
-
-import pytest
 
 from repro.api import AnalysisSession
 from repro.monitoring import SyntheticFeed, TreeMonitor
-from repro.observability.metrics import scoped_metrics
 from repro.scenarios import SweepExecutor, probability_sweep
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system
 
-RERANK_COUNTERS = tuple(
-    f"repro_maxsat_rerank_{tier}_total"
-    for tier in ("pooled", "certified", "bnb", "fallback")
-)
-
-
-def _canonical(report):
-    return json.dumps(report.to_canonical_dict(), sort_keys=True)
-
 
 class TestSweepRouting:
-    def test_maxsat_sweep_exposes_the_batch_path(self):
-        assert SweepExecutor(backend="maxsat").uses_batched_rerank
-
     def test_non_warm_backend_opts_out(self):
-        executor = SweepExecutor(backend="mocus")
-        assert not executor.uses_batched_rerank
-        assert executor.precompute_rerank([fire_protection_system()]) == 0
+        tree = fire_protection_system()
+        for backend in ("mocus", "maxsat"):
+            assert SweepExecutor(backend=backend).precompute_rerank([tree]) == 0
 
-    def test_batched_sweep_report_is_byte_identical_to_unbatched(self):
+    def test_maxsat_sweep_matches_fresh_analysis(self):
         tree = random_fault_tree(num_basic_events=18, seed=9)
         event = sorted(tree.events_reachable_from_top())[0]
         scenarios = probability_sweep(event, start=1e-4, stop=0.5, steps=15)
 
-        batched = SweepExecutor(backend="maxsat").run(tree, scenarios)
+        report = SweepExecutor(backend="maxsat").run(tree, scenarios)
 
-        unbatched_executor = SweepExecutor(backend="maxsat")
-        unbatched_executor.precompute_rerank = lambda trees: 0
-        unbatched = unbatched_executor.run(tree, scenarios)
-
-        assert _canonical(batched) == _canonical(unbatched)
-
-    def test_staged_solves_are_cleared_after_the_run(self):
-        tree = fire_protection_system()
-        executor = SweepExecutor(backend="maxsat")
-        executor.run(tree, probability_sweep("x1", [0.05, 0.2, 0.5]))
-        assert executor._warm_backend._pending_rerank == {}
-
-    def test_sweep_increments_rerank_counters(self):
-        tree = fire_protection_system()
-        scenarios = probability_sweep("x1", start=0.01, stop=0.6, steps=10)
-        with scoped_metrics() as registry:
-            SweepExecutor(backend="maxsat").run(tree, scenarios)
-            staged = sum(
-                registry.counter_value(name) for name in RERANK_COUNTERS
-            )
-        assert staged >= 10
-
-
-class TestSessionProfile:
-    def test_consumed_staged_solve_tags_the_profile(self):
-        tree = fire_protection_system()
-        session = AnalysisSession()
-        backend = session.backend("maxsat")
-        backend.enable_warm_sessions()
-        # Warm the session, then stage a batch for a probability scenario.
-        session.analyze(tree, ["mpmcs"], backend="maxsat")
-        patched = tree.copy()
-        patched.set_probability("x1", 0.42)
-        assert backend.precompute_rerank([patched]) == 1
-        report = session.analyze(patched, ["mpmcs"], backend="maxsat")
-        tags = [key for key in report.profile if key.startswith("rerank_")]
-        assert tags, f"no rerank_* profile key in {sorted(report.profile)}"
-        # The canonical report ignores telemetry: profile tags never leak in.
-        assert "rerank" not in _canonical(report)
-
-    def test_unconsumed_staged_solves_can_be_dropped(self):
-        tree = fire_protection_system()
-        session = AnalysisSession()
-        backend = session.backend("maxsat")
-        backend.enable_warm_sessions()
-        session.analyze(tree, ["mpmcs"], backend="maxsat")
-        patched = tree.copy()
-        patched.set_probability("x2", 0.3)
-        backend.precompute_rerank([patched])
-        backend.clear_staged_rerank()
-        assert backend._pending_rerank == {}
-        # Analysis still works: it simply solves per scenario.
-        report = session.analyze(patched, ["mpmcs"], backend="maxsat")
-        assert report.mpmcs is not None
+        assert len(report.outcomes) == len(scenarios)
+        for scenario, outcome in zip(scenarios, report.outcomes):
+            patched = scenario.apply(tree)
+            fresh = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat")
+            exact = AnalysisSession().analyze(patched, ["top_event"], backend="bdd")
+            assert outcome.error is None
+            assert outcome.mpmcs_events == fresh.mpmcs.events
+            assert outcome.mpmcs_probability == fresh.mpmcs.probability
+            assert outcome.top_event == exact.top_event.best_estimate
 
 
 class TestMonitorRouting:
-    def test_apply_batch_goes_through_the_rerank_ladder(self):
+    def test_apply_batch_solves_are_certified_from_the_pool(self):
         tree = fire_protection_system()
         updates = list(SyntheticFeed(tree, updates=10, seed=5))
         monitor = TreeMonitor(tree, backend="maxsat")
-        with scoped_metrics() as registry:
-            monitor.apply_batch(updates)
-            batched = sum(
-                registry.counter_value(name) for name in RERANK_COUNTERS
-            )
-        assert batched >= 10
+        monitor.apply_batch(updates)
+        (session,) = monitor.executor._warm_backend._warm_sessions.values()
+        assert session.rerank_stats["certified"] > 0
+        assert session.rerank_stats["pooled"] == session.rerank_stats["bnb"] == 0

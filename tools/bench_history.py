@@ -6,6 +6,8 @@ The benchmark smoke jobs each write a machine-readable JSON record:
 * ``BENCH_sweep.json``    — E12, incremental MaxSAT sweep (``speedup_vs_cold``)
 * ``BENCH_campaign.json`` — E13, campaign resume overhead (``resume_speedup``)
 * ``BENCH_monitor.json``  — E14, live monitor updates (``speedup_vs_cold``)
+* ``BENCH_kernels.json``  — E15, batched BDD evaluation (``numpy_speedup_vs_scalar``)
+* ``BENCH_rerank.json``   — E16, warm MaxSAT re-solve loop (``loop_scenarios_per_s``)
 
 This tool appends each record to ``BENCH_history.json`` (one entry list per
 benchmark id, newest last) and **fails with exit 1** when a headline metric
@@ -40,7 +42,7 @@ HEADLINE_METRICS = {
     "E13-campaign-resume-overhead": "resume_speedup",
     "E14-live-monitor-updates": "speedup_vs_cold",
     "E15-kernel-batch-bdd-eval": "numpy_speedup_vs_scalar",
-    "E16-maxsat-rerank-batch": "batch_speedup_vs_loop",
+    "E16-maxsat-warm-solve-loop": "loop_scenarios_per_s",
 }
 
 #: (env var, default filename) pairs probed when no record paths are given.
