@@ -61,7 +61,7 @@ def run_ablation():
                 result.cost if result.status is MaxSATStatus.OPTIMUM else None
             )
 
-        portfolio = PortfolioSolver(mode="thread")
+        portfolio = PortfolioSolver(mode="process")
         start = time.perf_counter()
         report = portfolio.solve_with_report(instance.copy())
         portfolio_time = time.perf_counter() - start

@@ -95,7 +95,7 @@ def analyze_many(
     workers: Optional[int] = None,
     session: Optional[AnalysisSession] = None,
     request: Optional[AnalysisRequest] = None,
-    mode: str = "thread",
+    mode: str = "sequential",
     top_k: int = 5,
     samples: int = 0,
     seed: int = 0,
@@ -121,7 +121,8 @@ def analyze_many(
         Optional pre-built session for the sequential path (its artifact
         cache then persists across batches).
     mode:
-        MaxSAT portfolio mode used by worker sessions.
+        MaxSAT portfolio mode (``"sequential"`` or ``"process"``) of the
+        sessions the batch creates.
     """
     tree_list: Sequence[FaultTree] = list(trees)
     if request is None:

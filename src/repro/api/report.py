@@ -430,7 +430,7 @@ class AnalysisReport:
     #: span trace (span ids and durations are run telemetry).
     VOLATILE_KEYS = ("timings_s", "cache", "profile", "trace")
     #: Volatile keys inside the ``mpmcs`` section: which engine won (a race
-    #: in thread mode, or the warm incremental path vs the cold portfolio)
+    #: in process mode, or the warm incremental path vs the cold portfolio)
     #: and how long it took are run telemetry, not analysis results.
     VOLATILE_MPMCS_KEYS = ("engine", "solve_time_s", "total_time_s")
 

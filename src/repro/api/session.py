@@ -94,8 +94,8 @@ class AnalysisSession:
     Parameters
     ----------
     mode:
-        Execution mode of the MaxSAT portfolio (``"thread"``, ``"process"``
-        or ``"sequential"``).  Ignored when ``solver`` is given.
+        Execution mode of the MaxSAT portfolio (``"sequential"``, the
+        default, or ``"process"``).  Ignored when ``solver`` is given.
     precision:
         Integer scaling applied to the ``-log`` probability weights.
     solver:
@@ -114,7 +114,7 @@ class AnalysisSession:
     def __init__(
         self,
         *,
-        mode: str = "thread",
+        mode: str = "sequential",
         precision: int = DEFAULT_PRECISION,
         solver: Optional[MPMCSSolver] = None,
         cache: Optional[ArtifactCache] = None,

@@ -144,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--mode",
-        choices=("thread", "process", "sequential"),
-        default="thread",
-        help="portfolio execution mode (default: thread)",
+        choices=("sequential", "process"),
+        default="sequential",
+        help="portfolio execution mode (default: sequential)",
     )
     analyze.add_argument("--dot", type=Path, help="also write a Graphviz DOT rendering")
     analyze.add_argument(
@@ -1724,8 +1724,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if handler is not None:
             tree = _load_tree(args)
             session = AnalysisSession(
-                mode=getattr(args, "mode", "thread"),
                 kernel_tier=getattr(args, "kernel", None),
+                **({"mode": args.mode} if "mode" in args else {}),
             )
             return handler(session, tree, args)
         return _PLAIN_COMMANDS[args.command](args)

@@ -117,8 +117,8 @@ class MPMCSSolver:
         MaxSAT engine configurations for the portfolio (Step 5).  ``None``
         selects the default heterogeneous line-up.
     mode:
-        Portfolio execution mode: ``"thread"`` (default), ``"process"`` or
-        ``"sequential"``.
+        Portfolio execution mode: ``"sequential"`` (default, RC2 first) or
+        ``"process"`` (the engines race in parallel worker processes).
     single_engine:
         When given, the portfolio is bypassed and this engine is used alone —
         the configuration exercised by the portfolio ablation benchmark.
@@ -135,7 +135,7 @@ class MPMCSSolver:
         self,
         *,
         engines: Optional[Sequence[MaxSATEngine]] = None,
-        mode: str = "thread",
+        mode: str = "sequential",
         single_engine: Optional[MaxSATEngine] = None,
         precision: int = DEFAULT_PRECISION,
         verify: bool = True,

@@ -18,9 +18,9 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   solver used by the test suite on small instances.
 * :class:`repro.maxsat.preprocess.PreprocessingEngine` — WCNF preprocessing
   (unit propagation, subsumption, soft merging) wrapped around any engine.
-* :class:`repro.maxsat.portfolio.PortfolioSolver` — the parallel portfolio of
-  Step 5: RC2, linear search and Fu–Malik race on the same instance and the
-  first completed result wins.
+* :class:`repro.maxsat.portfolio.PortfolioSolver` — the portfolio of Step 5:
+  RC2, then Fu–Malik, run in order in-process, or race in worker processes
+  (``mode="process"``); the first conclusive result wins.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
   implicit-hitting-set solving for weight-only re-solves across scenario
   sweeps: one persistent CDCL solver, weight-independent cached cores, and

@@ -72,9 +72,9 @@ class MaxSATEngine:
         The CDCL solver polls :attr:`stop_check` at its restart boundaries,
         but an engine also spends real time *between* oracle calls — building
         fresh oracles, relaxing cores, encoding pseudo-Boolean bounds.
-        Engines call this at the top of every iteration so a lost portfolio
-        race stops burning CPU between solver restarts too, which matters for
-        long warm sweeps where the winner finishes in milliseconds.
+        Engines call this at the top of every iteration so a cancelled
+        analysis (a service job's cancel or timeout) stops between solver
+        restarts too, not only at the next restart.
         """
         if self.stop_check is not None and self.stop_check():
             raise SolverInterrupted("engine stopped by cooperative cancellation")

@@ -62,9 +62,9 @@ def minimum_cost_hitting_set(
 
     ``stop_check`` is the portfolio's cooperative cancellation hook: it is
     polled every few hundred search nodes and, when it returns true, the
-    search unwinds with :class:`SolverInterrupted` — so an engine that lost
-    the portfolio race cancels promptly even while deep inside this
-    recursion, not just at its next SAT call.
+    search unwinds with :class:`SolverInterrupted` — so a cancelled engine
+    stops promptly even while deep inside this recursion, not just at its
+    next SAT call.
 
     The packed-bitset machinery (cores a partial choice still misses as one
     arbitrary-precision mask, per-element coverage masks) comes from

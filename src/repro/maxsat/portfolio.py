@@ -6,41 +6,40 @@ parallel, picking up the solution of the solver that finishes first*.  This
 module reproduces that architecture:
 
 * a :class:`PortfolioSolver` holds a list of heterogeneous engines (by
-  default RC2, linear SAT-UNSAT search and Fu–Malik);
-* ``solve`` launches every engine on the same instance — in worker threads
-  (default, with cooperative cancellation of the losers), in worker processes
-  (true OS-level parallelism, matching the original tool most closely), or
-  sequentially (deterministic, useful for tests and ablation benchmarks);
+  default RC2, then Fu–Malik);
+* ``solve`` runs the engines on the same instance — sequentially in list
+  order (default: the engines are pure Python, so in-process threads would
+  only share one interpreter lock), or in one worker process per engine
+  (true OS-level parallelism, the original tool's architecture);
 * the first engine to return a conclusive result (OPTIMUM or UNSATISFIABLE)
   wins; its result is returned together with a :class:`PortfolioReport`
-  recording per-engine timings.  Sequential mode stops at the first
-  conclusive engine in list order, so the later engines never run.
+  recording per-engine timings.  Sequential mode never starts the engines
+  after the winner; process mode terminates the losers still running.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import threading
+import multiprocessing
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, SolverError
 from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.fumalik import FuMalikEngine
 from repro.maxsat.instance import WPMaxSATInstance
-from repro.maxsat.linear import LinearSearchEngine
 from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
 __all__ = ["PortfolioSolver", "PortfolioReport", "default_engines"]
 
-_VALID_MODES = ("thread", "process", "sequential")
+_VALID_MODES = ("sequential", "process")
 
 
 def default_engines() -> List[MaxSATEngine]:
     """The default heterogeneous engine line-up used by the MPMCS pipeline."""
-    return [RC2Engine(), LinearSearchEngine(), FuMalikEngine()]
+    return [RC2Engine(), FuMalikEngine()]
 
 
 @dataclass
@@ -54,8 +53,7 @@ class PortfolioReport:
     result:
         The winning result.
     engine_times:
-        Wall-clock seconds each engine ran before finishing or being cancelled
-        (engines cancelled cooperatively report the time until cancellation).
+        Seconds each finished engine ran (terminated losers are absent).
     engine_statuses:
         Final status string per engine (``optimum``, ``unknown``, ``error`` ...).
     total_time:
@@ -69,32 +67,36 @@ class PortfolioReport:
     total_time: float = 0.0
 
 
-def _run_engine_in_process(engine: MaxSATEngine, instance: WPMaxSATInstance) -> MaxSATResult:
-    """Top-level helper (picklable) executed inside portfolio worker processes."""
-    return engine.solve(instance)
+def _run_engine_in_process(
+    engine: MaxSATEngine, instance: WPMaxSATInstance, writer: Connection
+) -> None:
+    """Body of one portfolio worker process: send back the result or the error."""
+    try:
+        writer.send(engine.solve(instance))
+    except Exception as exc:  # noqa: BLE001 - report, do not crash
+        writer.send(f"error: {exc}")
 
 
 class PortfolioSolver:
-    """Run several MaxSAT engines on the same instance; first finisher wins.
+    """Run several MaxSAT engines on the same instance; first conclusive wins.
 
     Parameters
     ----------
     engines:
         Engine configurations to race.  Defaults to :func:`default_engines`.
     mode:
-        ``"thread"`` (default) races the engines in threads with cooperative
-        cancellation; ``"process"`` uses one OS process per engine (closest to
-        the original tool's architecture, at the price of fork/pickle
-        overhead); ``"sequential"`` runs engines one after another in list
+        ``"sequential"`` (default) runs the engines one after another in list
         order and returns the first conclusive result without starting the
-        rest (used by deterministic tests and the ablation benchmark).
+        rest; ``"process"`` races one OS process per engine and terminates
+        the losers (the original tool's architecture, at the price of a
+        process start per engine and solve).
     """
 
     def __init__(
         self,
         engines: Optional[Sequence[MaxSATEngine]] = None,
         *,
-        mode: str = "thread",
+        mode: str = "sequential",
     ) -> None:
         if mode not in _VALID_MODES:
             raise ConfigurationError(
@@ -110,9 +112,8 @@ class PortfolioSolver:
         #: Optional external cooperative-cancellation hook: a zero-argument
         #: callable returning True when the *whole* portfolio should stop
         #: (the analysis service wires a job's cancel/timeout guard here).
-        #: Honoured by the sequential and thread modes — engines in process
-        #: mode are pickled into their workers, so a live callable cannot
-        #: follow them there.
+        #: Honoured by sequential mode only — engines in process mode run in
+        #: their own processes, so a live callable cannot follow them there.
         self.external_stop: "Optional[Callable[[], bool]]" = None
 
     # -- public API ------------------------------------------------------------
@@ -123,11 +124,9 @@ class PortfolioSolver:
 
     def solve_with_report(self, instance: WPMaxSATInstance) -> PortfolioReport:
         """Solve ``instance`` and return the winning result plus per-engine data."""
-        if self.mode == "sequential":
-            return self._solve_sequential(instance)
         if self.mode == "process":
             return self._solve_process(instance)
-        return self._solve_thread(instance)
+        return self._solve_sequential(instance)
 
     # -- sequential mode ------------------------------------------------------------
 
@@ -156,56 +155,6 @@ class PortfolioSolver:
                 )
         raise SolverError("no portfolio engine produced a conclusive result")
 
-    # -- thread mode -------------------------------------------------------------------
-
-    def _solve_thread(self, instance: WPMaxSATInstance) -> PortfolioReport:
-        start = time.perf_counter()
-        stop_event = threading.Event()
-        times: Dict[str, float] = {}
-        statuses: Dict[str, str] = {}
-        results: Dict[str, MaxSATResult] = {}
-        lock = threading.Lock()
-
-        external = self.external_stop
-
-        def run(engine: MaxSATEngine) -> None:
-            if external is None:
-                engine.stop_check = stop_event.is_set
-            else:
-                engine.stop_check = lambda: stop_event.is_set() or external()
-            engine_start = time.perf_counter()
-            try:
-                result = engine.solve(instance)
-            except SolverError as exc:
-                with lock:
-                    statuses[engine.name] = f"error: {exc}"
-                    times[engine.name] = time.perf_counter() - engine_start
-                return
-            with lock:
-                times[engine.name] = time.perf_counter() - engine_start
-                statuses[engine.name] = result.status.value
-                results[engine.name] = result
-                if result.status is not MaxSATStatus.UNKNOWN:
-                    stop_event.set()
-
-        threads = [
-            threading.Thread(target=run, args=(engine,), name=f"portfolio-{engine.name}")
-            for engine in self.engines
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        winner_name, winner_result = self._pick_winner(results, times)
-        return PortfolioReport(
-            winner=winner_name,
-            result=winner_result,
-            engine_times=times,
-            engine_statuses=statuses,
-            total_time=time.perf_counter() - start,
-        )
-
     # -- process mode -----------------------------------------------------------------
 
     def _solve_process(self, instance: WPMaxSATInstance) -> PortfolioReport:
@@ -213,34 +162,42 @@ class PortfolioSolver:
         times: Dict[str, float] = {}
         statuses: Dict[str, str] = {}
         results: Dict[str, MaxSATResult] = {}
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(self.engines)) as pool:
-            futures = {
-                pool.submit(_run_engine_in_process, engine, instance): engine.name
-                for engine in self.engines
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
+        workers: Dict[Connection, Tuple[str, multiprocessing.Process]] = {}
+        try:
+            # The platform's default start method (fork on Linux): a spawned
+            # worker re-imports the package, which costs about 0.3 s per solve.
+            for engine in self.engines:
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(
+                    target=_run_engine_in_process, args=(engine, instance, writer), daemon=True
                 )
-                conclusive = False
-                for future in done:
-                    name = futures[future]
+                worker.start()
+                # Only the child may hold the write end, so its exit reads as EOF.
+                writer.close()
+                workers[reader] = (engine.name, worker)
+            pending = list(workers)
+            conclusive = False
+            while pending and not conclusive:
+                for reader in wait(pending):
+                    pending.remove(reader)
+                    name = workers[reader][0]
                     try:
-                        result = future.result()
-                    except Exception as exc:  # noqa: BLE001 - report, do not crash
-                        statuses[name] = f"error: {exc}"
+                        outcome = reader.recv()
+                    except EOFError:
+                        outcome = "error: engine process exited without a result"
+                    if isinstance(outcome, str):
+                        statuses[name] = outcome
                         continue
-                    times[name] = result.solve_time
-                    statuses[name] = result.status.value
-                    results[name] = result
-                    if result.status is not MaxSATStatus.UNKNOWN:
-                        conclusive = True
-                if conclusive:
-                    for future in pending:
-                        future.cancel()
-                    break
+                    times[name] = outcome.solve_time
+                    statuses[name] = outcome.status.value
+                    results[name] = outcome
+                    conclusive = conclusive or outcome.status is not MaxSATStatus.UNKNOWN
+        finally:
+            # The losers are still solving: stop them rather than wait for them.
+            for reader, (_, worker) in workers.items():
+                worker.terminate()
+                worker.join()
+                reader.close()
 
         winner_name, winner_result = self._pick_winner(results, times)
         return PortfolioReport(
@@ -251,13 +208,11 @@ class PortfolioSolver:
             total_time=time.perf_counter() - start,
         )
 
-    # -- shared -------------------------------------------------------------------------
-
     @staticmethod
     def _pick_winner(
         results: Dict[str, MaxSATResult], times: Dict[str, float]
     ) -> Tuple[str, MaxSATResult]:
-        """Pick the fastest conclusive result (OPTIMUM preferred over UNSAT)."""
+        """Pick the conclusive result with the shortest solve time."""
         conclusive = {
             name: result
             for name, result in results.items()

@@ -300,7 +300,9 @@ class JobRunner:
 
     One runner per worker thread: the session (and its memory cache tier) is
     reused across jobs, while the disk store shares artifacts with every
-    other runner, process and past service run.
+    other runner, process and past service run.  ``mode`` is the session's
+    MaxSAT portfolio mode; the default ``"sequential"`` polls the job guard,
+    so cancelling a job stops its running analysis.
     """
 
     def __init__(
@@ -310,7 +312,7 @@ class JobRunner:
         store: Optional[DiskArtifactStore] = None,
         cache_max_entries: Optional[int] = None,
         sweep_workers: int = 0,
-        mode: str = "thread",
+        mode: str = "sequential",
     ) -> None:
         if store is None:
             store = open_store(store_path)
@@ -513,8 +515,8 @@ class WorkerPool:
     Analysis is CPU-bound pure Python, so thread-level parallelism mostly
     provides job-level concurrency (a long sweep does not block a quick
     status-probe analysis); true parallel compute comes from the process
-    fan-out inside sweep/campaign jobs (``workers`` in the payload) and the
-    MaxSAT portfolio's own process mode.
+    fan-out inside sweep/campaign jobs (``workers`` in the payload).  Each
+    runner solves MaxSAT in-process with the sequential portfolio.
     """
 
     def __init__(

@@ -1,8 +1,11 @@
 """Unit tests for the parallel MaxSAT portfolio (paper Step 5)."""
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SolverError
 from repro.maxsat import (
     BruteForceEngine,
     FuMalikEngine,
@@ -30,13 +33,18 @@ def sample_instance():
 class TestConfiguration:
     def test_default_engines_are_heterogeneous(self):
         engines = default_engines()
-        assert len(engines) >= 3
-        assert len({engine.name for engine in engines}) == len(engines)
-        assert [engine.name for engine in engines] == ["rc2", "linear-sat-unsat", "fu-malik"]
+        assert [engine.name for engine in engines] == ["rc2", "fu-malik"]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             PortfolioSolver(mode="gpu")
+
+    def test_thread_mode_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PortfolioSolver(mode="thread")
+
+    def test_default_mode_is_sequential(self):
+        assert PortfolioSolver().mode == "sequential"
 
     def test_empty_engine_list_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -47,7 +55,7 @@ class TestConfiguration:
             PortfolioSolver(engines=[RC2Engine(), RC2Engine()])
 
 
-@pytest.mark.parametrize("mode", ["sequential", "thread"])
+@pytest.mark.parametrize("mode", ["sequential", "process"])
 class TestSolving:
     def test_portfolio_returns_optimum(self, mode):
         portfolio = PortfolioSolver(mode=mode)
@@ -132,16 +140,60 @@ class TestSequentialStopsAtFirstConclusive:
         assert report.engine_statuses == {"first": "unknown", "second": "optimum"}
 
 
-class TestThreadCancellation:
-    def test_losing_engines_are_cancelled_or_finish(self):
-        portfolio = PortfolioSolver(
-            engines=[RC2Engine(), LinearSearchEngine(), FuMalikEngine()], mode="thread"
-        )
+class SlowEngine(MaxSATEngine):
+    """Stub engine that sleeps before giving up (module level: picklable)."""
+
+    name = "slow"
+    SLEEP_S = 3.0
+
+    def solve(self, instance):
+        time.sleep(self.SLEEP_S)
+        return MaxSATResult(status=MaxSATStatus.UNKNOWN, engine=self.name)
+
+
+class TestProcessMode:
+    def test_returns_at_first_conclusive_result_and_stops_the_losers(self):
+        portfolio = PortfolioSolver(engines=[SlowEngine(), RC2Engine()], mode="process")
+        start = time.perf_counter()
         report = portfolio.solve_with_report(sample_instance())
-        # every engine either produced a result or was cancelled -> has a status
-        assert len(report.engine_statuses) == 3
-        for status in report.engine_statuses.values():
-            assert status in {"optimum", "unknown", "unsatisfiable"} or status.startswith("error")
+        elapsed = time.perf_counter() - start
+        assert report.winner == "rc2"
+        assert report.result.cost == 6
+        assert elapsed < SlowEngine.SLEEP_S / 2
+        assert "slow" not in report.engine_statuses
+        assert multiprocessing.active_children() == []
+
+    def test_all_inconclusive_raises(self):
+        portfolio = PortfolioSolver(
+            engines=[CountingEngine("first", MaxSATStatus.UNKNOWN)], mode="process"
+        )
+        with pytest.raises(SolverError):
+            portfolio.solve_with_report(sample_instance())
+        assert multiprocessing.active_children() == []
+
+
+class TestCancellation:
+    def test_default_portfolio_polls_external_stop_in_every_engine(self):
+        """The service cancels a running analysis through ``external_stop``."""
+        portfolio = PortfolioSolver()
+        polls = {engine.name: 0 for engine in portfolio.engines}
+        running = [None]
+
+        def stop():
+            polls[running[0]] += 1
+            return True
+
+        for engine in portfolio.engines:
+
+            def solve(instance, name=engine.name, inner=engine.solve):
+                running[0] = name
+                return inner(instance)
+
+            engine.solve = solve
+        portfolio.external_stop = stop
+        with pytest.raises(SolverError):
+            portfolio.solve_with_report(sample_instance())
+        assert all(count >= 1 for count in polls.values()), polls
 
     @pytest.mark.parametrize(
         "engine_factory",
