@@ -1,8 +1,8 @@
 """E12 — Incremental MaxSAT sweeps: warm weight-only re-solves vs cold.
 
 The tentpole claim of the incremental sweep engine: on a ≥60-event tree and a
-≥100-scenario probability sweep, the warm ``maxsat`` path — cached CNF
-fragments, one persistent hitting-set session per structure, weight-only
+≥100-scenario probability sweep, the warm ``maxsat`` path — shape-memoised
+CNF fragments, one persistent hitting-set session per structure, weight-only
 re-solves — is **≥3x faster** than per-scenario cold re-encode+re-solve,
 with **byte-identical** canonical :class:`AnalysisReport` dicts for every
 scenario.
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import AnalysisSession
-from repro.api.cache import ARTIFACT_SUBTREE_CNF
+from repro.core.encoder import shape_fragment
 from repro.scenarios import probability_sweep
 from repro.workloads.generator import random_fault_tree
 
@@ -42,6 +42,12 @@ def _scenario_trees(num_events: int, seed: int, steps: int):
     return tree, event, [scenario.apply(tree) for scenario in scenarios]
 
 
+def _fragment_counts():
+    """(hits, misses) of the encoder's per-process gate-shape memo."""
+    info = shape_fragment.cache_info()
+    return info.hits, info.misses
+
+
 def _cold_canonical(trees):
     """Fresh session per scenario: full re-encode + cold portfolio solve."""
     documents = []
@@ -52,7 +58,7 @@ def _cold_canonical(trees):
 
 
 def _warm_canonical(trees):
-    """One warm session: fragments cached, solver persistent, weights only."""
+    """One warm session: fragments memoised, solver persistent, weights only."""
     session = AnalysisSession()
     session.backend("maxsat").enable_warm_sessions()
     documents = []
@@ -70,15 +76,18 @@ def test_bench_incremental_maxsat_smoke(tmp_path):
     cold_subset = _cold_canonical(trees[:10])
     cold_per_scenario = (time.perf_counter() - started) / 10
 
+    memo_before = _fragment_counts()
     started = time.perf_counter()
     warm, session = _warm_canonical(trees)
     warm_s = time.perf_counter() - started
+    fragment_hits, fragment_misses = (
+        after - before for after, before in zip(_fragment_counts(), memo_before)
+    )
 
     assert warm[:10] == cold_subset
     cold_estimate = cold_per_scenario * len(trees)
     speedup = cold_estimate / warm_s if warm_s else float("inf")
     stats = session.cache_info()
-    fragment_counters = stats["by_kind"].get(ARTIFACT_SUBTREE_CNF, {})
 
     record = {
         "benchmark": "E12-incremental-maxsat-sweep",
@@ -91,8 +100,8 @@ def test_bench_incremental_maxsat_smoke(tmp_path):
         "speedup_vs_cold": round(speedup, 2),
         "cache_hits": stats["hits"],
         "cache_misses": stats["misses"],
-        "fragment_hits": fragment_counters.get("hits", 0),
-        "fragment_misses": fragment_counters.get("misses", 0),
+        "fragment_hits": fragment_hits,
+        "fragment_misses": fragment_misses,
         "host_cores": _available_cores(),
     }
     output = Path(os.environ.get("BENCH_SWEEP_JSON", "BENCH_sweep.json"))
@@ -119,15 +128,17 @@ def test_bench_incremental_maxsat_acceptance():
     cold = _cold_canonical(trees)
     cold_s = time.perf_counter() - started
 
+    memo_before = _fragment_counts()
     started = time.perf_counter()
-    warm, session = _warm_canonical(trees)
+    warm, _ = _warm_canonical(trees)
     warm_s = time.perf_counter() - started
+    fragment_hits, fragment_misses = (
+        after - before for after, before in zip(_fragment_counts(), memo_before)
+    )
 
     # Canonical identity, scenario by scenario, always.
     assert warm == cold
 
-    stats = session.cache_info()
-    fragment_counters = stats["by_kind"].get(ARTIFACT_SUBTREE_CNF, {})
     speedup = cold_s / warm_s
     cores = _available_cores()
     emit(
@@ -137,8 +148,7 @@ def test_bench_incremental_maxsat_acceptance():
             f"cold (per-scenario re-encode+re-solve) : {cold_s:8.2f} s",
             f"warm (fragments + persistent session)  : {warm_s:8.2f} s",
             f"speedup           : {speedup:8.2f} x",
-            f"fragment cache    : {fragment_counters.get('hits', 0)} hits / "
-            f"{fragment_counters.get('misses', 0)} misses",
+            f"fragment memo     : {fragment_hits} hits / {fragment_misses} misses",
             f"host cores        : {cores}",
         ],
     )

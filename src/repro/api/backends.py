@@ -24,6 +24,7 @@ analyses and backends.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections import OrderedDict
 from typing import List, Optional, Tuple
@@ -68,19 +69,6 @@ __all__ = [
 #: Maximum number of cut sets for which the exact inclusion-exclusion
 #: top-event probability is attempted by the cut-set based backends.
 _MAX_EXACT_CUT_SETS = 20
-
-
-def _clone_encoding(encoding: MPMCSEncoding) -> MPMCSEncoding:
-    """A copy of ``encoding`` whose instance can be extended with blocking clauses."""
-    return MPMCSEncoding(
-        instance=encoding.instance.copy(),
-        event_vars=encoding.event_vars,
-        var_events=encoding.var_events,
-        weights=encoding.weights,
-        structure=encoding.structure,
-        success=encoding.success,
-        num_aux_vars=encoding.num_aux_vars,
-    )
 
 
 def _ranking_from_collection(
@@ -180,8 +168,8 @@ class MaxSATBackend(AnalysisBackend):
     Reuses the session's cached Tseitin CNF encoding: composite requests and
     repeated :meth:`~repro.api.session.AnalysisSession.analyze` calls on the
     same tree encode the structure function exactly once, and the top-k
-    ranking extends *copies* of that cached instance with blocking clauses
-    instead of re-encoding for every rank.
+    ranking extends one copy of that cached instance with a blocking clause
+    per rank instead of re-encoding for every rank.
     """
 
     name = "maxsat"
@@ -209,9 +197,7 @@ class MaxSATBackend(AnalysisBackend):
         return self.context.artifacts.get_or_compute(
             tree,
             ARTIFACT_ENCODING,
-            lambda: encode_mpmcs(
-                tree, precision=self.context.precision, cache=self.context.artifacts
-            ),
+            lambda: encode_mpmcs(tree, precision=self.context.precision),
         )
 
     # -- warm incremental sessions ---------------------------------------------
@@ -243,7 +229,6 @@ class MaxSATBackend(AnalysisBackend):
         if session is None:
             session = IncrementalMaxSATSession(
                 tree,
-                self.context.artifacts,
                 precision=self.context.precision,
                 kernels=self.context.kernels,
             )
@@ -322,14 +307,11 @@ class MaxSATBackend(AnalysisBackend):
         return results, encode_seconds
 
     def _solve_blocked(
-        self, tree: FaultTree, encoding: MPMCSEncoding, blocked: List[Tuple[str, ...]]
+        self, tree: FaultTree, encoding: MPMCSEncoding
     ) -> Optional[MPMCSResult]:
-        """Solve the cached encoding with ``blocked`` cut sets forbidden."""
-        working = _clone_encoding(encoding) if blocked else encoding
-        for cut_set in blocked:
-            working.instance.add_hard([-working.event_vars[name] for name in cut_set])
+        """Solve ``encoding``; ``None`` once its blocks forbid every cut set."""
         try:
-            return self._solver().solve_encoding(tree, working)
+            return self._solver().solve_encoding(tree, encoding)
         except AnalysisError as exc:
             if "no cut set" in str(exc):
                 return None
@@ -358,19 +340,22 @@ class MaxSATBackend(AnalysisBackend):
         solve twice.
         """
         results: List[Tuple[MPMCSResult, int]] = []
-        blocked: List[Tuple[str, ...]] = []
         head_cost: Optional[int] = None
+        # The cached encoding stays pristine: blocks go into one working copy.
+        working = encoding
         while True:
-            result = self._solve_blocked(tree, encoding, blocked)
+            result = self._solve_blocked(tree, working)
             if result is None:
                 break
             cost = self._scaled_cost(encoding, result.events)
             if head_cost is None:
                 head_cost = cost
             results.append((result, cost))
-            blocked.append(result.events)
             if len(results) >= count and not (request.deterministic and cost == head_cost):
                 break
+            if working is encoding:
+                working = dataclasses.replace(encoding, instance=encoding.instance.copy())
+            working.instance.add_hard([-working.event_vars[name] for name in result.events])
         return results
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:

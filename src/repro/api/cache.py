@@ -22,6 +22,9 @@ from that hash because the qualitative cut-set structure does not depend on
 them — a probability-only what-if scenario therefore reuses the cut sets of
 *every* gate, and a structural patch (added redundancy, a removed event)
 invalidates only the gates on the path from the edit to the top event.
+Per-gate CNF fragments are not cached here: a fragment depends on the gate's
+shape alone, so :func:`repro.core.encoder.shape_fragment` memoises it per
+process.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "ARTIFACT_CUT_SETS",
     "ARTIFACT_ENCODING",
     "ARTIFACT_SUBTREE_BDD",
-    "ARTIFACT_SUBTREE_CNF",
     "ARTIFACT_SUBTREE_CUT_SETS",
     "ArtifactCache",
     "ArtifactStoreBackend",
@@ -62,13 +64,6 @@ ARTIFACT_SUBTREE_CUT_SETS = "subtree-cut-sets"
 #: probability-perturbed scenario of a sweep (see
 #: :class:`repro.scenarios.sweep.SweepExecutor`).
 ARTIFACT_SUBTREE_BDD = "subtree-bdd"
-#: Relocatable Tseitin CNF fragment of one gate, keyed by the structure-only
-#: hash of the gate's subtree (see :class:`repro.logic.tseitin.CNFFragment`).
-#: Fragments are purely qualitative — clauses over local variables plus an
-#: interface literal — so, like the subtree cut sets, one cached fragment
-#: serves every probability-perturbed scenario of a sweep, and a structural
-#: patch re-encodes only the gates on the path from the edit to the top event.
-ARTIFACT_SUBTREE_CNF = "subtree-cnf"
 #: Campaign completion-ledger entries (see :mod:`repro.campaigns.ledger`):
 #: per-chunk results keyed by a hash of campaign id + chunk content, plus one
 #: state record per campaign keyed by the campaign id alone.  Written through
@@ -425,8 +420,8 @@ class ArtifactCache:
             stats["store_misses"] = self.store_misses
             # Per-kind backend counters appear only for store-backed caches so
             # the memory-only stats shape stays unchanged.  They let sweep
-            # logs attribute cross-process reuse to cut sets vs BDDs vs CNF
-            # fragments instead of one aggregate number.
+            # logs attribute cross-process reuse to cut sets vs BDDs instead
+            # of one aggregate number.
             for kind, counters in stats["by_kind"].items():
                 counters["store_hits"] = self._store_hits.get(kind, 0)
                 counters["store_misses"] = self._store_misses.get(kind, 0)

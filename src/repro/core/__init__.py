@@ -2,9 +2,10 @@
 
 The package implements the six-step resolution method of Section III:
 
-1. **Logical transformation** — the fault tree's structure function and its
-   complement (success tree), provided by :mod:`repro.fta.formula`.
-2. **CNF conversion** — Tseitin encoding (:mod:`repro.logic.tseitin`).
+1. **Logical transformation** and 2. **CNF conversion** — the Tseitin CNF of
+   the structure function, assembled gate by gate from shape-memoised
+   fragments (:func:`repro.core.encoder.assemble_structure_cnf` over
+   :mod:`repro.logic.tseitin`).
 3. **Probabilities transformation into log-space** —
    :mod:`repro.core.weights`.
 4. **Weighted Partial MaxSAT instance** — :mod:`repro.core.encoder`.

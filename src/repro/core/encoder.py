@@ -9,6 +9,13 @@ whose optimal solutions are exactly the Maximum Probability Minimal Cut Sets:
   ``w_i = -log(p(x_i))``: falsifying it (making the event part of the cut set)
   costs ``w_i``.
 
+The hard CNF is built gate by gate (:func:`assemble_structure_cnf`): every
+gate contributes the Tseitin clauses of its own connective, stitched onto its
+children's literals, so Steps 1 and 2 never materialise ``f(t)`` as a formula.
+A gate's clauses depend only on its shape ``(gate_type, k, arity)``, and a
+tree has few distinct shapes, so each shape is encoded once per process and
+then only relocated.
+
 Equivalence with the paper's presentation
 -----------------------------------------
 The paper phrases the encoding over the *success tree* variables
@@ -24,17 +31,17 @@ to true, hence the extracted set is an inclusion-minimal cut set — the MPMCS.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.weights import log_weight
-from repro.exceptions import AnalysisError, FaultTreeError
-from repro.fta.formula import structure_function, success_function
+from repro.exceptions import FaultTreeError
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.logic.cnf import CNF
 from repro.logic.formula import AtLeast, Formula, Var, conjoin, disjoin
-from repro.logic.tseitin import CNFFragment, TseitinResult, encode_fragment, tseitin_encode
+from repro.logic.tseitin import CNFFragment, TseitinResult, encode_fragment
 from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "assemble_structure_cnf",
     "encode_mpmcs",
     "gate_fragment",
+    "shape_fragment",
 ]
 
 
@@ -50,41 +58,42 @@ def _slot(index: int) -> str:
     return f"@{index}"
 
 
-def gate_fragment(gate: Gate) -> CNFFragment:
-    """Relocatable CNF fragment of one gate over anonymous child slots.
+@functools.lru_cache(maxsize=256)
+def shape_fragment(gate_type: GateType, k: Optional[int], arity: int) -> CNFFragment:
+    """Relocatable CNF fragment of a gate shape over anonymous child slots.
 
-    The fragment treats each child *occurrence* as an opaque input (slot
-    ``@0``, ``@1``, …) so it contains no node names and is reusable by any
-    gate whose subtree shares the structure-only hash — all supported gate
-    types are symmetric in their children, so slot order never matters, and
-    occurrences of logically equivalent children are interchangeable.
+    The fragment treats each child as an opaque input (slot ``@0``, ``@1``,
+    …) so it contains no node names: every gate of the same type, threshold
+    and arity shares it.  Memoised per process (fragments are immutable, so
+    sharing one is safe); :meth:`cache_info` counts the shapes encoded.
     """
-    slots = [Var(_slot(index)) for index in range(len(gate.children))]
-    if gate.gate_type is GateType.AND:
+    slots = [Var(_slot(index)) for index in range(arity)]
+    if gate_type is GateType.AND:
         formula: Formula = conjoin(slots)
-    elif gate.gate_type is GateType.OR:
+    elif gate_type is GateType.OR:
         formula = disjoin(slots)
-    elif gate.gate_type is GateType.VOTING:
-        formula = AtLeast(gate.k or 1, slots)
+    elif gate_type is GateType.VOTING:
+        formula = AtLeast(k or 1, slots)
     else:  # pragma: no cover - defensive
-        raise FaultTreeError(f"unsupported gate type {gate.gate_type!r}")
-    return encode_fragment(formula, [_slot(index) for index in range(len(gate.children))])
+        raise FaultTreeError(f"unsupported gate type {gate_type!r}")
+    return encode_fragment(formula, [_slot(index) for index in range(arity)])
 
 
-def assemble_structure_cnf(tree: FaultTree, cache: Optional[Any] = None) -> TseitinResult:
+def gate_fragment(gate: Gate) -> CNFFragment:
+    """The (memoised) fragment of ``gate``'s shape; see :func:`shape_fragment`."""
+    return shape_fragment(gate.gate_type, gate.k, len(gate.children))
+
+
+def assemble_structure_cnf(tree: FaultTree) -> TseitinResult:
     """CNF of ``tree``'s structure function stitched from per-gate fragments.
 
     Equisatisfiable (over the event variables) with the monolithic
-    ``tseitin_encode(structure_function(tree))``, but built gate by gate from
-    :class:`~repro.logic.tseitin.CNFFragment` objects.  When ``cache`` (an
-    :class:`~repro.api.cache.ArtifactCache`, duck-typed to avoid the layering
-    cycle) is given, each gate's fragment is memoised under the structure-only
-    hash of its subtree — kind ``subtree-cnf`` — so across the scenarios of a
-    sweep only the gates whose subtree actually changed are re-encoded, and a
-    probability-only scenario re-encodes nothing at all.
-
-    The root literal is asserted, exactly like ``tseitin_encode`` with
-    ``assert_root=True``.
+    ``tseitin_encode(structure_function(tree))``, but built bottom-up in one
+    iterative pass, so arbitrarily deep trees encode without recursion.
+    Each basic event gets a named variable; each gate instantiates its
+    shape's :class:`~repro.logic.tseitin.CNFFragment` on its children's
+    literals.  The root literal is asserted, exactly like ``tseitin_encode``
+    with ``assert_root=True``.
     """
     tree.validate()
     cnf = CNF()
@@ -102,20 +111,10 @@ def assemble_structure_cnf(tree: FaultTree, cache: Optional[Any] = None) -> Tsei
         if gate is None:
             literals[name] = cnf.var_for(name)
             continue
-        if cache is None:
-            fragment = gate_fragment(gate)
-        else:
-            # Imported lazily: repro.api imports this module at package-init
-            # time, so a top-level import here would be circular.
-            from repro.api.cache import ARTIFACT_SUBTREE_CNF
-
-            fragment = cache.get_or_compute_subtree(
-                tree, name, ARTIFACT_SUBTREE_CNF, lambda g=gate: gate_fragment(g)
-            )
         inputs = {
             _slot(index): literals[child] for index, child in enumerate(gate.children)
         }
-        literals[name] = fragment.instantiate(
+        literals[name] = gate_fragment(gate).instantiate(
             inputs, new_var=new_aux, add_clause=cnf.add_clause
         )
     root = literals[tree.top_event]
@@ -142,10 +141,6 @@ class MPMCSEncoding:
         Inverse of ``event_vars``.
     weights:
         The ``-log`` weight of each basic event (paper Step 3 / Table I).
-    structure:
-        The structure function ``f(t)`` that was encoded.
-    success:
-        The success-tree formula ``¬f(t)`` (kept for reporting and analyses).
     num_aux_vars:
         Number of auxiliary Tseitin variables introduced in Step 2.
     """
@@ -154,8 +149,6 @@ class MPMCSEncoding:
     event_vars: Dict[str, int]
     var_events: Dict[int, str]
     weights: Dict[str, float]
-    structure: Formula
-    success: Formula
     num_aux_vars: int
 
     def cut_set_from_model(self, model: Dict[int, bool]) -> Tuple[str, ...]:
@@ -166,72 +159,36 @@ class MPMCSEncoding:
         return tuple(sorted(members))
 
 
-def encode_mpmcs(
-    tree: FaultTree,
-    *,
-    precision: int = DEFAULT_PRECISION,
-    include_success: bool = True,
-    cache: Optional[Any] = None,
-) -> MPMCSEncoding:
+def encode_mpmcs(tree: FaultTree, *, precision: int = DEFAULT_PRECISION) -> MPMCSEncoding:
     """Encode the MPMCS problem of ``tree`` as Weighted Partial MaxSAT.
 
     Parameters
     ----------
     tree:
-        The fault tree to analyse.  It is validated first.
+        The fault tree to analyse.  It is validated first; a valid tree has
+        every node reachable from the top event, so every basic event gets a
+        variable and a soft clause.
     precision:
         Integer scaling precision for the float weights (see
         :class:`~repro.maxsat.instance.WPMaxSATInstance`).
-    include_success:
-        Whether to also materialise the success-tree formula (used by reports);
-        disable for the largest benchmark instances to save a little time.
-    cache:
-        Optional artifact cache (duck-typed
-        :class:`~repro.api.cache.ArtifactCache`).  When given, the hard CNF is
-        assembled from per-gate fragments memoised under structure-only
-        subtree hashes (:func:`assemble_structure_cnf`) instead of re-running
-        the monolithic Tseitin transformation, so repeated encodings of
-        structurally overlapping trees — the scenarios of a sweep — share the
-        encoding work.
     """
-    tree.validate()
-    structure = structure_function(tree)
-    success = success_function(tree) if include_success else None
-
-    if cache is None:
-        encoding_result = tseitin_encode(structure, assert_root=True)
-    else:
-        encoding_result = assemble_structure_cnf(tree, cache)
-    cnf = encoding_result.cnf
-
+    structure = assemble_structure_cnf(tree)
     instance = WPMaxSATInstance(precision=precision)
-    instance.add_hard_cnf(cnf)
+    instance.add_hard_cnf(structure.cnf)
 
     event_vars: Dict[str, int] = {}
     weights: Dict[str, float] = {}
-    reachable_events = set(tree.events_reachable_from_top())
     for name, event in tree.events.items():
-        if name not in reachable_events:
-            continue
-        var = cnf.name_to_var.get(name)
-        if var is None:
-            raise AnalysisError(
-                f"basic event {name!r} does not appear in the encoded structure function"
-            )
+        var = structure.var_map[name]
         weight = log_weight(event.probability)
         event_vars[name] = var
         weights[name] = weight
         instance.add_soft([-var], weight, label=name)
-
-    if not event_vars:
-        raise AnalysisError(f"fault tree {tree.name!r} has no events reachable from the top")
 
     return MPMCSEncoding(
         instance=instance,
         event_vars=event_vars,
         var_events={var: name for name, var in event_vars.items()},
         weights=weights,
-        structure=structure,
-        success=success if success is not None else structure,
-        num_aux_vars=encoding_result.num_aux_vars,
+        num_aux_vars=structure.num_aux_vars,
     )

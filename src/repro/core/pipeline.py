@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs
-from repro.core.weights import probability_from_cost, probability_of_cut_set
+from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
@@ -150,27 +150,18 @@ class MPMCSSolver:
     def solve(self, tree: FaultTree) -> MPMCSResult:
         """Run the full six-step pipeline on ``tree``."""
         start = time.perf_counter()
-
         # Steps 1-4: logical transformation, CNF conversion, log-space weights,
         # WPMaxSAT instance.
         encoding = encode_mpmcs(tree, precision=self.precision)
-
-        # Step 5: (parallel) MaxSAT resolution.
-        report: Optional[PortfolioReport] = None
-        if self.single_engine is not None:
-            maxsat_result = self.single_engine.solve(encoding.instance)
-        else:
-            assert self.portfolio is not None
-            report = self.portfolio.solve_with_report(encoding.instance)
-            maxsat_result = report.result
-
-        result = self._assemble_result(tree, encoding, maxsat_result, report, start)
+        # Steps 5-6: MaxSAT resolution and reverse log-space transformation.
+        result = self.solve_encoding(tree, encoding)
+        result.total_time = time.perf_counter() - start
         return result
 
     def solve_encoding(
         self, tree: FaultTree, encoding: MPMCSEncoding
     ) -> MPMCSResult:
-        """Solve an already-built encoding (used by the top-k enumerator)."""
+        """Solve an already-built encoding (Steps 5-6)."""
         start = time.perf_counter()
         report: Optional[PortfolioReport] = None
         if self.single_engine is not None:
@@ -212,9 +203,6 @@ class MPMCSSolver:
         probabilities = tree.probabilities()
         probability = probability_of_cut_set(cut_set, probabilities)
         cost = sum(encoding.weights[name] for name in cut_set)
-        # `probability_from_cost(cost)` equals `probability` up to float rounding;
-        # the exact product is reported, the identity is covered by tests.
-        _ = probability_from_cost
 
         return MPMCSResult(
             tree_name=tree.name,

@@ -12,7 +12,7 @@ inclusion-minimal cut set — the next most probable one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSResult, MPMCSSolver
@@ -65,13 +65,10 @@ def enumerate_mpmcs(
     pipeline = solver if solver is not None else MPMCSSolver(precision=precision)
 
     results: List[RankedCutSet] = []
-    blocked: List[Tuple[str, ...]] = []
+    # One encoding for every rank: each rank adds only its own blocking clause.
+    encoding = encode_mpmcs(tree, precision=precision)
 
     for rank in range(1, k + 1):
-        encoding = encode_mpmcs(tree, precision=precision)
-        for cut_set in blocked:
-            blocking_clause = [-encoding.event_vars[name] for name in cut_set]
-            encoding.instance.add_hard(blocking_clause)
         try:
             result: MPMCSResult = pipeline.solve_encoding(tree, encoding)
         except AnalysisError as exc:
@@ -86,6 +83,6 @@ def enumerate_mpmcs(
                 cost=result.cost,
             )
         )
-        blocked.append(result.events)
+        encoding.instance.add_hard([-encoding.event_vars[name] for name in result.events])
 
     return results

@@ -258,10 +258,9 @@ class CNFFragment:
     one encoded fragment can be placed any number of times, in any CNF, at any
     variable offset.
 
-    This is what makes per-gate encodings cacheable across the scenarios of a
-    sweep: the incremental MaxSAT path stores one fragment per gate under the
-    gate's structure-only subtree hash and re-assembles whole-tree encodings
-    from cache hits instead of re-running Tseitin from scratch (see
+    This is what lets the MPMCS encoder build every fault tree's CNF from a
+    handful of gate fragments: one fragment per gate *shape* (type, threshold,
+    arity), encoded once and instantiated at every gate of that shape (see
     :func:`repro.core.encoder.assemble_structure_cnf`).
 
     Attributes
@@ -319,27 +318,6 @@ class CNFFragment:
         for clause in self.clauses:
             add_clause([remap(literal) for literal in clause])
         return remap(self.output)
-
-    # -- wire form -------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable wire form (used by persistent artifact stores)."""
-        return {
-            "inputs": list(self.inputs),
-            "num_vars": self.num_vars,
-            "clauses": [list(clause) for clause in self.clauses],
-            "output": self.output,
-        }
-
-    @staticmethod
-    def from_dict(document: Mapping[str, Any]) -> "CNFFragment":
-        """Inverse of :meth:`to_dict`."""
-        return CNFFragment(
-            inputs=tuple(document["inputs"]),
-            num_vars=int(document["num_vars"]),
-            clauses=tuple(tuple(int(l) for l in clause) for clause in document["clauses"]),
-            output=int(document["output"]),
-        )
 
 
 def encode_fragment(formula: Formula, inputs: Sequence[str]) -> CNFFragment:

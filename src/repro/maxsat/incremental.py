@@ -88,13 +88,10 @@ class IncrementalMaxSATSession:
     Parameters
     ----------
     tree:
-        The tree whose structure function is encoded.  Only its structure is
-        retained — per-solve weights come from :meth:`solve_tree` /
-        :meth:`solve`.
-    cache:
-        Optional artifact cache; forwarded to
-        :func:`~repro.core.encoder.assemble_structure_cnf` so the encoding is
-        stitched from cached per-gate CNF fragments.
+        The tree whose structure function is encoded, through
+        :func:`~repro.core.encoder.assemble_structure_cnf` (the same gate
+        fragments as the cold encoding).  Only its structure is retained —
+        per-solve weights come from :meth:`solve_tree` / :meth:`solve`.
     precision:
         Integer weight scaling, which must match the cold pipeline's for the
         two paths to agree on ties.
@@ -111,7 +108,6 @@ class IncrementalMaxSATSession:
     def __init__(
         self,
         tree: FaultTree,
-        cache: Optional[Any] = None,
         *,
         precision: int = DEFAULT_PRECISION,
         max_rounds: int = 100_000,
@@ -128,23 +124,18 @@ class IncrementalMaxSATSession:
         self.max_rounds = max_rounds
         self._kernels = kernels if kernels is not None else _kernels.select(None)
 
-        encoding = assemble_structure_cnf(tree, cache)
+        encoding = assemble_structure_cnf(tree)
         self._solver = CDCLSolver()
         for _ in range(encoding.cnf.num_vars):
             self._solver.new_var()
         for clause in encoding.cnf:
             self._solver.add_clause(list(clause.literals))
 
-        reachable = set(tree.events_reachable_from_top())
-        self.event_vars: Dict[str, int] = {
-            name: var
-            for name, var in sorted(encoding.var_map.items(), key=lambda item: item[1])
-            if name in reachable
-        }
-        if not self.event_vars:
-            raise AnalysisError(
-                f"fault tree {tree.name!r} has no events reachable from the top"
-            )
+        # The assembled CNF names exactly the basic events (gate variables
+        # are anonymous), and a valid tree reaches every one of them.
+        self.event_vars: Dict[str, int] = dict(
+            sorted(encoding.var_map.items(), key=lambda item: item[1])
+        )
         self._var_events: Dict[int, str] = {
             var: name for name, var in self.event_vars.items()
         }

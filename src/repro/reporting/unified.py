@@ -100,7 +100,7 @@ def render_profile(report: AnalysisReport) -> str:
     Shows the stage timings (``encode_seconds`` — CNF/BDD/cut-set structure
     preparation, ``solve_seconds`` — search and enumeration) and the
     artifact-cache counters the run accumulated, so the effect of warm
-    sessions and cached fragments is visible without running a benchmark.
+    sessions and cached artifacts is visible without running a benchmark.
     """
     profile = report.profile
     lines = ["performance profile:"]

@@ -186,6 +186,33 @@ class TestSolveBudget:
             ("x5", "x7"),
         ]
 
+    def test_ranking_blocks_extend_one_working_copy(self, monkeypatch):
+        from repro.core.pipeline import MPMCSSolver
+
+        seen = []
+        real = MPMCSSolver.solve_encoding
+
+        def recording(self, tree, encoding):
+            seen.append((encoding.instance, encoding.instance.num_hard))
+            return real(self, tree, encoding)
+
+        monkeypatch.setattr(MPMCSSolver, "solve_encoding", recording)
+        session = AnalysisSession()
+        tree = fire_protection_system()
+        session.analyze(tree, ["ranking"], top_k=4)
+        cached = session.artifacts.get_or_compute(
+            tree, ARTIFACT_ENCODING, lambda: pytest.fail("encoding was not cached")
+        )
+        base = cached.instance.num_hard
+        # Rank 1 solves the cached encoding; every later rank solves the same
+        # copy, which gains exactly one blocking clause per rank.  The cached
+        # encoding itself is never extended.
+        assert seen[0][0] is cached.instance
+        assert len({id(instance) for instance, _ in seen[1:]}) == 1
+        assert seen[1][0] is not cached.instance
+        assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3]
+        assert cached.instance.num_hard == base
+
 
 class TestArtifactReuse:
     def test_cnf_encoding_computed_once_per_session(self, monkeypatch):

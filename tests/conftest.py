@@ -118,6 +118,11 @@ def all_assignments(names: List[str]) -> List[Dict[str, bool]]:
     return result
 
 
+def gate_shapes(tree: FaultTree) -> set:
+    """The distinct gate shapes ``(gate_type, k, arity)`` of ``tree``."""
+    return {(gate.gate_type, gate.k, len(gate.children)) for gate in tree.gates.values()}
+
+
 def brute_force_cnf_satisfiable(clauses: List[List[int]]) -> bool:
     """Tiny reference SAT check by exhaustive enumeration."""
     variables = sorted({abs(lit) for clause in clauses for lit in clause})

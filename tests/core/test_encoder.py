@@ -6,6 +6,7 @@ from repro.core.encoder import encode_mpmcs
 from repro.exceptions import FaultTreeError
 from repro.fta.builder import FaultTreeBuilder
 from repro.maxsat import BruteForceEngine
+from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 
@@ -84,3 +85,32 @@ class TestEncoding:
         encoding = encode_mpmcs(fps_tree)
         for name, var in encoding.event_vars.items():
             assert encoding.var_events[var] == name
+
+
+def _or_chain(depth):
+    """``g0 = OR(e0, g1)``, …, ``g{depth-1} = OR(e{depth-1}, e{depth})``."""
+    builder = FaultTreeBuilder(f"or-chain-{depth}")
+    for level in range(depth + 1):
+        builder.basic_event(f"e{level}", 0.01)
+    for level in range(depth - 1):
+        builder.or_gate(f"g{level}", [f"e{level}", f"g{level + 1}"])
+    builder.or_gate(f"g{depth - 1}", [f"e{depth - 1}", f"e{depth}"])
+    return builder.top("g0").build()
+
+
+class TestDeepTrees:
+    """Encoding never recurses over the tree: depth is bounded by nothing."""
+
+    def test_deep_or_chain_encodes(self):
+        tree = _or_chain(1500)
+        encoding = encode_mpmcs(tree)
+        assert encoding.instance.num_soft == 1501
+        # One auxiliary variable per binary OR gate, and the root asserted.
+        assert encoding.num_aux_vars == 1500
+        assert encoding.instance.num_hard == 3 * 1500 + 1
+
+    def test_deep_or_chain_builds_a_session(self):
+        tree = _or_chain(1500)
+        session = IncrementalMaxSATSession(tree)
+        assert len(session.event_vars) == 1501
+        assert session.num_aux_vars == 1500

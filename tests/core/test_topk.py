@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
+from repro.core import topk
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs
 from repro.exceptions import AnalysisError
@@ -80,3 +81,23 @@ class TestConfiguration:
         ranked = enumerate_mpmcs(voting_tree, 8)
         seen = [entry.events for entry in ranked]
         assert len(seen) == len(set(seen))
+
+
+class TestSingleEncoding:
+    def test_tree_is_encoded_once_for_every_rank(self, fps_tree, monkeypatch):
+        calls = []
+        original = topk.encode_mpmcs
+
+        def counting_encode(tree, **kwargs):
+            calls.append(tree.name)
+            return original(tree, **kwargs)
+
+        monkeypatch.setattr(topk, "encode_mpmcs", counting_encode)
+        ranked = enumerate_mpmcs(fps_tree, 4)
+        assert len(calls) == 1
+        assert [entry.events for entry in ranked] == [
+            ("x1", "x2"),
+            ("x5", "x6"),
+            ("x5", "x7"),
+            ("x4",),
+        ]

@@ -2,8 +2,8 @@
 
 A :class:`CNFFragment` re-assembled after offset remapping must be
 *equisatisfiable* with the monolithic encoding for every assignment of its
-interface inputs — this is the invariant the incremental sweep engine's
-fragment cache rests on.  The property tests drive XOR, at-least-k and
+interface inputs — this is the invariant the encoder's per-shape fragment
+memo rests on.  The property tests drive XOR, at-least-k and
 voting-gate fragments through random formulas and random fault trees.
 """
 
@@ -12,17 +12,17 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from repro.core.encoder import assemble_structure_cnf, gate_fragment
+from repro.core.encoder import assemble_structure_cnf, gate_fragment, shape_fragment
 from repro.exceptions import FormulaError
 from repro.fta.gates import Gate, GateType
 from repro.logic.cnf import CNF
 from repro.logic.formula import And, AtLeast, Not, Or, Var, Xor
-from repro.logic.tseitin import CNFFragment, encode_fragment, tseitin_encode
+from repro.logic.tseitin import encode_fragment, tseitin_encode
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 from repro.workloads.generator import random_fault_tree
 
-from tests.conftest import all_assignments, formulas, small_random_trees
+from tests.conftest import all_assignments, formulas, gate_shapes, small_random_trees
 
 
 def _satisfiable(clauses, assumptions):
@@ -91,11 +91,6 @@ class TestFragmentBasics:
         with pytest.raises(FormulaError):
             fragment.instantiate({"a": 1}, new_var=host.new_var, add_clause=host.add_clause)
 
-    def test_wire_round_trip(self):
-        fragment = encode_fragment(Xor((Var("a"), Var("b"), Var("c"))), ["a", "b", "c"])
-        restored = CNFFragment.from_dict(fragment.to_dict())
-        assert restored == fragment
-
     def test_unused_declared_input_allowed(self):
         fragment = encode_fragment(Var("a"), ["a", "b"])
         assert fragment.inputs == ("a", "b")
@@ -133,6 +128,14 @@ class TestFragmentEquisatisfiability:
             expected = sum(bits) >= 2
             assert _satisfiable([c.literals for c in host], assumptions) is expected
 
+    def test_gates_of_one_shape_share_a_fragment(self):
+        left = Gate(name="left", gate_type=GateType.OR, children=("a", "b"))
+        right = Gate(name="right", gate_type=GateType.OR, children=("c", "d"))
+        wider = Gate(name="wider", gate_type=GateType.OR, children=("a", "b", "c"))
+        assert gate_fragment(left) is gate_fragment(right)
+        assert gate_fragment(wider) is not gate_fragment(left)
+        assert gate_fragment(wider).inputs == ("@0", "@1", "@2")
+
     @settings(max_examples=60, deadline=None)
     @given(formulas(max_depth=3, max_vars=4))
     def test_random_formula_fragments(self, formula):
@@ -156,26 +159,27 @@ class TestAssembledTreeEncoding:
             assert _satisfiable(clauses, assumptions) is tree.evaluate(assignment)
 
     def test_fragments_relocate_across_trees(self):
-        """One cached fragment instantiates correctly at different offsets."""
-        tree = random_fault_tree(num_basic_events=12, seed=3, voting_ratio=0.3)
+        """One memoised fragment instantiates correctly at different offsets."""
+        first_tree = random_fault_tree(num_basic_events=8, seed=3, voting_ratio=0.3)
+        second_tree = random_fault_tree(num_basic_events=8, seed=4, voting_ratio=0.3)
+        shape_fragment.cache_clear()
 
-        class CountingCache:
-            def __init__(self):
-                self.fragments = {}
-                self.misses = 0
+        first = assemble_structure_cnf(first_tree)
+        first_shapes = gate_shapes(first_tree)
+        assert shape_fragment.cache_info().misses == len(first_shapes)
+        again = assemble_structure_cnf(first_tree)
+        assert shape_fragment.cache_info().misses == len(first_shapes)
+        assert [c.literals for c in first.cnf] == [c.literals for c in again.cnf]
 
-            def get_or_compute_subtree(self, tree, node, kind, compute):
-                from repro.api.cache import subtree_structure_hashes
-
-                key = (subtree_structure_hashes(tree)[node], kind)
-                if key not in self.fragments:
-                    self.fragments[key] = compute()
-                    self.misses += 1
-                return self.fragments[key]
-
-        cache = CountingCache()
-        first = assemble_structure_cnf(tree, cache)
-        misses_after_first = cache.misses
-        second = assemble_structure_cnf(tree, cache)
-        assert cache.misses == misses_after_first  # fully served from cache
-        assert [c.literals for c in first.cnf] == [c.literals for c in second.cnf]
+        # The second tree encodes only the shapes the first did not have, and
+        # its relocated fragments still encode its own structure function.
+        second = assemble_structure_cnf(second_tree)
+        assert shape_fragment.cache_info().misses == len(first_shapes | gate_shapes(second_tree))
+        assert first_shapes & gate_shapes(second_tree)  # some fragment is shared
+        clauses = [c.literals for c in second.cnf]
+        for assignment in all_assignments(list(second_tree.events_reachable_from_top())):
+            assumptions = [
+                second.var_map[name] if value else -second.var_map[name]
+                for name, value in assignment.items()
+            ]
+            assert _satisfiable(clauses, assumptions) is second_tree.evaluate(assignment)

@@ -8,7 +8,7 @@ underlying CDCL solver, and blocking clauses persist via activation literals.
 
 import pytest
 
-from repro.api.cache import ArtifactCache
+from repro.core.encoder import shape_fragment
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import SolverError
 from repro.maxsat.incremental import IncrementalMaxSATSession
@@ -16,6 +16,8 @@ from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system
+
+from tests.conftest import gate_shapes
 
 
 class TestCDCLIncrementalInterface:
@@ -129,14 +131,15 @@ class TestWeightOnlyResolve:
 
     def test_fragment_cache_feeds_the_session(self):
         tree = fire_protection_system()
-        cache = ArtifactCache()
-        IncrementalMaxSATSession(tree, cache)
-        misses = cache.misses_for("subtree-cnf")
-        assert misses == len(tree.gates)
-        # A second session over the same structure hits every fragment.
-        IncrementalMaxSATSession(tree, cache)
-        assert cache.misses_for("subtree-cnf") == misses
-        assert cache.hits_for("subtree-cnf") == misses
+        shape_fragment.cache_clear()
+        IncrementalMaxSATSession(tree)
+        shapes = gate_shapes(tree)
+        assert shape_fragment.cache_info().misses == len(shapes)
+        # A second session over the same structure encodes no gate at all.
+        hits = shape_fragment.cache_info().hits
+        IncrementalMaxSATSession(tree)
+        assert shape_fragment.cache_info().misses == len(shapes)
+        assert shape_fragment.cache_info().hits - hits == len(tree.gates)
 
     def test_invalid_weight_rejected(self):
         tree = fire_protection_system()

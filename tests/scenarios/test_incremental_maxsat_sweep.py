@@ -4,11 +4,11 @@ Covers the tentpole acceptance criteria at test (not benchmark) scale:
 
 * a ``maxsat``-backend sweep produces canonically identical results to fresh
   per-scenario cold analyses;
-* probability/maintenance scenarios are weight-only re-solves — zero new CNF
-  fragment misses after the base analysis;
-* structure-changing patches (remove-event, add-redundancy, voting-k) fall
-  back to re-encoding only the affected fragments, asserted through the
-  fragment-level miss counters.
+* probability/maintenance scenarios are weight-only re-solves — no gate shape
+  is encoded after the base analysis;
+* structure-changing patches (remove-event, add-redundancy, voting-k) encode
+  at most the gate shapes they introduce, asserted through the shape memo's
+  ``cache_info()`` counters.
 """
 
 import json
@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.api import AnalysisSession
-from repro.api.cache import ARTIFACT_SUBTREE_CNF, subtree_structure_hashes
+from repro.core.encoder import shape_fragment
 from repro.scenarios import (
     AddRedundancy,
     RemoveEvent,
@@ -28,6 +28,8 @@ from repro.scenarios import (
 )
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system, redundant_power_supply
+
+from tests.conftest import gate_shapes
 
 
 def _canonical(report):
@@ -105,7 +107,15 @@ class TestWarmSweepEquivalence:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+def _shapes_encoded():
+    return shape_fragment.cache_info().misses
+
+
 class TestFragmentMissAccounting:
+    @pytest.fixture(autouse=True)
+    def _empty_shape_memo(self):
+        shape_fragment.cache_clear()
+
     def _session_with_warm_maxsat(self):
         session = AnalysisSession()
         session.backend("maxsat").enable_warm_sessions()
@@ -116,18 +126,17 @@ class TestFragmentMissAccounting:
         event = sorted(tree.events_reachable_from_top())[0]
         session = self._session_with_warm_maxsat()
         session.analyze(tree, ["mpmcs"], backend="maxsat")
-        cache = session.artifacts
-        base_misses = cache.misses_for(ARTIFACT_SUBTREE_CNF)
-        assert base_misses == len(tree.gates)
+        base_misses = _shapes_encoded()
+        assert base_misses == len(gate_shapes(tree))
 
         for probability in (0.002, 0.05, 0.7):
             # Weight-only perturbation: the structure hash is unchanged.
             patched = Scenario("p", [SetProbability(event, probability)]).apply(tree)
             session.analyze(patched, ["mpmcs"], backend="maxsat")
-        assert cache.misses_for(ARTIFACT_SUBTREE_CNF) == base_misses
+        assert _shapes_encoded() == base_misses
 
     def test_maintenance_sweep_is_weight_only(self):
-        """Repair-rate scenarios never change structure: zero new misses."""
+        """Repair-rate scenarios never change structure: no new shape."""
         from repro.reliability import ReliabilityAssignment, RepairableComponent
         from repro.scenarios import repair_rate_sweep
 
@@ -142,7 +151,7 @@ class TestFragmentMissAccounting:
         session = AnalysisSession()
         report = SweepExecutor(session, backend="maxsat").run(base, scenarios)
         assert all(outcome.ok for outcome in report.outcomes)
-        assert session.artifacts.misses_for(ARTIFACT_SUBTREE_CNF) == len(base.gates)
+        assert _shapes_encoded() == len(gate_shapes(base))
 
     @pytest.mark.parametrize(
         "make_patch",
@@ -156,27 +165,20 @@ class TestFragmentMissAccounting:
         tree = random_fault_tree(num_basic_events=24, seed=9)
         session = self._session_with_warm_maxsat()
         session.analyze(tree, ["mpmcs"], backend="maxsat")
-        cache = session.artifacts
-        base_misses = cache.misses_for(ARTIFACT_SUBTREE_CNF)
-        base_hashes = set(subtree_structure_hashes(tree).values())
+        base_misses = _shapes_encoded()
+        base_hits = shape_fragment.cache_info().hits
 
         patched = Scenario("structural", [make_patch(tree)]).apply(tree)
-        session.analyze(patched, ["mpmcs"], backend="maxsat")
+        report = session.analyze(patched, ["mpmcs"], backend="maxsat")
 
-        patched_gates = [
-            name for name in subtree_structure_hashes(patched) if patched.is_gate(name)
-        ]
-        changed_gates = [
-            name
-            for name, digest in subtree_structure_hashes(patched).items()
-            if patched.is_gate(name) and digest not in base_hashes
-        ]
-        new_misses = cache.misses_for(ARTIFACT_SUBTREE_CNF) - base_misses
-        # Exactly the gates whose subtree hash changed were re-encoded; every
-        # untouched sibling fragment was a cache hit.
-        assert new_misses == len(changed_gates)
-        assert 0 < new_misses < len(patched_gates)
-        assert cache.hits_for(ARTIFACT_SUBTREE_CNF) >= len(patched_gates) - new_misses
+        assert report.mpmcs.engine == "incremental-hitting-set"
+        # Only the shapes the patch introduced were encoded; every other gate
+        # of the patched tree relocated a memoised fragment.
+        new_shapes = gate_shapes(patched) - gate_shapes(tree)
+        assert _shapes_encoded() - base_misses == len(new_shapes)
+        assert shape_fragment.cache_info().hits - base_hits == len(patched.gates) - len(
+            new_shapes
+        )
 
     def test_voting_threshold_patch_re_encodes_affected_path(self):
         tree = redundant_power_supply()
@@ -188,9 +190,7 @@ class TestFragmentMissAccounting:
         assert voting_gates, "library voting tree must contain a voting gate"
         session = self._session_with_warm_maxsat()
         session.analyze(tree, ["mpmcs"], backend="maxsat")
-        cache = session.artifacts
-        base_misses = cache.misses_for(ARTIFACT_SUBTREE_CNF)
-        base_hashes = set(subtree_structure_hashes(tree).values())
+        base_misses = _shapes_encoded()
 
         gate = tree.gates[voting_gates[0]]
         patched = Scenario(
@@ -198,11 +198,6 @@ class TestFragmentMissAccounting:
         ).apply(tree)
         session.analyze(patched, ["mpmcs"], backend="maxsat")
 
-        changed_gates = [
-            name
-            for name, digest in subtree_structure_hashes(patched).items()
-            if patched.is_gate(name) and digest not in base_hashes
-        ]
-        assert (
-            cache.misses_for(ARTIFACT_SUBTREE_CNF) - base_misses == len(changed_gates)
-        )
+        new_shapes = gate_shapes(patched) - gate_shapes(tree)
+        assert new_shapes  # the new threshold is a shape the base never had
+        assert _shapes_encoded() - base_misses == len(new_shapes)
