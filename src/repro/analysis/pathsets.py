@@ -14,25 +14,23 @@ Two results are provided:
 * :func:`most_probable_path_set` — the path set with the highest probability
   of being failure-free, i.e. maximising ``prod(1 - p(x_i))``.  It is computed
   with the same MaxSAT machinery as the MPMCS: weights are
-  ``-log(1 - p(x_i))`` and the hard constraint is the success (complemented)
-  structure function, a direct application of the paper's encoding to the dual
+  ``-log(1 - p(x_i))`` and the hard constraint is the structure function of
+  the dual tree, a direct application of the paper's encoding to the dual
   problem.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.analysis.cutsets import CutSetCollection
 from repro.analysis.mocus import mocus_minimal_cut_sets
+from repro.core.encoder import assemble_structure_cnf
 from repro.core.weights import MIN_WEIGHT
 from repro.exceptions import AnalysisError
-from repro.fta.formula import structure_function
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
-from repro.logic.simplify import complement
-from repro.logic.tseitin import tseitin_encode
 from repro.maxsat import MaxSATStatus, PortfolioSolver, RC2Engine, WPMaxSATInstance
 from repro.maxsat.engine import MaxSATEngine
 
@@ -94,33 +92,26 @@ def most_probable_path_set(
 
     Returns ``(sorted event tuple, probability)`` where the probability is
     ``prod(1 - p(x_i))`` over the members.  This is the MPMCS encoding applied
-    to the dual problem: hard clauses assert the *success* function ``¬f(t)``
-    and each event carries the weight ``-log(1 - p(x_i))``.
+    to the dual problem: the hard clauses are the structure CNF of the
+    :func:`dual_tree` (whose cut sets are this tree's path sets), built by the
+    same iterative fragment assembler as the MPMCS, so depth is unbounded;
+    each event carries the weight ``-log(1 - p(x_i))``.
     """
-    tree.validate()
-    success = complement(structure_function(tree))
-    encoding = tseitin_encode(success, assert_root=True)
-
+    # Variable y_i of the dual tree's CNF means "event i stays failure-free".
+    encoding = assemble_structure_cnf(dual_tree(tree))
     instance = WPMaxSATInstance()
     instance.add_hard_cnf(encoding.cnf)
 
     probabilities = tree.probabilities()
-    event_vars: Dict[str, int] = {}
-    for name in tree.events_reachable_from_top():
-        var = encoding.cnf.name_to_var.get(name)
-        if var is None:
-            # The event vanished from the success function (cannot happen for
-            # validated coherent trees, guarded defensively).
-            continue
-        event_vars[name] = var
+    event_vars = {name: encoding.var_map[name] for name in tree.events_reachable_from_top()}
+    for name, var in event_vars.items():
         survival = 1.0 - probabilities[name]
         if survival <= 0.0:
             # A probability-1 event can never be part of a surviving path set;
             # forbid selecting it instead of giving it an infinite weight.
-            instance.add_hard([var])
-            continue
-        weight = max(-math.log(survival), MIN_WEIGHT)
-        instance.add_soft([var], weight, label=name)
+            instance.add_hard([-var])
+        else:
+            instance.add_soft([-var], max(-math.log(survival), MIN_WEIGHT), label=name)
 
     solver = engine if engine is not None else RC2Engine()
     result = solver.solve(instance)
@@ -131,9 +122,8 @@ def most_probable_path_set(
     if result.status is not MaxSATStatus.OPTIMUM or result.model is None:
         raise AnalysisError("MaxSAT resolution of the path-set problem was inconclusive")
 
-    # Selected members are the events kept failure-free, i.e. assigned False.
     members = tuple(
-        sorted(name for name, var in event_vars.items() if not result.model.get(var, False))
+        sorted(name for name, var in event_vars.items() if result.model.get(var, False))
     )
     probability = 1.0
     for name in members:

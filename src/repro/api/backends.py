@@ -24,7 +24,6 @@ analyses and backends.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import OrderedDict
 from typing import List, Optional, Tuple
@@ -51,7 +50,7 @@ from repro.bdd.ordering import variable_order
 from repro.bdd.probability import mpmcs_of_bdd, probability_of_bdd
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs
 from repro.core.pipeline import MPMCSResult, MPMCSSolver
-from repro.core.topk import RankedCutSet
+from repro.core.topk import Found, RankedCutSet, rank_optima
 from repro.core.weights import probability_of_cut_set, weight_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError
 from repro.fta.tree import FaultTree
@@ -167,9 +166,10 @@ class MaxSATBackend(AnalysisBackend):
 
     Reuses the session's cached Tseitin CNF encoding: composite requests and
     repeated :meth:`~repro.api.session.AnalysisSession.analyze` calls on the
-    same tree encode the structure function exactly once, and the top-k
-    ranking extends one copy of that cached instance with a blocking clause
-    per rank instead of re-encoding for every rank.
+    same tree encode the structure function exactly once.  The cold portfolio
+    and, in sweeps, a warm session both rank through one
+    :func:`~repro.core.topk.rank_optima` call that serves ``mpmcs`` and
+    ``ranking`` and breaks ties at the head or at rank ``top_k`` canonically.
     """
 
     name = "maxsat"
@@ -239,22 +239,14 @@ class MaxSATBackend(AnalysisBackend):
             self._warm_sessions.move_to_end(key)
         return session
 
-    def _enumerate_warm(
+    def _rank_warm(
         self, tree: FaultTree, request: AnalysisRequest, count: int
-    ) -> Tuple[List[Tuple[MPMCSResult, int]], float]:
-        """Blocked enumeration through the warm session (same contract as
-        :meth:`_enumerate`); returns the results and the session encode time
-        attributable to this call (non-zero only when the session was built).
-
-        Once a blocked solve returns a second optimum at the head cost, the
-        remaining head ties come from one :meth:`~IncrementalMaxSATSession.solve_ties`
-        call instead of a blocked solve each, so a scenario with many tied
-        optima costs about as much as one with a single tie.  The first
-        blocked solve stays: in the common untied case it is the proof that
-        no tie exists.
-
-        Raises :class:`BudgetExceededError` when the session blows its core
-        budget — the caller then falls back to the cold portfolio path.
+    ) -> Tuple[List[MPMCSResult], float]:
+        """:func:`rank_optima` over the warm session's ``solve_tree`` and
+        ``solve_ties``; returns the optima and the session encode time this
+        call paid (non-zero only when it built the session).  Raises
+        :class:`BudgetExceededError` when the session blows its core budget
+        — the caller then falls back to the cold portfolio path.
         """
         known = self.context.artifacts.structure_keys_for(tree)[tree.top_event] in self._warm_sessions
         session = self._warm_session_for(tree)
@@ -262,25 +254,13 @@ class MaxSATBackend(AnalysisBackend):
         probabilities = tree.probabilities()
         verify = self._solver().verify
 
-        results: List[Tuple[MPMCSResult, int]] = []
-        blocked: List[Tuple[str, ...]] = []
-        head_cost: Optional[int] = None
-        #: The remaining head ties, once ``solve_ties`` has enumerated them.
-        ties: Optional[List[IncrementalSolveResult]] = None
-        searched_ties = False
-        while True:
-            if ties is not None:
-                outcome = ties.pop(0) if ties else None
-            else:
-                outcome = session.solve_tree(tree, blocked)
-            if outcome is None:
-                break
+        def result(outcome: IncrementalSolveResult) -> MPMCSResult:
             if verify and not tree.is_minimal_cut_set(outcome.events):
                 raise AnalysisError(
                     f"internal error: extracted set {outcome.events} is not a minimal "
                     f"cut set of {tree.name!r}; please report this as a bug"
                 )
-            result = MPMCSResult(
+            return MPMCSResult(
                 tree_name=tree.name,
                 events=outcome.events,
                 probability=probability_of_cut_set(outcome.events, probabilities),
@@ -294,69 +274,17 @@ class MaxSATBackend(AnalysisBackend):
                 num_soft=len(session.event_vars),
                 num_aux_vars=session.num_aux_vars,
             )
-            cost = outcome.scaled_cost
-            if head_cost is None:
-                head_cost = cost
-            results.append((result, cost))
-            blocked.append(outcome.events)
-            if len(results) >= count and not (request.deterministic and cost == head_cost):
-                break
-            if len(results) >= max(count, 2) and not searched_ties:
-                searched_ties = True
-                ties = session.solve_ties(tree, head_cost, blocked)
-        return results, encode_seconds
 
-    def _solve_blocked(
-        self, tree: FaultTree, encoding: MPMCSEncoding
-    ) -> Optional[MPMCSResult]:
-        """Solve ``encoding``; ``None`` once its blocks forbid every cut set."""
-        try:
-            return self._solver().solve_encoding(tree, encoding)
-        except AnalysisError as exc:
-            if "no cut set" in str(exc):
-                return None
-            raise
+        def solve(found: Found) -> Optional[Tuple[MPMCSResult, int]]:
+            outcome = session.solve_tree(tree, found)
+            return None if outcome is None else (result(outcome), outcome.scaled_cost)
 
-    def _scaled_cost(self, encoding: MPMCSEncoding, events: Tuple[str, ...]) -> int:
-        """The solver-level (integer) objective value of a cut set.
+        def ties(cost: int, found: Found) -> Optional[List[MPMCSResult]]:
+            outcomes = session.solve_ties(tree, cost, found)
+            return None if outcomes is None else [result(outcome) for outcome in outcomes]
 
-        Tie detection must happen at the granularity the solver actually
-        optimises over — the weights scaled by ``instance.precision`` — not
-        at float precision: two cut sets whose float costs differ by less
-        than the quantisation step are indistinguishable to every engine.
-        """
-        instance = encoding.instance
-        return sum(instance.scale_weight(encoding.weights[name]) for name in events)
-
-    def _enumerate(
-        self, tree: FaultTree, encoding: MPMCSEncoding, request: AnalysisRequest, count: int
-    ) -> List[Tuple[MPMCSResult, int]]:
-        """Blocked enumeration of at least ``count`` cut sets by rising cost.
-
-        With ``request.deterministic`` the enumeration keeps going while the
-        head tie persists, so the canonical optimum is guaranteed to be among
-        the returned results.  One shared enumeration serves both the
-        ``mpmcs`` and ``ranking`` analyses — a composite request does not
-        solve twice.
-        """
-        results: List[Tuple[MPMCSResult, int]] = []
-        head_cost: Optional[int] = None
-        # The cached encoding stays pristine: blocks go into one working copy.
-        working = encoding
-        while True:
-            result = self._solve_blocked(tree, working)
-            if result is None:
-                break
-            cost = self._scaled_cost(encoding, result.events)
-            if head_cost is None:
-                head_cost = cost
-            results.append((result, cost))
-            if len(results) >= count and not (request.deterministic and cost == head_cost):
-                break
-            if working is encoding:
-                working = dataclasses.replace(encoding, instance=encoding.instance.copy())
-            working.instance.add_hard([-working.event_vars[name] for name in result.events])
-        return results
+        optima = rank_optima(solve, count, deterministic=request.deterministic, ties=ties)
+        return optima, encode_seconds
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         report = AnalysisReport(tree=tree, request=request)
@@ -365,12 +293,12 @@ class MaxSATBackend(AnalysisBackend):
         if not (wants_mpmcs or wants_ranking):
             return report
         count = request.top_k if wants_ranking else 1
-        enumerated: Optional[List[Tuple[MPMCSResult, int]]] = None
+        enumerated: Optional[List[MPMCSResult]] = None
         registry = get_metrics()
         if self.warm_enabled:
             solve_start = time.perf_counter()
             try:
-                enumerated, encode_seconds = self._enumerate_warm(tree, request, count)
+                enumerated, encode_seconds = self._rank_warm(tree, request, count)
             except BudgetExceededError:
                 # Pathological structure for the hitting-set loop: fall back
                 # to the cold portfolio for this tree.
@@ -388,7 +316,8 @@ class MaxSATBackend(AnalysisBackend):
             encode_start = time.perf_counter()
             encoding = self._encoding(tree)
             solve_start = time.perf_counter()
-            enumerated = self._enumerate(tree, encoding, request, count)
+            solve = self._solver().optima(tree, encoding)
+            enumerated = rank_optima(solve, count, deterministic=request.deterministic)
             report.profile["encode_seconds"] = (
                 report.profile.get("encode_seconds", 0.0) + solve_start - encode_start
             )
@@ -399,11 +328,8 @@ class MaxSATBackend(AnalysisBackend):
             )
         if not enumerated:
             raise AnalysisError(f"fault tree {tree.name!r} has no cut set")
-        # Canonical order: rising solver cost, then smaller set, then
-        # lexicographic — matching CutSetCollection.ranked() on ties.
-        enumerated.sort(key=lambda item: (item[1], len(item[0].events), item[0].events))
         if wants_mpmcs:
-            result = enumerated[0][0]
+            result = enumerated[0]
             report.mpmcs = MPMCSSummary(
                 events=result.events,
                 probability=result.probability,
@@ -422,7 +348,7 @@ class MaxSATBackend(AnalysisBackend):
                     probability=result.probability,
                     cost=result.cost,
                 )
-                for index, (result, _) in enumerate(enumerated[:count])
+                for index, result in enumerate(enumerated[:count])
             ]
         return report
 

@@ -105,8 +105,9 @@ class AnalysisRequest:
         Probability cutoff for the ``"truncation"`` analysis.
     deterministic:
         When true (default), backends canonicalise tied optima so that every
-        backend returns the identical MPMCS even when several cut sets share
-        the maximum probability.
+        backend returns the identical MPMCS and ranking even when several cut
+        sets tie at the head or at rank ``top_k``; ``maxsat`` then takes
+        k + 1 blocked solves for an untied ranking of k.
     """
 
     analyses: Tuple[str, ...] = ("mpmcs",)

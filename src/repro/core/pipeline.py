@@ -21,13 +21,14 @@ Example
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs
 from repro.core.weights import probability_of_cut_set
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, NoCutSetError
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.instance import DEFAULT_PRECISION
@@ -172,6 +173,34 @@ class MPMCSSolver:
             maxsat_result = report.result
         return self._assemble_result(tree, encoding, maxsat_result, report, start)
 
+    def optima(
+        self, tree: FaultTree, encoding: MPMCSEncoding
+    ) -> Callable[[Sequence[Tuple[str, ...]]], Optional[Tuple[MPMCSResult, int]]]:
+        """The cold ``solve`` callable of :func:`~repro.core.topk.rank_optima`.
+
+        Blocks go into one working copy of ``encoding`` (a cached artifact,
+        say), which gains only the newly found ones per call.  The cost is
+        the scaled one the engines optimise, so ties are exact.
+        """
+        working = encoding
+        blocks = 0
+
+        def solve(found: Sequence[Tuple[str, ...]]) -> Optional[Tuple[MPMCSResult, int]]:
+            nonlocal working, blocks
+            if len(found) > blocks and working is encoding:
+                working = dataclasses.replace(encoding, instance=encoding.instance.copy())
+            for events in found[blocks:]:
+                working.instance.add_hard([-encoding.event_vars[name] for name in events])
+            blocks = len(found)
+            try:
+                result = self.solve_encoding(tree, working)
+            except NoCutSetError:
+                return None
+            scale = encoding.instance.scale_weight
+            return result, sum(scale(encoding.weights[name]) for name in result.events)
+
+        return solve
+
     # -- internals --------------------------------------------------------------------
 
     def _assemble_result(
@@ -183,7 +212,7 @@ class MPMCSSolver:
         start: float,
     ) -> MPMCSResult:
         if maxsat_result.status is MaxSATStatus.UNSATISFIABLE:
-            raise AnalysisError(
+            raise NoCutSetError(
                 f"fault tree {tree.name!r} has no cut set: the top event cannot occur"
             )
         if maxsat_result.status is not MaxSATStatus.OPTIMUM or maxsat_result.model is None:

@@ -7,20 +7,34 @@ solving the MPMCS MaxSAT instance and *blocking* each solution ``S`` with the
 hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)`` over the members of ``S``: the clause
 forbids ``S`` and every superset of it, so each subsequent optimum is again an
 inclusion-minimal cut set — the next most probable one.
+
+:func:`rank_optima` is the one blocked enumeration: the cold portfolio, the
+facade's warm session and :func:`enumerate_mpmcs` plug a ``solve`` into it.
+It solves until an optimum is strictly costlier than the ``k``-th, so ties at
+the head and at rank ``k`` are broken canonically; untied, k take k + 1 solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar
 
 from repro.core.encoder import encode_mpmcs
-from repro.core.pipeline import MPMCSResult, MPMCSSolver
+from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
 from repro.maxsat.instance import DEFAULT_PRECISION
 
-__all__ = ["RankedCutSet", "enumerate_mpmcs"]
+__all__ = ["RankedCutSet", "enumerate_mpmcs", "rank_optima"]
+
+
+class _HasEvents(Protocol):
+    events: Tuple[str, ...]
+
+
+#: An optimum of a blocked solve: any object with an ``events`` tuple.
+Optimum = TypeVar("Optimum", bound=_HasEvents)
+Found = Sequence[Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,47 @@ class RankedCutSet:
         return len(self.events)
 
 
+def rank_optima(
+    solve: Callable[[Found], Optional[Tuple[Optimum, int]]],
+    count: int,
+    *,
+    deterministic: bool = True,
+    ties: Optional[Callable[[int, Found], Optional[List[Optimum]]]] = None,
+) -> List[Optimum]:
+    """Blocked enumeration of at least ``count`` optima, in canonical order.
+
+    ``solve(found)`` returns the cheapest optimum that is neither in
+    ``found`` nor a superset of one, with its scaled (integer) cost, or
+    ``None``.  The loop stops at ``count`` optima once, with
+    ``deterministic``, the newest is strictly costlier than the ``count``-th,
+    so every optimum tied with the ``count``-th is held.  ``ties(head_cost,
+    found)`` is asked once, when the second optimum ties the head, for every
+    remaining optimum of that cost (``None``: blocked solves go on).  The
+    result is sorted by cost, then size, then events, like
+    ``CutSetCollection.ranked()``.
+    """
+    held: List[Tuple[Optimum, int]] = []
+    found: List[Tuple[str, ...]] = []
+    while True:
+        optimum = solve(found)
+        if optimum is None:
+            break
+        held.append(optimum)
+        found.append(optimum[0].events)
+        cost = optimum[1]
+        if len(held) >= count and (not deterministic or cost > held[count - 1][1]):
+            break
+        if ties is not None and len(held) == 2 and cost == held[0][1]:
+            listed = ties(cost, found)
+            if listed is not None:
+                held.extend((tie, cost) for tie in listed)
+                found.extend(tie.events for tie in listed)
+                if len(held) >= count:
+                    break
+    held.sort(key=lambda item: (item[1], len(item[0].events), item[0].events))
+    return [optimum for optimum, _ in held]
+
+
 def enumerate_mpmcs(
     tree: FaultTree,
     k: int,
@@ -45,6 +100,9 @@ def enumerate_mpmcs(
     precision: int = DEFAULT_PRECISION,
 ) -> List[RankedCutSet]:
     """Return up to ``k`` minimal cut sets in decreasing probability order.
+
+    Ties are broken canonically (smaller set, then lexicographic events),
+    also at the ``k``-th rank, so the ranking equals every other backend's.
 
     Parameters
     ----------
@@ -55,34 +113,19 @@ def enumerate_mpmcs(
         tree has fewer than ``k`` minimal cut sets.
     solver:
         Optional pre-configured :class:`MPMCSSolver`; a default one is built
-        otherwise.  Verification stays enabled regardless, since the blocking
-        construction relies on each returned set being a minimal cut set.
+        otherwise.
     precision:
-        Weight scaling precision for the underlying MaxSAT instances.
+        Weight scaling precision of the MaxSAT instance.
     """
     if k <= 0:
         raise AnalysisError(f"k must be a positive integer, got {k}")
     pipeline = solver if solver is not None else MPMCSSolver(precision=precision)
-
-    results: List[RankedCutSet] = []
-    # One encoding for every rank: each rank adds only its own blocking clause.
     encoding = encode_mpmcs(tree, precision=precision)
-
-    for rank in range(1, k + 1):
-        try:
-            result: MPMCSResult = pipeline.solve_encoding(tree, encoding)
-        except AnalysisError as exc:
-            if "no cut set" in str(exc):
-                break  # all minimal cut sets enumerated
-            raise
-        results.append(
-            RankedCutSet(
-                rank=rank,
-                events=result.events,
-                probability=result.probability,
-                cost=result.cost,
-            )
+    return [
+        RankedCutSet(
+            rank=rank, events=result.events, probability=result.probability, cost=result.cost
         )
-        encoding.instance.add_hard([-encoding.event_vars[name] for name in result.events])
-
-    return results
+        for rank, result in enumerate(
+            rank_optima(pipeline.optima(tree, encoding), k)[:k], start=1
+        )
+    ]

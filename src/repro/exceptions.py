@@ -63,6 +63,10 @@ class AnalysisError(ReproError):
     """Raised when an analysis (MPMCS, MOCUS, BDD, ...) cannot be completed."""
 
 
+class NoCutSetError(AnalysisError):
+    """Raised when a fault tree, or a blocked enumeration of it, has no cut set left."""
+
+
 class BDDError(ReproError):
     """Raised on invalid operations against the ROBDD manager."""
 

@@ -118,6 +118,33 @@ class TestMostProbablePathSet:
         best_set, best_probability = collection.most_probable()
         assert probability == pytest.approx(best_probability, rel=1e-9)
 
+    def test_certain_event_is_never_a_member(self):
+        tree = (
+            FaultTreeBuilder("certain")
+            .basic_event("doomed", 1.0)
+            .basic_event("shaky", 0.9)
+            .and_gate("top", ["doomed", "shaky"])
+            .top("top")
+            .build()
+        )
+        events, probability = most_probable_path_set(tree)
+        assert events == ("shaky",)
+        assert probability == pytest.approx(0.1)
+
+    def test_deep_or_chain(self):
+        """A 1500-deep OR chain: every event must keep working."""
+        depth = 1500
+        builder = FaultTreeBuilder("or-chain")
+        for level in range(depth + 1):
+            builder.basic_event(f"e{level}", 0.01)
+        for level in range(depth - 1):
+            builder.or_gate(f"g{level}", [f"e{level}", f"g{level + 1}"])
+        builder.or_gate(f"g{depth - 1}", [f"e{depth - 1}", f"e{depth}"])
+        tree = builder.top("g0").build()
+        events, probability = most_probable_path_set(tree)
+        assert len(events) == depth + 1
+        assert probability == pytest.approx(0.99 ** (depth + 1))
+
     def test_path_set_and_cut_set_probabilities_are_consistent(self, fps_tree):
         """Sanity relation: the best path set survival probability must be at
         least the probability that no failure occurs at all."""

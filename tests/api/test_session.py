@@ -176,9 +176,10 @@ class TestSolveBudget:
         report = AnalysisSession().analyze(
             fire_protection_system(), ["mpmcs", "ranking"], top_k=3
         )
-        # FPS has distinct probabilities: 3 ranked entries need exactly 3
-        # solves; the MPMCS falls out of the same enumeration for free.
-        assert len(calls) == 3
+        # FPS has distinct probabilities: 3 ranked entries need 3 solves plus
+        # one that proves nothing ties the 3rd; the MPMCS falls out of the
+        # same enumeration for free.
+        assert len(calls) == 4
         assert report.mpmcs.events == report.ranking[0].events == ("x1", "x2")
         assert [entry.events for entry in report.ranking] == [
             ("x1", "x2"),
@@ -204,13 +205,14 @@ class TestSolveBudget:
             tree, ARTIFACT_ENCODING, lambda: pytest.fail("encoding was not cached")
         )
         base = cached.instance.num_hard
-        # Rank 1 solves the cached encoding; every later rank solves the same
-        # copy, which gains exactly one blocking clause per rank.  The cached
-        # encoding itself is never extended.
+        # Rank 1 solves the cached encoding; every later solve (ranks 2-4 and
+        # the proof that nothing ties rank 4) uses the same copy, which gains
+        # exactly one blocking clause per solve.  The cached encoding itself
+        # is never extended.
         assert seen[0][0] is cached.instance
         assert len({id(instance) for instance, _ in seen[1:]}) == 1
         assert seen[1][0] is not cached.instance
-        assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3]
+        assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3, base + 4]
         assert cached.instance.num_hard == base
 
 

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
+from repro.api import AnalysisSession
 from repro.core import topk
 from repro.core.pipeline import MPMCSSolver
-from repro.core.topk import enumerate_mpmcs
+from repro.core.topk import enumerate_mpmcs, rank_optima
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
 from repro.maxsat import RC2Engine
+from repro.scenarios.sweep import SweepExecutor
 
 
 class TestFPSRanking:
@@ -101,3 +103,119 @@ class TestSingleEncoding:
             ("x5", "x7"),
             ("x4",),
         ]
+
+
+class _Optimum:
+    def __init__(self, events):
+        self.events = events
+
+
+def _solver(costs, calls):
+    """A ``solve`` over ``costs`` (events -> scaled cost) that returns ties in
+    reverse lexicographic order, so only the canonical sort puts them right."""
+
+    def solve(found):
+        calls.append(list(found))
+        left = [(cost, events) for events, cost in costs.items() if events not in found]
+        if not left:
+            return None
+        cost = min(cost for cost, _ in left)
+        events = max(events for c, events in left if c == cost)
+        return _Optimum(events), cost
+
+    return solve
+
+
+class TestRankOptima:
+    COSTS = {("a",): 1, ("b",): 3, ("c",): 3, ("d",): 3, ("e",): 5}
+
+    def test_stops_once_the_newest_is_costlier_than_the_count_th(self):
+        calls = []
+        ranked = rank_optima(_solver(self.COSTS, calls), 1)
+        assert [optimum.events for optimum in ranked] == [("a",), ("d",)]
+        assert len(calls) == 2
+
+    def test_boundary_ties_are_all_found_and_broken_canonically(self):
+        calls = []
+        ranked = rank_optima(_solver(self.COSTS, calls), 2)
+        # a, then the three cost-3 ties, then e proves nothing else ties.
+        assert len(calls) == 5
+        assert [optimum.events for optimum in ranked][:2] == [("a",), ("b",)]
+        assert [optimum.events for optimum in ranked] == [("a",), ("b",), ("c",), ("d",), ("e",)]
+
+    def test_without_determinism_stops_at_count(self):
+        calls = []
+        ranked = rank_optima(_solver(self.COSTS, calls), 2, deterministic=False)
+        assert [optimum.events for optimum in ranked] == [("a",), ("d",)]
+        assert len(calls) == 2
+
+    def test_exhaustion_returns_everything_in_canonical_order(self):
+        calls = []
+        ranked = rank_optima(_solver(self.COSTS, calls), 10)
+        assert [optimum.events for optimum in ranked] == sorted(self.COSTS)
+        assert len(calls) == len(self.COSTS) + 1
+
+    def test_head_ties_come_from_one_ties_call(self):
+        costs = {("a",): 2, ("b",): 2, ("c",): 2, ("d",): 4}
+        calls, asked = [], []
+
+        def ties(cost, found):
+            asked.append((cost, list(found)))
+            return [_Optimum(events) for events in (("a",),) if events not in found]
+
+        ranked = rank_optima(_solver(costs, calls), 1, ties=ties)
+        # The head and the first tie come from solves; the rest from ties,
+        # after which no proof solve is needed.
+        assert len(calls) == 2
+        assert asked == [(2, [("c",), ("b",)])]
+        assert [optimum.events for optimum in ranked] == [("a",), ("b",), ("c",)]
+
+    def test_blocked_solves_take_over_when_ties_gives_up(self):
+        costs = {("a",): 2, ("b",): 2, ("c",): 2, ("d",): 4}
+        calls, asked = [], []
+
+        def ties(cost, found):
+            asked.append(cost)
+            return None
+
+        ranked = rank_optima(_solver(costs, calls), 1, ties=ties)
+        assert asked == [2]
+        assert len(calls) == 4
+        assert [optimum.events for optimum in ranked] == [("a",), ("b",), ("c",), ("d",)]
+
+
+def _boundary_tie_tree():
+    """OR over a=0.5, b=c=d=0.1, e=0.01: ranks 2-4 tie at 0.1.
+
+    ``c`` comes before ``b`` so that neither the cold nor the warm solver
+    happens to find the canonical rank-2 set first.
+    """
+    builder = FaultTreeBuilder("boundary-tie")
+    for name, probability in (("a", 0.5), ("c", 0.1), ("b", 0.1), ("d", 0.1), ("e", 0.01)):
+        builder.basic_event(name, probability)
+    return builder.or_gate("top", ["a", "c", "b", "d", "e"]).top("top").build()
+
+
+class TestBoundaryTies:
+    """A tie that straddles rank ``k`` is broken canonically, like mocus/bdd."""
+
+    EXPECTED = [("a",), ("b",)]
+
+    def test_enumerate_mpmcs(self):
+        assert [entry.events for entry in enumerate_mpmcs(_boundary_tie_tree(), 2)] == self.EXPECTED
+
+    def test_facade_cold_route_matches_bdd_and_mocus(self):
+        session = AnalysisSession()
+        tree = _boundary_tie_tree()
+        for backend in ("maxsat", "bdd", "mocus"):
+            report = session.analyze(tree, ["ranking"], backend=backend, top_k=2)
+            assert [entry.events for entry in report.ranking] == self.EXPECTED, backend
+
+    def test_facade_warm_route(self):
+        executor = SweepExecutor(AnalysisSession(), backend="maxsat")
+        with executor.warm_scope():
+            report = executor.analyze_tree(
+                _boundary_tie_tree(), executor.prepare_analyses(("ranking",)), top_k=2
+            )
+        assert report.profile.get("warm_solves") == 1
+        assert [entry.events for entry in report.ranking] == self.EXPECTED
