@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import AnalysisSession
+from repro.api.report import AnalysisRequest
 from repro.core.encoder import shape_fragment
 from repro.scenarios import probability_sweep
 from repro.workloads.generator import random_fault_tree
@@ -60,11 +61,11 @@ def _cold_canonical(trees):
 def _warm_canonical(trees):
     """One warm session: fragments memoised, solver persistent, weights only."""
     session = AnalysisSession()
-    session.backend("maxsat").enable_warm_sessions()
-    documents = []
-    for patched in trees:
-        report = session.analyze(patched, ["mpmcs"], backend="maxsat")
-        documents.append(json.dumps(report.to_canonical_dict(), sort_keys=True))
+    request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+    documents = [
+        json.dumps(report.to_canonical_dict(), sort_keys=True)
+        for report in session.run_batch(trees, request)
+    ]
     return documents, session
 
 

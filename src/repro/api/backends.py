@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
 from repro.analysis.cutsets import CutSetCollection
@@ -42,18 +42,19 @@ from repro.analysis.topevent import (
 )
 from repro.analysis.truncation import truncated_cut_sets
 from repro.api.cache import ARTIFACT_BDD, ARTIFACT_CUT_SETS, ARTIFACT_ENCODING
-from repro.api.registry import AnalysisBackend, register_backend
+from repro.api.registry import AnalysisBackend, register_backend, run_each
 from repro.api.report import AnalysisReport, AnalysisRequest, MPMCSSummary, TopEventSummary
 from repro.bdd.cutsets import cut_sets_of_bdd
 from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.ordering import variable_order
-from repro.bdd.probability import mpmcs_of_bdd, probability_of_bdd
+from repro.bdd.probability import FlatBDD, flatten_bdd, mpmcs_of_bdd, probability_of_bdd
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs
 from repro.core.pipeline import MPMCSResult, MPMCSSolver
 from repro.core.topk import Found, RankedCutSet, rank_optima
 from repro.core.weights import probability_of_cut_set, weight_of_cut_set
-from repro.exceptions import AnalysisError, BudgetExceededError
+from repro.exceptions import AnalysisError, BudgetExceededError, ReproError
 from repro.fta.tree import FaultTree
+from repro import kernels
 from repro.maxsat.incremental import IncrementalMaxSATSession, IncrementalSolveResult
 from repro.observability.metrics import get_metrics
 
@@ -164,12 +165,18 @@ class _CutSetBackend(AnalysisBackend):
 class MaxSATBackend(AnalysisBackend):
     """The paper's Weighted Partial MaxSAT pipeline behind the facade.
 
-    Reuses the session's cached Tseitin CNF encoding: composite requests and
-    repeated :meth:`~repro.api.session.AnalysisSession.analyze` calls on the
-    same tree encode the structure function exactly once.  The cold portfolio
-    and, in sweeps, a warm session both rank through one
-    :func:`~repro.core.topk.rank_optima` call that serves ``mpmcs`` and
-    ``ranking`` and breaks ties at the head or at rank ``top_k`` canonically.
+    :meth:`run` is the cold route: the session's cached Tseitin CNF encoding
+    (composite requests and repeated analyses of one tree encode the
+    structure function once) solved by the portfolio.  :meth:`run_batch` is
+    the warm route: one persistent
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` per
+    structure, so the probability-only trees of a batch become weight-only
+    re-solves.  Both rank through one :func:`~repro.core.topk.rank_optima`
+    call that serves ``mpmcs`` and ``ranking`` and breaks ties at the head or
+    at rank ``top_k`` canonically.  One-off analyses stay cold on purpose: on
+    the E4 corpus a cold session cut the median analysis time 7x but raised
+    the p95 from 466 to 747 ms (2-core host, CPython 3.11), because a
+    many-core structure's first solve costs far more than one RC2 solve.
     """
 
     name = "maxsat"
@@ -183,10 +190,8 @@ class MaxSATBackend(AnalysisBackend):
     def __init__(self, context=None) -> None:
         super().__init__(context)
         #: Warm incremental sessions keyed by the structure-only hash of the
-        #: tree's top subtree.  Populated only when a sweep opts in through
-        #: :meth:`enable_warm_sessions` — one-off analyses keep the portfolio.
+        #: tree's top subtree, least recently used first.
         self._warm_sessions: "OrderedDict[str, IncrementalMaxSATSession]" = OrderedDict()
-        self.warm_enabled = False
 
     def _solver(self) -> MPMCSSolver:
         if self.context.solver is None:
@@ -200,38 +205,12 @@ class MaxSATBackend(AnalysisBackend):
             lambda: encode_mpmcs(tree, precision=self.context.precision),
         )
 
-    # -- warm incremental sessions ---------------------------------------------
-
-    def enable_warm_sessions(self) -> None:
-        """Route repeated same-structure solves through persistent sessions.
-
-        Called by the scenario sweep executor: probability/maintenance
-        scenarios share one structure hash, so after the first scenario every
-        later one becomes a *weight-only re-solve* on a warm solver — no
-        Tseitin encoding, no portfolio fan-out, no solver restart.  Solves
-        that blow the session's core budget fall back to the cold portfolio
-        transparently.
-
-        One-off analyses stay on the portfolio on purpose: a cold session
-        loses on many-core structures.  Routing the E4 corpus through one cut
-        the median analysis time 7x but raised its p95 from 466 to 747 ms
-        (2-core host, CPython 3.11),
-        because the 600-event E4 structure (generator seed 1) needs 40-223
-        cores and 0.13-1.6 s per first solve, where one RC2 solve takes
-        0.06-0.14 s.
-        """
-        self.warm_enabled = True
-
     def _warm_session_for(self, tree: FaultTree) -> IncrementalMaxSATSession:
         """The (LRU-bounded) warm session for ``tree``'s structure."""
         key = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
         session = self._warm_sessions.get(key)
         if session is None:
-            session = IncrementalMaxSATSession(
-                tree,
-                precision=self.context.precision,
-                kernels=self.context.kernels,
-            )
+            session = IncrementalMaxSATSession(tree, precision=self.context.precision)
             self._warm_sessions[key] = session
             while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
                 self._warm_sessions.popitem(last=False)
@@ -252,10 +231,9 @@ class MaxSATBackend(AnalysisBackend):
         session = self._warm_session_for(tree)
         encode_seconds = 0.0 if known else session.encode_time
         probabilities = tree.probabilities()
-        verify = self._solver().verify
 
         def result(outcome: IncrementalSolveResult) -> MPMCSResult:
-            if verify and not tree.is_minimal_cut_set(outcome.events):
+            if not tree.is_minimal_cut_set(outcome.events):
                 raise AnalysisError(
                     f"internal error: extracted set {outcome.events} is not a minimal "
                     f"cut set of {tree.name!r}; please report this as a bug"
@@ -287,6 +265,14 @@ class MaxSATBackend(AnalysisBackend):
         return optima, encode_seconds
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
+        return self._run(tree, request, warm=False)
+
+    def run_batch(
+        self, trees: Iterable[FaultTree], request: AnalysisRequest
+    ) -> Iterator[Union[AnalysisReport, ReproError]]:
+        return run_each(trees, lambda tree: self._run(tree, request, warm=True))
+
+    def _run(self, tree: FaultTree, request: AnalysisRequest, *, warm: bool) -> AnalysisReport:
         report = AnalysisReport(tree=tree, request=request)
         wants_mpmcs = "mpmcs" in request.analyses
         wants_ranking = "ranking" in request.analyses
@@ -295,7 +281,7 @@ class MaxSATBackend(AnalysisBackend):
         count = request.top_k if wants_ranking else 1
         enumerated: Optional[List[MPMCSResult]] = None
         registry = get_metrics()
-        if self.warm_enabled:
+        if warm:
             solve_start = time.perf_counter()
             try:
                 enumerated, encode_seconds = self._rank_warm(tree, request, count)
@@ -318,14 +304,8 @@ class MaxSATBackend(AnalysisBackend):
             solve_start = time.perf_counter()
             solve = self._solver().optima(tree, encoding)
             enumerated = rank_optima(solve, count, deterministic=request.deterministic)
-            report.profile["encode_seconds"] = (
-                report.profile.get("encode_seconds", 0.0) + solve_start - encode_start
-            )
-            report.profile["solve_seconds"] = (
-                report.profile.get("solve_seconds", 0.0)
-                + time.perf_counter()
-                - solve_start
-            )
+            report.profile["encode_seconds"] = solve_start - encode_start
+            report.profile["solve_seconds"] = time.perf_counter() - solve_start
         if not enumerated:
             raise AnalysisError(f"fault tree {tree.name!r} has no cut set")
         if wants_mpmcs:
@@ -385,21 +365,40 @@ class BruteForceBackend(_CutSetBackend):
 class BDDBackend(AnalysisBackend):
     """The ROBDD engine: exact probability, cut sets and DP-based MPMCS.
 
-    The compiled BDD is a session artifact, so a composite request such as
-    ``["mpmcs", "top_event"]`` builds it once and runs both linear-time
-    queries on the same diagram.
+    The compiled BDD is a session artifact keyed by the structure hash of
+    the top event (:data:`~repro.api.cache.ARTIFACT_BDD`), so one compilation
+    serves a composite request such as ``["mpmcs", "top_event"]`` and every
+    probability-perturbed tree of a sweep or monitor.  A structure whose
+    compilation fails is remembered and fails fast afterwards.
     """
 
     name = "bdd"
     CAPABILITIES = frozenset({"mcs", "mpmcs", "ranking", "top_event"})
     CUT_SET_ANALYSES = frozenset({"mcs", "ranking"})
 
+    def __init__(self, context=None) -> None:
+        super().__init__(context)
+        #: Compilation failures by structure hash of the top event's subtree.
+        self._failures: Dict[str, ReproError] = {}
+
     def _function(self, tree: FaultTree) -> BDD:
+        artifacts = self.context.artifacts
+        structure = artifacts.structure_keys_for(tree)[tree.top_event]
+        failure = self._failures.get(structure)
+        if failure is not None:
+            raise failure.with_traceback(None)
+
         def build() -> BDD:
             manager = BDDManager(variable_order(tree, heuristic="dfs"))
             return manager.from_fault_tree(tree)
 
-        return self.context.artifacts.get_or_compute(tree, ARTIFACT_BDD, build)
+        try:
+            return artifacts.get_or_compute_subtree(tree, tree.top_event, ARTIFACT_BDD, build)
+        except (ReproError, MemoryError, RecursionError) as exc:
+            if not isinstance(exc, ReproError):
+                exc = AnalysisError(f"cannot compile the BDD of {tree.name!r}: {exc!r}")
+            self._failures[structure] = exc
+            raise exc
 
     def _collection(self, tree: FaultTree, function: BDD) -> CutSetCollection:
         return self.context.artifacts.get_or_compute(
@@ -411,6 +410,49 @@ class BDDBackend(AnalysisBackend):
         )
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
+        return self._report(tree, request, None)
+
+    def run_batch(
+        self, trees: Iterable[FaultTree], request: AnalysisRequest
+    ) -> Iterator[Union[AnalysisReport, ReproError]]:
+        """The lazy default, except that a ``top_event`` request over two or
+        more trees evaluates every top event up front, in one
+        ``eval_bdd_batch`` call per structure.  A batch of one keeps the
+        scalar :func:`probability_of_bdd` walk, which is cheaper for one row;
+        the two give bit-identical values (:mod:`repro.kernels.bdd_eval`).
+        """
+        if "top_event" in request.analyses:
+            trees = list(trees)
+            if len(trees) > 1:
+                values = iter(self._top_events(trees))
+                return run_each(trees, lambda tree: self._report(tree, request, next(values)))
+        return super().run_batch(trees, request)
+
+    def _top_events(self, trees: List[FaultTree]) -> List[Optional[float]]:
+        """Exact P(top) per tree, one kernel call over each structure's
+        ``(trees × events)`` grid; ``None`` where no diagram compiles."""
+        values: List[Optional[float]] = [None] * len(trees)
+        groups: Dict[str, Tuple[FlatBDD, List[int], List[List[float]]]] = {}
+        for position, tree in enumerate(trees):
+            try:
+                flat = flatten_bdd(self._function(tree))
+            except ReproError:
+                continue
+            structure = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
+            group = groups.setdefault(structure, (flat, [], []))
+            group[1].append(position)
+            group[2].extend(flat.probability_rows((tree.probabilities(),)))
+        suite = self.context.kernels if self.context.kernels is not None else kernels.select(None)
+        for flat, positions, rows in groups.values():
+            for position, value in zip(positions, suite.eval_bdd_batch(flat, rows)):
+                values[position] = value
+        return values
+
+    def _report(
+        self, tree: FaultTree, request: AnalysisRequest, top_event: Optional[float]
+    ) -> AnalysisReport:
+        """The report of ``tree``; ``top_event`` is its P(top) when a batch
+        pass already evaluated it."""
         report = AnalysisReport(tree=tree, request=request)
         build_start = time.perf_counter()
         function = self._function(tree)
@@ -440,9 +482,9 @@ class BDDBackend(AnalysisBackend):
                 self._collection(tree, function), tree, request.top_k
             )
         if "top_event" in request.analyses:
-            report.top_event = TopEventSummary(
-                exact=probability_of_bdd(function, probabilities), backend=self.name
-            )
+            if top_event is None:
+                top_event = probability_of_bdd(function, probabilities)
+            report.top_event = TopEventSummary(exact=top_event, backend=self.name)
         report.profile["solve_seconds"] = time.perf_counter() - query_start
         return report
 

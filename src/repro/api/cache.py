@@ -22,6 +22,8 @@ from that hash because the qualitative cut-set structure does not depend on
 them — a probability-only what-if scenario therefore reuses the cut sets of
 *every* gate, and a structural patch (added redundancy, a removed event)
 invalidates only the gates on the path from the edit to the top event.
+The compiled BDD is keyed the same way, by the structure-only hash of the
+top event, so one diagram serves every probability of one structure.
 Per-gate CNF fragments are not cached here: a fragment depends on the gate's
 shape alone, so :func:`repro.core.encoder.shape_fragment` memoises it per
 process.
@@ -43,7 +45,6 @@ __all__ = [
     "ARTIFACT_CAMPAIGN_LEDGER",
     "ARTIFACT_CUT_SETS",
     "ARTIFACT_ENCODING",
-    "ARTIFACT_SUBTREE_BDD",
     "ARTIFACT_SUBTREE_CUT_SETS",
     "ArtifactCache",
     "ArtifactStoreBackend",
@@ -51,19 +52,19 @@ __all__ = [
     "subtree_structure_hashes",
 ]
 
-#: Well-known artifact kinds shared by the built-in backends.
+#: Well-known artifact kinds shared by the built-in backends.  The CNF
+#: encoding and the minimal cut sets are keyed by the whole-tree hash.
 ARTIFACT_ENCODING = "cnf-encoding"
 ARTIFACT_CUT_SETS = "minimal-cut-sets"
+#: Compiled BDD keyed by the *structure-only* hash of the top event's subtree
+#: (:meth:`ArtifactCache.get_or_compute_subtree`).  The diagram encodes the
+#: monotone structure function alone — probabilities only enter at
+#: evaluation time — so one compilation serves every probability-perturbed
+#: tree of a sweep or monitor (see :class:`repro.api.backends.BDDBackend`).
 ARTIFACT_BDD = "bdd"
 #: Per-gate minimal cut sets keyed by structure-only subtree hash (used by the
 #: incremental scenario-sweep path in :mod:`repro.scenarios`).
 ARTIFACT_SUBTREE_CUT_SETS = "subtree-cut-sets"
-#: Compiled BDD keyed by the *structure-only* hash of the top event's subtree.
-#: The diagram encodes the monotone structure function alone — probabilities
-#: only enter at evaluation time — so one compilation serves every
-#: probability-perturbed scenario of a sweep (see
-#: :class:`repro.scenarios.sweep.SweepExecutor`).
-ARTIFACT_SUBTREE_BDD = "subtree-bdd"
 #: Campaign completion-ledger entries (see :mod:`repro.campaigns.ledger`):
 #: per-chunk results keyed by a hash of campaign id + chunk content, plus one
 #: state record per campaign keyed by the campaign id alone.  Written through

@@ -23,18 +23,21 @@ Backends are *classes*; the session instantiates one object per backend per
 session, handing it a :class:`BackendContext` with the session's shared
 :class:`~repro.api.cache.ArtifactCache` and MaxSAT solver so that expensive
 intermediates are computed once regardless of which backend needs them.
+Sweeps and monitors analyse many related trees through
+:meth:`AnalysisBackend.run_batch`, where a backend can share work across them.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple, Type, Union, overload
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Tuple, Type, TypeVar, Union, overload
 
 from repro.api.cache import ArtifactCache
 from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MPMCSSolver
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ReproError
 from repro.fta.tree import FaultTree
 from repro.maxsat.instance import DEFAULT_PRECISION
 
@@ -48,6 +51,7 @@ __all__ = [
     "canonical_backend_name",
     "create_backend",
     "register_backend",
+    "run_each",
 ]
 
 
@@ -94,6 +98,30 @@ class AnalysisBackend(abc.ABC):
     @abc.abstractmethod
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         """Compute the requested analyses and return a (partial) report."""
+
+    def run_batch(
+        self, trees: Iterable[FaultTree], request: AnalysisRequest
+    ) -> Iterator[Union[AnalysisReport, ReproError]]:
+        """Yield one (partial) report per tree, in order; a tree whose
+        analysis raises a :class:`ReproError` gets the error as its result.
+
+        The default runs :meth:`run` per tree, lazily: tree *i*'s result is
+        produced before tree *i + 1* is analysed.
+        """
+        return run_each(trees, lambda tree: self.run(tree, request))
+
+
+T = TypeVar("T")
+
+
+def run_each(items: Iterable[Any], step: Callable[[Any], T]) -> Iterator[Union[T, ReproError]]:
+    """``step(item)`` per item, lazily; a :class:`ReproError` is yielded as
+    the item's result instead of raised."""
+    for item in items:
+        try:
+            yield step(item)
+        except ReproError as exc:
+            yield exc
 
 
 #: Canonical name -> backend class.

@@ -24,12 +24,16 @@ results into a single :class:`~repro.api.report.AnalysisReport`:
     report.mpmcs.events        # ('x1', 'x2')
     report.top_event.exact     # 0.030021740…
     session.cache_info()       # hit/miss counters proving artifact reuse
+
+``run_batch`` runs one request over many trees (the scenarios of a sweep,
+the updates of a monitor) and lets each backend share work across them.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.api.cache import ArtifactCache
 from repro.api.registry import (
@@ -39,10 +43,11 @@ from repro.api.registry import (
     backends_supporting,
     canonical_backend_name,
     create_backend,
+    run_each,
 )
 from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MPMCSSolver
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ReproError
 from repro.fta.tree import FaultTree
 from repro import kernels
 from repro.maxsat.instance import DEFAULT_PRECISION
@@ -72,6 +77,11 @@ DEFAULT_ROUTES: Dict[str, Tuple[str, ...]] = {
 #: contributes the exact probability, the MOCUS backend the classical bounds,
 #: and (when ``samples > 0``) the Monte Carlo backend a sampling estimate.
 _TOP_EVENT_AUTO_PROVIDERS: Tuple[str, ...] = ("bdd", "mocus")
+
+
+def _validated(tree: FaultTree) -> FaultTree:
+    tree.validate()
+    return tree
 
 
 class AnalysisSession:
@@ -202,17 +212,79 @@ class AnalysisSession:
         projection of the trace (:func:`repro.observability.profile_view`).
         """
         tree.validate()
+        plan = self._plan(request)
         with _trace.span("analyze", tree=tree.name, backend=request.backend) as analyze_span:
-            report = self._run_traced(tree, request, analyze_span)
+            report = self._run_traced(
+                tree,
+                request,
+                plan,
+                lambda name, scoped: self.backend(name).run(tree, scoped),
+                analyze_span,
+            )
         if analyze_span.is_recording:
             report.trace = analyze_span.to_dict()
         return report
 
-    def _run_traced(
-        self, tree: FaultTree, request: AnalysisRequest, analyze_span
-    ) -> AnalysisReport:
-        report = AnalysisReport(tree=tree, request=request)
+    def run_batch(
+        self, trees: Iterable[FaultTree], request: AnalysisRequest
+    ) -> Iterator[Union[AnalysisReport, ReproError]]:
+        """Run one request over many trees; yield one result per tree, in order.
+
+        Each backend of the plan analyses the batch through its
+        :meth:`~repro.api.registry.AnalysisBackend.run_batch`, where repeated
+        work is shared.  Per tree all else is as in :meth:`run`; a tree whose
+        analysis raises a :class:`ReproError` gets the error as its result.
+        ``trees`` is consumed one tree at a time, as each is analysed, unless
+        a backend needs the whole batch up front.
+        """
         plan = self._plan(request)
+        own, *copies = itertools.tee(run_each(trees, _validated), len(plan) + 1)
+        streams = {
+            name: self.backend(name).run_batch(
+                (tree for tree in copy if not isinstance(tree, ReproError)),
+                request.restricted_to(assigned, name),
+            )
+            for (name, assigned), copy in zip(plan, copies)
+        }
+        for tree in own:
+            if isinstance(tree, ReproError):
+                yield tree
+                continue
+            pending = dict(streams)
+
+            def partial(name: str, scoped: AnalysisRequest) -> AnalysisReport:
+                result = next(pending.pop(name))
+                if isinstance(result, ReproError):
+                    raise result
+                return result
+
+            result: Union[AnalysisReport, ReproError]
+            try:
+                with _trace.span(
+                    "analyze", tree=tree.name, backend=request.backend
+                ) as analyze_span:
+                    result = self._run_traced(tree, request, plan, partial, analyze_span)
+            except ReproError as exc:
+                # Keep the backends this tree did not reach in step.
+                for stream in pending.values():
+                    next(stream)
+                result = exc
+            else:
+                if analyze_span.is_recording:
+                    result.trace = analyze_span.to_dict()
+            yield result
+
+    def _run_traced(
+        self,
+        tree: FaultTree,
+        request: AnalysisRequest,
+        plan: List[Tuple[str, Tuple[str, ...]]],
+        partial: Callable[[str, AnalysisRequest], AnalysisReport],
+        analyze_span,
+    ) -> AnalysisReport:
+        """Merge ``partial(name, scoped)``, backend ``name``'s report, in plan
+        order."""
+        report = AnalysisReport(tree=tree, request=request)
         provider_counts: Dict[str, int] = {}
         for _, assigned in plan:
             for analysis in assigned:
@@ -231,8 +303,8 @@ class AnalysisSession:
                 with _trace.span(
                     f"backend:{backend_name}", analyses=",".join(assigned)
                 ) as backend_span:
-                    partial = self.backend(backend_name).run(tree, scoped)
-                    backend_span.merge_counters(partial.profile)
+                    backend_report = partial(backend_name, scoped)
+                    backend_span.merge_counters(backend_report.profile)
                 registry.inc("repro_analyses_total", backend=backend_name)
             except AnalysisError as exc:
                 # An auxiliary provider (e.g. MOCUS contributing optional
@@ -248,12 +320,12 @@ class AnalysisSession:
                     continue
                 raise
             elapsed = time.perf_counter() - start
-            report.merge_from(partial, assigned, backend_name)
+            report.merge_from(backend_report, assigned, backend_name)
             report.timings[backend_name] = report.timings.get(backend_name, 0.0) + elapsed
             # Per-stage profile: backends contribute encode/solve stage
             # timings; numeric entries sum when several backends serve one
             # composite request.
-            for key, value in partial.profile.items():
+            for key, value in backend_report.profile.items():
                 report.profile[key] = report.profile.get(key, 0) + value
         report.profile["kernel"] = self.kernels.name
         report.profile["cache_hits"] = self.artifacts.hits - cache_before[0]

@@ -125,11 +125,10 @@ class MPMCSSolver:
         the configuration exercised by the portfolio ablation benchmark.
     precision:
         Integer scaling applied to the ``-log`` probability weights.
-    verify:
-        When true (default), the returned cut set is checked to be a minimal
-        cut set of the fault tree before the result is returned; an
-        :class:`AnalysisError` is raised otherwise.  The check is linear in
-        the cut-set size and catches encoding or solver regressions early.
+
+    Every returned cut set is checked to be a minimal cut set of the fault
+    tree; an :class:`AnalysisError` is raised otherwise.  The check is linear
+    in the cut-set size and catches encoding or solver regressions early.
     """
 
     def __init__(
@@ -139,10 +138,8 @@ class MPMCSSolver:
         mode: str = "sequential",
         single_engine: Optional[MaxSATEngine] = None,
         precision: int = DEFAULT_PRECISION,
-        verify: bool = True,
     ) -> None:
         self.precision = precision
-        self.verify = verify
         self.single_engine = single_engine
         self.portfolio = None if single_engine is not None else PortfolioSolver(engines, mode=mode)
 
@@ -223,7 +220,7 @@ class MPMCSSolver:
 
         # Step 6: reverse log-space transformation.
         cut_set = encoding.cut_set_from_model(maxsat_result.model)
-        if self.verify and not tree.is_minimal_cut_set(cut_set):
+        if not tree.is_minimal_cut_set(cut_set):
             raise AnalysisError(
                 f"internal error: extracted set {cut_set} is not a minimal cut set of "
                 f"{tree.name!r}; please report this as a bug"

@@ -15,6 +15,12 @@ multiply, add), so both tiers return bit-for-bit equal doubles.  The
 ``python`` tier is the reference oracle; the ``numpy`` tier flips the loop
 structure — one vectorised pass *across all scenarios* per node — which is
 where the batch speedup comes from on wide scenario grids.
+
+The scalar :func:`repro.bdd.probability.probability_of_bdd` walk performs
+the same sequence as well, so it returns the same doubles as any tier.  The
+``bdd`` backend therefore evaluates a batch of one tree with the scalar walk:
+on the 60-event benchmark tree one row took about 0.46 ms through the numpy
+tier and 0.03 ms through the scalar walk (2-core host, CPython 3.11).
 """
 
 from __future__ import annotations

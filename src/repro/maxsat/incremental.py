@@ -46,7 +46,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import kernels as _kernels
 from repro.exceptions import AnalysisError, BudgetExceededError, SolverError
 from repro.fta.tree import FaultTree
 from repro.logic.cnf import Literal
@@ -99,10 +98,6 @@ class IncrementalMaxSATSession:
         Safety cap on core-discovery iterations per solve; exceeding it
         raises :class:`BudgetExceededError` so callers can fall back to the
         cold portfolio.
-    kernels:
-        Kernel suite (:func:`repro.kernels.select`) of the analysis session;
-        defaults to the auto-selected tier.  No solve step depends on it: it
-        is only reported by :meth:`stats`.
     """
 
     def __init__(
@@ -111,7 +106,6 @@ class IncrementalMaxSATSession:
         *,
         precision: int = DEFAULT_PRECISION,
         max_rounds: int = 100_000,
-        kernels: Optional[_kernels.KernelSuite] = None,
     ) -> None:
         # Imported lazily: repro.core.encoder imports repro.maxsat.instance,
         # so a top-level import here would cycle through the package inits.
@@ -122,7 +116,6 @@ class IncrementalMaxSATSession:
         started = time.perf_counter()
         self.precision = precision
         self.max_rounds = max_rounds
-        self._kernels = kernels if kernels is not None else _kernels.select(None)
 
         encoding = assemble_structure_cnf(tree)
         self._solver = CDCLSolver()
@@ -532,7 +525,6 @@ class IncrementalMaxSATSession:
             "num_vars": self.num_vars,
             "num_hard": self.num_hard,
             "encode_seconds": self.encode_time,
-            "kernel": self._kernels.name,
             "pool_candidates": len(self._pool),
             "rerank_pooled": self.rerank_stats["pooled"],
             "rerank_certified": self.rerank_stats["certified"],

@@ -5,14 +5,16 @@
 structure-preserving patch (only probabilities move, never the tree), so the
 re-analysis rides the full incremental stack:
 
+* every update is a batch of one through
+  :meth:`~repro.scenarios.sweep.SweepExecutor.analyze_batch` (and
+  :meth:`TreeMonitor.apply_batch` one batch over its updates);
 * with a cut-set backend (``mocus``, ``brute-force``), the subtree cut-set
   structure is one cache hit per update (structure-only hashes never change);
   the default ``maxsat`` backend never reads cut sets, so none are built;
-* with the ``maxsat`` backend inside the monitor's warm scope, each update is
-  a weight-only re-solve on the persistent
-  :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`;
-* the exact P(top) comes from the structure-keyed BDD, compiled once and
-  evaluated in linear time per update.
+* with the ``maxsat`` backend, each update is a weight-only re-solve on the
+  persistent :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`;
+* the exact P(top) comes from the ``bdd`` backend's structure-keyed diagram,
+  compiled once and evaluated in linear time per update.
 
 Every update produces a :class:`MonitorDelta` — new P(top), MPMCS identity,
 deltas against both the base model and the previous update — which is pushed
@@ -27,7 +29,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.cache import ArtifactCache
 from repro.api.report import AnalysisReport
@@ -225,10 +227,11 @@ class TreeMonitor:
         """Analyse the base tree once; every delta is relative to it."""
         with self._lock:
             if self._base_report is None:
-                with self.executor.warm_scope():
-                    report = self.executor.analyze_tree(
-                        self.tree, self._analyses, top_k=self.top_k
-                    )
+                (report,) = self.executor.analyze_batch(
+                    [self.tree], self._analyses, top_k=self.top_k
+                )
+                if isinstance(report, ReproError):
+                    raise report
                 self._base_report = report
                 self._base_ptop = self._ptop_of(report)
                 self._previous_ptop = self._base_ptop
@@ -254,15 +257,10 @@ class TreeMonitor:
     # -- the per-update hot path -------------------------------------------
 
     def apply_update(self, update: ProbabilityUpdate) -> MonitorDelta:
-        """Apply one update, re-analyse incrementally, stream the delta."""
-        self.ensure_base()
-        with self._lock:
-            return self._apply_locked(update)
-
-    def _apply_locked(self, update: ProbabilityUpdate) -> MonitorDelta:
-        started = time.perf_counter()
-        changed, patched = self._stage_locked(update)
-        return self._analyze_locked(update, changed, patched, started)
+        """Apply one update, re-analyse incrementally, stream the delta: a
+        batch of one (:meth:`apply_batch`)."""
+        (delta,) = self.apply_batch([update])
+        return delta
 
     def _stage_locked(
         self, update: ProbabilityUpdate
@@ -298,19 +296,18 @@ class TreeMonitor:
                 patched.set_probability(event, value)
         return changed, patched
 
-    def _analyze_locked(
+    def _record_locked(
         self,
         update: ProbabilityUpdate,
         changed: List[str],
         patched: FaultTree,
         started: float,
-        ptop: Optional[float] = None,
+        report: Union[AnalysisReport, ReproError],
     ) -> MonitorDelta:
+        """Record the analysed update: state, metrics, alerts and events."""
+        if isinstance(report, ReproError):
+            raise report
         registry = get_metrics()
-        with self.executor.warm_scope():
-            report = self.executor.analyze_tree(
-                patched, self._analyses, top_k=self.top_k, ptop=ptop
-            )
         self.executor.evict_tree_artifacts(self.tree, patched)
 
         self._updates_applied += 1
@@ -361,18 +358,16 @@ class TreeMonitor:
     def apply_batch(
         self, updates: Sequence[ProbabilityUpdate]
     ) -> List[MonitorDelta]:
-        """Apply a chunk of updates with one batched P(top) evaluation.
+        """Apply a chunk of updates as one batch.
 
-        All updates are staged first (cumulatively, in order), their exact
-        top-event probabilities are evaluated in a single kernel call over
-        the whole ``(updates × events)`` grid
-        (:meth:`SweepExecutor.precompute_top_events`), and then each update
-        runs the ordinary per-update analysis with its precomputed P(top).
-        The MaxSAT re-solves are the per-update ones, answered from the warm
-        session's candidate pool where it certifies them.  The per-update
-        deltas, reports, alerts and streamed events are identical to calling
-        :meth:`apply_update` in a loop — batching only removes per-update
-        BDD work.
+        All updates are staged first (cumulatively, in order) and the staged
+        trees are analysed as one :meth:`SweepExecutor.analyze_batch`: their
+        exact top-event probabilities come from a single kernel call over
+        the whole ``(updates × events)`` grid, and the MaxSAT re-solves are
+        the per-update ones, answered from the warm session's candidate pool
+        where it certifies them.  The per-update deltas, reports, alerts and
+        streamed events are identical to calling :meth:`apply_update` in a
+        loop — batching only removes per-update BDD work.
         """
         if not updates:
             return []
@@ -383,14 +378,12 @@ class TreeMonitor:
                 started = time.perf_counter()
                 changed, patched = self._stage_locked(update)
                 staged.append((update, changed, patched, started))
-            ptops: List[Optional[float]] = [None] * len(staged)
-            if self.executor.uses_bdd_top_event:
-                ptops = self.executor.precompute_top_events(
-                    [patched for _, _, patched, _ in staged]
-                )
+            reports = self.executor.analyze_batch(
+                [patched for _, _, patched, _ in staged], self._analyses, top_k=self.top_k
+            )
             return [
-                self._analyze_locked(update, changed, patched, started, ptop)
-                for (update, changed, patched, started), ptop in zip(staged, ptops)
+                self._record_locked(update, changed, patched, started, report)
+                for (update, changed, patched, started), report in zip(staged, reports)
             ]
 
     # -- the watchdog ------------------------------------------------------

@@ -1,37 +1,36 @@
 """The sweep executor: evaluate many scenarios with incremental re-analysis.
 
 :class:`SweepExecutor` layers on the ordinary
-:class:`~repro.api.session.AnalysisSession` — every scenario is analysed
-through the same backend registry, request validation and report types as a
-one-off analysis — and adds the incremental path: when a requested analysis
-is routed to a backend that reads the whole-tree cut-set artifact (its
-:attr:`~repro.api.registry.AnalysisBackend.CUT_SET_ANALYSES`: ``mocus``,
-``brute-force``, and ``bdd`` for ``mcs``/``ranking``), each scenario's minimal
-cut sets are assembled from the session cache's *subtree* artifacts (see
-:mod:`repro.scenarios.incremental`) and seeded as that artifact before the
-scenario is handed to the session.  Those backends then hit it instead of
-re-enumerating, which turns a 200-scenario probability sweep into one
-structural enumeration plus 200 cheap probability re-rankings.  Backends that
-never read it (``maxsat``, ``monte-carlo``) skip the enumeration altogether.
+:class:`~repro.api.session.AnalysisSession`: a sweep's scenarios are one
+:meth:`~repro.api.session.AnalysisSession.run_batch`, through the same
+backend registry, request validation and report types as a one-off analysis,
+and each backend shares repeated work across the batch (``maxsat`` keeps a
+warm solver session per structure, ``bdd`` evaluates the top events in one
+kernel call).  Per scenario the executor adds two things:
 
-The results are identical to fresh per-scenario analysis (the seeded
-artifact is exactly what the backend would have computed); the tests
+* **Cut-set seeding.**  When an analysis is routed to a backend that reads
+  the whole-tree cut-set artifact (its
+  :attr:`~repro.api.registry.AnalysisBackend.CUT_SET_ANALYSES`), the minimal
+  cut sets are assembled from the session cache's *subtree* artifacts (see
+  :mod:`repro.scenarios.incremental`) and seeded as that artifact, which
+  turns a 200-scenario probability sweep into one structural enumeration
+  plus 200 cheap probability re-rankings.
+* **Exact top events** from a ``bdd`` batch, where the backend cannot answer
+  ``top_event`` or answers with bounds only.
+
+The results are identical to fresh per-scenario analysis; the tests
 cross-check this against two independent backends.
 """
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.api.cache import ARTIFACT_SUBTREE_BDD
-from repro.api.registry import backend_class, canonical_backend_name
-from repro.api.report import AnalysisReport, AnalysisRequest, TopEventSummary
+from repro.api.registry import backend_class, canonical_backend_name, run_each
+from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.api.session import AnalysisSession
-from repro.bdd.manager import BDD, BDDManager
-from repro.bdd.ordering import variable_order
-from repro.bdd.probability import FlatBDD, flatten_bdd, probability_of_bdd
 from repro.exceptions import AnalysisError, ReproError
 from repro.fta.tree import FaultTree
 from repro.scenarios.incremental import seed_session_cut_sets
@@ -51,11 +50,21 @@ DEFAULT_ANALYSES: Tuple[str, ...] = ("mpmcs", "top_event")
 #: cut-set artifact, which is what makes the incremental path effective.
 DEFAULT_BACKEND = "mocus"
 
+#: The request of the ``bdd`` batch that supplies exact top events.
+_EXACT_TOP_EVENT = AnalysisRequest.create(("top_event",), backend="bdd")
+
+Result = Union[AnalysisReport, ReproError]
+
 
 def _top_event_estimate(report: AnalysisReport) -> Optional[float]:
     if report.top_event is None:
         return None
     return report.top_event.best_estimate
+
+
+def _passed(results: Iterable[Union[FaultTree, ReproError]]) -> Iterator[FaultTree]:
+    """The trees among ``results``, skipping the errors."""
+    return (tree for tree in results if not isinstance(tree, ReproError))
 
 
 class SweepExecutor:
@@ -64,30 +73,26 @@ class SweepExecutor:
     Parameters
     ----------
     session:
-        Optional pre-built :class:`AnalysisSession`; its artifact cache then
-        persists across sweeps (a second sweep over the same tree starts
-        fully warm).  A fresh session is created otherwise.
+        Optional pre-built :class:`AnalysisSession`; its artifact cache and
+        backends then persist across sweeps (a second sweep over the same
+        tree starts fully warm).  A fresh session is created otherwise.
     incremental:
-        When true (default), seed each scenario's cut sets from the subtree
-        cache before analysis — for cut-set backends only, i.e. when a
-        requested analysis is routed to a backend that declares it in
-        :attr:`~repro.api.registry.AnalysisBackend.CUT_SET_ANALYSES` — and
-        keep warm MaxSAT sessions for the ``maxsat`` backend.  ``False``
-        forces the naive path — every scenario re-enumerates from scratch —
-        which exists for correctness cross-checks and the speedup benchmark.
+        When true (default), scenarios go through the session's
+        :meth:`~repro.api.session.AnalysisSession.run_batch`, with their cut
+        sets seeded from the subtree cache for the cut-set backends.
+        ``False`` forces the naive path — a cold
+        :meth:`~repro.api.session.AnalysisSession.run` per scenario, which
+        re-enumerates from scratch — for correctness cross-checks and the
+        speedup benchmark.
     backend:
         Registry name of the backend analysing every scenario.
     exact_top_event:
         When true (default), scenarios whose cut-set analysis returned only
         probability *bounds* — the cut-set backends cap exact
         inclusion-exclusion at 20 cut sets — get their exact top-event
-        probability from the BDD engine instead.  The compiled diagram is
-        cached under the *structure-only* hash of the top event's subtree
-        (:data:`~repro.api.cache.ARTIFACT_SUBTREE_BDD`): the structure
-        function does not depend on probabilities, so a probability-only
-        sweep compiles once and evaluates per scenario in linear time.
-        Trees whose BDD compilation fails (pathological orderings) fall back
-        to bounds, once per distinct structure.
+        probability from the ``bdd`` backend instead, whose diagram is
+        compiled once per structure.  Trees whose BDD compilation fails
+        (pathological orderings) keep the bounds.
     """
 
     def __init__(
@@ -102,64 +107,18 @@ class SweepExecutor:
         self.incremental = incremental
         self.backend = backend
         self.exact_top_event = exact_top_event
-        self._bdd_unavailable: Set[str] = set()
         self._fill_top_event = False
-        #: Whether :meth:`analyze_tree` seeds whole-tree cut sets; decided per
-        #: analysis list by :meth:`prepare_analyses`.  Until then it follows
+        #: Whether scenarios get their cut sets seeded; decided per analysis
+        #: list by :meth:`prepare_analyses`.  Until then it follows
         #: ``incremental``: seeding only pre-fills a cache entry, so a wrong
         #: guess costs time, never an answer.
         self._seeds_cut_sets = incremental
-        if backend == "auto":
-            # Automatic routing covers every analysis; mpmcs routes to maxsat.
-            self._capabilities: Optional[frozenset] = None
-            warm_backend = "maxsat"
-        else:
-            self._capabilities = backend_class(canonical_backend_name(backend)).capabilities()
-            warm_backend = backend
-        self._warm_backend = None
-        if incremental:
-            # The maxsat backend's incremental path: persistent per-structure
-            # solver sessions turn the probability-only scenarios of a sweep
-            # into weight-only re-solves (no re-encoding, no solver restart).
-            # The opt-in is scoped to :meth:`run` so one-off analyses on a
-            # shared session keep the cold portfolio; the sessions themselves
-            # persist on the backend, so a second sweep starts fully warm.
-            # Backends without warm sessions simply opt out here.
-            try:
-                instance = self.session.backend(warm_backend)
-            except ReproError:
-                instance = None
-            if getattr(instance, "enable_warm_sessions", None) is not None:
-                self._warm_backend = instance
-
-    @property
-    def uses_bdd_top_event(self) -> bool:
-        """True when ``top_event`` is served by the structure-keyed BDD.
-
-        Set by :meth:`prepare_analyses` when the configured backend cannot
-        provide ``top_event`` itself; batch callers use this to decide
-        whether :meth:`precompute_top_events` will pay off.
-        """
-        return self._fill_top_event
-
-    @contextlib.contextmanager
-    def warm_scope(self):
-        """Enable the backend's warm incremental sessions for the block.
-
-        The sweep loop wraps itself in this scope; long-lived callers (the
-        live :class:`~repro.monitoring.monitor.TreeMonitor`) hold it open for
-        their whole lifetime so every update is a weight-only re-solve.
-        Backends without warm sessions make this a no-op.
-        """
-        if self._warm_backend is None:
-            yield self
-            return
-        previous = self._warm_backend.warm_enabled
-        self._warm_backend.enable_warm_sessions()
-        try:
-            yield self
-        finally:
-            self._warm_backend.warm_enabled = previous
+        # Automatic routing covers every analysis.
+        self._capabilities = (
+            None
+            if backend == "auto"
+            else backend_class(canonical_backend_name(backend)).capabilities()
+        )
 
     def prepare_analyses(
         self, analyses: Sequence[str] = DEFAULT_ANALYSES
@@ -167,19 +126,18 @@ class SweepExecutor:
         """Resolve the analyses the backend itself will run (see :meth:`run`).
 
         Splits off the ``top_event`` request when the configured backend
-        cannot serve it (the structure-keyed BDD fills it instead), and
-        decides whether cut sets are seeded: only when ``incremental`` is on
-        and a backend the analyses are routed to reads the cut-set artifact.
-        Both decisions are recorded for :meth:`analyze_tree`.
+        cannot serve it (the ``bdd`` batch fills it instead), and decides
+        whether cut sets are seeded: only when ``incremental`` is on and a
+        backend the analyses are routed to reads the cut-set artifact.  Both
+        decisions are recorded for :meth:`analyze_batch`.
         """
         requested = tuple(analyses)
         run_analyses = requested
         self._fill_top_event = False
         if self._capabilities is not None and "top_event" not in self._capabilities:
             # With an empty remainder this is a probability-only sweep: no
-            # backend analyses at all — the structure-keyed BDD serves
-            # ``top_event`` on its own, and :meth:`precompute_top_events`
-            # evaluates whole scenario grids in one kernel call.
+            # backend analyses at all — the bdd batch serves ``top_event`` on
+            # its own.
             run_analyses = tuple(a for a in requested if a != "top_event")
             self._fill_top_event = "top_event" in requested
             if not run_analyses and not self._fill_top_event:
@@ -205,6 +163,28 @@ class SweepExecutor:
             for name, assigned in plan
         )
 
+    def analyze_batch(
+        self,
+        trees: Iterable[FaultTree],
+        analyses: Sequence[str],
+        *,
+        top_k: int = 5,
+        samples: int = 0,
+        seed: int = 0,
+    ) -> Iterator[Result]:
+        """Analyse ``trees`` as one batch; yield one result per tree, in order.
+
+        Each tree's cut sets are seeded if :meth:`prepare_analyses` decided so,
+        the session's ``run_batch`` (a cold ``run`` per tree when
+        ``incremental`` is off) analyses it, and the exact ``bdd`` top event
+        is merged in where the backend has none.  A failing tree gets its
+        :class:`ReproError` as its result.  ``analyses`` should come from
+        :meth:`prepare_analyses`.
+        """
+        return self._results(
+            trees, analyses, warm=self.incremental, top_k=top_k, samples=samples, seed=seed
+        )
+
     def analyze_tree(
         self,
         tree: FaultTree,
@@ -213,121 +193,116 @@ class SweepExecutor:
         top_k: int = 5,
         samples: int = 0,
         seed: int = 0,
-        ptop: Optional[float] = None,
     ) -> AnalysisReport:
-        """One incremental analysis of ``tree``: seed, analyse, augment.
-
-        The single-scenario core of the sweep loop, exposed for callers that
-        produce trees one at a time (the live monitor): cut sets are seeded
-        from the subtree cache when :meth:`prepare_analyses` decided that a
-        cut-set backend will read them, the session
-        analyses through the configured backend, and the exact BDD top event
-        is merged in where only bounds exist.  ``analyses`` should come from
-        :meth:`prepare_analyses`.  Warm solver sessions apply only inside
-        :meth:`warm_scope`.
-
-        ``ptop`` is ``tree``'s exact P(top) when the caller already has it
-        from :meth:`precompute_top_events`; the BDD walk is then skipped.
-        """
-        if not analyses and self._fill_top_event:
-            return self._bdd_only_report(
-                tree, top_k=top_k, samples=samples, seed=seed, ptop=ptop
-            )
-        if self._seeds_cut_sets:
-            seed_session_cut_sets(tree, self.session.artifacts)
-        report = self.session.analyze(
-            tree, analyses, backend=self.backend, top_k=top_k, samples=samples, seed=seed
+        """One cold analysis of ``tree``, as a sweep with ``incremental=False``
+        makes per scenario: :meth:`analyze_batch` with a cold ``run`` in place
+        of the session's batch.  Raises the analysis error, if any."""
+        (result,) = self._results(
+            [tree], analyses, warm=False, top_k=top_k, samples=samples, seed=seed
         )
-        self._augment_exact_top_event(tree, report, ptop)
-        return report
+        if isinstance(result, ReproError):
+            raise result
+        return result
 
-    def _bdd_only_report(
+    def _results(
         self,
-        tree: FaultTree,
+        trees: Iterable[FaultTree],
+        analyses: Sequence[str],
         *,
+        warm: bool,
         top_k: int,
         samples: int,
         seed: int,
-        ptop: Optional[float],
-    ) -> AnalysisReport:
-        """The probability-only fast path: a report served entirely by the BDD.
-
-        Used when ``top_event`` is the *only* requested analysis and the
-        configured backend cannot provide it: no backend runs at all — the
-        structure-keyed BDD (batch-precomputed where possible) is the sole
-        provider.  Raises :class:`AnalysisError` when the BDD is unavailable
-        for this structure, mirroring the session's no-provider error.
-        """
-        tree.validate()
-        report = AnalysisReport(
-            tree=tree,
-            request=AnalysisRequest.create(
-                ("top_event",),
-                backend=self.backend,
-                top_k=top_k,
-                samples=samples,
-                seed=seed,
-            ),
+    ) -> Iterator[Result]:
+        # A probability-only sweep asks the bdd batch alone for ``top_event``.
+        probability_only = not analyses and self._fill_top_event
+        request = AnalysisRequest.create(
+            ("top_event",) if probability_only else analyses,
+            backend=self.backend,
+            top_k=top_k,
+            samples=samples,
+            seed=seed,
         )
+        source = run_each(trees, self._seeded)
+        exact: Optional[Iterator[Result]] = None
+        if self._fill_top_event:
+            source, evaluated = itertools.tee(source)
+            exact = self._exact_top_events(_passed(evaluated))
+        checked, analysed = itertools.tee(source)
+        if probability_only:
+            reports = run_each(_passed(analysed), lambda tree: self._empty_report(tree, request))
+        elif warm:
+            reports = self.session.run_batch(_passed(analysed), request)
+        else:
+            reports = run_each(_passed(analysed), lambda tree: self.session.run(tree, request))
+        for tree in checked:
+            if isinstance(tree, ReproError):
+                yield tree
+                continue
+            report = next(reports)
+            top_event = next(exact) if exact is not None else None
+            if isinstance(report, AnalysisReport):
+                report = self._merge_exact_top_event(tree, report, top_event)
+            yield report
+
+    def _seeded(self, tree: FaultTree) -> FaultTree:
+        """``tree``, its cut sets seeded if a cut-set backend will read them."""
+        if self._seeds_cut_sets:
+            seed_session_cut_sets(tree, self.session.artifacts)
+        return tree
+
+    def _empty_report(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
+        """A probability-only scenario's report: no backend runs, the ``bdd``
+        batch alone fills it."""
+        tree.validate()
+        report = AnalysisReport(tree=tree, request=request)
         report.profile["kernel"] = self.session.kernels.name
-        self._augment_exact_top_event(tree, report, ptop)
-        if report.top_event is None:
-            raise AnalysisError(
-                f"backend {self.backend!r} does not support 'top_event' and the "
-                f"BDD fast path is unavailable for tree {tree.name!r}"
-            )
         report.cache_stats = self.session.artifacts.stats()
         return report
 
-    def precompute_top_events(
-        self, trees: Sequence[FaultTree]
-    ) -> List[Optional[float]]:
-        """Batch-evaluate exact P(top) for ``trees`` through the kernel seam.
+    def _exact_top_events(self, trees: Iterable[FaultTree]) -> Iterator[Result]:
+        """The ``bdd`` backend's top-event batch over ``trees``."""
+        return self.session.backend("bdd").run_batch(trees, _EXACT_TOP_EVENT)
 
-        Trees are grouped by structure (one compiled, cached BDD each) and
-        each group's scenario grid is evaluated in **one** kernel call — a
-        ``(scenarios × events)`` probability matrix in, a P(top) vector out —
-        instead of one :func:`probability_of_bdd` walk per scenario.  Returns
-        one value per tree, in order, for the caller to hand to
-        :meth:`analyze_tree` as ``ptop``; values are bit-identical to the
-        scalar walk on every kernel tier.
+    def _merge_exact_top_event(
+        self, tree: FaultTree, report: AnalysisReport, exact: Optional[Result]
+    ) -> Result:
+        """Merge the exact ``bdd`` top event into ``report`` where it lacks one.
 
-        A tree whose BDD cannot be built or evaluated gets ``None``: the
-        scalar walk in :meth:`analyze_tree` then reproduces the per-scenario
-        error handling (including marking the structure unavailable), and
-        once a structure fails here no later tree of the same structure is
-        batched, preserving the unbatched path's ordering semantics.
+        ``exact`` is the tree's result from the batch when the configured
+        backend cannot serve ``top_event``.  A report with bounds only — the
+        cut-set backends stop computing exact inclusion-exclusion beyond 20
+        cut sets — asks the ``bdd`` backend for a batch of one.  The exact
+        value leads the merged summary and the bounds stay alongside.  A
+        probability-only report (no backend ran) without it is an error.
         """
-        cache = self.session.artifacts
-        suite = self.session.kernels
-        values: List[Optional[float]] = [None] * len(trees)
-        groups: Dict[str, Tuple[FlatBDD, List[int], List[List[float]]]] = {}
-        failed_structures: Set[str] = set()
-        for position, tree in enumerate(trees):
-            structure_key = cache.structure_keys_for(tree)[tree.top_event]
-            if structure_key in self._bdd_unavailable or structure_key in failed_structures:
-                continue
+        bounds = report.top_event
+        if bounds is None and not self._fill_top_event:
+            return report
+        if bounds is not None and (bounds.exact is not None or not self.exact_top_event):
+            return report
+        if exact is None:
+            (exact,) = self._exact_top_events([tree])
+        if isinstance(exact, ReproError):
+            if report.backends:
+                return report
+            return AnalysisError(
+                f"backend {self.backend!r} does not support 'top_event' and the "
+                f"BDD fast path is unavailable for tree {tree.name!r}"
+            )
+        report.top_event = None
+        report.merge_from(exact, ("top_event",), "bdd")
+        if bounds is not None:
+            report.top_event = report.top_event.merged_with(bounds)
+        return report
 
-            def build(tree: FaultTree = tree) -> BDD:
-                manager = BDDManager(variable_order(tree, heuristic="dfs"))
-                return manager.from_fault_tree(tree)
-
-            try:
-                function = cache.get_or_compute_subtree(
-                    tree, tree.top_event, ARTIFACT_SUBTREE_BDD, build
-                )
-                flat = flatten_bdd(function)
-                row = flat.probability_rows((tree.probabilities(),))[0]
-            except (ReproError, MemoryError, RecursionError):
-                failed_structures.add(structure_key)
-                continue
-            group = groups.setdefault(structure_key, (flat, [], []))
-            group[1].append(position)
-            group[2].append(row)
-        for flat, positions, rows in groups.values():
-            for position, value in zip(positions, suite.eval_bdd_batch(flat, rows)):
-                values[position] = value
-        return values
+    def precompute_top_events(self, trees: Sequence[FaultTree]) -> List[Optional[float]]:
+        """Exact P(top) per tree from one ``bdd`` batch (``None`` where the
+        diagram cannot be compiled); kept for the benchmark tracer."""
+        return [
+            result.top_event.exact if isinstance(result, AnalysisReport) else None
+            for result in self._exact_top_events(trees)
+        ]
 
     def precompute_rerank(self, trees: Sequence[FaultTree]) -> int:
         """Does nothing and returns 0.
@@ -338,10 +313,6 @@ class SweepExecutor:
         :meth:`~repro.maxsat.incremental.IncrementalMaxSATSession.solve`).
         """
         return 0
-
-    def evict_tree_artifacts(self, base: FaultTree, patched: FaultTree) -> None:
-        """Public alias of the per-scenario cache eviction (see below)."""
-        self._evict_scenario_artifacts(base, patched)
 
     def run(
         self,
@@ -357,6 +328,9 @@ class SweepExecutor:
     ) -> ScenarioReport:
         """Analyse ``tree`` and every scenario; return the delta report.
 
+        The base tree is a batch of one and the scenarios are one batch;
+        ``on_outcome`` gets each scenario's outcome as it completes.
+
         ``stop_check`` is the cooperative-cancellation hook: it is invoked
         before the base analysis and before every scenario, and aborting is
         done by *raising* from it (the service raises its job-cancelled /
@@ -367,54 +341,20 @@ class SweepExecutor:
         A ``top_event`` request outside the configured backend's capabilities
         is not forced through it: a ``maxsat`` sweep with the default
         ``("mpmcs", "top_event")`` analyses runs ``mpmcs`` through the warm
-        MaxSAT path while ``top_event`` is served by the structure-keyed BDD
-        (the same diagram the ``exact_top_event`` augmentation uses), so every
+        MaxSAT path while ``top_event`` comes from the ``bdd`` batch (the
+        same diagram the ``exact_top_event`` augmentation uses), so every
         backend answers the sweep's two headline questions.  Any *other*
         unsupported analysis fails loudly, exactly like a direct ``analyze``.
         """
-        # Warm incremental solving is scoped to this sweep: the scope
-        # restores the backend's routing afterwards so one-off analyses on a
-        # shared session keep the cold portfolio (the warm sessions
-        # themselves are retained for the next sweep).
-        with self.warm_scope():
-            return self._run(
-                tree,
-                scenarios,
-                analyses=analyses,
-                top_k=top_k,
-                samples=samples,
-                seed=seed,
-                stop_check=stop_check,
-                on_outcome=on_outcome,
-            )
-
-    def _run(
-        self,
-        tree: FaultTree,
-        scenarios: Iterable[Scenario],
-        *,
-        analyses: Sequence[str],
-        top_k: int,
-        samples: int,
-        seed: int,
-        stop_check: Optional[Callable[[], None]] = None,
-        on_outcome: Optional[Callable[[ScenarioOutcome], None]] = None,
-    ) -> ScenarioReport:
         scenario_list = list(scenarios)
         started = time.perf_counter()
         if stop_check is not None:
             stop_check()
-
-        # ``top_event`` is the one analysis with a backend-independent
-        # fallback (the structure-keyed BDD in analyze_tree), so it alone is
-        # lifted out of the backend's request.  Any other unsupported
-        # analysis stays in and fails loudly in the session, exactly like a
-        # direct ``analyze`` call would.
         analyses = self.prepare_analyses(analyses)
-
-        base = self.analyze_tree(
-            tree, analyses, top_k=top_k, samples=samples, seed=seed
-        )
+        options = {"top_k": top_k, "samples": samples, "seed": seed}
+        (base,) = self.analyze_batch([tree], analyses, **options)
+        if isinstance(base, ReproError):
+            raise base
         base_top = _top_event_estimate(base)
         base_mpmcs_events = base.mpmcs.events if base.mpmcs is not None else None
         base_mpmcs_probability = base.mpmcs.probability if base.mpmcs is not None else None
@@ -430,79 +370,49 @@ class SweepExecutor:
             base_mpmcs_probability=base_mpmcs_probability,
         )
 
-        # Batched precomputation: when the structure-keyed BDD serves the top
-        # event, pre-apply every patch and push the whole scenario grid
-        # through the kernel seam — one BDD evaluation pass per structure;
-        # the loop below hands each scenario its value.
-        prepared: List[Tuple[Optional[FaultTree], Optional[ReproError]]] = []
-        ptops: List[Optional[float]] = [None] * len(scenario_list)
-        if self._fill_top_event:
-            for scenario in scenario_list:
-                try:
-                    prepared.append((scenario.apply(tree), None))
-                except ReproError as exc:
-                    prepared.append((None, exc))
-            values = iter(
-                self.precompute_top_events(
-                    [patched for patched, _ in prepared if patched is not None]
-                )
-            )
-            ptops = [next(values) if patched is not None else None for patched, _ in prepared]
-
-        for position, scenario in enumerate(scenario_list):
-            # Outside the try: a cancellation raised here must abort the
-            # sweep, not be recorded as one failed scenario outcome.
+        staged, applied = itertools.tee(
+            run_each(scenario_list, lambda scenario: scenario.apply(tree))
+        )
+        results = self.analyze_batch(_passed(applied), analyses, **options)
+        for scenario in scenario_list:
+            # Outside the error handling: a cancellation raised here must
+            # abort the sweep, not be recorded as one failed scenario.
             if stop_check is not None:
                 stop_check()
             scenario_started = time.perf_counter()
-            try:
-                if prepared:
-                    patched, apply_error = prepared[position]
-                    if apply_error is not None:
-                        raise apply_error
-                else:
-                    patched = scenario.apply(tree)
-                partial = self.analyze_tree(
-                    patched,
-                    analyses,
-                    top_k=top_k,
-                    samples=samples,
-                    seed=seed,
-                    ptop=ptops[position],
-                )
-            except ReproError as exc:
-                failed = ScenarioOutcome(
+            patched = next(staged)
+            result = patched if isinstance(patched, ReproError) else next(results)
+            time_s = time.perf_counter() - scenario_started
+            if isinstance(result, ReproError):
+                outcome = ScenarioOutcome(
                     name=scenario.name,
                     description=scenario.describe(),
-                    time_s=time.perf_counter() - scenario_started,
-                    error=str(exc),
+                    time_s=time_s,
+                    error=str(result),
                 )
-                report.outcomes.append(failed)
-                if on_outcome is not None:
-                    on_outcome(failed)
-                continue
-            self._evict_scenario_artifacts(tree, patched)
-            top = _top_event_estimate(partial)
-            mpmcs = partial.mpmcs
-            outcome = ScenarioOutcome(
-                name=scenario.name,
-                description=scenario.describe(),
-                top_event=top,
-                top_event_delta=(
-                    top - base_top if top is not None and base_top is not None else None
-                ),
-                mpmcs_events=mpmcs.events if mpmcs is not None else None,
-                mpmcs_probability=mpmcs.probability if mpmcs is not None else None,
-                mpmcs_delta=(
-                    mpmcs.probability - base_mpmcs_probability
-                    if mpmcs is not None and base_mpmcs_probability is not None
-                    else None
-                ),
-                mpmcs_changed=mpmcs_identity_changed(
-                    base_mpmcs_events, mpmcs.events if mpmcs is not None else None
-                ),
-                time_s=time.perf_counter() - scenario_started,
-            )
+            else:
+                self.evict_tree_artifacts(tree, patched)
+                top = _top_event_estimate(result)
+                mpmcs = result.mpmcs
+                outcome = ScenarioOutcome(
+                    name=scenario.name,
+                    description=scenario.describe(),
+                    top_event=top,
+                    top_event_delta=(
+                        top - base_top if top is not None and base_top is not None else None
+                    ),
+                    mpmcs_events=mpmcs.events if mpmcs is not None else None,
+                    mpmcs_probability=mpmcs.probability if mpmcs is not None else None,
+                    mpmcs_delta=(
+                        mpmcs.probability - base_mpmcs_probability
+                        if mpmcs is not None and base_mpmcs_probability is not None
+                        else None
+                    ),
+                    mpmcs_changed=mpmcs_identity_changed(
+                        base_mpmcs_events, mpmcs.events if mpmcs is not None else None
+                    ),
+                    time_s=time_s,
+                )
             report.outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(outcome)
@@ -511,60 +421,8 @@ class SweepExecutor:
         report.total_time_s = time.perf_counter() - started
         return report
 
-    def _augment_exact_top_event(
-        self, tree: FaultTree, report: AnalysisReport, ptop: Optional[float] = None
-    ) -> None:
-        """Fill in the exact BDD top-event probability where only bounds exist.
-
-        The cut-set backends stop computing exact inclusion-exclusion beyond
-        20 cut sets, so large perturbed trees used to report bounds only.
-        This resolves the exact value through a BDD compiled once per
-        *structure* (probability-only scenarios share it) and merges it into
-        the report's :class:`TopEventSummary`, keeping the bounds alongside.
-        ``ptop`` is a value already evaluated by :meth:`precompute_top_events`.
-        """
-        if not self.exact_top_event and not getattr(self, "_fill_top_event", False):
-            return
-        summary = report.top_event
-        if summary is None and not getattr(self, "_fill_top_event", False):
-            return
-        if summary is not None and summary.exact is not None:
-            return
-        exact = self._bdd_top_event(tree, ptop)
-        if exact is None:
-            return
-        filled = TopEventSummary(exact=exact, backend="bdd")
-        report.top_event = filled if summary is None else filled.merged_with(summary)
-        previous = report.backends.get("top_event")
-        report.backends["top_event"] = f"{previous}+bdd" if previous else "bdd"
-
-    def _bdd_top_event(self, tree: FaultTree, ptop: Optional[float]) -> Optional[float]:
-        """Exact P(top) via the structure-keyed BDD; ``None`` when unavailable.
-
-        ``ptop``, when given, is the precomputed value and is returned as is.
-        """
-        cache = self.session.artifacts
-        structure_key = cache.structure_keys_for(tree)[tree.top_event]
-        if structure_key in self._bdd_unavailable:
-            return None
-        if ptop is not None:
-            return ptop
-
-        def build() -> BDD:
-            manager = BDDManager(variable_order(tree, heuristic="dfs"))
-            return manager.from_fault_tree(tree)
-
-        try:
-            function = cache.get_or_compute_subtree(
-                tree, tree.top_event, ARTIFACT_SUBTREE_BDD, build
-            )
-            return probability_of_bdd(function, tree.probabilities())
-        except (ReproError, MemoryError, RecursionError):
-            self._bdd_unavailable.add(structure_key)
-            return None
-
-    def _evict_scenario_artifacts(self, base: FaultTree, patched: FaultTree) -> None:
-        """Drop the scenario tree's whole-tree cache entries after analysis.
+    def evict_tree_artifacts(self, base: FaultTree, patched: FaultTree) -> None:
+        """Drop a scenario tree's whole-tree cache entries after analysis.
 
         Whole-tree artifacts are keyed by a probability-including hash that
         is unique to the scenario, so once its report is assembled they are

@@ -198,11 +198,10 @@ def run_parallel_sweep(
     executed through the unmodified sequential
     :class:`~repro.scenarios.sweep.SweepExecutor` (in spawn worker processes
     when ``workers > 1``, in-process otherwise).  Each worker's executor
-    applies the batched fast path to its own slice — one
-    :meth:`~repro.scenarios.sweep.SweepExecutor.precompute_top_events` BDD
-    pass per structure, per chunk — and solves MaxSAT scenarios on its own
-    warm sessions.  With a ``store_path`` every
-    finished chunk is persisted in the campaign completion ledger, so an
+    analyses its own slice as one batch — one BDD kernel pass per structure,
+    per chunk — and solves MaxSAT scenarios on its own warm sessions.  With a
+    ``store_path`` every finished chunk is persisted in the campaign
+    completion ledger, so an
     identical sweep — same tree, configuration and scenarios — resumes from
     the ledger instead of recomputing, and a sweep killed mid-run only redoes
     its unfinished chunks.

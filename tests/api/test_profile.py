@@ -39,8 +39,8 @@ class TestProfileCollection:
 
     def test_warm_path_reports_warm_solves(self):
         session = AnalysisSession()
-        session.backend("maxsat").enable_warm_sessions()
-        report = session.analyze(fire_protection_system(), ["mpmcs"], backend="maxsat")
+        request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+        (report,) = session.run_batch([fire_protection_system()], request)
         assert report.profile["warm_solves"] == 1
 
 

@@ -2,8 +2,8 @@
 
 Probabilities come from a three-value palette, so optima tie often — at the
 head of the ranking and at its ``top_k`` boundary.  Both ``maxsat`` routes
-are checked: the cold portfolio and the warm incremental session a sweep
-enables.
+are checked: the cold portfolio and the warm incremental session a sweep's
+batch uses.
 """
 
 import random
@@ -40,6 +40,5 @@ def test_maxsat_ranking_matches_bdd(seed):
         expected = _events(session.analyze(tree, ["ranking"], backend="bdd", top_k=top_k))
         cold = session.analyze(tree, ["ranking"], backend="maxsat", top_k=top_k)
         assert _events(cold) == expected, ("cold", top_k)
-        with warm.warm_scope():
-            report = warm.analyze_tree(tree, analyses, top_k=top_k)
+        (report,) = warm.analyze_batch([tree], analyses, top_k=top_k)
         assert _events(report) == expected, ("warm", top_k)

@@ -155,15 +155,11 @@ class TestEdgeCases:
         assert result.probability == pytest.approx(0.2 * 0.3 * 0.4)
 
     def test_find_mpmcs_kwargs_passthrough(self, fps_tree):
-        result = find_mpmcs(fps_tree, single_engine=RC2Engine(), verify=False)
+        result = find_mpmcs(fps_tree, single_engine=RC2Engine())
         assert result.events == ("x1", "x2")
 
 
 class TestVerification:
-    def test_verification_can_be_disabled(self, fps_tree):
-        result = MPMCSSolver(verify=False).solve(fps_tree)
-        assert result.events == ("x1", "x2")
-
     def test_verification_rejects_wrong_models(self, fps_tree, monkeypatch):
         """Corrupting the MaxSAT answer must trip the minimal-cut-set check."""
         from repro.maxsat.result import MaxSATResult, MaxSATStatus

@@ -213,9 +213,8 @@ class TestBoundaryTies:
 
     def test_facade_warm_route(self):
         executor = SweepExecutor(AnalysisSession(), backend="maxsat")
-        with executor.warm_scope():
-            report = executor.analyze_tree(
-                _boundary_tie_tree(), executor.prepare_analyses(("ranking",)), top_k=2
-            )
+        (report,) = executor.analyze_batch(
+            [_boundary_tie_tree()], executor.prepare_analyses(("ranking",)), top_k=2
+        )
         assert report.profile.get("warm_solves") == 1
         assert [entry.events for entry in report.ranking] == self.EXPECTED

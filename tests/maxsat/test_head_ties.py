@@ -169,8 +169,7 @@ class TestWarmEnumerationWithTies:
         analyses = ("mpmcs", "ranking", "top_event")
         warm = SweepExecutor(AnalysisSession(), backend="maxsat")
         cold = SweepExecutor(AnalysisSession(), backend="maxsat")
-        with warm.warm_scope():
-            report = warm.analyze_tree(tree, warm.prepare_analyses(analyses), top_k=3)
+        (report,) = warm.analyze_batch([tree], warm.prepare_analyses(analyses), top_k=3)
         expected = cold.analyze_tree(tree, cold.prepare_analyses(analyses), top_k=3)
         assert _canonical(report) == _canonical(expected)
         assert [item.events for item in report.ranking] == [

@@ -95,6 +95,25 @@ class TestApplyUpdate:
         monitor.apply_update(update(1, x1=0.9))
         assert dict(tree.probabilities()) == before
 
+    def test_bdd_monitor_compiles_one_diagram(self, monkeypatch):
+        from repro.bdd.manager import BDDManager
+
+        compiled = []
+        original = BDDManager.from_fault_tree
+
+        def counting(self, tree):
+            compiled.append(tree.name)
+            return original(self, tree)
+
+        monkeypatch.setattr(BDDManager, "from_fault_tree", counting)
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree, backend="bdd")
+        monitor.ensure_base()
+        for item in SyntheticFeed(tree, updates=10, seed=3):
+            monitor.apply_update(item)
+        assert monitor.status()["updates"] == 10
+        assert len(compiled) == 1
+
 
 class TestLifecycle:
     def test_run_drains_the_feed_and_closes_the_stream(self):

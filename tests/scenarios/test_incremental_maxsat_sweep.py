@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.api import AnalysisSession
+from repro.api.report import AnalysisRequest
 from repro.core.encoder import shape_fragment
 from repro.scenarios import (
     AddRedundancy,
@@ -44,9 +45,8 @@ class TestWarmSweepEquivalence:
         trees = [scenario.apply(tree) for scenario in scenarios]
 
         warm_session = AnalysisSession()
-        warm_session.backend("maxsat").enable_warm_sessions()
-        for patched in trees:
-            warm = warm_session.analyze(patched, ["mpmcs"], backend="maxsat")
+        request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+        for patched, warm in zip(trees, warm_session.run_batch(trees, request)):
             cold = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat")
             assert _canonical(warm) == _canonical(cold)
             assert warm.mpmcs.engine == "incremental-hitting-set"
@@ -82,7 +82,6 @@ class TestWarmSweepEquivalence:
         executor = SweepExecutor(session, backend="maxsat")
         backend = session.backend("maxsat")
         executor.run(fire_protection_system(), probability_sweep("x1", [0.1]))
-        assert backend.warm_enabled is False
         one_off = session.analyze(fire_protection_system(), ["mpmcs"], backend="maxsat")
         assert one_off.mpmcs.engine != "incremental-hitting-set"
         # The warm sessions themselves persist, so the next sweep starts warm.
@@ -116,23 +115,30 @@ class TestFragmentMissAccounting:
     def _empty_shape_memo(self):
         shape_fragment.cache_clear()
 
-    def _session_with_warm_maxsat(self):
+    @staticmethod
+    def _warm_maxsat():
+        """``mpmcs`` of one tree at a time through one session's warm route."""
         session = AnalysisSession()
-        session.backend("maxsat").enable_warm_sessions()
-        return session
+        request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+
+        def analyze(tree):
+            (report,) = session.run_batch([tree], request)
+            return report
+
+        return analyze
 
     def test_probability_scenarios_add_zero_fragment_misses(self):
         tree = random_fault_tree(num_basic_events=24, seed=9)
         event = sorted(tree.events_reachable_from_top())[0]
-        session = self._session_with_warm_maxsat()
-        session.analyze(tree, ["mpmcs"], backend="maxsat")
+        analyze = self._warm_maxsat()
+        analyze(tree)
         base_misses = _shapes_encoded()
         assert base_misses == len(gate_shapes(tree))
 
         for probability in (0.002, 0.05, 0.7):
             # Weight-only perturbation: the structure hash is unchanged.
             patched = Scenario("p", [SetProbability(event, probability)]).apply(tree)
-            session.analyze(patched, ["mpmcs"], backend="maxsat")
+            analyze(patched)
         assert _shapes_encoded() == base_misses
 
     def test_maintenance_sweep_is_weight_only(self):
@@ -163,13 +169,13 @@ class TestFragmentMissAccounting:
     )
     def test_structural_patch_re_encodes_only_affected_fragments(self, make_patch):
         tree = random_fault_tree(num_basic_events=24, seed=9)
-        session = self._session_with_warm_maxsat()
-        session.analyze(tree, ["mpmcs"], backend="maxsat")
+        analyze = self._warm_maxsat()
+        analyze(tree)
         base_misses = _shapes_encoded()
         base_hits = shape_fragment.cache_info().hits
 
         patched = Scenario("structural", [make_patch(tree)]).apply(tree)
-        report = session.analyze(patched, ["mpmcs"], backend="maxsat")
+        report = analyze(patched)
 
         assert report.mpmcs.engine == "incremental-hitting-set"
         # Only the shapes the patch introduced were encoded; every other gate
@@ -188,15 +194,15 @@ class TestFragmentMissAccounting:
             if gate.gate_type.value == "voting"
         ]
         assert voting_gates, "library voting tree must contain a voting gate"
-        session = self._session_with_warm_maxsat()
-        session.analyze(tree, ["mpmcs"], backend="maxsat")
+        analyze = self._warm_maxsat()
+        analyze(tree)
         base_misses = _shapes_encoded()
 
         gate = tree.gates[voting_gates[0]]
         patched = Scenario(
             "voting-k", [SetVotingThreshold(gate.name, (gate.k or 2) + 1)]
         ).apply(tree)
-        session.analyze(patched, ["mpmcs"], backend="maxsat")
+        analyze(patched)
 
         new_shapes = gate_shapes(patched) - gate_shapes(tree)
         assert new_shapes  # the new threshold is a shape the base never had

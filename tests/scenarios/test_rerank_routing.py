@@ -43,6 +43,6 @@ class TestMonitorRouting:
         updates = list(SyntheticFeed(tree, updates=10, seed=5))
         monitor = TreeMonitor(tree, backend="maxsat")
         monitor.apply_batch(updates)
-        (session,) = monitor.executor._warm_backend._warm_sessions.values()
+        (session,) = monitor.executor.session.backend("maxsat")._warm_sessions.values()
         assert session.rerank_stats["certified"] > 0
         assert session.rerank_stats["pooled"] == session.rerank_stats["bnb"] == 0

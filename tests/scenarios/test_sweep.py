@@ -170,7 +170,7 @@ class TestExactTopEventAtScale:
             assert outcome.top_event is not None
 
     def test_one_bdd_build_serves_probability_only_sweep(self):
-        from repro.api.cache import ARTIFACT_SUBTREE_BDD
+        from repro.api.cache import ARTIFACT_BDD
 
         tree = self._big_tree()
         event = sorted(tree.events)[0]
@@ -179,8 +179,8 @@ class TestExactTopEventAtScale:
         executor.run(tree, probability_sweep(event, [0.001, 0.01, 0.1, 0.2]))
         # Probability patches keep the structure hash, so the BDD compiles
         # once (one miss) and every later scenario re-evaluates it (hits).
-        assert session.artifacts.misses_for(ARTIFACT_SUBTREE_BDD) == 1
-        assert session.artifacts.hits_for(ARTIFACT_SUBTREE_BDD) >= 4
+        assert session.artifacts.misses_for(ARTIFACT_BDD) == 1
+        assert session.artifacts.hits_for(ARTIFACT_BDD) >= 4
 
     def test_exact_top_event_opt_out(self):
         tree = self._big_tree()
@@ -193,13 +193,13 @@ class TestExactTopEventAtScale:
 
     def test_small_trees_unaffected(self):
         """Below the cap the cut-set exact path already answers; no BDD runs."""
-        from repro.api.cache import ARTIFACT_SUBTREE_BDD
+        from repro.api.cache import ARTIFACT_BDD
 
         session = AnalysisSession()
         SweepExecutor(session).run(
             fire_protection_system(), probability_sweep("x1", [0.01, 0.1])
         )
-        assert session.artifacts.misses_for(ARTIFACT_SUBTREE_BDD) == 0
+        assert session.artifacts.misses_for(ARTIFACT_BDD) == 0
 
     def test_incremental_and_fresh_agree_with_exact_values(self):
         tree = self._big_tree()
@@ -210,6 +210,38 @@ class TestExactTopEventAtScale:
         for a, b in zip(incremental.outcomes, fresh.outcomes):
             assert a.top_event == pytest.approx(b.top_event, rel=1e-12)
             assert a.mpmcs_events == b.mpmcs_events
+
+
+def _count_bdd_compiles(monkeypatch):
+    """Record every ``BDDManager.from_fault_tree`` call; returns the log."""
+    from repro.bdd.manager import BDDManager
+
+    compiled = []
+    original = BDDManager.from_fault_tree
+
+    def counting(self, tree):
+        compiled.append(tree.name)
+        return original(self, tree)
+
+    monkeypatch.setattr(BDDManager, "from_fault_tree", counting)
+    return compiled
+
+
+class TestOneCompilePerStructure:
+    @pytest.mark.parametrize(
+        "analyses", [("mpmcs", "top_event"), ("mpmcs",), ("top_event",)]
+    )
+    def test_bdd_sweep_compiles_one_diagram(self, monkeypatch, analyses):
+        compiled = _count_bdd_compiles(monkeypatch)
+        report = SweepExecutor(backend="bdd").run(
+            fire_protection_system(),
+            probability_sweep("x1", start=1e-3, stop=0.5, steps=20),
+            analyses=analyses,
+        )
+        assert all(outcome.ok for outcome in report.outcomes)
+        # Probability patches keep the structure, so the base tree's diagram
+        # serves all 20 scenarios.
+        assert len(compiled) == 1
 
 
 class TestMPMCSIdentityChange:
