@@ -2,16 +2,22 @@
 
 import pytest
 
+from repro.analysis.mocus import mocus_minimal_cut_sets
+from repro.core.pipeline import MPMCSSolver
+from repro.core.topk import enumerate_mpmcs
 from repro.exceptions import SolverError
 from repro.maxsat import (
     BruteForceEngine,
     FuMalikEngine,
+    HittingSetEngine,
     LinearSearchEngine,
     MaxSATResult,
     MaxSATStatus,
     RC2Engine,
     WPMaxSATInstance,
 )
+from repro.maxsat import rc2
+from repro.workloads.generator import random_fault_tree
 
 ALL_ENGINES = [
     RC2Engine,
@@ -169,3 +175,41 @@ class TestEngineSpecificBehaviour:
         for engine in (RC2Engine(), BruteForceEngine()):
             result = engine.solve(instance)
             assert result.cost == 8  # violate -3 and -1 (3 + 5) or -2 alone (8)
+
+
+class TestRC2CoreBudget:
+    """A solve past its core budget finishes with the hitting set engine."""
+
+    # (events, generator seed, voting ratio): random trees on which the OLL
+    # lower bound creeps by weight differences; without the budget, RC2 does
+    # not finish their top-3 ranking within minutes.
+    CREEPING_TREES = [(6, 1569, 0.2), (8, 1221, 0.2), (17, 7, 0.35)]
+
+    @pytest.mark.parametrize("events,seed,voting_ratio", CREEPING_TREES)
+    def test_creeping_trees_rank_like_mocus(self, events, seed, voting_ratio):
+        tree = random_fault_tree(
+            num_basic_events=events, seed=seed, voting_ratio=voting_ratio
+        )
+        ranked = enumerate_mpmcs(tree, 3, solver=MPMCSSolver(single_engine=RC2Engine()))
+        reference = mocus_minimal_cut_sets(tree).ranked()[:3]
+        assert [entry.events for entry in ranked] == [
+            tuple(sorted(cut_set)) for cut_set, _ in reference
+        ]
+        for entry, (_, probability) in zip(ranked, reference):
+            assert entry.probability == pytest.approx(probability, rel=1e-9)
+
+    def test_solve_within_budget_is_rc2_alone(self):
+        result = RC2Engine().solve(simple_instance())
+        assert result.engine == "rc2"
+        assert result.cost == 2
+
+    def test_spent_budget_hands_over_with_both_counters(self, monkeypatch):
+        instance = simple_instance()
+        alone = HittingSetEngine().solve(instance)
+        monkeypatch.setattr(rc2, "CORE_SLACK", -len(instance.soft))
+        result = RC2Engine().solve(instance)
+        assert result.engine == "rc2+hitting-set"
+        assert result.status is MaxSATStatus.OPTIMUM
+        assert result.cost == alone.cost == 2
+        # The first SAT call found the core that spent the budget.
+        assert result.sat_calls == alone.sat_calls + 1
