@@ -3,8 +3,12 @@
 The core-guided MaxSAT algorithms (RC2/OLL) relax unsatisfiable cores by
 counting how many of the core's relaxation literals are true.  The counting is
 done with a *totalizer* encoding [Bailleux & Boutillier 2003]: a balanced tree
-of unary adders whose output literals ``o_1 .. o_n`` satisfy ``o_j`` is true
-iff at least ``j`` input literals are true.
+of unary adders whose output literal ``o_j`` is forced true once at least
+``j`` input literals are true.  Only that upward direction is encoded, so
+assuming ``-o_j`` enforces "fewer than ``j`` inputs true", which is the only
+question RC2 and Fu–Malik ask.  The tree is built incrementally [Martins et al.
+2014]: outputs exist only up to the highest bound requested so far, and a
+larger bound extends every node in place.
 
 The :class:`Totalizer` here emits its clauses into any object exposing an
 ``add_clause(list[int])`` method (a :class:`~repro.sat.cdcl.CDCLSolver` or a
@@ -19,11 +23,28 @@ from typing import Callable, List, Optional, Sequence
 from repro.exceptions import SolverError
 from repro.logic.cnf import Literal
 
-__all__ = ["Totalizer", "encode_at_most_k", "encode_at_least_k"]
+__all__ = ["Totalizer", "encode_at_most_k"]
+
+
+class _Node:
+    """One unary adder: ``outputs`` counts the inputs below it, up to the bound."""
+
+    __slots__ = ("size", "outputs", "left", "right")
+
+    def __init__(self, literals: List[Literal]) -> None:
+        self.size = len(literals)
+        if self.size == 1:
+            self.outputs = [literals[0]]
+            self.left = self.right = None
+        else:
+            mid = self.size // 2
+            self.outputs = []
+            self.left = _Node(literals[:mid])
+            self.right = _Node(literals[mid:])
 
 
 class Totalizer:
-    """Totalizer (unary counter) over a set of input literals.
+    """Incremental, upward-only totalizer over a set of input literals.
 
     Parameters
     ----------
@@ -34,10 +55,11 @@ class Totalizer:
     add_clause:
         Callable receiving each generated clause (a list of literals).
 
-    After construction, :attr:`outputs` holds the ordered output literals:
-    ``outputs[j-1]`` is true iff at least ``j`` inputs are true.  The encoding
-    enforces both directions needed by RC2 (inputs→outputs counting and the
-    ordering ``o_{j+1} -> o_j``).
+    No clause is emitted until a bound is asked for.  :meth:`at_least` and
+    :meth:`at_most` extend the tree to the bound they need; :attr:`outputs`
+    holds the output literals built so far, ``outputs[j-1]`` being forced true
+    when at least ``j`` inputs are true.  An output may still be true with
+    fewer true inputs, so only its negation carries meaning.
     """
 
     def __init__(
@@ -51,70 +73,53 @@ class Totalizer:
         self._new_var = new_var
         self._add_clause = add_clause
         self.inputs: List[Literal] = list(inputs)
-        self.outputs: List[Literal] = self._build(list(inputs))
+        self._root = _Node(self.inputs)
+        self.outputs: List[Literal] = self._root.outputs
 
     # -- construction -----------------------------------------------------------
 
-    def _build(self, literals: List[Literal]) -> List[Literal]:
-        if len(literals) == 1:
-            return [literals[0]]
-        mid = len(literals) // 2
-        left = self._build(literals[:mid])
-        right = self._build(literals[mid:])
-        return self._merge(left, right)
-
-    def _merge(self, left: List[Literal], right: List[Literal]) -> List[Literal]:
-        total = len(left) + len(right)
-        outputs = [self._new_var() for _ in range(total)]
-
-        # Counting direction: if >= a of left and >= b of right then >= a+b total.
-        for a in range(len(left) + 1):
-            for b in range(len(right) + 1):
-                if a + b == 0:
-                    continue
-                antecedent: List[Literal] = []
-                if a > 0:
-                    antecedent.append(-left[a - 1])
-                if b > 0:
-                    antecedent.append(-right[b - 1])
-                self._add_clause(antecedent + [outputs[a + b - 1]])
-
-        # Upper-bound direction: if < a of left and < b of right then < a+b-1 total.
-        # Encoded as: not left[a] and not right[b]  ->  not outputs[a+b+1].
-        for a in range(len(left) + 1):
-            for b in range(len(right) + 1):
-                if a + b >= total:
-                    continue
-                antecedent = []
-                if a < len(left):
-                    antecedent.append(left[a])
-                if b < len(right):
-                    antecedent.append(right[b])
-                # at most a from left and at most b from right -> at most a+b total
-                self._add_clause(antecedent + [-outputs[a + b]])
-
-        # Ordering: o_{j+1} -> o_j.
-        for j in range(1, total):
-            self._add_clause([-outputs[j], outputs[j - 1]])
-        return outputs
+    def _extend(self, node: _Node, bound: int) -> None:
+        """Give ``node`` its outputs up to ``bound``, children first."""
+        outputs = node.outputs
+        built = len(outputs)
+        top = min(bound, node.size)
+        if top <= built:
+            return
+        self._extend(node.left, bound)
+        self._extend(node.right, bound)
+        outputs.extend(self._new_var() for _ in range(top - built))
+        left, right = node.left.outputs, node.right.outputs
+        add_clause = self._add_clause
+        # If >= a of left and >= b of right then >= a+b total, for the sums
+        # a+b this extension adds.
+        for a in range(min(len(left), top) + 1):
+            for b in range(max(built + 1 - a, 0), min(len(right), top - a) + 1):
+                clause = [-left[a - 1]] if a else []
+                if b:
+                    clause.append(-right[b - 1])
+                clause.append(outputs[a + b - 1])
+                add_clause(clause)
 
     # -- queries ----------------------------------------------------------------
 
     def at_least(self, k: int) -> Literal:
-        """Return the literal asserting that at least ``k`` inputs are true."""
+        """Return the output literal forced true once ``k`` inputs are true."""
         if k <= 0:
             raise SolverError("at_least bound must be >= 1")
-        if k > len(self.outputs):
+        if k > len(self.inputs):
             raise SolverError(
-                f"at_least bound {k} exceeds the number of inputs {len(self.outputs)}"
+                f"at_least bound {k} exceeds the number of inputs {len(self.inputs)}"
             )
+        self._extend(self._root, k)
         return self.outputs[k - 1]
 
     def at_most(self, k: int) -> List[Literal]:
         """Return unit clauses (as literals) enforcing that at most ``k`` inputs are true."""
         if k < 0:
             raise SolverError("at_most bound must be >= 0")
-        return [-self.outputs[j] for j in range(k, len(self.outputs))]
+        if k >= len(self.inputs):
+            return []
+        return [-self.at_least(k + 1)]
 
 
 def encode_at_most_k(
@@ -139,23 +144,4 @@ def encode_at_most_k(
     totalizer = Totalizer(literals, new_var, add_clause)
     for unit in totalizer.at_most(k):
         add_clause([unit])
-    return totalizer
-
-
-def encode_at_least_k(
-    literals: Sequence[Literal],
-    k: int,
-    new_var: Callable[[], int],
-    add_clause: Callable[[List[Literal]], None],
-) -> Optional[Totalizer]:
-    """Add clauses enforcing ``sum(literals) >= k``; returns the totalizer used."""
-    if k <= 0:
-        return None
-    if k > len(literals):
-        raise SolverError("at-least bound exceeds the number of literals")
-    if k == 1:
-        add_clause(list(literals))
-        return None
-    totalizer = Totalizer(literals, new_var, add_clause)
-    add_clause([totalizer.at_least(k)])
     return totalizer

@@ -32,8 +32,8 @@ class GeneralizedTotalizer:
         overflow indicator; the encoding can therefore only be used to assert
         ``sum <= k`` for ``k <= bound``.
     new_var / add_clause:
-        Variable allocator and clause sink (same contract as
-        :class:`repro.maxsat.cardinality.Totalizer`).
+        Callable allocating a fresh variable index, and callable receiving
+        each generated clause (a list of literals).
     max_node_size:
         Optional cap on the number of distinct partial sums a single merge node
         may carry.  Weighted instances with many distinct weights can make the

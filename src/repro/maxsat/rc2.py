@@ -9,9 +9,11 @@ which itself implements the OLL strategy:
    core identifies soft clauses that cannot all be satisfied;
 4. the minimum weight of the core is added to the lower bound, the core's
    selectors have their weights reduced, and a totalizer counting the core's
-   violations is introduced whose "at most 1 violated" output becomes a new
-   (sum) selector;
-5. when a sum selector later reappears in a core its bound is incremented.
+   violations is introduced, built only up to bound 2: the negation of its
+   "at least 2 violated" output becomes a new (sum) selector;
+5. when a sum selector later reappears in a core its bound is incremented
+   while it stays below the core's size, and the totalizer grows in place
+   by one output.
 
 Every selector is active from the first SAT call.  One stratum per distinct
 weight (the naive alternative to RC2's diversity-based stratification) costs
@@ -172,11 +174,9 @@ class RC2Engine(MaxSATEngine):
             # We have paid for exactly one violation among the relaxation
             # literals; a second violation costs `min_weight` more, so "at most
             # one violated" becomes a new soft (sum) selector.
-            bound = 1
-            if bound < len(relax_literals):
-                new_selector = -totalizer.at_least(bound + 1)
-                weights[new_selector] = weights.get(new_selector, 0) + min_weight
-                sums[new_selector] = (totalizer, bound)
+            new_selector = -totalizer.at_least(2)
+            weights[new_selector] = weights.get(new_selector, 0) + min_weight
+            sums[new_selector] = (totalizer, 1)
 
     def _process_original_selector(
         self,
@@ -214,9 +214,10 @@ class RC2Engine(MaxSATEngine):
         else:
             weights[sel] -= min_weight
         # Increase the bound of this sum: allowing `bound + 1` violations is a
-        # new soft decision with weight `min_weight`.
+        # new soft decision with weight `min_weight`.  Compare with the number
+        # of inputs: `totalizer.outputs` only reaches the bound built so far.
         new_bound = bound + 1
-        if new_bound < len(totalizer.outputs):
+        if new_bound < len(totalizer.inputs):
             new_selector = -totalizer.at_least(new_bound + 1)
             weights[new_selector] = weights.get(new_selector, 0) + min_weight
             sums[new_selector] = (totalizer, new_bound)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.exceptions import SolverError
-from repro.maxsat.cardinality import Totalizer, encode_at_least_k, encode_at_most_k
+from repro.maxsat.cardinality import Totalizer, encode_at_most_k
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 
@@ -17,19 +17,53 @@ def build_totalizer(n):
     return solver, inputs, totalizer
 
 
+def assignments(inputs):
+    """Yield ``(assumptions, true_count)`` for every assignment of ``inputs``."""
+    for bits in itertools.product([False, True], repeat=len(inputs)):
+        yield [v if b else -v for v, b in zip(inputs, bits)], sum(bits)
+
+
+def at_least_answers(solver, inputs, totalizer):
+    """Whether ``-at_least(j)`` is satisfiable, per assignment and bound ``j``."""
+    return [
+        [
+            solver.solve(assumptions + [-totalizer.at_least(j)]).status is SatStatus.SAT
+            for j in range(1, len(inputs) + 1)
+        ]
+        for assumptions, _ in assignments(inputs)
+    ]
+
+
 class TestTotalizerSemantics:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_outputs_count_true_inputs(self, n):
+        # The encoding is upward-only: an output may be set true spuriously,
+        # so the contract is that assuming -at_least(j) is satisfiable
+        # exactly when fewer than j inputs are true.
         solver, inputs, totalizer = build_totalizer(n)
-        assert len(totalizer.outputs) == n
-        for bits in itertools.product([False, True], repeat=n):
-            assumptions = [v if b else -v for v, b in zip(inputs, bits)]
-            result = solver.solve(assumptions)
-            assert result.status is SatStatus.SAT
-            count = sum(bits)
-            for j, output in enumerate(totalizer.outputs, start=1):
-                value = result.model[abs(output)] if output > 0 else not result.model[abs(output)]
-                assert value == (count >= j)
+        for assumptions, count in assignments(inputs):
+            for j in range(1, n + 1):
+                result = solver.solve(assumptions + [-totalizer.at_least(j)])
+                assert (result.status is SatStatus.SAT) == (count < j)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_growing_the_bound_matches_building_at_full_bound(self, n):
+        grown = build_totalizer(n)
+        _, _, totalizer = grown
+        for k in range(1, n + 1):
+            totalizer.at_least(k)
+            assert len(totalizer.outputs) == k
+        direct = build_totalizer(n)
+        direct[2].at_least(n)
+        assert at_least_answers(*grown) == at_least_answers(*direct)
+
+    def test_core_of_53_inputs_at_bound_two_is_linear(self):
+        clauses = []
+        variables = iter(range(54, 10_000))
+        totalizer = Totalizer(list(range(1, 54)), lambda: next(variables), clauses.append)
+        totalizer.at_least(2)
+        assert len(clauses) <= 4 * 53
+        assert len(totalizer.outputs) == 2
 
     def test_empty_inputs_rejected(self):
         solver = CDCLSolver()
@@ -46,7 +80,8 @@ class TestTotalizerSemantics:
     def test_at_most_returns_negated_outputs(self):
         _, _, totalizer = build_totalizer(3)
         units = totalizer.at_most(1)
-        assert units == [-totalizer.outputs[1], -totalizer.outputs[2]]
+        assert units == [-totalizer.outputs[1]]
+        assert totalizer.at_most(3) == []
 
 
 class TestAtMostK:
@@ -71,27 +106,3 @@ class TestAtMostK:
         inputs = [solver.new_var()]
         with pytest.raises(SolverError):
             encode_at_most_k(inputs, -1, solver.new_var, solver.add_clause)
-
-
-class TestAtLeastK:
-    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 4), (4, 4)])
-    def test_constraint_enforced(self, n, k):
-        solver = CDCLSolver()
-        inputs = [solver.new_var() for _ in range(n)]
-        encode_at_least_k(inputs, k, solver.new_var, solver.add_clause)
-        for bits in itertools.product([False, True], repeat=n):
-            assumptions = [v if b else -v for v, b in zip(inputs, bits)]
-            result = solver.solve(assumptions)
-            expected = sum(bits) >= k
-            assert (result.status is SatStatus.SAT) == expected
-
-    def test_zero_bound_is_trivial(self):
-        solver = CDCLSolver()
-        inputs = [solver.new_var() for _ in range(2)]
-        assert encode_at_least_k(inputs, 0, solver.new_var, solver.add_clause) is None
-
-    def test_bound_above_size_rejected(self):
-        solver = CDCLSolver()
-        inputs = [solver.new_var() for _ in range(2)]
-        with pytest.raises(SolverError):
-            encode_at_least_k(inputs, 3, solver.new_var, solver.add_clause)

@@ -1,5 +1,7 @@
 """Unit tests exercising every MaxSAT engine on hand-crafted instances."""
 
+import random
+
 import pytest
 
 from repro.analysis.mocus import mocus_minimal_cut_sets
@@ -16,7 +18,7 @@ from repro.maxsat import (
     RC2Engine,
     WPMaxSATInstance,
 )
-from repro.maxsat import rc2
+from repro.maxsat import cardinality, rc2
 from repro.workloads.generator import random_fault_tree
 
 ALL_ENGINES = [
@@ -175,6 +177,45 @@ class TestEngineSpecificBehaviour:
         for engine in (RC2Engine(), BruteForceEngine()):
             result = engine.solve(instance)
             assert result.cost == 8  # violate -3 and -1 (3 + 5) or -2 alone (8)
+
+
+class TestGrowingSums:
+    """RC2 raises a core's bound one step at a time, growing its totalizer.
+
+    Each hard clause needs one of three events; each soft clause prefers one
+    event off.  Overlapping clauses make RC2 meet the same sum selector in
+    several cores, so it raises that sum's bound.  A sum whose bound stops
+    rising too early drops its constraint, and the cost comes out wrong.
+    """
+
+    SEEDS = range(20)
+
+    @staticmethod
+    def covering_instance(seed, events=10, clauses=30):
+        rng = random.Random(seed)
+        instance = WPMaxSATInstance(precision=1)
+        for _ in range(clauses):
+            instance.add_hard(rng.sample(range(1, events + 1), 3))
+        for event in range(1, events + 1):
+            instance.add_soft([-event], rng.randint(1, 9))
+        return instance
+
+    def test_core_guided_costs_match_brute_force(self, monkeypatch):
+        bounds = []
+        at_least = cardinality.Totalizer.at_least
+
+        def recording_at_least(totalizer, k):
+            bounds.append(k)
+            return at_least(totalizer, k)
+
+        monkeypatch.setattr(cardinality.Totalizer, "at_least", recording_at_least)
+        for seed in self.SEEDS:
+            instance = self.covering_instance(seed)
+            expected = BruteForceEngine().solve(instance).cost
+            assert RC2Engine().solve(instance).cost == expected, seed
+            assert FuMalikEngine().solve(instance).cost == expected, seed
+        # Some sum went from bound 1 to 2 and on to 3.
+        assert max(bounds) >= 4
 
 
 class TestRC2CoreBudget:
