@@ -172,8 +172,10 @@ class MaxSATBackend(AnalysisBackend):
     :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` per
     structure, so the probability-only trees of a batch become weight-only
     re-solves.  Both rank through one :func:`~repro.core.topk.rank_optima`
-    call that serves ``mpmcs`` and ``ranking`` and breaks ties at the head or
-    at rank ``top_k`` canonically.  One-off analyses stay cold on purpose: on
+    call that serves ``mpmcs`` and ``ranking``.  Both optimise the canonical
+    order itself (:func:`~repro.maxsat.instance.objective_weight`), so ties
+    need no extra solves: a ranking of ``top_k`` takes ``top_k`` solves and
+    equals every other backend's.  One-off analyses stay cold on purpose: on
     the E4 corpus a cold session cut the median analysis time 7x but raised
     the p95 from 466 to 747 ms (2-core host, CPython 3.11), because a
     many-core structure's first solve costs far more than one RC2 solve.
@@ -218,14 +220,12 @@ class MaxSATBackend(AnalysisBackend):
             self._warm_sessions.move_to_end(key)
         return session
 
-    def _rank_warm(
-        self, tree: FaultTree, request: AnalysisRequest, count: int
-    ) -> Tuple[List[MPMCSResult], float]:
-        """:func:`rank_optima` over the warm session's ``solve_tree`` and
-        ``solve_ties``; returns the optima and the session encode time this
-        call paid (non-zero only when it built the session).  Raises
-        :class:`BudgetExceededError` when the session blows its core budget
-        — the caller then falls back to the cold portfolio path.
+    def _rank_warm(self, tree: FaultTree, count: int) -> Tuple[List[MPMCSResult], float]:
+        """:func:`rank_optima` over the warm session's ``solve_tree``; returns
+        the optima and the session encode time this call paid (non-zero only
+        when it built the session).  Raises :class:`BudgetExceededError` when
+        the session blows its core budget — the caller then falls back to the
+        cold portfolio path.
         """
         known = self.context.artifacts.structure_keys_for(tree)[tree.top_event] in self._warm_sessions
         session = self._warm_session_for(tree)
@@ -253,16 +253,11 @@ class MaxSATBackend(AnalysisBackend):
                 num_aux_vars=session.num_aux_vars,
             )
 
-        def solve(found: Found) -> Optional[Tuple[MPMCSResult, int]]:
+        def solve(found: Found) -> Optional[MPMCSResult]:
             outcome = session.solve_tree(tree, found)
-            return None if outcome is None else (result(outcome), outcome.scaled_cost)
+            return None if outcome is None else result(outcome)
 
-        def ties(cost: int, found: Found) -> Optional[List[MPMCSResult]]:
-            outcomes = session.solve_ties(tree, cost, found)
-            return None if outcomes is None else [result(outcome) for outcome in outcomes]
-
-        optima = rank_optima(solve, count, deterministic=request.deterministic, ties=ties)
-        return optima, encode_seconds
+        return rank_optima(solve, count), encode_seconds
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         return self._run(tree, request, warm=False)
@@ -284,7 +279,7 @@ class MaxSATBackend(AnalysisBackend):
         if warm:
             solve_start = time.perf_counter()
             try:
-                enumerated, encode_seconds = self._rank_warm(tree, request, count)
+                enumerated, encode_seconds = self._rank_warm(tree, count)
             except BudgetExceededError:
                 # Pathological structure for the hitting-set loop: fall back
                 # to the cold portfolio for this tree.
@@ -303,7 +298,7 @@ class MaxSATBackend(AnalysisBackend):
             encoding = self._encoding(tree)
             solve_start = time.perf_counter()
             solve = self._solver().optima(tree, encoding)
-            enumerated = rank_optima(solve, count, deterministic=request.deterministic)
+            enumerated = rank_optima(solve, count)
             report.profile["encode_seconds"] = solve_start - encode_start
             report.profile["solve_seconds"] = time.perf_counter() - solve_start
         if not enumerated:

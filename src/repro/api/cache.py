@@ -52,9 +52,12 @@ __all__ = [
     "subtree_structure_hashes",
 ]
 
-#: Well-known artifact kinds shared by the built-in backends.  The CNF
-#: encoding and the minimal cut sets are keyed by the whole-tree hash.
-ARTIFACT_ENCODING = "cnf-encoding"
+#: Well-known artifact kinds shared by the built-in backends.  The MPMCS
+#: encoding and the minimal cut sets are keyed by the whole-tree hash.  The
+#: encoding's kind is not ``"cnf-encoding"``: entries stored under that name
+#: weight events by scaled cost alone, so their optima tie, and a persistent
+#: store must never serve them.
+ARTIFACT_ENCODING = "mpmcs-encoding"
 ARTIFACT_CUT_SETS = "minimal-cut-sets"
 #: Compiled BDD keyed by the *structure-only* hash of the top event's subtree
 #: (:meth:`ArtifactCache.get_or_compute_subtree`).  The diagram encodes the

@@ -104,10 +104,10 @@ class AnalysisRequest:
     cutoff:
         Probability cutoff for the ``"truncation"`` analysis.
     deterministic:
-        When true (default), backends canonicalise tied optima so that every
-        backend returns the identical MPMCS and ranking even when several cut
-        sets tie at the head or at rank ``top_k``; ``maxsat`` then takes
-        k + 1 blocked solves for an untied ranking of k.
+        Read by nothing: every backend always breaks ties canonically, and
+        ``maxsat`` optimises that order directly, in ``top_k`` solves.  Kept
+        on the wire and in :meth:`to_canonical_dict` so old requests and
+        reports still load and keep their bytes.
     """
 
     analyses: Tuple[str, ...] = ("mpmcs",)

@@ -7,7 +7,11 @@ whose optimal solutions are exactly the Maximum Probability Minimal Cut Sets:
   the root asserted, i.e. "the top event occurs".
 * **Soft clauses** — one unit clause ``(¬x_i)`` per basic event with weight
   ``w_i = -log(p(x_i))``: falsifying it (making the event part of the cut set)
-  costs ``w_i``.
+  costs ``w_i``.  The engines optimise the integer
+  :func:`~repro.maxsat.instance.objective_weight` of ``w_i``, which adds to
+  the scaled cost a tie-break by size, then by sorted event names.  So the
+  optimum is unique and is the canonical MPMCS, and each blocked re-solve
+  returns the next minimal cut set in canonical order.
 
 The hard CNF is built gate by gate (:func:`assemble_structure_cnf`): every
 gate contributes the Tseitin clauses of its own connective, stitched onto its
@@ -42,7 +46,7 @@ from repro.fta.tree import FaultTree
 from repro.logic.cnf import CNF
 from repro.logic.formula import AtLeast, Formula, Var, conjoin, disjoin
 from repro.logic.tseitin import CNFFragment, TseitinResult, encode_fragment
-from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance
+from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance, objective_weight
 
 __all__ = [
     "MPMCSEncoding",
@@ -141,6 +145,8 @@ class MPMCSEncoding:
         Inverse of ``event_vars``.
     weights:
         The ``-log`` weight of each basic event (paper Step 3 / Table I).
+        Reported costs and probabilities come from these, not from the
+        integer objective the engines optimise.
     num_aux_vars:
         Number of auxiliary Tseitin variables introduced in Step 2.
     """
@@ -178,12 +184,18 @@ def encode_mpmcs(tree: FaultTree, *, precision: int = DEFAULT_PRECISION) -> MPMC
 
     event_vars: Dict[str, int] = {}
     weights: Dict[str, float] = {}
+    ranks = {name: rank for rank, name in enumerate(sorted(tree.events))}
     for name, event in tree.events.items():
         var = structure.var_map[name]
         weight = log_weight(event.probability)
         event_vars[name] = var
         weights[name] = weight
-        instance.add_soft([-var], weight, label=name)
+        instance.add_soft(
+            [-var],
+            weight,
+            label=name,
+            scaled_weight=objective_weight(weight, ranks[name], len(ranks), precision),
+        )
 
     return MPMCSEncoding(
         instance=instance,

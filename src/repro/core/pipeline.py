@@ -172,17 +172,16 @@ class MPMCSSolver:
 
     def optima(
         self, tree: FaultTree, encoding: MPMCSEncoding
-    ) -> Callable[[Sequence[Tuple[str, ...]]], Optional[Tuple[MPMCSResult, int]]]:
+    ) -> Callable[[Sequence[Tuple[str, ...]]], Optional[MPMCSResult]]:
         """The cold ``solve`` callable of :func:`~repro.core.topk.rank_optima`.
 
         Blocks go into one working copy of ``encoding`` (a cached artifact,
-        say), which gains only the newly found ones per call.  The cost is
-        the scaled one the engines optimise, so ties are exact.
+        say), which gains only the newly found ones per call.
         """
         working = encoding
         blocks = 0
 
-        def solve(found: Sequence[Tuple[str, ...]]) -> Optional[Tuple[MPMCSResult, int]]:
+        def solve(found: Sequence[Tuple[str, ...]]) -> Optional[MPMCSResult]:
             nonlocal working, blocks
             if len(found) > blocks and working is encoding:
                 working = dataclasses.replace(encoding, instance=encoding.instance.copy())
@@ -190,11 +189,9 @@ class MPMCSSolver:
                 working.instance.add_hard([-encoding.event_vars[name] for name in events])
             blocks = len(found)
             try:
-                result = self.solve_encoding(tree, working)
+                return self.solve_encoding(tree, working)
             except NoCutSetError:
                 return None
-            scale = encoding.instance.scale_weight
-            return result, sum(scale(encoding.weights[name]) for name in result.events)
 
         return solve
 

@@ -10,8 +10,10 @@ inclusion-minimal cut set — the next most probable one.
 
 :func:`rank_optima` is the one blocked enumeration: the cold portfolio, the
 facade's warm session and :func:`enumerate_mpmcs` plug a ``solve`` into it.
-It solves until an optimum is strictly costlier than the ``k``-th, so ties at
-the head and at rank ``k`` are broken canonically; untied, k take k + 1 solves.
+The MaxSAT objective is the canonical order itself (see
+:func:`~repro.maxsat.instance.objective_weight`), so every optimum is unique
+and each blocked solve returns the next cut set in that order: a ranking of
+``k`` takes ``k`` solves and breaks ties like every other backend.
 """
 
 from __future__ import annotations
@@ -51,45 +53,22 @@ class RankedCutSet:
         return len(self.events)
 
 
-def rank_optima(
-    solve: Callable[[Found], Optional[Tuple[Optimum, int]]],
-    count: int,
-    *,
-    deterministic: bool = True,
-    ties: Optional[Callable[[int, Found], Optional[List[Optimum]]]] = None,
-) -> List[Optimum]:
-    """Blocked enumeration of at least ``count`` optima, in canonical order.
+def rank_optima(solve: Callable[[Found], Optional[Optimum]], count: int) -> List[Optimum]:
+    """Blocked enumeration of up to ``count`` optima, in canonical order.
 
-    ``solve(found)`` returns the cheapest optimum that is neither in
-    ``found`` nor a superset of one, with its scaled (integer) cost, or
-    ``None``.  The loop stops at ``count`` optima once, with
-    ``deterministic``, the newest is strictly costlier than the ``count``-th,
-    so every optimum tied with the ``count``-th is held.  ``ties(head_cost,
-    found)`` is asked once, when the second optimum ties the head, for every
-    remaining optimum of that cost (``None``: blocked solves go on).  The
-    result is sorted by cost, then size, then events, like
-    ``CutSetCollection.ranked()``.
+    ``solve(found)`` returns the canonical optimum among the cut sets that
+    are neither in ``found`` nor a superset of one, or ``None``.  The loop
+    solves until it holds ``count`` optima or ``solve`` finds none.
     """
-    held: List[Tuple[Optimum, int]] = []
+    held: List[Optimum] = []
     found: List[Tuple[str, ...]] = []
-    while True:
+    while len(held) < count:
         optimum = solve(found)
         if optimum is None:
             break
         held.append(optimum)
-        found.append(optimum[0].events)
-        cost = optimum[1]
-        if len(held) >= count and (not deterministic or cost > held[count - 1][1]):
-            break
-        if ties is not None and len(held) == 2 and cost == held[0][1]:
-            listed = ties(cost, found)
-            if listed is not None:
-                held.extend((tie, cost) for tie in listed)
-                found.extend(tie.events for tie in listed)
-                if len(held) >= count:
-                    break
-    held.sort(key=lambda item: (item[1], len(item[0].events), item[0].events))
-    return [optimum for optimum, _ in held]
+        found.append(optimum.events)
+    return held
 
 
 def enumerate_mpmcs(
@@ -103,6 +82,7 @@ def enumerate_mpmcs(
 
     Ties are broken canonically (smaller set, then lexicographic events),
     also at the ``k``-th rank, so the ranking equals every other backend's.
+    Takes ``k`` solves of one encoding.
 
     Parameters
     ----------
@@ -126,6 +106,6 @@ def enumerate_mpmcs(
             rank=rank, events=result.events, probability=result.probability, cost=result.cost
         )
         for rank, result in enumerate(
-            rank_optima(pipeline.optima(tree, encoding), k)[:k], start=1
+            rank_optima(pipeline.optima(tree, encoding), k), start=1
         )
     ]

@@ -119,16 +119,17 @@ class MaxSATEngine:
 
         Recomputing the cost from the model (rather than trusting the engine's
         internal lower bound) guards against bookkeeping bugs: the reported
-        cost always matches the reported model.
+        cost always matches the reported model.  The float cost sums the
+        float weights of the same falsified soft clauses.
         """
         if not instance.hard_satisfied_by(model):
             raise SolverError("engine produced a model violating hard clauses")
-        cost = instance.cost_of_model(model)
+        falsified = instance.falsified_by(model)
         return MaxSATResult(
             status=status,
             model=dict(model),
-            cost=cost,
-            float_cost=instance.unscale_cost(cost),
+            cost=sum(soft.scaled_weight for soft in falsified),
+            float_cost=sum(soft.weight for soft in falsified),
             engine=self.name,
             solve_time=time.perf_counter() - start_time,
             sat_calls=sat_calls,

@@ -14,8 +14,14 @@ to the collection and the loop repeats.
 
 The hitting set sub-problem is solved exactly with a branch-and-bound search
 (a safety cap turns pathological runs into an UNKNOWN result instead of
-letting them run away).  It is cheap on most fault trees, but not on all: on
-the 600-event E4 structure (generator seed 1) a cold incremental session
+letting them run away).  A node is pruned once its cost plus a disjoint-core
+lower bound reaches the best cost: greedily pick pairwise-disjoint cores the
+node leaves unhit, and add the cheapest element of each, since any completion
+must pay for every one of them separately.  Without it the search is
+exponential on independent ties: 20 disjoint two-element cores of equal
+weights have 2^20 optimal hitting sets, and the bound settles them at the
+root.  The search is cheap on most fault trees, but not on all: on the
+600-event E4 structure (generator seed 1) a cold incremental session
 collects up to 223 cores, and one of its first solves spent about 73% of its
 time in :func:`minimum_cost_hitting_set` under cProfile.
 """
@@ -33,7 +39,7 @@ from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.sat.types import SatStatus
 
-__all__ = ["HittingSetEngine", "hitting_sets_of_cost", "minimum_cost_hitting_set"]
+__all__ = ["HittingSetEngine", "minimum_cost_hitting_set"]
 
 #: Poll the cooperative stop flag every this many search nodes.
 _STOP_CHECK_INTERVAL = 256
@@ -51,8 +57,10 @@ def minimum_cost_hitting_set(
 
     Every core must be hit by at least one chosen element; the cost of a
     choice is the sum of its elements' weights.  Returns the chosen set and
-    its cost.  Raises :class:`BudgetExceededError` when the search exceeds
-    ``max_nodes`` nodes (a safety valve; never reached on realistic inputs).
+    its cost.  A node whose cost plus the disjoint-core lower bound of its
+    unhit cores reaches the best cost found is pruned (module docstring).
+    Raises :class:`BudgetExceededError` when the search exceeds ``max_nodes``
+    nodes (a safety valve; never reached on realistic inputs).
 
     ``seed`` optionally provides a known feasible hitting set (e.g. the
     previous solve's solution in an incremental sweep); its cost becomes the
@@ -98,7 +106,20 @@ def minimum_cost_hitting_set(
     sorted_cores = [
         sorted(core, key=lambda lit: weights.get(lit, 0)) for core in cores
     ]
+    # Per core: its cheapest element's weight, and the mask of every core
+    # sharing an element with it (itself included), for the lower bound.
+    cheapest = [weights.get(core[0], 0) for core in sorted_cores]
+    overlaps = [index.mask_of(core) for core in cores]
     nodes = 0
+
+    def lower_bound(unhit_mask: int) -> int:
+        """Cheapest elements of greedily picked pairwise-disjoint unhit cores."""
+        bound = 0
+        while unhit_mask:
+            core_index = (unhit_mask & -unhit_mask).bit_length() - 1
+            bound += cheapest[core_index]
+            unhit_mask &= ~overlaps[core_index]
+        return bound
 
     def search(chosen: Set[Literal], cost: int, unhit_mask: int) -> None:
         nonlocal best_set, best_cost, nodes
@@ -115,6 +136,8 @@ def minimum_cost_hitting_set(
             return
         if not unhit_mask:
             best_set, best_cost = set(chosen), cost
+            return
+        if cost + lower_bound(unhit_mask) >= best_cost:
             return
         # Branch on the elements of an unhit core with the fewest elements.
         core_index = -1
@@ -136,78 +159,6 @@ def minimum_cost_hitting_set(
 
     search(set(), 0, all_mask)
     return best_set, best_cost
-
-
-def hitting_sets_of_cost(
-    cores: List[FrozenSet[Literal]],
-    weights: Dict[Literal, int],
-    cost: int,
-    *,
-    max_nodes: int = 10_000,
-) -> Optional[List[Set[Literal]]]:
-    """Every hitting set of ``cores`` whose cost is exactly ``cost``.
-
-    Every weight must be positive.  When ``cost`` is the minimum hitting-set
-    cost, each such set is minimal, and branching on the elements of an unhit
-    core — excluding the elements of earlier sibling branches — finds every
-    one exactly once.  Returns ``None`` when ``cost`` is not the minimum (a
-    cheaper hitting set exists) or the search exceeds ``max_nodes`` nodes.
-    """
-    if not cores:
-        return [set()] if cost == 0 else None
-    index = CoverageIndex(cores)
-    coverage = index.coverage
-    sorted_cores = [
-        sorted(core, key=lambda lit: (weights.get(lit, 0), lit)) for core in cores
-    ]
-    found: List[Set[Literal]] = []
-    excluded: Set[Literal] = set()
-    nodes = 0
-
-    def search(chosen: Set[Literal], spent: int, unhit_mask: int) -> bool:
-        """Extend ``chosen``; false when the enumeration cannot be completed."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            return False
-        if not unhit_mask:
-            if spent < cost:
-                return False
-            found.append(set(chosen))
-            return True
-        # Branch on the unhit core with the fewest admissible elements.
-        branch: Optional[List[Literal]] = None
-        probe = unhit_mask
-        while probe:
-            position = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            admissible = [
-                element
-                for element in sorted_cores[position]
-                if element not in excluded and spent + weights.get(element, 0) <= cost
-            ]
-            if branch is None or len(admissible) < len(branch):
-                branch = admissible
-                if len(branch) <= 1:
-                    break
-        tried: List[Literal] = []
-        complete = True
-        for element in branch or ():
-            chosen.add(element)
-            complete = search(
-                chosen, spent + weights.get(element, 0), unhit_mask & ~coverage[element]
-            )
-            chosen.discard(element)
-            if not complete:
-                break
-            excluded.add(element)
-            tried.append(element)
-        excluded.difference_update(tried)
-        return complete
-
-    if not search(set(), 0, index.all_mask):
-        return None
-    return found
 
 
 class HittingSetEngine(MaxSATEngine):

@@ -31,7 +31,13 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
    SAT: the model is optimal (its cost is bounded by the hitting set's cost,
    which lower-bounds every solution).  UNSAT: cache the new core and repeat.
 
-Blocking clauses for tied-optimum / top-k enumeration are added once with an
+Each event's weight is its :func:`~repro.maxsat.instance.objective_weight`,
+which orders cut sets by scaled cost, then size, then sorted names, so the
+optimum is unique and each blocked solve returns the next cut set of a
+ranking in canonical order.  Event ranks depend only on the structure, so
+the session computes them once.
+
+Blocking clauses for top-k enumeration are added once with an
 *activation literal* ``r`` — ``(r ∨ ¬x_1 ∨ … ∨ ¬x_k)`` constrains nothing
 until ``¬r`` is assumed — so they too persist and are reused by every later
 scenario that blocks the same cut set.  Nothing the session ever adds to the
@@ -49,8 +55,8 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 from repro.exceptions import AnalysisError, BudgetExceededError, SolverError
 from repro.fta.tree import FaultTree
 from repro.logic.cnf import Literal
-from repro.maxsat.hitting_set import hitting_sets_of_cost, minimum_cost_hitting_set
-from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
+from repro.maxsat.hitting_set import minimum_cost_hitting_set
+from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight, scale_weight
 from repro.observability import trace as _trace
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
@@ -62,9 +68,9 @@ __all__ = ["IncrementalMaxSATSession", "IncrementalSolveResult"]
 class IncrementalSolveResult:
     """One optimal solution of a weight-only re-solve.
 
-    ``events`` is the extracted minimal cut set, ``scaled_cost`` the integer
-    objective at the session's precision (the granularity every tie decision
-    must use) and ``cost`` the float ``-log`` objective.
+    ``events`` is the extracted minimal cut set, ``scaled_cost`` the sum of
+    its events' weights at the session's precision (the cost the canonical
+    order ranks by first) and ``cost`` the float ``-log`` objective.
     """
 
     events: Tuple[str, ...]
@@ -93,7 +99,7 @@ class IncrementalMaxSATSession:
         per-solve weights come from :meth:`solve_tree` / :meth:`solve`.
     precision:
         Integer weight scaling, which must match the cold pipeline's for the
-        two paths to agree on ties.
+        two paths to agree on near-tied optima.
     max_rounds:
         Safety cap on core-discovery iterations per solve; exceeding it
         raises :class:`BudgetExceededError` so callers can fall back to the
@@ -142,6 +148,12 @@ class IncrementalMaxSATSession:
             self._var_events[var]: column
             for column, var in enumerate(sorted(self._var_events))
         }
+        #: ``(name, selector, rank)`` per event, ``rank`` its place in sorted
+        #: name order: the structure-only part of the objective weights.
+        self._objective_terms: Tuple[Tuple[str, Literal, int], ...] = tuple(
+            (name, -self.event_vars[name], rank)
+            for rank, name in enumerate(sorted(self.event_vars))
+        )
         self.num_vars = encoding.cnf.num_vars
         self.num_hard = encoding.cnf.num_clauses
         self.num_aux_vars = len(encoding.aux_vars)
@@ -183,17 +195,21 @@ class IncrementalMaxSATSession:
 
     # -- weights ---------------------------------------------------------------
 
-    def _scale_weight(self, weight: float) -> int:
-        """The shared quantisation (:func:`repro.maxsat.instance.scale_weight`).
-
-        Warm/cold agreement on tied optima depends on both paths using the
-        one definition, so this is a delegation, not a re-implementation.
-        """
-        return scale_weight(weight, self.precision)
-
     def scaled_cost_of(self, events: Iterable[str], weights: Dict[str, float]) -> int:
-        """The integer objective of a cut set under ``weights``."""
-        return sum(self._scale_weight(weights[name]) for name in events)
+        """The scaled cost of a cut set under ``weights``."""
+        return sum(scale_weight(weights[name], self.precision) for name in events)
+
+    def _objective(self, weights: Dict[str, float]) -> Dict[Literal, int]:
+        """Each event selector's :func:`objective_weight` under ``weights``.
+
+        The cold encoding uses the same function, so the warm and cold
+        paths agree on every optimum.
+        """
+        count, precision = len(self._objective_terms), self.precision
+        return {
+            selector: objective_weight(weights[name], rank, count, precision)
+            for name, selector, rank in self._objective_terms
+        }
 
     # -- blocking --------------------------------------------------------------
 
@@ -261,8 +277,9 @@ class IncrementalMaxSATSession:
         the SAT call would return: the hitting set is a cut set that no
         active blocking clause forbids, so the call is satisfiable; the
         model's true events hit every cached core, so they cost at least as
-        much as the hitting set, and with every scaled weight at least 1 a
-        subset of equal cost is the hitting set itself.
+        much as the hitting set, and with every objective weight positive a
+        subset of equal cost is the hitting set itself.  The objective is the
+        canonical order, so the answer is the canonical optimum.
         """
         return self._solve(weights, blocked, None)
 
@@ -310,10 +327,7 @@ class IncrementalMaxSATSession:
         tree: Optional[FaultTree],
     ) -> Optional[IncrementalSolveResult]:
         started = time.perf_counter()
-        scaled: Dict[Literal, int] = {
-            -var: self._scale_weight(weights[name])
-            for name, var in self.event_vars.items()
-        }
+        objective = self._objective(weights)
         block_assumptions = sorted(
             (self._block_assumption(cut_set) for cut_set in blocked), key=abs
         )
@@ -331,7 +345,7 @@ class IncrementalMaxSATSession:
                 break
 
             hitting_set, _ = minimum_cost_hitting_set(
-                usable, scaled, seed=self._hs_memo.get(signature)
+                usable, objective, seed=self._hs_memo.get(signature)
             )
             self._hs_memo[signature] = hitting_set
             candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
@@ -388,56 +402,6 @@ class IncrementalMaxSATSession:
             sat_calls=sat_calls,
             solve_time=time.perf_counter() - started,
         )
-
-    def solve_ties(
-        self, tree: FaultTree, cost: int, found: Sequence[Tuple[str, ...]]
-    ) -> Optional[List[IncrementalSolveResult]]:
-        """The optima of scaled cost ``cost`` for ``tree`` not in ``found``, without SAT calls.
-
-        ``cost`` must be the optimum for ``tree``'s probabilities, as a solve
-        returned it.  Every cut set hits every cached core, so the optima are
-        exactly the minimum-cost hitting sets of the block-free cores whose
-        events form a cut set: they are enumerated, and each is checked
-        against the pool or by evaluating ``tree``.  Results come in event
-        order.  ``None`` when the enumeration exceeds its budget; callers
-        then go on with blocked solves.
-        """
-        from repro.core.weights import log_weight  # lazy: avoids an import cycle
-
-        started = time.perf_counter()
-        probabilities = tree.probabilities()
-        scaled: Dict[Literal, int] = {
-            -var: self._scale_weight(log_weight(probabilities[name]))
-            for name, var in self.event_vars.items()
-        }
-        usable, _ = self._usable_cores(set())
-        candidates = hitting_sets_of_cost(usable, scaled, cost)
-        if candidates is None:
-            return None
-        known = set(found)
-        ties = sorted(
-            events
-            for events in (
-                tuple(sorted(self._var_events[-literal] for literal in hitting_set))
-                for hitting_set in candidates
-            )
-            if events not in known and self._is_cut_set(events, tree)
-        )
-        results: List[IncrementalSolveResult] = []
-        for events in ties:
-            self._register_candidate(events)
-            probability_weights = {name: log_weight(probabilities[name]) for name in events}
-            results.append(
-                IncrementalSolveResult(
-                    events=events,
-                    scaled_cost=cost,
-                    cost=sum(probability_weights.values()),
-                    probability_weights=probability_weights,
-                    sat_calls=0,
-                    solve_time=time.perf_counter() - started,
-                )
-            )
-        return results
 
     def _usable_cores(
         self, active_blocks: Set[Literal]

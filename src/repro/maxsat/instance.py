@@ -9,7 +9,9 @@ Weights may be provided as floats (the MPMCS pipeline produces real-valued
 ``-log p`` weights, paper Step 3).  Internally every weight is scaled to an
 integer using a configurable ``precision`` so that the core-guided algorithms
 can perform exact arithmetic; results report both the scaled integer cost and
-the original-scale float cost.
+the original-scale float cost.  A caller may instead give a soft clause its
+integer weight outright: the MPMCS encoding gives each event the
+:func:`objective_weight` that makes the canonical order the objective.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import SolverError
 from repro.logic.cnf import CNF, Literal
 
-__all__ = ["SoftClause", "WPMaxSATInstance", "DEFAULT_PRECISION", "scale_weight"]
+__all__ = [
+    "SoftClause",
+    "WPMaxSATInstance",
+    "DEFAULT_PRECISION",
+    "objective_weight",
+    "scale_weight",
+]
 
 #: Default scale factor applied to float weights (1e-9 weight resolution).
 DEFAULT_PRECISION = 10**9
@@ -31,13 +39,29 @@ def scale_weight(weight: float, precision: int) -> int:
     """Quantise a float weight to the integer solver scale (rounding, min 1).
 
     The single definition of weight quantisation: every consumer — instance
-    construction, tie detection in the facade, the warm incremental session —
-    must agree bit-for-bit on this mapping, or two solvers could disagree on
+    construction, the MPMCS objective, the warm incremental session — must
+    agree bit-for-bit on this mapping, or two solvers could disagree on
     which of two near-tied optima is cheaper.
     """
     if weight <= 0 or not math.isfinite(weight):
         raise SolverError(f"weight must be positive and finite, got {weight}")
     return max(1, int(round(weight * precision)))
+
+
+def objective_weight(weight: float, rank: int, count: int, precision: int) -> int:
+    """Integer MPMCS objective weight of an event whose name has sorted ``rank``.
+
+    ``W(e) = ((s(e)·(N+1) + 1) << (N+1)) − (1 << (N − r(e)))`` with
+    ``s(e) = scale_weight(weight, precision)``, ``N = count`` events and
+    ``r(e) = rank`` (0-based).  Summed over a set ``C`` of events this is
+    ``((s(C)·(N+1) + |C|) << (N+1)) − Σ 2^(N−r(e))``, and the subtracted part
+    is below ``2^(N+1)``, so the sums order sets by scaled cost, then size,
+    then sorted names (Boolean lexicographic optimisation, Marques-Silva et
+    al., AMAI 2011), and no two sets cost the same.  Every weight is
+    positive, so an optimum stays an inclusion-minimal cut set.
+    """
+    shift = count + 1
+    return ((scale_weight(weight, precision) * shift + 1) << shift) - (1 << (count - rank))
 
 
 @dataclass(frozen=True)
@@ -132,15 +156,24 @@ class WPMaxSATInstance:
         weight: float,
         *,
         label: Optional[str] = None,
+        scaled_weight: Optional[int] = None,
     ) -> SoftClause:
-        """Add a soft clause with the given positive weight."""
+        """Add a soft clause with the given positive weight.
+
+        The engines optimise ``scaled_weight``, by default
+        :meth:`scale_weight` of ``weight``; ``weight`` itself is what
+        :attr:`~repro.maxsat.result.MaxSATResult.float_cost` sums.
+        """
         clause = tuple(literals)
         for lit in clause:
             if lit == 0:
                 raise SolverError("literal 0 is not allowed")
             self.ensure_num_vars(abs(lit))
-        scaled = self.scale_weight(weight)
-        soft = SoftClause(literals=clause, weight=float(weight), scaled_weight=scaled, label=label)
+        if scaled_weight is None:
+            scaled_weight = self.scale_weight(weight)
+        soft = SoftClause(
+            literals=clause, weight=float(weight), scaled_weight=scaled_weight, label=label
+        )
         self._soft.append(soft)
         return soft
 
@@ -149,7 +182,12 @@ class WPMaxSATInstance:
         return scale_weight(weight, self.precision)
 
     def unscale_cost(self, scaled_cost: int) -> float:
-        """Convert an integer cost back to the original float scale."""
+        """Convert an integer cost back to the original float scale.
+
+        Only for soft clauses scaled by :meth:`scale_weight`; engines report
+        a model's float cost as the summed ``weight`` of
+        :meth:`falsified_by`.
+        """
         return scaled_cost / self.precision
 
     # -- inspection -------------------------------------------------------------
@@ -158,14 +196,17 @@ class WPMaxSATInstance:
         """Sum of all scaled soft weights (an upper bound on any solution cost)."""
         return sum(s.scaled_weight for s in self._soft)
 
+    def falsified_by(self, model: Mapping[int, bool]) -> List[SoftClause]:
+        """The soft clauses ``model`` falsifies."""
+        return [
+            soft
+            for soft in self._soft
+            if not any(model.get(abs(lit), False) == (lit > 0) for lit in soft.literals)
+        ]
+
     def cost_of_model(self, model: Mapping[int, bool]) -> int:
         """Scaled cost (total weight of soft clauses falsified) of ``model``."""
-        cost = 0
-        for soft in self._soft:
-            satisfied = any(model.get(abs(lit), False) == (lit > 0) for lit in soft.literals)
-            if not satisfied:
-                cost += soft.scaled_weight
-        return cost
+        return sum(soft.scaled_weight for soft in self.falsified_by(model))
 
     def hard_satisfied_by(self, model: Mapping[int, bool]) -> bool:
         """Check whether every hard clause is satisfied by ``model``."""

@@ -33,7 +33,7 @@ class MaxSATResult:
     cost:
         Scaled integer cost (total scaled weight of falsified soft clauses).
     float_cost:
-        The same cost expressed on the original float weight scale.
+        The sum of the float weights of the falsified soft clauses.
     engine:
         Name of the engine configuration that produced the result (useful when
         the portfolio reports which member won).

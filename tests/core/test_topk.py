@@ -111,17 +111,14 @@ class _Optimum:
 
 
 def _solver(costs, calls):
-    """A ``solve`` over ``costs`` (events -> scaled cost) that returns ties in
-    reverse lexicographic order, so only the canonical sort puts them right."""
+    """A ``solve`` over ``costs`` (events -> cost) that, like every exact
+    engine on the canonical objective, returns the least remaining set by
+    (cost, events)."""
 
     def solve(found):
         calls.append(list(found))
         left = [(cost, events) for events, cost in costs.items() if events not in found]
-        if not left:
-            return None
-        cost = min(cost for cost, _ in left)
-        events = max(events for c, events in left if c == cost)
-        return _Optimum(events), cost
+        return _Optimum(min(left)[1]) if left else None
 
     return solve
 
@@ -129,25 +126,16 @@ def _solver(costs, calls):
 class TestRankOptima:
     COSTS = {("a",): 1, ("b",): 3, ("c",): 3, ("d",): 3, ("e",): 5}
 
-    def test_stops_once_the_newest_is_costlier_than_the_count_th(self):
-        calls = []
-        ranked = rank_optima(_solver(self.COSTS, calls), 1)
-        assert [optimum.events for optimum in ranked] == [("a",), ("d",)]
-        assert len(calls) == 2
-
-    def test_boundary_ties_are_all_found_and_broken_canonically(self):
+    def test_takes_count_solves(self):
         calls = []
         ranked = rank_optima(_solver(self.COSTS, calls), 2)
-        # a, then the three cost-3 ties, then e proves nothing else ties.
-        assert len(calls) == 5
-        assert [optimum.events for optimum in ranked][:2] == [("a",), ("b",)]
-        assert [optimum.events for optimum in ranked] == [("a",), ("b",), ("c",), ("d",), ("e",)]
-
-    def test_without_determinism_stops_at_count(self):
-        calls = []
-        ranked = rank_optima(_solver(self.COSTS, calls), 2, deterministic=False)
-        assert [optimum.events for optimum in ranked] == [("a",), ("d",)]
+        assert [optimum.events for optimum in ranked] == [("a",), ("b",)]
         assert len(calls) == 2
+
+    def test_each_solve_blocks_every_optimum_found(self):
+        calls = []
+        rank_optima(_solver(self.COSTS, calls), 3)
+        assert calls == [[], [("a",)], [("a",), ("b",)]]
 
     def test_exhaustion_returns_everything_in_canonical_order(self):
         calls = []
@@ -155,33 +143,10 @@ class TestRankOptima:
         assert [optimum.events for optimum in ranked] == sorted(self.COSTS)
         assert len(calls) == len(self.COSTS) + 1
 
-    def test_head_ties_come_from_one_ties_call(self):
-        costs = {("a",): 2, ("b",): 2, ("c",): 2, ("d",): 4}
-        calls, asked = [], []
-
-        def ties(cost, found):
-            asked.append((cost, list(found)))
-            return [_Optimum(events) for events in (("a",),) if events not in found]
-
-        ranked = rank_optima(_solver(costs, calls), 1, ties=ties)
-        # The head and the first tie come from solves; the rest from ties,
-        # after which no proof solve is needed.
-        assert len(calls) == 2
-        assert asked == [(2, [("c",), ("b",)])]
-        assert [optimum.events for optimum in ranked] == [("a",), ("b",), ("c",)]
-
-    def test_blocked_solves_take_over_when_ties_gives_up(self):
-        costs = {("a",): 2, ("b",): 2, ("c",): 2, ("d",): 4}
-        calls, asked = [], []
-
-        def ties(cost, found):
-            asked.append(cost)
-            return None
-
-        ranked = rank_optima(_solver(costs, calls), 1, ties=ties)
-        assert asked == [2]
-        assert len(calls) == 4
-        assert [optimum.events for optimum in ranked] == [("a",), ("b",), ("c",), ("d",)]
+    def test_no_optimum_gives_an_empty_ranking(self):
+        calls = []
+        assert rank_optima(_solver({}, calls), 3) == []
+        assert calls == [[]]
 
 
 def _boundary_tie_tree():

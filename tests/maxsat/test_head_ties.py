@@ -1,22 +1,25 @@
-"""Head ties: enumerating every optimum of the cost a solve proved minimal.
+"""Tied optima: the canonical objective makes every optimum unique.
 
-``hitting_sets_of_cost`` must list exactly the hitting sets of the given
-(minimum) cost, ``IncrementalMaxSATSession.solve_ties`` exactly the tied
-optimal cut sets, and the warm ``maxsat`` enumeration must answer like the
-cold path however many optima tie, with a per-scenario solve count that does
-not grow with the number of ties.
+Every event's weight is ``objective_weight``, which orders cut sets by scaled
+cost, then size, then sorted names.  So every exact engine returns the
+canonical optimum in one solve, each blocked solve returns the next one, and
+a ranking of k takes exactly k solves on the cold and the warm route however
+many optima tie.
 """
 
-import itertools
 import json
+import random
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
-from repro.api import AnalysisSession
+from repro.api import AnalysisRequest, AnalysisSession
+from repro.core.encoder import encode_mpmcs
+from repro.core.pipeline import MPMCSSolver
+from repro.core.weights import log_weight
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat.hitting_set import hitting_sets_of_cost, minimum_cost_hitting_set
+from repro.maxsat import BruteForceEngine, FuMalikEngine, HittingSetEngine, RC2Engine
 from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 from repro.monitoring import ProbabilityUpdate, TreeMonitor
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import probability_walk, random_fault_tree
@@ -34,98 +37,133 @@ def _ladder(rungs, probability=0.1):
     return builder.top("top").build()
 
 
-def _instances():
-    """Small hitting-set instances with strictly positive weights."""
-    literals = st.integers(min_value=1, max_value=7)
-    core = st.frozensets(literals, min_size=1, max_size=4)
-    cores = st.lists(core, min_size=1, max_size=7)
-    weights = st.lists(st.integers(min_value=1, max_value=4), min_size=7, max_size=7)
-    return st.tuples(cores, weights)
+def _and_of_ors(width, probability=0.1):
+    """``AND`` of ``width`` two-event ``OR`` gates: 2^width tied MPMCS."""
+    builder = FaultTreeBuilder(f"and-of-{width}-ors")
+    for index in range(width):
+        builder.basic_event(f"a{index:02d}", probability)
+        builder.basic_event(f"b{index:02d}", probability)
+        builder.or_gate(f"g{index:02d}", [f"a{index:02d}", f"b{index:02d}"])
+    builder.and_gate("top", [f"g{index:02d}" for index in range(width)])
+    return builder.top("top").build()
 
 
-def _brute_force(cores, weights, cost):
-    elements = sorted(set().union(*cores))
-    return {
-        frozenset(chosen)
-        for size in range(len(elements) + 1)
-        for chosen in itertools.combinations(elements, size)
-        if sum(weights[element] for element in chosen) == cost
-        and all(core & set(chosen) for core in cores)
-    }
+def _or_chain(depth, probability=0.01):
+    """A ``depth``-deep chain of two-input ``OR`` gates: ``depth`` tied singletons."""
+    builder = FaultTreeBuilder(f"or-chain-{depth}")
+    for index in range(depth):
+        builder.basic_event(f"e{index:04d}", probability)
+    previous = "e0000"
+    for index in range(1, depth):
+        builder.or_gate(f"g{index:04d}", [previous, f"e{index:04d}"])
+        previous = f"g{index:04d}"
+    return builder.top(previous).build()
 
 
-class TestHittingSetsOfCost:
-    @settings(max_examples=200, deadline=None)
-    @given(_instances())
-    def test_lists_exactly_the_minimum_cost_hitting_sets(self, instance):
-        cores, weight_list = instance
-        weights = {literal: weight_list[literal - 1] for literal in range(1, 8)}
-        _, cost = minimum_cost_hitting_set(cores, weights)
-        found = hitting_sets_of_cost(cores, weights, cost)
-        assert found is not None
-        assert len(found) == len({frozenset(chosen) for chosen in found})
-        assert {frozenset(chosen) for chosen in found} == _brute_force(cores, weights, cost)
-
-    def test_a_cost_above_the_minimum_is_refused(self):
-        cores = [frozenset({1, 2}), frozenset({2, 3})]
-        weights = {1: 1, 2: 1, 3: 1}
-        assert hitting_sets_of_cost(cores, weights, 1) == [{2}]
-        assert hitting_sets_of_cost(cores, weights, 2) is None
-
-    def test_node_budget_gives_up(self):
-        cores = [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})]
-        weights = {literal: 1 for literal in range(1, 7)}
-        assert len(hitting_sets_of_cost(cores, weights, 3)) == 8
-        assert hitting_sets_of_cost(cores, weights, 3, max_nodes=3) is None
-
-    def test_no_cores(self):
-        assert hitting_sets_of_cost([], {}, 0) == [set()]
-
-
-class TestSolveTies:
-    def test_ties_complete_the_head_without_sat_calls(self):
-        tree = _ladder(6)
-        session = IncrementalMaxSATSession(tree)
-        head = session.solve_tree(tree)
-        calls = session.sat_calls
-        ties = session.solve_ties(tree, head.scaled_cost, [head.events])
-        assert session.sat_calls == calls
-        expected = {(f"a{rung}", f"b{rung}") for rung in range(6)} - {head.events}
-        assert [tie.events for tie in ties] == sorted(expected)
-        for tie in ties:
-            assert tie.scaled_cost == head.scaled_cost
-            assert tie.cost == head.cost
-            assert tie.sat_calls == 0
-
-    def test_ties_match_blocked_enumeration(self):
-        tree = random_fault_tree(num_basic_events=25, seed=3)
-        for name in tree.event_names:
-            tree.set_probability(name, 0.05)
-        session = IncrementalMaxSATSession(tree)
-        head = session.solve_tree(tree)
-        blocked = [head.events]
-        while True:
-            outcome = session.solve_tree(tree, blocked)
-            if outcome is None or outcome.scaled_cost != head.scaled_cost:
-                break
-            blocked.append(outcome.events)
-        assert len(blocked) > 1
-        fresh = IncrementalMaxSATSession(tree)
-        first = fresh.solve_tree(tree)
-        ties = fresh.solve_ties(tree, first.scaled_cost, [first.events])
-        assert sorted([first.events] + [tie.events for tie in ties]) == sorted(blocked)
-
-    def test_untied_head_has_no_ties(self):
-        tree = _ladder(4)
-        tree.set_probability("a0", 0.5)
-        session = IncrementalMaxSATSession(tree)
-        head = session.solve_tree(tree)
-        assert head.events == ("a0", "b0")
-        assert session.solve_ties(tree, head.scaled_cost, [head.events]) == []
+def _palette_tree(seed):
+    """A small random tree whose probabilities come from a three-value palette."""
+    tree = random_fault_tree(num_basic_events=8 + seed % 6, seed=seed, voting_ratio=0.2)
+    rng = random.Random(seed)
+    for name in sorted(tree.events):
+        tree.set_probability(name, rng.choice((0.05, 0.1, 0.2)))
+    return tree
 
 
 def _canonical(report):
     return json.dumps(report.to_canonical_dict(), sort_keys=True)
+
+
+def _events(report):
+    return [entry.events for entry in report.ranking]
+
+
+class TestEnginesAgreeOnTies:
+    """Every exact engine returns the one canonical optimum of an encoding."""
+
+    TREES = {
+        "ladder": lambda: _ladder(6),
+        "and-of-ors": lambda: _and_of_ors(6),
+        "or-chain": lambda: _or_chain(12),
+        "tied-random": lambda: _palette_tree(7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_engines_return_the_same_event_set(self, name):
+        tree = self.TREES[name]()
+        encoding = encode_mpmcs(tree)
+        expected = AnalysisSession().analyze(tree, ["mpmcs"], backend="bdd").mpmcs.events
+        solvers = {
+            "rc2": MPMCSSolver(single_engine=RC2Engine()),
+            "fu-malik": MPMCSSolver(single_engine=FuMalikEngine()),
+            "hitting-set": MPMCSSolver(single_engine=HittingSetEngine()),
+            "brute-force": MPMCSSolver(single_engine=BruteForceEngine()),
+            "process": MPMCSSolver(mode="process"),
+        }
+        for label, solver in solvers.items():
+            assert solver.solve_encoding(tree, encoding).events == expected, label
+
+
+def _count_calls(monkeypatch, owner, attribute):
+    calls = []
+    original = getattr(owner, attribute)
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attribute, counting)
+    return calls
+
+
+def _expected_and_of_ors(width):
+    """The canonical top 3 of :func:`_and_of_ors`: every cut set picks one event
+    per gate, all cost the same, so the least sorted names come first."""
+    heads = [f"a{index:02d}" for index in range(width)]
+    last, before = f"{width - 1:02d}", f"{width - 2:02d}"
+    return [
+        tuple(heads),
+        tuple(sorted(heads[:-1] + [f"b{last}"])),
+        tuple(sorted(heads[:-2] + [f"a{last}", f"b{before}"])),
+    ]
+
+
+class TestTieHeavyRegressions:
+    """Exponentially many ties cost k solves: the counts are the contract."""
+
+    ANALYSES = ["mpmcs", "ranking"]
+
+    def _routes(self, tree, monkeypatch):
+        """The cold and the warm report, each checked to take exactly 3 solves."""
+        cold_calls = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
+        warm_calls = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve_tree")
+        cold = AnalysisSession().analyze(tree, self.ANALYSES, backend="maxsat", top_k=3)
+        request = AnalysisRequest.create(self.ANALYSES, backend="maxsat", top_k=3)
+        (warm,) = list(AnalysisSession().run_batch([tree], request))
+        assert warm.profile.get("warm_solves") == 1
+        assert (len(cold_calls), len(warm_calls)) == (3, 3)
+        return cold, warm
+
+    @pytest.mark.parametrize(
+        "tree", [_and_of_ors(10), _or_chain(1500)], ids=["and-of-10-ors", "or-chain-1500"]
+    )
+    def test_matches_bdd(self, tree, monkeypatch):
+        expected = AnalysisSession().analyze(tree, self.ANALYSES, backend="bdd", top_k=3)
+        for report in self._routes(tree, monkeypatch):
+            assert _events(report) == _events(expected)
+            assert report.mpmcs.events == expected.mpmcs.events
+            assert [entry.probability for entry in report.ranking] == [
+                entry.probability for entry in expected.ranking
+            ]
+
+    def test_and_of_20_ors(self, monkeypatch):
+        # bdd ranks by enumerating all 2^20 cut sets, so its MPMCS is the
+        # reference here and the ranking is spelled out.
+        tree = _and_of_ors(20)
+        expected = AnalysisSession().analyze(tree, ["mpmcs"], backend="bdd").mpmcs
+        for report in self._routes(tree, monkeypatch):
+            assert report.mpmcs.events == expected.events
+            assert report.mpmcs.probability == expected.probability
+            assert _events(report) == _expected_and_of_ors(20)
 
 
 class TestWarmEnumerationWithTies:
@@ -138,31 +176,23 @@ class TestWarmEnumerationWithTies:
             return solve_tree(self, tree, blocked)
 
         monkeypatch.setattr(IncrementalMaxSATSession, "solve_tree", counting)
-        for rungs in (2, 5, 9):
+        analyses = ("mpmcs", "ranking")
+        for rungs in (3, 5, 9):
             tree = _ladder(rungs)
-            monitor = TreeMonitor(tree, backend="maxsat", include_reports=True)
+            monitor = TreeMonitor(
+                tree, backend="maxsat", analyses=analyses, top_k=3, include_reports=True
+            )
             monitor.ensure_base()
             calls.clear()
             delta = monitor.apply_update(
                 ProbabilityUpdate.create({"a0": 0.1, "b1": 0.1}, seq=1)
             )
-            # The head, then one blocked solve that finds the first tie.
-            assert calls == [0, 1]
+            # One solve_tree per ranked entry, however many optima tie.
+            assert calls == [0, 1, 2]
             fresh = SweepExecutor(AnalysisSession(), backend="maxsat")
-            expected = fresh.analyze_tree(tree.copy(), fresh.prepare_analyses(), top_k=5)
+            expected = fresh.analyze_tree(tree.copy(), fresh.prepare_analyses(analyses), top_k=3)
             assert _canonical(delta.report) == _canonical(expected)
             assert delta.mpmcs_events == ("a0", "b0")
-
-    def test_blocked_solves_take_over_when_the_tie_search_gives_up(self, monkeypatch):
-        from repro.maxsat import incremental
-
-        monkeypatch.setattr(incremental, "hitting_sets_of_cost", lambda *args: None)
-        tree = _ladder(4)
-        monitor = TreeMonitor(tree, backend="maxsat", include_reports=True)
-        delta = monitor.apply_update(ProbabilityUpdate.create({"a0": 0.1}, seq=1))
-        fresh = SweepExecutor(AnalysisSession(), backend="maxsat")
-        expected = fresh.analyze_tree(tree.copy(), fresh.prepare_analyses(), top_k=5)
-        assert _canonical(delta.report) == _canonical(expected)
 
     def test_ranking_with_more_ties_than_top_k_matches_cold(self):
         tree = _ladder(7)
@@ -178,16 +208,7 @@ class TestWarmEnumerationWithTies:
             ("a2", "b2"),
         ]
 
-    def test_clamped_walk_matches_fresh_analysis(self, monkeypatch):
-        tied = []
-        solve_ties = IncrementalMaxSATSession.solve_ties
-
-        def recording(self, tree, cost, found):
-            ties = solve_ties(self, tree, cost, found)
-            tied.append(bool(ties))
-            return ties
-
-        monkeypatch.setattr(IncrementalMaxSATSession, "solve_ties", recording)
+    def test_clamped_walk_matches_fresh_analysis(self):
         tree = random_fault_tree(num_basic_events=25, seed=1, voting_ratio=0.1)
         # A volatile walk pins many events at its bounds, so optima tie often.
         walk = list(
@@ -200,10 +221,12 @@ class TestWarmEnumerationWithTies:
                 probability_range=(0.01, 0.3),
             )
         )
-        monitor = TreeMonitor(tree, backend="maxsat", include_reports=True)
+        analyses = ("mpmcs", "ranking")
+        monitor = TreeMonitor(tree, backend="maxsat", analyses=analyses, include_reports=True)
         fresh = SweepExecutor(AnalysisSession(), backend="maxsat")
-        prepared = fresh.prepare_analyses()
+        prepared = fresh.prepare_analyses(analyses)
         state = dict(tree.probabilities())
+        tied = []
         for seq, values in enumerate(walk, start=1):
             delta = monitor.apply_update(ProbabilityUpdate.create(values, seq=seq))
             state.update(values)
@@ -212,4 +235,9 @@ class TestWarmEnumerationWithTies:
                 patched.set_probability(name, value)
             expected = fresh.analyze_tree(patched, prepared, top_k=5)
             assert _canonical(delta.report) == _canonical(expected)
+            scaled = [
+                sum(scale_weight(log_weight(state[name]), DEFAULT_PRECISION) for name in entry.events)
+                for entry in expected.ranking[:2]
+            ]
+            tied.append(len(scaled) == 2 and scaled[0] == scaled[1])
         assert any(tied)

@@ -1,10 +1,14 @@
 """Unit tests for the Weighted Partial MaxSAT instance model."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
 from repro.logic.cnf import CNF
-from repro.maxsat.instance import WPMaxSATInstance
+from repro.maxsat.instance import WPMaxSATInstance, objective_weight, scale_weight
 
 
 class TestConstruction:
@@ -96,3 +100,53 @@ class TestCostEvaluation:
         clone.add_hard([2])
         assert instance.num_hard == 1
         assert clone.num_hard == 2
+
+
+class TestObjectiveWeight:
+    """Summed objective weights order sets canonically, without ties."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        names=st.lists(
+            st.sampled_from(["a", "b", "c", "x1", "x10", "x2", "y"]),
+            unique=True,
+            min_size=1,
+            max_size=6,
+        ),
+        palette=st.lists(
+            st.sampled_from([1e-12, 0.1, 0.5, 1.5, 2.0]), min_size=6, max_size=6
+        ),
+        precision=st.sampled_from([1, 10, 10**9]),
+    )
+    def test_sum_order_is_cost_then_size_then_names(self, names, palette, precision):
+        # Six names share at most five weights, so equal weights are forced.
+        weights = dict(zip(names, palette))
+        count = len(names)
+        ranks = {name: rank for rank, name in enumerate(sorted(names))}
+        objective = {
+            name: objective_weight(weights[name], ranks[name], count, precision)
+            for name in names
+        }
+        subsets = [
+            tuple(sorted(subset))
+            for size in range(count + 1)
+            for subset in itertools.combinations(names, size)
+        ]
+        by_objective = sorted(subsets, key=lambda subset: sum(objective[n] for n in subset))
+        by_contract = sorted(
+            subsets,
+            key=lambda subset: (
+                sum(scale_weight(weights[n], precision) for n in subset),
+                len(subset),
+                subset,
+            ),
+        )
+        assert by_objective == by_contract
+        assert len({sum(objective[n] for n in subset) for subset in subsets}) == len(subsets)
+        assert all(weight > 0 for weight in objective.values())
+
+    def test_explicit_scaled_weight_is_kept(self):
+        instance = WPMaxSATInstance(precision=1000)
+        soft = instance.add_soft([-1], 2.5, scaled_weight=7)
+        assert soft.scaled_weight == 7
+        assert soft.weight == 2.5

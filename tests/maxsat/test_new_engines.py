@@ -1,5 +1,7 @@
 """Unit tests for the implicit hitting set MaxSAT engine."""
 
+import itertools
+
 import pytest
 
 from repro.exceptions import BudgetExceededError
@@ -132,10 +134,22 @@ class TestMinimumCostHittingSet:
         assert cost == 6
 
     def test_node_budget(self):
-        cores = [frozenset({i, i + 1, i + 2}) for i in range(1, 40, 3)]
-        weights = {i: 1 for i in range(1, 50)}
+        # Every 3-subset of 9 elements: the disjoint-core bound is 3 and the
+        # optimum 7, so the bound cannot settle the search at the root.
+        cores = [frozenset(triple) for triple in itertools.combinations(range(1, 10), 3)]
+        weights = {i: 1 for i in range(1, 10)}
+        assert minimum_cost_hitting_set(cores, weights)[1] == 7
         with pytest.raises(BudgetExceededError):
             minimum_cost_hitting_set(cores, weights, max_nodes=3)
+
+    def test_disjoint_core_bound_settles_independent_ties(self):
+        # 2^20 optimal hitting sets; without the bound the search visits
+        # exponentially many nodes.
+        cores = [frozenset({2 * i + 1, 2 * i + 2}) for i in range(20)]
+        weights = {element: 1 for element in range(1, 41)}
+        chosen, cost = minimum_cost_hitting_set(cores, weights, max_nodes=1000)
+        assert cost == 20
+        assert all(chosen & core for core in cores)
 
 
 class TestIterationCap:

@@ -1,5 +1,6 @@
 """Disk artifact store: format integrity, contention, crash and cold-start tests."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -9,8 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.cache import ARTIFACT_CUT_SETS, ARTIFACT_SUBTREE_CUT_SETS, ArtifactCache
+from repro.api.cache import (
+    ARTIFACT_CUT_SETS,
+    ARTIFACT_ENCODING,
+    ARTIFACT_SUBTREE_CUT_SETS,
+    ArtifactCache,
+    structural_hash,
+)
 from repro.api.session import AnalysisSession
+from repro.core.encoder import encode_mpmcs
+from repro.fta.builder import FaultTreeBuilder
+from repro.maxsat.instance import WPMaxSATInstance
 from repro.service.store import FORMAT_VERSION, MAGIC, DiskArtifactStore
 from repro.workloads.library import fire_protection_system
 
@@ -414,3 +424,46 @@ class TestGarbageCollection:
         assert store.stats()["entries"] == 1
         store.gc(max_bytes=0)
         assert store.stats()["entries"] == 0
+
+
+def _ladder(rungs):
+    """``OR`` of ``rungs`` two-event ``AND`` gates, every event at 0.1: all
+    ``rungs`` minimal cut sets tie."""
+    builder = FaultTreeBuilder(f"ladder-{rungs}")
+    for rung in range(rungs):
+        builder.basic_event(f"a{rung}", 0.1)
+        builder.basic_event(f"b{rung}", 0.1)
+        builder.and_gate(f"g{rung}", [f"a{rung}", f"b{rung}"])
+    builder.or_gate("top", [f"g{rung}" for rung in range(rungs)])
+    return builder.top("top").build()
+
+
+def _cost_only_encoding(tree):
+    """The MPMCS encoding as formerly stored: soft weights by scaled cost alone."""
+    encoding = encode_mpmcs(tree)
+    instance = WPMaxSATInstance(precision=encoding.instance.precision)
+    for clause in encoding.instance.hard:
+        instance.add_hard(clause)
+    for soft in encoding.instance.soft:
+        instance.add_soft(soft.literals, soft.weight, label=soft.label)
+    return dataclasses.replace(encoding, instance=instance)
+
+
+class TestRetiredEncodings:
+    def test_cost_only_encodings_are_never_read(self, tmp_path):
+        tree = _ladder(6)
+        store = DiskArtifactStore(tmp_path)
+        store.store(structural_hash(tree), "cnf-encoding", _cost_only_encoding(tree))
+        cache = ArtifactCache(backend=store)
+        report = AnalysisSession(cache=cache).analyze(
+            tree, ["mpmcs", "ranking"], backend="maxsat", top_k=3
+        )
+        expected = AnalysisSession().analyze(
+            tree, ["mpmcs", "ranking"], backend="bdd", top_k=3
+        )
+        assert ARTIFACT_ENCODING != "cnf-encoding"
+        assert cache._store_hits.get(ARTIFACT_ENCODING, 0) == 0
+        assert [entry.events for entry in report.ranking] == [
+            entry.events for entry in expected.ranking
+        ]
+        assert report.mpmcs.events == ("a0", "b0")
