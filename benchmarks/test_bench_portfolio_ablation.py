@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.encoder import encode_mpmcs
-from repro.maxsat import FuMalikEngine, LinearSearchEngine, PortfolioSolver, RC2Engine
+from repro.maxsat import HittingSetEngine, PortfolioSolver, RC2Engine
 from repro.maxsat.result import MaxSATStatus
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system, redundant_power_supply
@@ -41,8 +41,7 @@ def instances():
 
 ENGINE_FACTORIES = [
     ("rc2", RC2Engine),
-    ("fu-malik", FuMalikEngine),
-    ("linear-sat-unsat", LinearSearchEngine),
+    ("hitting-set", HittingSetEngine),
 ]
 
 
@@ -87,7 +86,7 @@ def test_bench_portfolio_ablation(benchmark):
         assert report.result.cost in optimum_costs
         assert report.result.status is MaxSATStatus.OPTIMUM
         # The portfolio's winner is one of the configured engines.
-        assert report.winner in dict(ENGINE_FACTORIES) or report.winner == "linear-sat-unsat"
+        assert report.winner in dict(ENGINE_FACTORIES)
 
     emit(
         "E5 — portfolio vs single engines (first finisher wins, optimum always preserved)",

@@ -25,7 +25,7 @@ from repro import MPMCSSolver, random_fault_tree
 from repro.analysis.mocus import mocus_mpmcs
 from repro.bdd.probability import bdd_mpmcs
 from repro.exceptions import AnalysisError
-from repro.maxsat import FuMalikEngine, LinearSearchEngine, RC2Engine
+from repro.maxsat import HittingSetEngine, RC2Engine
 
 DEFAULT_SIZES = [100, 300, 1000, 2000]
 MOCUS_BUDGET = 50_000
@@ -44,18 +44,15 @@ def timed(function, *args, **kwargs):
 def main(argv) -> int:
     sizes = [int(arg) for arg in argv[1:]] or DEFAULT_SIZES
     print(f"{'events':>7} {'nodes':>7} {'|MPMCS|':>8} {'P(MPMCS)':>11} "
-          f"{'rc2':>8} {'portfolio':>10} {'fu-malik':>9} {'linear':>8} {'mocus':>10} {'bdd':>10}")
+          f"{'rc2':>8} {'portfolio':>10} {'hitting-set':>11} {'mocus':>10} {'bdd':>10}")
 
     for size in sizes:
         tree = random_fault_tree(num_basic_events=size, seed=42, event_reuse=0.05)
 
         rc2_result, rc2_time, _ = timed(MPMCSSolver(single_engine=RC2Engine()).solve, tree)
         portfolio_result, portfolio_time, _ = timed(MPMCSSolver().solve, tree)
-        _, fumalik_time, fumalik_status = timed(
-            MPMCSSolver(single_engine=FuMalikEngine()).solve, tree
-        )
-        _, linear_time, linear_status = timed(
-            MPMCSSolver(single_engine=LinearSearchEngine()).solve, tree
+        _, hitting_set_time, hitting_set_status = timed(
+            MPMCSSolver(single_engine=HittingSetEngine()).solve, tree
         )
         _, mocus_time, mocus_status = timed(mocus_mpmcs, tree, max_candidates=MOCUS_BUDGET)
         if size <= BDD_LIMIT:
@@ -71,7 +68,7 @@ def main(argv) -> int:
             f"{size:>7} {tree.num_nodes:>7} {rc2_result.size:>8} "
             f"{rc2_result.probability:>11.3e} "
             f"{cell(rc2_time):>8} {cell(portfolio_time):>10} "
-            f"{cell(fumalik_time, fumalik_status):>9} {cell(linear_time, linear_status):>8} "
+            f"{cell(hitting_set_time, hitting_set_status):>11} "
             f"{cell(mocus_time, mocus_status):>10} {cell(bdd_time, bdd_status):>10}"
         )
 

@@ -61,10 +61,8 @@ from repro.monitoring import (
     feed_from_spec,
 )
 from repro.maxsat.bruteforce import BruteForceEngine
-from repro.maxsat.fumalik import FuMalikEngine
 from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.instance import WPMaxSATInstance
-from repro.maxsat.linear import LinearSearchEngine
 from repro.maxsat.rc2 import RC2Engine
 from repro.observability.log import JsonLinesLogger, set_logger
 from repro.reporting.ascii_art import render_tree
@@ -119,8 +117,6 @@ from repro.workloads.library import NAMED_TREES, get_tree
 #: MaxSAT engine factories selectable from the command line.
 _ENGINE_FACTORIES = {
     "rc2": RC2Engine,
-    "fu-malik": FuMalikEngine,
-    "linear": LinearSearchEngine,
     "hitting-set": HittingSetEngine,
     "brute-force": BruteForceEngine,
 }
@@ -649,14 +645,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solve_wcnf = subparsers.add_parser(
-        "solve-wcnf", help="solve a DIMACS WCNF file with one of the built-in MaxSAT engines"
+        "solve-wcnf", help="solve a DIMACS WCNF file with one built-in MaxSAT engine"
     )
     solve_wcnf.add_argument("wcnf", type=Path, help="WCNF file (classic format)")
     solve_wcnf.add_argument(
         "--engine",
         choices=sorted(_ENGINE_FACTORIES),
         default="rc2",
-        help="MaxSAT engine to use (default: rc2)",
+        help="MaxSAT engine to use: rc2 (default; core-guided OLL), hitting-set "
+        "(implicit hitting set) or brute-force (exhaustive, small instances only)",
     )
     solve_wcnf.add_argument(
         "--show-model", action="store_true", help="print the optimal assignment"

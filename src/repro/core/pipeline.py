@@ -116,10 +116,12 @@ class MPMCSSolver:
     ----------
     engines:
         MaxSAT engine configurations for the portfolio (Step 5).  ``None``
-        selects the default heterogeneous line-up.
+        selects :func:`~repro.maxsat.portfolio.default_engines`: RC2, then
+        the implicit hitting set engine.
     mode:
-        Portfolio execution mode: ``"sequential"`` (default, RC2 first) or
-        ``"process"`` (the engines race in parallel worker processes).
+        Portfolio execution mode: ``"sequential"`` (default; RC2 answers and
+        the next engine runs only if it is inconclusive) or ``"process"``
+        (the engines race in parallel worker processes).
     single_engine:
         When given, the portfolio is bypassed and this engine is used alone —
         the configuration exercised by the portfolio ablation benchmark.

@@ -140,6 +140,8 @@ def parse_wcnf(text: str) -> WcnfDocument:
         if not lits or lits[-1] != 0:
             raise DimacsError(f"line {lineno}: clause not terminated by 0")
         lits = lits[:-1]
+        if 0 in lits:
+            raise DimacsError(f"line {lineno}: literal 0 inside a clause {line!r}")
         if weight <= 0:
             raise DimacsError(f"line {lineno}: clause weight must be positive")
         if weight >= top:

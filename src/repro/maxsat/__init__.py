@@ -8,19 +8,14 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
 * :class:`repro.maxsat.rc2.RC2Engine` — OLL/RC2-style core-guided search with
   weight-aware core relaxation (the algorithm used by the RC2 solver the
   original MPMCS4FTA tool can call through pysat).
-* :class:`repro.maxsat.fumalik.FuMalikEngine` — the classic Fu–Malik / WPM1
-  core-guided algorithm generalised to weights via weight splitting.
-* :class:`repro.maxsat.linear.LinearSearchEngine` — model-improving linear
-  SAT–UNSAT search using a generalized totalizer pseudo-Boolean encoding.
 * :class:`repro.maxsat.hitting_set.HittingSetEngine` — MaxHS-style implicit
-  hitting set search (the approach of the paper's reference [5]).
+  hitting set search (the approach of the paper's reference [5]), which RC2
+  also hands a solve to once it outgrows its core budget.
 * :class:`repro.maxsat.bruteforce.BruteForceEngine` — an exhaustive reference
   solver used by the test suite on small instances.
-* :class:`repro.maxsat.preprocess.PreprocessingEngine` — WCNF preprocessing
-  (unit propagation, subsumption, soft merging) wrapped around any engine.
 * :class:`repro.maxsat.portfolio.PortfolioSolver` — the portfolio of Step 5:
-  RC2, then Fu–Malik, run in order in-process, or race in worker processes
-  (``mode="process"``); the first conclusive result wins.
+  RC2, then the hitting set engine, run in order in-process, or race in
+  worker processes (``mode="process"``); the first conclusive result wins.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
   implicit-hitting-set solving for weight-only re-solves across scenario
   sweeps: one persistent CDCL solver, weight-independent cached cores, and
@@ -31,36 +26,22 @@ from repro.maxsat.instance import SoftClause, WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.rc2 import RC2Engine
-from repro.maxsat.fumalik import FuMalikEngine
-from repro.maxsat.linear import LinearSearchEngine
 from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import IncrementalMaxSATSession, IncrementalSolveResult
 from repro.maxsat.bruteforce import BruteForceEngine
-from repro.maxsat.preprocess import (
-    PreprocessingEngine,
-    PreprocessResult,
-    PreprocessStats,
-    preprocess_instance,
-)
 from repro.maxsat.portfolio import PortfolioSolver, PortfolioReport
 
 __all__ = [
     "BruteForceEngine",
-    "FuMalikEngine",
     "HittingSetEngine",
     "IncrementalMaxSATSession",
     "IncrementalSolveResult",
-    "LinearSearchEngine",
     "MaxSATEngine",
     "MaxSATResult",
     "MaxSATStatus",
     "PortfolioReport",
     "PortfolioSolver",
-    "PreprocessResult",
-    "PreprocessStats",
-    "PreprocessingEngine",
     "RC2Engine",
     "SoftClause",
     "WPMaxSATInstance",
-    "preprocess_instance",
 ]

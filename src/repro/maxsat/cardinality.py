@@ -1,14 +1,14 @@
 """Cardinality constraint encodings.
 
-The core-guided MaxSAT algorithms (RC2/OLL) relax unsatisfiable cores by
+The core-guided MaxSAT algorithm (RC2/OLL) relaxes unsatisfiable cores by
 counting how many of the core's relaxation literals are true.  The counting is
 done with a *totalizer* encoding [Bailleux & Boutillier 2003]: a balanced tree
 of unary adders whose output literal ``o_j`` is forced true once at least
 ``j`` input literals are true.  Only that upward direction is encoded, so
 assuming ``-o_j`` enforces "fewer than ``j`` inputs true", which is the only
-question RC2 and Fu–Malik ask.  The tree is built incrementally [Martins et al.
-2014]: outputs exist only up to the highest bound requested so far, and a
-larger bound extends every node in place.
+question RC2 asks.  The tree is built incrementally [Martins et al. 2014]:
+outputs exist only up to the highest bound requested so far, and a larger
+bound extends every node in place.
 
 The :class:`Totalizer` here emits its clauses into any object exposing an
 ``add_clause(list[int])`` method (a :class:`~repro.sat.cdcl.CDCLSolver` or a
@@ -18,12 +18,12 @@ caller-supplied ``new_var`` callable so it can be embedded in larger encodings.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.exceptions import SolverError
 from repro.logic.cnf import Literal
 
-__all__ = ["Totalizer", "encode_at_most_k"]
+__all__ = ["Totalizer"]
 
 
 class _Node:
@@ -55,11 +55,11 @@ class Totalizer:
     add_clause:
         Callable receiving each generated clause (a list of literals).
 
-    No clause is emitted until a bound is asked for.  :meth:`at_least` and
-    :meth:`at_most` extend the tree to the bound they need; :attr:`outputs`
-    holds the output literals built so far, ``outputs[j-1]`` being forced true
-    when at least ``j`` inputs are true.  An output may still be true with
-    fewer true inputs, so only its negation carries meaning.
+    No clause is emitted until a bound is asked for.  :meth:`at_least`
+    extends the tree to the bound it needs; :attr:`outputs` holds the output
+    literals built so far, ``outputs[j-1]`` being forced true when at least
+    ``j`` inputs are true.  An output may still be true with fewer true
+    inputs, so only its negation carries meaning.
     """
 
     def __init__(
@@ -112,36 +112,3 @@ class Totalizer:
             )
         self._extend(self._root, k)
         return self.outputs[k - 1]
-
-    def at_most(self, k: int) -> List[Literal]:
-        """Return unit clauses (as literals) enforcing that at most ``k`` inputs are true."""
-        if k < 0:
-            raise SolverError("at_most bound must be >= 0")
-        if k >= len(self.inputs):
-            return []
-        return [-self.at_least(k + 1)]
-
-
-def encode_at_most_k(
-    literals: Sequence[Literal],
-    k: int,
-    new_var: Callable[[], int],
-    add_clause: Callable[[List[Literal]], None],
-) -> Optional[Totalizer]:
-    """Add clauses enforcing ``sum(literals) <= k``; returns the totalizer used.
-
-    For ``k >= len(literals)`` the constraint is trivially true and ``None`` is
-    returned.  For ``k == 0`` every literal is simply negated.
-    """
-    if k >= len(literals):
-        return None
-    if k < 0:
-        raise SolverError("at-most bound cannot be negative")
-    if k == 0:
-        for lit in literals:
-            add_clause([-lit])
-        return None
-    totalizer = Totalizer(literals, new_var, add_clause)
-    for unit in totalizer.at_most(k):
-        add_clause([unit])
-    return totalizer

@@ -168,8 +168,7 @@ class HittingSetEngine(MaxSATEngine):
     ----------
     max_iterations:
         Safety cap on the number of core/hitting-set iterations; when exceeded
-        the engine returns UNKNOWN (the portfolio then falls back to the
-        core-guided engines).
+        the engine returns UNKNOWN.
     max_conflicts:
         Optional conflict budget for the underlying CDCL solver.
     """

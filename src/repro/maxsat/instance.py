@@ -7,8 +7,8 @@ falsified soft clauses.
 
 Weights may be provided as floats (the MPMCS pipeline produces real-valued
 ``-log p`` weights, paper Step 3).  Internally every weight is scaled to an
-integer using a configurable ``precision`` so that the core-guided algorithms
-can perform exact arithmetic; results report both the scaled integer cost and
+integer using a configurable ``precision`` so that the MaxSAT algorithms can
+perform exact arithmetic; results report both the scaled integer cost and
 the original-scale float cost.  A caller may instead give a soft clause its
 integer weight outright: the MPMCS encoding gives each event the
 :func:`objective_weight` that makes the canonical order the objective.

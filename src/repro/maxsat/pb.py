@@ -1,18 +1,17 @@
 """Pseudo-Boolean (weighted sum) constraint encoding.
 
-The linear SAT–UNSAT MaxSAT engine needs to assert constraints of the form
-``sum(w_i * r_i) <= bound`` over relaxation literals ``r_i`` with integer
-weights ``w_i``.  We use the *Generalized Totalizer Encoding* (GTE)
+The exact mitigation planner (:mod:`repro.scenarios.planner`) asserts
+constraints of the form ``sum(w_i * r_i) <= bound`` over literals ``r_i`` with
+integer weights ``w_i``.  We use the *Generalized Totalizer Encoding* (GTE)
 [Joshi, Martins & Manquinho 2015]: a balanced merge tree in which every node
 carries one indicator variable per distinct reachable partial sum.  Sums above
 the bound of interest are collapsed into a single "overflow" indicator, which
-keeps the encoding compact when the bound is small — exactly the regime the
-model-improving search operates in, since each iteration lowers the bound.
+keeps the encoding compact when the bound is small.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.exceptions import SolverError
 from repro.logic.cnf import Literal
@@ -34,11 +33,6 @@ class GeneralizedTotalizer:
     new_var / add_clause:
         Callable allocating a fresh variable index, and callable receiving
         each generated clause (a list of literals).
-    max_node_size:
-        Optional cap on the number of distinct partial sums a single merge node
-        may carry.  Weighted instances with many distinct weights can make the
-        encoding blow up; exceeding the cap raises :class:`SolverError` so the
-        caller (e.g. the linear-search engine) can fall back gracefully.
     """
 
     def __init__(
@@ -47,8 +41,6 @@ class GeneralizedTotalizer:
         bound: int,
         new_var: Callable[[], int],
         add_clause: Callable[[List[Literal]], None],
-        *,
-        max_node_size: Optional[int] = None,
     ) -> None:
         if not terms:
             raise SolverError("generalized totalizer requires at least one term")
@@ -59,7 +51,6 @@ class GeneralizedTotalizer:
                 raise SolverError("weights must be positive integers")
         self._new_var = new_var
         self._add_clause = add_clause
-        self._max_node_size = max_node_size
         self.bound = bound
         # Root node: mapping  partial-sum -> indicator literal  (sum >= value).
         # The special key ``bound + 1`` represents "sum exceeds the bound".
@@ -81,15 +72,6 @@ class GeneralizedTotalizer:
         return value if value <= self.bound else self.bound + 1
 
     def _merge(self, left: Dict[int, Literal], right: Dict[int, Literal]) -> Dict[int, Literal]:
-        # Guard *before* enumerating the cross product: both the number of
-        # distinct sums and the number of generated clauses grow with
-        # ``len(left) * len(right)``, so a late check would not prevent the
-        # quadratic blow-up it is meant to protect against.
-        if self._max_node_size is not None and len(left) * len(right) > 4 * self._max_node_size:
-            raise SolverError(
-                f"generalized totalizer merge of {len(left)}x{len(right)} sums exceeds the "
-                f"size limit of {self._max_node_size} distinct sums per node"
-            )
         # Possible sums of the merged node.
         values = set()
         for lv in left:
@@ -99,12 +81,6 @@ class GeneralizedTotalizer:
         for lv in left:
             for rv in right:
                 values.add(self._clip(lv + rv))
-
-        if self._max_node_size is not None and len(values) > self._max_node_size:
-            raise SolverError(
-                f"generalized totalizer node would carry {len(values)} distinct sums, "
-                f"exceeding the limit of {self._max_node_size}"
-            )
 
         node: Dict[int, Literal] = {value: self._new_var() for value in sorted(values)}
 
@@ -142,8 +118,6 @@ def encode_weighted_at_most(
     k: int,
     new_var: Callable[[], int],
     add_clause: Callable[[List[Literal]], None],
-    *,
-    max_node_size: Optional[int] = None,
 ) -> None:
     """Add clauses enforcing ``sum(w_i * l_i) <= k``.
 
@@ -163,5 +137,5 @@ def encode_weighted_at_most(
     total = sum(weight for weight, _ in remaining)
     if total <= k:
         return
-    gte = GeneralizedTotalizer(remaining, k, new_var, add_clause, max_node_size=max_node_size)
+    gte = GeneralizedTotalizer(remaining, k, new_var, add_clause)
     gte.assert_at_most(k)

@@ -6,7 +6,7 @@ parallel, picking up the solution of the solver that finishes first*.  This
 module reproduces that architecture:
 
 * a :class:`PortfolioSolver` holds a list of heterogeneous engines (by
-  default RC2, then Fu–Malik);
+  default RC2, then the implicit hitting set engine);
 * ``solve`` runs the engines on the same instance — sequentially in list
   order (default: the engines are pure Python, so in-process threads would
   only share one interpreter lock), or in one worker process per engine
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, SolverError
 from repro.maxsat.engine import MaxSATEngine
-from repro.maxsat.fumalik import FuMalikEngine
+from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
@@ -38,8 +38,13 @@ _VALID_MODES = ("sequential", "process")
 
 
 def default_engines() -> List[MaxSATEngine]:
-    """The default heterogeneous engine line-up used by the MPMCS pipeline."""
-    return [RC2Engine(), FuMalikEngine()]
+    """The default engine line-up used by the MPMCS pipeline.
+
+    Two different algorithms: core-guided OLL (RC2) and implicit hitting set.
+    Sequential mode runs the hitting set engine only if RC2 is inconclusive;
+    process mode races the two.
+    """
+    return [RC2Engine(), HittingSetEngine()]
 
 
 @dataclass

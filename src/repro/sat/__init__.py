@@ -9,9 +9,8 @@ solvers are provided:
   clause learning with two-watched-literal propagation, VSIDS branching with
   phase saving, Luby restarts, learned-clause deletion, and assumption-based
   incremental solving with core extraction.
-* :class:`repro.sat.dpll.DPLLSolver` — a compact recursive DPLL solver used as
-  a reference implementation in tests and as one of the portfolio members for
-  small instances.
+* :class:`repro.sat.dpll.DPLLSolver` — a compact DPLL solver, the test
+  suite's reference implementation for cross-checking the CDCL solver.
 """
 
 from repro.sat.types import SatResult, SatStatus

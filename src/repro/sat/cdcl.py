@@ -10,8 +10,8 @@ This is the production SAT engine underneath every MaxSAT algorithm in
 * Luby-sequence restarts;
 * activity-based deletion of learned clauses;
 * incremental solving under *assumptions* with extraction of a set of failed
-  assumptions (unsat core), which the core-guided MaxSAT algorithms
-  (Fu–Malik, OLL/RC2) rely on.
+  assumptions (unsat core), which the MaxSAT algorithms (OLL/RC2 and the
+  implicit hitting set engine) rely on.
 
 The solver is deliberately self-contained (pure Python, no third-party
 dependencies) because the execution environment provides no MaxSAT/SAT

@@ -5,7 +5,7 @@ import pytest
 from repro.core.pipeline import MPMCSSolver, find_mpmcs
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import FuMalikEngine, LinearSearchEngine, RC2Engine
+from repro.maxsat import HittingSetEngine, RC2Engine
 from repro.workloads.library import (
     fire_protection_system,
     pressure_tank,
@@ -52,8 +52,8 @@ class TestPaperExample:
 class TestSingleEngineConfigurations:
     @pytest.mark.parametrize(
         "engine_factory",
-        [RC2Engine, FuMalikEngine, LinearSearchEngine],
-        ids=["rc2", "fu-malik", "linear"],
+        [RC2Engine, HittingSetEngine],
+        ids=["rc2", "hitting-set"],
     )
     def test_every_engine_reproduces_the_example(self, fps_tree, engine_factory):
         result = MPMCSSolver(single_engine=engine_factory()).solve(fps_tree)

@@ -90,6 +90,10 @@ class TestWcnf:
         with pytest.raises(DimacsError):
             parse_wcnf("p wcnf 1 1 10\n5 1\n")
 
+    def test_parse_rejects_zero_inside_a_clause(self):
+        with pytest.raises(DimacsError, match="line 2"):
+            parse_wcnf("p wcnf 2 1 10\n10 1 0 2 0\n")
+
     def test_parse_classifies_hard_and_soft(self):
         text = "p wcnf 2 2 100\n100 1 2 0\n7 -1 0\n"
         doc = parse_wcnf(text)

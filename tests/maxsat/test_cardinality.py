@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.exceptions import SolverError
-from repro.maxsat.cardinality import Totalizer, encode_at_most_k
+from repro.maxsat.cardinality import Totalizer
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 
@@ -76,33 +76,3 @@ class TestTotalizerSemantics:
             totalizer.at_least(0)
         with pytest.raises(SolverError):
             totalizer.at_least(4)
-
-    def test_at_most_returns_negated_outputs(self):
-        _, _, totalizer = build_totalizer(3)
-        units = totalizer.at_most(1)
-        assert units == [-totalizer.outputs[1]]
-        assert totalizer.at_most(3) == []
-
-
-class TestAtMostK:
-    @pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (4, 2), (5, 3)])
-    def test_constraint_enforced(self, n, k):
-        solver = CDCLSolver()
-        inputs = [solver.new_var() for _ in range(n)]
-        encode_at_most_k(inputs, k, solver.new_var, solver.add_clause)
-        for bits in itertools.product([False, True], repeat=n):
-            assumptions = [v if b else -v for v, b in zip(inputs, bits)]
-            result = solver.solve(assumptions)
-            expected = sum(bits) <= k
-            assert (result.status is SatStatus.SAT) == expected
-
-    def test_trivial_bound_returns_none(self):
-        solver = CDCLSolver()
-        inputs = [solver.new_var() for _ in range(3)]
-        assert encode_at_most_k(inputs, 3, solver.new_var, solver.add_clause) is None
-
-    def test_negative_bound_rejected(self):
-        solver = CDCLSolver()
-        inputs = [solver.new_var()]
-        with pytest.raises(SolverError):
-            encode_at_most_k(inputs, -1, solver.new_var, solver.add_clause)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from repro.maxsat import (
     BruteForceEngine,
-    FuMalikEngine,
-    LinearSearchEngine,
+    HittingSetEngine,
     MaxSATStatus,
     RC2Engine,
     WPMaxSATInstance,
@@ -40,8 +39,7 @@ def build_instance(hard: List[List[int]], soft: List[Tuple[int, int]]) -> WPMaxS
 
 PRODUCTION_ENGINES = [
     ("rc2", RC2Engine),
-    ("fu-malik", FuMalikEngine),
-    ("linear", LinearSearchEngine),
+    ("hitting-set", HittingSetEngine),
 ]
 
 
@@ -59,7 +57,6 @@ class TestEnginesMatchBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(cnf_clause_lists(max_vars=5, max_clauses=8), weighted_soft_units())
     def test_returned_model_is_consistent(self, hard, soft):
-        instance = build_instance(hard, soft)
         for name, factory in PRODUCTION_ENGINES:
             check = build_instance(hard, soft)
             result = factory().solve(check)

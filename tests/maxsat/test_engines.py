@@ -10,9 +10,7 @@ from repro.core.topk import enumerate_mpmcs
 from repro.exceptions import SolverError
 from repro.maxsat import (
     BruteForceEngine,
-    FuMalikEngine,
     HittingSetEngine,
-    LinearSearchEngine,
     MaxSATResult,
     MaxSATStatus,
     RC2Engine,
@@ -23,12 +21,11 @@ from repro.workloads.generator import random_fault_tree
 
 ALL_ENGINES = [
     RC2Engine,
-    FuMalikEngine,
-    LinearSearchEngine,
+    HittingSetEngine,
     BruteForceEngine,
 ]
 
-ENGINE_IDS = ["rc2", "fu-malik", "linear", "brute-force"]
+ENGINE_IDS = ["rc2", "hitting-set", "brute-force"]
 
 
 def make_engine(factory):
@@ -154,16 +151,6 @@ class TestEngineSpecificBehaviour:
         with pytest.raises(SolverError):
             BruteForceEngine(max_soft=10).solve(instance)
 
-    def test_linear_search_gives_up_gracefully_on_huge_encodings(self):
-        # Exponentially-spread weights with a tiny node-size limit -> UNKNOWN.
-        instance = WPMaxSATInstance(precision=1)
-        instance.add_hard([1, 2, 3, 4, 5, 6, 7, 8])
-        for var in range(1, 9):
-            instance.add_soft([-var], 3**var)
-        engine = LinearSearchEngine(max_encoding_node_size=3)
-        result = engine.solve(instance)
-        assert result.status in (MaxSATStatus.OPTIMUM, MaxSATStatus.UNKNOWN)
-
     def test_rc2_handles_repeated_cores_with_residual_weights(self):
         # Chain of overlapping constraints forcing several rounds of core
         # relaxation with distinct weights.
@@ -213,7 +200,6 @@ class TestGrowingSums:
             instance = self.covering_instance(seed)
             expected = BruteForceEngine().solve(instance).cost
             assert RC2Engine().solve(instance).cost == expected, seed
-            assert FuMalikEngine().solve(instance).cost == expected, seed
         # Some sum went from bound 1 to 2 and on to 3.
         assert max(bounds) >= 4
 
@@ -238,6 +224,18 @@ class TestRC2CoreBudget:
         ]
         for entry, (_, probability) in zip(ranked, reference):
             assert entry.probability == pytest.approx(probability, rel=1e-9)
+
+    @pytest.mark.parametrize("events,seed,voting_ratio", CREEPING_TREES)
+    def test_process_race_finds_the_mocus_optimum(self, events, seed, voting_ratio):
+        # Process mode races RC2 against the hitting set engine; whichever
+        # answers first, the optimum is the canonical one.
+        tree = random_fault_tree(
+            num_basic_events=events, seed=seed, voting_ratio=voting_ratio
+        )
+        result = MPMCSSolver(mode="process").solve(tree)
+        best, probability = mocus_minimal_cut_sets(tree).ranked()[0]
+        assert result.events == tuple(sorted(best))
+        assert result.probability == pytest.approx(probability, rel=1e-9)
 
     def test_solve_within_budget_is_rc2_alone(self):
         result = RC2Engine().solve(simple_instance())

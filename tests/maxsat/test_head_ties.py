@@ -17,7 +17,7 @@ from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.core.weights import log_weight
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import BruteForceEngine, FuMalikEngine, HittingSetEngine, RC2Engine
+from repro.maxsat import BruteForceEngine, HittingSetEngine, RC2Engine
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 from repro.monitoring import ProbabilityUpdate, TreeMonitor
@@ -94,7 +94,6 @@ class TestEnginesAgreeOnTies:
         expected = AnalysisSession().analyze(tree, ["mpmcs"], backend="bdd").mpmcs.events
         solvers = {
             "rc2": MPMCSSolver(single_engine=RC2Engine()),
-            "fu-malik": MPMCSSolver(single_engine=FuMalikEngine()),
             "hitting-set": MPMCSSolver(single_engine=HittingSetEngine()),
             "brute-force": MPMCSSolver(single_engine=BruteForceEngine()),
             "process": MPMCSSolver(mode="process"),

@@ -79,14 +79,6 @@ class TestGeneralizedTotalizer:
         with pytest.raises(SolverError):
             gte.assert_at_most(5)
 
-    def test_node_size_limit_enforced(self):
-        solver = CDCLSolver()
-        terms = [(2**i, solver.new_var()) for i in range(8)]
-        with pytest.raises(SolverError):
-            GeneralizedTotalizer(
-                terms, 10**6, solver.new_var, solver.add_clause, max_node_size=4
-            )
-
     def test_distinct_sums_collapse_above_bound(self):
         solver = CDCLSolver()
         terms = [(10, solver.new_var()), (20, solver.new_var()), (30, solver.new_var())]

@@ -8,8 +8,7 @@ import pytest
 from repro.exceptions import ConfigurationError, SolverError
 from repro.maxsat import (
     BruteForceEngine,
-    FuMalikEngine,
-    LinearSearchEngine,
+    HittingSetEngine,
     MaxSATEngine,
     MaxSATResult,
     MaxSATStatus,
@@ -33,7 +32,7 @@ def sample_instance():
 class TestConfiguration:
     def test_default_engines_are_heterogeneous(self):
         engines = default_engines()
-        assert [engine.name for engine in engines] == ["rc2", "fu-malik"]
+        assert [engine.name for engine in engines] == ["rc2", "hitting-set"]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -66,13 +65,11 @@ class TestSolving:
         assert result.cost == 6
 
     def test_report_contains_every_engine(self, mode):
-        portfolio = PortfolioSolver(
-            engines=[RC2Engine(), FuMalikEngine(), LinearSearchEngine()], mode=mode
-        )
+        portfolio = PortfolioSolver(engines=[RC2Engine(), HittingSetEngine()], mode=mode)
         report = portfolio.solve_with_report(sample_instance())
-        assert report.winner in {"rc2", "fu-malik", "linear-sat-unsat"}
+        assert report.winner in {"rc2", "hitting-set"}
         assert report.result.status is MaxSATStatus.OPTIMUM
-        assert set(report.engine_statuses) <= {"rc2", "fu-malik", "linear-sat-unsat"}
+        assert set(report.engine_statuses) <= {"rc2", "hitting-set"}
         assert report.total_time >= 0.0
 
     def test_single_engine_portfolio(self, mode):
@@ -197,12 +194,8 @@ class TestCancellation:
 
     @pytest.mark.parametrize(
         "engine_factory",
-        [
-            RC2Engine,
-            FuMalikEngine,
-            LinearSearchEngine,
-        ],
-        ids=["rc2", "fu-malik", "linear"],
+        [RC2Engine, HittingSetEngine],
+        ids=["rc2", "hitting-set"],
     )
     def test_cancellation_observed_between_engine_iterations(self, engine_factory):
         """A pre-fired stop check halts the engine before its first oracle call.

@@ -25,7 +25,7 @@ from repro.exceptions import ParseError
 from repro.fta.parsers.galileo import parse_galileo
 from repro.fta.parsers.json_format import parse_json
 from repro.fta.serializers import to_galileo, to_json
-from repro.maxsat import FuMalikEngine, LinearSearchEngine, RC2Engine
+from repro.maxsat import HittingSetEngine, RC2Engine
 from repro.reporting.json_report import analysis_report
 from repro.workloads.library import NAMED_TREES, get_tree
 
@@ -75,7 +75,7 @@ class TestAllMethodsAgree:
     def test_engines_agree_on_medium_tree(self):
         tree = random_fault_tree(num_basic_events=60, seed=11, voting_ratio=0.15)
         costs = set()
-        for engine in (RC2Engine(), FuMalikEngine()):
+        for engine in (RC2Engine(), HittingSetEngine()):
             result = MPMCSSolver(single_engine=engine).solve(tree)
             costs.add(round(result.cost, 6))
         assert len(costs) == 1

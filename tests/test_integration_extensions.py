@@ -17,10 +17,8 @@ from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs
 from repro.fta.dynamic import DynamicFaultTree
 from repro.fta.simulation import simulate_dft
-from repro.maxsat import PreprocessingEngine, RC2Engine
+from repro.maxsat import RC2Engine
 from repro.numerics import HAVE_NUMPY
-from repro.maxsat.portfolio import PortfolioSolver, default_engines
-from repro.core.encoder import encode_mpmcs
 from repro.reliability import (
     ExponentialFailure,
     ReliabilityAssignment,
@@ -31,7 +29,6 @@ from repro.reporting.html import html_report
 from repro.reporting.markdown import markdown_report
 from repro.uncertainty import LognormalUncertainty, propagate_uncertainty
 from repro.workloads.library import (
-    data_center_power,
     emergency_shutdown_system,
     fire_protection_system,
     get_tree,
@@ -142,14 +139,3 @@ class TestDynamicTreeIntegration:
         simulated = simulate_dft(dft, 2000.0, num_samples=4000, seed=5)
         rare_event_total = sum(entry.probability for entry in contributions)
         assert simulated.unreliability <= rare_event_total + 5.0 * simulated.std_error + 1e-3
-
-
-class TestPreprocessingInPortfolio:
-    def test_portfolio_with_preprocessed_member_agrees(self):
-        tree = data_center_power()
-        encoding = encode_mpmcs(tree)
-        engines = default_engines() + [PreprocessingEngine(RC2Engine())]
-        portfolio = PortfolioSolver(engines, mode="sequential")
-        report = portfolio.solve_with_report(encoding.instance)
-        reference = RC2Engine().solve(encode_mpmcs(tree).instance)
-        assert report.result.cost == reference.cost
