@@ -1,4 +1,4 @@
-"""Property-based tests: the new engines must agree with brute force."""
+"""Property-based tests: the implicit hitting set engine must agree with brute force."""
 
 from typing import List, Tuple
 
@@ -9,8 +9,6 @@ from repro.maxsat import (
     BruteForceEngine,
     HittingSetEngine,
     MaxSATStatus,
-    PreprocessingEngine,
-    RC2Engine,
     WPMaxSATInstance,
 )
 
@@ -39,7 +37,6 @@ def build_instance(hard: List[List[int]], soft: List[Tuple[int, int]]) -> WPMaxS
 
 NEW_ENGINES = [
     ("hitting-set", HittingSetEngine),
-    ("preprocess+rc2", lambda: PreprocessingEngine(RC2Engine())),
 ]
 
 
