@@ -19,11 +19,13 @@ def single_points_of_failure(tree: FaultTree) -> List[Tuple[str, float]]:
     """Return the single points of failure with their probabilities.
 
     The result is sorted by decreasing probability (most likely SPOF first) —
-    the size-one analogue of the MPMCS ranking.
+    the size-one analogue of the MPMCS ranking.  One bit-parallel pass over
+    the compiled structure answers every event: lane i holds {eᵢ} alone.
     """
-    tree.validate()
-    spofs: List[Tuple[str, float]] = []
-    for name in tree.events_reachable_from_top():
-        if tree.evaluate({name: True}):
-            spofs.append((name, tree.probability(name)))
+    structure = tree.compiled()
+    names = tree.events_reachable_from_top()
+    failed = structure.evaluate_lanes({name: 1 << lane for lane, name in enumerate(names)})
+    spofs = [
+        (name, tree.probability(name)) for lane, name in enumerate(names) if failed >> lane & 1
+    ]
     return sorted(spofs, key=lambda item: (-item[1], item[0]))

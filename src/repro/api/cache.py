@@ -24,6 +24,11 @@ them — a probability-only what-if scenario therefore reuses the cut sets of
 invalidates only the gates on the path from the edit to the top event.
 The compiled BDD is keyed the same way, by the structure-only hash of the
 top event, so one diagram serves every probability of one structure.
+Neither hash is recomputed per copy: the per-node structure hashes and the
+gate half of the whole-tree hash live on the tree's
+:class:`~repro.fta.compiled.CompiledStructure`, which every
+probability-only copy shares, so a scenario or monitor update serialises
+only its events and probabilities.
 Per-gate CNF fragments are not cached here: a fragment depends on the gate's
 shape alone, so :func:`repro.core.encoder.shape_fragment` memoises it per
 process.
@@ -31,8 +36,6 @@ process.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 from weakref import WeakKeyDictionary
@@ -118,20 +121,13 @@ def structural_hash(tree: FaultTree) -> str:
     event, the same gates (type, ``k``, child order) and the same basic
     events with bit-identical probabilities.  Names of trees and descriptions
     of nodes are ignored — they do not influence any analysis result.
+
+    The gate half of the payload is serialised once per structure
+    (:meth:`~repro.fta.compiled.CompiledStructure.content_hash`), so a copy
+    with other probabilities serialises only its events.  The tree must be
+    valid.
     """
-    events = sorted(
-        (name, event.probability.hex()) for name, event in tree.events.items()
-    )
-    gates = sorted(
-        (gate.name, gate.gate_type.value, gate.k if gate.k is not None else -1, list(gate.children))
-        for gate in tree.gates.values()
-    )
-    payload = json.dumps(
-        {"top": tree.top_event, "events": events, "gates": gates},
-        separators=(",", ":"),
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return tree.compiled().content_hash(tree.probabilities())
 
 
 def subtree_structure_hashes(tree: FaultTree) -> Dict[str, str]:
@@ -147,19 +143,11 @@ def subtree_structure_hashes(tree: FaultTree) -> Dict[str, str]:
     scenarios) whose subtrees share a structure hash regardless of how the
     event probabilities differ.
 
-    Only nodes reachable from the top event are hashed.
+    Only nodes reachable from the top event are hashed.  The hashes are
+    computed once per structure (:attr:`CompiledStructure.node_hashes`);
+    this returns a fresh copy.
     """
-    gates = tree.gates
-    hashes: Dict[str, str] = {}
-    for name in tree.topological_order():
-        gate = gates.get(name)
-        if gate is None:
-            payload = f"event:{name}"
-        else:
-            children = ",".join(sorted(hashes[child] for child in gate.children))
-            payload = f"gate:{gate.gate_type.value}:{gate.k if gate.k is not None else ''}:{children}"
-        hashes[name] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return hashes
+    return dict(tree.compiled().node_hashes)
 
 
 class ArtifactCache:
@@ -203,14 +191,11 @@ class ArtifactCache:
         self._store_hits: Dict[str, int] = {}
         self._store_misses: Dict[str, int] = {}
         # Per-object memo of (tree.version, hash): a composite request probes
-        # the cache several times per tree, and re-serialising the whole tree
-        # for every probe is O(tree) redundant work.  FaultTree.version is
-        # bumped on every mutation, which keeps the memo safe.
+        # the cache several times per tree, and re-serialising the events for
+        # every probe is O(tree) redundant work.  FaultTree.version is bumped
+        # on every mutation, which keeps the memo safe.  The structure-only
+        # keys need no memo here: they live on the tree's compiled structure.
         self._hash_memo: "WeakKeyDictionary[FaultTree, Tuple[int, str]]" = WeakKeyDictionary()
-        # Same idea for the per-node structure hashes used by subtree artifacts.
-        self._structure_memo: "WeakKeyDictionary[FaultTree, Tuple[int, Dict[str, str]]]" = (
-            WeakKeyDictionary()
-        )
 
     def key_for(self, tree: FaultTree) -> str:
         """The structural cache key of ``tree`` (memoised per tree object)."""
@@ -277,13 +262,12 @@ class ArtifactCache:
         self._insert((self.key_for(tree), kind), value)
 
     def structure_keys_for(self, tree: FaultTree) -> Dict[str, str]:
-        """Per-node structure-only hashes of ``tree`` (memoised per tree object)."""
-        memo = self._structure_memo.get(tree)
-        if memo is not None and memo[0] == tree.version:
-            return memo[1]
-        hashes = subtree_structure_hashes(tree)
-        self._structure_memo[tree] = (tree.version, hashes)
-        return hashes
+        """Per-node structure-only hashes of ``tree`` (read-only).
+
+        The dict of the tree's compiled structure, shared by every copy that
+        changed only probabilities, so it is computed once per structure.
+        """
+        return tree.compiled().node_hashes
 
     def get_or_compute_subtree(
         self, tree: FaultTree, node: str, kind: str, compute: Callable[[], T]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import FaultTreeError
+from repro.fta.compiled import CompiledStructure
 from repro.fta.events import BasicEvent
 from repro.fta.gates import Gate, GateType
 
@@ -31,6 +32,12 @@ class FaultTree:
     event is set either explicitly through :meth:`set_top_event` or via the
     ``top_event`` constructor argument.  :meth:`validate` checks the full set
     of structural invariants and is called automatically by the analyses.
+
+    Validation builds the tree's :class:`~repro.fta.compiled.CompiledStructure`
+    (bottom-up order, flat gate program, per-node structure hashes) once.
+    :meth:`copy` and :meth:`set_probability` keep it, so every
+    probability-only copy shares it; :meth:`add_basic_event`,
+    :meth:`add_event`, :meth:`add_gate` and :meth:`set_top_event` drop it.
     """
 
     def __init__(self, name: str = "fault-tree", *, top_event: Optional[str] = None) -> None:
@@ -41,10 +48,7 @@ class FaultTree:
         self._gates: Dict[str, Gate] = {}
         self._top_event: Optional[str] = top_event
         self._version = 0
-        # Version-keyed memos for the two traversals every analysis repeats.
-        # Mutating methods bump _version, which invalidates both implicitly.
-        self._validated_version: Optional[int] = None
-        self._topo_memo: Optional[Tuple[int, Tuple[str, ...]]] = None
+        self._compiled: Optional[CompiledStructure] = None
 
     # -- construction -------------------------------------------------------------
 
@@ -59,14 +63,14 @@ class FaultTree:
         event = BasicEvent(name=name, probability=probability, description=description)
         self._check_fresh_name(name)
         self._events[name] = event
-        self._version += 1
+        self._structure_changed()
         return event
 
     def add_event(self, event: BasicEvent) -> BasicEvent:
         """Add an already-constructed :class:`BasicEvent`."""
         self._check_fresh_name(event.name)
         self._events[event.name] = event
-        self._version += 1
+        self._structure_changed()
         return event
 
     def add_gate(
@@ -95,7 +99,7 @@ class FaultTree:
         )
         self._check_fresh_name(name)
         self._gates[name] = gate
-        self._version += 1
+        self._structure_changed()
         return gate
 
     def set_top_event(self, name: str) -> None:
@@ -103,7 +107,11 @@ class FaultTree:
         if not name:
             raise FaultTreeError("top event name must be non-empty")
         self._top_event = name
+        self._structure_changed()
+
+    def _structure_changed(self) -> None:
         self._version += 1
+        self._compiled = None
 
     def _check_fresh_name(self, name: str) -> None:
         if name in self._events or name in self._gates:
@@ -200,15 +208,28 @@ class FaultTree:
         * every gate child refers to an existing node;
         * the gate graph is acyclic;
         * every node is reachable from the top event (unreachable nodes almost
-          always indicate a modelling error);
+          always indicate a modelling error; a cycle among them is reported
+          as unreachable nodes);
         * the tree contains at least one basic event.
 
-        Validation is memoised per :attr:`version`: analyses re-validate
-        liberally, and re-walking an unchanged DAG every time is pure
-        overhead on hot sweep paths.
+        A successful validation builds the tree's compiled structure, which
+        later calls (and probability-only copies) reuse; see :meth:`compiled`.
         """
-        if self._validated_version == self._version:
-            return
+        self.compiled()
+
+    def compiled(self) -> CompiledStructure:
+        """The tree's :class:`~repro.fta.compiled.CompiledStructure`, built on first use.
+
+        Building it validates the tree.  The object is immutable and shared
+        with every copy until a structural edit (:meth:`add_basic_event`,
+        :meth:`add_event`, :meth:`add_gate`, :meth:`set_top_event`) drops it.
+        """
+        if self._compiled is None:
+            self._compiled = CompiledStructure(self._checked_order(), self._gates, self.top_event)
+        return self._compiled
+
+    def _checked_order(self) -> List[str]:
+        """Check the invariants of :meth:`validate`; return the bottom-up order."""
         if self._top_event is None:
             raise FaultTreeError(f"fault tree {self.name!r} has no top event")
         if self._top_event not in self._events and self._top_event not in self._gates:
@@ -225,41 +246,13 @@ class FaultTree:
                         f"gate {gate.name!r} references undefined child {child!r}"
                     )
 
-        self._check_acyclic()
-
-        reachable = set(self.reachable_from(self._top_event))
-        unreachable = (set(self._events) | set(self._gates)) - reachable
-        if unreachable:
+        order = self._bottom_up_order()
+        if len(order) < len(self._events) + len(self._gates):
+            unreachable = (set(self._events) | set(self._gates)) - set(order)
             raise FaultTreeError(
                 f"nodes not reachable from the top event: {sorted(unreachable)}"
             )
-        self._validated_version = self._version
-
-    def _check_acyclic(self) -> None:
-        state: Dict[str, int] = {}  # 0 = unvisited, 1 = on stack, 2 = done
-
-        for root in self._gates:
-            if state.get(root, 0) == 2:
-                continue
-            stack: List[Tuple[str, Iterator[str]]] = [(root, iter(self._children_of(root)))]
-            state[root] = 1
-            while stack:
-                node, child_iter = stack[-1]
-                advanced = False
-                for child in child_iter:
-                    child_state = state.get(child, 0)
-                    if child_state == 1:
-                        raise FaultTreeError(
-                            f"fault tree {self.name!r} contains a cycle through {child!r}"
-                        )
-                    if child_state == 0 and child in self._gates:
-                        state[child] = 1
-                        stack.append((child, iter(self._children_of(child))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
+        return order
 
     def _children_of(self, name: str) -> Tuple[str, ...]:
         gate = self._gates.get(name)
@@ -284,35 +277,46 @@ class FaultTree:
 
         Children always appear before their parents, so analyses can evaluate
         gates in a single pass.  Only nodes reachable from the top event are
-        included.  The order is memoised per :attr:`version` (a fresh list is
-        returned each call) because evaluation-heavy paths — cut-set checks,
-        sweeps — ask for it thousands of times on an unchanged tree.
+        included.  The order is read from the compiled structure, so it is
+        computed once per structure and shared by probability-only copies (a
+        fresh list is returned each call).
         """
-        memo = self._topo_memo
-        if memo is not None and memo[0] == self._version:
-            return list(memo[1])
-        self.validate()
+        return list(self.compiled().order)
+
+    def _bottom_up_order(self) -> List[str]:
+        """Post-order DFS from the top event, children in declaration order.
+
+        Raises :class:`FaultTreeError` on a cycle through a reachable gate.
+        """
+        gates = self._gates
+        top = self.top_event
         order: List[str] = []
-        visited: Set[str] = set()
-
-        def visit(node: str) -> None:
-            stack: List[Tuple[str, int]] = [(node, 0)]
-            while stack:
-                current, child_index = stack.pop()
-                if current in visited:
-                    continue
-                children = self._children_of(current)
-                if child_index < len(children):
-                    stack.append((current, child_index + 1))
-                    child = children[child_index]
-                    if child not in visited:
-                        stack.append((child, 0))
-                else:
-                    visited.add(current)
-                    order.append(current)
-
-        visit(self.top_event)
-        self._topo_memo = (self._version, tuple(order))
+        if top not in gates:
+            return [top]
+        on_stack, done = 1, 2
+        state: Dict[str, int] = {top: on_stack}
+        stack: List[Tuple[str, Iterator[str]]] = [(top, iter(gates[top].children))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                child_state = state.get(child)
+                if child_state is None:
+                    gate = gates.get(child)
+                    if gate is None:
+                        state[child] = done
+                        order.append(child)
+                        continue
+                    state[child] = on_stack
+                    stack.append((child, iter(gate.children)))
+                    break
+                if child_state == on_stack:
+                    raise FaultTreeError(
+                        f"fault tree {self.name!r} contains a cycle through {child!r}"
+                    )
+            else:
+                state[node] = done
+                order.append(node)
+                stack.pop()
         return order
 
     def events_reachable_from_top(self) -> Tuple[str, ...]:
@@ -339,8 +343,9 @@ class FaultTree:
         """Evaluate the top event for a given assignment of basic-event states.
 
         Missing events default to ``False`` (not occurred).  This is the
-        structure function ``f(t)`` evaluated directly on the DAG, used as the
-        ground-truth oracle by the analyses and the property-based tests.
+        structure function ``f(t)`` evaluated directly on the DAG through a
+        dict, kept as the ground-truth oracle of the property-based tests;
+        the analyses use the compiled, bit-parallel :meth:`is_cut_set`.
         """
         values: Dict[str, bool] = {}
         for name in self.topological_order():
@@ -358,20 +363,24 @@ class FaultTree:
         return values[self.top_event]
 
     def is_cut_set(self, events: Iterable[str]) -> bool:
-        """True when occurrence of exactly ``events`` triggers the top event."""
-        states = {name: True for name in events}
-        return self.evaluate(states)
+        """True when occurrence of exactly ``events`` triggers the top event.
+
+        Names that are not basic events of the tree are ignored.
+        """
+        return self.compiled().evaluate_lanes(dict.fromkeys(events, 1)) == 1
 
     def is_minimal_cut_set(self, events: Iterable[str]) -> bool:
-        """True when ``events`` is a cut set and no proper subset is one."""
-        event_list = list(dict.fromkeys(events))
-        if not self.is_cut_set(event_list):
-            return False
-        for index in range(len(event_list)):
-            subset = event_list[:index] + event_list[index + 1 :]
-            if self.is_cut_set(subset):
-                return False
-        return True
+        """True when ``events`` is a cut set and no proper subset is one.
+
+        One bit-parallel pass: lane 0 holds the set C and lane i holds C
+        without its i-th name, so C is minimal exactly when the top event
+        fails in lane 0 alone.  A name that is not a basic event leaves its
+        lane equal to lane 0, so such a C is never minimal.
+        """
+        names = list(dict.fromkeys(events))
+        lanes = (2 << len(names)) - 1
+        occurred = {name: lanes ^ (2 << index) for index, name in enumerate(names)}
+        return self.compiled().evaluate_lanes(occurred) == 1
 
     # -- misc ------------------------------------------------------------------------
 
@@ -380,6 +389,7 @@ class FaultTree:
         clone = FaultTree(name or self.name, top_event=self._top_event)
         clone._events = dict(self._events)
         clone._gates = dict(self._gates)
+        clone._compiled = self._compiled
         return clone
 
     def statistics(self) -> Dict[str, object]:

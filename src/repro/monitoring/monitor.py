@@ -289,7 +289,9 @@ class TreeMonitor:
             self._current[event] = value
 
         # Structure-preserving patch: a plain copy with the current
-        # probability state — every structure-only cache key is unchanged.
+        # probability state.  The copy shares the tree's compiled structure,
+        # so its order, structure-only cache keys and cut-set checks are
+        # reused, not recomputed.
         patched = self.tree.copy()
         for event, value in self._current.items():
             if self._base_probabilities.get(event) != value:

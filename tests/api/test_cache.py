@@ -1,7 +1,29 @@
 """Tests for the structural hash and the artifact cache."""
 
+import hashlib
+import json
+
+import pytest
+
 from repro.api.cache import ArtifactCache, structural_hash
-from repro.workloads.library import fire_protection_system, pressure_tank
+from repro.workloads.generator import random_fault_tree
+from repro.workloads.library import NAMED_TREES, fire_protection_system, pressure_tank
+
+
+def whole_tree_payload_hash(tree):
+    """The whole-tree key serialised in one piece: persistent store entries
+    are addressed by these bytes, so the split serialisation must match it."""
+    events = sorted((name, event.probability.hex()) for name, event in tree.events.items())
+    gates = sorted(
+        (gate.name, gate.gate_type.value, gate.k if gate.k is not None else -1, list(gate.children))
+        for gate in tree.gates.values()
+    )
+    payload = json.dumps(
+        {"top": tree.top_event, "events": events, "gates": gates},
+        separators=(",", ":"),
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestStructuralHash:
@@ -22,6 +44,19 @@ class TestStructuralHash:
         before = structural_hash(tree)
         tree.set_probability("x1", 0.123)
         assert structural_hash(tree) != before
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_library_keys_match_one_piece_serialisation(self, name):
+        tree = NAMED_TREES[name]()
+        assert structural_hash(tree) == whole_tree_payload_hash(tree)
+
+    def test_random_tree_and_copy_keys_match_one_piece_serialisation(self):
+        for seed in range(25):
+            tree = random_fault_tree(num_basic_events=5 + seed, seed=seed, voting_ratio=0.2)
+            assert structural_hash(tree) == whole_tree_payload_hash(tree)
+            copy = tree.copy()
+            copy.set_probability(sorted(copy.event_names)[0], 0.123456789)
+            assert structural_hash(copy) == whole_tree_payload_hash(copy)
 
 
 class TestArtifactCache:
