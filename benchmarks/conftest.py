@@ -1,6 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark module reproduces one experiment of DESIGN.md §4 (E1–E7).
+Each benchmark module reproduces one experiment (E1, E2, …), described in
+its own module docstring.
 Benchmarks print the rows/series they regenerate so that running
 
 .. code-block:: console

@@ -4,7 +4,7 @@
 scale to fault trees with thousands of nodes in seconds."
 
 The authors' benchmark trees are not published, so the claim is reproduced on
-seeded random fault trees (DESIGN.md §2) spanning two orders of magnitude in
+seeded random fault trees (:mod:`repro.workloads.generator`) spanning two orders of magnitude in
 size, up to several thousand nodes.  For every size the benchmark records the
 wall-clock time of the full pipeline (encode + solve + extract) and asserts:
 

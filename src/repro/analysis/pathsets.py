@@ -31,7 +31,7 @@ from repro.core.weights import MIN_WEIGHT
 from repro.exceptions import AnalysisError
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
-from repro.maxsat import MaxSATStatus, PortfolioSolver, RC2Engine, WPMaxSATInstance
+from repro.maxsat import MaxSATStatus, RC2Engine
 from repro.maxsat.engine import MaxSATEngine
 
 __all__ = ["dual_tree", "minimal_path_sets", "most_probable_path_set"]
@@ -98,12 +98,11 @@ def most_probable_path_set(
     each event carries the weight ``-log(1 - p(x_i))``.
     """
     # Variable y_i of the dual tree's CNF means "event i stays failure-free".
-    encoding = assemble_structure_cnf(dual_tree(tree))
-    instance = WPMaxSATInstance()
-    instance.add_hard_cnf(encoding.cnf)
+    structure = assemble_structure_cnf(dual_tree(tree))
+    instance = structure.hard_instance()
 
     probabilities = tree.probabilities()
-    event_vars = {name: encoding.var_map[name] for name in tree.events_reachable_from_top()}
+    event_vars = {name: structure.event_vars[name] for name in tree.events_reachable_from_top()}
     for name, var in event_vars.items():
         survival = 1.0 - probabilities[name]
         if survival <= 0.0:

@@ -43,13 +43,13 @@ from repro.core.weights import log_weight
 from repro.exceptions import FaultTreeError
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
-from repro.logic.cnf import CNF
 from repro.logic.formula import AtLeast, Formula, Var, conjoin, disjoin
-from repro.logic.tseitin import CNFFragment, TseitinResult, encode_fragment
+from repro.logic.tseitin import CNFFragment, encode_fragment
 from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance, objective_weight
 
 __all__ = [
     "MPMCSEncoding",
+    "StructureCNF",
     "assemble_structure_cnf",
     "encode_mpmcs",
     "gate_fragment",
@@ -88,46 +88,67 @@ def gate_fragment(gate: Gate) -> CNFFragment:
     return shape_fragment(gate.gate_type, gate.k, len(gate.children))
 
 
-def assemble_structure_cnf(tree: FaultTree) -> TseitinResult:
-    """CNF of ``tree``'s structure function stitched from per-gate fragments.
+@dataclass(frozen=True)
+class StructureCNF:
+    """The hard clauses of a tree's structure function, root asserted.
+
+    ``clauses`` holds the gates' clauses in assembly order, then the unit
+    clause asserting ``root``, over variables ``1..num_vars``: the basic
+    events (``event_vars``, in variable order) and ``num_aux_vars`` gate
+    variables.
+    """
+
+    clauses: List[Tuple[int, ...]]
+    num_vars: int
+    event_vars: Dict[str, int]
+    root: int
+    num_aux_vars: int
+
+    def hard_instance(self, *, precision: int = DEFAULT_PRECISION) -> WPMaxSATInstance:
+        """A MaxSAT instance whose hard clauses are these, with no soft clause yet."""
+        instance = WPMaxSATInstance(precision=precision)
+        instance.ensure_num_vars(self.num_vars)
+        for clause in self.clauses:
+            instance.add_hard(clause)
+        return instance
+
+
+def assemble_structure_cnf(tree: FaultTree) -> StructureCNF:
+    """Clauses of ``tree``'s structure function stitched from per-gate fragments.
 
     Equisatisfiable (over the event variables) with the monolithic
     ``tseitin_encode(structure_function(tree))``, but built bottom-up in one
     iterative pass, so arbitrarily deep trees encode without recursion.
-    Each basic event gets a named variable; each gate instantiates its
+    Each basic event gets the next variable; each gate instantiates its
     shape's :class:`~repro.logic.tseitin.CNFFragment` on its children's
-    literals.  The root literal is asserted, exactly like ``tseitin_encode``
-    with ``assert_root=True``.
+    literals, its auxiliary variables following.  The root literal is
+    asserted, exactly like ``tseitin_encode`` with ``assert_root=True``.
     """
     tree.validate()
-    cnf = CNF()
-    aux_vars: List[int] = []
-
-    def new_aux() -> int:
-        var = cnf.new_var()
-        aux_vars.append(var)
-        return var
-
-    gates = tree.gates
+    clauses: List[Tuple[int, ...]] = []
+    event_vars: Dict[str, int] = {}
     literals: Dict[str, int] = {}
+    num_vars = 0
+    gates = tree.gates
     for name in tree.topological_order():
         gate = gates.get(name)
         if gate is None:
-            literals[name] = cnf.var_for(name)
+            num_vars += 1
+            literals[name] = event_vars[name] = num_vars
             continue
-        inputs = {
-            _slot(index): literals[child] for index, child in enumerate(gate.children)
-        }
-        literals[name] = gate_fragment(gate).instantiate(
-            inputs, new_var=new_aux, add_clause=cnf.add_clause
+        fragment = gate_fragment(gate)
+        literals[name] = fragment.instantiate(
+            [literals[child] for child in gate.children], num_vars, clauses
         )
+        num_vars += fragment.num_internal_vars
     root = literals[tree.top_event]
-    cnf.add_clause([root])
-    return TseitinResult(
-        cnf=cnf,
-        root_literal=root,
-        var_map=dict(cnf.name_to_var),
-        aux_vars=tuple(aux_vars),
+    clauses.append((root,))
+    return StructureCNF(
+        clauses=clauses,
+        num_vars=num_vars,
+        event_vars=event_vars,
+        root=root,
+        num_aux_vars=num_vars - len(event_vars),
     )
 
 
@@ -179,14 +200,13 @@ def encode_mpmcs(tree: FaultTree, *, precision: int = DEFAULT_PRECISION) -> MPMC
         :class:`~repro.maxsat.instance.WPMaxSATInstance`).
     """
     structure = assemble_structure_cnf(tree)
-    instance = WPMaxSATInstance(precision=precision)
-    instance.add_hard_cnf(structure.cnf)
+    instance = structure.hard_instance(precision=precision)
 
     event_vars: Dict[str, int] = {}
     weights: Dict[str, float] = {}
     ranks = {name: rank for rank, name in enumerate(sorted(tree.events))}
     for name, event in tree.events.items():
-        var = structure.var_map[name]
+        var = structure.event_vars[name]
         weight = log_weight(event.probability)
         event_vars[name] = var
         weights[name] = weight

@@ -129,8 +129,10 @@ class MPMCSSolver:
         Integer scaling applied to the ``-log`` probability weights.
 
     Every returned cut set is checked to be a minimal cut set of the fault
-    tree; an :class:`AnalysisError` is raised otherwise.  The check is linear
-    in the cut-set size and catches encoding or solver regressions early.
+    tree; an :class:`AnalysisError` is raised otherwise.  The check is one
+    bit-parallel pass over the compiled tree
+    (:meth:`~repro.fta.tree.FaultTree.is_minimal_cut_set`) and catches
+    encoding or solver regressions early.
     """
 
     def __init__(

@@ -15,7 +15,7 @@ cardinality construction rather than an exponential expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import FormulaError
 from repro.logic.cnf import CNF, Literal
@@ -253,10 +253,9 @@ class CNFFragment:
     where the first ``len(inputs)`` variables are the fragment's interface
     inputs (in the order of :attr:`inputs`) and every higher variable is an
     internal auxiliary.  :meth:`instantiate` stitches the fragment into a host
-    CNF by substituting arbitrary host *literals* for the inputs and
-    offset-remapping the internals onto freshly allocated host variables, so
-    one encoded fragment can be placed any number of times, in any CNF, at any
-    variable offset.
+    clause list by substituting arbitrary host *literals* for the inputs and
+    shifting the internals past a host variable offset, so one encoded
+    fragment can be placed any number of times, at any variable offset.
 
     This is what lets the MPMCS encoder build every fault tree's CNF from a
     handful of gate fragments: one fragment per gate *shape* (type, threshold,
@@ -288,35 +287,33 @@ class CNFFragment:
 
     def instantiate(
         self,
-        literals: Mapping[str, Literal],
-        *,
-        new_var: Callable[[], int],
-        add_clause: Callable[[Sequence[Literal]], Any],
+        literals: Sequence[Literal],
+        offset: int,
+        clauses: List[Tuple[Literal, ...]],
     ) -> Literal:
-        """Stitch this fragment into a host CNF; returns the host output literal.
+        """Append this fragment's clauses to a host clause list; returns the
+        host output literal.
 
-        ``literals`` maps every input name to the host literal standing in for
-        it (which may itself be negated — e.g. another fragment's output).
-        Internal variables are allocated through ``new_var`` so the fragment
-        relocates to whatever offset the host is at.
+        ``literals[i]`` is the host literal standing in for the ``i``-th
+        input (it may itself be negated, e.g. another fragment's output).
+        The internal variables become the host variables ``offset + 1``,
+        ``offset + 2``, …, so the host reserves :attr:`num_internal_vars`
+        variables past ``offset``.  When two inputs share a host literal, a
+        clause keeps only its first occurrence, as a
+        :class:`~repro.logic.cnf.Clause` would.
         """
-        mapping: Dict[int, Literal] = {}
-        for index, name in enumerate(self.inputs, start=1):
-            try:
-                mapping[index] = literals[name]
-            except KeyError:
-                raise FormulaError(
-                    f"fragment instantiation is missing a literal for input {name!r}"
-                ) from None
-        for var in range(len(self.inputs) + 1, self.num_vars + 1):
-            mapping[var] = new_var()
-
-        def remap(literal: Literal) -> Literal:
-            host = mapping[abs(literal)]
-            return host if literal > 0 else -host
-
-        for clause in self.clauses:
-            add_clause([remap(literal) for literal in clause])
+        arity = len(self.inputs)
+        if len(literals) != arity:
+            raise FormulaError(
+                f"fragment over {arity} inputs instantiated with {len(literals)} literals"
+            )
+        host = [0, *literals, *range(offset + 1, offset + self.num_vars - arity + 1)]
+        # Index -v of the table wraps to -host[v], so one lookup maps either sign.
+        remap = (host + [-literal for literal in reversed(host[1:])]).__getitem__
+        if len(set(literals)) == arity:
+            clauses.extend(tuple(map(remap, clause)) for clause in self.clauses)
+        else:
+            clauses.extend(tuple(dict.fromkeys(map(remap, clause))) for clause in self.clauses)
         return remap(self.output)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import SolverError, SolverInterrupted
 from repro.logic.cnf import Literal
@@ -12,7 +12,24 @@ from repro.maxsat.instance import SoftClause, WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.sat.cdcl import CDCLSolver
 
-__all__ = ["MaxSATEngine", "SelectorMap"]
+__all__ = ["MaxSATEngine", "SelectorMap", "new_sat_solver"]
+
+
+def new_sat_solver(
+    instance: WPMaxSATInstance,
+    *,
+    max_conflicts: Optional[int] = None,
+    stop_check: Optional[Callable[[], bool]] = None,
+) -> CDCLSolver:
+    """A CDCL solver holding the hard clauses of ``instance``, with the
+    instance's declared variables reserved first: the one loader of the
+    engines and the warm session."""
+    solver = CDCLSolver(max_conflicts=max_conflicts, stop_check=stop_check)
+    for _ in range(instance.num_vars):
+        solver.new_var()
+    for clause in instance.hard:
+        solver.add_clause(clause)
+    return solver
 
 
 @dataclass
@@ -80,13 +97,10 @@ class MaxSATEngine:
             raise SolverInterrupted("engine stopped by cooperative cancellation")
 
     def _new_sat_solver(self, instance: WPMaxSATInstance) -> CDCLSolver:
-        """Build a CDCL solver preloaded with the hard clauses of ``instance``."""
-        solver = CDCLSolver(max_conflicts=self.max_conflicts, stop_check=self.stop_check)
-        for _ in range(instance.num_vars):
-            solver.new_var()
-        for clause in instance.hard:
-            solver.add_clause(list(clause))
-        return solver
+        """:func:`new_sat_solver` under this engine's budget and stop hook."""
+        return new_sat_solver(
+            instance, max_conflicts=self.max_conflicts, stop_check=self.stop_check
+        )
 
     def _attach_selectors(
         self, solver: CDCLSolver, instance: WPMaxSATInstance

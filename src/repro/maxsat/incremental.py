@@ -55,10 +55,10 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 from repro.exceptions import AnalysisError, BudgetExceededError, SolverError
 from repro.fta.tree import FaultTree
 from repro.logic.cnf import Literal
+from repro.maxsat.engine import new_sat_solver
 from repro.maxsat.hitting_set import minimum_cost_hitting_set
 from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight, scale_weight
 from repro.observability import trace as _trace
-from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 
 __all__ = ["IncrementalMaxSATSession", "IncrementalSolveResult"]
@@ -123,30 +123,22 @@ class IncrementalMaxSATSession:
         self.precision = precision
         self.max_rounds = max_rounds
 
-        encoding = assemble_structure_cnf(tree)
-        self._solver = CDCLSolver()
-        for _ in range(encoding.cnf.num_vars):
-            self._solver.new_var()
-        for clause in encoding.cnf:
-            self._solver.add_clause(list(clause.literals))
+        structure = assemble_structure_cnf(tree)
+        instance = structure.hard_instance(precision=precision)
+        self._solver = new_sat_solver(instance)
 
-        # The assembled CNF names exactly the basic events (gate variables
-        # are anonymous), and a valid tree reaches every one of them.
-        self.event_vars: Dict[str, int] = dict(
-            sorted(encoding.var_map.items(), key=lambda item: item[1])
-        )
+        # A valid tree reaches every basic event, so each has a variable;
+        # they come in increasing variable order.
+        self.event_vars: Dict[str, int] = dict(structure.event_vars)
         self._var_events: Dict[int, str] = {
             var: name for name, var in self.event_vars.items()
         }
         #: Soft selectors in deterministic (variable) order: assuming the
         #: selector means "this event stays out of the cut set".
-        self._selectors: Tuple[Literal, ...] = tuple(
-            -var for var in sorted(self._var_events)
-        )
+        self._selectors: Tuple[Literal, ...] = tuple(-var for var in self.event_vars.values())
         #: Bit position of each event in the pool's bitmasks.
         self._event_column: Dict[str, int] = {
-            self._var_events[var]: column
-            for column, var in enumerate(sorted(self._var_events))
+            name: column for column, name in enumerate(self.event_vars)
         }
         #: ``(name, selector, rank)`` per event, ``rank`` its place in sorted
         #: name order: the structure-only part of the objective weights.
@@ -154,9 +146,9 @@ class IncrementalMaxSATSession:
             (name, -self.event_vars[name], rank)
             for rank, name in enumerate(sorted(self.event_vars))
         )
-        self.num_vars = encoding.cnf.num_vars
-        self.num_hard = encoding.cnf.num_clauses
-        self.num_aux_vars = len(encoding.aux_vars)
+        self.num_vars = instance.num_vars
+        self.num_hard = instance.num_hard
+        self.num_aux_vars = structure.num_aux_vars
 
         #: Cached cores: sets of assumption literals (event selectors and
         #: possibly block-activation assumptions), each kept split into its

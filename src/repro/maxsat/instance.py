@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import SolverError
-from repro.logic.cnf import CNF, Literal
+from repro.logic.cnf import Literal
 
 __all__ = [
     "SoftClause",
@@ -64,6 +64,15 @@ def objective_weight(weight: float, rank: int, count: int, precision: int) -> in
     return ((scale_weight(weight, precision) * shift + 1) << shift) - (1 << (count - rank))
 
 
+def _checked_clause(literals: Sequence[Literal]) -> Tuple[Literal, ...]:
+    """``literals`` as a tuple, each checked to be a non-zero, non-bool ``int``."""
+    clause = tuple(literals)
+    for lit in clause:
+        if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+            raise SolverError(f"invalid literal {lit!r}: literals are non-zero integers")
+    return clause
+
+
 @dataclass(frozen=True)
 class SoftClause:
     """A soft clause with its original float weight and scaled integer weight."""
@@ -100,7 +109,6 @@ class WPMaxSATInstance:
         self._hard: List[Tuple[Literal, ...]] = []
         self._soft: List[SoftClause] = []
         self._num_vars = 0
-        self.var_names: Dict[int, str] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -132,23 +140,17 @@ class WPMaxSATInstance:
         return self._num_vars
 
     def add_hard(self, literals: Sequence[Literal]) -> None:
-        """Add a hard (mandatory) clause."""
-        clause = tuple(literals)
+        """Add a hard (mandatory) clause.
+
+        The one place a hard clause is checked before it reaches a solver
+        (:func:`~repro.maxsat.engine.new_sat_solver` loads the clauses as
+        they are stored).
+        """
+        clause = _checked_clause(literals)
         if not clause:
             raise SolverError("hard clause cannot be empty")
-        for lit in clause:
-            if lit == 0:
-                raise SolverError("literal 0 is not allowed")
-            self.ensure_num_vars(abs(lit))
+        self.ensure_num_vars(max(map(abs, clause)))
         self._hard.append(clause)
-
-    def add_hard_cnf(self, cnf: CNF) -> None:
-        """Add every clause of ``cnf`` as a hard clause and import its name table."""
-        for clause in cnf:
-            self.add_hard(list(clause))
-        self.ensure_num_vars(cnf.num_vars)
-        for var, name in cnf.var_to_name.items():
-            self.var_names[var] = name
 
     def add_soft(
         self,
@@ -161,40 +163,21 @@ class WPMaxSATInstance:
         """Add a soft clause with the given positive weight.
 
         The engines optimise ``scaled_weight``, by default
-        :meth:`scale_weight` of ``weight``; ``weight`` itself is what
+        :func:`scale_weight` of ``weight``; ``weight`` itself is what
         :attr:`~repro.maxsat.result.MaxSATResult.float_cost` sums.
         """
-        clause = tuple(literals)
-        for lit in clause:
-            if lit == 0:
-                raise SolverError("literal 0 is not allowed")
-            self.ensure_num_vars(abs(lit))
+        clause = _checked_clause(literals)
+        if clause:
+            self.ensure_num_vars(max(map(abs, clause)))
         if scaled_weight is None:
-            scaled_weight = self.scale_weight(weight)
+            scaled_weight = scale_weight(weight, self.precision)
         soft = SoftClause(
             literals=clause, weight=float(weight), scaled_weight=scaled_weight, label=label
         )
         self._soft.append(soft)
         return soft
 
-    def scale_weight(self, weight: float) -> int:
-        """Convert a float weight to the internal integer scale (rounding, min 1)."""
-        return scale_weight(weight, self.precision)
-
-    def unscale_cost(self, scaled_cost: int) -> float:
-        """Convert an integer cost back to the original float scale.
-
-        Only for soft clauses scaled by :meth:`scale_weight`; engines report
-        a model's float cost as the summed ``weight`` of
-        :meth:`falsified_by`.
-        """
-        return scaled_cost / self.precision
-
     # -- inspection -------------------------------------------------------------
-
-    def total_soft_weight(self) -> int:
-        """Sum of all scaled soft weights (an upper bound on any solution cost)."""
-        return sum(s.scaled_weight for s in self._soft)
 
     def falsified_by(self, model: Mapping[int, bool]) -> List[SoftClause]:
         """The soft clauses ``model`` falsifies."""
@@ -220,7 +203,6 @@ class WPMaxSATInstance:
         clone._hard = list(self._hard)
         clone._soft = list(self._soft)
         clone._num_vars = self._num_vars
-        clone.var_names = dict(self.var_names)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

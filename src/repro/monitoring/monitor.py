@@ -26,6 +26,7 @@ and measured into the ``repro_monitor_*`` metric families.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -66,6 +67,13 @@ UPDATE_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 class MonitorError(ReproError):
     """Monitor lifecycle misuse (double start, update before base, ...)."""
+
+
+def _check_run_options(max_updates: Optional[int], batch_size: int) -> None:
+    if batch_size < 1:
+        raise MonitorError(f"batch_size must be a positive integer, got {batch_size}")
+    if max_updates is not None and max_updates < 0:
+        raise MonitorError(f"max_updates cannot be negative, got {max_updates}")
 
 
 @dataclass
@@ -419,46 +427,33 @@ class TreeMonitor:
         reached.  The event stream is closed on exit (after a final ``end``
         event), so attached SSE clients terminate cleanly.
 
-        ``batch_size > 1`` drains the feed in chunks through
-        :meth:`apply_batch` — one kernel-batched P(top) evaluation per chunk
-        instead of one BDD walk per update, with identical per-update deltas
-        and events.  Suited to replay/backfill feeds; for live trickle feeds
-        the default of 1 keeps per-update latency minimal.
+        The feed is drained in chunks of up to ``batch_size`` updates, each
+        applied through :meth:`apply_batch` — with ``batch_size > 1``, one
+        kernel-batched P(top) evaluation per chunk instead of one BDD walk
+        per update, with identical per-update deltas and events.  Suited to
+        replay/backfill feeds; for live trickle feeds the default of 1 keeps
+        per-update latency minimal.  A chunk pulled after :meth:`stop` is
+        not applied, and the staleness watchdog runs after every chunk.
         """
-        if batch_size < 1:
-            raise MonitorError(f"batch_size must be a positive integer, got {batch_size}")
+        _check_run_options(max_updates, batch_size)
         self.ensure_base()
         applied = 0
         try:
-            if batch_size == 1:
-                for update in feed:
-                    if self._stop.is_set():
-                        break
-                    self.apply_update(update)
-                    applied += 1
-                    if max_updates is not None and applied >= max_updates:
-                        break
-                    self.check_staleness()
-            else:
-                iterator = iter(feed)
-                while not self._stop.is_set():
-                    budget = batch_size
-                    if max_updates is not None:
-                        budget = min(budget, max_updates - applied)
-                    if budget <= 0:
-                        break
-                    chunk: List[ProbabilityUpdate] = []
-                    for update in iterator:
-                        chunk.append(update)
-                        if len(chunk) >= budget:
-                            break
-                    if not chunk:
-                        break
-                    self.apply_batch(chunk)
-                    applied += len(chunk)
-                    if max_updates is not None and applied >= max_updates:
-                        break
-                    self.check_staleness()
+            iterator = iter(feed)
+            while not self._stop.is_set():
+                budget = batch_size
+                if max_updates is not None:
+                    budget = min(budget, max_updates - applied)
+                if budget <= 0:
+                    break
+                chunk = list(itertools.islice(iterator, budget))
+                if not chunk or self._stop.is_set():
+                    break
+                self.apply_batch(chunk)
+                applied += len(chunk)
+                if max_updates is not None and applied >= max_updates:
+                    break
+                self.check_staleness()
         finally:
             close = getattr(feed, "close", None)
             if close is not None:
@@ -502,8 +497,7 @@ class TreeMonitor:
         """
         if self._thread is not None:
             raise MonitorError(f"monitor {self.name!r} is already running")
-        if batch_size < 1:
-            raise MonitorError(f"batch_size must be a positive integer, got {batch_size}")
+        _check_run_options(max_updates, batch_size)
         self.ensure_base()  # fail fast, before the thread detaches errors
         self._thread = threading.Thread(
             target=self.run,

@@ -14,8 +14,8 @@ This is the production SAT engine underneath every MaxSAT algorithm in
   implicit hitting set engine) rely on.
 
 The solver is deliberately self-contained (pure Python, no third-party
-dependencies) because the execution environment provides no MaxSAT/SAT
-packages; see DESIGN.md §2 for the substitution rationale.
+dependencies), so the library installs and runs anywhere the standard
+library does, with no MaxSAT or SAT package to provide.
 """
 
 from __future__ import annotations

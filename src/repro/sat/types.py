@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence
 
 from repro.exceptions import SolverError
-from repro.logic.cnf import CNF, Literal
+from repro.logic.cnf import Literal
 
 __all__ = ["SatStatus", "SatResult", "BaseSatSolver"]
 
@@ -71,11 +71,6 @@ class BaseSatSolver:
 
     def add_clause(self, literals: Sequence[Literal]) -> None:
         raise NotImplementedError
-
-    def add_cnf(self, cnf: CNF) -> None:
-        """Load every clause of ``cnf`` into the solver."""
-        for clause in cnf:
-            self.add_clause(list(clause))
 
     def solve(self, assumptions: Iterable[Literal] = ()) -> SatResult:
         raise NotImplementedError

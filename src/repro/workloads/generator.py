@@ -2,8 +2,9 @@
 
 The paper's evaluation claims the MaxSAT approach "is able to scale to fault
 trees with thousands of nodes in seconds".  The authors' benchmark trees are
-not distributed with the paper, so the scalability experiment (E4 in
-DESIGN.md) drives the pipeline with synthetic trees produced here.  The
+not distributed with the paper, so the scalability experiment (E4,
+``benchmarks/test_bench_scalability.py``) drives the pipeline with synthetic
+trees produced here.  The
 generator controls exactly the quantities that matter for that claim — total
 node count, depth, gate arity, AND/OR/voting mix, and the probability
 distribution of basic events — and is fully deterministic given a seed.

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 from repro.logic.formula import And, AtLeast, Formula, Not, Or, Var
 from repro.workloads.generator import random_fault_tree
@@ -67,6 +69,51 @@ def small_random_trees(
         lambda n, seed: random_fault_tree(
             num_basic_events=n, seed=seed, voting_ratio=voting_ratio
         ),
+        st.integers(min_value=min_events, max_value=max_events),
+        st.integers(min_value=0, max_value=10_000),
+    )
+
+
+def voting_reuse_tree(num_events: int, seed: int) -> FaultTree:
+    """A seeded random tree of AND, OR and voting gates over shared subtrees.
+
+    Unlike :func:`random_fault_tree`, a voting gate's ``k`` may be 1 or its
+    arity, a gate may have a single child (so two children of one gate can
+    share a literal), and a gate may reuse any node placed before it.
+    """
+    rng = random.Random(seed)
+    tree = FaultTree(f"voting-reuse-{num_events}-seed{seed}")
+    for index in range(num_events):
+        tree.add_basic_event(f"e{index}", rng.choice([0.05, 0.1, 0.2, rng.uniform(1e-3, 0.5)]))
+    open_nodes = list(tree.event_names)
+    placed = list(open_nodes)
+    while len(open_nodes) > 1 or len(placed) == num_events:
+        arity = min(rng.randint(1, 4), len(open_nodes))
+        children = [open_nodes.pop(rng.randrange(len(open_nodes))) for _ in range(arity)]
+        shared = [node for node in placed if node not in children]
+        while shared and rng.random() < 0.3:
+            children.append(shared.pop(rng.randrange(len(shared))))
+        name = f"g{len(placed) - num_events + 1}"
+        kind = rng.choice(["and", "or", "1-of-n", "n-of-n", "k-of-n"])
+        if kind in ("and", "or"):
+            tree.add_gate(name, GateType.AND if kind == "and" else GateType.OR, children)
+        else:
+            arity = len(children)
+            k = {"1-of-n": 1, "n-of-n": arity}.get(kind) or rng.randint(1, arity)
+            tree.add_gate(name, GateType.VOTING, children, k=k)
+        open_nodes.insert(rng.randrange(len(open_nodes) + 1), name)
+        placed.append(name)
+    tree.set_top_event(open_nodes[0])
+    tree.validate()
+    return tree
+
+
+def voting_reuse_trees(
+    min_events: int = 3, max_events: int = 8
+) -> st.SearchStrategy[FaultTree]:
+    """Strategy over :func:`voting_reuse_tree`."""
+    return st.builds(
+        voting_reuse_tree,
         st.integers(min_value=min_events, max_value=max_events),
         st.integers(min_value=0, max_value=10_000),
     )

@@ -23,7 +23,7 @@ def cnf_satisfiable_with(cnf, named_assignment):
     """Check with the CDCL solver that the CNF is satisfiable when the named
     problem variables are fixed to ``named_assignment``."""
     solver = CDCLSolver()
-    solver.add_cnf(cnf)
+    solver.add_clauses(cnf)
     assumptions = []
     for name, value in named_assignment.items():
         var = cnf.name_to_var[name]
@@ -52,19 +52,19 @@ class TestBasicEncodings:
     def test_true_constant(self):
         result = tseitin_encode(TRUE)
         solver = CDCLSolver()
-        solver.add_cnf(result.cnf)
+        solver.add_clauses(result.cnf)
         assert solver.solve().status is SatStatus.SAT
 
     def test_false_constant_unsat(self):
         result = tseitin_encode(FALSE)
         solver = CDCLSolver()
-        solver.add_cnf(result.cnf)
+        solver.add_clauses(result.cnf)
         assert solver.solve().status is SatStatus.UNSAT
 
     def test_without_root_assertion_cnf_stays_satisfiable(self):
         result = tseitin_encode(FALSE, assert_root=False)
         solver = CDCLSolver()
-        solver.add_cnf(result.cnf)
+        solver.add_clauses(result.cnf)
         assert solver.solve().status is SatStatus.SAT
 
     def test_shared_subformulas_encoded_once(self):

@@ -7,17 +7,21 @@ underlying CDCL solver, and blocking clauses persist via activation literals.
 """
 
 import pytest
+from hypothesis import given, settings
 
-from repro.core.encoder import shape_fragment
+from repro.core.encoder import encode_mpmcs, shape_fragment
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import SolverError
+from repro.maxsat import engine as engine_module
+from repro.maxsat import incremental as incremental_module
 from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.rc2 import RC2Engine
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import fire_protection_system
+from repro.workloads.library import NAMED_TREES, fire_protection_system, get_tree
 
-from tests.conftest import gate_shapes
+from tests.conftest import gate_shapes, voting_reuse_trees
 
 
 class TestCDCLIncrementalInterface:
@@ -42,6 +46,46 @@ class TestCDCLIncrementalInterface:
         assert solver.solve().status is SatStatus.SAT
         solver.add_clauses([[-1], [-2]])
         assert solver.solve().status is SatStatus.UNSAT
+
+
+def _loaded_clauses(tree):
+    """What the cold RC2 solve and a warm session each load into their solver:
+    the hard clauses and the declared variable count."""
+    loaded = []
+    original = engine_module.new_sat_solver
+
+    def recording(instance, **options):
+        loaded.append((instance.hard, instance.num_vars))
+        return original(instance, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "new_sat_solver", recording)
+        patch.setattr(incremental_module, "new_sat_solver", recording)
+        RC2Engine().solve(encode_mpmcs(tree).instance)
+        IncrementalMaxSATSession(tree)
+    cold, warm = loaded
+    return cold, warm
+
+
+class TestOneClausePath:
+    """The cold encoding and the warm session load the same clause list."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_library_trees(self, name):
+        cold, warm = _loaded_clauses(get_tree(name))
+        assert cold == warm
+
+    @settings(max_examples=30, deadline=None)
+    @given(voting_reuse_trees(min_events=3, max_events=9))
+    def test_voting_and_shared_subtrees(self, tree):
+        cold, warm = _loaded_clauses(tree)
+        assert cold == warm
+
+    def test_solver_holds_every_declared_variable(self):
+        tree = random_fault_tree(num_basic_events=30, seed=5, voting_ratio=0.2)
+        session = IncrementalMaxSATSession(tree)
+        assert session.num_vars == encode_mpmcs(tree).instance.num_vars
+        assert session._solver.num_vars == session.num_vars
 
 
 class TestSessionAgainstColdPipeline:

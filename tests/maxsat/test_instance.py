@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
-from repro.logic.cnf import CNF
 from repro.maxsat.instance import WPMaxSATInstance, objective_weight, scale_weight
 
 
@@ -53,14 +52,16 @@ class TestConstruction:
         with pytest.raises(SolverError):
             WPMaxSATInstance(precision=0)
 
-    def test_add_hard_cnf_imports_names(self):
-        cnf = CNF()
-        var = cnf.var_for("x1")
-        cnf.add_clause([var])
+    @pytest.mark.parametrize("literal", [1.0, True, False, "1", None, 2.5])
+    def test_non_integer_literal_rejected(self, literal):
         instance = WPMaxSATInstance()
-        instance.add_hard_cnf(cnf)
-        assert instance.var_names[var] == "x1"
-        assert instance.num_hard == 1
+        with pytest.raises(SolverError, match="invalid literal"):
+            instance.add_hard([literal, 2])
+        with pytest.raises(SolverError, match="invalid literal"):
+            instance.add_soft([literal], 1.0)
+        assert instance.num_hard == 0
+        assert instance.num_soft == 0
+        assert instance.num_vars == 0
 
     def test_new_var_extends_count(self):
         instance = WPMaxSATInstance()
@@ -82,16 +83,6 @@ class TestCostEvaluation:
         instance.add_hard([1, 2])
         assert instance.hard_satisfied_by({1: True, 2: False})
         assert not instance.hard_satisfied_by({1: False, 2: False})
-
-    def test_total_soft_weight(self):
-        instance = WPMaxSATInstance(precision=1)
-        instance.add_soft([1], 5)
-        instance.add_soft([2], 7)
-        assert instance.total_soft_weight() == 12
-
-    def test_unscale_cost_inverts_scaling(self):
-        instance = WPMaxSATInstance(precision=1000)
-        assert instance.unscale_cost(instance.scale_weight(3.25)) == pytest.approx(3.25)
 
     def test_copy_is_independent(self):
         instance = WPMaxSATInstance()

@@ -115,3 +115,46 @@ class TestRunBatchSize:
             monitor.run(SyntheticFeed(tree, updates=2, seed=1), batch_size=0)
         with pytest.raises(MonitorError, match="batch_size"):
             monitor.start(SyntheticFeed(tree, updates=2, seed=1), batch_size=-1)
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_zero_max_updates_applies_none(self, batch_size):
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree, backend="maxsat")
+        applied = monitor.run(
+            SyntheticFeed(tree, updates=5, seed=1), max_updates=0, batch_size=batch_size
+        )
+        assert applied == 0
+        assert monitor.status()["updates"] == 0
+        kinds = [event.kind for event in monitor.events.events_after(0)]
+        assert "delta" not in kinds and kinds[-1] == "end"
+
+    def test_negative_max_updates_raises(self):
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree, backend="maxsat")
+        with pytest.raises(MonitorError, match="max_updates"):
+            monitor.run(SyntheticFeed(tree, updates=2, seed=1), max_updates=-1)
+        with pytest.raises(MonitorError, match="max_updates"):
+            monitor.start(SyntheticFeed(tree, updates=2, seed=1), max_updates=-1)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_update_pulled_after_stop_is_not_applied(self, batch_size):
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree, backend="maxsat")
+        updates = list(SyntheticFeed(tree, updates=6, seed=1))
+
+        def feed():
+            yield from updates[:batch_size]
+            monitor._stop.set()  # stop() arrives while the feed is being read
+            yield from updates[batch_size:]
+
+        assert monitor.run(feed(), batch_size=batch_size) == batch_size
+        assert monitor.status()["updates"] == batch_size
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_staleness_is_checked_after_each_chunk(self, batch_size, monkeypatch):
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree, backend="maxsat")
+        checks = []
+        monkeypatch.setattr(monitor, "check_staleness", lambda: checks.append(1))
+        monitor.run(SyntheticFeed(tree, updates=6, seed=1), batch_size=batch_size)
+        assert len(checks) == 6 // batch_size
