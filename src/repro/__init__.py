@@ -8,9 +8,9 @@ and MaxSAT solvers the method relies on.
 Quickstart
 ----------
 The :class:`AnalysisSession` is the front door for every analysis.  One call
-can combine several analyses; expensive intermediates (the Tseitin CNF
-encoding, the minimal cut sets, the compiled BDD) are cached per session and
-computed once:
+can combine several analyses; expensive intermediates (the minimal cut sets,
+the compiled BDD) are cached per session and computed once, and the MaxSAT
+encoding's hard clauses are encoded once per structure:
 
 .. code-block:: python
 

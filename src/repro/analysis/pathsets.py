@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 
 from repro.analysis.cutsets import CutSetCollection
 from repro.analysis.mocus import mocus_minimal_cut_sets
-from repro.core.encoder import assemble_structure_cnf
 from repro.core.weights import MIN_WEIGHT
 from repro.exceptions import AnalysisError
 from repro.fta.gates import GateType
@@ -98,8 +97,8 @@ def most_probable_path_set(
     each event carries the weight ``-log(1 - p(x_i))``.
     """
     # Variable y_i of the dual tree's CNF means "event i stays failure-free".
-    structure = assemble_structure_cnf(dual_tree(tree))
-    instance = structure.hard_instance()
+    structure = dual_tree(tree).compiled().cnf
+    instance = structure.instance.copy()
 
     probabilities = tree.probabilities()
     event_vars = {name: structure.event_vars[name] for name in tree.events_reachable_from_top()}

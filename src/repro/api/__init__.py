@@ -7,9 +7,8 @@ One front door for every fault-tree analysis the library implements:
   brute-force / Monte-Carlo baselines — plugs in behind a common
   :class:`AnalysisBackend` protocol;
 * an **:class:`AnalysisSession`** (:mod:`repro.api.session`) that routes
-  requests to backends and memoises expensive intermediates (Tseitin CNF
-  encoding, minimal cut sets, compiled BDDs) in a shared
-  :class:`ArtifactCache`;
+  requests to backends and memoises expensive intermediates (minimal cut
+  sets, compiled BDDs) in a shared :class:`ArtifactCache`;
 * a **batch layer** (:mod:`repro.api.batch`) fanning many trees out over a
   process pool;
 * one **:class:`AnalysisReport`** result type consumed uniformly by the
@@ -39,7 +38,6 @@ from repro.api.batch import BatchItem, BatchResult, analyze_many
 from repro.api.cache import (
     ARTIFACT_BDD,
     ARTIFACT_CUT_SETS,
-    ARTIFACT_ENCODING,
     ARTIFACT_SUBTREE_CUT_SETS,
     ArtifactCache,
     structural_hash,
@@ -72,7 +70,6 @@ __all__ = [
     "ANALYSES",
     "ARTIFACT_BDD",
     "ARTIFACT_CUT_SETS",
-    "ARTIFACT_ENCODING",
     "ARTIFACT_SUBTREE_CUT_SETS",
     "AnalysisBackend",
     "AnalysisReport",

@@ -16,10 +16,13 @@ Each backend wraps one resolution strategy behind the common
 ===============  =======================================================
 
 All backends share the session's :class:`~repro.api.cache.ArtifactCache`:
-the Tseitin CNF encoding, the minimal cut sets (a canonical object — every
-enumeration strategy produces the same collection) and the compiled BDD are
-each computed once per structurally identical tree and reused across
-analyses and backends.
+the minimal cut sets (a canonical object — every enumeration strategy
+produces the same collection) and the compiled BDD are each computed once
+per structurally identical tree and reused across analyses and backends.
+The MaxSAT encoding is not cached: its hard clauses are encoded once per
+structure, not cached per tree
+(:attr:`~repro.fta.compiled.CompiledStructure.cnf`, shared by every
+probability-only copy), and each analysis adds its own soft clauses.
 """
 
 from __future__ import annotations
@@ -41,14 +44,14 @@ from repro.analysis.topevent import (
     rare_event_approximation,
 )
 from repro.analysis.truncation import truncated_cut_sets
-from repro.api.cache import ARTIFACT_BDD, ARTIFACT_CUT_SETS, ARTIFACT_ENCODING
+from repro.api.cache import ARTIFACT_BDD, ARTIFACT_CUT_SETS
 from repro.api.registry import AnalysisBackend, register_backend, run_each
 from repro.api.report import AnalysisReport, AnalysisRequest, MPMCSSummary, TopEventSummary
 from repro.bdd.cutsets import cut_sets_of_bdd
 from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.ordering import variable_order
 from repro.bdd.probability import FlatBDD, flatten_bdd, mpmcs_of_bdd, probability_of_bdd
-from repro.core.encoder import MPMCSEncoding, encode_mpmcs
+from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSResult, MPMCSSolver
 from repro.core.topk import Found, RankedCutSet, rank_optima
 from repro.core.weights import probability_of_cut_set, weight_of_cut_set
@@ -165,16 +168,19 @@ class _CutSetBackend(AnalysisBackend):
 class MaxSATBackend(AnalysisBackend):
     """The paper's Weighted Partial MaxSAT pipeline behind the facade.
 
-    :meth:`run` is the cold route: the session's cached Tseitin CNF encoding
-    (composite requests and repeated analyses of one tree encode the
-    structure function once) solved by the portfolio.  :meth:`run_batch` is
-    the warm route: one persistent
+    Both routes start from the structure's hard clauses, encoded once per
+    structure, not cached per tree
+    (:attr:`~repro.fta.compiled.CompiledStructure.cnf`).  :meth:`run` is the
+    cold route: a fresh :func:`~repro.core.encoder.encode_mpmcs` per
+    analysis (a copy of those clauses plus the tree's soft clauses) solved
+    by the portfolio.  :meth:`run_batch` is the warm route: one persistent
     :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` per
-    structure, so the probability-only trees of a batch become weight-only
-    re-solves.  Both rank through one :func:`~repro.core.topk.rank_optima`
-    call that serves ``mpmcs`` and ``ranking``.  Both optimise the canonical
-    order itself (:func:`~repro.maxsat.instance.objective_weight`), so ties
-    need no extra solves: a ranking of ``top_k`` takes ``top_k`` solves and
+    structure, loaded from the same clauses, so the probability-only trees
+    of a batch become weight-only re-solves.  Both rank through one
+    :func:`~repro.core.topk.rank_optima` call that serves ``mpmcs`` and
+    ``ranking``.  Both optimise the canonical order itself
+    (:func:`~repro.maxsat.instance.objective_weight`), so ties need no extra
+    solves: a ranking of ``top_k`` takes ``top_k`` solves and
     equals every other backend's.  One-off analyses stay cold on purpose: on
     the E4 corpus a cold session cut the median analysis time 7x but raised
     the p95 from 466 to 747 ms (2-core host, CPython 3.11), because a
@@ -197,22 +203,15 @@ class MaxSATBackend(AnalysisBackend):
 
     def _solver(self) -> MPMCSSolver:
         if self.context.solver is None:
-            self.context.solver = MPMCSSolver(precision=self.context.precision)
+            self.context.solver = MPMCSSolver()
         return self.context.solver
-
-    def _encoding(self, tree: FaultTree) -> MPMCSEncoding:
-        return self.context.artifacts.get_or_compute(
-            tree,
-            ARTIFACT_ENCODING,
-            lambda: encode_mpmcs(tree, precision=self.context.precision),
-        )
 
     def _warm_session_for(self, tree: FaultTree) -> IncrementalMaxSATSession:
         """The (LRU-bounded) warm session for ``tree``'s structure."""
         key = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
         session = self._warm_sessions.get(key)
         if session is None:
-            session = IncrementalMaxSATSession(tree, precision=self.context.precision)
+            session = IncrementalMaxSATSession(tree)
             self._warm_sessions[key] = session
             while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
                 self._warm_sessions.popitem(last=False)
@@ -295,7 +294,7 @@ class MaxSATBackend(AnalysisBackend):
         if enumerated is None:
             registry.inc("repro_solver_cold_solves_total")
             encode_start = time.perf_counter()
-            encoding = self._encoding(tree)
+            encoding = encode_mpmcs(tree)
             solve_start = time.perf_counter()
             solve = self._solver().optima(tree, encoding)
             enumerated = rank_optima(solve, count)

@@ -1,12 +1,15 @@
 """Per-session artifact cache keyed on a structural fault-tree hash.
 
 Composite requests such as ``["mpmcs", "top_event", "importance"]`` need the
-same expensive intermediates several times: the Tseitin CNF encoding (MaxSAT
-pipeline and top-k enumeration), the minimal cut sets (importance measures,
-probability bounds, MPMCS baselines) and the compiled BDD (exact probability,
-BDD cut sets).  :class:`ArtifactCache` memoises them once per structurally
-identical tree so each is computed exactly once per
-:class:`~repro.api.session.AnalysisSession`.
+same expensive intermediates several times: the minimal cut sets (importance
+measures, probability bounds, MPMCS baselines) and the compiled BDD (exact
+probability, BDD cut sets).  :class:`ArtifactCache` memoises them once per
+structurally identical tree so each is computed exactly once per
+:class:`~repro.api.session.AnalysisSession`.  The MaxSAT encoding is not an
+artifact: its hard clauses depend on the gates alone, so they are encoded
+once per structure, not cached per tree
+(:attr:`~repro.fta.compiled.CompiledStructure.cnf`), and every analysis adds
+its own soft clauses.
 
 The cache key is a content hash over everything that influences analysis
 results — top event, gate structure and basic-event probabilities — and
@@ -29,9 +32,9 @@ gate half of the whole-tree hash live on the tree's
 :class:`~repro.fta.compiled.CompiledStructure`, which every
 probability-only copy shares, so a scenario or monitor update serialises
 only its events and probabilities.
-Per-gate CNF fragments are not cached here: a fragment depends on the gate's
-shape alone, so :func:`repro.core.encoder.shape_fragment` memoises it per
-process.
+Per-gate CNF fragments are not cached here either: a fragment depends on the
+gate's shape alone, so :func:`repro.core.encoder.shape_fragment` memoises it
+per process.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "ARTIFACT_BDD",
     "ARTIFACT_CAMPAIGN_LEDGER",
     "ARTIFACT_CUT_SETS",
-    "ARTIFACT_ENCODING",
     "ARTIFACT_SUBTREE_CUT_SETS",
     "ArtifactCache",
     "ArtifactStoreBackend",
@@ -55,12 +57,10 @@ __all__ = [
     "subtree_structure_hashes",
 ]
 
-#: Well-known artifact kinds shared by the built-in backends.  The MPMCS
-#: encoding and the minimal cut sets are keyed by the whole-tree hash.  The
-#: encoding's kind is not ``"cnf-encoding"``: entries stored under that name
-#: weight events by scaled cost alone, so their optima tie, and a persistent
-#: store must never serve them.
-ARTIFACT_ENCODING = "mpmcs-encoding"
+#: Well-known artifact kinds shared by the built-in backends.  The minimal cut
+#: sets are keyed by the whole-tree hash.  No kind holds an MPMCS encoding:
+#: entries a persistent store may still hold under the retired kinds
+#: ``"cnf-encoding"`` and ``"mpmcs-encoding"`` are never read.
 ARTIFACT_CUT_SETS = "minimal-cut-sets"
 #: Compiled BDD keyed by the *structure-only* hash of the top event's subtree
 #: (:meth:`ArtifactCache.get_or_compute_subtree`).  The diagram encodes the

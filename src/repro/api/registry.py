@@ -39,7 +39,6 @@ from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError, ReproError
 from repro.fta.tree import FaultTree
-from repro.maxsat.instance import DEFAULT_PRECISION
 
 __all__ = [
     "AnalysisBackend",
@@ -61,7 +60,6 @@ class BackendContext:
 
     artifacts: ArtifactCache = field(default_factory=ArtifactCache)
     solver: Optional[MPMCSSolver] = None
-    precision: int = DEFAULT_PRECISION
     #: The session's resolved kernel suite (:func:`repro.kernels.select`);
     #: ``None`` means each consumer auto-selects.  Typed loosely to keep the
     #: registry import-light.

@@ -349,7 +349,9 @@ class AnalysisReport:
     timings: Dict[str, float] = field(default_factory=dict)
     cache_stats: Dict[str, Any] = field(default_factory=dict)
     #: Per-stage performance breakdown: ``encode_seconds`` (CNF/BDD/cut-set
-    #: structure preparation), ``solve_seconds`` (search/enumeration),
+    #: structure preparation; the MaxSAT hard clauses are encoded once per
+    #: structure, not cached per tree, so only a structure's first analysis
+    #: pays for them), ``solve_seconds`` (search/enumeration),
     #: ``cache_hits`` / ``cache_misses`` (artifact-cache probes during this
     #: run) and, for store-backed sessions, ``store_hits`` / ``store_misses``.
     #: Backends contribute their stage timings; the session adds the cache

@@ -3,7 +3,9 @@
 A session owns three pieces of shared state:
 
 * an :class:`~repro.api.cache.ArtifactCache` memoising expensive per-tree
-  intermediates (CNF encoding, minimal cut sets, compiled BDD);
+  intermediates (minimal cut sets, compiled BDD).  The MaxSAT encoding is
+  not among them: its hard clauses are encoded once per structure, not
+  cached per tree (:attr:`~repro.fta.compiled.CompiledStructure.cnf`);
 * one :class:`~repro.core.pipeline.MPMCSSolver` (the MaxSAT portfolio),
   constructed once instead of per call;
 * one instance of each backend, created lazily from the registry.
@@ -50,7 +52,6 @@ from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError, ReproError
 from repro.fta.tree import FaultTree
 from repro import kernels
-from repro.maxsat.instance import DEFAULT_PRECISION
 from repro.observability import metrics as _metrics
 from repro.observability import trace as _trace
 
@@ -106,8 +107,6 @@ class AnalysisSession:
     mode:
         Execution mode of the MaxSAT portfolio (``"sequential"``, the
         default, or ``"process"``).  Ignored when ``solver`` is given.
-    precision:
-        Integer scaling applied to the ``-log`` probability weights.
     solver:
         Optional pre-configured :class:`MPMCSSolver` shared by the session.
     cache:
@@ -125,18 +124,16 @@ class AnalysisSession:
         self,
         *,
         mode: str = "sequential",
-        precision: int = DEFAULT_PRECISION,
         solver: Optional[MPMCSSolver] = None,
         cache: Optional[ArtifactCache] = None,
         kernel_tier: Optional[str] = None,
     ) -> None:
         self.artifacts = cache if cache is not None else ArtifactCache()
-        self.solver = solver if solver is not None else MPMCSSolver(mode=mode, precision=precision)
+        self.solver = solver if solver is not None else MPMCSSolver(mode=mode)
         self.kernels = kernels.select(kernel_tier)
         self.context = BackendContext(
             artifacts=self.artifacts,
             solver=self.solver,
-            precision=precision,
             kernels=self.kernels,
         )
         self._backends: Dict[str, AnalysisBackend] = {}

@@ -29,8 +29,8 @@ file".  This CLI mirrors that workflow and adds a few conveniences:
 
 Every analysis subcommand dispatches through one
 :class:`repro.api.AnalysisSession`, so composite invocations share cached
-artifacts (CNF encoding, minimal cut sets, compiled BDD) instead of
-recomputing them per analysis.
+artifacts (minimal cut sets, compiled BDD) instead of recomputing them per
+analysis.
 
 The module is also runnable as ``python -m repro.cli``.
 """

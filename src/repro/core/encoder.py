@@ -18,7 +18,11 @@ gate contributes the Tseitin clauses of its own connective, stitched onto its
 children's literals, so Steps 1 and 2 never materialise ``f(t)`` as a formula.
 A gate's clauses depend only on its shape ``(gate_type, k, arity)``, and a
 tree has few distinct shapes, so each shape is encoded once per process and
-then only relocated.
+then only relocated.  The hard clauses depend on the gates alone, so they are
+encoded once per structure, not cached per tree: the tree's
+:class:`~repro.fta.compiled.CompiledStructure`, shared by its
+probability-only copies, keeps them, and each encoding adds only the soft
+clauses (Steps 3–4) of its own probabilities.
 
 Equivalence with the paper's presentation
 -----------------------------------------
@@ -41,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.weights import log_weight
 from repro.exceptions import FaultTreeError
+from repro.fta.compiled import CompiledStructure
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.logic.formula import AtLeast, Formula, Var, conjoin, disjoin
@@ -95,7 +100,11 @@ class StructureCNF:
     ``clauses`` holds the gates' clauses in assembly order, then the unit
     clause asserting ``root``, over variables ``1..num_vars``: the basic
     events (``event_vars``, in variable order) and ``num_aux_vars`` gate
-    variables.
+    variables.  ``instance`` is a MaxSAT instance with these hard clauses and
+    no soft clause, each clause checked once by
+    :meth:`~repro.maxsat.instance.WPMaxSATInstance.add_hard`.  A record is
+    memoised per structure (:attr:`~repro.fta.compiled.CompiledStructure.cnf`),
+    so nothing may modify it: an encoding takes a copy of ``instance``.
     """
 
     clauses: List[Tuple[int, ...]]
@@ -103,18 +112,11 @@ class StructureCNF:
     event_vars: Dict[str, int]
     root: int
     num_aux_vars: int
-
-    def hard_instance(self, *, precision: int = DEFAULT_PRECISION) -> WPMaxSATInstance:
-        """A MaxSAT instance whose hard clauses are these, with no soft clause yet."""
-        instance = WPMaxSATInstance(precision=precision)
-        instance.ensure_num_vars(self.num_vars)
-        for clause in self.clauses:
-            instance.add_hard(clause)
-        return instance
+    instance: WPMaxSATInstance
 
 
-def assemble_structure_cnf(tree: FaultTree) -> StructureCNF:
-    """Clauses of ``tree``'s structure function stitched from per-gate fragments.
+def assemble_structure_cnf(structure: CompiledStructure) -> StructureCNF:
+    """Clauses of a compiled structure's function stitched from per-gate fragments.
 
     Equisatisfiable (over the event variables) with the monolithic
     ``tseitin_encode(structure_function(tree))``, but built bottom-up in one
@@ -123,14 +125,15 @@ def assemble_structure_cnf(tree: FaultTree) -> StructureCNF:
     shape's :class:`~repro.logic.tseitin.CNFFragment` on its children's
     literals, its auxiliary variables following.  The root literal is
     asserted, exactly like ``tseitin_encode`` with ``assert_root=True``.
+    Analyses read the memoised result, ``tree.compiled().cnf``, instead of
+    calling this.
     """
-    tree.validate()
     clauses: List[Tuple[int, ...]] = []
     event_vars: Dict[str, int] = {}
     literals: Dict[str, int] = {}
     num_vars = 0
-    gates = tree.gates
-    for name in tree.topological_order():
+    gates = {gate.name: gate for gate in structure.gates}
+    for name in structure.order:
         gate = gates.get(name)
         if gate is None:
             num_vars += 1
@@ -141,14 +144,19 @@ def assemble_structure_cnf(tree: FaultTree) -> StructureCNF:
             [literals[child] for child in gate.children], num_vars, clauses
         )
         num_vars += fragment.num_internal_vars
-    root = literals[tree.top_event]
+    root = literals[structure.order[structure.top]]
     clauses.append((root,))
+    instance = WPMaxSATInstance()
+    instance.ensure_num_vars(num_vars)
+    for clause in clauses:
+        instance.add_hard(clause)
     return StructureCNF(
         clauses=clauses,
         num_vars=num_vars,
         event_vars=event_vars,
         root=root,
         num_aux_vars=num_vars - len(event_vars),
+        instance=instance,
     )
 
 
@@ -186,21 +194,19 @@ class MPMCSEncoding:
         return tuple(sorted(members))
 
 
-def encode_mpmcs(tree: FaultTree, *, precision: int = DEFAULT_PRECISION) -> MPMCSEncoding:
+def encode_mpmcs(tree: FaultTree) -> MPMCSEncoding:
     """Encode the MPMCS problem of ``tree`` as Weighted Partial MaxSAT.
 
-    Parameters
-    ----------
-    tree:
-        The fault tree to analyse.  It is validated first; a valid tree has
-        every node reachable from the top event, so every basic event gets a
-        variable and a soft clause.
-    precision:
-        Integer scaling precision for the float weights (see
-        :class:`~repro.maxsat.instance.WPMaxSATInstance`).
+    The tree is validated first; a valid tree has every node reachable from
+    the top event, so every basic event gets a variable and a soft clause.
+    The hard clauses are encoded once per structure, not cached per tree:
+    the encoding copies the structure's memoised hard-only instance and adds
+    one soft clause per event, weighted at
+    :data:`~repro.maxsat.instance.DEFAULT_PRECISION`.  The caller owns the
+    result and may add clauses to it.
     """
-    structure = assemble_structure_cnf(tree)
-    instance = structure.hard_instance(precision=precision)
+    structure = tree.compiled().cnf
+    instance = structure.instance.copy()
 
     event_vars: Dict[str, int] = {}
     weights: Dict[str, float] = {}
@@ -214,7 +220,7 @@ def encode_mpmcs(tree: FaultTree, *, precision: int = DEFAULT_PRECISION) -> MPMC
             [-var],
             weight,
             label=name,
-            scaled_weight=objective_weight(weight, ranks[name], len(ranks), precision),
+            scaled_weight=objective_weight(weight, ranks[name], len(ranks), DEFAULT_PRECISION),
         )
 
     return MPMCSEncoding(

@@ -21,7 +21,6 @@ Example
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -31,7 +30,6 @@ from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError, NoCutSetError
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
-from repro.maxsat.instance import DEFAULT_PRECISION
 from repro.maxsat.portfolio import PortfolioReport, PortfolioSolver
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
@@ -125,8 +123,6 @@ class MPMCSSolver:
     single_engine:
         When given, the portfolio is bypassed and this engine is used alone —
         the configuration exercised by the portfolio ablation benchmark.
-    precision:
-        Integer scaling applied to the ``-log`` probability weights.
 
     Every returned cut set is checked to be a minimal cut set of the fault
     tree; an :class:`AnalysisError` is raised otherwise.  The check is one
@@ -141,9 +137,7 @@ class MPMCSSolver:
         engines: Optional[Sequence[MaxSATEngine]] = None,
         mode: str = "sequential",
         single_engine: Optional[MaxSATEngine] = None,
-        precision: int = DEFAULT_PRECISION,
     ) -> None:
-        self.precision = precision
         self.single_engine = single_engine
         self.portfolio = None if single_engine is not None else PortfolioSolver(engines, mode=mode)
 
@@ -154,7 +148,7 @@ class MPMCSSolver:
         start = time.perf_counter()
         # Steps 1-4: logical transformation, CNF conversion, log-space weights,
         # WPMaxSAT instance.
-        encoding = encode_mpmcs(tree, precision=self.precision)
+        encoding = encode_mpmcs(tree)
         # Steps 5-6: MaxSAT resolution and reverse log-space transformation.
         result = self.solve_encoding(tree, encoding)
         result.total_time = time.perf_counter() - start
@@ -179,21 +173,19 @@ class MPMCSSolver:
     ) -> Callable[[Sequence[Tuple[str, ...]]], Optional[MPMCSResult]]:
         """The cold ``solve`` callable of :func:`~repro.core.topk.rank_optima`.
 
-        Blocks go into one working copy of ``encoding`` (a cached artifact,
-        say), which gains only the newly found ones per call.
+        Each call adds the blocking clauses of the newly found cut sets to
+        ``encoding``, which the caller owns (:func:`encode_mpmcs` returns a
+        fresh one per analysis).
         """
-        working = encoding
         blocks = 0
 
         def solve(found: Sequence[Tuple[str, ...]]) -> Optional[MPMCSResult]:
-            nonlocal working, blocks
-            if len(found) > blocks and working is encoding:
-                working = dataclasses.replace(encoding, instance=encoding.instance.copy())
+            nonlocal blocks
             for events in found[blocks:]:
-                working.instance.add_hard([-encoding.event_vars[name] for name in events])
+                encoding.instance.add_hard([-encoding.event_vars[name] for name in events])
             blocks = len(found)
             try:
-                return self.solve_encoding(tree, working)
+                return self.solve_encoding(tree, encoding)
             except NoCutSetError:
                 return None
 

@@ -25,7 +25,6 @@ from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
-from repro.maxsat.instance import DEFAULT_PRECISION
 
 __all__ = ["RankedCutSet", "enumerate_mpmcs", "rank_optima"]
 
@@ -76,7 +75,6 @@ def enumerate_mpmcs(
     k: int,
     *,
     solver: Optional[MPMCSSolver] = None,
-    precision: int = DEFAULT_PRECISION,
 ) -> List[RankedCutSet]:
     """Return up to ``k`` minimal cut sets in decreasing probability order.
 
@@ -94,13 +92,11 @@ def enumerate_mpmcs(
     solver:
         Optional pre-configured :class:`MPMCSSolver`; a default one is built
         otherwise.
-    precision:
-        Weight scaling precision of the MaxSAT instance.
     """
     if k <= 0:
         raise AnalysisError(f"k must be a positive integer, got {k}")
-    pipeline = solver if solver is not None else MPMCSSolver(precision=precision)
-    encoding = encode_mpmcs(tree, precision=precision)
+    pipeline = solver if solver is not None else MPMCSSolver()
+    encoding = encode_mpmcs(tree)
     return [
         RankedCutSet(
             rank=rank, events=result.events, probability=result.probability, cost=result.cost

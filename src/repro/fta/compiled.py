@@ -6,9 +6,10 @@ over node indices.  It depends on the gates and the top event alone, so
 every probability-only copy of a tree (:meth:`FaultTree.copy` followed by
 :meth:`FaultTree.set_probability`, as in sweeps and live monitors) shares
 the object, and structure-only work — the order, the per-node structure
-hashes, the gate half of the whole-tree content hash — is done once per
-structure instead of once per copy.  Both hash formats live here, so
-:mod:`repro.api.cache` keys its artifacts without knowing them.
+hashes, the gate half of the whole-tree content hash, the MPMCS encoding's
+hard clauses — is done once per structure instead of once per copy.  Both
+hash formats live here, so :mod:`repro.api.cache` keys its artifacts
+without knowing them.
 
 Evaluation is bit-parallel with Python integers as lanes: bit ``j`` of a
 node's value is the node's state in lane ``j``, so an AND gate is one ``&``
@@ -22,9 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fta.gates import Gate, GateType
+
+if TYPE_CHECKING:  # repro.core builds on repro.fta, so only for annotations
+    from repro.core.encoder import StructureCNF
 
 __all__ = ["CompiledStructure"]
 
@@ -78,9 +82,13 @@ class CompiledStructure:
         event last).
     top:
         Index of the top event in :attr:`order`.
+    gates:
+        The gates, in :attr:`order`.
     """
 
-    __slots__ = ("order", "top", "_leaves", "_gates", "_program", "_node_hashes", "_gates_json")
+    __slots__ = (
+        "order", "top", "gates", "_leaves", "_program", "_node_hashes", "_gates_json", "_cnf"
+    )
 
     def __init__(self, order: Sequence[str], gates: Mapping[str, Gate], top_event: str) -> None:
         self.order: Tuple[str, ...] = tuple(order)
@@ -90,16 +98,17 @@ class CompiledStructure:
         self._leaves: Dict[str, int] = {
             name: index[name] for name in sorted(self.order) if name not in gates
         }
-        self._gates: Tuple[Gate, ...] = tuple(gates[name] for name in self.order if name in gates)
+        self.gates: Tuple[Gate, ...] = tuple(gates[name] for name in self.order if name in gates)
         position = index.__getitem__
         self._program: Tuple[Tuple[int, GateType, int, Tuple[int, ...]], ...] = tuple(
             [
                 (position(gate.name), gate.gate_type, gate.k or 0, tuple(map(position, gate.children)))
-                for gate in self._gates
+                for gate in self.gates
             ]
         )
         self._node_hashes: Optional[Dict[str, str]] = None
         self._gates_json: Optional[str] = None
+        self._cnf: Optional["StructureCNF"] = None
 
     def evaluate_lanes(self, occurred: Mapping[str, int]) -> int:
         """Top-event value in every lane: bit j is set when lane j fails the top.
@@ -143,12 +152,26 @@ class CompiledStructure:
             hashes: Dict[str, str] = {}
             for name in self._leaves:
                 hashes[name] = hashlib.sha256(f"event:{name}".encode("utf-8")).hexdigest()
-            for gate in self._gates:
+            for gate in self.gates:
                 children = ",".join(sorted(hashes[child] for child in gate.children))
                 payload = f"gate:{gate.gate_type.value}:{gate.k if gate.k is not None else ''}:{children}"
                 hashes[gate.name] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
             self._node_hashes = {name: hashes[name] for name in self.order}
         return self._node_hashes
+
+    @property
+    def cnf(self) -> "StructureCNF":
+        """The hard clauses of the structure's MPMCS encoding, root asserted.
+
+        Assembled on first use by
+        :func:`~repro.core.encoder.assemble_structure_cnf` and shared by every
+        copy and by both MaxSAT routes; treat it as read-only.
+        """
+        if self._cnf is None:
+            from repro.core.encoder import assemble_structure_cnf
+
+            self._cnf = assemble_structure_cnf(self)
+        return self._cnf
 
     def content_hash(self, probabilities: Mapping[str, float]) -> str:
         """SHA-256 of the structure together with the given event probabilities.
@@ -162,7 +185,7 @@ class CompiledStructure:
         if self._gates_json is None:
             gates = sorted(
                 (gate.name, gate.gate_type.value, gate.k if gate.k is not None else -1, list(gate.children))
-                for gate in self._gates
+                for gate in self.gates
             )
             self._gates_json = json.dumps(
                 {"gates": gates, "top": self.order[self.top]}, separators=(",", ":")

@@ -32,10 +32,12 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
    which lower-bounds every solution).  UNSAT: cache the new core and repeat.
 
 Each event's weight is its :func:`~repro.maxsat.instance.objective_weight`,
-which orders cut sets by scaled cost, then size, then sorted names, so the
-optimum is unique and each blocked solve returns the next cut set of a
-ranking in canonical order.  Event ranks depend only on the structure, so
-the session computes them once.
+as in the cold encoding, which orders cut sets by scaled cost, then size,
+then sorted names, so the optimum is unique and each blocked solve returns
+the next cut set of a ranking in canonical order.  Event ranks depend only
+on the structure, so the session computes them once.  So do the hard
+clauses, which are encoded once per structure, not cached per tree: the
+session loads them from ``tree.compiled().cnf``, as the cold encoding does.
 
 Blocking clauses for top-k enumeration are added once with an
 *activation literal* ``r`` — ``(r ∨ ¬x_1 ∨ … ∨ ¬x_k)`` constrains nothing
@@ -52,7 +54,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import AnalysisError, BudgetExceededError, SolverError
+from repro.exceptions import AnalysisError, BudgetExceededError
 from repro.fta.tree import FaultTree
 from repro.logic.cnf import Literal
 from repro.maxsat.engine import new_sat_solver
@@ -61,7 +63,12 @@ from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight, scale_wei
 from repro.observability import trace as _trace
 from repro.sat.types import SatStatus
 
-__all__ = ["IncrementalMaxSATSession", "IncrementalSolveResult"]
+__all__ = ["IncrementalMaxSATSession", "IncrementalSolveResult", "MAX_ROUNDS"]
+
+#: Safety cap on core-discovery rounds per solve; a solve that exceeds it
+#: raises :class:`BudgetExceededError`, and the caller falls back to the
+#: cold portfolio.
+MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,8 @@ class IncrementalSolveResult:
     """One optimal solution of a weight-only re-solve.
 
     ``events`` is the extracted minimal cut set, ``scaled_cost`` the sum of
-    its events' weights at the session's precision (the cost the canonical
-    order ranks by first) and ``cost`` the float ``-log`` objective.
+    its events' scaled weights (the cost the canonical order ranks by first)
+    and ``cost`` the float ``-log`` objective.
     """
 
     events: Tuple[str, ...]
@@ -93,39 +100,15 @@ class IncrementalMaxSATSession:
     Parameters
     ----------
     tree:
-        The tree whose structure function is encoded, through
-        :func:`~repro.core.encoder.assemble_structure_cnf` (the same gate
-        fragments as the cold encoding).  Only its structure is retained —
+        The tree whose structure's hard clauses (``tree.compiled().cnf``)
+        the solver is loaded with.  Only its structure is retained —
         per-solve weights come from :meth:`solve_tree` / :meth:`solve`.
-    precision:
-        Integer weight scaling, which must match the cold pipeline's for the
-        two paths to agree on near-tied optima.
-    max_rounds:
-        Safety cap on core-discovery iterations per solve; exceeding it
-        raises :class:`BudgetExceededError` so callers can fall back to the
-        cold portfolio.
     """
 
-    def __init__(
-        self,
-        tree: FaultTree,
-        *,
-        precision: int = DEFAULT_PRECISION,
-        max_rounds: int = 100_000,
-    ) -> None:
-        # Imported lazily: repro.core.encoder imports repro.maxsat.instance,
-        # so a top-level import here would cycle through the package inits.
-        from repro.core.encoder import assemble_structure_cnf
-
-        if precision <= 0:
-            raise SolverError("precision must be a positive integer")
+    def __init__(self, tree: FaultTree) -> None:
         started = time.perf_counter()
-        self.precision = precision
-        self.max_rounds = max_rounds
-
-        structure = assemble_structure_cnf(tree)
-        instance = structure.hard_instance(precision=precision)
-        self._solver = new_sat_solver(instance)
+        structure = tree.compiled().cnf
+        self._solver = new_sat_solver(structure.instance)
 
         # A valid tree reaches every basic event, so each has a variable;
         # they come in increasing variable order.
@@ -146,8 +129,8 @@ class IncrementalMaxSATSession:
             (name, -self.event_vars[name], rank)
             for rank, name in enumerate(sorted(self.event_vars))
         )
-        self.num_vars = instance.num_vars
-        self.num_hard = instance.num_hard
+        self.num_vars = structure.instance.num_vars
+        self.num_hard = structure.instance.num_hard
         self.num_aux_vars = structure.num_aux_vars
 
         #: Cached cores: sets of assumption literals (event selectors and
@@ -189,7 +172,7 @@ class IncrementalMaxSATSession:
 
     def scaled_cost_of(self, events: Iterable[str], weights: Dict[str, float]) -> int:
         """The scaled cost of a cut set under ``weights``."""
-        return sum(scale_weight(weights[name], self.precision) for name in events)
+        return sum(scale_weight(weights[name], DEFAULT_PRECISION) for name in events)
 
     def _objective(self, weights: Dict[str, float]) -> Dict[Literal, int]:
         """Each event selector's :func:`objective_weight` under ``weights``.
@@ -197,9 +180,9 @@ class IncrementalMaxSATSession:
         The cold encoding uses the same function, so the warm and cold
         paths agree on every optimum.
         """
-        count, precision = len(self._objective_terms), self.precision
+        count = len(self._objective_terms)
         return {
-            selector: objective_weight(weights[name], rank, count, precision)
+            selector: objective_weight(weights[name], rank, count, DEFAULT_PRECISION)
             for name, selector, rank in self._objective_terms
         }
 
@@ -259,7 +242,7 @@ class IncrementalMaxSATSession:
         ``None`` mirrors the cold path's exhausted-enumeration signal: either
         the structure has no cut set at all, or every remaining cut set is
         forbidden by ``blocked``.  Raises :class:`BudgetExceededError` when
-        the core-discovery loop exceeds ``max_rounds`` (callers then fall
+        the core-discovery loop exceeds :data:`MAX_ROUNDS` (callers then fall
         back to a cold solve).
 
         A round whose minimum-cost hitting set is a cut set, with no blocked
@@ -330,7 +313,7 @@ class IncrementalMaxSATSession:
         sat_calls = 0
         certified = False
         events: Optional[Tuple[str, ...]] = None
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             self.rounds += 1
             usable, exhausted = self._usable_cores(active_blocks)
             if exhausted:
@@ -373,7 +356,7 @@ class IncrementalMaxSATSession:
             self._cores.append((block_part, core - block_part))
         else:
             raise BudgetExceededError(
-                f"incremental MaxSAT session exceeded {self.max_rounds} core rounds"
+                f"incremental MaxSAT session exceeded {MAX_ROUNDS} core rounds"
             )
 
         self.solves += 1

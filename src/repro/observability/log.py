@@ -3,7 +3,7 @@
 Every event is one JSON object per line::
 
     {"ts": 1723112345.123, "module": "service.store", "event": "corrupt_entry_dropped",
-     "span": "s17", "path": "...", "kind": "mpmcs-encoding"}
+     "span": "s17", "path": "...", "kind": "minimal-cut-sets"}
 
 The logger is process-wide and defaults to the shared no-op
 :class:`NullLogger`, so instrumented call sites (``log_event(...)``) cost a

@@ -4,8 +4,8 @@ The missing layer between the :mod:`repro.api` facade and a deployable tool:
 
 * a **persistent, content-addressed artifact store**
   (:class:`~repro.service.store.DiskArtifactStore`) plugging into
-  :class:`~repro.api.cache.ArtifactCache` as its second tier, so cut sets,
-  CNF encodings and BDDs computed by one process are reused by the next —
+  :class:`~repro.api.cache.ArtifactCache` as its second tier, so cut sets
+  and BDDs computed by one process are reused by the next —
   across restarts and across concurrent workers;
 * a **job queue and worker pool** (:mod:`repro.service.jobs`,
   :mod:`repro.service.workers`) accepting analysis, batch, scenario-sweep

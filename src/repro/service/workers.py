@@ -160,19 +160,6 @@ def decode_campaign_payload(payload: Dict[str, Any]) -> CampaignSpec:
     return spec
 
 
-def _partition(items: Sequence[Any], parts: int) -> List[Sequence[Any]]:
-    """Split ``items`` into at most ``parts`` contiguous, order-preserving chunks."""
-    parts = max(1, min(parts, len(items)))
-    base, extra = divmod(len(items), parts)
-    chunks: List[Sequence[Any]] = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
-
-
 def run_parallel_sweep(
     tree: FaultTree,
     scenarios: Sequence[Scenario],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import AnalysisSession, analyze_many
-from repro.api.cache import ARTIFACT_ENCODING
+from repro.api.cache import ARTIFACT_CUT_SETS
 from repro.fta.tree import FaultTree
 from repro.workloads.library import (
     fire_protection_system,
@@ -36,12 +36,12 @@ class TestSequentialBatch:
         session = AnalysisSession()
         result = analyze_many(
             [fire_protection_system(), fire_protection_system(), fire_protection_system()],
-            ["mpmcs"],
+            ["mcs"],
             session=session,
         )
         assert result.num_ok == 3
-        assert session.artifacts.misses_for(ARTIFACT_ENCODING) == 1
-        assert session.artifacts.hits_for(ARTIFACT_ENCODING) == 2
+        assert session.artifacts.misses_for(ARTIFACT_CUT_SETS) == 1
+        assert session.artifacts.hits_for(ARTIFACT_CUT_SETS) == 2
 
     def test_failures_are_captured_not_raised(self):
         broken = FaultTree("broken", top_event="missing")

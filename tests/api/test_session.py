@@ -3,15 +3,16 @@
 The agreement suite asserts that every registered backend returns the paper's
 Fig. 1 answer — MPMCS ``("x1", "x2")`` with joint probability 0.02 — through
 the same ``AnalysisSession.analyze`` front door, and the cache tests prove
-that composite requests compute the CNF encoding and the minimal cut sets
-once per session.
+that composite requests compute the minimal cut sets and the BDD once per
+session, and the MaxSAT hard clauses once per structure.
 """
 
 import pytest
 
 import repro.api.backends as backends_module
 from repro.api import AnalysisSession, available_backends, backend_capabilities
-from repro.api.cache import ARTIFACT_CUT_SETS, ARTIFACT_ENCODING
+from repro.api.cache import ARTIFACT_CUT_SETS
+from repro.core import encoder as encoder_module
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
 from repro.workloads.library import fire_protection_system, redundant_power_supply
@@ -198,33 +199,31 @@ class TestSolveBudget:
             return real(self, tree, encoding)
 
         monkeypatch.setattr(MPMCSSolver, "solve_encoding", recording)
-        session = AnalysisSession()
         tree = fire_protection_system()
-        session.analyze(tree, ["ranking"], top_k=4)
-        cached = session.artifacts.get_or_compute(
-            tree, ARTIFACT_ENCODING, lambda: pytest.fail("encoding was not cached")
-        )
-        base = cached.instance.num_hard
-        # Rank 1 solves the cached encoding; every later solve (ranks 2-4)
-        # uses the same copy, which gains exactly one blocking clause per
-        # solve.  The cached encoding itself is never extended.
-        assert seen[0][0] is cached.instance
-        assert len({id(instance) for instance, _ in seen[1:]}) == 1
-        assert seen[1][0] is not cached.instance
+        AnalysisSession().analyze(tree, ["ranking"], top_k=4)
+        memo = tree.compiled().cnf
+        base = memo.instance.num_hard
+        # The analysis owns one encoding: all four solves use it, and it
+        # gains exactly one blocking clause per solve.  The structure's
+        # memoised clauses are never extended, so a new encoding of the
+        # same structure starts from them again.
+        assert len({id(instance) for instance, _ in seen}) == 1
+        assert seen[0][0] is not memo.instance
         assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3]
-        assert cached.instance.num_hard == base
+        assert memo.instance.num_hard == base
+        assert encoder_module.encode_mpmcs(tree).instance.num_hard == base
 
 
 class TestArtifactReuse:
     def test_cnf_encoding_computed_once_per_session(self, monkeypatch):
         calls = []
-        real = backends_module.encode_mpmcs
+        real = encoder_module.assemble_structure_cnf
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(backends_module, "encode_mpmcs", counting)
+        monkeypatch.setattr(encoder_module, "assemble_structure_cnf", counting)
         session = AnalysisSession()
         tree = fire_protection_system()
         # One composite request (mpmcs + top-k ranking) plus a repeat call:
@@ -232,8 +231,6 @@ class TestArtifactReuse:
         session.analyze(tree, ["mpmcs", "ranking"], top_k=3)
         session.analyze(tree, ["mpmcs"])
         assert len(calls) == 1
-        assert session.artifacts.hits_for(ARTIFACT_ENCODING) >= 1
-        assert session.artifacts.misses_for(ARTIFACT_ENCODING) == 1
 
     def test_minimal_cut_sets_computed_once_per_session(self, monkeypatch):
         calls = []
@@ -266,23 +263,23 @@ class TestArtifactReuse:
     def test_fresh_sessions_do_not_share_artifacts(self):
         tree = fire_protection_system()
         first = AnalysisSession()
-        first.analyze(tree, ["mpmcs"])
+        first.analyze(tree, ["mcs"])
         second = AnalysisSession()
-        second.analyze(tree, ["mpmcs"])
-        assert second.artifacts.hits_for(ARTIFACT_ENCODING) == 0
+        second.analyze(tree, ["mcs"])
+        assert second.artifacts.hits_for(ARTIFACT_CUT_SETS) == 0
 
     def test_shared_cache_across_sessions_when_injected(self):
         tree = fire_protection_system()
         first = AnalysisSession()
-        first.analyze(tree, ["mpmcs"])
+        first.analyze(tree, ["mcs"])
         second = AnalysisSession(cache=first.artifacts)
-        second.analyze(tree, ["mpmcs"])
-        assert second.artifacts.hits_for(ARTIFACT_ENCODING) >= 1
+        second.analyze(tree, ["mcs"])
+        assert second.artifacts.hits_for(ARTIFACT_CUT_SETS) >= 1
 
     def test_report_carries_cache_stats(self):
         session = AnalysisSession()
-        session.analyze(fire_protection_system(), ["mpmcs"])
-        report = session.analyze(fire_protection_system(), ["mpmcs", "ranking"])
+        session.analyze(fire_protection_system(), ["mcs"])
+        report = session.analyze(fire_protection_system(), ["mcs", "importance"])
         assert report.cache_stats["misses"] >= 1
         assert report.cache_stats["hits"] >= 1
 
@@ -297,12 +294,12 @@ class TestSessionCacheControl:
         assert removed > 0
         # the next analysis recomputes instead of hitting stale entries
         misses_before = session.artifacts.misses
-        session.analyze(tree, ["mpmcs"])
+        session.analyze(tree, ["top_event"])
         assert session.artifacts.misses > misses_before
 
     def test_invalidate_unknown_tree_is_a_noop(self):
         session = AnalysisSession()
-        session.analyze(fire_protection_system(), ["mpmcs"])
+        session.analyze(fire_protection_system(), ["top_event"])
         from repro.workloads.library import pressure_tank
 
         assert session.invalidate(pressure_tank()) == 0
@@ -310,7 +307,8 @@ class TestSessionCacheControl:
 
     def test_clear_cache_resets_everything(self):
         session = AnalysisSession()
-        session.analyze(fire_protection_system(), ["mpmcs"])
+        session.analyze(fire_protection_system(), ["top_event"])
+        assert len(session.artifacts) > 0
         session.clear_cache()
         assert len(session.artifacts) == 0
         assert session.cache_info()["hits"] == 0

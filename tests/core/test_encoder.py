@@ -1,14 +1,24 @@
 """Unit tests for the MPMCS -> Weighted Partial MaxSAT encoding (Steps 1-4)."""
 
 import pytest
+from hypothesis import given, settings
 
-from repro.core.encoder import encode_mpmcs
+from repro.api import AnalysisSession
+from repro.api.report import AnalysisRequest
+from repro.core import encoder as encoder_module
+from repro.core.encoder import assemble_structure_cnf, encode_mpmcs
 from repro.exceptions import FaultTreeError
 from repro.fta.builder import FaultTreeBuilder
+from repro.fta.gates import GateType
+from repro.fta.tree import FaultTree
 from repro.maxsat import BruteForceEngine
 from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
+from repro.workloads.library import NAMED_TREES, fire_protection_system
+
+from tests.conftest import voting_reuse_trees
 
 
 class TestEncoding:
@@ -74,12 +84,14 @@ class TestEncoding:
         assert encoding.cut_set_from_model(result.model) == ("x1", "x2")
         assert result.float_cost == pytest.approx(3.91202, abs=1e-4)
 
-    def test_precision_controls_scaling(self, fps_tree):
-        coarse = encode_mpmcs(fps_tree, precision=100)
-        fine = encode_mpmcs(fps_tree, precision=10**9)
-        coarse_w = [s.scaled_weight for s in coarse.instance.soft]
-        fine_w = [s.scaled_weight for s in fine.instance.soft]
-        assert max(coarse_w) < max(fine_w)
+    def test_soft_weights_use_default_precision(self, fps_tree):
+        encoding = encode_mpmcs(fps_tree)
+        names = sorted(encoding.weights)
+        assert encoding.instance.precision == DEFAULT_PRECISION
+        for soft in encoding.instance.soft:
+            assert soft.scaled_weight == objective_weight(
+                soft.weight, names.index(soft.label), len(names), DEFAULT_PRECISION
+            )
 
     def test_var_events_is_inverse_mapping(self, fps_tree):
         encoding = encode_mpmcs(fps_tree)
@@ -114,3 +126,84 @@ class TestDeepTrees:
         session = IncrementalMaxSATSession(tree)
         assert len(session.event_vars) == 1501
         assert session.num_aux_vars == 1500
+
+
+def _rebuilt(tree: FaultTree) -> FaultTree:
+    """A tree built node by node from ``tree``'s parts, sharing no compiled state."""
+    rebuilt = FaultTree(tree.name, top_event=tree.top_event)
+    for event in tree.events.values():
+        rebuilt.add_event(event)
+    for gate in tree.gates.values():
+        rebuilt.add_gate(gate.name, gate.gate_type, gate.children, k=gate.k)
+    return rebuilt
+
+
+def _counted_assemblies(monkeypatch):
+    """The structures assembled from now on, in call order."""
+    calls = []
+    real = encoder_module.assemble_structure_cnf
+
+    def counting(structure):
+        calls.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(encoder_module, "assemble_structure_cnf", counting)
+    return calls
+
+
+def _assert_memo_matches_fresh_assembly(tree: FaultTree) -> None:
+    memo = tree.compiled().cnf
+    fresh = assemble_structure_cnf(_rebuilt(tree).compiled())
+    assert memo.clauses == fresh.clauses
+    assert (memo.num_vars, memo.event_vars, memo.root, memo.num_aux_vars) == (
+        fresh.num_vars,
+        fresh.event_vars,
+        fresh.root,
+        fresh.num_aux_vars,
+    )
+    assert memo.instance.hard == tuple(memo.clauses)
+    assert memo.instance.num_vars == memo.num_vars
+    assert memo.instance.num_soft == 0
+
+
+class TestEncodedOncePerStructure:
+    """The hard clauses are encoded once per structure, not cached per tree."""
+
+    def test_one_structure_cnf_across_sessions_copies_and_routes(self, monkeypatch):
+        calls = _counted_assemblies(monkeypatch)
+        tree = fire_protection_system()
+        copy = tree.copy()
+        copy.set_probability("x1", 0.5)
+        memo = tree.compiled().cnf
+        AnalysisSession().analyze(tree, ["mpmcs", "ranking"], backend="maxsat", top_k=3)
+        AnalysisSession().analyze(copy, ["mpmcs"], backend="maxsat")
+        request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+        warm = list(AnalysisSession().run_batch([tree, copy], request))
+        assert [report.profile["warm_solves"] for report in warm] == [1, 1]
+        IncrementalMaxSATSession(copy)
+        assert len(calls) == 1
+        assert copy.compiled().cnf is memo
+        encoding = encode_mpmcs(copy)
+        assert encoding.instance is not memo.instance
+        assert encoding.instance.hard == memo.instance.hard
+
+        copy.add_basic_event("y", 0.5)
+        copy.add_gate("guard", GateType.AND, [tree.top_event, "y"])
+        copy.set_top_event("guard")
+        edited = copy.compiled().cnf
+        assert len(calls) == 2
+        assert edited is not memo
+        assert tree.compiled().cnf is memo
+        assert edited.instance.num_hard > memo.instance.num_hard
+
+    @pytest.mark.parametrize("name", sorted(set(NAMED_TREES) - {"fps"}))
+    def test_memo_equals_a_fresh_assembly_on_library_trees(self, name):
+        tree = NAMED_TREES[name]()
+        AnalysisSession().analyze(tree, ["mpmcs", "ranking"], backend="maxsat", top_k=3)
+        _assert_memo_matches_fresh_assembly(tree)
+
+    @settings(max_examples=30, deadline=None)
+    @given(voting_reuse_trees(min_events=3, max_events=8))
+    def test_memo_equals_a_fresh_assembly_on_voting_reuse_trees(self, tree):
+        AnalysisSession().analyze(tree, ["mpmcs", "ranking"], backend="maxsat", top_k=3)
+        _assert_memo_matches_fresh_assembly(tree)

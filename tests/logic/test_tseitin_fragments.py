@@ -73,7 +73,7 @@ def _fragment_agrees_with_monolith(formula, inputs, *, offset=0):
 def _assembled_cnf_is_structure_function(tree):
     """The fragment-assembled clauses are satisfiable under an assignment of
     the events exactly when the tree's top event occurs under it."""
-    assembled = assemble_structure_cnf(tree)
+    assembled = tree.compiled().cnf
     events = list(tree.events_reachable_from_top())
     for assignment in all_assignments(events):
         assumptions = [
@@ -217,16 +217,16 @@ class TestAssembledTreeEncoding:
         second_tree = random_fault_tree(num_basic_events=8, seed=4, voting_ratio=0.3)
         shape_fragment.cache_clear()
 
-        first = assemble_structure_cnf(first_tree)
+        first = assemble_structure_cnf(first_tree.compiled())
         first_shapes = gate_shapes(first_tree)
         assert shape_fragment.cache_info().misses == len(first_shapes)
-        again = assemble_structure_cnf(first_tree)
+        again = assemble_structure_cnf(first_tree.compiled())
         assert shape_fragment.cache_info().misses == len(first_shapes)
         assert first.clauses == again.clauses
 
         # The second tree encodes only the shapes the first did not have, and
         # its relocated fragments still encode its own structure function.
-        assemble_structure_cnf(second_tree)
+        assemble_structure_cnf(second_tree.compiled())
         assert shape_fragment.cache_info().misses == len(first_shapes | gate_shapes(second_tree))
         assert first_shapes & gate_shapes(second_tree)  # some fragment is shared
         _assembled_cnf_is_structure_function(second_tree)

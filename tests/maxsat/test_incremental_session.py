@@ -179,11 +179,15 @@ class TestWeightOnlyResolve:
         IncrementalMaxSATSession(tree)
         shapes = gate_shapes(tree)
         assert shape_fragment.cache_info().misses == len(shapes)
-        # A second session over the same structure encodes no gate at all.
-        hits = shape_fragment.cache_info().hits
-        IncrementalMaxSATSession(tree)
-        assert shape_fragment.cache_info().misses == len(shapes)
-        assert shape_fragment.cache_info().hits - hits == len(tree.gates)
+        # A second session over the same structure, here through a
+        # probability-only copy, assembles nothing: it loads the memoised
+        # clauses without instantiating a single fragment.
+        before = shape_fragment.cache_info()
+        copy = tree.copy()
+        copy.set_probability("x1", 0.5)
+        second = IncrementalMaxSATSession(copy)
+        assert shape_fragment.cache_info() == before
+        assert second.num_hard == tree.compiled().cnf.instance.num_hard
 
     def test_invalid_weight_rejected(self):
         tree = fire_protection_system()

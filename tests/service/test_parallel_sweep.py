@@ -12,7 +12,6 @@ from repro.service.store import DiskArtifactStore
 from repro.service.workers import (
     JobRunner,
     WorkerPool,
-    _partition,
     merge_scenario_reports,
     run_parallel_sweep,
 )
@@ -23,19 +22,6 @@ from repro.workloads.library import fire_protection_system
 
 def _canonical(report):
     return json.dumps(report.to_canonical_dict(), sort_keys=True)
-
-
-class TestPartition:
-    def test_partition_preserves_order_and_members(self):
-        items = list(range(10))
-        chunks = _partition(items, 3)
-        assert [item for chunk in chunks for item in chunk] == items
-        assert len(chunks) == 3
-        assert {len(chunk) for chunk in chunks} == {3, 4}
-
-    def test_partition_never_exceeds_items(self):
-        assert len(_partition([1, 2], 8)) == 2
-        assert _partition([], 4) == [[]]
 
 
 class TestParallelEquivalence:

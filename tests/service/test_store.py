@@ -12,7 +12,6 @@ import pytest
 
 from repro.api.cache import (
     ARTIFACT_CUT_SETS,
-    ARTIFACT_ENCODING,
     ARTIFACT_SUBTREE_CUT_SETS,
     ArtifactCache,
     structural_hash,
@@ -449,11 +448,26 @@ def _cost_only_encoding(tree):
     return dataclasses.replace(encoding, instance=instance)
 
 
+def _blocked_encoding(tree, events):
+    """The MPMCS encoding with ``events`` blocked: its optimum is another set."""
+    encoding = encode_mpmcs(tree)
+    encoding.instance.add_hard([-encoding.event_vars[name] for name in events])
+    return encoding
+
+
 class TestRetiredEncodings:
     def test_cost_only_encodings_are_never_read(self, tmp_path):
+        """Neither retired encoding kind is read: the cost-only entries of
+        ``"cnf-encoding"`` nor the whole-tree entries of ``"mpmcs-encoding"``,
+        here one whose optimum is blocked."""
         tree = _ladder(6)
         store = DiskArtifactStore(tmp_path)
-        store.store(structural_hash(tree), "cnf-encoding", _cost_only_encoding(tree))
+        retired = {
+            "cnf-encoding": _cost_only_encoding(tree),
+            "mpmcs-encoding": _blocked_encoding(tree, ("a0", "b0")),
+        }
+        for kind, encoding in retired.items():
+            store.store(structural_hash(tree), kind, encoding)
         cache = ArtifactCache(backend=store)
         report = AnalysisSession(cache=cache).analyze(
             tree, ["mpmcs", "ranking"], backend="maxsat", top_k=3
@@ -461,8 +475,10 @@ class TestRetiredEncodings:
         expected = AnalysisSession().analyze(
             tree, ["mpmcs", "ranking"], backend="bdd", top_k=3
         )
-        assert ARTIFACT_ENCODING != "cnf-encoding"
-        assert cache._store_hits.get(ARTIFACT_ENCODING, 0) == 0
+        for kind in retired:
+            assert cache._store_hits.get(kind, 0) == 0
+            assert cache._store_misses.get(kind, 0) == 0
+            assert store.load(structural_hash(tree), kind)[0]
         assert [entry.events for entry in report.ranking] == [
             entry.events for entry in expected.ranking
         ]
