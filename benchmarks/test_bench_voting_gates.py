@@ -5,35 +5,25 @@ operators such as voting gates".  The reproduction implements them end to end
 (model, sequential-counter Tseitin encoding, MOCUS/BDD expansion), and this
 benchmark measures the pipeline on voting-heavy trees and checks the results
 against the BDD baseline.
+
+The ladder cases solve with RC2 alone, one whole-tree encoding; the 8-of-15
+one stalls (a known RC2 weakness on voting gates).  The facade cases run
+``MPMCSSolver()``, which solves a vote over independent modules by rule,
+without a SAT call.
 """
+
+import time
 
 import pytest
 
 from repro.bdd.probability import bdd_mpmcs
 from repro.core.pipeline import MPMCSSolver
-from repro.fta.builder import FaultTreeBuilder
 from repro.maxsat import RC2Engine
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import redundant_power_supply
 
 from benchmarks.conftest import emit
-
-
-def build_k_of_n_ladder(width: int, k: int) -> "FaultTree":
-    """A two-level voting structure: k-of-n over OR pairs (a common pattern in
-    redundant architectures such as 2-out-of-3 channel voting)."""
-    builder = FaultTreeBuilder(f"{k}-of-{width}-ladder")
-    gate_names = []
-    for index in range(width):
-        sensor = f"sensor_{index}"
-        actuator = f"actuator_{index}"
-        builder.basic_event(sensor, 0.01 + index * 1e-4)
-        builder.basic_event(actuator, 0.005 + index * 1e-4)
-        builder.or_gate(f"channel_{index}", [sensor, actuator])
-        gate_names.append(f"channel_{index}")
-    builder.voting_gate("top", k, gate_names)
-    builder.top("top")
-    return builder.build()
+from tests.conftest import flat_vote, k_of_n_ladder
 
 
 def test_bench_voting_gate_library_tree(benchmark):
@@ -56,7 +46,7 @@ def test_bench_voting_gate_library_tree(benchmark):
 
 @pytest.mark.parametrize("width,k", [(5, 3), (9, 5), (15, 8)], ids=["3of5", "5of9", "8of15"])
 def test_bench_voting_gate_ladders(benchmark, width, k):
-    tree = build_k_of_n_ladder(width, k)
+    tree = k_of_n_ladder(width, k)
     solver = MPMCSSolver(single_engine=RC2Engine())
 
     result = benchmark(solver.solve, tree)
@@ -65,6 +55,35 @@ def test_bench_voting_gate_ladders(benchmark, width, k):
     assert result.probability == pytest.approx(reference_probability, rel=1e-9)
     assert len(result.events) == k  # one cheapest component per selected channel
     assert tree.is_minimal_cut_set(result.events)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: k_of_n_ladder(15, 8), lambda: k_of_n_ladder(31, 16), lambda: flat_vote(15, 8)],
+    ids=["ladder-8of15", "ladder-16of31", "flat-8of15"],
+)
+def test_bench_voting_gate_facade(benchmark, build):
+    tree = build()
+    solver = MPMCSSolver()
+
+    result = benchmark(solver.solve, tree)
+
+    reference_events, reference_probability = bdd_mpmcs(tree)
+    assert result.events == tuple(sorted(reference_events))
+    assert result.probability == pytest.approx(reference_probability, rel=1e-9)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        solver.solve(tree)
+        best = min(best, time.perf_counter() - start)
+    assert best <= 0.010, f"{tree.name}: {best * 1e3:.1f} ms"
+    emit(
+        f"E7 — voting gates through MPMCSSolver(): {tree.name}",
+        [
+            f"MPMCS = {{{', '.join(result.events)}}}  P = {result.probability:.3e}  "
+            f"engine = {result.engine}  best of 3 = {best * 1e3:.2f} ms"
+        ],
+    )
 
 
 def test_bench_voting_gate_random_trees(benchmark):

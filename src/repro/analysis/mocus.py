@@ -44,7 +44,9 @@ def mocus_minimal_cut_sets(
         Abort with :class:`AnalysisError` when the number of intermediate
         candidate sets exceeds this bound — MOCUS enumerates *all* cut sets,
         which is exponential for some structures (this very blow-up motivates
-        the paper's direct MaxSAT optimisation).
+        the paper's direct MaxSAT optimisation).  The bound is checked at
+        every insertion, so a k-of-n gate's ``C(n, k)`` expansions never
+        outgrow it.
     """
     tree.validate()
 
@@ -52,12 +54,15 @@ def mocus_minimal_cut_sets(
     candidates: Set[FrozenSet[str]] = {frozenset({tree.top_event})}
     finished: Set[FrozenSet[str]] = set()
 
-    while candidates:
+    def add(candidate: FrozenSet[str]) -> None:
+        candidates.add(candidate)
         if len(candidates) + len(finished) > max_candidates:
             raise AnalysisError(
                 f"MOCUS exceeded the candidate limit of {max_candidates} sets on "
                 f"fault tree {tree.name!r}"
             )
+
+    while candidates:
         candidate = candidates.pop()
         gate_name = _first_gate(tree, candidate)
         if gate_name is None:
@@ -66,13 +71,13 @@ def mocus_minimal_cut_sets(
         remainder = candidate - {gate_name}
         gate = tree.gates[gate_name]
         if gate.gate_type is GateType.AND:
-            candidates.add(remainder | set(gate.children))
+            add(remainder | set(gate.children))
         elif gate.gate_type is GateType.OR:
             for child in gate.children:
-                candidates.add(remainder | {child})
+                add(remainder | {child})
         elif gate.gate_type is GateType.VOTING:
             for combo in combinations(gate.children, gate.k or 1):
-                candidates.add(remainder | set(combo))
+                add(remainder | set(combo))
         else:  # pragma: no cover - defensive
             raise AnalysisError(f"unsupported gate type {gate.gate_type!r}")
 

@@ -5,11 +5,17 @@ the sub-tree rooted at the gate shares no event or gate with the rest of the
 model.  Modules matter because they can be analysed independently — their
 probability (or their minimal cut sets) can be computed once and substituted
 as if they were single basic events, which is the classical divide-and-conquer
-speed-up used by BDD-based and MOCUS-based tools.
+speed-up used by BDD-based and MOCUS-based tools, and by the MaxSAT pipeline
+(:class:`~repro.core.pipeline.MPMCSSolver`).
 
-The detection implemented here follows the standard parent-counting argument:
-a gate ``g`` is a module when every strict descendant of ``g`` has *all* of its
-parents inside the sub-tree rooted at ``g``.
+The detection is the linear-time visit-date algorithm of Dutuit & Rauzy ("A
+Linear-Time Algorithm to Find Modules of Fault Trees", IEEE Trans.
+Reliability 45(3), 1996), run once per structure by
+:attr:`~repro.fta.compiled.CompiledStructure.modules`: a depth-first pass
+dates every encounter of every node, and a gate ``g`` is a module exactly
+when every encounter of its strict descendants falls strictly between the
+first and the second visit of ``g`` — that is, when each strict descendant
+has all of its parents inside the sub-tree rooted at ``g``.
 """
 
 from __future__ import annotations
@@ -46,15 +52,6 @@ class Module:
         return len(self.events) + len(self.gates)
 
 
-def _parents_of(tree: FaultTree) -> Dict[str, Set[str]]:
-    parents: Dict[str, Set[str]] = {name: set() for name in tree.event_names}
-    parents.update({name: set() for name in tree.gate_names})
-    for gate in tree.gates.values():
-        for child in gate.children:
-            parents[child].add(gate.name)
-    return parents
-
-
 def find_modules(tree: FaultTree, *, include_top: bool = True) -> List[Module]:
     """Return every gate that roots an independent module.
 
@@ -70,27 +67,25 @@ def find_modules(tree: FaultTree, *, include_top: bool = True) -> List[Module]:
     decomposition candidates come first.
     """
     tree.validate()
-    parents = _parents_of(tree)
-    top = tree.top_event
-
-    modules: List[Module] = []
-    for gate_name in tree.gate_names:
-        if gate_name == top and not include_top:
-            continue
-        descendants = set(tree.reachable_from(gate_name))
-        strict = descendants - {gate_name}
-        is_module = all(parents[node] <= descendants for node in strict)
-        if not is_module:
-            continue
-        modules.append(
-            Module(
-                gate=gate_name,
-                events=frozenset(name for name in descendants if tree.is_event(name)),
-                gates=frozenset(name for name in descendants if tree.is_gate(name)),
-            )
+    modules: Dict[str, Module] = {}
+    # Skeletons come sub-modules first: a module's contents are its
+    # skeleton's nodes plus the contents of the sub-modules it collapses.
+    for skeleton in tree.compiled().modules:
+        events: Set[str] = set()
+        gates: Set[str] = {gate.name for gate in skeleton.gates}
+        for name in skeleton.order:
+            inner = modules.get(name)
+            if inner is not None:
+                events |= inner.events
+                gates |= inner.gates
+            elif name not in gates:
+                events.add(name)
+        modules[skeleton.root] = Module(
+            gate=skeleton.root, events=frozenset(events), gates=frozenset(gates)
         )
-    modules.sort(key=lambda module: (-module.size, module.gate))
-    return modules
+    if not include_top:
+        modules.pop(tree.top_event, None)
+    return sorted(modules.values(), key=lambda module: (-module.size, module.gate))
 
 
 def modularisation_report(tree: FaultTree) -> Dict[str, object]:

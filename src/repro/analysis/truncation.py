@@ -79,7 +79,7 @@ def truncated_cut_sets(
         such cut sets).
     max_candidates:
         Abort with :class:`AnalysisError` when the number of live candidates
-        exceeds this bound.
+        exceeds this bound, checked at every insertion.
     """
     if not 0.0 < cutoff <= 1.0:
         raise AnalysisError(f"cutoff must lie in (0, 1], got {cutoff}")
@@ -97,12 +97,15 @@ def truncated_cut_sets(
     finished: Set[FrozenSet[str]] = set()
     num_pruned = 0
 
-    while candidates:
+    def add(candidate: FrozenSet[str]) -> None:
+        candidates.add(candidate)
         if len(candidates) + len(finished) > max_candidates:
             raise AnalysisError(
                 f"truncated enumeration exceeded the candidate limit of {max_candidates} "
                 f"sets on fault tree {tree.name!r}"
             )
+
+    while candidates:
         candidate = candidates.pop()
         if bound(candidate) < cutoff:
             num_pruned += 1
@@ -114,13 +117,13 @@ def truncated_cut_sets(
         remainder = candidate - {gate_name}
         gate = tree.gates[gate_name]
         if gate.gate_type is GateType.AND:
-            candidates.add(remainder | set(gate.children))
+            add(remainder | set(gate.children))
         elif gate.gate_type is GateType.OR:
             for child in gate.children:
-                candidates.add(remainder | {child})
+                add(remainder | {child})
         elif gate.gate_type is GateType.VOTING:
             for combo in combinations(gate.children, gate.k or 1):
-                candidates.add(remainder | set(combo))
+                add(remainder | set(combo))
         else:  # pragma: no cover - defensive
             raise AnalysisError(f"unsupported gate type {gate.gate_type!r}")
 

@@ -19,17 +19,18 @@ All backends share the session's :class:`~repro.api.cache.ArtifactCache`:
 the minimal cut sets (a canonical object — every enumeration strategy
 produces the same collection) and the compiled BDD are each computed once
 per structurally identical tree and reused across analyses and backends.
-The MaxSAT encoding is not cached: its hard clauses are encoded once per
-structure, not cached per tree
-(:attr:`~repro.fta.compiled.CompiledStructure.cnf`, shared by every
-probability-only copy), and each analysis adds its own soft clauses.
+The MaxSAT encoding is not cached: its hard clauses, the independent
+modules and each module's skeleton clauses are computed once per structure,
+not cached per tree (:class:`~repro.fta.compiled.CompiledStructure`, shared
+by every probability-only copy), and each analysis adds its own soft
+clauses.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
 from repro.analysis.cutsets import CutSetCollection
@@ -51,8 +52,7 @@ from repro.bdd.cutsets import cut_sets_of_bdd
 from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.ordering import variable_order
 from repro.bdd.probability import FlatBDD, flatten_bdd, mpmcs_of_bdd, probability_of_bdd
-from repro.core.encoder import encode_mpmcs
-from repro.core.pipeline import MPMCSResult, MPMCSSolver
+from repro.core.pipeline import ModuleOptima, MPMCSResult, MPMCSSolver
 from repro.core.topk import Found, RankedCutSet, rank_optima
 from repro.core.weights import probability_of_cut_set, weight_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError, ReproError
@@ -68,6 +68,9 @@ __all__ = [
     "MocusBackend",
     "MonteCarloBackend",
 ]
+
+#: A warm state the ``maxsat`` backend keeps per structure.
+W = TypeVar("W")
 
 #: Maximum number of cut sets for which the exact inclusion-exclusion
 #: top-event probability is attempted by the cut-set based backends.
@@ -164,27 +167,43 @@ class _CutSetBackend(AnalysisBackend):
         return report
 
 
+def _module_optima(tree: FaultTree) -> ModuleOptima:
+    return ModuleOptima(tree.compiled())
+
+
 @register_backend
 class MaxSATBackend(AnalysisBackend):
     """The paper's Weighted Partial MaxSAT pipeline behind the facade.
 
-    Both routes start from the structure's hard clauses, encoded once per
-    structure, not cached per tree
-    (:attr:`~repro.fta.compiled.CompiledStructure.cnf`).  :meth:`run` is the
-    cold route: a fresh :func:`~repro.core.encoder.encode_mpmcs` per
-    analysis (a copy of those clauses plus the tree's soft clauses) solved
-    by the portfolio.  :meth:`run_batch` is the warm route: one persistent
-    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` per
-    structure, loaded from the same clauses, so the probability-only trees
-    of a batch become weight-only re-solves.  Both rank through one
+    :meth:`run` is the cold route, :meth:`MPMCSSolver.optima
+    <repro.core.pipeline.MPMCSSolver.optima>` under one
     :func:`~repro.core.topk.rank_optima` call that serves ``mpmcs`` and
-    ``ranking``.  Both optimise the canonical order itself
+    ``ranking``.  Its first optimum is :meth:`MPMCSSolver.solve
+    <repro.core.pipeline.MPMCSSolver.solve>`: the tree's independent
+    modules are solved bottom-up, by rule where a module's children are
+    independent and otherwise by one portfolio solve over the module's
+    skeleton, its sub-modules collapsed into pseudo-events; a tree without
+    shared nodes takes no SAT call.  Each further rank is one blocked
+    portfolio solve of a whole-tree :func:`~repro.core.encoder.encode_mpmcs`
+    (a copy of the structure's hard clauses plus the tree's soft clauses),
+    built at the first of them.  :meth:`run_batch` is the warm route, with
+    one warm state per structure.  A structure whose modules all solve by
+    rule keeps its :class:`~repro.core.pipeline.ModuleOptima` for
+    one-optimum requests, so a probability-only tree re-applies the rules
+    above its changed events only.  Everything else goes to a persistent
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`, loaded from
+    the same hard clauses, so the probability-only trees of a batch become
+    weight-only re-solves.  Module analysis, hard clauses and skeleton
+    clauses are computed once per structure
+    (:class:`~repro.fta.compiled.CompiledStructure`).  Every route
+    optimises the canonical order itself
     (:func:`~repro.maxsat.instance.objective_weight`), so ties need no extra
-    solves: a ranking of ``top_k`` takes ``top_k`` solves and
-    equals every other backend's.  One-off analyses stay cold on purpose: on
-    the E4 corpus a cold session cut the median analysis time 7x but raised
-    the p95 from 466 to 747 ms (2-core host, CPython 3.11), because a
-    many-core structure's first solve costs far more than one RC2 solve.
+    solves: a ranking of ``top_k`` takes ``top_k`` solves and equals every
+    other backend's, and the modular answer is the whole-tree one.  One-off
+    analyses stay cold on purpose: on the E4 corpus a cold session cut the
+    median analysis time 7x but raised the p95 from 466 to 747 ms (2-core
+    host, CPython 3.11), because a many-core structure's first solve costs
+    far more than one RC2 solve.
     """
 
     name = "maxsat"
@@ -192,32 +211,49 @@ class MaxSATBackend(AnalysisBackend):
 
     #: Engine label reported by warm incremental solves.
     WARM_ENGINE = "incremental-hitting-set"
-    #: Default bound on live warm sessions (each owns a persistent solver).
+    #: Default bound on live warm states (a session owns a persistent solver).
     WARM_SESSION_LIMIT = 4
 
     def __init__(self, context=None) -> None:
         super().__init__(context)
-        #: Warm incremental sessions keyed by the structure-only hash of the
-        #: tree's top subtree, least recently used first.
-        self._warm_sessions: "OrderedDict[str, IncrementalMaxSATSession]" = OrderedDict()
+        #: Warm states (incremental sessions and module optima) keyed by the
+        #: structure-only hash of the tree's top subtree and the state's
+        #: builder, least recently used first.
+        self._warm_sessions: "OrderedDict[Tuple[str, Callable[[FaultTree], Any]], Any]" = (
+            OrderedDict()
+        )
 
     def _solver(self) -> MPMCSSolver:
         if self.context.solver is None:
             self.context.solver = MPMCSSolver()
         return self.context.solver
 
-    def _warm_session_for(self, tree: FaultTree) -> IncrementalMaxSATSession:
-        """The (LRU-bounded) warm session for ``tree``'s structure."""
-        key = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
-        session = self._warm_sessions.get(key)
-        if session is None:
-            session = IncrementalMaxSATSession(tree)
-            self._warm_sessions[key] = session
-            while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
-                self._warm_sessions.popitem(last=False)
-        else:
+    def _warm(self, tree: FaultTree, kind: Callable[[FaultTree], W]) -> Tuple[W, bool]:
+        """The (LRU-bounded) warm state ``kind`` builds for ``tree``'s
+        structure, and whether this call built it."""
+        key = (self.context.artifacts.structure_keys_for(tree)[tree.top_event], kind)
+        state = self._warm_sessions.get(key)
+        if state is not None:
             self._warm_sessions.move_to_end(key)
-        return session
+            return state, False
+        state = self._warm_sessions[key] = kind(tree)
+        while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
+            self._warm_sessions.popitem(last=False)
+        return state, True
+
+    def _solve_warm(self, tree: FaultTree, count: int) -> Tuple[List[MPMCSResult], float]:
+        """The warm route: ``count`` optima and the encode time paid.
+
+        One optimum of a structure whose modules all solve by rule comes
+        from the structure's warm :class:`~repro.core.pipeline.ModuleOptima`,
+        which re-solves only the modules above the events whose probability
+        changed; anything else goes to the incremental session
+        (:meth:`_rank_warm`).
+        """
+        if count == 1 and all(skeleton.by_rule for skeleton in tree.compiled().modules):
+            optima, _ = self._warm(tree, _module_optima)
+            return [self._solver().solve_modules(tree, optima)], 0.0
+        return self._rank_warm(tree, count)
 
     def _rank_warm(self, tree: FaultTree, count: int) -> Tuple[List[MPMCSResult], float]:
         """:func:`rank_optima` over the warm session's ``solve_tree``; returns
@@ -226,9 +262,8 @@ class MaxSATBackend(AnalysisBackend):
         the session blows its core budget — the caller then falls back to the
         cold portfolio path.
         """
-        known = self.context.artifacts.structure_keys_for(tree)[tree.top_event] in self._warm_sessions
-        session = self._warm_session_for(tree)
-        encode_seconds = 0.0 if known else session.encode_time
+        session, built = self._warm(tree, IncrementalMaxSATSession)
+        encode_seconds = session.encode_time if built else 0.0
         probabilities = tree.probabilities()
 
         def result(outcome: IncrementalSolveResult) -> MPMCSResult:
@@ -278,7 +313,7 @@ class MaxSATBackend(AnalysisBackend):
         if warm:
             solve_start = time.perf_counter()
             try:
-                enumerated, encode_seconds = self._rank_warm(tree, count)
+                enumerated, encode_seconds = self._solve_warm(tree, count)
             except BudgetExceededError:
                 # Pathological structure for the hitting-set loop: fall back
                 # to the cold portfolio for this tree.
@@ -293,13 +328,12 @@ class MaxSATBackend(AnalysisBackend):
                 registry.inc("repro_solver_warm_solves_total")
         if enumerated is None:
             registry.inc("repro_solver_cold_solves_total")
-            encode_start = time.perf_counter()
-            encoding = encode_mpmcs(tree)
-            solve_start = time.perf_counter()
-            solve = self._solver().optima(tree, encoding)
-            enumerated = rank_optima(solve, count)
-            report.profile["encode_seconds"] = solve_start - encode_start
-            report.profile["solve_seconds"] = time.perf_counter() - solve_start
+            started = time.perf_counter()
+            enumerated = rank_optima(self._solver().optima(tree), count)
+            # Encoding, module walks and checks are everything but the engines.
+            solve_seconds = sum(result.solve_time for result in enumerated)
+            report.profile["encode_seconds"] = time.perf_counter() - started - solve_seconds
+            report.profile["solve_seconds"] = solve_seconds
         if not enumerated:
             raise AnalysisError(f"fault tree {tree.name!r} has no cut set")
         if wants_mpmcs:

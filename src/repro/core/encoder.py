@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.weights import log_weight
 from repro.exceptions import FaultTreeError
-from repro.fta.compiled import CompiledStructure
+from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.logic.formula import AtLeast, Formula, Var, conjoin, disjoin
@@ -55,8 +55,11 @@ from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance, objective
 __all__ = [
     "MPMCSEncoding",
     "StructureCNF",
+    "assemble_skeleton_cnf",
     "assemble_structure_cnf",
     "encode_mpmcs",
+    "event_weight",
+    "event_weights",
     "gate_fragment",
     "shape_fragment",
 ]
@@ -98,10 +101,12 @@ class StructureCNF:
     """The hard clauses of a tree's structure function, root asserted.
 
     ``clauses`` holds the gates' clauses in assembly order, then the unit
-    clause asserting ``root``, over variables ``1..num_vars``: the basic
-    events (``event_vars``, in variable order) and ``num_aux_vars`` gate
-    variables.  ``instance`` is a MaxSAT instance with these hard clauses and
-    no soft clause, each clause checked once by
+    clause asserting ``root``, over variables ``1..num_vars``: the leaves
+    (``event_vars``, in variable order) and ``num_aux_vars`` gate variables.
+    The leaves are the basic events, or for a module's skeleton
+    (:func:`assemble_skeleton_cnf`) its events and pseudo-events.
+    ``instance`` is a MaxSAT instance with these hard clauses and no soft
+    clause, each clause checked once by
     :meth:`~repro.maxsat.instance.WPMaxSATInstance.add_hard`.  A record is
     memoised per structure (:attr:`~repro.fta.compiled.CompiledStructure.cnf`),
     so nothing may modify it: an encoding takes a copy of ``instance``.
@@ -113,6 +118,45 @@ class StructureCNF:
     root: int
     num_aux_vars: int
     instance: WPMaxSATInstance
+
+
+def _assemble(order: Iterable[str], gates: Iterable[Gate], root: str) -> StructureCNF:
+    """The clauses of ``gates`` over the nodes ``order`` (bottom-up), ``root`` asserted.
+
+    A node of ``order`` that is none of ``gates`` is a leaf and gets the next
+    variable; each gate instantiates its shape's
+    :class:`~repro.logic.tseitin.CNFFragment` on its children's literals,
+    its auxiliary variables following.
+    """
+    by_name = {gate.name: gate for gate in gates}
+    clauses: List[Tuple[int, ...]] = []
+    event_vars: Dict[str, int] = {}
+    literals: Dict[str, int] = {}
+    num_vars = 0
+    for name in order:
+        gate = by_name.get(name)
+        if gate is None:
+            num_vars += 1
+            literals[name] = event_vars[name] = num_vars
+            continue
+        fragment = gate_fragment(gate)
+        literals[name] = fragment.instantiate(
+            [literals[child] for child in gate.children], num_vars, clauses
+        )
+        num_vars += fragment.num_internal_vars
+    clauses.append((literals[root],))
+    instance = WPMaxSATInstance()
+    instance.ensure_num_vars(num_vars)
+    for clause in clauses:
+        instance.add_hard(clause)
+    return StructureCNF(
+        clauses=clauses,
+        num_vars=num_vars,
+        event_vars=event_vars,
+        root=literals[root],
+        num_aux_vars=num_vars - len(event_vars),
+        instance=instance,
+    )
 
 
 def assemble_structure_cnf(structure: CompiledStructure) -> StructureCNF:
@@ -128,36 +172,18 @@ def assemble_structure_cnf(structure: CompiledStructure) -> StructureCNF:
     Analyses read the memoised result, ``tree.compiled().cnf``, instead of
     calling this.
     """
-    clauses: List[Tuple[int, ...]] = []
-    event_vars: Dict[str, int] = {}
-    literals: Dict[str, int] = {}
-    num_vars = 0
-    gates = {gate.name: gate for gate in structure.gates}
-    for name in structure.order:
-        gate = gates.get(name)
-        if gate is None:
-            num_vars += 1
-            literals[name] = event_vars[name] = num_vars
-            continue
-        fragment = gate_fragment(gate)
-        literals[name] = fragment.instantiate(
-            [literals[child] for child in gate.children], num_vars, clauses
-        )
-        num_vars += fragment.num_internal_vars
-    root = literals[structure.order[structure.top]]
-    clauses.append((root,))
-    instance = WPMaxSATInstance()
-    instance.ensure_num_vars(num_vars)
-    for clause in clauses:
-        instance.add_hard(clause)
-    return StructureCNF(
-        clauses=clauses,
-        num_vars=num_vars,
-        event_vars=event_vars,
-        root=root,
-        num_aux_vars=num_vars - len(event_vars),
-        instance=instance,
-    )
+    return _assemble(structure.order, structure.gates, structure.order[structure.top])
+
+
+def assemble_skeleton_cnf(skeleton: Skeleton) -> StructureCNF:
+    """The clauses of a module's skeleton, built like :func:`assemble_structure_cnf`.
+
+    Each leaf — a basic event, or the root of a collapsed sub-module — gets
+    one variable (``event_vars``), so a solve over the skeleton treats every
+    sub-module as a single pseudo-event.  Analyses read the memoised result,
+    :attr:`~repro.fta.compiled.Skeleton.cnf`.
+    """
+    return _assemble(skeleton.order, skeleton.gates, skeleton.root)
 
 
 @dataclass
@@ -194,6 +220,30 @@ class MPMCSEncoding:
         return tuple(sorted(members))
 
 
+def event_weight(probability: float, rank: int, count: int) -> Tuple[float, int]:
+    """One basic event's ``-log`` weight and integer objective weight.
+
+    ``rank`` is the event's place in sorted name order and ``count`` the
+    number of events (:attr:`~repro.fta.compiled.CompiledStructure.event_ranks`);
+    the objective is :func:`~repro.maxsat.instance.objective_weight` at
+    :data:`~repro.maxsat.instance.DEFAULT_PRECISION`.
+    """
+    weight = log_weight(probability)
+    return weight, objective_weight(weight, rank, count, DEFAULT_PRECISION)
+
+
+def event_weights(tree: FaultTree) -> Tuple[Dict[str, float], Dict[str, int]]:
+    """Each basic event's :func:`event_weight`, in one pass over the events
+    in the tree's declaration order, ranked by the compiled structure."""
+    ranks = tree.compiled().event_ranks
+    count = len(ranks)
+    weights: Dict[str, float] = {}
+    objective: Dict[str, int] = {}
+    for name, event in tree.events.items():
+        weights[name], objective[name] = event_weight(event.probability, ranks[name], count)
+    return weights, objective
+
+
 def encode_mpmcs(tree: FaultTree) -> MPMCSEncoding:
     """Encode the MPMCS problem of ``tree`` as Weighted Partial MaxSAT.
 
@@ -201,32 +251,20 @@ def encode_mpmcs(tree: FaultTree) -> MPMCSEncoding:
     the top event, so every basic event gets a variable and a soft clause.
     The hard clauses are encoded once per structure, not cached per tree:
     the encoding copies the structure's memoised hard-only instance and adds
-    one soft clause per event, weighted at
-    :data:`~repro.maxsat.instance.DEFAULT_PRECISION`.  The caller owns the
-    result and may add clauses to it.
+    one soft clause per event, weighted by :func:`event_weights`.  The
+    caller owns the result and may add clauses to it.
     """
     structure = tree.compiled().cnf
     instance = structure.instance.copy()
-
-    event_vars: Dict[str, int] = {}
-    weights: Dict[str, float] = {}
-    ranks = {name: rank for rank, name in enumerate(sorted(tree.events))}
-    for name, event in tree.events.items():
-        var = structure.event_vars[name]
-        weight = log_weight(event.probability)
-        event_vars[name] = var
-        weights[name] = weight
-        instance.add_soft(
-            [-var],
-            weight,
-            label=name,
-            scaled_weight=objective_weight(weight, ranks[name], len(ranks), DEFAULT_PRECISION),
-        )
+    event_vars = structure.event_vars
+    weights, objective = event_weights(tree)
+    for name, weight in weights.items():
+        instance.add_soft([-event_vars[name]], weight, label=name, scaled_weight=objective[name])
 
     return MPMCSEncoding(
         instance=instance,
-        event_vars=event_vars,
-        var_events={var: name for name, var in event_vars.items()},
+        event_vars={name: event_vars[name] for name in weights},
+        var_events={event_vars[name]: name for name in weights},
         weights=weights,
         num_aux_vars=structure.num_aux_vars,
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar
 
-from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
@@ -80,7 +79,8 @@ def enumerate_mpmcs(
 
     Ties are broken canonically (smaller set, then lexicographic events),
     also at the ``k``-th rank, so the ranking equals every other backend's.
-    Takes ``k`` solves of one encoding.
+    Takes ``k`` solves: the MPMCS by :meth:`MPMCSSolver.solve`, then ``k - 1`` blocked
+    solves of one whole-tree encoding (:meth:`MPMCSSolver.optima`).
 
     Parameters
     ----------
@@ -96,12 +96,11 @@ def enumerate_mpmcs(
     if k <= 0:
         raise AnalysisError(f"k must be a positive integer, got {k}")
     pipeline = solver if solver is not None else MPMCSSolver()
-    encoding = encode_mpmcs(tree)
     return [
         RankedCutSet(
             rank=rank, events=result.events, probability=result.probability, cost=result.cost
         )
         for rank, result in enumerate(
-            rank_optima(pipeline.optima(tree, encoding), k), start=1
+            rank_optima(pipeline.optima(tree), k), start=1
         )
     ]

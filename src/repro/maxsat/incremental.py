@@ -107,7 +107,8 @@ class IncrementalMaxSATSession:
 
     def __init__(self, tree: FaultTree) -> None:
         started = time.perf_counter()
-        structure = tree.compiled().cnf
+        compiled = tree.compiled()
+        structure = compiled.cnf
         self._solver = new_sat_solver(structure.instance)
 
         # A valid tree reaches every basic event, so each has a variable;
@@ -124,10 +125,10 @@ class IncrementalMaxSATSession:
             name: column for column, name in enumerate(self.event_vars)
         }
         #: ``(name, selector, rank)`` per event, ``rank`` its place in sorted
-        #: name order: the structure-only part of the objective weights.
+        #: name order (the structure's ranks): the structure-only part of the
+        #: objective weights.
         self._objective_terms: Tuple[Tuple[str, Literal, int], ...] = tuple(
-            (name, -self.event_vars[name], rank)
-            for rank, name in enumerate(sorted(self.event_vars))
+            (name, -self.event_vars[name], rank) for name, rank in compiled.event_ranks.items()
         )
         self.num_vars = structure.instance.num_vars
         self.num_hard = structure.instance.num_hard

@@ -76,6 +76,11 @@ def _gate_cut_sets(
     union: List[CutSet] = []
     for combo in combinations(children, gate.k):
         union.extend(_and_compose(list(combo)))
+        if len(union) > MAX_INTERMEDIATE_PRODUCTS:
+            raise AnalysisError(
+                f"voting gate {gate.name!r} expands to more than {MAX_INTERMEDIATE_PRODUCTS} "
+                "intermediate products; the tree is too entangled for explicit enumeration"
+            )
     return tuple(minimise_cut_sets(union))
 
 

@@ -12,6 +12,7 @@ distribution of basic events — and is fully deterministic given a seed.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -112,6 +113,7 @@ def random_fault_tree(
     open_nodes: List[str] = list(tree.event_names)
     rng.shuffle(open_nodes)
     all_nodes: List[str] = list(open_nodes)
+    position = {name: index for index, name in enumerate(all_nodes)}
     gate_counter = 0
 
     while len(open_nodes) > 1:
@@ -120,16 +122,27 @@ def random_fault_tree(
         children = [open_nodes.pop() for _ in range(arity)]
 
         # Optionally reuse already-attached nodes as extra children (sharing).
+        # A draw picks the j-th of the nodes not yet among the children, in
+        # `all_nodes` order; `taken` (sorted positions) skips the children
+        # without listing the candidates, so a gate costs O(arity²), not
+        # O(len(all_nodes)).
         if config.event_reuse > 0 and len(all_nodes) > arity:
-            extra_candidates = [node for node in all_nodes if node not in children]
-            while extra_candidates and rng.random() < config.event_reuse:
-                children.append(extra_candidates.pop(rng.randrange(len(extra_candidates))))
+            taken = sorted(position[child] for child in children)
+            while len(taken) < len(all_nodes) and rng.random() < config.event_reuse:
+                index = rng.randrange(len(all_nodes) - len(taken))
+                for spot in taken:
+                    if spot > index:
+                        break
+                    index += 1
+                bisect.insort(taken, index)
+                children.append(all_nodes[index])
 
         gate_counter += 1
         gate_name = f"g{gate_counter}"
         gate_type, k = _pick_gate_type(rng, config, len(children))
         tree.add_gate(gate_name, gate_type, children, k=k)
         open_nodes.insert(rng.randrange(len(open_nodes) + 1), gate_name)
+        position[gate_name] = len(all_nodes)
         all_nodes.append(gate_name)
 
     tree.set_top_event(open_nodes[0])

@@ -1,12 +1,80 @@
 """Unit tests for independent-module detection."""
 
-import pytest
+from typing import Dict, List, Set
 
-from repro.analysis.modules import find_modules, modularisation_report
+import pytest
+from hypothesis import given, settings
+
+from repro.analysis.modules import Module, find_modules, modularisation_report
 from repro.exceptions import FaultTreeError
 from repro.fta.builder import FaultTreeBuilder
 from repro.fta.tree import FaultTree
-from repro.workloads.library import fire_protection_system, three_motor_system
+from repro.workloads.generator import random_fault_tree
+from repro.workloads.library import NAMED_TREES, fire_protection_system, three_motor_system
+
+from tests.conftest import or_chain, voting_reuse_trees
+
+
+def quadratic_find_modules(tree: FaultTree, *, include_top: bool = True) -> List[Module]:
+    """The parent-counting definition, one traversal per gate: the oracle.
+
+    A gate ``g`` is a module when every strict descendant of ``g`` has all
+    of its parents inside the sub-tree rooted at ``g``.
+    """
+    tree.validate()
+    parents: Dict[str, Set[str]] = {name: set() for name in tree.event_names}
+    parents.update({name: set() for name in tree.gate_names})
+    for gate in tree.gates.values():
+        for child in gate.children:
+            parents[child].add(gate.name)
+    modules: List[Module] = []
+    for gate_name in tree.gate_names:
+        if gate_name == tree.top_event and not include_top:
+            continue
+        descendants = set(tree.reachable_from(gate_name))
+        if all(parents[node] <= descendants for node in descendants - {gate_name}):
+            modules.append(
+                Module(
+                    gate=gate_name,
+                    events=frozenset(name for name in descendants if tree.is_event(name)),
+                    gates=frozenset(name for name in descendants if tree.is_gate(name)),
+                )
+            )
+    modules.sort(key=lambda module: (-module.size, module.gate))
+    return modules
+
+
+class TestAgainstTheQuadraticDefinition:
+    """The linear visit-date algorithm returns exactly the old modules."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_library_trees(self, name):
+        tree = NAMED_TREES[name]()
+        assert find_modules(tree) == quadratic_find_modules(tree)
+        assert find_modules(tree, include_top=False) == quadratic_find_modules(
+            tree, include_top=False
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_trees_with_reuse(self, seed):
+        tree = random_fault_tree(
+            num_basic_events=5 + seed, seed=seed, voting_ratio=0.2, event_reuse=0.05 * (seed % 5)
+        )
+        assert find_modules(tree) == quadratic_find_modules(tree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(voting_reuse_trees(min_events=1, max_events=9))
+    def test_voting_reuse_trees(self, tree):
+        assert find_modules(tree) == quadratic_find_modules(tree)
+
+    def test_top_basic_event_has_no_module(self):
+        tree = FaultTree("single", top_event="a")
+        tree.add_basic_event("a", 0.1)
+        assert find_modules(tree) == quadratic_find_modules(tree) == []
+
+    def test_deep_chain_needs_no_recursion(self):
+        tree = or_chain(1500)
+        assert len(find_modules(tree)) == 1500
 
 
 class TestFindModules:

@@ -8,10 +8,11 @@ import pytest
 from repro.api import AnalysisSession
 from repro.api.backends import MaxSATBackend
 from repro.api.report import AnalysisReport, AnalysisRequest
+from repro.core.pipeline import MODULE_RULE_ENGINE
 from repro.exceptions import AnalysisError, FaultTreeError
 from repro.fta.builder import FaultTreeBuilder
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import fire_protection_system, pressure_tank
+from repro.workloads.library import data_center_power, fire_protection_system, pressure_tank
 
 
 def _canonical(report):
@@ -103,9 +104,15 @@ def test_maxsat_batch_is_warm_and_run_is_cold():
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     (warm,) = session.run_batch([fire_protection_system()], request)
     cold = session.run(fire_protection_system(), request)
-    assert warm.mpmcs.engine == MaxSATBackend.WARM_ENGINE
-    assert cold.mpmcs.engine != MaxSATBackend.WARM_ENGINE
+    # Fig. 1 has no shared node: the warm route keeps its module optima and
+    # needs no solver; a shared tree goes to the incremental session.
+    assert warm.profile["warm_solves"] == 1
+    assert "warm_solves" not in cold.profile
+    assert warm.mpmcs.engine == cold.mpmcs.engine == MODULE_RULE_ENGINE
     assert _canonical(warm) == _canonical(cold)
+    (shared,) = session.run_batch([data_center_power()], request)
+    assert shared.mpmcs.engine == MaxSATBackend.WARM_ENGINE
+    assert _canonical(shared) == _canonical(session.run(data_center_power(), request))
 
 
 def test_bdd_batch_evaluates_each_structure_once():

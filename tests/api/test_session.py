@@ -167,20 +167,22 @@ class TestSolveBudget:
         from repro.core.pipeline import MPMCSSolver
 
         calls = []
-        real = MPMCSSolver.solve_encoding
+        for method in ("solve", "solve_encoding"):
+            real = getattr(MPMCSSolver, method)
 
-        def counting(self, tree, encoding):
-            calls.append(1)
-            return real(self, tree, encoding)
+            def counting(self, tree, *args, method=method, real=real):
+                calls.append(method)
+                return real(self, tree, *args)
 
-        monkeypatch.setattr(MPMCSSolver, "solve_encoding", counting)
+            monkeypatch.setattr(MPMCSSolver, method, counting)
         report = AnalysisSession().analyze(
             fire_protection_system(), ["mpmcs", "ranking"], top_k=3
         )
         # 3 ranked entries take 3 solves (the objective is the canonical
-        # order, so no solve proves the ranking); the MPMCS falls out of the
-        # same enumeration for free.
-        assert len(calls) == 3
+        # order, so no solve proves the ranking): the first is the modular
+        # MPMCS, the others blocked whole-tree solves.  The MPMCS falls out of
+        # the same enumeration for free.
+        assert calls == ["solve", "solve_encoding", "solve_encoding"]
         assert report.mpmcs.events == report.ranking[0].events == ("x1", "x2")
         assert [entry.events for entry in report.ranking] == [
             ("x1", "x2"),
@@ -203,13 +205,14 @@ class TestSolveBudget:
         AnalysisSession().analyze(tree, ["ranking"], top_k=4)
         memo = tree.compiled().cnf
         base = memo.instance.num_hard
-        # The analysis owns one encoding: all four solves use it, and it
-        # gains exactly one blocking clause per solve.  The structure's
-        # memoised clauses are never extended, so a new encoding of the
-        # same structure starts from them again.
+        # The first optimum comes from the modules; the analysis then owns
+        # one whole-tree encoding: the three blocked solves all use it, each
+        # after one more blocking clause.  The structure's memoised clauses
+        # are never extended, so a new encoding of the same structure starts
+        # from them again.
         assert len({id(instance) for instance, _ in seen}) == 1
         assert seen[0][0] is not memo.instance
-        assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3]
+        assert [hard for _, hard in seen] == [base + 1, base + 2, base + 3]
         assert memo.instance.num_hard == base
         assert encoder_module.encode_mpmcs(tree).instance.num_hard == base
 

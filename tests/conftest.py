@@ -9,6 +9,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import strategies as st
 
+from repro.fta.builder import FaultTreeBuilder
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 from repro.logic.formula import And, AtLeast, Formula, Not, Or, Var
@@ -106,6 +107,39 @@ def voting_reuse_tree(num_events: int, seed: int) -> FaultTree:
     tree.set_top_event(open_nodes[0])
     tree.validate()
     return tree
+
+
+def k_of_n_ladder(width: int, k: int) -> FaultTree:
+    """k-of-``width`` vote over OR pairs, a sensor and an actuator per channel
+    (a common pattern in redundant architectures such as 2-out-of-3 channel
+    voting); the voting benchmark's ladder."""
+    builder = FaultTreeBuilder(f"{k}-of-{width}-ladder")
+    for index in range(width):
+        builder.basic_event(f"sensor_{index}", 0.01 + index * 1e-4)
+        builder.basic_event(f"actuator_{index}", 0.005 + index * 1e-4)
+        builder.or_gate(f"channel_{index}", [f"sensor_{index}", f"actuator_{index}"])
+    builder.voting_gate("top", k, [f"channel_{index}" for index in range(width)])
+    return builder.top("top").build()
+
+
+def flat_vote(width: int, k: int) -> FaultTree:
+    """k-of-``width`` vote over basic events whose probabilities differ by 1e-4."""
+    builder = FaultTreeBuilder(f"{k}-of-{width}-vote")
+    for index in range(width):
+        builder.basic_event(f"e{index:02d}", 0.01 + index * 1e-4)
+    builder.voting_gate("top", k, [f"e{index:02d}" for index in range(width)])
+    return builder.top("top").build()
+
+
+def or_chain(depth: int) -> FaultTree:
+    """``g0 = OR(e0, g1)``, …, ``g{depth-1} = OR(e{depth-1}, e{depth})``."""
+    builder = FaultTreeBuilder(f"or-chain-{depth}")
+    for level in range(depth + 1):
+        builder.basic_event(f"e{level}", 0.01)
+    for level in range(depth - 1):
+        builder.or_gate(f"g{level}", [f"e{level}", f"g{level + 1}"])
+    builder.or_gate(f"g{depth - 1}", [f"e{depth - 1}", f"e{depth}"])
+    return builder.top("g0").build()
 
 
 def voting_reuse_trees(

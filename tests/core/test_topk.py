@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
 from repro.api import AnalysisSession
-from repro.core import topk
+from repro.core import pipeline
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs, rank_optima
 from repro.exceptions import AnalysisError
@@ -88,13 +88,15 @@ class TestConfiguration:
 class TestSingleEncoding:
     def test_tree_is_encoded_once_for_every_rank(self, fps_tree, monkeypatch):
         calls = []
-        original = topk.encode_mpmcs
+        original = pipeline.encode_mpmcs
 
         def counting_encode(tree, **kwargs):
             calls.append(tree.name)
             return original(tree, **kwargs)
 
-        monkeypatch.setattr(topk, "encode_mpmcs", counting_encode)
+        # The MPMCS is solved module by module; the blocked solves share one
+        # whole-tree encoding.
+        monkeypatch.setattr(pipeline, "encode_mpmcs", counting_encode)
         ranked = enumerate_mpmcs(fps_tree, 4)
         assert len(calls) == 1
         assert [entry.events for entry in ranked] == [

@@ -88,6 +88,38 @@ class TestAgainstOracle:
                 assert tree.is_minimal_cut_set(candidate) == oracle_is_minimal(tree, candidate)
 
 
+class TestModules:
+    @settings(max_examples=200, deadline=None)
+    @given(tree=shared_dags())
+    def test_skeletons_partition_the_structure(self, tree):
+        structure = tree.compiled()
+        order = structure.order
+        held: List[str] = []
+        roots = [skeleton.root for skeleton in structure.modules]
+        for skeleton in structure.modules:
+            gates = {gate.name for gate in skeleton.gates}
+            assert skeleton.order[-1] == skeleton.root == skeleton.gates[-1].name
+            # Bottom-up: a subsequence of the structure's order.
+            positions = [order.index(name) for name in skeleton.order]
+            assert positions == sorted(positions)
+            # Leaves are events and earlier modules; every gate child is held.
+            for name in skeleton.order:
+                assert name in gates or tree.is_event(name) or name in roots[: roots.index(skeleton.root)]
+            for gate in skeleton.gates:
+                assert set(gate.children) <= set(skeleton.order)
+            assert skeleton.by_rule == (len(gates) == 1)
+            held.extend(skeleton.order[:-1])
+        # Every node but the top is a leaf or a gate of exactly one skeleton.
+        assert sorted(held) == sorted(set(order) - {order[structure.top]})
+        assert roots[-1] == tree.top_event
+
+    def test_event_ranks_are_sorted_name_order(self):
+        tree = random_fault_tree(num_basic_events=30, seed=2, event_reuse=0.2)
+        ranks = tree.compiled().event_ranks
+        assert list(ranks) == sorted(tree.events)
+        assert list(ranks.values()) == list(range(30))
+
+
 class TestSharedStructure:
     def test_probability_copies_share_the_compiled_structure(self):
         tree = fire_protection_system()

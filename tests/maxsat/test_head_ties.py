@@ -132,14 +132,16 @@ class TestTieHeavyRegressions:
     ANALYSES = ["mpmcs", "ranking"]
 
     def _routes(self, tree, monkeypatch):
-        """The cold and the warm report, each checked to take exactly 3 solves."""
-        cold_calls = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
+        """The cold and the warm report, each checked to take exactly 3 solves
+        (cold: the modular MPMCS, then two blocked whole-tree solves)."""
+        modular_calls = _count_calls(monkeypatch, MPMCSSolver, "solve")
+        blocked_calls = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
         warm_calls = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve_tree")
         cold = AnalysisSession().analyze(tree, self.ANALYSES, backend="maxsat", top_k=3)
         request = AnalysisRequest.create(self.ANALYSES, backend="maxsat", top_k=3)
         (warm,) = list(AnalysisSession().run_batch([tree], request))
         assert warm.profile.get("warm_solves") == 1
-        assert (len(cold_calls), len(warm_calls)) == (3, 3)
+        assert (len(modular_calls), len(blocked_calls), len(warm_calls)) == (1, 2, 3)
         return cold, warm
 
     @pytest.mark.parametrize(

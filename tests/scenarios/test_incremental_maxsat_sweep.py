@@ -18,6 +18,7 @@ import pytest
 from repro.api import AnalysisSession
 from repro.api.report import AnalysisRequest
 from repro.core.encoder import shape_fragment
+from repro.core.pipeline import MODULE_RULE_ENGINE
 from repro.scenarios import (
     AddRedundancy,
     RemoveEvent,
@@ -39,17 +40,21 @@ def _canonical(report):
 
 class TestWarmSweepEquivalence:
     def test_probability_sweep_matches_cold_analyses(self):
-        tree = random_fault_tree(num_basic_events=30, seed=4)
-        event = sorted(tree.events_reachable_from_top())[0]
-        scenarios = probability_sweep(event, [0.001, 0.01, 0.1, 0.4, 0.9])
-        trees = [scenario.apply(tree) for scenario in scenarios]
+        # Without shared nodes the warm route keeps each module's optimum;
+        # with them it re-solves on the incremental session.
+        for reuse, engine in ((0.0, MODULE_RULE_ENGINE), (0.2, "incremental-hitting-set")):
+            tree = random_fault_tree(num_basic_events=30, seed=4, event_reuse=reuse)
+            event = sorted(tree.events_reachable_from_top())[0]
+            scenarios = probability_sweep(event, [0.001, 0.01, 0.1, 0.4, 0.9])
+            trees = [scenario.apply(tree) for scenario in scenarios]
 
-        warm_session = AnalysisSession()
-        request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
-        for patched, warm in zip(trees, warm_session.run_batch(trees, request)):
-            cold = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat")
-            assert _canonical(warm) == _canonical(cold)
-            assert warm.mpmcs.engine == "incremental-hitting-set"
+            warm_session = AnalysisSession()
+            request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+            for patched, warm in zip(trees, warm_session.run_batch(trees, request)):
+                cold = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat")
+                assert _canonical(warm) == _canonical(cold)
+                assert warm.profile["warm_solves"] == 1
+                assert warm.mpmcs.engine == engine
 
     def test_sweep_executor_maxsat_backend_end_to_end(self):
         tree = fire_protection_system()
@@ -177,7 +182,7 @@ class TestFragmentMissAccounting:
         patched = Scenario("structural", [make_patch(tree)]).apply(tree)
         report = analyze(patched)
 
-        assert report.mpmcs.engine == "incremental-hitting-set"
+        assert report.profile["warm_solves"] == 1
         # Only the shapes the patch introduced were encoded; every other gate
         # of the patched tree relocated a memoised fragment.
         new_shapes = gate_shapes(patched) - gate_shapes(tree)

@@ -7,10 +7,12 @@ one, and the no-op kept for the benchmark tracer stays a no-op.
 """
 
 from repro.api import AnalysisSession
+from repro.core.pipeline import MODULE_RULE_ENGINE, ModuleOptima
+from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.monitoring import SyntheticFeed, TreeMonitor
 from repro.scenarios import SweepExecutor, probability_sweep
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import fire_protection_system
+from repro.workloads.library import data_center_power, fire_protection_system
 
 
 class TestSweepRouting:
@@ -39,10 +41,27 @@ class TestSweepRouting:
 
 class TestMonitorRouting:
     def test_apply_batch_solves_are_certified_from_the_pool(self):
-        tree = fire_protection_system()
+        # A tree with shared nodes: some module needs a search, so updates go
+        # to the incremental session.
+        tree = data_center_power()
         updates = list(SyntheticFeed(tree, updates=10, seed=5))
         monitor = TreeMonitor(tree, backend="maxsat")
         monitor.apply_batch(updates)
         (session,) = monitor.executor.session.backend("maxsat")._warm_sessions.values()
+        assert isinstance(session, IncrementalMaxSATSession)
         assert session.rerank_stats["certified"] > 0
         assert session.rerank_stats["pooled"] == session.rerank_stats["bnb"] == 0
+
+    def test_modular_tree_updates_keep_module_optima(self):
+        """Fig. 1 has no shared node: every update re-solves only the modules
+        above the events it changed, by rule, and matches a fresh analysis."""
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree, backend="maxsat", include_reports=True)
+        monitor.ensure_base()
+        for update in SyntheticFeed(tree, updates=10, seed=5):
+            delta = monitor.apply_update(update)
+            fresh = AnalysisSession().analyze(delta.report.tree, ["mpmcs"], backend="maxsat")
+            assert delta.mpmcs_events == fresh.mpmcs.events
+            assert delta.report.mpmcs.engine == MODULE_RULE_ENGINE
+        (optima,) = monitor.executor.session.backend("maxsat")._warm_sessions.values()
+        assert isinstance(optima, ModuleOptima)

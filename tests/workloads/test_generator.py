@@ -195,3 +195,47 @@ class TestGeneratedTreeProperties:
         assert tree.num_events == num_events
         # the all-events set must always be a cut set of a coherent tree
         assert tree.is_cut_set(tree.event_names)
+
+
+class TestPinnedTrees:
+    """Seeded trees stay byte-identical: the benchmark corpora depend on them.
+
+    The hashes were taken from the quadratic generator this one replaced
+    (it listed the reuse candidates afresh for every gate); the linear one
+    makes the same draws in the same order.
+    """
+
+    #: ``content_hash`` of ``random_fault_tree(num_basic_events=n, seed=s,
+    #: voting_ratio=0.05, event_reuse=0.05)``: the E4 pool and the larger
+    #: E4 trees.
+    E4 = {
+        (200, 0): "4d8980d1ef1e01440b19f1d583ee9ed7057614bd0962071c2e4a1c36dbe54568",
+        (300, 0): "8528fa1a29e62dcef713e412c16ef714be3b9e03c41ac1e999ce2ec5dc01483e",
+        (500, 1): "ae6191962521c90c305f46eaa8b431561de2a10904df413cf1696df696686888",
+        (600, 1): "e8b90ff160f9be636aa2fe8d4ccd383d3318c4088f2d725d4880f3b22aee8569",
+        (800, 0): "9ca5cf18f51f243f3b1af0308c1691581d9f0839e5b0c7e6615f6dccf93720db",
+        (1000, 1): "745e050b4d4f75cc6b6c4c6b2682e52eee28ede853d2b9460f40fa7707e25335",
+        (2000, 1): "90c4815128ec4cb2a6bd8ee6fd4ec76b30933f45b6884dc195a65e6b659522f3",
+    }
+
+    @pytest.mark.parametrize("events, seed", sorted(E4))
+    def test_e4_trees(self, events, seed):
+        tree = random_fault_tree(
+            num_basic_events=events, seed=seed, voting_ratio=0.05, event_reuse=0.05
+        )
+        assert tree.compiled().content_hash(tree.probabilities()) == self.E4[events, seed]
+
+    def test_sweep_and_monitor_tree(self):
+        tree = random_fault_tree(num_basic_events=60, seed=5, voting_ratio=0.05)
+        assert (
+            tree.compiled().content_hash(tree.probabilities())
+            == "addcb2133e5a80479cc6c1a817eb82fc76724d929ec813241c29a01f8514e7a8"
+        )
+
+    def test_heavy_reuse(self):
+        # Gates of up to 28 children: many reuse draws per gate.
+        tree = random_fault_tree(num_basic_events=30, seed=4, event_reuse=0.9, voting_ratio=0.2)
+        assert (
+            tree.compiled().content_hash(tree.probabilities())
+            == "ba8bcb73523cb82a98d56dbda3da3fb06d95d7ddeb758d91b626a16e1b78d03b"
+        )
