@@ -1,9 +1,9 @@
 """E12 — Incremental MaxSAT sweeps: warm weight-only re-solves vs cold.
 
 The tentpole claim of the incremental sweep engine: on a ≥60-event tree and a
-≥100-scenario probability sweep, the warm ``maxsat`` path — shape-memoised
-CNF fragments, one persistent hitting-set session per structure, weight-only
-re-solves — is **≥3x faster** than per-scenario cold re-encode+re-solve,
+≥100-scenario probability sweep, the warm ``maxsat`` path — hard clauses
+assembled once per structure, one persistent hitting-set session per
+structure, weight-only re-solves — is **≥3x faster** than per-scenario cold re-encode+re-solve,
 with **byte-identical** canonical :class:`AnalysisReport` dicts for every
 scenario.
 
@@ -21,7 +21,7 @@ import pytest
 
 from repro.api import AnalysisSession
 from repro.api.report import AnalysisRequest
-from repro.core.encoder import shape_fragment
+from repro.core import encoder
 from repro.scenarios import probability_sweep
 from repro.workloads.generator import random_fault_tree
 
@@ -43,10 +43,18 @@ def _scenario_trees(num_events: int, seed: int, steps: int):
     return tree, event, [scenario.apply(tree) for scenario in scenarios]
 
 
-def _fragment_counts():
-    """(hits, misses) of the encoder's per-process gate-shape memo."""
-    info = shape_fragment.cache_info()
-    return info.hits, info.misses
+def _count_assemblies(monkeypatch):
+    """The structures whose hard clauses get assembled from now on, one entry
+    per :func:`repro.core.encoder.assemble_structure_cnf` call."""
+    calls = []
+    original = encoder.assemble_structure_cnf
+
+    def counting(structure):
+        calls.append(structure)
+        return original(structure)
+
+    monkeypatch.setattr(encoder, "assemble_structure_cnf", counting)
+    return calls
 
 
 def _cold_canonical(trees):
@@ -59,7 +67,8 @@ def _cold_canonical(trees):
 
 
 def _warm_canonical(trees):
-    """One warm session: fragments memoised, solver persistent, weights only."""
+    """One warm session: clauses memoised per structure, solver persistent,
+    weights only."""
     session = AnalysisSession()
     request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
     documents = [
@@ -69,21 +78,18 @@ def _warm_canonical(trees):
     return documents, session
 
 
-def test_bench_incremental_maxsat_smoke(tmp_path):
+def test_bench_incremental_maxsat_smoke(tmp_path, monkeypatch):
     """Small grid: identical reports, JSON perf record for the CI artifact."""
     _, event, trees = _scenario_trees(num_events=40, seed=5, steps=40)
+    assemblies = _count_assemblies(monkeypatch)
 
     started = time.perf_counter()
     cold_subset = _cold_canonical(trees[:10])
     cold_per_scenario = (time.perf_counter() - started) / 10
 
-    memo_before = _fragment_counts()
     started = time.perf_counter()
     warm, session = _warm_canonical(trees)
     warm_s = time.perf_counter() - started
-    fragment_hits, fragment_misses = (
-        after - before for after, before in zip(_fragment_counts(), memo_before)
-    )
 
     assert warm[:10] == cold_subset
     cold_estimate = cold_per_scenario * len(trees)
@@ -101,8 +107,8 @@ def test_bench_incremental_maxsat_smoke(tmp_path):
         "speedup_vs_cold": round(speedup, 2),
         "cache_hits": stats["hits"],
         "cache_misses": stats["misses"],
-        "fragment_hits": fragment_hits,
-        "fragment_misses": fragment_misses,
+        # Every scenario shares the base tree's structure: one assembly.
+        "structure_assemblies": len(assemblies),
         "host_cores": _available_cores(),
     }
     output = Path(os.environ.get("BENCH_SWEEP_JSON", "BENCH_sweep.json"))
@@ -121,21 +127,18 @@ def test_bench_incremental_maxsat_smoke(tmp_path):
 
 
 @pytest.mark.slow
-def test_bench_incremental_maxsat_acceptance():
+def test_bench_incremental_maxsat_acceptance(monkeypatch):
     """The acceptance comparison: 60-event tree, 110-scenario sweep, ≥3x."""
     _, event, trees = _scenario_trees(num_events=60, seed=11, steps=110)
+    assemblies = _count_assemblies(monkeypatch)
 
     started = time.perf_counter()
     cold = _cold_canonical(trees)
     cold_s = time.perf_counter() - started
 
-    memo_before = _fragment_counts()
     started = time.perf_counter()
     warm, _ = _warm_canonical(trees)
     warm_s = time.perf_counter() - started
-    fragment_hits, fragment_misses = (
-        after - before for after, before in zip(_fragment_counts(), memo_before)
-    )
 
     # Canonical identity, scenario by scenario, always.
     assert warm == cold
@@ -147,9 +150,9 @@ def test_bench_incremental_maxsat_acceptance():
         [
             f"swept event       : {event!r}",
             f"cold (per-scenario re-encode+re-solve) : {cold_s:8.2f} s",
-            f"warm (fragments + persistent session)  : {warm_s:8.2f} s",
+            f"warm (memoised clauses + persistent session) : {warm_s:8.2f} s",
             f"speedup           : {speedup:8.2f} x",
-            f"fragment memo     : {fragment_hits} hits / {fragment_misses} misses",
+            f"structures assembled : {len(assemblies)} (cold and warm, one structure)",
             f"host cores        : {cores}",
         ],
     )

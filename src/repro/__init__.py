@@ -72,11 +72,13 @@ Package map
 -----------
 ``repro.api``        The unified analysis facade: backend registry, sessions,
                      artifact cache, batch execution.
-``repro.logic``      Boolean formulas, Tseitin CNF conversion, DIMACS I/O.
+``repro.logic``      Boolean formulas, the AND/OR/k-of-n Tseitin clause
+                     generators, DIMACS I/O.
 ``repro.sat``        CDCL and DPLL SAT solvers with assumptions/cores.
 ``repro.maxsat``     Weighted Partial MaxSAT engines and the parallel portfolio.
 ``repro.fta``        Fault-tree model, builder, Galileo/JSON parsers.
-``repro.core``       The six-step MPMCS pipeline and top-k enumeration.
+``repro.core``       The six-step MPMCS pipeline (hard clauses assembled gate by
+                     gate), modular solving and top-k enumeration.
 ``repro.analysis``   Classical baselines: MOCUS, brute force, importance measures,
                      modules, truncation, cut-set contributions.
 ``repro.bdd``        ROBDD engine and BDD-based cut-set/probability analysis.

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.weights import probability_of_cut_set
+from repro.core.weights import log_weight, probability_of_cut_set
 from repro.exceptions import AnalysisError
+from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 
 __all__ = ["CutSet", "CutSetCollection", "minimise_cut_sets", "is_subsumed"]
 
@@ -126,16 +127,29 @@ class CutSetCollection:
         return probability_of_cut_set(cut_set, self._require_probabilities())
 
     def ranked(self) -> List[Tuple[CutSet, float]]:
-        """All cut sets sorted by decreasing probability.
+        """All cut sets, most probable first, each with its probability.
 
-        Ties are broken canonically — smaller cut sets first, then the
-        lexicographically smallest sorted event tuple — so that every backend
-        (MOCUS, BDD, brute force, canonicalised MaxSAT) ranks identically and
-        cross-backend equality checks are reproducible.
+        The order is the MaxSAT objective's (:func:`~repro.maxsat.instance.objective_weight`):
+        the sum of the events' ``scale_weight(-log p)`` at
+        :data:`~repro.maxsat.instance.DEFAULT_PRECISION`, then smaller cut
+        sets first, then the lexicographically smallest sorted event tuple.
+        So every backend (MOCUS, BDD, brute force, MaxSAT) ranks identically,
+        also where the float products of near-tied cut sets differ in the
+        last place.  The probabilities reported are the float products.
         """
         probabilities = self._require_probabilities()
-        scored = [(cs, probability_of_cut_set(cs, probabilities)) for cs in self.cut_sets]
-        return sorted(scored, key=lambda item: (-item[1], len(item[0]), tuple(sorted(item[0]))))
+        scaled: Dict[str, int] = {}
+        keyed = []
+        for cut_set in self.cut_sets:
+            probability = probability_of_cut_set(cut_set, probabilities)
+            names = tuple(sorted(cut_set))
+            for name in names:
+                if name not in scaled:
+                    scaled[name] = scale_weight(log_weight(probabilities[name]), DEFAULT_PRECISION)
+            key = (sum(scaled[name] for name in names), len(names), names)
+            keyed.append((key, cut_set, probability))
+        keyed.sort(key=lambda item: item[0])
+        return [(cut_set, probability) for _, cut_set, probability in keyed]
 
     def most_probable(self) -> Tuple[CutSet, float]:
         """The Maximum Probability Minimal Cut Set and its probability.

@@ -93,7 +93,7 @@ def most_probable_path_set(
     ``prod(1 - p(x_i))`` over the members.  This is the MPMCS encoding applied
     to the dual problem: the hard clauses are the structure CNF of the
     :func:`dual_tree` (whose cut sets are this tree's path sets), built by the
-    same iterative fragment assembler as the MPMCS, so depth is unbounded;
+    same iterative gate-by-gate assembler as the MPMCS, so depth is unbounded;
     each event carries the weight ``-log(1 - p(x_i))``.
     """
     # Variable y_i of the dual tree's CNF means "event i stays failure-free".

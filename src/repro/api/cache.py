@@ -32,9 +32,6 @@ gate half of the whole-tree hash live on the tree's
 :class:`~repro.fta.compiled.CompiledStructure`, which every
 probability-only copy shares, so a scenario or monitor update serialises
 only its events and probabilities.
-Per-gate CNF fragments are not cached here either: a fragment depends on the
-gate's shape alone, so :func:`repro.core.encoder.shape_fragment` memoises it
-per process.
 """
 
 from __future__ import annotations

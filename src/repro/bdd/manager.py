@@ -7,7 +7,7 @@ A classical reduced ordered binary decision diagram implementation:
   table, so structurally equal functions share the same node (canonicity);
 * Boolean operations are implemented through the ``ite`` (if-then-else)
   operator with a computed-table cache;
-* fault trees and :mod:`repro.logic` formulas are compiled bottom-up.
+* fault trees are compiled bottom-up, gate by gate.
 
 The manager is written for clarity rather than raw speed: it comfortably
 handles the fault trees used in the benchmarks (thousands of nodes with a
@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import BDDError
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
-from repro.logic.formula import And, AtLeast, Const, Formula, Implies, Not, Or, Var, Xor
 
 __all__ = ["BDDManager", "BDD"]
 
@@ -200,9 +199,6 @@ class BDDManager:
     def apply_or(self, f: int, g: int) -> int:
         return self.ite(f, TRUE_NODE, g)
 
-    def apply_xor(self, f: int, g: int) -> int:
-        return self.ite(f, self.negate(g), g)
-
     def negate(self, f: int) -> int:
         if f == TRUE_NODE:
             return FALSE_NODE
@@ -218,45 +214,6 @@ class BDDManager:
         return result
 
     # -- compilation --------------------------------------------------------------------
-
-    def from_formula(self, formula: Formula) -> BDD:
-        """Compile a :class:`~repro.logic.formula.Formula` into a BDD."""
-        cache: Dict[Formula, int] = {}
-        return BDD(self, self._compile_formula(formula, cache))
-
-    def _compile_formula(self, node: Formula, cache: Dict[Formula, int]) -> int:
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Const):
-            result = TRUE_NODE if node.value else FALSE_NODE
-        elif isinstance(node, Var):
-            result = self.var(node.name).node
-        elif isinstance(node, Not):
-            result = self.negate(self._compile_formula(node.operand, cache))
-        elif isinstance(node, And):
-            result = TRUE_NODE
-            for op in node.operands:
-                result = self.apply_and(result, self._compile_formula(op, cache))
-        elif isinstance(node, Or):
-            result = FALSE_NODE
-            for op in node.operands:
-                result = self.apply_or(result, self._compile_formula(op, cache))
-        elif isinstance(node, Implies):
-            antecedent = self._compile_formula(node.antecedent, cache)
-            consequent = self._compile_formula(node.consequent, cache)
-            result = self.apply_or(self.negate(antecedent), consequent)
-        elif isinstance(node, Xor):
-            result = FALSE_NODE
-            for op in node.operands:
-                result = self.apply_xor(result, self._compile_formula(op, cache))
-        elif isinstance(node, AtLeast):
-            children = [self._compile_formula(op, cache) for op in node.operands]
-            result = self._compile_threshold(node.k, children)
-        else:  # pragma: no cover - defensive
-            raise BDDError(f"unsupported formula node {type(node).__name__}")
-        cache[node] = result
-        return result
 
     def _compile_threshold(self, k: int, children: List[int]) -> int:
         """Compile "at least k of the children" over already-compiled child BDDs."""

@@ -3,8 +3,8 @@
 The package implements the six-step resolution method of Section III:
 
 1. **Logical transformation** and 2. **CNF conversion** — the Tseitin CNF of
-   the structure function, assembled gate by gate from shape-memoised
-   fragments (:func:`repro.core.encoder.assemble_structure_cnf` over
+   the structure function, assembled gate by gate by the AND, OR and k-of-n
+   clause generators (:func:`repro.core.encoder.assemble_structure_cnf` over
    :mod:`repro.logic.tseitin`).
 3. **Probabilities transformation into log-space** —
    :mod:`repro.core.weights`.
@@ -28,7 +28,6 @@ from repro.core.encoder import (
     MPMCSEncoding,
     assemble_structure_cnf,
     encode_mpmcs,
-    gate_fragment,
 )
 from repro.core.pipeline import MPMCSResult, MPMCSSolver, find_mpmcs
 from repro.core.topk import RankedCutSet, enumerate_mpmcs
@@ -41,7 +40,6 @@ __all__ = [
     "assemble_structure_cnf",
     "encode_mpmcs",
     "enumerate_mpmcs",
-    "gate_fragment",
     "find_mpmcs",
     "log_weights",
     "probability_from_cost",

@@ -14,15 +14,13 @@ whose optimal solutions are exactly the Maximum Probability Minimal Cut Sets:
   returns the next minimal cut set in canonical order.
 
 The hard CNF is built gate by gate (:func:`assemble_structure_cnf`): every
-gate contributes the Tseitin clauses of its own connective, stitched onto its
-children's literals, so Steps 1 and 2 never materialise ``f(t)`` as a formula.
-A gate's clauses depend only on its shape ``(gate_type, k, arity)``, and a
-tree has few distinct shapes, so each shape is encoded once per process and
-then only relocated.  The hard clauses depend on the gates alone, so they are
-encoded once per structure, not cached per tree: the tree's
-:class:`~repro.fta.compiled.CompiledStructure`, shared by its
-probability-only copies, keeps them, and each encoding adds only the soft
-clauses (Steps 3–4) of its own probabilities.
+gate contributes the Tseitin clauses of its own connective — an AND, OR or
+k-of-n clause generator of :mod:`repro.logic.tseitin` — over its children's
+literals, so Steps 1 and 2 never materialise ``f(t)`` as a formula.  The hard
+clauses depend on the gates alone, so they are encoded once per structure,
+not cached per tree: the tree's :class:`~repro.fta.compiled.CompiledStructure`,
+shared by its probability-only copies, keeps them, and each encoding adds
+only the soft clauses (Steps 3–4) of its own probabilities.
 
 Equivalence with the paper's presentation
 -----------------------------------------
@@ -39,17 +37,15 @@ to true, hence the extracted set is an inclusion-minimal cut set — the MPMCS.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.weights import log_weight
 from repro.exceptions import FaultTreeError
 from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
-from repro.logic.formula import AtLeast, Formula, Var, conjoin, disjoin
-from repro.logic.tseitin import CNFFragment, encode_fragment
+from repro.logic.tseitin import and_clauses, at_least_clauses, or_clauses
 from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance, objective_weight
 
 __all__ = [
@@ -60,40 +56,7 @@ __all__ = [
     "encode_mpmcs",
     "event_weight",
     "event_weights",
-    "gate_fragment",
-    "shape_fragment",
 ]
-
-
-def _slot(index: int) -> str:
-    """Synthetic interface name of the ``index``-th child slot of a gate."""
-    return f"@{index}"
-
-
-@functools.lru_cache(maxsize=256)
-def shape_fragment(gate_type: GateType, k: Optional[int], arity: int) -> CNFFragment:
-    """Relocatable CNF fragment of a gate shape over anonymous child slots.
-
-    The fragment treats each child as an opaque input (slot ``@0``, ``@1``,
-    …) so it contains no node names: every gate of the same type, threshold
-    and arity shares it.  Memoised per process (fragments are immutable, so
-    sharing one is safe); :meth:`cache_info` counts the shapes encoded.
-    """
-    slots = [Var(_slot(index)) for index in range(arity)]
-    if gate_type is GateType.AND:
-        formula: Formula = conjoin(slots)
-    elif gate_type is GateType.OR:
-        formula = disjoin(slots)
-    elif gate_type is GateType.VOTING:
-        formula = AtLeast(k or 1, slots)
-    else:  # pragma: no cover - defensive
-        raise FaultTreeError(f"unsupported gate type {gate_type!r}")
-    return encode_fragment(formula, [_slot(index) for index in range(arity)])
-
-
-def gate_fragment(gate: Gate) -> CNFFragment:
-    """The (memoised) fragment of ``gate``'s shape; see :func:`shape_fragment`."""
-    return shape_fragment(gate.gate_type, gate.k, len(gate.children))
 
 
 @dataclass(frozen=True)
@@ -124,9 +87,11 @@ def _assemble(order: Iterable[str], gates: Iterable[Gate], root: str) -> Structu
     """The clauses of ``gates`` over the nodes ``order`` (bottom-up), ``root`` asserted.
 
     A node of ``order`` that is none of ``gates`` is a leaf and gets the next
-    variable; each gate instantiates its shape's
-    :class:`~repro.logic.tseitin.CNFFragment` on its children's literals,
-    its auxiliary variables following.
+    variable; each gate's clause generator
+    (:func:`~repro.logic.tseitin.and_clauses`,
+    :func:`~repro.logic.tseitin.or_clauses` or
+    :func:`~repro.logic.tseitin.at_least_clauses`) defines it over its
+    children's literals, its auxiliary variables following.
     """
     by_name = {gate.name: gate for gate in gates}
     clauses: List[Tuple[int, ...]] = []
@@ -139,11 +104,15 @@ def _assemble(order: Iterable[str], gates: Iterable[Gate], root: str) -> Structu
             num_vars += 1
             literals[name] = event_vars[name] = num_vars
             continue
-        fragment = gate_fragment(gate)
-        literals[name] = fragment.instantiate(
-            [literals[child] for child in gate.children], num_vars, clauses
-        )
-        num_vars += fragment.num_internal_vars
+        children = [literals[child] for child in gate.children]
+        if gate.gate_type is GateType.AND:
+            literals[name], num_vars = and_clauses(children, num_vars, clauses)
+        elif gate.gate_type is GateType.OR:
+            literals[name], num_vars = or_clauses(children, num_vars, clauses)
+        elif gate.gate_type is GateType.VOTING:
+            literals[name], num_vars = at_least_clauses(gate.k or 1, children, num_vars, clauses)
+        else:  # pragma: no cover - defensive
+            raise FaultTreeError(f"unsupported gate type {gate.gate_type!r}")
     clauses.append((literals[root],))
     instance = WPMaxSATInstance()
     instance.ensure_num_vars(num_vars)
@@ -160,15 +129,15 @@ def _assemble(order: Iterable[str], gates: Iterable[Gate], root: str) -> Structu
 
 
 def assemble_structure_cnf(structure: CompiledStructure) -> StructureCNF:
-    """Clauses of a compiled structure's function stitched from per-gate fragments.
+    """The Tseitin clauses of a compiled structure's function, built gate by gate.
 
     Equisatisfiable (over the event variables) with the monolithic
     ``tseitin_encode(structure_function(tree))``, but built bottom-up in one
     iterative pass, so arbitrarily deep trees encode without recursion.
-    Each basic event gets the next variable; each gate instantiates its
-    shape's :class:`~repro.logic.tseitin.CNFFragment` on its children's
-    literals, its auxiliary variables following.  The root literal is
-    asserted, exactly like ``tseitin_encode`` with ``assert_root=True``.
+    Each basic event gets the next variable; each gate's clause generator
+    defines it over its children's literals, its auxiliary variables
+    following.  The root literal is asserted, exactly like
+    ``tseitin_encode`` with ``assert_root=True``.
     Analyses read the memoised result, ``tree.compiled().cnf``, instead of
     calling this.
     """

@@ -4,14 +4,13 @@ This package provides the propositional-logic foundation used by the rest of the
 library:
 
 * :mod:`repro.logic.formula` — an immutable Boolean formula AST (variables,
-  constants, negation, conjunction, disjunction, implication, XOR and k-of-n
-  threshold nodes) with structural helpers.
-* :mod:`repro.logic.simplify` — constant folding, flattening, negation-normal-form
-  and De Morgan complementation.
+  constants, negation, conjunction, disjunction and k-of-n threshold nodes)
+  with structural helpers.
 * :mod:`repro.logic.cnf` — the clause/literal model shared by the SAT and MaxSAT
   solvers.
-* :mod:`repro.logic.tseitin` — the polynomial-time equisatisfiable CNF conversion
-  used in Step 2 of the MPMCS pipeline.
+* :mod:`repro.logic.tseitin` — Step 2 of the MPMCS pipeline: the AND, OR and
+  k-of-n (sequential counter) clause generators over ``int`` literals, and
+  the formula-level Tseitin encoder built on them.
 * :mod:`repro.logic.dimacs` — DIMACS CNF and WCNF readers/writers for
   interoperability with external tools.
 """
@@ -22,20 +21,18 @@ from repro.logic.formula import (
     Const,
     FALSE,
     Formula,
-    Implies,
     Not,
     Or,
     TRUE,
     Var,
-    Xor,
 )
 from repro.logic.cnf import CNF, Clause, Literal
-from repro.logic.simplify import complement, flatten, simplify, to_nnf
 from repro.logic.tseitin import (
-    CNFFragment,
     TseitinEncoder,
     TseitinResult,
-    encode_fragment,
+    and_clauses,
+    at_least_clauses,
+    or_clauses,
     tseitin_encode,
 )
 
@@ -43,12 +40,10 @@ __all__ = [
     "And",
     "AtLeast",
     "CNF",
-    "CNFFragment",
     "Clause",
     "Const",
     "FALSE",
     "Formula",
-    "Implies",
     "Literal",
     "Not",
     "Or",
@@ -56,11 +51,8 @@ __all__ = [
     "TseitinEncoder",
     "TseitinResult",
     "Var",
-    "Xor",
-    "complement",
-    "flatten",
-    "simplify",
-    "to_nnf",
-    "encode_fragment",
+    "and_clauses",
+    "at_least_clauses",
+    "or_clauses",
     "tseitin_encode",
 ]

@@ -2,9 +2,10 @@
 
 The fault-tree layer compiles trees into formulas built from these nodes
 (Section II of the paper: ``f(t)`` is the Boolean structure function of the
-fault tree).  The MPMCS pipeline then manipulates the formula (complementation
-for the success tree, Tseitin CNF conversion) before handing it to the MaxSAT
-layer.
+fault tree).  :mod:`repro.fta.formula` builds ``f(t)`` and its dual, the
+success tree; :func:`repro.logic.tseitin.tseitin_encode` turns a formula into
+an equisatisfiable CNF (the tests' oracle for the gate-by-gate MPMCS
+encoding).
 
 Design notes
 ------------
@@ -32,8 +33,6 @@ __all__ = [
     "Not",
     "And",
     "Or",
-    "Xor",
-    "Implies",
     "AtLeast",
 ]
 
@@ -55,15 +54,8 @@ class Formula:
     def __or__(self, other: "Formula") -> "Or":
         return Or((self, _check_formula(other)))
 
-    def __xor__(self, other: "Formula") -> "Xor":
-        return Xor((self, _check_formula(other)))
-
     def __invert__(self) -> "Formula":
         return Not(self)
-
-    def __rshift__(self, other: "Formula") -> "Implies":
-        """``a >> b`` denotes the implication ``a -> b``."""
-        return Implies(self, _check_formula(other))
 
     # -- core API -----------------------------------------------------------
 
@@ -239,19 +231,14 @@ class Not(Formula):
 
 
 class _NaryFormula(Formula):
-    """Shared implementation for n-ary operators (And, Or, Xor)."""
+    """Shared implementation for n-ary operators (And, Or)."""
 
     __slots__ = ("operands",)
 
-    _MIN_ARITY = 1
-
     def __init__(self, operands: Iterable[Formula]) -> None:
         ops = tuple(_check_formula(op) for op in operands)
-        if len(ops) < self._MIN_ARITY:
-            raise FormulaError(
-                f"{type(self).__name__} requires at least {self._MIN_ARITY} operand(s), "
-                f"got {len(ops)}"
-            )
+        if not ops:
+            raise FormulaError(f"{type(self).__name__} requires at least one operand")
         object.__setattr__(self, "operands", ops)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -294,50 +281,6 @@ class Or(_NaryFormula):
         return "(" + " | ".join(op.to_infix() for op in self.operands) + ")"
 
 
-class Xor(_NaryFormula):
-    """N-ary exclusive-or (true when an odd number of operands are true)."""
-
-    __slots__ = ()
-    _MIN_ARITY = 2
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return sum(1 for op in self.operands if op.evaluate(assignment)) % 2 == 1
-
-    def substitute(self, mapping: Mapping[str, Formula]) -> Formula:
-        return Xor(tuple(op.substitute(mapping) for op in self.operands))
-
-    def to_infix(self) -> str:
-        return "(" + " ^ ".join(op.to_infix() for op in self.operands) + ")"
-
-
-class Implies(Formula):
-    """Binary implication ``antecedent -> consequent``."""
-
-    __slots__ = ("antecedent", "consequent")
-
-    def __init__(self, antecedent: Formula, consequent: Formula) -> None:
-        object.__setattr__(self, "antecedent", _check_formula(antecedent))
-        object.__setattr__(self, "consequent", _check_formula(consequent))
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("Implies is immutable")
-
-    def children(self) -> Tuple[Formula, ...]:
-        return (self.antecedent, self.consequent)
-
-    def _key(self) -> Tuple[object, ...]:
-        return (self.antecedent, self.consequent)
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return (not self.antecedent.evaluate(assignment)) or self.consequent.evaluate(assignment)
-
-    def substitute(self, mapping: Mapping[str, Formula]) -> Formula:
-        return Implies(self.antecedent.substitute(mapping), self.consequent.substitute(mapping))
-
-    def to_infix(self) -> str:
-        return f"({self.antecedent.to_infix()} -> {self.consequent.to_infix()})"
-
-
 class AtLeast(Formula):
     """Threshold node: true when at least ``k`` of the operands are true.
 
@@ -375,28 +318,6 @@ class AtLeast(Formula):
 
     def substitute(self, mapping: Mapping[str, Formula]) -> Formula:
         return AtLeast(self.k, tuple(op.substitute(mapping) for op in self.operands))
-
-    def expand(self) -> Formula:
-        """Expand the threshold into plain And/Or nodes.
-
-        The expansion enumerates all ``k``-subsets, so it is exponential in the
-        worst case; it is intended for small gates and for reference checks.
-        The Tseitin encoder handles :class:`AtLeast` natively with a polynomial
-        sequential-counter encoding instead.
-        """
-        from itertools import combinations
-
-        if self.k == 0:
-            return TRUE
-        if self.k == len(self.operands):
-            return And(self.operands) if len(self.operands) > 1 else self.operands[0]
-        if self.k == 1:
-            return Or(self.operands) if len(self.operands) > 1 else self.operands[0]
-        terms = [
-            And(combo) if len(combo) > 1 else combo[0]
-            for combo in combinations(self.operands, self.k)
-        ]
-        return Or(tuple(terms))
 
     def to_infix(self) -> str:
         inner = ", ".join(op.to_infix() for op in self.operands)

@@ -3,7 +3,8 @@
 Probabilities come from a three-value palette, so optima tie often — at the
 head of the ranking and at its ``top_k`` boundary.  Both ``maxsat`` routes
 are checked: the cold portfolio and the warm incremental session a sweep's
-batch uses.
+batch uses.  Two library trees with near-tied cut sets check every cut-set
+backend against ``maxsat``.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 from repro.api import AnalysisSession
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
+from repro.workloads.library import NAMED_TREES
 
 TOP_KS = (1, 2, 3, 5)
 PALETTE = (0.05, 0.1, 0.2)
@@ -42,3 +44,17 @@ def test_maxsat_ranking_matches_bdd(seed):
         assert _events(cold) == expected, ("cold", top_k)
         (report,) = warm.analyze_batch([tree], analyses, top_k=top_k)
         assert _events(report) == expected, ("warm", top_k)
+
+
+@pytest.mark.parametrize("name", ["chemical-reactor", "emergency-shutdown"])
+@pytest.mark.parametrize("backend", ["mocus", "bdd", "brute-force"])
+def test_cut_set_backends_rank_in_the_objective_order(name, backend):
+    """Near-tied cut sets, whose float products differ in the last place or
+    not at all, rank as the MaxSAT objective orders them: by scaled ``-log``
+    cost, then size, then names."""
+    tree = NAMED_TREES[name]()
+    session = AnalysisSession()
+    for top_k in (1, 3, 5):
+        expected = _events(session.analyze(tree, ["ranking"], backend="maxsat", top_k=top_k))
+        report = session.analyze(tree, ["ranking"], backend=backend, top_k=top_k)
+        assert _events(report) == expected, top_k

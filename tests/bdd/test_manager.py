@@ -5,9 +5,7 @@ from hypothesis import given, settings
 
 from repro.bdd.manager import BDDManager, FALSE_NODE, TRUE_NODE
 from repro.exceptions import BDDError
-from repro.logic.formula import And, AtLeast, Not, Or, Var
-
-from tests.conftest import all_assignments, formulas, small_random_trees
+from tests.conftest import all_assignments, small_random_trees
 
 
 class TestConstruction:
@@ -85,24 +83,6 @@ class TestOperations:
         f = manager.var("a") & manager.var("b")
         assert f.size() == 2
         assert manager.true().size() == 0
-
-
-class TestFormulaCompilation:
-    @settings(max_examples=40, deadline=None)
-    @given(formulas(max_depth=3, max_vars=4))
-    def test_compiled_bdd_matches_formula(self, formula):
-        names = sorted(formula.variables()) or ["v1"]
-        manager = BDDManager(names)
-        function = manager.from_formula(formula)
-        for assignment in all_assignments(names):
-            assert function.evaluate(assignment) == formula.evaluate(assignment)
-
-    def test_threshold_compilation(self):
-        manager = BDDManager(["a", "b", "c"])
-        formula = AtLeast(2, (Var("a"), Var("b"), Var("c")))
-        function = manager.from_formula(formula)
-        for assignment in all_assignments(["a", "b", "c"]):
-            assert function.evaluate(assignment) == formula.evaluate(assignment)
 
 
 class TestFaultTreeCompilation:

@@ -199,9 +199,21 @@ def all_assignments(names: List[str]) -> List[Dict[str, bool]]:
     return result
 
 
-def gate_shapes(tree: FaultTree) -> set:
-    """The distinct gate shapes ``(gate_type, k, arity)`` of ``tree``."""
-    return {(gate.gate_type, gate.k, len(gate.children)) for gate in tree.gates.values()}
+@pytest.fixture
+def assemblies(monkeypatch) -> list:
+    """The structures whose hard clauses get assembled, one entry per call of
+    :func:`repro.core.encoder.assemble_structure_cnf`."""
+    from repro.core import encoder
+
+    calls: list = []
+    original = encoder.assemble_structure_cnf
+
+    def counting(structure):
+        calls.append(structure)
+        return original(structure)
+
+    monkeypatch.setattr(encoder, "assemble_structure_cnf", counting)
+    return calls
 
 
 def brute_force_cnf_satisfiable(clauses: List[List[int]]) -> bool:

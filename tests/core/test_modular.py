@@ -10,16 +10,19 @@ must be byte-identical in canonical form.
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from repro.analysis.mocus import mocus_minimal_cut_sets
 from repro.api import AnalysisRequest, AnalysisSession
-from repro.bdd.probability import bdd_mpmcs
+from repro.bdd.manager import BDDManager
+from repro.bdd.probability import bdd_mpmcs, mpmcs_of_bdd
 from repro.core import pipeline
 from repro.core.pipeline import MODULE_RULE_ENGINE, ModuleOptima, MPMCSSolver
 from repro.exceptions import ReproError
+from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat import RC2Engine
 from repro.maxsat.portfolio import PortfolioSolver
@@ -109,6 +112,50 @@ class TestDifferential:
         assert len(tree.compiled().modules) == 1500
         _assert_matches_whole_tree(tree, routes=("cold",), requests=[(("mpmcs",), 1)])
         _assert_matches_bdd(tree)
+
+
+def _wide_gate(gate_type, k=None, width=1000):
+    """One gate over ``width`` basic events of distinct probabilities."""
+    tree = FaultTree(f"{gate_type.value}-{k}-of-{width}")
+    names = [f"e{index:04d}" for index in range(width)]
+    for index, name in enumerate(names):
+        tree.add_basic_event(name, 0.01 + index * 1e-5)
+    tree.add_gate("top", gate_type, names, k=k)
+    tree.set_top_event("top")
+    return tree
+
+
+class TestExtremes:
+    """Fan-in 1000: the maxsat facade answers within a wall-clock bound and
+    agrees with the BDD's MPMCS."""
+
+    #: Seconds per analysis; each takes at most 0.07 s on a 2-core host.
+    BOUND_S = 2.0
+
+    @pytest.mark.parametrize(
+        "gate_type, k",
+        [
+            (GateType.AND, None),
+            (GateType.OR, None),
+            (GateType.VOTING, 1),
+            (GateType.VOTING, 3),
+            (GateType.VOTING, 1000),
+        ],
+        ids=["and-1000", "or-1000", "1-of-1000", "3-of-1000", "1000-of-1000"],
+    )
+    def test_wide_gate_over_basic_events(self, gate_type, k):
+        tree = _wide_gate(gate_type, k)
+        started = time.perf_counter()
+        maxsat = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat").mpmcs
+        assert time.perf_counter() - started < self.BOUND_S
+        # The bdd backend's DFS order puts the first child at the top, so
+        # folding the children in order costs quadratic (AND, OR) to cubic
+        # (1000-of-1000) time; with the order reversed every child lands
+        # above the diagram built so far.
+        function = BDDManager(sorted(tree.events, reverse=True)).from_fault_tree(tree)
+        events, probability = mpmcs_of_bdd(function, tree.probabilities())
+        assert maxsat.events == tuple(events)
+        assert maxsat.probability == probability
 
 
 class TestRules:

@@ -8,12 +8,10 @@ from repro.logic.formula import (
     AtLeast,
     Const,
     FALSE,
-    Implies,
     Not,
     Or,
     TRUE,
     Var,
-    Xor,
     conjoin,
     disjoin,
     variables_in_order,
@@ -77,31 +75,15 @@ class TestConnectives:
     def test_not_evaluation(self):
         assert Not(Var("a")).evaluate({"a": False}) is True
 
-    def test_xor_evaluation_odd_count(self):
-        formula = Xor((Var("a"), Var("b"), Var("c")))
-        assert formula.evaluate({"a": True, "b": True, "c": True}) is True
-        assert formula.evaluate({"a": True, "b": True, "c": False}) is False
-
-    def test_implies_evaluation(self):
-        formula = Implies(Var("a"), Var("b"))
-        assert formula.evaluate({"a": True, "b": False}) is False
-        assert formula.evaluate({"a": False, "b": False}) is True
-
     def test_operator_sugar_builds_nodes(self):
         a, b = Var("a"), Var("b")
         assert isinstance(a & b, And)
         assert isinstance(a | b, Or)
-        assert isinstance(a ^ b, Xor)
         assert isinstance(~a, Not)
-        assert isinstance(a >> b, Implies)
 
     def test_empty_and_rejected(self):
         with pytest.raises(FormulaError):
             And(())
-
-    def test_xor_requires_two_operands(self):
-        with pytest.raises(FormulaError):
-            Xor((Var("a"),))
 
     def test_non_formula_operand_rejected(self):
         with pytest.raises(FormulaError):
@@ -122,23 +104,6 @@ class TestAtLeast:
             AtLeast(4, (Var("a"), Var("b")))
         with pytest.raises(FormulaError):
             AtLeast(-1, (Var("a"),))
-
-    def test_expand_matches_semantics(self):
-        operands = (Var("a"), Var("b"), Var("c"))
-        formula = AtLeast(2, operands)
-        expanded = formula.expand()
-        for a in (False, True):
-            for b in (False, True):
-                for c in (False, True):
-                    env = {"a": a, "b": b, "c": c}
-                    assert formula.evaluate(env) == expanded.evaluate(env)
-
-    def test_expand_edge_thresholds(self):
-        ops = (Var("a"), Var("b"))
-        assert AtLeast(0, ops).expand() == TRUE
-        assert AtLeast(1, ops).expand() == Or(ops)
-        assert AtLeast(2, ops).expand() == And(ops)
-
 
 class TestStructure:
     def test_variables_collects_names(self):

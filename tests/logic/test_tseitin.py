@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from repro.logic.formula import And, AtLeast, FALSE, Implies, Not, Or, TRUE, Var, Xor
+from repro.logic.formula import And, AtLeast, FALSE, Not, Or, TRUE, Var
 from repro.logic.tseitin import TseitinEncoder, tseitin_encode
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
@@ -125,14 +125,4 @@ class TestEquisatisfiabilityProperty:
         names = sorted(formula.variables())
         for assignment in all_assignments(names):
             expected = formula.evaluate(assignment)
-            assert cnf_satisfiable_with(result.cnf, assignment) == expected
-
-    @settings(max_examples=40, deadline=None)
-    @given(formulas(max_depth=3, max_vars=4))
-    def test_xor_and_implies_also_supported(self, formula):
-        wrapped = Xor((formula, Implies(Var("v1"), formula)))
-        result = tseitin_encode(wrapped)
-        names = sorted(wrapped.variables())
-        for assignment in all_assignments(names):
-            expected = wrapped.evaluate(assignment)
             assert cnf_satisfiable_with(result.cnf, assignment) == expected

@@ -9,7 +9,7 @@ underlying CDCL solver, and blocking clauses persist via activation literals.
 import pytest
 from hypothesis import given, settings
 
-from repro.core.encoder import encode_mpmcs, shape_fragment
+from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import SolverError
 from repro.maxsat import engine as engine_module
@@ -21,7 +21,7 @@ from repro.sat.types import SatStatus
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES, fire_protection_system, get_tree
 
-from tests.conftest import gate_shapes, voting_reuse_trees
+from tests.conftest import voting_reuse_trees
 
 
 class TestCDCLIncrementalInterface:
@@ -173,20 +173,18 @@ class TestWeightOnlyResolve:
         session.solve_tree(tree, [first.events])
         assert session.num_block_clauses == blocks_after
 
-    def test_fragment_cache_feeds_the_session(self):
+    def test_structure_clauses_feed_the_session(self, assemblies):
         tree = fire_protection_system()
-        shape_fragment.cache_clear()
         IncrementalMaxSATSession(tree)
-        shapes = gate_shapes(tree)
-        assert shape_fragment.cache_info().misses == len(shapes)
+        assert assemblies == [tree.compiled()]
         # A second session over the same structure, here through a
         # probability-only copy, assembles nothing: it loads the memoised
-        # clauses without instantiating a single fragment.
-        before = shape_fragment.cache_info()
+        # clauses.
         copy = tree.copy()
         copy.set_probability("x1", 0.5)
         second = IncrementalMaxSATSession(copy)
-        assert shape_fragment.cache_info() == before
+        assert len(assemblies) == 1
+        assert copy.compiled().cnf is tree.compiled().cnf
         assert second.num_hard == tree.compiled().cnf.instance.num_hard
 
     def test_invalid_weight_rejected(self):

@@ -1,14 +1,13 @@
-"""Incremental MaxSAT sweeps: warm weight-only re-solves and fragment reuse.
+"""Incremental MaxSAT sweeps: warm weight-only re-solves and clause reuse.
 
 Covers the tentpole acceptance criteria at test (not benchmark) scale:
 
 * a ``maxsat``-backend sweep produces canonically identical results to fresh
   per-scenario cold analyses;
-* probability/maintenance scenarios are weight-only re-solves — no gate shape
-  is encoded after the base analysis;
-* structure-changing patches (remove-event, add-redundancy, voting-k) encode
-  at most the gate shapes they introduce, asserted through the shape memo's
-  ``cache_info()`` counters.
+* probability/maintenance scenarios are weight-only re-solves — their hard
+  clauses are never assembled again after the base analysis;
+* a structure-changing patch (remove-event, add-redundancy, voting-k) is a
+  new structure, whose hard clauses are assembled exactly once.
 """
 
 import json
@@ -17,7 +16,6 @@ import pytest
 
 from repro.api import AnalysisSession
 from repro.api.report import AnalysisRequest
-from repro.core.encoder import shape_fragment
 from repro.core.pipeline import MODULE_RULE_ENGINE
 from repro.scenarios import (
     AddRedundancy,
@@ -30,8 +28,6 @@ from repro.scenarios import (
 )
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system, redundant_power_supply
-
-from tests.conftest import gate_shapes
 
 
 def _canonical(report):
@@ -111,14 +107,8 @@ class TestWarmSweepEquivalence:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def _shapes_encoded():
-    return shape_fragment.cache_info().misses
-
-
-class TestFragmentMissAccounting:
-    @pytest.fixture(autouse=True)
-    def _empty_shape_memo(self):
-        shape_fragment.cache_clear()
+class TestAssemblyAccounting:
+    """Hard clauses are assembled once per structure (``tree.compiled().cnf``)."""
 
     @staticmethod
     def _warm_maxsat():
@@ -132,22 +122,23 @@ class TestFragmentMissAccounting:
 
         return analyze
 
-    def test_probability_scenarios_add_zero_fragment_misses(self):
+    def test_probability_scenarios_assemble_nothing(self, assemblies):
         tree = random_fault_tree(num_basic_events=24, seed=9)
         event = sorted(tree.events_reachable_from_top())[0]
         analyze = self._warm_maxsat()
         analyze(tree)
-        base_misses = _shapes_encoded()
-        assert base_misses == len(gate_shapes(tree))
+        assert assemblies == [tree.compiled()]
 
         for probability in (0.002, 0.05, 0.7):
-            # Weight-only perturbation: the structure hash is unchanged.
+            # Weight-only perturbation: the structure is shared.
             patched = Scenario("p", [SetProbability(event, probability)]).apply(tree)
             analyze(patched)
-        assert _shapes_encoded() == base_misses
+            assert patched.compiled().cnf is tree.compiled().cnf
+        assert len(assemblies) == 1
 
-    def test_maintenance_sweep_is_weight_only(self):
-        """Repair-rate scenarios never change structure: no new shape."""
+    def test_maintenance_sweep_is_weight_only(self, assemblies):
+        """Repair-rate scenarios never change structure: only the base
+        structure's clauses are assembled."""
         from repro.reliability import ReliabilityAssignment, RepairableComponent
         from repro.scenarios import repair_rate_sweep
 
@@ -162,7 +153,7 @@ class TestFragmentMissAccounting:
         session = AnalysisSession()
         report = SweepExecutor(session, backend="maxsat").run(base, scenarios)
         assert all(outcome.ok for outcome in report.outcomes)
-        assert _shapes_encoded() == len(gate_shapes(base))
+        assert assemblies == [base.compiled()]
 
     @pytest.mark.parametrize(
         "make_patch",
@@ -172,26 +163,19 @@ class TestFragmentMissAccounting:
         ],
         ids=["remove-event", "add-redundancy"],
     )
-    def test_structural_patch_re_encodes_only_affected_fragments(self, make_patch):
+    def test_structural_patch_assembles_once(self, make_patch, assemblies):
         tree = random_fault_tree(num_basic_events=24, seed=9)
         analyze = self._warm_maxsat()
         analyze(tree)
-        base_misses = _shapes_encoded()
-        base_hits = shape_fragment.cache_info().hits
 
         patched = Scenario("structural", [make_patch(tree)]).apply(tree)
         report = analyze(patched)
+        analyze(patched)
 
         assert report.profile["warm_solves"] == 1
-        # Only the shapes the patch introduced were encoded; every other gate
-        # of the patched tree relocated a memoised fragment.
-        new_shapes = gate_shapes(patched) - gate_shapes(tree)
-        assert _shapes_encoded() - base_misses == len(new_shapes)
-        assert shape_fragment.cache_info().hits - base_hits == len(patched.gates) - len(
-            new_shapes
-        )
+        assert assemblies == [tree.compiled(), patched.compiled()]
 
-    def test_voting_threshold_patch_re_encodes_affected_path(self):
+    def test_voting_threshold_patch_assembles_once(self, assemblies):
         tree = redundant_power_supply()
         voting_gates = [
             name
@@ -201,14 +185,13 @@ class TestFragmentMissAccounting:
         assert voting_gates, "library voting tree must contain a voting gate"
         analyze = self._warm_maxsat()
         analyze(tree)
-        base_misses = _shapes_encoded()
 
         gate = tree.gates[voting_gates[0]]
         patched = Scenario(
             "voting-k", [SetVotingThreshold(gate.name, (gate.k or 2) + 1)]
         ).apply(tree)
         analyze(patched)
+        analyze(patched)
 
-        new_shapes = gate_shapes(patched) - gate_shapes(tree)
-        assert new_shapes  # the new threshold is a shape the base never had
-        assert _shapes_encoded() - base_misses == len(new_shapes)
+        assert patched.compiled() is not tree.compiled()
+        assert assemblies == [tree.compiled(), patched.compiled()]
