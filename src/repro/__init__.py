@@ -90,7 +90,7 @@ Package map
 """
 
 from repro.api.batch import BatchItem, BatchResult, analyze_many
-from repro.api.cache import ArtifactCache, structural_hash
+from repro.api.cache import ArtifactCache
 from repro.api.registry import (
     AnalysisBackend,
     available_backends,
@@ -145,5 +145,4 @@ __all__ = [
     "random_fault_tree",
     "register_backend",
     "simulate_dft",
-    "structural_hash",
 ]

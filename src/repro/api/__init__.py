@@ -40,7 +40,6 @@ from repro.api.cache import (
     ARTIFACT_CUT_SETS,
     ARTIFACT_SUBTREE_CUT_SETS,
     ArtifactCache,
-    structural_hash,
     subtree_structure_hashes,
 )
 from repro.api.registry import (
@@ -90,6 +89,5 @@ __all__ = [
     "canonical_backend_name",
     "create_backend",
     "register_backend",
-    "structural_hash",
     "subtree_structure_hashes",
 ]

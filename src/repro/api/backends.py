@@ -17,8 +17,9 @@ Each backend wraps one resolution strategy behind the common
 
 All backends share the session's :class:`~repro.api.cache.ArtifactCache`:
 the minimal cut sets (a canonical object — every enumeration strategy
-produces the same collection) and the compiled BDD are each computed once
-per structurally identical tree and reused across analyses and backends.
+produces the same sets) and the compiled BDD are each computed once per
+structure, whatever the probabilities, and reused across analyses,
+backends and trees; each tree's probabilities are attached on use.
 The MaxSAT encoding is not cached: its hard clauses, the independent
 modules and each module's skeleton clauses are computed once per structure,
 not cached per tree (:class:`~repro.fta.compiled.CompiledStructure`, shared
@@ -33,7 +34,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
-from repro.analysis.cutsets import CutSetCollection
+from repro.analysis.cutsets import CutSet, CutSetCollection
 from repro.analysis.importance import importance_measures
 from repro.analysis.mocus import mocus_minimal_cut_sets
 from repro.analysis.modules import modularisation_report
@@ -45,7 +46,7 @@ from repro.analysis.topevent import (
     rare_event_approximation,
 )
 from repro.analysis.truncation import truncated_cut_sets
-from repro.api.cache import ARTIFACT_BDD, ARTIFACT_CUT_SETS
+from repro.api.cache import ARTIFACT_BDD, ARTIFACT_CUT_SETS, ArtifactCache
 from repro.api.registry import AnalysisBackend, register_backend, run_each
 from repro.api.report import AnalysisReport, AnalysisRequest, MPMCSSummary, TopEventSummary
 from repro.bdd.cutsets import cut_sets_of_bdd
@@ -93,6 +94,19 @@ def _ranking_from_collection(
     ]
 
 
+def _with_probabilities(
+    artifacts: ArtifactCache, tree: FaultTree, enumerate_cut_sets: Callable[[], Tuple[CutSet, ...]]
+) -> CutSetCollection:
+    """``tree``'s minimal cut sets with its probabilities attached.
+
+    The sets themselves are cached once per structure
+    (:data:`~repro.api.cache.ARTIFACT_CUT_SETS`), so every tree of one
+    structure, whatever its probabilities, enumerates them once.
+    """
+    cut_sets = artifacts.get_or_compute(tree, ARTIFACT_CUT_SETS, enumerate_cut_sets)
+    return CutSetCollection.from_minimal(cut_sets, probabilities=tree.probabilities())
+
+
 def _summary_from_collection(
     collection: CutSetCollection, tree: FaultTree, backend: str, elapsed: float
 ) -> MPMCSSummary:
@@ -117,8 +131,13 @@ class _CutSetBackend(AnalysisBackend):
 
     CUT_SET_ANALYSES = frozenset({"mcs", "mpmcs", "ranking", "top_event", "importance"})
 
-    def _cut_sets(self, tree: FaultTree) -> CutSetCollection:
+    def _enumerate(self, tree: FaultTree) -> CutSetCollection:
         raise NotImplementedError
+
+    def _cut_sets(self, tree: FaultTree) -> CutSetCollection:
+        return _with_probabilities(
+            self.context.artifacts, tree, lambda: tuple(self._enumerate(tree))
+        )
 
     def _top_event_summary(self, tree: FaultTree, collection: CutSetCollection) -> TopEventSummary:
         probabilities = tree.probabilities()
@@ -281,10 +300,8 @@ class MaxSATBackend(AnalysisBackend):
                 engine=self.WARM_ENGINE,
                 solve_time=outcome.solve_time,
                 total_time=outcome.solve_time,
-                num_vars=session.num_vars,
-                num_hard=session.num_hard,
                 num_soft=len(session.event_vars),
-                num_aux_vars=session.num_aux_vars,
+                encoding_sizes=(session.num_vars, session.num_hard, session.num_aux_vars),
             )
 
         def solve(found: Found) -> Optional[MPMCSResult]:
@@ -370,10 +387,8 @@ class MocusBackend(_CutSetBackend):
         {"mcs", "mpmcs", "ranking", "top_event", "importance", "spof", "modules", "truncation"}
     )
 
-    def _cut_sets(self, tree: FaultTree) -> CutSetCollection:
-        return self.context.artifacts.get_or_compute(
-            tree, ARTIFACT_CUT_SETS, lambda: mocus_minimal_cut_sets(tree)
-        )
+    def _enumerate(self, tree: FaultTree) -> CutSetCollection:
+        return mocus_minimal_cut_sets(tree)
 
 
 @register_backend(aliases=("bruteforce", "bf"))
@@ -383,10 +398,8 @@ class BruteForceBackend(_CutSetBackend):
     name = "brute-force"
     CAPABILITIES = frozenset({"mcs", "mpmcs", "ranking", "top_event", "importance"})
 
-    def _cut_sets(self, tree: FaultTree) -> CutSetCollection:
-        return self.context.artifacts.get_or_compute(
-            tree, ARTIFACT_CUT_SETS, lambda: brute_force_minimal_cut_sets(tree)
-        )
+    def _enumerate(self, tree: FaultTree) -> CutSetCollection:
+        return brute_force_minimal_cut_sets(tree)
 
 
 @register_backend
@@ -421,7 +434,7 @@ class BDDBackend(AnalysisBackend):
             return manager.from_fault_tree(tree)
 
         try:
-            return artifacts.get_or_compute_subtree(tree, tree.top_event, ARTIFACT_BDD, build)
+            return artifacts.get_or_compute(tree, ARTIFACT_BDD, build)
         except (ReproError, MemoryError, RecursionError) as exc:
             if not isinstance(exc, ReproError):
                 exc = AnalysisError(f"cannot compile the BDD of {tree.name!r}: {exc!r}")
@@ -429,12 +442,8 @@ class BDDBackend(AnalysisBackend):
             raise exc
 
     def _collection(self, tree: FaultTree, function: BDD) -> CutSetCollection:
-        return self.context.artifacts.get_or_compute(
-            tree,
-            ARTIFACT_CUT_SETS,
-            lambda: CutSetCollection(
-                cut_sets=cut_sets_of_bdd(function), probabilities=tree.probabilities()
-            ),
+        return _with_probabilities(
+            self.context.artifacts, tree, lambda: tuple(cut_sets_of_bdd(function))
         )
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:

@@ -1,44 +1,37 @@
-"""Per-session artifact cache keyed on a structural fault-tree hash.
+"""Per-session artifact cache keyed on structure-only fault-tree hashes.
 
 Composite requests such as ``["mpmcs", "top_event", "importance"]`` need the
 same expensive intermediates several times: the minimal cut sets (importance
 measures, probability bounds, MPMCS baselines) and the compiled BDD (exact
 probability, BDD cut sets).  :class:`ArtifactCache` memoises them once per
-structurally identical tree so each is computed exactly once per
+structure so each is computed exactly once per
 :class:`~repro.api.session.AnalysisSession`.  The MaxSAT encoding is not an
 artifact: its hard clauses depend on the gates alone, so they are encoded
 once per structure, not cached per tree
 (:attr:`~repro.fta.compiled.CompiledStructure.cnf`), and every analysis adds
 its own soft clauses.
 
-The cache key is a content hash over everything that influences analysis
-results — top event, gate structure and basic-event probabilities — and
-explicitly *not* the tree's display name, so re-parsing or renaming a model
-still hits.  Mutating a tree (e.g. :meth:`FaultTree.set_probability`) changes
-the hash, which invalidates stale artifacts automatically.
-
-Beyond whole-tree artifacts the cache also keys artifacts by *subtree*: the
-:mod:`repro.scenarios` sweep engine stores the minimal cut sets of every gate
-under a structure-only hash of the subtree rooted there
-(:func:`subtree_structure_hashes`).  Probabilities are deliberately excluded
-from that hash because the qualitative cut-set structure does not depend on
-them — a probability-only what-if scenario therefore reuses the cut sets of
-*every* gate, and a structural patch (added redundancy, a removed event)
-invalidates only the gates on the path from the edit to the top event.
-The compiled BDD is keyed the same way, by the structure-only hash of the
-top event, so one diagram serves every probability of one structure.
-Neither hash is recomputed per copy: the per-node structure hashes and the
-gate half of the whole-tree hash live on the tree's
+Every entry is keyed by ``(structure hash of a node, kind)``
+(:func:`subtree_structure_hashes`): a node's hash covers the gate types,
+voting thresholds and event names of the subtree rooted there, and
+explicitly *not* the probabilities or the tree's display name.  Every
+artifact is therefore qualitative — probabilities enter only when a backend
+quantifies it for one tree — and is shared by every tree of one structure:
+the minimal cut sets and the BDD are keyed by the top event's hash, so one
+enumeration and one compilation serve every probability of a sweep or
+monitor, and an in-place :meth:`FaultTree.set_probability` cannot make an
+entry stale.  The :mod:`repro.scenarios` sweep engine also stores the
+minimal cut sets of every gate under that gate's hash, so a structural
+patch (added redundancy, a removed event) recomputes only the gates on the
+path from the edit to the top event.  The hashes live on the tree's
 :class:`~repro.fta.compiled.CompiledStructure`, which every
-probability-only copy shares, so a scenario or monitor update serialises
-only its events and probabilities.
+probability-only copy shares, so no lookup serialises anything.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
-from weakref import WeakKeyDictionary
 
 from repro.fta.tree import FaultTree
 from repro.observability.metrics import get_metrics
@@ -50,17 +43,20 @@ __all__ = [
     "ARTIFACT_SUBTREE_CUT_SETS",
     "ArtifactCache",
     "ArtifactStoreBackend",
-    "structural_hash",
     "subtree_structure_hashes",
 ]
 
 #: Well-known artifact kinds shared by the built-in backends.  The minimal cut
-#: sets are keyed by the whole-tree hash.  No kind holds an MPMCS encoding:
+#: sets of the whole tree, a tuple of ``frozenset`` event names in canonical
+#: (size, then sorted names) order, keyed by the structure hash of the top
+#: event; each backend attaches a tree's probabilities when it reads them.
+#: No kind holds an MPMCS encoding, and no entry is keyed by probabilities:
 #: entries a persistent store may still hold under the retired kinds
-#: ``"cnf-encoding"`` and ``"mpmcs-encoding"`` are never read.
+#: ``"cnf-encoding"`` and ``"mpmcs-encoding"``, or under a retired whole-tree
+#: hash that included the probabilities, are never read.
 ARTIFACT_CUT_SETS = "minimal-cut-sets"
-#: Compiled BDD keyed by the *structure-only* hash of the top event's subtree
-#: (:meth:`ArtifactCache.get_or_compute_subtree`).  The diagram encodes the
+#: Compiled BDD keyed by the structure hash of the top event's subtree
+#: (:meth:`ArtifactCache.get_or_compute`).  The diagram encodes the
 #: monotone structure function alone — probabilities only enter at
 #: evaluation time — so one compilation serves every probability-perturbed
 #: tree of a sweep or monitor (see :class:`repro.api.backends.BDDBackend`).
@@ -85,9 +81,10 @@ class ArtifactStoreBackend:
     computed artifact through to it, which is how artifacts outlive a process:
     :class:`repro.service.store.DiskArtifactStore` implements this protocol
     over a content-addressed on-disk layout shared between processes.  The
-    keys handed to a backend are the same ``(content_hash, kind)`` pairs the
-    memory tier uses, so any two caches pointed at one backend exchange
-    artifacts for structurally identical (sub)trees automatically.
+    keys handed to a backend are the same ``(structure hash, kind)`` pairs
+    the memory tier uses, so any two caches pointed at one backend exchange
+    artifacts for structurally identical (sub)trees automatically, whatever
+    their probabilities.
     """
 
     def load(self, key_hash: str, kind: str) -> Tuple[bool, Any]:
@@ -111,22 +108,6 @@ class ArtifactStoreBackend:
 T = TypeVar("T")
 
 
-def structural_hash(tree: FaultTree) -> str:
-    """Content hash of a fault tree's analysis-relevant structure.
-
-    Two trees receive the same hash exactly when they have the same top
-    event, the same gates (type, ``k``, child order) and the same basic
-    events with bit-identical probabilities.  Names of trees and descriptions
-    of nodes are ignored — they do not influence any analysis result.
-
-    The gate half of the payload is serialised once per structure
-    (:meth:`~repro.fta.compiled.CompiledStructure.content_hash`), so a copy
-    with other probabilities serialises only its events.  The tree must be
-    valid.
-    """
-    return tree.compiled().content_hash(tree.probabilities())
-
-
 def subtree_structure_hashes(tree: FaultTree) -> Dict[str, str]:
     """Structure-only content hash of the subtree rooted at every node.
 
@@ -148,11 +129,13 @@ def subtree_structure_hashes(tree: FaultTree) -> Dict[str, str]:
 
 
 class ArtifactCache:
-    """Memoisation table for expensive per-tree analysis intermediates.
+    """Memoisation table for expensive, purely qualitative analysis intermediates.
 
-    Entries are keyed by ``(structural_hash(tree), kind)``.  The cache keeps
-    hit/miss counters per kind so tests (and curious users) can verify that a
-    composite request computed each artifact exactly once.
+    Entries are keyed by ``(structure hash of a node, kind)``, the node
+    defaulting to the top event (see the module docstring), so a value must
+    not depend on probabilities.  The cache keeps hit/miss counters per kind
+    so tests (and curious users) can verify that a composite request computed
+    each artifact exactly once.
 
     Parameters
     ----------
@@ -160,9 +143,8 @@ class ArtifactCache:
         Optional bound on the number of in-memory entries.  When set, the
         cache evicts least-recently-used entries once the bound is exceeded
         (per-kind eviction counters appear in :meth:`stats`), so a
-        long-running service or an unbounded sweep cannot grow the memory
-        tier without limit.  ``None`` (the default) keeps the historical
-        unbounded behaviour.
+        long-running service cannot grow the memory tier without limit.
+        ``None`` (the default) keeps every entry.
     backend:
         Optional :class:`ArtifactStoreBackend` probed on every memory miss
         and written through on every computation, e.g. the persistent
@@ -187,21 +169,6 @@ class ArtifactCache:
         self._evictions: Dict[str, int] = {}
         self._store_hits: Dict[str, int] = {}
         self._store_misses: Dict[str, int] = {}
-        # Per-object memo of (tree.version, hash): a composite request probes
-        # the cache several times per tree, and re-serialising the events for
-        # every probe is O(tree) redundant work.  FaultTree.version is bumped
-        # on every mutation, which keeps the memo safe.  The structure-only
-        # keys need no memo here: they live on the tree's compiled structure.
-        self._hash_memo: "WeakKeyDictionary[FaultTree, Tuple[int, str]]" = WeakKeyDictionary()
-
-    def key_for(self, tree: FaultTree) -> str:
-        """The structural cache key of ``tree`` (memoised per tree object)."""
-        memo = self._hash_memo.get(tree)
-        if memo is not None and memo[0] == tree.version:
-            return memo[1]
-        digest = structural_hash(tree)
-        self._hash_memo[tree] = (tree.version, digest)
-        return digest
 
     def _lookup(self, key: Tuple[str, str], kind: str) -> Tuple[bool, Any]:
         """Probe the memory tier, then the backend; count at the tier that answered."""
@@ -234,9 +201,19 @@ class ArtifactCache:
                 evicted_kind = evicted_key[1]
                 self._evictions[evicted_kind] = self._evictions.get(evicted_kind, 0) + 1
 
-    def get_or_compute(self, tree: FaultTree, kind: str, compute: Callable[[], T]) -> T:
-        """Return the cached artifact of ``kind`` for ``tree``, computing it once."""
-        key = (self.key_for(tree), kind)
+    def get_or_compute(
+        self, tree: FaultTree, kind: str, compute: Callable[[], T], *, node: Optional[str] = None
+    ) -> T:
+        """Return the artifact of ``kind`` for the subtree of ``tree`` at
+        ``node`` (default: the top event), computing it once.
+
+        Keyed by the node's structure hash, so the entry is shared by every
+        tree (base model or perturbed scenario) containing a structurally
+        identical subtree — probabilities do not participate in the key and
+        the stored value must therefore be purely qualitative.
+        """
+        hashes = tree.compiled().node_hashes
+        key = (hashes[tree.top_event if node is None else node], kind)
         found, value = self._lookup(key, kind)
         if found:
             return value
@@ -247,16 +224,15 @@ class ArtifactCache:
         return value
 
     def put(self, tree: FaultTree, kind: str, value: Any) -> None:
-        """Seed the cache entry of ``kind`` for ``tree`` without counting a miss.
+        """Seed the entry of ``kind`` for ``tree``'s structure without counting a miss.
 
         Used by producers that obtained the artifact through a cheaper route
-        (e.g. the incremental sweep assembling cut sets from cached subtrees)
-        so later :meth:`get_or_compute` probes hit instead of recomputing.
-        Seeded entries are *not* written through to the backend: they are
-        per-scenario assemblies whose building blocks (the subtree artifacts)
-        are already persisted.
+        (the incremental sweep assembling cut sets from cached subtrees) so
+        later :meth:`get_or_compute` probes hit instead of recomputing.
+        Seeded entries are *not* written through to the backend: their
+        building blocks (the subtree artifacts) are already persisted.
         """
-        self._insert((self.key_for(tree), kind), value)
+        self._insert((tree.compiled().node_hashes[tree.top_event], kind), value)
 
     def structure_keys_for(self, tree: FaultTree) -> Dict[str, str]:
         """Per-node structure-only hashes of ``tree`` (read-only).
@@ -266,56 +242,19 @@ class ArtifactCache:
         """
         return tree.compiled().node_hashes
 
-    def get_or_compute_subtree(
-        self, tree: FaultTree, node: str, kind: str, compute: Callable[[], T]
-    ) -> T:
-        """Return the artifact of ``kind`` for the subtree of ``tree`` at ``node``.
+    def invalidate(self, tree: FaultTree) -> int:
+        """Drop every artifact of every node of ``tree``; returns the number
+        removed from memory.
 
-        Keyed by the node's structure-only hash, so the entry is shared by
-        every tree (base model or perturbed scenario) containing a
-        structurally identical subtree — probabilities do not participate in
-        the key and the stored value must therefore be purely qualitative.
+        With a persistent backend the disk tier is dropped too — a
+        memory-only drop would otherwise be undone by the next probe
+        re-fetching the entry from disk.
         """
-        key = (self.structure_keys_for(tree)[node], kind)
-        found, value = self._lookup(key, kind)
-        if found:
-            return value
-        value = compute()
-        self._insert(key, value)
-        if self.backend is not None:
-            self.backend.store(key[0], kind, value)
-        return value
-
-    def invalidate(
-        self,
-        tree: FaultTree,
-        *,
-        include_subtrees: bool = True,
-        include_backend: bool = True,
-    ) -> int:
-        """Drop every artifact cached for ``tree``; returns the number removed.
-
-        Removes whole-tree artifacts keyed by the tree's *current* structural
-        hash and, unless ``include_subtrees=False``, the subtree artifacts of
-        every node currently in the tree (``include_subtrees=False`` is the
-        sweep executor's per-scenario eviction: the scenario's whole-tree
-        entries are dead after its analysis, but the subtree entries are the
-        shared incremental state every later scenario reuses).  With a
-        persistent backend, invalidation reaches the disk tier too unless
-        ``include_backend=False`` — a memory-only drop would otherwise be
-        undone by the next probe re-fetching the stale entry from disk.
-        Entries stored under a hash the tree had *before* an in-place
-        mutation are unreachable from here (the key changed with the tree);
-        they are never served stale, but reclaiming their memory requires
-        :meth:`clear`.
-        """
-        keys = {self.key_for(tree)}
-        if include_subtrees:
-            keys.update(self.structure_keys_for(tree).values())
+        keys = set(self.structure_keys_for(tree).values())
         stale = [key for key in self._store if key[0] in keys]
         for key in stale:
             del self._store[key]
-        if include_backend and self.backend is not None:
+        if self.backend is not None:
             # Duck-typed: backends without deletion support may omit discard.
             discard = getattr(self.backend, "discard", None)
             if discard is not None:

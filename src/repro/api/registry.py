@@ -81,7 +81,7 @@ class AnalysisBackend(abc.ABC):
     #: Canonical analysis names this backend can compute.
     CAPABILITIES: ClassVar[FrozenSet[str]] = frozenset()
     #: The analyses for which this backend reads the session cache's
-    #: whole-tree cut-set artifact (:data:`~repro.api.cache.ARTIFACT_CUT_SETS`).
+    #: cut-set artifact (:data:`~repro.api.cache.ARTIFACT_CUT_SETS`).
     #: The sweep executor pre-seeds that artifact only for these.
     CUT_SET_ANALYSES: ClassVar[FrozenSet[str]] = frozenset()
 

@@ -2,10 +2,11 @@
 
 A session owns three pieces of shared state:
 
-* an :class:`~repro.api.cache.ArtifactCache` memoising expensive per-tree
-  intermediates (minimal cut sets, compiled BDD).  The MaxSAT encoding is
-  not among them: its hard clauses are encoded once per structure, not
-  cached per tree (:attr:`~repro.fta.compiled.CompiledStructure.cnf`);
+* an :class:`~repro.api.cache.ArtifactCache` memoising expensive
+  per-structure intermediates (minimal cut sets, compiled BDD).  The MaxSAT
+  encoding is not among them: its hard clauses are encoded once per
+  structure on the tree itself
+  (:attr:`~repro.fta.compiled.CompiledStructure.cnf`);
 * one :class:`~repro.core.pipeline.MPMCSSolver` (the MaxSAT portfolio),
   constructed once instead of per call;
 * one instance of each backend, created lazily from the registry.
@@ -88,19 +89,17 @@ def _validated(tree: FaultTree) -> FaultTree:
 class AnalysisSession:
     """Front door for every analysis, with routing, caching and batching.
 
-    **Cache staleness and in-place tree mutation.**  Artifacts are keyed by a
-    content hash of the tree, so mutating a tree in place (e.g.
-    :meth:`FaultTree.set_probability`, :meth:`FaultTree.add_gate`) is *safe*
-    with respect to correctness: the next :meth:`analyze` sees a new hash and
-    recomputes.  Two hazards remain, however.  First, results already handed
-    out — an :class:`AnalysisReport`, a cached ``CutSetCollection`` — are
-    snapshots and are **not** updated when the tree changes; re-run the
-    analysis after mutating.  Second, entries stored under the pre-mutation
-    hash become unreachable garbage that :meth:`invalidate` cannot find any
-    more (it can only compute the *current* hash); call :meth:`invalidate`
-    *before* mutating a tree you will not analyse again, or use
-    :meth:`clear_cache` to reclaim everything.  Non-destructive perturbation
-    via :mod:`repro.scenarios` patches sidesteps both hazards.
+    **In-place tree mutation.**  Artifacts are keyed by the structure hashes
+    of the tree's nodes, never by probabilities, and hold qualitative values
+    only (cut sets, diagrams); each analysis attaches the tree's current
+    probabilities.  So after :meth:`FaultTree.set_probability` the next
+    :meth:`analyze` answers with the new probabilities from the cached
+    artifacts, and after a structural edit (:meth:`FaultTree.add_gate`) the
+    tree has new keys.  Results already handed out — an
+    :class:`AnalysisReport`, a ``CutSetCollection`` — are snapshots and are
+    **not** updated when the tree changes; re-run the analysis after
+    mutating.  Entries of a structure the tree no longer has stay until
+    :meth:`clear_cache`, or :meth:`invalidate` called before the edit.
 
     Parameters
     ----------
@@ -154,12 +153,12 @@ class AnalysisSession:
         return self.artifacts.stats()
 
     def invalidate(self, tree: FaultTree) -> int:
-        """Drop every cached artifact of ``tree``; returns the number removed.
+        """Drop every cached artifact of ``tree``'s structure; returns the
+        number removed.
 
-        Call this *before* mutating a tree in place if you will not analyse
-        the pre-mutation structure again — afterwards the old entries are
-        keyed under a hash that can no longer be derived from the tree (see
-        the class docstring on staleness).
+        Call this *before* a structural edit if you will not analyse the
+        old structure again — afterwards its keys can no longer be derived
+        from the tree.
         """
         return self.artifacts.invalidate(tree)
 

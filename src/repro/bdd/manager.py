@@ -240,17 +240,23 @@ class BDDManager:
                 compiled[name] = self.var(name).node
                 continue
             gate = tree.gates[name]
-            children = [compiled[child] for child in gate.children]
-            if gate.gate_type is GateType.AND:
+            # Deepest top variable first, so each child lands above the
+            # diagram folded so far: wide gates compile in linear time.
+            children = sorted(
+                (compiled[child] for child in gate.children), key=self._level, reverse=True
+            )
+            # An n-of-n vote is the AND and a 1-of-n vote the OR; the
+            # threshold counter is far slower on both.
+            if gate.gate_type is GateType.AND or gate.k == len(children):
                 result = TRUE_NODE
                 for child in children:
                     result = self.apply_and(result, child)
-            elif gate.gate_type is GateType.OR:
+            elif gate.gate_type is GateType.OR or gate.k == 1:
                 result = FALSE_NODE
                 for child in children:
                     result = self.apply_or(result, child)
             else:
-                result = self._compile_threshold(gate.k or 1, children)
+                result = self._compile_threshold(gate.k, children)
             compiled[name] = result
         return BDD(self, compiled[tree.top_event])
 

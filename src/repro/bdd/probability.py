@@ -7,13 +7,14 @@ Two complementary algorithms, both linear in the number of BDD nodes:
   independent basic events assumed.  This is the textbook BDD-based
   quantitative FTA the paper's survey references describe.
 * :func:`bdd_mpmcs` — the Maximum Probability Minimal Cut Set computed
-  directly on the BDD with dynamic programming: for every node, the best
-  (highest-probability) way to reach the ``1`` terminal either avoids the
-  node's variable (low branch, factor 1) or includes it (high branch, factor
-  ``p(x)``).  Because the structure function is monotone and probabilities are
-  at most 1, the optimal set of included variables is an inclusion-minimal cut
-  set — the MPMCS.  This is the BDD-based baseline of benchmark E6 and the
-  comparison the paper lists as future work.
+  directly on the BDD with dynamic programming: for every node, the
+  cheapest way to reach the ``1`` terminal either avoids the node's variable
+  (low branch, cost 0) or includes it (high branch, the variable's positive
+  integer ``-log`` objective weight).  Because the structure function is
+  monotone and every weight is positive, the optimal set of included
+  variables is an inclusion-minimal cut set — the MPMCS.  This is the
+  BDD-based baseline of benchmark E6 and the comparison the paper lists as
+  future work.
 
 Both queries are also available on an already-compiled function
 (:func:`probability_of_bdd`, :func:`mpmcs_of_bdd`) so callers holding a cached
@@ -22,13 +23,13 @@ tree for every query.
 
 Tie-breaking
 ------------
-When several minimal cut sets share the maximum probability, the dynamic
-programme breaks ties canonically: the smallest cut set wins, and among equal
-sizes the lexicographically smallest sorted event tuple.  This matches the
-ordering of :meth:`repro.analysis.cutsets.CutSetCollection.ranked`, so the
-BDD backend, MOCUS, brute force and the (canonicalised) MaxSAT pipeline all
-return the identical MPMCS on ties — cross-backend equality checks stay
-reproducible.
+The MPMCS dynamic programme minimises the MaxSAT pipeline's integer
+objective (:func:`~repro.maxsat.instance.objective_weight`): the rounded
+``-log`` weights, then the smallest cut set, then the lexicographically
+smallest sorted event tuple.  This is the ordering of
+:meth:`repro.analysis.cutsets.CutSetCollection.ranked`, so the BDD backend,
+MOCUS, brute force and the MaxSAT pipeline all return the identical MPMCS on
+ties and near-ties — cross-backend equality checks stay reproducible.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD, BDDManager, FALSE_NODE, TRUE_NODE
 from repro.bdd.ordering import variable_order
+from repro.core.weights import log_weight
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
+from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight
 
 __all__ = [
     "FLAT_FORM_CACHE_LIMIT",
@@ -251,31 +254,25 @@ def probability_of_bdd(function: BDD, probabilities: Mapping[str, float]) -> flo
     return values[flat.root]
 
 
-# A DP entry is the best cut set reachable from a node: (probability, sorted
-# event tuple), or None when the TRUE terminal is unreachable.
-_Best = Optional[Tuple[float, Tuple[str, ...]]]
-
-
-def _better(a: _Best, b: _Best) -> _Best:
-    """The canonically better of two candidate cut sets.
-
-    Higher probability wins; ties go to the smaller set, then to the
-    lexicographically smaller sorted event tuple — the same order
-    :meth:`CutSetCollection.ranked` uses.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    key_a = (-a[0], len(a[1]), a[1])
-    key_b = (-b[0], len(b[1]), b[1])
-    return a if key_a <= key_b else b
+# A DP entry is the best cut set reachable from a node: (summed objective
+# weight, probability, member events), or None when the TRUE terminal is
+# unreachable.
+_Best = Optional[Tuple[int, float, Tuple[str, ...]]]
 
 
 def mpmcs_of_bdd(
     function: BDD, probabilities: Mapping[str, float]
 ) -> Tuple[Tuple[str, ...], float]:
     """MPMCS of an already-compiled BDD function.
+
+    The dynamic programme minimises the MaxSAT objective
+    (:func:`~repro.maxsat.instance.objective_weight` at
+    :data:`~repro.maxsat.instance.DEFAULT_PRECISION`, events ranked by
+    sorted name among ``probabilities``), summed over the events a path
+    includes.  The sum is additive and no two sets share it, so the answer
+    is exact in the canonical order every backend ranks by, also where two
+    cut sets' float products tie or differ in the last place.  The reported
+    probability is the float product of the chosen events.
 
     Returns ``(sorted event tuple, probability)``; raises
     :class:`AnalysisError` when the function is unsatisfiable (no cut set).
@@ -284,7 +281,8 @@ def mpmcs_of_bdd(
         raise AnalysisError("BDD function is constant false: the top event cannot occur")
 
     manager = function.manager
-    best: Dict[int, _Best] = {FALSE_NODE: None, TRUE_NODE: (1.0, ())}
+    ranks = {name: rank for rank, name in enumerate(sorted(probabilities))}
+    best: Dict[int, _Best] = {FALSE_NODE: None, TRUE_NODE: (0, 1.0, ())}
 
     def visit(node: int) -> _Best:
         if node in best:
@@ -295,23 +293,19 @@ def mpmcs_of_bdd(
             p = probabilities[name]
         except KeyError as exc:
             raise AnalysisError(f"no probability known for event {name!r}") from exc
-        low_best = visit(low)
+        value = visit(low)
         high_best = visit(high)
-        include: _Best = None
         if high_best is not None:
-            include = (
-                high_best[0] * p,
-                tuple(sorted(high_best[1] + (name,))),
-            )
-        value = _better(low_best, include)
+            weight = objective_weight(log_weight(p), ranks[name], len(ranks), DEFAULT_PRECISION)
+            if value is None or high_best[0] + weight < value[0]:
+                value = (high_best[0] + weight, high_best[1] * p, high_best[2] + (name,))
         best[node] = value
         return value
 
     top = visit(function.node)
     if top is None:  # pragma: no cover - is_false already caught this
         raise AnalysisError("BDD function has no path to the TRUE terminal")
-    probability, members = top[0], top[1]
-    return members, probability
+    return tuple(sorted(top[2])), top[1]
 
 
 def bdd_mpmcs(

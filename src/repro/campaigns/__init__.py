@@ -40,7 +40,7 @@ from repro.campaigns.spec import (
     CampaignSpec,
     Chunk,
     StageSpec,
-    content_hash,
+    document_hash,
     frontier_stage,
     report_stage,
     sweep_stage,
@@ -59,7 +59,7 @@ __all__ = [
     "StageStats",
     "campaign_state",
     "chunk_record_key",
-    "content_hash",
+    "document_hash",
     "frontier_stage",
     "materialise_tree",
     "merge_scenario_reports",

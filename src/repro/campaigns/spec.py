@@ -54,7 +54,7 @@ def _canonical_json(document: Any) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def content_hash(document: Any) -> str:
+def document_hash(document: Any) -> str:
     """SHA-256 hex digest of a JSON document's canonical serialisation."""
     return hashlib.sha256(_canonical_json(document).encode("utf-8")).hexdigest()
 
@@ -245,7 +245,7 @@ class CampaignSpec:
         Two textually different but canonically identical specs share an id,
         so resubmitting a spec resumes its campaign instead of redoing it.
         """
-        return content_hash(self.to_dict())[:32]
+        return document_hash(self.to_dict())[:32]
 
     # -- chunking -----------------------------------------------------------------
 
@@ -275,7 +275,7 @@ class CampaignSpec:
                 for start in range(0, len(documents), chunk_size)
             ]
         for index, piece in enumerate(slices):
-            digest = content_hash({**base, "index": index, "scenarios": piece})
+            digest = document_hash({**base, "index": index, "scenarios": piece})
             chunks.append(
                 Chunk(stage=stage.name, index=index, hash=digest, payload={"scenarios": piece})
             )
@@ -283,7 +283,7 @@ class CampaignSpec:
 
     def single_chunk_for(self, stage: StageSpec) -> Chunk:
         """The one chunk of a non-fanning stage (frontier, report)."""
-        digest = content_hash({**self._chunk_base(stage), "index": 0, "payload": stage.payload})
+        digest = document_hash({**self._chunk_base(stage), "index": 0, "payload": stage.payload})
         return Chunk(stage=stage.name, index=0, hash=digest, payload=dict(stage.payload))
 
     def _chunk_base(self, stage: StageSpec) -> Dict[str, Any]:

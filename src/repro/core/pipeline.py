@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs, event_weight
 from repro.core.weights import probability_of_cut_set
@@ -69,6 +69,10 @@ class MPMCSResult:
         benchmarks.
     portfolio:
         The full per-engine report when the parallel portfolio was used.
+    encoding_sizes:
+        ``(num_vars, num_hard, num_aux_vars)`` of the whole-tree encoding,
+        or the compiled structure whose memoised hard clauses give them on
+        first read: a modular solve never needs those clauses itself.
     """
 
     tree_name: str
@@ -79,11 +83,30 @@ class MPMCSResult:
     engine: str = ""
     solve_time: float = 0.0
     total_time: float = 0.0
-    num_vars: int = 0
-    num_hard: int = 0
     num_soft: int = 0
-    num_aux_vars: int = 0
     portfolio: Optional[PortfolioReport] = None
+    encoding_sizes: Union[Tuple[int, int, int], CompiledStructure] = field(
+        default=(0, 0, 0), repr=False, compare=False
+    )
+
+    def _sizes(self) -> Tuple[int, int, int]:
+        """``encoding_sizes``, read off the structure's clauses on first use."""
+        if isinstance(self.encoding_sizes, CompiledStructure):
+            cnf = self.encoding_sizes.cnf
+            self.encoding_sizes = (cnf.instance.num_vars, cnf.instance.num_hard, cnf.num_aux_vars)
+        return self.encoding_sizes
+
+    @property
+    def num_vars(self) -> int:
+        return self._sizes()[0]
+
+    @property
+    def num_hard(self) -> int:
+        return self._sizes()[1]
+
+    @property
+    def num_aux_vars(self) -> int:
+        return self._sizes()[2]
 
     @property
     def size(self) -> int:
@@ -300,14 +323,13 @@ class MPMCSSolver:
         """Steps 3-6 module by module: ``optima`` brought in line with
         ``tree`` (:meth:`ModuleOptima.update`), the skeletons that need a
         search solved by the portfolio.  The reported instance size is the
-        whole-tree encoding's."""
+        whole-tree encoding's, assembled only if it is read."""
         start = time.perf_counter()
         reports = optima.update(
             tree, lambda skeleton, value: self._solve_skeleton(tree, skeleton, value)
         )
         cut_set, objective, weight = optima.optimum()
         report = _merged_report(reports, objective, weight)
-        cnf = optima.structure.cnf
         return self._result(
             tree,
             cut_set,
@@ -315,7 +337,8 @@ class MPMCSSolver:
             report.result,
             report,
             start,
-            (cnf.instance.num_vars, cnf.instance.num_hard, len(optima.weights), cnf.num_aux_vars),
+            len(optima.weights),
+            optima.structure,
         )
 
     def solve_encoding(
@@ -338,7 +361,8 @@ class MPMCSSolver:
             maxsat_result,
             report,
             start,
-            (instance.num_vars, instance.num_hard, instance.num_soft, encoding.num_aux_vars),
+            instance.num_soft,
+            (instance.num_vars, instance.num_hard, encoding.num_aux_vars),
         )
 
     def optima(
@@ -408,19 +432,19 @@ class MPMCSSolver:
         maxsat_result: MaxSATResult,
         report: Optional[PortfolioReport],
         start: float,
-        sizes: Tuple[int, int, int, int],
+        num_soft: int,
+        encoding_sizes: Union[Tuple[int, int, int], CompiledStructure],
     ) -> MPMCSResult:
         """Step 6: the checked cut set and its reverse log-space transformation.
 
-        ``sizes`` are the whole-tree encoding's variables, hard and soft
-        clauses and auxiliary variables.
+        ``num_soft`` and ``encoding_sizes`` describe the whole-tree encoding
+        (see :class:`MPMCSResult`).
         """
         if not tree.is_minimal_cut_set(cut_set):
             raise AnalysisError(
                 f"internal error: extracted set {cut_set} is not a minimal cut set of "
                 f"{tree.name!r}; please report this as a bug"
             )
-        num_vars, num_hard, num_soft, num_aux_vars = sizes
         return MPMCSResult(
             tree_name=tree.name,
             events=cut_set,
@@ -430,11 +454,9 @@ class MPMCSSolver:
             engine=maxsat_result.engine,
             solve_time=maxsat_result.solve_time,
             total_time=time.perf_counter() - start,
-            num_vars=num_vars,
-            num_hard=num_hard,
             num_soft=num_soft,
-            num_aux_vars=num_aux_vars,
             portfolio=report,
+            encoding_sizes=encoding_sizes,
         )
 
 

@@ -6,11 +6,10 @@ over node indices.  It depends on the gates and the top event alone, so
 every probability-only copy of a tree (:meth:`FaultTree.copy` followed by
 :meth:`FaultTree.set_probability`, as in sweeps and live monitors) shares
 the object, and structure-only work — the order, the event ranks, the
-per-node structure hashes, the gate half of the whole-tree content hash, the
-independent modules, the MPMCS encoding's hard clauses — is done once per
-structure instead of once per copy.  Both
-hash formats live here, so :mod:`repro.api.cache` keys its artifacts
-without knowing them.
+per-node structure hashes, the independent modules, the MPMCS encoding's
+hard clauses — is done once per structure instead of once per copy.  The
+hash format lives here, so :mod:`repro.api.cache` keys its artifacts
+without knowing it.
 
 Evaluation is bit-parallel with Python integers as lanes: bit ``j`` of a
 node's value is the node's state in lane ``j``, so an AND gate is one ``&``
@@ -30,7 +29,6 @@ first and second visit.  Both passes are iterative, so depth is unbounded.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fta.gates import Gate, GateType
@@ -159,7 +157,6 @@ class CompiledStructure:
         "_leaves",
         "_program",
         "_node_hashes",
-        "_gates_json",
         "_cnf",
         "_modules",
     )
@@ -168,7 +165,7 @@ class CompiledStructure:
         self.order: Tuple[str, ...] = tuple(order)
         index = {name: position for position, name in enumerate(self.order)}
         self.top = index[top_event]
-        # Basic events by name, in sorted order (the content hash's order).
+        # Basic events by name, in sorted order (the order of the event ranks).
         self._leaves: Dict[str, int] = {
             name: index[name] for name in sorted(self.order) if name not in gates
         }
@@ -182,7 +179,6 @@ class CompiledStructure:
             ]
         )
         self._node_hashes: Optional[Dict[str, str]] = None
-        self._gates_json: Optional[str] = None
         self._cnf: Optional["StructureCNF"] = None
         self._modules: Optional[Tuple[Skeleton, ...]] = None
 
@@ -334,27 +330,3 @@ class CompiledStructure:
                 [self.order[node] for node in nodes],
                 [gates[node] for node in nodes if node == root or (kids[node] and not flags[node])],
             )
-
-    def content_hash(self, probabilities: Mapping[str, float]) -> str:
-        """SHA-256 of the structure together with the given event probabilities.
-
-        The payload is the canonical JSON ``{"events":[[name, hex], ...],
-        "gates":[[name, type, k or -1, children], ...],"top":name}``, events
-        and gates sorted by name, children in declaration order; persistent
-        artifact stores address entries by it, so its bytes never change.
-        Everything after the events is serialised once per structure.
-        """
-        if self._gates_json is None:
-            gates = sorted(
-                (gate.name, gate.gate_type.value, gate.k if gate.k is not None else -1, list(gate.children))
-                for gate in self.gates
-            )
-            self._gates_json = json.dumps(
-                {"gates": gates, "top": self.order[self.top]}, separators=(",", ":")
-            )
-        events = json.dumps(
-            {"events": [(name, probabilities[name].hex()) for name in self._leaves]},
-            separators=(",", ":"),
-        )
-        payload = events[:-1] + "," + self._gates_json[1:]
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()

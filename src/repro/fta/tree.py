@@ -129,9 +129,8 @@ class FaultTree:
     def version(self) -> int:
         """Mutation counter, bumped by every structural or probability change.
 
-        Lets caches (e.g. :class:`repro.api.ArtifactCache`) memoise derived
-        values per tree object and detect staleness without re-reading the
-        whole structure.
+        Lets callers tell that a tree object changed (or that an operation
+        left it untouched) without comparing its content.
         """
         return self._version
 

@@ -310,7 +310,6 @@ class TreeMonitor:
         self,
         update: ProbabilityUpdate,
         changed: List[str],
-        patched: FaultTree,
         started: float,
         report: Union[AnalysisReport, ReproError],
     ) -> MonitorDelta:
@@ -318,7 +317,6 @@ class TreeMonitor:
         if isinstance(report, ReproError):
             raise report
         registry = get_metrics()
-        self.executor.evict_tree_artifacts(self.tree, patched)
 
         self._updates_applied += 1
         self._last_update_at = time.time()
@@ -383,17 +381,17 @@ class TreeMonitor:
             return []
         self.ensure_base()
         with self._lock:
-            staged: List[Tuple[ProbabilityUpdate, List[str], FaultTree, float]] = []
+            staged: List[Tuple[ProbabilityUpdate, List[str], float]] = []
+            trees: List[FaultTree] = []
             for update in updates:
                 started = time.perf_counter()
                 changed, patched = self._stage_locked(update)
-                staged.append((update, changed, patched, started))
-            reports = self.executor.analyze_batch(
-                [patched for _, _, patched, _ in staged], self._analyses, top_k=self.top_k
-            )
+                staged.append((update, changed, started))
+                trees.append(patched)
+            reports = self.executor.analyze_batch(trees, self._analyses, top_k=self.top_k)
             return [
-                self._record_locked(update, changed, patched, started, report)
-                for (update, changed, patched, started), report in zip(staged, reports)
+                self._record_locked(update, changed, started, report)
+                for (update, changed, started), report in zip(staged, reports)
             ]
 
     # -- the watchdog ------------------------------------------------------

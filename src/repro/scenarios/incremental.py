@@ -84,6 +84,26 @@ def _gate_cut_sets(
     return tuple(minimise_cut_sets(union))
 
 
+def _top_cut_sets(tree: FaultTree, cache: ArtifactCache) -> Tuple[CutSet, ...]:
+    """The minimal cut sets of ``tree``'s top event in canonical order, every
+    gate's resolved through ``cache``."""
+    tree.validate()
+    gates = tree.gates
+    resolved: Dict[str, Tuple[CutSet, ...]] = {}
+    for name in tree.topological_order():
+        gate = gates.get(name)
+        if gate is None:
+            resolved[name] = (frozenset((name,)),)
+        else:
+            resolved[name] = cache.get_or_compute(
+                tree,
+                ARTIFACT_SUBTREE_CUT_SETS,
+                lambda g=gate: _gate_cut_sets(g, resolved),
+                node=name,
+            )
+    return resolved[tree.top_event]
+
+
 def incremental_cut_sets(tree: FaultTree, cache: ArtifactCache) -> CutSetCollection:
     """Minimal cut sets of ``tree``, reusing cached unperturbed subtrees.
 
@@ -95,38 +115,25 @@ def incremental_cut_sets(tree: FaultTree, cache: ArtifactCache) -> CutSetCollect
     structure changed.  Cache hit/miss counters under that kind quantify the
     reuse.
     """
-    tree.validate()
-    gates = tree.gates
-    resolved: Dict[str, Tuple[CutSet, ...]] = {}
-    for name in tree.topological_order():
-        gate = gates.get(name)
-        if gate is None:
-            resolved[name] = (frozenset((name,)),)
-        else:
-            resolved[name] = cache.get_or_compute_subtree(
-                tree,
-                name,
-                ARTIFACT_SUBTREE_CUT_SETS,
-                lambda g=gate: _gate_cut_sets(g, resolved),
-            )
     return CutSetCollection.from_minimal(
-        resolved[tree.top_event], probabilities=tree.probabilities()
+        _top_cut_sets(tree, cache), probabilities=tree.probabilities()
     )
 
 
-def seed_session_cut_sets(tree: FaultTree, cache: ArtifactCache) -> CutSetCollection:
-    """Compute cut sets incrementally and seed them as the whole-tree artifact.
+def seed_session_cut_sets(tree: FaultTree, cache: ArtifactCache) -> Tuple[CutSet, ...]:
+    """Compute cut sets incrementally and seed them as the structure's
+    :data:`~repro.api.cache.ARTIFACT_CUT_SETS` artifact; returns them.
 
-    After seeding, a backend that reads
-    :data:`~repro.api.cache.ARTIFACT_CUT_SETS` on this tree — ``mocus`` and
-    ``brute-force`` for every cut-set analysis, ``bdd`` for ``mcs`` and
-    ``ranking`` (each backend's ``CUT_SET_ANALYSES``) — hits the
-    incrementally assembled collection instead of enumerating from scratch.
+    After seeding, a backend that reads that artifact on a tree of this
+    structure — ``mocus`` and ``brute-force`` for every cut-set analysis,
+    ``bdd`` for ``mcs`` and ``ranking`` (each backend's
+    ``CUT_SET_ANALYSES``) — hits the incrementally assembled sets instead of
+    enumerating from scratch, and attaches the tree's probabilities itself.
     This is the bridge that lets the sweep executor layer on the ordinary
     :class:`~repro.api.session.AnalysisSession` without modifying backends;
     the executor calls it only when such a backend will run.  ``maxsat`` and
     ``monte-carlo`` never read the artifact.
     """
-    collection = incremental_cut_sets(tree, cache)
-    cache.put(tree, ARTIFACT_CUT_SETS, collection)
-    return collection
+    cut_sets = _top_cut_sets(tree, cache)
+    cache.put(tree, ARTIFACT_CUT_SETS, cut_sets)
+    return cut_sets

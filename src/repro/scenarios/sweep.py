@@ -9,12 +9,14 @@ warm solver session per structure, ``bdd`` evaluates the top events in one
 kernel call).  Per scenario the executor adds two things:
 
 * **Cut-set seeding.**  When an analysis is routed to a backend that reads
-  the whole-tree cut-set artifact (its
+  the cut-set artifact (its
   :attr:`~repro.api.registry.AnalysisBackend.CUT_SET_ANALYSES`), the minimal
   cut sets are assembled from the session cache's *subtree* artifacts (see
   :mod:`repro.scenarios.incremental`) and seeded as that artifact, which
   turns a 200-scenario probability sweep into one structural enumeration
-  plus 200 cheap probability re-rankings.
+  plus 200 cheap probability re-rankings.  Every artifact is keyed by
+  structure, so a sweep adds cache entries only for the structures its
+  scenarios create, however many scenarios it runs.
 * **Exact top events** from a ``bdd`` batch, where the backend cannot answer
   ``top_event`` or answers with bounds only.
 
@@ -81,9 +83,9 @@ class SweepExecutor:
         :meth:`~repro.api.session.AnalysisSession.run_batch`, with their cut
         sets seeded from the subtree cache for the cut-set backends.
         ``False`` forces the naive path — a cold
-        :meth:`~repro.api.session.AnalysisSession.run` per scenario, which
-        re-enumerates from scratch — for correctness cross-checks and the
-        speedup benchmark.
+        :meth:`~repro.api.session.AnalysisSession.run` per scenario on its
+        own fresh artifact cache, which re-enumerates from scratch — for
+        correctness cross-checks and the speedup benchmark.
     backend:
         Registry name of the backend analysing every scenario.
     exact_top_event:
@@ -150,7 +152,7 @@ class SweepExecutor:
 
     def _reads_cut_sets(self, analyses: Tuple[str, ...]) -> bool:
         """True when a backend the session routes ``analyses`` to reads the
-        whole-tree cut-set artifact (its ``CUT_SET_ANALYSES``)."""
+        cut-set artifact (its ``CUT_SET_ANALYSES``)."""
         if not analyses:
             return False
         try:
@@ -195,8 +197,9 @@ class SweepExecutor:
         seed: int = 0,
     ) -> AnalysisReport:
         """One cold analysis of ``tree``, as a sweep with ``incremental=False``
-        makes per scenario: :meth:`analyze_batch` with a cold ``run`` in place
-        of the session's batch.  Raises the analysis error, if any."""
+        makes per scenario: :meth:`analyze_batch` with a cold ``run`` on a
+        fresh artifact cache in place of the session's batch.  Raises the
+        analysis error, if any."""
         (result,) = self._results(
             [tree], analyses, warm=False, top_k=top_k, samples=samples, seed=seed
         )
@@ -223,7 +226,7 @@ class SweepExecutor:
             samples=samples,
             seed=seed,
         )
-        source = run_each(trees, self._seeded)
+        source = run_each(trees, self._seeded) if warm else iter(trees)
         exact: Optional[Iterator[Result]] = None
         if self._fill_top_event:
             source, evaluated = itertools.tee(source)
@@ -234,7 +237,7 @@ class SweepExecutor:
         elif warm:
             reports = self.session.run_batch(_passed(analysed), request)
         else:
-            reports = run_each(_passed(analysed), lambda tree: self.session.run(tree, request))
+            reports = run_each(_passed(analysed), lambda tree: self._cold_run(tree, request))
         for tree in checked:
             if isinstance(tree, ReproError):
                 yield tree
@@ -244,6 +247,13 @@ class SweepExecutor:
             if isinstance(report, AnalysisReport):
                 report = self._merge_exact_top_event(tree, report, top_event)
             yield report
+
+    def _cold_run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
+        """``request`` on ``tree`` through a session with a fresh artifact
+        cache: artifacts are keyed by structure, so the executor's own cache
+        would serve cut sets computed for an earlier tree of one structure."""
+        fresh = AnalysisSession(solver=self.session.solver, kernel_tier=self.session.kernels.name)
+        return fresh.run(tree, request)
 
     def _seeded(self, tree: FaultTree) -> FaultTree:
         """``tree``, its cut sets seeded if a cut-set backend will read them."""
@@ -391,7 +401,6 @@ class SweepExecutor:
                     error=str(result),
                 )
             else:
-                self.evict_tree_artifacts(tree, patched)
                 top = _top_event_estimate(result)
                 mpmcs = result.mpmcs
                 outcome = ScenarioOutcome(
@@ -420,25 +429,6 @@ class SweepExecutor:
         report.cache_stats = self.session.cache_info()
         report.total_time_s = time.perf_counter() - started
         return report
-
-    def evict_tree_artifacts(self, base: FaultTree, patched: FaultTree) -> None:
-        """Drop a scenario tree's whole-tree cache entries after analysis.
-
-        Whole-tree artifacts are keyed by a probability-including hash that
-        is unique to the scenario, so once its report is assembled they are
-        dead weight — without eviction a long sweep grows the session cache
-        by one seeded collection (plus backend artifacts) per scenario.  The
-        shared *subtree* entries, which every later scenario reuses, are
-        kept; so is everything belonging to the base tree (an identity
-        scenario such as ``mission-time*1`` hashes equal to it).
-        """
-        artifacts = self.session.artifacts
-        if artifacts.key_for(patched) != artifacts.key_for(base):
-            # Memory-only eviction (include_backend=False): this reclaims the
-            # dead per-scenario weight from the hot tier without paying disk
-            # deletions per scenario or destroying store entries that a
-            # future identical scenario could reuse.
-            artifacts.invalidate(patched, include_subtrees=False, include_backend=False)
 
 
 def run_sweep(

@@ -11,10 +11,11 @@ Design points:
 
 * **Content addressing.**  Entries live at
   ``<root>/v<FORMAT_VERSION>/<kind-slug>/<hh>/<hash>.art`` where ``hash`` is
-  the cache's own structural / subtree-structure key.  Identical keys imply
-  identical values (the keys are content hashes over everything that
-  influences the artifact), so concurrent writers racing on one entry are
-  benign — whichever atomic rename lands last installs the same bytes.
+  the cache's own key, the structure hash of a (sub)tree.  Identical keys
+  imply identical values (the keys are content hashes over everything that
+  influences the artifact, and no artifact depends on probabilities), so
+  concurrent writers racing on one entry are benign — whichever atomic
+  rename lands last installs the same bytes.
 * **Atomic writes.**  Every entry is written to a unique temporary file in
   the destination directory and published with :func:`os.replace`; a reader
   can never observe a half-written entry under its final name, and a crashed

@@ -1,62 +1,65 @@
-"""Tests for the structural hash and the artifact cache."""
+"""Tests for the structure-keyed artifact cache."""
 
 import hashlib
 import json
 
 import pytest
 
-from repro.api.cache import ArtifactCache, structural_hash
+from repro.api.cache import ARTIFACT_CUT_SETS, ArtifactCache, subtree_structure_hashes
+from repro.api.session import AnalysisSession
+from repro.fta.gates import GateType
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES, fire_protection_system, pressure_tank
 
 
-def whole_tree_payload_hash(tree):
-    """The whole-tree key serialised in one piece: persistent store entries
-    are addressed by these bytes, so the split serialisation must match it."""
-    events = sorted((name, event.probability.hex()) for name, event in tree.events.items())
-    gates = sorted(
-        (gate.name, gate.gate_type.value, gate.k if gate.k is not None else -1, list(gate.children))
-        for gate in tree.gates.values()
-    )
-    payload = json.dumps(
-        {"top": tree.top_event, "events": events, "gates": gates},
-        separators=(",", ":"),
-        sort_keys=True,
-    )
+def _key(tree):
+    """The cache key of ``tree``'s whole-tree artifacts."""
+    return subtree_structure_hashes(tree)[tree.top_event]
+
+
+def structure_payload_hash(tree, node=None):
+    """The cache key of the subtree at ``node`` (default: the top event),
+    serialised from the tree's gates directly.  Persistent store entries are
+    addressed by these bytes, so the compiled structure's hashes must match."""
+    node = tree.top_event if node is None else node
+    gate = tree.gates.get(node)
+    if gate is None:
+        payload = f"event:{node}"
+    else:
+        children = ",".join(sorted(structure_payload_hash(tree, child) for child in gate.children))
+        payload = f"gate:{gate.gate_type.value}:{gate.k if gate.k is not None else ''}:{children}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestStructuralHash:
     def test_identical_structure_same_hash(self):
-        assert structural_hash(fire_protection_system()) == structural_hash(
-            fire_protection_system()
-        )
+        assert _key(fire_protection_system()) == _key(fire_protection_system())
 
     def test_name_does_not_affect_hash(self):
         renamed = fire_protection_system().copy(name="another-name")
-        assert structural_hash(renamed) == structural_hash(fire_protection_system())
+        assert _key(renamed) == _key(fire_protection_system())
 
     def test_different_trees_different_hash(self):
-        assert structural_hash(fire_protection_system()) != structural_hash(pressure_tank())
+        assert _key(fire_protection_system()) != _key(pressure_tank())
 
-    def test_probability_change_changes_hash(self):
+    def test_probability_change_keeps_the_key(self):
         tree = fire_protection_system()
-        before = structural_hash(tree)
+        before = _key(tree)
         tree.set_probability("x1", 0.123)
-        assert structural_hash(tree) != before
+        assert _key(tree) == before
 
     @pytest.mark.parametrize("name", sorted(NAMED_TREES))
     def test_library_keys_match_one_piece_serialisation(self, name):
         tree = NAMED_TREES[name]()
-        assert structural_hash(tree) == whole_tree_payload_hash(tree)
+        assert _key(tree) == structure_payload_hash(tree)
 
     def test_random_tree_and_copy_keys_match_one_piece_serialisation(self):
         for seed in range(25):
             tree = random_fault_tree(num_basic_events=5 + seed, seed=seed, voting_ratio=0.2)
-            assert structural_hash(tree) == whole_tree_payload_hash(tree)
+            assert _key(tree) == structure_payload_hash(tree)
             copy = tree.copy()
             copy.set_probability(sorted(copy.event_names)[0], 0.123456789)
-            assert structural_hash(copy) == whole_tree_payload_hash(copy)
+            assert _key(copy) == structure_payload_hash(copy) == _key(tree)
 
 
 class TestArtifactCache:
@@ -91,11 +94,26 @@ class TestArtifactCache:
         assert cache.hits == 1
 
     def test_mutation_invalidates_automatically(self):
+        # A structural edit changes the key; a probability edit does not
+        # (every artifact is qualitative).
         cache = ArtifactCache()
         tree = fire_protection_system()
         cache.get_or_compute(tree, "x", lambda: "old")
         tree.set_probability("x1", 0.5)
+        assert cache.get_or_compute(tree, "x", lambda: "new") == "old"
+        tree.add_basic_event("x9", 0.1)
+        tree.add_gate("new-top", GateType.OR, [tree.top_event, "x9"])
+        tree.set_top_event("new-top")
         assert cache.get_or_compute(tree, "x", lambda: "new") == "new"
+
+    def test_node_keys_subtree_artifacts(self):
+        cache = ArtifactCache()
+        tree = fire_protection_system()
+        cache.get_or_compute(tree, "x", lambda: "top")
+        assert cache.get_or_compute(tree, "x", lambda: "gate", node="detection_failure") == "gate"
+        top = tree.top_event
+        assert cache.get_or_compute(tree, "x", lambda: "other", node=top) == "top"
+        assert cache.hits == 1 and cache.misses == 2
 
     def test_invalidate_and_clear(self):
         cache = ArtifactCache()
@@ -116,6 +134,32 @@ class TestArtifactCache:
         assert stats["entries"] == 1
         assert stats["evictions"] == 0
         assert stats["by_kind"]["kind"] == {"hits": 0, "misses": 1, "evictions": 0}
+
+
+def _canonical(report):
+    return json.dumps(report.to_canonical_dict(), sort_keys=True)
+
+
+class TestInPlaceProbabilityEdit:
+    """The cut sets are cached per structure, so an in-place probability
+    edit is answered from a cache hit with the new probabilities attached."""
+
+    @pytest.mark.parametrize("backend", ["mocus", "bdd"])
+    def test_new_probabilities_from_a_cache_hit(self, backend):
+        session = AnalysisSession()
+        tree = fire_protection_system()
+        before = session.analyze(tree, ["mcs", "ranking"], backend=backend)
+        hits = session.artifacts.hits_for(ARTIFACT_CUT_SETS)
+        tree.set_probability("x7", 0.9)
+        after = session.analyze(tree, ["mcs", "ranking"], backend=backend)
+        assert session.artifacts.misses_for(ARTIFACT_CUT_SETS) == 1
+        assert session.artifacts.hits_for(ARTIFACT_CUT_SETS) > hits
+        assert after.cut_sets.probabilities["x7"] == 0.9
+        assert [entry.events for entry in after.ranking] != [
+            entry.events for entry in before.ranking
+        ]
+        fresh = AnalysisSession().analyze(tree, ["mcs", "ranking"], backend=backend)
+        assert _canonical(after) == _canonical(fresh)
 
 
 class _DictBackend:
@@ -219,7 +263,7 @@ class TestBackendTier:
         backend = _DictBackend()
         cache = ArtifactCache(backend=backend)
         tree = fire_protection_system()
-        backend.entries[(cache.key_for(tree), "kind")] = "persisted"
+        backend.entries[(_key(tree), "kind")] = "persisted"
         cache.get_or_compute(tree, "kind", lambda: "recomputed")
         cache.get_or_compute(tree, "kind", lambda: "recomputed")
         assert cache.hits == 1  # second probe answered by memory, not backend

@@ -15,6 +15,7 @@ from repro.api import AnalysisSession
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES
+from tests.conftest import voting_reuse_tree
 
 TOP_KS = (1, 2, 3, 5)
 PALETTE = (0.05, 0.1, 0.2)
@@ -58,3 +59,21 @@ def test_cut_set_backends_rank_in_the_objective_order(name, backend):
         expected = _events(session.analyze(tree, ["ranking"], backend="maxsat", top_k=top_k))
         report = session.analyze(tree, ["ranking"], backend=backend, top_k=top_k)
         assert _events(report) == expected, top_k
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [voting_reuse_tree(6, 3528), NAMED_TREES["chemical-reactor"](), NAMED_TREES["emergency-shutdown"]()],
+    ids=["voting-reuse-6-3528", "chemical-reactor", "emergency-shutdown"],
+)
+@pytest.mark.parametrize("backend", ["mocus", "bdd", "brute-force"])
+def test_near_tie_mpmcs_matches_across_backends(tree, backend):
+    """Every backend's MPMCS is the MaxSAT objective's optimum.  On the
+    voting/reuse tree, {e0, e1, e4} and {e0, e2, e4} have equal float
+    products and the objective prefers the first; the ``bdd`` backend's
+    dynamic programme once returned the second."""
+    expected = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat").mpmcs
+    report = AnalysisSession().analyze(tree, ["mpmcs"], backend=backend).mpmcs
+    assert report.events == expected.events
+    assert report.cost == expected.cost
+    assert report.probability == pytest.approx(expected.probability, rel=1e-12)

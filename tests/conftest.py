@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from typing import Dict, List, Tuple
 
@@ -20,6 +22,25 @@ from repro.workloads.library import (
     redundant_power_supply,
     three_motor_system,
 )
+
+
+def whole_tree_payload_hash(tree: FaultTree) -> str:
+    """SHA-256 of the tree's top event, gates and event probabilities.
+
+    The bytes of the retired whole-tree cache key: persistent stores may
+    still hold entries under it, and the pinned generator digests use it.
+    """
+    events = sorted((name, event.probability.hex()) for name, event in tree.events.items())
+    gates = sorted(
+        (gate.name, gate.gate_type.value, gate.k if gate.k is not None else -1, list(gate.children))
+        for gate in tree.gates.values()
+    )
+    payload = json.dumps(
+        {"top": tree.top_event, "events": events, "gates": gates},
+        separators=(",", ":"),
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------- fixtures

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 
 from repro.analysis.mocus import mocus_minimal_cut_sets
 from repro.api import AnalysisRequest, AnalysisSession
-from repro.bdd.manager import BDDManager
-from repro.bdd.probability import bdd_mpmcs, mpmcs_of_bdd
+from repro.bdd.probability import bdd_mpmcs
 from repro.core import pipeline
 from repro.core.pipeline import MODULE_RULE_ENGINE, ModuleOptima, MPMCSSolver
 from repro.exceptions import ReproError
@@ -62,20 +61,16 @@ def _assert_matches_whole_tree(tree, routes=ROUTES, requests=REQUESTS):
 def _assert_matches_bdd(tree):
     """The MPMCS equals the bdd backend's.
 
-    The bdd backend orders cut sets by float probability, the MaxSAT
-    objective by ``-log`` weights rounded to 1e-9, so two cut sets whose
-    probabilities differ by less than that rounding may come in either
-    order (one voting/reuse tree in about 8000): then only the
-    probabilities are compared.  The bdd backend also multiplies the MPMCS
-    probability in another order, so it is compared to the last few ulps.
+    Both minimise the same integer objective, so they agree on the events
+    also where two cut sets' probabilities tie.  The bdd backend multiplies
+    the MPMCS probability in another order, so it is compared to the last
+    few ulps.
     """
     maxsat = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat").mpmcs
     bdd = AnalysisSession().analyze(tree, ["mpmcs"], backend="bdd").mpmcs
-    if maxsat.events == bdd.events:
-        assert maxsat.cost == bdd.cost
-        assert maxsat.probability == pytest.approx(bdd.probability, rel=1e-12)
-    else:
-        assert maxsat.probability == pytest.approx(bdd.probability, rel=1e-8)
+    assert maxsat.events == bdd.events
+    assert maxsat.cost == bdd.cost
+    assert maxsat.probability == pytest.approx(bdd.probability, rel=1e-12)
 
 
 def _forbid_portfolio(monkeypatch):
@@ -126,10 +121,10 @@ def _wide_gate(gate_type, k=None, width=1000):
 
 
 class TestExtremes:
-    """Fan-in 1000: the maxsat facade answers within a wall-clock bound and
-    agrees with the BDD's MPMCS."""
+    """Fan-in 1000: the maxsat and bdd facades answer within a wall-clock
+    bound and agree on the MPMCS."""
 
-    #: Seconds per analysis; each takes at most 0.07 s on a 2-core host.
+    #: Seconds per analysis; each takes at most 0.08 s on a 2-core host.
     BOUND_S = 2.0
 
     @pytest.mark.parametrize(
@@ -145,17 +140,13 @@ class TestExtremes:
     )
     def test_wide_gate_over_basic_events(self, gate_type, k):
         tree = _wide_gate(gate_type, k)
-        started = time.perf_counter()
-        maxsat = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat").mpmcs
-        assert time.perf_counter() - started < self.BOUND_S
-        # The bdd backend's DFS order puts the first child at the top, so
-        # folding the children in order costs quadratic (AND, OR) to cubic
-        # (1000-of-1000) time; with the order reversed every child lands
-        # above the diagram built so far.
-        function = BDDManager(sorted(tree.events, reverse=True)).from_fault_tree(tree)
-        events, probability = mpmcs_of_bdd(function, tree.probabilities())
-        assert maxsat.events == tuple(events)
-        assert maxsat.probability == probability
+        answers = {}
+        for backend in ("maxsat", "bdd"):
+            started = time.perf_counter()
+            answers[backend] = AnalysisSession().analyze(tree, ["mpmcs"], backend=backend).mpmcs
+            assert time.perf_counter() - started < self.BOUND_S, backend
+        assert answers["maxsat"].events == answers["bdd"].events
+        assert answers["maxsat"].probability == answers["bdd"].probability
 
 
 class TestRules:
@@ -175,6 +166,16 @@ class TestRules:
         assert result.engine == result.portfolio.winner == MODULE_RULE_ENGINE
         report = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat")
         assert report.mpmcs.events == result.events
+
+    def test_first_analysis_assembles_no_whole_tree_clauses(self, assemblies):
+        tree = k_of_n_ladder(31, 16)
+        result = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat").mpmcs.detail
+        assert assemblies == []
+        # The reported sizes are the whole-tree encoding's, assembled on read.
+        sizes = (result.num_vars, result.num_hard, result.num_aux_vars)
+        assert assemblies == [tree.compiled()]
+        cnf = tree.compiled().cnf
+        assert sizes == (cnf.instance.num_vars, cnf.instance.num_hard, cnf.num_aux_vars)
 
     def test_basic_event_top(self, monkeypatch):
         _forbid_portfolio(monkeypatch)

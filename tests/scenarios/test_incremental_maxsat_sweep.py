@@ -27,7 +27,11 @@ from repro.scenarios import (
     probability_sweep,
 )
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import fire_protection_system, redundant_power_supply
+from repro.workloads.library import (
+    fire_protection_system,
+    railway_level_crossing,
+    three_motor_system,
+)
 
 
 def _canonical(report):
@@ -127,18 +131,31 @@ class TestAssemblyAccounting:
         event = sorted(tree.events_reachable_from_top())[0]
         analyze = self._warm_maxsat()
         analyze(tree)
-        assert assemblies == [tree.compiled()]
+        # Every module solves by rule and no whole-tree size is read.
+        assert assemblies == []
 
         for probability in (0.002, 0.05, 0.7):
             # Weight-only perturbation: the structure is shared.
             patched = Scenario("p", [SetProbability(event, probability)]).apply(tree)
             analyze(patched)
+            assert patched.compiled() is tree.compiled()
+        assert assemblies == []
+
+    def test_probability_scenarios_reuse_the_warm_session_clauses(self, assemblies):
+        # No proper module: the warm session loads the whole-tree clauses once.
+        tree = three_motor_system()
+        analyze = self._warm_maxsat()
+        analyze(tree)
+        assert assemblies == [tree.compiled()]
+        for probability in (0.002, 0.05, 0.7):
+            patched = Scenario("p", [SetProbability("motor_1", probability)]).apply(tree)
+            analyze(patched)
             assert patched.compiled().cnf is tree.compiled().cnf
         assert len(assemblies) == 1
 
     def test_maintenance_sweep_is_weight_only(self, assemblies):
-        """Repair-rate scenarios never change structure: only the base
-        structure's clauses are assembled."""
+        """Repair-rate scenarios never change structure, and Fig. 1 solves
+        module by module, by rule: no hard clauses are assembled at all."""
         from repro.reliability import ReliabilityAssignment, RepairableComponent
         from repro.scenarios import repair_rate_sweep
 
@@ -153,7 +170,7 @@ class TestAssemblyAccounting:
         session = AnalysisSession()
         report = SweepExecutor(session, backend="maxsat").run(base, scenarios)
         assert all(outcome.ok for outcome in report.outcomes)
-        assert assemblies == [base.compiled()]
+        assert assemblies == []
 
     @pytest.mark.parametrize(
         "make_patch",
@@ -164,7 +181,8 @@ class TestAssemblyAccounting:
         ids=["remove-event", "add-redundancy"],
     )
     def test_structural_patch_assembles_once(self, make_patch, assemblies):
-        tree = random_fault_tree(num_basic_events=24, seed=9)
+        # Shared events: the warm session, not the module rules, solves it.
+        tree = random_fault_tree(num_basic_events=24, seed=9, event_reuse=0.2)
         analyze = self._warm_maxsat()
         analyze(tree)
 
@@ -176,7 +194,8 @@ class TestAssemblyAccounting:
         assert assemblies == [tree.compiled(), patched.compiled()]
 
     def test_voting_threshold_patch_assembles_once(self, assemblies):
-        tree = redundant_power_supply()
+        # Shared events: the warm session, not the module rules, solves it.
+        tree = railway_level_crossing()
         voting_gates = [
             name
             for name, gate in tree.gates.items()

@@ -131,9 +131,8 @@ class TestAcceptanceSweep:
         assert naive.subtree_reuse == {"hits": 0, "misses": 0}
 
     def test_session_cache_does_not_grow_with_scenario_count(self):
-        # Per-scenario whole-tree artifacts are evicted after each scenario's
-        # analysis; only the shared subtree entries and the base tree's
-        # artifacts may remain, independent of sweep length.
+        # Every artifact is keyed by structure, so probability-only
+        # scenarios add no entry: the count is independent of sweep length.
         tree = fire_protection_system()
         executor = SweepExecutor()
         executor.run(tree, probability_sweep("x1", start=1e-3, stop=0.5, steps=5))

@@ -10,18 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.cache import (
-    ARTIFACT_CUT_SETS,
-    ARTIFACT_SUBTREE_CUT_SETS,
-    ArtifactCache,
-    structural_hash,
-)
+from repro.analysis.cutsets import CutSetCollection
+from repro.api.cache import ARTIFACT_CUT_SETS, ARTIFACT_SUBTREE_CUT_SETS, ArtifactCache
 from repro.api.session import AnalysisSession
 from repro.core.encoder import encode_mpmcs
 from repro.fta.builder import FaultTreeBuilder
 from repro.maxsat.instance import WPMaxSATInstance
 from repro.service.store import FORMAT_VERSION, MAGIC, DiskArtifactStore
 from repro.workloads.library import fire_protection_system
+from tests.conftest import whole_tree_payload_hash
 
 KEY = "a" * 64
 
@@ -234,15 +231,6 @@ class TestInvalidation:
         # Both tiers are empty now: the next probe recomputes.
         assert cache.get_or_compute(tree, "kind", lambda: "fresh") == "fresh"
         assert cache.store_hits == 0
-
-    def test_memory_only_invalidation_keeps_disk_entries(self, tmp_path):
-        store = DiskArtifactStore(tmp_path)
-        cache = ArtifactCache(backend=store)
-        tree = fire_protection_system()
-        cache.get_or_compute(tree, "kind", lambda: "value")
-        cache.invalidate(tree, include_backend=False)
-        assert cache.get_or_compute(tree, "kind", lambda: "recomputed") == "value"
-        assert cache.store_hits == 1
 
     def test_discard_removes_every_kind(self, tmp_path):
         store = DiskArtifactStore(tmp_path)
@@ -467,7 +455,7 @@ class TestRetiredEncodings:
             "mpmcs-encoding": _blocked_encoding(tree, ("a0", "b0")),
         }
         for kind, encoding in retired.items():
-            store.store(structural_hash(tree), kind, encoding)
+            store.store(whole_tree_payload_hash(tree), kind, encoding)
         cache = ArtifactCache(backend=store)
         report = AnalysisSession(cache=cache).analyze(
             tree, ["mpmcs", "ranking"], backend="maxsat", top_k=3
@@ -478,8 +466,33 @@ class TestRetiredEncodings:
         for kind in retired:
             assert cache._store_hits.get(kind, 0) == 0
             assert cache._store_misses.get(kind, 0) == 0
-            assert store.load(structural_hash(tree), kind)[0]
+            assert store.load(whole_tree_payload_hash(tree), kind)[0]
         assert [entry.events for entry in report.ranking] == [
             entry.events for entry in expected.ranking
         ]
         assert report.mpmcs.events == ("a0", "b0")
+
+    def test_whole_tree_cut_set_entries_are_never_probed(self, tmp_path):
+        """Cut sets were once stored under a whole-tree hash that included the
+        probabilities; the cache keys them by structure now and never asks
+        the store for the old key, even when it holds a wrong answer."""
+        tree = _ladder(4)
+        store = DiskArtifactStore(tmp_path)
+        stale = CutSetCollection([frozenset({"a0"})], probabilities=tree.probabilities())
+        store.store(whole_tree_payload_hash(tree), ARTIFACT_CUT_SETS, stale)
+        probed = []
+        load = store.load
+
+        def recording(key_hash, kind):
+            probed.append(key_hash)
+            return load(key_hash, kind)
+
+        store.load = recording
+        analyses = ["mcs", "mpmcs", "ranking"]
+        report = AnalysisSession(cache=ArtifactCache(backend=store)).analyze(
+            tree, analyses, backend="mocus", top_k=3
+        )
+        fresh = AnalysisSession().analyze(tree, analyses, backend="mocus", top_k=3)
+        assert probed and whole_tree_payload_hash(tree) not in probed
+        assert report.to_canonical_dict() == fresh.to_canonical_dict()
+        assert store.load(whole_tree_payload_hash(tree), ARTIFACT_CUT_SETS)[0]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.fta.gates import GateType
 from repro.workloads.generator import GeneratorConfig, random_fault_tree
+from tests.conftest import whole_tree_payload_hash
 
 
 class TestDeterminism:
@@ -114,11 +115,9 @@ class TestDeterminismExtended:
         assert to_json(first) == to_json(second)
 
     def test_structural_hash_determinism(self):
-        from repro.api.cache import structural_hash
-
-        assert structural_hash(
+        assert whole_tree_payload_hash(
             random_fault_tree(num_basic_events=60, seed=11, voting_ratio=0.2)
-        ) == structural_hash(
+        ) == whole_tree_payload_hash(
             random_fault_tree(num_basic_events=60, seed=11, voting_ratio=0.2)
         )
 
@@ -205,7 +204,7 @@ class TestPinnedTrees:
     makes the same draws in the same order.
     """
 
-    #: ``content_hash`` of ``random_fault_tree(num_basic_events=n, seed=s,
+    #: ``whole_tree_payload_hash`` of ``random_fault_tree(num_basic_events=n, seed=s,
     #: voting_ratio=0.05, event_reuse=0.05)``: the E4 pool and the larger
     #: E4 trees.
     E4 = {
@@ -223,12 +222,12 @@ class TestPinnedTrees:
         tree = random_fault_tree(
             num_basic_events=events, seed=seed, voting_ratio=0.05, event_reuse=0.05
         )
-        assert tree.compiled().content_hash(tree.probabilities()) == self.E4[events, seed]
+        assert whole_tree_payload_hash(tree) == self.E4[events, seed]
 
     def test_sweep_and_monitor_tree(self):
         tree = random_fault_tree(num_basic_events=60, seed=5, voting_ratio=0.05)
         assert (
-            tree.compiled().content_hash(tree.probabilities())
+            whole_tree_payload_hash(tree)
             == "addcb2133e5a80479cc6c1a817eb82fc76724d929ec813241c29a01f8514e7a8"
         )
 
@@ -236,6 +235,6 @@ class TestPinnedTrees:
         # Gates of up to 28 children: many reuse draws per gate.
         tree = random_fault_tree(num_basic_events=30, seed=4, event_reuse=0.9, voting_ratio=0.2)
         assert (
-            tree.compiled().content_hash(tree.probabilities())
+            whole_tree_payload_hash(tree)
             == "ba8bcb73523cb82a98d56dbda3da3fb06d95d7ddeb758d91b626a16e1b78d03b"
         )
