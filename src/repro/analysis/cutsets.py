@@ -155,12 +155,25 @@ class CutSetCollection:
         """The Maximum Probability Minimal Cut Set and its probability.
 
         This is the brute-force/baseline definition of the MPMCS used to
-        validate the MaxSAT pipeline.
+        validate the MaxSAT pipeline: ``ranked()[0]``, found by one ``min``
+        over the same key, multiplying out only the winner's probability.
         """
-        ranked = self.ranked()
-        if not ranked:
+        probabilities = self._require_probabilities()
+        if not self.cut_sets:
             raise AnalysisError("empty cut-set collection has no MPMCS")
-        return ranked[0]
+        scaled: Dict[str, int] = {}
+
+        def key(cut_set: CutSet) -> Tuple[int, int, Tuple[str, ...]]:
+            names = tuple(sorted(cut_set))
+            fresh = [name for name in names if name not in scaled]
+            # Checks the new events as ranked() does, with the same errors.
+            probability_of_cut_set(fresh, probabilities)
+            for name in fresh:
+                scaled[name] = scale_weight(log_weight(probabilities[name]), DEFAULT_PRECISION)
+            return (sum(scaled[name] for name in names), len(names), names)
+
+        best = min(self.cut_sets, key=key)
+        return best, probability_of_cut_set(best, probabilities)
 
     def to_sorted_tuples(self) -> List[Tuple[str, ...]]:
         """Deterministic plain-tuple form (for reports and tests)."""

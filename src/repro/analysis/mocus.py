@@ -16,7 +16,7 @@ The worst-case number of intermediate candidates is exponential, so
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Optional, Set, Tuple
 
 from repro.analysis.cutsets import CutSetCollection, minimise_cut_sets
 from repro.exceptions import AnalysisError
@@ -49,38 +49,7 @@ def mocus_minimal_cut_sets(
         outgrow it.
     """
     tree.validate()
-
-    # Each candidate is a frozenset of node names still to be resolved.
-    candidates: Set[FrozenSet[str]] = {frozenset({tree.top_event})}
-    finished: Set[FrozenSet[str]] = set()
-
-    def add(candidate: FrozenSet[str]) -> None:
-        candidates.add(candidate)
-        if len(candidates) + len(finished) > max_candidates:
-            raise AnalysisError(
-                f"MOCUS exceeded the candidate limit of {max_candidates} sets on "
-                f"fault tree {tree.name!r}"
-            )
-
-    while candidates:
-        candidate = candidates.pop()
-        gate_name = _first_gate(tree, candidate)
-        if gate_name is None:
-            finished.add(candidate)
-            continue
-        remainder = candidate - {gate_name}
-        gate = tree.gates[gate_name]
-        if gate.gate_type is GateType.AND:
-            add(remainder | set(gate.children))
-        elif gate.gate_type is GateType.OR:
-            for child in gate.children:
-                add(remainder | {child})
-        elif gate.gate_type is GateType.VOTING:
-            for combo in combinations(gate.children, gate.k or 1):
-                add(remainder | set(combo))
-        else:  # pragma: no cover - defensive
-            raise AnalysisError(f"unsupported gate type {gate.gate_type!r}")
-
+    finished, _ = _expand(tree, max_candidates, "MOCUS")
     minimal = minimise_cut_sets(finished)
     return CutSetCollection(cut_sets=minimal, probabilities=tree.probabilities())
 
@@ -100,6 +69,56 @@ def mocus_mpmcs(
         raise AnalysisError(f"fault tree {tree.name!r} has no cut set")
     cut_set, probability = collection.most_probable()
     return tuple(sorted(cut_set)), probability
+
+
+def _expand(
+    tree: FaultTree,
+    max_candidates: int,
+    label: str,
+    prune: Optional[Callable[[FrozenSet[str]], bool]] = None,
+) -> Tuple[Set[FrozenSet[str]], int]:
+    """The top-down expansion shared by MOCUS and truncated enumeration.
+
+    Returns the fully expanded candidates (basic events only, not yet
+    minimised) and the number of candidates ``prune`` discarded.  ``label``
+    names the algorithm in the error raised when the number of live
+    candidates exceeds ``max_candidates``, checked at every insertion.
+    """
+    # Each candidate is a frozenset of node names still to be resolved.
+    candidates: Set[FrozenSet[str]] = {frozenset({tree.top_event})}
+    finished: Set[FrozenSet[str]] = set()
+    num_pruned = 0
+
+    def add(candidate: FrozenSet[str]) -> None:
+        candidates.add(candidate)
+        if len(candidates) + len(finished) > max_candidates:
+            raise AnalysisError(
+                f"{label} exceeded the candidate limit of {max_candidates} sets on "
+                f"fault tree {tree.name!r}"
+            )
+
+    while candidates:
+        candidate = candidates.pop()
+        if prune is not None and prune(candidate):
+            num_pruned += 1
+            continue
+        gate_name = _first_gate(tree, candidate)
+        if gate_name is None:
+            finished.add(candidate)
+            continue
+        remainder = candidate - {gate_name}
+        gate = tree.gates[gate_name]
+        if gate.gate_type is GateType.AND:
+            add(remainder | set(gate.children))
+        elif gate.gate_type is GateType.OR:
+            for child in gate.children:
+                add(remainder | {child})
+        elif gate.gate_type is GateType.VOTING:
+            for combo in combinations(gate.children, gate.k or 1):
+                add(remainder | set(combo))
+        else:  # pragma: no cover - defensive
+            raise AnalysisError(f"unsupported gate type {gate.gate_type!r}")
+    return finished, num_pruned
 
 
 def _first_gate(tree: FaultTree, candidate: FrozenSet[str]) -> Optional[str]:

@@ -16,13 +16,12 @@ whose full cut-set enumeration would blow up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.analysis.cutsets import CutSetCollection, minimise_cut_sets
+from repro.analysis.mocus import _expand
 from repro.analysis.topevent import top_event_probability_from_cut_sets
 from repro.exceptions import AnalysisError
-from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 
 __all__ = ["TruncationResult", "truncated_cut_sets", "truncated_top_event_probability"]
@@ -93,39 +92,12 @@ def truncated_cut_sets(
                 product *= probabilities[name]
         return product
 
-    candidates: Set[FrozenSet[str]] = {frozenset({tree.top_event})}
-    finished: Set[FrozenSet[str]] = set()
-    num_pruned = 0
-
-    def add(candidate: FrozenSet[str]) -> None:
-        candidates.add(candidate)
-        if len(candidates) + len(finished) > max_candidates:
-            raise AnalysisError(
-                f"truncated enumeration exceeded the candidate limit of {max_candidates} "
-                f"sets on fault tree {tree.name!r}"
-            )
-
-    while candidates:
-        candidate = candidates.pop()
-        if bound(candidate) < cutoff:
-            num_pruned += 1
-            continue
-        gate_name = next((name for name in candidate if tree.is_gate(name)), None)
-        if gate_name is None:
-            finished.add(candidate)
-            continue
-        remainder = candidate - {gate_name}
-        gate = tree.gates[gate_name]
-        if gate.gate_type is GateType.AND:
-            add(remainder | set(gate.children))
-        elif gate.gate_type is GateType.OR:
-            for child in gate.children:
-                add(remainder | {child})
-        elif gate.gate_type is GateType.VOTING:
-            for combo in combinations(gate.children, gate.k or 1):
-                add(remainder | set(combo))
-        else:  # pragma: no cover - defensive
-            raise AnalysisError(f"unsupported gate type {gate.gate_type!r}")
+    finished, num_pruned = _expand(
+        tree,
+        max_candidates,
+        "truncated enumeration",
+        prune=lambda candidate: bound(candidate) < cutoff,
+    )
 
     retained = [
         cut_set

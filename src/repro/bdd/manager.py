@@ -33,11 +33,14 @@ TRUE_NODE = 1
 class BDD:
     """A handle to a BDD function: a node within a :class:`BDDManager`."""
 
-    __slots__ = ("manager", "node")
+    __slots__ = ("manager", "node", "_flat")
 
     def __init__(self, manager: "BDDManager", node: int) -> None:
         self.manager = manager
         self.node = node
+        #: The function's flat node arrays, filled by the first
+        #: :func:`~repro.bdd.probability.flatten_bdd` call.
+        self._flat = None
 
     # Boolean operator sugar -------------------------------------------------------
 
@@ -91,8 +94,8 @@ class BDDManager:
             raise BDDError("variable order must contain at least one variable")
         if len(set(variable_order)) != len(variable_order):
             raise BDDError("variable order contains duplicates")
-        # `ite` and the cut-set/probability passes recurse proportionally to the
-        # number of variable levels; make sure deep orders do not hit CPython's
+        # Compilation (`ite`, `negate`) recurses proportionally to the number
+        # of variable levels; make sure deep orders do not hit CPython's
         # default recursion limit.
         required_limit = 4 * len(variable_order) + 1000
         if sys.getrecursionlimit() < required_limit:

@@ -19,7 +19,9 @@ Two complementary algorithms, both linear in the number of BDD nodes:
 Both queries are also available on an already-compiled function
 (:func:`probability_of_bdd`, :func:`mpmcs_of_bdd`) so callers holding a cached
 BDD — e.g. the :mod:`repro.api` artifact cache — can avoid recompiling the
-tree for every query.
+tree for every query.  Each is one forward pass over the function's
+:class:`FlatBDD` arrays, built once and memoised on the handle, so no query
+recurses however deep the diagram.
 
 Tie-breaking
 ------------
@@ -35,84 +37,25 @@ ties and near-ties — cross-backend equality checks stay reproducible.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD, BDDManager, FALSE_NODE, TRUE_NODE
 from repro.bdd.ordering import variable_order
-from repro.core.weights import log_weight
+from repro.core.weights import log_weight, probability_of_cut_set
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
+from repro.kernels.bdd_eval import eval_bdd_batch_python
 from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight
 
 __all__ = [
-    "FLAT_FORM_CACHE_LIMIT",
     "FlatBDD",
-    "FlatFormCache",
     "bdd_mpmcs",
     "flatten_bdd",
     "mpmcs_of_bdd",
     "probability_of_bdd",
     "top_event_probability",
 ]
-
-#: Default bound on memoised :class:`FlatBDD` forms per BDD manager.  Flat
-#: forms are proportional in size to their diagram, and long-lived monitors /
-#: services compile many transient functions through one manager — an
-#: unbounded memo is a slow leak there.  256 diagrams is far beyond any
-#: working set a sweep or monitor batch touches.
-FLAT_FORM_CACHE_LIMIT = 256
-
-
-class FlatFormCache:
-    """LRU memo of :class:`FlatBDD` forms, keyed by hash-consed root node.
-
-    Lives on the owning :class:`~repro.bdd.manager.BDDManager` (created on
-    first :func:`flatten_bdd` call).  Reports its effectiveness the same way
-    :meth:`repro.api.cache.ArtifactCache.stats` does: cumulative ``hits`` /
-    ``misses`` / ``evictions`` next to the current ``entries``/``limit``.
-    """
-
-    __slots__ = ("limit", "hits", "misses", "evictions", "_entries")
-
-    def __init__(self, limit: int = FLAT_FORM_CACHE_LIMIT) -> None:
-        if limit < 1:
-            raise AnalysisError(f"flat-form cache limit must be at least 1, got {limit}")
-        self.limit = limit
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[int, FlatBDD]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, node: int) -> Optional[FlatBDD]:
-        flat = self._entries.get(node)
-        if flat is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(node)
-        self.hits += 1
-        return flat
-
-    def put(self, node: int, flat: FlatBDD) -> None:
-        self._entries[node] = flat
-        self._entries.move_to_end(node)
-        while len(self._entries) > self.limit:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        """Cumulative counters plus current occupancy (ArtifactCache-style)."""
-        return {
-            "entries": len(self._entries),
-            "limit": self.limit,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 @dataclass(frozen=True)
@@ -122,9 +65,10 @@ class FlatBDD:
     Node ids are remapped to a compact range: ``0`` is the FALSE terminal,
     ``1`` the TRUE terminal, and internal nodes occupy ``2 .. 1 + n`` in
     children-first (topological) order, the root last.  A single forward pass
-    over the internal nodes therefore evaluates the function — this is the
-    form the :mod:`repro.kernels` batch evaluators consume, and what the
-    recursive :func:`probability_of_bdd` walk is rewritten on top of.
+    over the internal nodes therefore answers every query: the
+    :mod:`repro.kernels` evaluators, :func:`probability_of_bdd`,
+    :func:`mpmcs_of_bdd` and :func:`~repro.bdd.cutsets.cut_sets_of_bdd` all
+    read this form, so none of them recurses.
 
     ``events`` lists the distinct variable names the function mentions;
     ``var_index[i]``, ``low[i]`` and ``high[i]`` describe internal node
@@ -149,8 +93,7 @@ class FlatBDD:
         """Per-scenario probability rows in ``events`` order.
 
         Raises :class:`AnalysisError` when a scenario is missing a
-        probability for one of the function's events — the same error the
-        scalar walk raises.
+        probability for one of the function's events.
         """
         rows: List[List[float]] = []
         for probabilities in probability_maps:
@@ -169,22 +112,18 @@ class FlatBDD:
 def flatten_bdd(function: BDD) -> FlatBDD:
     """Export ``function`` as a :class:`FlatBDD` node-array form.
 
-    The result is memoised on the owning :class:`BDDManager` keyed by the
-    root node (BDD nodes are hash-consed and immutable, so the flat form of
-    a given root never changes), making repeated batch evaluations of a
-    cached function cheap.  The memo is a :class:`FlatFormCache` — an LRU
-    bounded at :data:`FLAT_FORM_CACHE_LIMIT` forms — so long-lived managers
-    that compile many functions do not accumulate flat forms without limit.
+    The result is memoised on the handle (BDD nodes are hash-consed and
+    immutable, so the flat form of a handle never changes); the artifact
+    cache keeps one handle per structure, so every query on every
+    probability-only copy of a tree reuses one flat form.
     """
-    manager = function.manager
-    cache: FlatFormCache = getattr(manager, "_flat_forms", None)  # type: ignore[assignment]
-    if cache is None:
-        cache = FlatFormCache()
-        manager._flat_forms = cache  # type: ignore[attr-defined]
-    cached = cache.get(function.node)
-    if cached is not None:
-        return cached
+    # A handle unpickled from an entry written before handles carried the
+    # memo has no ``_flat`` slot set.
+    flat = getattr(function, "_flat", None)
+    if flat is not None:
+        return flat
 
+    manager = function.manager
     # Children-first topological order via iterative post-order DFS.
     compact: Dict[int, int] = {FALSE_NODE: 0, TRUE_NODE: 1}
     event_index: Dict[str, int] = {}
@@ -212,14 +151,13 @@ def flatten_bdd(function: BDD) -> FlatBDD:
             high_arr.append(compact[high])
             compact[node] = len(compact)
 
-    flat = FlatBDD(
+    flat = function._flat = FlatBDD(
         events=tuple(event_index),
         var_index=var_index,
         low=low_arr,
         high=high_arr,
         root=compact[function.node],
     )
-    cache.put(function.node, flat)
     return flat
 
 
@@ -237,27 +175,13 @@ def top_event_probability(
 def probability_of_bdd(function: BDD, probabilities: Mapping[str, float]) -> float:
     """Exact probability of an already-compiled BDD function.
 
-    A single forward pass over the :func:`flatten_bdd` node arrays: children
-    come before parents, so ``P(node) = p * P(high) + (1 - p) * P(low)`` can
-    be evaluated iteratively (no recursion limit on deep BDDs).  The
-    per-node arithmetic is identical to the batch kernels in
-    :mod:`repro.kernels.bdd_eval`, keeping scalar and batched results
-    bit-for-bit equal.
+    One row of the reference kernel
+    (:func:`~repro.kernels.bdd_eval.eval_bdd_batch_python`) over the
+    :func:`flatten_bdd` arrays, so a scalar query returns the same double as
+    any batched tier.
     """
     flat = flatten_bdd(function)
-    row = flat.probability_rows((probabilities,))[0]
-    values = [0.0, 1.0]
-    append = values.append
-    for index, lo, hi in zip(flat.var_index, flat.low, flat.high):
-        p = row[index]
-        append(p * values[hi] + (1.0 - p) * values[lo])
-    return values[flat.root]
-
-
-# A DP entry is the best cut set reachable from a node: (summed objective
-# weight, probability, member events), or None when the TRUE terminal is
-# unreachable.
-_Best = Optional[Tuple[int, float, Tuple[str, ...]]]
+    return eval_bdd_batch_python(flat, flat.probability_rows((probabilities,)))[0]
 
 
 def mpmcs_of_bdd(
@@ -265,14 +189,18 @@ def mpmcs_of_bdd(
 ) -> Tuple[Tuple[str, ...], float]:
     """MPMCS of an already-compiled BDD function.
 
-    The dynamic programme minimises the MaxSAT objective
+    One forward pass over the :func:`flatten_bdd` arrays finds, for every
+    node, the cheapest path to the TRUE terminal under the MaxSAT objective
     (:func:`~repro.maxsat.instance.objective_weight` at
     :data:`~repro.maxsat.instance.DEFAULT_PRECISION`, events ranked by
     sorted name among ``probabilities``), summed over the events a path
-    includes.  The sum is additive and no two sets share it, so the answer
-    is exact in the canonical order every backend ranks by, also where two
-    cut sets' float products tie or differ in the last place.  The reported
-    probability is the float product of the chosen events.
+    includes, and records whether that path takes the node's high branch.
+    The sum is additive and no two sets share it, so the answer is exact in
+    the canonical order every backend ranks by, also where two cut sets'
+    float products tie or differ in the last place.  Walking the recorded
+    choices from the root gives the set; its probability is
+    :func:`~repro.core.weights.probability_of_cut_set`, the product every
+    other backend reports.
 
     Returns ``(sorted event tuple, probability)``; raises
     :class:`AnalysisError` when the function is unsatisfiable (no cut set).
@@ -280,32 +208,37 @@ def mpmcs_of_bdd(
     if function.is_false:
         raise AnalysisError("BDD function is constant false: the top event cannot occur")
 
-    manager = function.manager
+    flat = flatten_bdd(function)
+    (row,) = flat.probability_rows((probabilities,))
     ranks = {name: rank for rank, name in enumerate(sorted(probabilities))}
-    best: Dict[int, _Best] = {FALSE_NODE: None, TRUE_NODE: (0, 1.0, ())}
+    weights = [
+        objective_weight(log_weight(p), ranks[name], len(ranks), DEFAULT_PRECISION)
+        for name, p in zip(flat.events, row)
+    ]
+    # cost[n]: the least summed weight from node n to TRUE (None: no path);
+    # took_high[i]: whether that path leaves internal node 2 + i by its high
+    # branch (on equal costs the low branch wins).
+    cost: List[Optional[int]] = [None, 0]
+    took_high: List[bool] = []
+    for index, lo, hi in zip(flat.var_index, flat.low, flat.high):
+        low_cost, high_cost = cost[lo], cost[hi]
+        if high_cost is not None:
+            high_cost += weights[index]
+        take = high_cost is not None and (low_cost is None or high_cost < low_cost)
+        took_high.append(take)
+        cost.append(high_cost if take else low_cost)
 
-    def visit(node: int) -> _Best:
-        if node in best:
-            return best[node]
-        level, low, high = manager.node_triple(node)
-        name = manager.var_at_level(level)
-        try:
-            p = probabilities[name]
-        except KeyError as exc:
-            raise AnalysisError(f"no probability known for event {name!r}") from exc
-        value = visit(low)
-        high_best = visit(high)
-        if high_best is not None:
-            weight = objective_weight(log_weight(p), ranks[name], len(ranks), DEFAULT_PRECISION)
-            if value is None or high_best[0] + weight < value[0]:
-                value = (high_best[0] + weight, high_best[1] * p, high_best[2] + (name,))
-        best[node] = value
-        return value
-
-    top = visit(function.node)
-    if top is None:  # pragma: no cover - is_false already caught this
-        raise AnalysisError("BDD function has no path to the TRUE terminal")
-    return tuple(sorted(top[2])), top[1]
+    events: List[str] = []
+    node = flat.root
+    while node != TRUE_NODE:
+        position = node - 2
+        if took_high[position]:
+            events.append(flat.events[flat.var_index[position]])
+            node = flat.high[position]
+        else:
+            node = flat.low[position]
+    cut_set = tuple(sorted(events))
+    return cut_set, probability_of_cut_set(cut_set, probabilities)
 
 
 def bdd_mpmcs(

@@ -11,8 +11,12 @@ re-analysis rides the full incremental stack:
 * with a cut-set backend (``mocus``, ``brute-force``), the subtree cut-set
   structure is one cache hit per update (structure-only hashes never change);
   the default ``maxsat`` backend never reads cut sets, so none are built;
-* with the ``maxsat`` backend, each update is a weight-only re-solve on the
-  persistent :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`;
+* with the ``maxsat`` backend, each update re-solves on the structure's warm
+  state: a one-optimum request on a tree whose modules all solve by rule
+  re-applies the structure's :class:`~repro.core.pipeline.ModuleOptima`
+  (only the modules above the changed events are solved again); any other
+  request is a weight-only re-solve on the persistent
+  :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`;
 * the exact P(top) comes from the ``bdd`` backend's structure-keyed diagram,
   compiled once and evaluated in linear time per update.
 
@@ -142,8 +146,9 @@ class TreeMonitor:
         (optionally store-backed via ``store``) is created otherwise.
     backend / analyses / top_k:
         The per-update analysis request, with the same semantics as a sweep:
-        ``maxsat`` runs MPMCS through the warm incremental session and P(top)
-        through the structure-keyed BDD.
+        ``maxsat`` runs MPMCS on the structure's warm state (its module
+        optima when every module solves by rule, else the incremental
+        session) and P(top) through the structure-keyed BDD.
     rules:
         Alert rules evaluated on every delta (see :mod:`.alerts`).
     store:
@@ -372,10 +377,13 @@ class TreeMonitor:
         trees are analysed as one :meth:`SweepExecutor.analyze_batch`: their
         exact top-event probabilities come from a single kernel call over
         the whole ``(updates × events)`` grid, and the MaxSAT re-solves are
-        the per-update ones, answered from the warm session's candidate pool
-        where it certifies them.  The per-update deltas, reports, alerts and
-        streamed events are identical to calling :meth:`apply_update` in a
-        loop — batching only removes per-update BDD work.
+        the per-update ones on the structure's warm state: its module optima
+        when every module solves by rule and one optimum is asked for, else
+        the incremental session, which answers from its candidate pool
+        where that certifies the optimum.  The per-update deltas, reports,
+        alerts and streamed events are identical to calling
+        :meth:`apply_update` in a loop — batching only removes per-update
+        BDD work.
         """
         if not updates:
             return []

@@ -4,9 +4,11 @@
 :class:`~repro.api.session.AnalysisSession`: a sweep's scenarios are one
 :meth:`~repro.api.session.AnalysisSession.run_batch`, through the same
 backend registry, request validation and report types as a one-off analysis,
-and each backend shares repeated work across the batch (``maxsat`` keeps a
-warm solver session per structure, ``bdd`` evaluates the top events in one
-kernel call).  Per scenario the executor adds two things:
+and each backend shares repeated work across the batch (``maxsat`` keeps one
+warm state per structure — the module optima of a tree whose modules all
+solve by rule when one optimum is asked for, else an incremental solver
+session — and ``bdd`` evaluates the top events in one kernel call).  Per
+scenario the executor adds two things:
 
 * **Cut-set seeding.**  When an analysis is routed to a backend that reads
   the cut-set artifact (its

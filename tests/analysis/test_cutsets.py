@@ -1,9 +1,13 @@
 """Unit tests for cut-set algebra."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.cutsets import CutSetCollection, is_subsumed, minimise_cut_sets
-from repro.exceptions import AnalysisError
+from repro.analysis.mocus import mocus_minimal_cut_sets
+from repro.exceptions import AnalysisError, ProbabilityError
+from repro.workloads.library import NAMED_TREES
+from tests.conftest import voting_reuse_trees
 
 
 class TestMinimise:
@@ -88,3 +92,29 @@ class TestCollection:
 
     def test_to_sorted_tuples_deterministic(self):
         assert self.build().to_sorted_tuples() == [("c",), ("a", "b")]
+
+
+class TestMostProbable:
+    """``most_probable()`` is ``ranked()[0]``, bit for bit, errors included."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_library_trees(self, name):
+        collection = mocus_minimal_cut_sets(NAMED_TREES[name]())
+        assert collection.most_probable() == collection.ranked()[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(voting_reuse_trees())
+    def test_voting_reuse_trees(self, tree):
+        collection = mocus_minimal_cut_sets(tree)
+        assert collection.most_probable() == collection.ranked()[0]
+
+    @pytest.mark.parametrize(
+        "probabilities", [{"a": 0.5, "b": 0.1}, {"a": 0.5, "b": 0.1, "c": 1.5}]
+    )
+    def test_same_errors_as_ranked(self, probabilities):
+        collection = CutSetCollection(cut_sets=[{"a", "b"}, {"c"}], probabilities=probabilities)
+        with pytest.raises(ProbabilityError) as ranked_error:
+            collection.ranked()
+        with pytest.raises(ProbabilityError) as best_error:
+            collection.most_probable()
+        assert str(best_error.value) == str(ranked_error.value)

@@ -9,10 +9,17 @@ from repro.api import AnalysisSession
 from repro.api.backends import MaxSATBackend
 from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MODULE_RULE_ENGINE
-from repro.exceptions import AnalysisError, FaultTreeError
+from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError
 from repro.fta.builder import FaultTreeBuilder
+from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.observability.metrics import scoped_metrics
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import data_center_power, fire_protection_system, pressure_tank
+from repro.workloads.library import (
+    data_center_power,
+    fire_protection_system,
+    pressure_tank,
+    railway_level_crossing,
+)
 
 
 def _canonical(report):
@@ -133,3 +140,17 @@ def test_bdd_batch_evaluates_each_structure_once():
     for tree, report in zip(trees, batched):
         scalar = AnalysisSession().run(tree, request)
         assert report.top_event.exact == scalar.top_event.exact
+
+
+def test_maxsat_batch_falls_back_to_cold_when_the_warm_session_gives_up(monkeypatch):
+    def over_budget(self, tree, found):
+        raise BudgetExceededError("core budget exhausted")
+
+    monkeypatch.setattr(IncrementalMaxSATSession, "solve_tree", over_budget)
+    request = AnalysisRequest.create(("mpmcs", "ranking"), backend="maxsat", top_k=3)
+    with scoped_metrics() as registry:
+        (warm,) = AnalysisSession().run_batch([railway_level_crossing()], request)
+        assert registry.counter_value("repro_solver_warm_fallbacks_total") == 1
+    cold = AnalysisSession().run(railway_level_crossing(), request)
+    assert _canonical(warm) == _canonical(cold)
+    assert "warm_solves" not in warm.profile
