@@ -21,7 +21,7 @@ enumerating cut sets at all.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Mapping, Sequence
+from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError
@@ -30,6 +30,7 @@ __all__ = [
     "exact_top_event_probability",
     "rare_event_approximation",
     "birnbaum_bound",
+    "cut_set_bounds",
     "top_event_probability_from_cut_sets",
 ]
 
@@ -75,8 +76,7 @@ def rare_event_approximation(
 
     Always an upper bound; accurate when every cut-set probability is small.
     """
-    sets = _normalise(cut_sets)
-    return sum(probability_of_cut_set(cs, probabilities) for cs in sets)
+    return cut_set_bounds(cut_sets, probabilities)[0]
 
 
 def birnbaum_bound(
@@ -87,11 +87,24 @@ def birnbaum_bound(
     Exact when the minimal cut sets share no events; otherwise an upper bound
     that is tighter than the rare-event approximation.
     """
-    sets = _normalise(cut_sets)
+    return cut_set_bounds(cut_sets, probabilities)[1]
+
+
+def cut_set_bounds(
+    cut_sets: Iterable[Iterable[str]], probabilities: Mapping[str, float]
+) -> Tuple[float, float]:
+    """``(rare_event_approximation, birnbaum_bound)`` from one pass.
+
+    Each cut set's probability is multiplied out once and both bounds are
+    derived from that list.
+    """
+    cut_set_probabilities = [
+        probability_of_cut_set(cs, probabilities) for cs in _normalise(cut_sets)
+    ]
     product = 1.0
-    for cs in sets:
-        product *= 1.0 - probability_of_cut_set(cs, probabilities)
-    return 1.0 - product
+    for probability in cut_set_probabilities:
+        product *= 1.0 - probability
+    return sum(cut_set_probabilities), 1.0 - product
 
 
 def top_event_probability_from_cut_sets(

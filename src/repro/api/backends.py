@@ -40,11 +40,7 @@ from repro.analysis.mocus import mocus_minimal_cut_sets
 from repro.analysis.modules import modularisation_report
 from repro.analysis.montecarlo import estimate_top_event_probability
 from repro.analysis.spof import single_points_of_failure
-from repro.analysis.topevent import (
-    birnbaum_bound,
-    exact_top_event_probability,
-    rare_event_approximation,
-)
+from repro.analysis.topevent import cut_set_bounds, exact_top_event_probability
 from repro.analysis.truncation import truncated_cut_sets
 from repro.api.cache import ARTIFACT_BDD, ARTIFACT_CUT_SETS, ArtifactCache
 from repro.api.registry import AnalysisBackend, register_backend, run_each
@@ -147,10 +143,11 @@ class _CutSetBackend(AnalysisBackend):
             exact = exact_top_event_probability(
                 cut_sets, probabilities, max_cut_sets=_MAX_EXACT_CUT_SETS
             )
+        rare_event_bound, min_cut_upper_bound = cut_set_bounds(cut_sets, probabilities)
         return TopEventSummary(
             exact=exact,
-            rare_event_bound=rare_event_approximation(cut_sets, probabilities),
-            min_cut_upper_bound=birnbaum_bound(cut_sets, probabilities),
+            rare_event_bound=rare_event_bound,
+            min_cut_upper_bound=min_cut_upper_bound,
             backend=self.name,
         )
 

@@ -1,8 +1,13 @@
 """The long-lived monitor: incremental re-analysis per probability update.
 
-:class:`TreeMonitor` owns a base tree and a current probability state.  Each
+:class:`TreeMonitor` owns a base tree and the last tree it staged, which
+holds the current probability state.  Each
 :class:`~repro.monitoring.feeds.ProbabilityUpdate` is applied as a
-structure-preserving patch (only probabilities move, never the tree), so the
+structure-preserving patch (only probabilities move, never the tree): a copy
+of the last staged tree with only the update's changed events re-set, so
+staging costs O(changed events) beyond the copy and every staged tree shares
+the compiled structure.  A batch of updates commits atomically: an update a
+basic event rejects raises and leaves the monitor as it was.  The
 re-analysis rides the full incremental stack:
 
 * every update is a batch of one through
@@ -34,7 +39,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.cache import ArtifactCache
 from repro.api.report import AnalysisReport
@@ -216,8 +221,9 @@ class TreeMonitor:
         self._thread: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
         self._started_at = time.time()
-        self._base_probabilities = dict(tree.probabilities())
-        self._current: Dict[str, float] = dict(self._base_probabilities)
+        # The last staged tree: it holds the current probability state, and
+        # the next update is staged as a copy of it.
+        self._staged: FaultTree = tree.copy()
         self._known_events = set(tree.event_names)
         self._updates_applied = 0
         self._last_update_at: Optional[float] = None
@@ -276,52 +282,50 @@ class TreeMonitor:
         return delta
 
     def _stage_locked(
-        self, update: ProbabilityUpdate
-    ) -> Tuple[List[str], FaultTree]:
-        """Fold one update into the current state; return its patched tree.
+        self, update: ProbabilityUpdate, previous: FaultTree
+    ) -> Tuple[List[str], List[str], FaultTree]:
+        """Stage one update on top of ``previous``, the last staged tree.
 
-        Staging is cumulative: each staged update sees every earlier one, so
-        a batch staged in order produces exactly the per-update trees the
-        unbatched loop would have analysed.
+        Returns the changed events, the dropped unknown events and the
+        patched tree.  Only the changed events are re-set, so staging costs
+        O(changed events) beyond one tree copy.  Nothing of the monitor is
+        touched: an update whose value a basic event rejects raises here and
+        leaves no trace.
         """
-        registry = get_metrics()
         changed: List[str] = []
+        dropped: List[str] = []
+        # Structure-preserving patch: a copy of the last staged tree carries
+        # every earlier update and shares the compiled structure, so its
+        # order, structure-only cache keys and cut-set checks are reused.
+        patched = previous.copy()
         for event, value in update.values:
             if event not in self._known_events:
-                self._unknown_events += 1
-                registry.inc("repro_monitor_unknown_events_total", tree=self.tree.name)
-                log_event(
-                    "monitoring.monitor",
-                    "unknown_event_dropped",
-                    tree=self.tree.name,
-                    dropped=event,
-                )
+                dropped.append(event)
                 continue
-            if self._current.get(event) != value:
+            if patched.probability(event) != value:
                 changed.append(event)
-            self._current[event] = value
-
-        # Structure-preserving patch: a plain copy with the current
-        # probability state.  The copy shares the tree's compiled structure,
-        # so its order, structure-only cache keys and cut-set checks are
-        # reused, not recomputed.
-        patched = self.tree.copy()
-        for event, value in self._current.items():
-            if self._base_probabilities.get(event) != value:
                 patched.set_probability(event, value)
-        return changed, patched
+        return changed, dropped, patched
 
     def _record_locked(
         self,
         update: ProbabilityUpdate,
         changed: List[str],
+        dropped: List[str],
         started: float,
-        report: Union[AnalysisReport, ReproError],
+        report: AnalysisReport,
     ) -> MonitorDelta:
         """Record the analysed update: state, metrics, alerts and events."""
-        if isinstance(report, ReproError):
-            raise report
         registry = get_metrics()
+        for event in dropped:
+            self._unknown_events += 1
+            registry.inc("repro_monitor_unknown_events_total", tree=self.tree.name)
+            log_event(
+                "monitoring.monitor",
+                "unknown_event_dropped",
+                tree=self.tree.name,
+                dropped=event,
+            )
 
         self._updates_applied += 1
         self._last_update_at = time.time()
@@ -371,35 +375,48 @@ class TreeMonitor:
     def apply_batch(
         self, updates: Sequence[ProbabilityUpdate]
     ) -> List[MonitorDelta]:
-        """Apply a chunk of updates as one batch.
+        """Apply a chunk of updates as one batch, atomically.
 
-        All updates are staged first (cumulatively, in order) and the staged
-        trees are analysed as one :meth:`SweepExecutor.analyze_batch`: their
-        exact top-event probabilities come from a single kernel call over
-        the whole ``(updates × events)`` grid, and the MaxSAT re-solves are
-        the per-update ones on the structure's warm state: its module optima
+        The updates are staged in order, each as a copy of the tree staged
+        before it with only its changed events re-set, so every staged tree
+        sees the updates before it.  The staged trees are analysed as one
+        :meth:`SweepExecutor.analyze_batch`: their exact top-event
+        probabilities come from a single kernel call over the whole
+        ``(updates × events)`` grid, and the MaxSAT re-solves are the
+        per-update ones on the structure's warm state: its module optima
         when every module solves by rule and one optimum is asked for, else
-        the incremental session, which answers from its candidate pool
-        where that certifies the optimum.  The per-update deltas, reports,
-        alerts and streamed events are identical to calling
-        :meth:`apply_update` in a loop — batching only removes per-update
-        BDD work.
+        the incremental session, which answers from its candidate pool where
+        that certifies the optimum.  The per-update deltas, reports, alerts
+        and streamed events are identical to calling :meth:`apply_update` in
+        a loop — batching only removes per-update BDD work.
+
+        Staging and analysis happen in local state; the monitor commits the
+        batch only once every update has staged and analysed.  An update
+        that fails — a value its basic event rejects, such as a probability
+        of 0 — raises and leaves the monitor as it was before the call.
         """
         if not updates:
             return []
         self.ensure_base()
         with self._lock:
-            staged: List[Tuple[ProbabilityUpdate, List[str], float]] = []
+            staged: List[Tuple[ProbabilityUpdate, List[str], List[str], float]] = []
             trees: List[FaultTree] = []
+            patched = self._staged
             for update in updates:
                 started = time.perf_counter()
-                changed, patched = self._stage_locked(update)
-                staged.append((update, changed, started))
+                changed, dropped, patched = self._stage_locked(update, patched)
+                staged.append((update, changed, dropped, started))
                 trees.append(patched)
-            reports = self.executor.analyze_batch(trees, self._analyses, top_k=self.top_k)
+            reports = list(
+                self.executor.analyze_batch(trees, self._analyses, top_k=self.top_k)
+            )
+            for report in reports:
+                if isinstance(report, ReproError):
+                    raise report
+            self._staged = patched
             return [
-                self._record_locked(update, changed, started, report)
-                for (update, changed, started), report in zip(staged, reports)
+                self._record_locked(update, changed, dropped, started, report)
+                for (update, changed, dropped, started), report in zip(staged, reports)
             ]
 
     # -- the watchdog ------------------------------------------------------

@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
 from repro.analysis.topevent import (
     birnbaum_bound,
+    cut_set_bounds,
     exact_top_event_probability,
     rare_event_approximation,
     top_event_probability_from_cut_sets,
 )
+from repro.api import AnalysisSession
+from repro.api.cache import ArtifactCache
 from repro.bdd.probability import top_event_probability as bdd_probability
+from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError
+from repro.scenarios.incremental import incremental_cut_sets
+from repro.workloads.generator import random_fault_tree
+from repro.workloads.library import NAMED_TREES
 
 from tests.conftest import all_assignments, small_random_trees
 
@@ -122,3 +129,41 @@ class TestAgainstExhaustiveEnumeration:
         if len(cut_sets) <= 16:
             exact = exact_top_event_probability(cut_sets, tree.probabilities())
             assert exact == pytest.approx(reference, rel=1e-9, abs=1e-12)
+
+
+def _pinned_sweep_tree():
+    return random_fault_tree(num_basic_events=60, seed=5, voting_ratio=0.05)
+
+
+_BOUND_TREES = [*sorted(set(NAMED_TREES.values()), key=lambda f: f.__name__), _pinned_sweep_tree]
+
+
+class TestOnePassBounds:
+    """``cut_set_bounds`` multiplies each cut set out once; both bounds stay
+    the doubles of the per-bound formulas, bit for bit."""
+
+    @pytest.mark.parametrize("factory", _BOUND_TREES, ids=lambda f: f.__name__)
+    def test_bounds_are_bit_identical_to_the_separate_functions(self, factory):
+        tree = factory()
+        cut_sets = list(incremental_cut_sets(tree, ArtifactCache()))
+        probabilities = tree.probabilities()
+        rare, upper = cut_set_bounds(cut_sets, probabilities)
+        sets = [frozenset(cs) for cs in cut_sets]
+        reference_rare = sum(probability_of_cut_set(cs, probabilities) for cs in sets)
+        product = 1.0
+        for cs in sets:
+            product *= 1.0 - probability_of_cut_set(cs, probabilities)
+        assert rare.hex() == reference_rare.hex()
+        assert upper.hex() == (1.0 - product).hex()
+        assert rare.hex() == rare_event_approximation(cut_sets, probabilities).hex()
+        assert upper.hex() == birnbaum_bound(cut_sets, probabilities).hex()
+
+    @pytest.mark.parametrize("backend", ["mocus", "brute-force"])
+    def test_cut_set_backends_report_the_separate_functions_bounds(self, backend):
+        tree = NAMED_TREES["chemical-reactor"]()
+        report = AnalysisSession().analyze(tree, analyses=["mcs", "top_event"], backend=backend)
+        cut_sets = list(report.cut_sets)
+        probabilities = tree.probabilities()
+        summary = report.top_event
+        assert summary.rare_event_bound == rare_event_approximation(cut_sets, probabilities)
+        assert summary.min_cut_upper_bound == birnbaum_bound(cut_sets, probabilities)

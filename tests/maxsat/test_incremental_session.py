@@ -50,8 +50,14 @@ class TestCDCLIncrementalInterface:
 
 def _loaded_clauses(tree):
     """What the cold RC2 solve and a warm session each load into their solver:
-    the hard clauses and the declared variable count."""
-    loaded = []
+    the hard clauses and the declared variable count.
+
+    A cold solve that outgrows RC2's core budget hands over to the hitting set
+    engine, which loads a solver of its own from the same instance; every
+    cold load must match, and the session loads exactly one.
+    """
+    cold_loads, warm_loads = [], []
+    loaded = cold_loads
     original = engine_module.new_sat_solver
 
     def recording(instance, **options):
@@ -62,8 +68,11 @@ def _loaded_clauses(tree):
         patch.setattr(engine_module, "new_sat_solver", recording)
         patch.setattr(incremental_module, "new_sat_solver", recording)
         RC2Engine().solve(encode_mpmcs(tree).instance)
+        loaded = warm_loads
         IncrementalMaxSATSession(tree)
-    cold, warm = loaded
+    cold, *handed_over = cold_loads
+    assert all(load == cold for load in handed_over)
+    (warm,) = warm_loads
     return cold, warm
 
 

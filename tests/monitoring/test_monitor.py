@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import AnalysisSession
 from repro.api.cache import ArtifactCache
+from repro.exceptions import AnalysisError, ProbabilityError
 from repro.monitoring import (
     MonitorError,
     MpmcsChanged,
@@ -113,6 +114,89 @@ class TestApplyUpdate:
             monitor.apply_update(item)
         assert monitor.status()["updates"] == 10
         assert len(compiled) == 1
+
+
+class TestStaging:
+    def test_staging_sets_only_the_changed_events(self, monkeypatch):
+        from repro.fta.tree import FaultTree
+
+        monitor = TreeMonitor(fire_protection_system())
+        monitor.apply_update(update(1, x1=0.5, x2=0.2))
+        monitor.apply_update(update(2, x3=0.04))
+        calls = []
+        original = FaultTree.set_probability
+
+        def counting(self, event_name, probability):
+            calls.append(event_name)
+            return original(self, event_name, probability)
+
+        monkeypatch.setattr(FaultTree, "set_probability", counting)
+        delta = monitor.apply_update(update(3, x4=0.3, x1=0.5))  # x1 unchanged
+        # One call per changed event, however many events drifted before.
+        assert delta.changed_events == ("x4",)
+        assert calls == ["x4"]
+
+    def test_staged_trees_share_the_compiled_structure(self):
+        tree = fire_protection_system()
+        monitor = TreeMonitor(tree)
+        first = monitor.apply_update(update(1, x1=0.5))
+        second = monitor.apply_update(update(2, x2=0.2))
+        assert first.report.tree is not second.report.tree
+        assert first.report.tree.compiled() is tree.compiled()
+        assert second.report.tree.compiled() is tree.compiled()
+        # An earlier staged tree keeps its own probability state.
+        assert first.report.tree.probability("x2") == tree.probability("x2")
+        assert second.report.tree.probability("x1") == 0.5
+
+
+class TestRejectedUpdates:
+    """A rejected update raises and leaves the monitor as it was."""
+
+    def test_a_rejected_value_does_not_poison_later_updates(self):
+        monitor = TreeMonitor(fire_protection_system())
+        monitor.ensure_base()
+        before = monitor.status()
+        with pytest.raises(ProbabilityError, match="'x1'"):
+            monitor.apply_update(update(1, x1=0.0))
+        assert monitor.status() == before
+        # The next update sees the state from before the rejected one.
+        delta = monitor.apply_update(update(2, x2=0.3))
+        assert delta.changed_events == ("x2",)
+        assert delta.previous_ptop == before["base_ptop"]
+        patched = fire_protection_system()
+        patched.set_probability("x2", 0.3)
+        fresh = SweepExecutor(AnalysisSession(), backend="maxsat")
+        expected = fresh.analyze_tree(patched, fresh.prepare_analyses(), top_k=5)
+        assert delta.report.to_canonical_dict() == expected.to_canonical_dict()
+        third = monitor.apply_update(update(3, x1=0.1))
+        assert third.changed_events == ("x1",)
+
+    def test_a_rejected_update_streams_and_counts_nothing(self, registry):
+        monitor = TreeMonitor(fire_protection_system())
+        monitor.ensure_base()
+        last_event = monitor.events.last_id
+        with pytest.raises(ProbabilityError):
+            monitor.apply_update(update(1, nonexistent=0.4, x1=0.0))
+        assert monitor.events.last_id == last_event
+        assert monitor.status()["unknown_events"] == 0
+        assert registry.counter_value("repro_monitor_unknown_events_total") == 0
+        assert registry.counter_value("repro_monitor_updates_total") == 0
+
+    def test_a_failed_analysis_leaves_the_state_unchanged(self, monkeypatch):
+        monitor = TreeMonitor(fire_protection_system())
+        monitor.ensure_base()
+        before = monitor.status()
+        monkeypatch.setattr(
+            monitor.executor,
+            "analyze_batch",
+            lambda trees, *args, **kwargs: [AnalysisError("injected") for _ in trees],
+        )
+        with pytest.raises(AnalysisError, match="injected"):
+            monitor.apply_update(update(1, x1=0.5))
+        assert monitor.status() == before
+        monkeypatch.undo()
+        delta = monitor.apply_update(update(2, x1=0.5))
+        assert delta.changed_events == ("x1",)
 
 
 class TestLifecycle:

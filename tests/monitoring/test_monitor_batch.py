@@ -11,6 +11,10 @@ from repro.monitoring import (
     SyntheticFeed,
     TreeMonitor,
 )
+from repro.api import AnalysisSession
+from repro.exceptions import ProbabilityError
+from repro.scenarios.sweep import SweepExecutor
+from repro.workloads.generator import probability_walk, random_fault_tree
 from repro.workloads.library import fire_protection_system
 
 
@@ -72,6 +76,60 @@ class TestApplyBatch:
         assert tuple(deltas[1].changed_events) == ("x2",)
         third = monitor.apply_update(ProbabilityUpdate.create({"x1": 0.5}, seq=3))
         assert tuple(third.changed_events) == ()  # x1 already at 0.5 from the batch
+
+
+class TestAtomicBatch:
+    def test_a_rejected_update_leaves_the_whole_batch_unapplied(self):
+        updates = _updates(6)
+        monitor = TreeMonitor(fire_protection_system(), backend="maxsat")
+        monitor.ensure_base()
+        before = monitor.status()
+        bad = ProbabilityUpdate.create({"x1": 0.0}, seq=99)
+        with pytest.raises(ProbabilityError, match="'x1'"):
+            monitor.apply_batch(updates[:3] + [bad] + updates[3:])
+        assert monitor.status() == before
+        # The monitor carries on as if the batch had never been offered.
+        fresh = TreeMonitor(fire_protection_system(), backend="maxsat")
+        assert _delta_documents(monitor.apply_batch(updates)) == _delta_documents(
+            fresh.apply_batch(updates)
+        )
+
+
+def _canonical(report):
+    return json.dumps(report.to_canonical_dict(), sort_keys=True).encode("utf-8")
+
+
+class TestWarmAgainstCold:
+    """The one-optimum warm route, over a long drifting walk, answers
+    byte-for-byte what a cold analysis of each cumulative state answers."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_long_walk_matches_cold_analyses(self, chunk):
+        tree = random_fault_tree(num_basic_events=60, seed=5, voting_ratio=0.05)
+        updates = [
+            ProbabilityUpdate.create(values, seq=seq)
+            for seq, values in enumerate(
+                probability_walk(tree, steps=250, events_per_step=4, volatility=1.5),
+                start=1,
+            )
+        ]
+        monitor = TreeMonitor(tree)
+        deltas = []
+        for start in range(0, len(updates), chunk):
+            deltas.extend(monitor.apply_batch(updates[start : start + chunk]))
+        assert len(deltas) == len(updates)
+
+        executor = SweepExecutor(AnalysisSession(), backend="maxsat")
+        analyses = executor.prepare_analyses()
+        patched = tree.copy()
+        mismatches = []
+        for update, delta in zip(updates, deltas):
+            for event, value in update.values:
+                patched.set_probability(event, value)
+            cold = executor.analyze_tree(patched, analyses, top_k=monitor.top_k)
+            if _canonical(delta.report) != _canonical(cold):
+                mismatches.append(update.seq)
+        assert mismatches == []
 
 
 class TestRunBatchSize:
