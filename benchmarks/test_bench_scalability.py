@@ -8,9 +8,12 @@ seeded random fault trees (:mod:`repro.workloads.generator`) spanning two orders
 size, up to several thousand nodes.  For every size the benchmark records the
 wall-clock time of the full pipeline (encode + solve + extract) and asserts:
 
-* the result is a genuine minimal cut set of the tree (soundness), and
+* the result is a genuine minimal cut set of the tree (soundness),
 * the multi-thousand-node instances complete within a seconds-scale budget —
-  the *shape* of the paper's claim.
+  the *shape* of the paper's claim — and
+* the solve makes exactly the pinned number of SAT calls with no conflict:
+  counted work, which a loaded host cannot blur the way it blurs wall time,
+  so a change to the encoding or the solver that adds work shows here.
 """
 
 import time
@@ -22,6 +25,9 @@ from repro.maxsat import RC2Engine
 from repro.workloads.generator import random_fault_tree
 
 from benchmarks.conftest import emit
+
+#: SAT calls RC2 makes on each row's tree (0 conflicts on every row).
+SAT_CALLS = {100: 15, 250: 4, 500: 2, 1000: 4, 2000: 3, 4000: 3}
 
 #: (number of basic events, seconds budget for one full pipeline run).
 SIZES = [
@@ -36,12 +42,21 @@ SIZES = [
 _series = []
 
 
+class _CountingRC2(RC2Engine):
+    """RC2 that keeps the result of its last solve, for its work counters."""
+
+    def solve(self, instance):
+        self.last = super().solve(instance)
+        return self.last
+
+
 @pytest.mark.parametrize("num_events,budget_s", SIZES, ids=[f"n{n}" for n, _ in SIZES])
 def test_bench_scalability(benchmark, num_events, budget_s):
     tree = random_fault_tree(
         num_basic_events=num_events, seed=42, voting_ratio=0.05, event_reuse=0.05
     )
-    solver = MPMCSSolver(single_engine=RC2Engine())
+    engine = _CountingRC2()
+    solver = MPMCSSolver(single_engine=engine)
 
     start = time.perf_counter()
     result = benchmark.pedantic(solver.solve, args=(tree,), rounds=1, iterations=1)
@@ -52,11 +67,13 @@ def test_bench_scalability(benchmark, num_events, budget_s):
     assert elapsed < budget_s, (
         f"{tree.num_nodes}-node tree took {elapsed:.1f}s, above the seconds-scale budget"
     )
+    assert (engine.last.sat_calls, engine.last.conflicts) == (SAT_CALLS[num_events], 0)
 
     _series.append(
         f"events={num_events:5d}  nodes={tree.num_nodes:5d}  vars={result.num_vars:6d}  "
         f"hard={result.num_hard:6d}  |MPMCS|={result.size:3d}  "
-        f"P={result.probability:9.3e}  time={elapsed:6.2f}s"
+        f"P={result.probability:9.3e}  sat_calls={engine.last.sat_calls:3d}  "
+        f"time={elapsed:6.2f}s"
     )
     if num_events == SIZES[-1][0]:
         emit(

@@ -74,7 +74,7 @@ Package map
                      artifact cache, batch execution.
 ``repro.logic``      Boolean formulas, the AND/OR/k-of-n Tseitin clause
                      generators, DIMACS I/O.
-``repro.sat``        CDCL and DPLL SAT solvers with assumptions/cores.
+``repro.sat``        The CDCL SAT solver with assumptions/cores.
 ``repro.maxsat``     Weighted Partial MaxSAT engines and the parallel portfolio.
 ``repro.fta``        Fault-tree model, builder, Galileo/JSON parsers.
 ``repro.core``       The six-step MPMCS pipeline (hard clauses assembled gate by

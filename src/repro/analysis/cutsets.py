@@ -10,8 +10,20 @@ class used across analyses and reports.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.weights import log_weight, probability_of_cut_set
 from repro.exceptions import AnalysisError
@@ -126,8 +138,28 @@ class CutSetCollection:
         """Joint probability of one cut set (independent events)."""
         return probability_of_cut_set(cut_set, self._require_probabilities())
 
-    def ranked(self) -> List[Tuple[CutSet, float]]:
-        """All cut sets, most probable first, each with its probability.
+    def _objective_key(self) -> Callable[[CutSet], Tuple[int, int, Tuple[str, ...]]]:
+        """The ranking key of :meth:`ranked`, weighing each event once.
+
+        The key checks each event the first time it meets it, with the
+        errors :func:`~repro.core.weights.probability_of_cut_set` raises.
+        """
+        probabilities = self._require_probabilities()
+        scaled: Dict[str, int] = {}
+
+        def key(cut_set: CutSet) -> Tuple[int, int, Tuple[str, ...]]:
+            names = tuple(sorted(cut_set))
+            fresh = [name for name in names if name not in scaled]
+            probability_of_cut_set(fresh, probabilities)
+            for name in fresh:
+                scaled[name] = scale_weight(log_weight(probabilities[name]), DEFAULT_PRECISION)
+            return (sum(scaled[name] for name in names), len(names), names)
+
+        return key
+
+    def ranked(self, limit: Optional[int] = None) -> List[Tuple[CutSet, float]]:
+        """The ``limit`` most probable cut sets (all by default), most
+        probable first, each with its probability.
 
         The order is the MaxSAT objective's (:func:`~repro.maxsat.instance.objective_weight`):
         the sum of the events' ``scale_weight(-log p)`` at
@@ -135,21 +167,17 @@ class CutSetCollection:
         sets first, then the lexicographically smallest sorted event tuple.
         So every backend (MOCUS, BDD, brute force, MaxSAT) ranks identically,
         also where the float products of near-tied cut sets differ in the
-        last place.  The probabilities reported are the float products.
+        last place.  The probabilities reported are the float products,
+        multiplied out for the returned sets only.  ``ranked(k)`` equals
+        ``ranked()[:k]``: it is :func:`heapq.nsmallest` over the same key.
         """
         probabilities = self._require_probabilities()
-        scaled: Dict[str, int] = {}
-        keyed = []
-        for cut_set in self.cut_sets:
-            probability = probability_of_cut_set(cut_set, probabilities)
-            names = tuple(sorted(cut_set))
-            for name in names:
-                if name not in scaled:
-                    scaled[name] = scale_weight(log_weight(probabilities[name]), DEFAULT_PRECISION)
-            key = (sum(scaled[name] for name in names), len(names), names)
-            keyed.append((key, cut_set, probability))
-        keyed.sort(key=lambda item: item[0])
-        return [(cut_set, probability) for _, cut_set, probability in keyed]
+        key = self._objective_key()
+        if limit is None:
+            chosen = sorted(self.cut_sets, key=key)
+        else:
+            chosen = heapq.nsmallest(limit, self.cut_sets, key=key)
+        return [(cut_set, probability_of_cut_set(cut_set, probabilities)) for cut_set in chosen]
 
     def most_probable(self) -> Tuple[CutSet, float]:
         """The Maximum Probability Minimal Cut Set and its probability.
@@ -161,18 +189,7 @@ class CutSetCollection:
         probabilities = self._require_probabilities()
         if not self.cut_sets:
             raise AnalysisError("empty cut-set collection has no MPMCS")
-        scaled: Dict[str, int] = {}
-
-        def key(cut_set: CutSet) -> Tuple[int, int, Tuple[str, ...]]:
-            names = tuple(sorted(cut_set))
-            fresh = [name for name in names if name not in scaled]
-            # Checks the new events as ranked() does, with the same errors.
-            probability_of_cut_set(fresh, probabilities)
-            for name in fresh:
-                scaled[name] = scale_weight(log_weight(probabilities[name]), DEFAULT_PRECISION)
-            return (sum(scaled[name] for name in names), len(names), names)
-
-        best = min(self.cut_sets, key=key)
+        best = min(self.cut_sets, key=self._objective_key())
         return best, probability_of_cut_set(best, probabilities)
 
     def to_sorted_tuples(self) -> List[Tuple[str, ...]]:

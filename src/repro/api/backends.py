@@ -86,7 +86,7 @@ def _ranking_from_collection(
             probability=probability,
             cost=weight_of_cut_set(cut_set, probabilities),
         )
-        for index, (cut_set, probability) in enumerate(collection.ranked()[:top_k])
+        for index, (cut_set, probability) in enumerate(collection.ranked(top_k))
     ]
 
 

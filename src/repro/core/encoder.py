@@ -37,16 +37,17 @@ to true, hence the extracted set is an inclusion-minimal cut set — the MPMCS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.core.weights import log_weight
+from repro.core.weights import MIN_WEIGHT, log_weight
 from repro.exceptions import FaultTreeError
 from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.logic.tseitin import and_clauses, at_least_clauses, or_clauses
-from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance, objective_weight
+from repro.maxsat.instance import DEFAULT_PRECISION, WPMaxSATInstance, scale_weight
 
 __all__ = [
     "MPMCSEncoding",
@@ -54,8 +55,8 @@ __all__ = [
     "assemble_skeleton_cnf",
     "assemble_structure_cnf",
     "encode_mpmcs",
-    "event_weight",
     "event_weights",
+    "weigh_events",
 ]
 
 
@@ -73,6 +74,10 @@ class StructureCNF:
     :meth:`~repro.maxsat.instance.WPMaxSATInstance.add_hard`.  A record is
     memoised per structure (:attr:`~repro.fta.compiled.CompiledStructure.cnf`),
     so nothing may modify it: an encoding takes a copy of ``instance``.
+    ``instance`` keeps one level-0 solver loaded with the clauses
+    (:meth:`~repro.maxsat.instance.WPMaxSATInstance.keep_loaded_solver`),
+    loaded by the first solve, so every later solve of the record or of a
+    copy without extra hard clauses starts from a copy of it.
     """
 
     clauses: List[Tuple[int, ...]]
@@ -118,6 +123,7 @@ def _assemble(order: Iterable[str], gates: Iterable[Gate], root: str) -> Structu
     instance.ensure_num_vars(num_vars)
     for clause in clauses:
         instance.add_hard(clause)
+    instance.keep_loaded_solver()
     return StructureCNF(
         clauses=clauses,
         num_vars=num_vars,
@@ -189,27 +195,53 @@ class MPMCSEncoding:
         return tuple(sorted(members))
 
 
-def event_weight(probability: float, rank: int, count: int) -> Tuple[float, int]:
-    """One basic event's ``-log`` weight and integer objective weight.
+def weigh_events(
+    probabilities: Iterable[Tuple[str, float]], structure: CompiledStructure
+) -> Iterator[Tuple[str, float, int]]:
+    """Each ``(name, probability)``'s ``-log`` weight and integer objective, in one pass.
 
-    ``rank`` is the event's place in sorted name order and ``count`` the
-    number of events (:attr:`~repro.fta.compiled.CompiledStructure.event_ranks`);
-    the objective is :func:`~repro.maxsat.instance.objective_weight` at
-    :data:`~repro.maxsat.instance.DEFAULT_PRECISION`.
+    Yields ``(name, weight, objective)``: ``weight`` is
+    :func:`~repro.core.weights.log_weight` of the probability and
+    ``objective`` its :func:`~repro.maxsat.instance.objective_weight` at
+    :data:`~repro.maxsat.instance.DEFAULT_PRECISION`, for the event's rank
+    (:attr:`~repro.fta.compiled.CompiledStructure.event_ranks`) among the
+    structure's events; the objective's rank term comes from
+    :attr:`~repro.fta.compiled.CompiledStructure.rank_terms`.  A ``float``
+    in (0, 1] passes :func:`~repro.core.weights.log_weight`'s checks, and
+    its weight, at least :data:`~repro.core.weights.MIN_WEIGHT` and finite,
+    passes :func:`~repro.maxsat.instance.scale_weight`'s, so both are
+    computed inline; any other value goes through both functions and raises
+    their errors.
     """
-    weight = log_weight(probability)
-    return weight, objective_weight(weight, rank, count, DEFAULT_PRECISION)
+    terms = structure.rank_terms
+    shift = len(terms) + 1
+    precision = DEFAULT_PRECISION
+    log = math.log
+    for name, probability in probabilities:
+        if probability.__class__ is float and 0.0 < probability <= 1.0:
+            # The values of max(-log(p), MIN_WEIGHT) and
+            # max(1, int(round(weight * precision))), without the calls.
+            weight = -log(probability)
+            if MIN_WEIGHT > weight:
+                weight = MIN_WEIGHT
+            scaled = round(weight * precision)
+            if scaled < 1:
+                scaled = 1
+        else:
+            weight = log_weight(probability)
+            scaled = scale_weight(weight, precision)
+        yield name, weight, ((scaled * shift + 1) << shift) - terms[name]
 
 
 def event_weights(tree: FaultTree) -> Tuple[Dict[str, float], Dict[str, int]]:
-    """Each basic event's :func:`event_weight`, in one pass over the events
-    in the tree's declaration order, ranked by the compiled structure."""
-    ranks = tree.compiled().event_ranks
-    count = len(ranks)
+    """Each basic event's ``-log`` weight and integer objective
+    (:func:`weigh_events`), in the tree's declaration order."""
     weights: Dict[str, float] = {}
     objective: Dict[str, int] = {}
-    for name, event in tree.events.items():
-        weights[name], objective[name] = event_weight(event.probability, ranks[name], count)
+    events = ((name, event.probability) for name, event in tree.events.items())
+    for name, weight, scaled in weigh_events(events, tree.compiled()):
+        weights[name] = weight
+        objective[name] = scaled
     return weights, objective
 
 

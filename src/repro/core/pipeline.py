@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.encoder import MPMCSEncoding, encode_mpmcs, event_weight
+from repro.core.encoder import MPMCSEncoding, encode_mpmcs, weigh_events
 from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError, NoCutSetError
 from repro.fta.compiled import CompiledStructure, Skeleton
@@ -193,8 +193,6 @@ class ModuleOptima:
 
     def _update(self, tree: FaultTree, solve: SkeletonSolve) -> List[PortfolioReport]:
         modules = self.structure.modules
-        ranks = self.structure.event_ranks
-        count = len(ranks)
         value = self._value
         # A first update solves every module; a later one only those above a
         # change.  Skeletons are numbered bottom-up and a sorted list is a
@@ -215,15 +213,17 @@ class ModuleOptima:
                 queued.add(index)
                 heapq.heappush(pending, index)
 
+        changed: Dict[str, float] = {}
         for name, event in tree.events.items():
             probability = event.probability
             if self._probabilities.get(name) != probability:
-                weight, objective = event_weight(probability, ranks[name], count)
-                self._probabilities[name] = probability
-                self.weights[name] = weight
-                value[name] = (objective, weight)
-                if not fresh:
-                    touch(name)
+                changed[name] = probability
+        self._probabilities.update(changed)
+        for name, weight, objective in weigh_events(changed.items(), self.structure):
+            self.weights[name] = weight
+            value[name] = (objective, weight)
+            if not fresh:
+                touch(name)
         reports: List[PortfolioReport] = []
         while pending:
             skeleton = modules[heapq.heappop(pending)]

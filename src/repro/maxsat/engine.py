@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import SolverError, SolverInterrupted
 from repro.logic.cnf import Literal
@@ -23,11 +23,35 @@ def new_sat_solver(
 ) -> CDCLSolver:
     """A CDCL solver holding the hard clauses of ``instance``, with the
     instance's declared variables reserved first: the one loader of the
-    engines and the warm session."""
-    solver = CDCLSolver(max_conflicts=max_conflicts, stop_check=stop_check)
-    for _ in range(instance.num_vars):
+    engines and the warm session.
+
+    An instance that keeps a loaded solver
+    (:meth:`~repro.maxsat.instance.WPMaxSATInstance.keep_loaded_solver`) —
+    a structure's memoised hard clauses and the encodings copied from them —
+    gets a copy of that solver, loaded on first use, with any variables it
+    declared since; every other instance is loaded clause by clause.  Both
+    give the same solver state.
+    """
+    memo = instance.solver_memo
+    if memo is None:
+        return _load(
+            CDCLSolver(max_conflicts=max_conflicts, stop_check=stop_check),
+            instance.num_vars,
+            instance.hard,
+        )
+    if memo.solver is None:
+        memo.solver = _load(CDCLSolver(), memo.num_vars, instance.hard)
+    solver = memo.solver.copy(max_conflicts=max_conflicts, stop_check=stop_check)
+    for _ in range(memo.num_vars, instance.num_vars):
         solver.new_var()
-    for clause in instance.hard:
+    return solver
+
+
+def _load(solver: CDCLSolver, num_vars: int, hard: Iterable[Sequence[Literal]]) -> CDCLSolver:
+    """``solver`` with variables ``1..num_vars`` reserved, then ``hard`` added."""
+    for _ in range(num_vars):
+        solver.new_var()
+    for clause in hard:
         solver.add_clause(clause)
     return solver
 

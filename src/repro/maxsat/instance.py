@@ -25,6 +25,7 @@ from repro.logic.cnf import Literal
 
 __all__ = [
     "SoftClause",
+    "SolverMemo",
     "WPMaxSATInstance",
     "DEFAULT_PRECISION",
     "objective_weight",
@@ -73,6 +74,28 @@ def _checked_clause(literals: Sequence[Literal]) -> Tuple[Literal, ...]:
     return clause
 
 
+class SolverMemo:
+    """A slot for one solver loaded with an instance's hard clauses.
+
+    :meth:`WPMaxSATInstance.keep_loaded_solver` gives an instance one, its
+    copies share it, and :meth:`WPMaxSATInstance.add_hard` drops it, so an
+    instance that holds a memo holds exactly the hard clauses it was made
+    for.  :func:`~repro.maxsat.engine.new_sat_solver` fills ``solver`` on
+    first use, over the first ``num_vars`` variables, and hands out copies
+    of it; nothing solves on it.  A pickle keeps the slot but not the
+    solver.
+    """
+
+    __slots__ = ("num_vars", "solver")
+
+    def __init__(self, num_vars: int) -> None:
+        self.num_vars = num_vars
+        self.solver = None
+
+    def __reduce__(self):
+        return SolverMemo, (self.num_vars,)
+
+
 @dataclass(frozen=True)
 class SoftClause:
     """A soft clause with its original float weight and scaled integer weight."""
@@ -109,12 +132,28 @@ class WPMaxSATInstance:
         self._hard: List[Tuple[Literal, ...]] = []
         self._soft: List[SoftClause] = []
         self._num_vars = 0
+        self._solver_memo: Optional[SolverMemo] = None
 
     # -- construction ---------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
         return self._num_vars
+
+    @property
+    def solver_memo(self) -> Optional[SolverMemo]:
+        """The memo of a solver loaded with these hard clauses, if kept."""
+        return self._solver_memo
+
+    def keep_loaded_solver(self) -> None:
+        """Keep one loaded solver for the current hard clauses, shared by copies.
+
+        For an instance whose copies are solved many times over, such as a
+        structure's memoised hard clauses: each engine then copies one
+        solver (:meth:`~repro.sat.cdcl.CDCLSolver.copy`) instead of loading
+        every clause again.  The instance must not change afterwards.
+        """
+        self._solver_memo = SolverMemo(self._num_vars)
 
     @property
     def hard(self) -> Tuple[Tuple[Literal, ...], ...]:
@@ -151,6 +190,7 @@ class WPMaxSATInstance:
             raise SolverError("hard clause cannot be empty")
         self.ensure_num_vars(max(map(abs, clause)))
         self._hard.append(clause)
+        self._solver_memo = None
 
     def add_soft(
         self,
@@ -203,6 +243,7 @@ class WPMaxSATInstance:
         clone._hard = list(self._hard)
         clone._soft = list(self._soft)
         clone._num_vars = self._num_vars
+        clone._solver_memo = self._solver_memo
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -20,7 +20,8 @@ SSE frames)::
     {"values": {"x1": 0.02, "x4": 0.3}, "ts": 1723112345.1, "seq": 17,
      "source": "hydrometry-station-4"}
 
-Only ``values`` is required; ``ts`` defaults to arrival time and ``seq`` to
+Only ``values`` is required; each value must lie in (0, 1], the range of a
+basic event's probability.  ``ts`` defaults to arrival time and ``seq`` to
 the feed's own running counter.
 """
 
@@ -73,9 +74,11 @@ class ProbabilityUpdate:
         if not items:
             raise FeedError("a probability update needs at least one event value")
         for name, value in items:
-            if not 0.0 <= value <= 1.0:
+            # A basic event's probability lies in (0, 1]: refusing 0 here
+            # keeps a zero reading from reaching (and stopping) a monitor.
+            if not 0.0 < value <= 1.0:
                 raise FeedError(
-                    f"update value for event {name!r} must lie in [0, 1], got {value!r}"
+                    f"update value for event {name!r} must lie in (0, 1], got {value!r}"
                 )
         return ProbabilityUpdate(
             values=items,

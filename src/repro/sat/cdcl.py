@@ -159,31 +159,52 @@ class CDCLSolver(BaseSatSolver):
             self.new_var()
 
     def add_clause(self, literals: Sequence[Literal]) -> None:
-        """Add a problem clause.  Must be called at decision level 0."""
+        """Add a problem clause.  Must be called at decision level 0.
+
+        A literal of exact type ``int`` is checked for 0 alone; any other is
+        checked in full, so ``bool`` and non-integer literals are refused and
+        ``int`` subclasses such as ``IntEnum`` members accepted.  The
+        variables of the literals read so far are allocated on every exit,
+        also a tautology's or an invalid literal's, as if one by one.
+        """
         if self._trail_lim:
             raise SolverError("clauses can only be added at decision level 0")
         seen: Set[int] = set()
         clause_lits: List[int] = []
-        for lit in literals:
-            if lit == 0 or not isinstance(lit, int) or isinstance(lit, bool):
-                raise SolverError(f"invalid literal {lit!r}")
-            if -lit in seen:
-                return  # tautology, trivially satisfied
-            if lit in seen:
-                continue
-            seen.add(lit)
-            clause_lits.append(lit)
-            self._ensure_var(abs(lit))
+        top = 0
+        try:
+            for lit in literals:
+                if lit.__class__ is int:
+                    if not lit:
+                        raise SolverError(f"invalid literal {lit!r}")
+                elif lit == 0 or not isinstance(lit, int) or isinstance(lit, bool):
+                    raise SolverError(f"invalid literal {lit!r}")
+                if -lit in seen:
+                    return  # tautology, trivially satisfied
+                if lit in seen:
+                    continue
+                seen.add(lit)
+                clause_lits.append(lit)
+                var = lit if lit > 0 else -lit
+                if var > top:
+                    top = var
+        finally:
+            self._ensure_var(top)
 
         if not self._ok:
             return
         # Remove literals already falsified at level 0 and drop satisfied clauses.
+        assigns = self._assigns
+        levels = self._levels
         filtered: List[int] = []
         for lit in clause_lits:
-            value = self._literal_value(lit)
-            if value == _TRUE and self._levels[abs(lit)] == 0:
-                return
-            if value == _FALSE and self._levels[abs(lit)] == 0:
+            if lit > 0:
+                var, value = lit, assigns[lit]
+            else:
+                var, value = -lit, -assigns[-lit]
+            if value != _UNASSIGNED and levels[var] == 0:
+                if value == _TRUE:
+                    return
                 continue
             filtered.append(lit)
 
@@ -218,6 +239,64 @@ class CDCLSolver(BaseSatSolver):
         """
         for clause in clauses:
             self.add_clause(clause)
+
+    def copy(
+        self,
+        *,
+        max_conflicts: Optional[int] = None,
+        stop_check: Optional[callable] = None,
+    ) -> "CDCLSolver":
+        """An independent solver in this one's state, under its own conflict
+        budget and stop hook.  Must be called at decision level 0.
+
+        Solving or adding clauses on either solver afterwards leaves the
+        other as it was: every mutable array is copied, and so is each
+        clause's literal list, since propagation swaps watched literals in
+        place.  Watch lists keep their order and reasons point at the copied
+        clauses, so the copy searches exactly as this solver would.  The copy
+        is built through ``__init__`` and then given this solver's state, so
+        its attributes are laid out as every other solver's are.
+        """
+        if self._trail_lim:
+            raise SolverError("a solver can only be copied at decision level 0")
+        clone = CDCLSolver(
+            restart_base=self._restart_base,
+            var_decay=self._var_decay,
+            clause_decay=self._clause_decay,
+            max_learnt_factor=self._max_learnt_factor,
+            max_conflicts=max_conflicts,
+            default_phase=self._default_phase,
+            stop_check=stop_check,
+        )
+        twins: Dict[int, _Clause] = {}
+        for source, target in ((self._clauses, clone._clauses), (self._learnts, clone._learnts)):
+            for clause in source:
+                twin = _Clause(clause.literals[:], clause.learnt)
+                twin.activity = clause.activity
+                twins[id(clause)] = twin
+                target.append(twin)
+        clone._watches = {
+            lit: [twins[id(clause)] for clause in watchers]
+            for lit, watchers in self._watches.items()
+        }
+        clone._reasons = [
+            None if reason is None else twins[id(reason)] for reason in self._reasons
+        ]
+        clone._num_vars = self._num_vars
+        clone._assigns = self._assigns[:]
+        clone._levels = self._levels[:]
+        clone._activity = self._activity[:]
+        clone._phase = self._phase[:]
+        clone._seen = self._seen[:]
+        clone._trail = self._trail[:]
+        clone._propagation_head = self._propagation_head
+        clone._var_inc = self._var_inc
+        clone._clause_inc = self._clause_inc
+        clone._conflicts = self._conflicts
+        clone._decisions = self._decisions
+        clone._propagations = self._propagations
+        clone._ok = self._ok
+        return clone
 
     # -------------------------------------------------------------- main solve
 
@@ -308,21 +387,23 @@ class CDCLSolver(BaseSatSolver):
                 if lit is None:
                     return SatResult(status=SatStatus.SAT, model=self._extract_model())
                 self._decisions += 1
-            self._new_decision_level()
+            self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
 
     def _next_assumption(self, assumptions: List[int]):
         """Return the next assumption literal to decide, a SatResult if an
         assumption is already violated, or None when all assumptions hold."""
-        level = self._decision_level()
+        assigns = self._assigns
+        trail_lim = self._trail_lim
+        level = len(trail_lim)
         while level < len(assumptions):
             lit = assumptions[level]
-            value = self._literal_value(lit)
+            value = assigns[lit] if lit > 0 else -assigns[-lit]
             if value == _TRUE:
                 # Already satisfied: open an empty decision level to keep the
                 # level <-> assumption-index correspondence.
-                self._new_decision_level()
-                level = self._decision_level()
+                trail_lim.append(len(self._trail))
+                level += 1
                 continue
             if value == _FALSE:
                 core = self._analyze_final(-lit, assumptions)
@@ -346,14 +427,19 @@ class CDCLSolver(BaseSatSolver):
 
         This is the solver's hottest loop.  The assignment buffer and the
         watch map are bound to locals, and literal values are computed inline
-        against the buffer (``assigns[lit]`` sign-adjusted) instead of
-        calling :meth:`_literal_value` per literal — same reads in the same
-        order, so propagation behaviour (and thus every learned clause and
-        model) is unchanged.
+        against the buffer (``assigns[lit]`` sign-adjusted), never through a
+        helper call per literal — same reads in the same order, so
+        propagation behaviour (and thus every learned clause and
+        model) is unchanged.  A unit clause's literal, unassigned by then, is
+        assigned inline as :meth:`_enqueue` would.
         """
         assigns = self._assigns
         watches = self._watches
         trail = self._trail
+        levels = self._levels
+        reasons = self._reasons
+        phase = self._phase
+        level = len(self._trail_lim)
         while self._propagation_head < len(trail):
             lit = trail[self._propagation_head]
             self._propagation_head += 1
@@ -372,7 +458,8 @@ class CDCLSolver(BaseSatSolver):
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if (assigns[first] if first > 0 else -assigns[-first]) == _TRUE:
+                first_value = assigns[first] if first > 0 else -assigns[-first]
+                if first_value == _TRUE:
                     new_watch_list.append(clause)
                     continue
                 # Look for a replacement watch.
@@ -388,12 +475,21 @@ class CDCLSolver(BaseSatSolver):
                     continue
                 # Clause is unit or conflicting.
                 new_watch_list.append(clause)
-                if (assigns[first] if first > 0 else -assigns[-first]) == _FALSE:
+                if first_value == _FALSE:
                     # Conflict: keep the remaining watchers and stop.
                     new_watch_list.extend(watch_list[idx:])
                     conflict = clause
                     break
-                self._enqueue(first, clause)
+                if first > 0:
+                    assigns[first] = _TRUE
+                    var = first
+                else:
+                    var = -first
+                    assigns[var] = _FALSE
+                levels[var] = level
+                reasons[var] = clause
+                phase[var] = first > 0
+                trail.append(first)
                 self._propagations += 1
             watches[false_lit] = new_watch_list
             if conflict is not None:
@@ -402,14 +498,22 @@ class CDCLSolver(BaseSatSolver):
         return None
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        value = self._literal_value(lit)
-        if value == _TRUE:
-            return True
-        if value == _FALSE:
-            return False
-        var = abs(lit)
-        self._assigns[var] = _TRUE if lit > 0 else _FALSE
-        self._levels[var] = self._decision_level()
+        """Assign ``lit`` at the current level, unless it already has a value:
+        then return whether that value makes it true."""
+        assigns = self._assigns
+        if lit > 0:
+            var = lit
+            value = assigns[var]
+            if value != _UNASSIGNED:
+                return value == _TRUE
+            assigns[var] = _TRUE
+        else:
+            var = -lit
+            value = assigns[var]
+            if value != _UNASSIGNED:
+                return value == _FALSE
+            assigns[var] = _FALSE
+        self._levels[var] = len(self._trail_lim)
         self._reasons[var] = reason
         self._phase[var] = lit > 0
         self._trail.append(lit)
@@ -600,17 +704,8 @@ class CDCLSolver(BaseSatSolver):
 
     # ----------------------------------------------------------------- helpers
 
-    def _literal_value(self, lit: int) -> int:
-        value = self._assigns[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if lit > 0 else -value
-
     def _decision_level(self) -> int:
         return len(self._trail_lim)
-
-    def _new_decision_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
 
     def _cancel_until(self, level: int) -> None:
         if self._decision_level() <= level:

@@ -63,7 +63,7 @@ class SatResult:
 
 
 class BaseSatSolver:
-    """Interface implemented by the DPLL and CDCL solvers.
+    """Interface implemented by the CDCL solver (and the tests' DPLL oracle).
 
     Solvers are incremental: clauses may be added between ``solve`` calls, and
     each call may carry *assumption literals* that are temporarily forced true.

@@ -35,6 +35,12 @@ class TestProbabilityUpdate:
         with pytest.raises(FeedError):
             ProbabilityUpdate.create({"a": -0.1})
 
+    def test_rejects_zero_naming_the_basic_event_range(self):
+        # A basic event's probability lies in (0, 1], so the feed refuses 0.
+        with pytest.raises(FeedError, match=r"'a' must lie in \(0, 1\], got 0\.0"):
+            ProbabilityUpdate.create({"a": 0.0})
+        assert ProbabilityUpdate.create({"a": 1.0}).as_mapping() == {"a": 1.0}
+
     def test_wire_round_trip(self):
         update = ProbabilityUpdate.create(
             {"x1": 0.02}, timestamp=12.5, seq=7, source="sensor"
@@ -106,6 +112,7 @@ class TestFileTailFeed:
         path.write_text(
             "this is not json\n"
             + json.dumps({"values": {"x1": 2.0}}) + "\n"  # out of range
+            + json.dumps({"values": {"x1": 0.0}}) + "\n"  # no basic event has p = 0
             + json.dumps({"values": {"x1": 0.3}}) + "\n"
             + "\n",  # blank
             encoding="utf-8",
@@ -121,6 +128,31 @@ class TestFileTailFeed:
         started = time.monotonic()
         assert list(feed) == []
         assert time.monotonic() - started < 5.0
+
+
+class TestZeroReadingInALiveFeed:
+    def test_monitor_skips_a_zero_reading_and_carries_on(self, tmp_path):
+        from repro.monitoring.monitor import TreeMonitor
+
+        path = tmp_path / "feed.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"values": values}) + "\n"
+                for values in ({"x1": 0.2}, {"x1": 0.0}, {"x2": 0.2})
+            ),
+            encoding="utf-8",
+        )
+        monitor = TreeMonitor(fire_protection_system(), backend="maxsat")
+        feed = FileTailFeed(str(path), poll_interval_s=0.01, idle_timeout_s=0.05)
+        assert monitor.run(feed) == 2
+        assert monitor.status()["updates"] == 2
+        # The stream was still open for the reading after the zero one: its
+        # update was streamed before the final "end" event closed it.
+        events = monitor.events.events_after(0)
+        deltas = [event.data for event in events if event.kind == "delta"]
+        # x1 is 0.2 in Fig. 1 already; the third reading moves x2 from 0.1.
+        assert [delta["changed_events"] for delta in deltas] == [[], ["x2"]]
+        assert events[-1].kind == "end" and events[-1].data["updates"] == 2
 
 
 class TestFeedFromSpec:

@@ -39,6 +39,12 @@ def update(seq, **values):
     return ProbabilityUpdate.create(values, seq=seq)
 
 
+def unchecked_update(seq, **values):
+    """An update built without the feed's range check, so that the tree
+    itself rejects a value such as 0 (feeds refuse it before that)."""
+    return ProbabilityUpdate(values=tuple(sorted(values.items())), seq=seq)
+
+
 class TestBase:
     def test_ensure_base_analyses_once_and_streams_a_base_event(self):
         monitor = TreeMonitor(fire_protection_system())
@@ -157,7 +163,7 @@ class TestRejectedUpdates:
         monitor.ensure_base()
         before = monitor.status()
         with pytest.raises(ProbabilityError, match="'x1'"):
-            monitor.apply_update(update(1, x1=0.0))
+            monitor.apply_update(unchecked_update(1, x1=0.0))
         assert monitor.status() == before
         # The next update sees the state from before the rejected one.
         delta = monitor.apply_update(update(2, x2=0.3))
@@ -176,7 +182,7 @@ class TestRejectedUpdates:
         monitor.ensure_base()
         last_event = monitor.events.last_id
         with pytest.raises(ProbabilityError):
-            monitor.apply_update(update(1, nonexistent=0.4, x1=0.0))
+            monitor.apply_update(unchecked_update(1, nonexistent=0.4, x1=0.0))
         assert monitor.events.last_id == last_event
         assert monitor.status()["unknown_events"] == 0
         assert registry.counter_value("repro_monitor_unknown_events_total") == 0

@@ -84,7 +84,9 @@ class TestAtomicBatch:
         monitor = TreeMonitor(fire_protection_system(), backend="maxsat")
         monitor.ensure_base()
         before = monitor.status()
-        bad = ProbabilityUpdate.create({"x1": 0.0}, seq=99)
+        # The feed refuses 0 (ProbabilityUpdate.create), so the update the
+        # tree rejects is built directly.
+        bad = ProbabilityUpdate(values=(("x1", 0.0),), seq=99)
         with pytest.raises(ProbabilityError, match="'x1'"):
             monitor.apply_batch(updates[:3] + [bad] + updates[3:])
         assert monitor.status() == before

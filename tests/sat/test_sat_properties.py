@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cdcl import CDCLSolver
-from repro.sat.dpll import DPLLSolver
+from tests.sat.dpll_oracle import DPLLSolver
 from repro.sat.types import SatStatus
 
 from tests.conftest import brute_force_cnf_satisfiable, cnf_clause_lists
