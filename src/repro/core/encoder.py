@@ -37,11 +37,10 @@ to true, hence the extracted set is an inclusion-minimal cut set — the MPMCS.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.core.weights import MIN_WEIGHT, log_weight
+from repro.core.weights import log_weight
 from repro.exceptions import FaultTreeError
 from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
@@ -77,7 +76,7 @@ class StructureCNF:
     ``instance`` keeps one level-0 solver loaded with the clauses
     (:meth:`~repro.maxsat.instance.WPMaxSATInstance.keep_loaded_solver`),
     loaded by the first solve, so every later solve of the record or of a
-    copy without extra hard clauses starts from a copy of it.
+    copy starts from a copy of it.
     """
 
     clauses: List[Tuple[int, ...]]
@@ -205,32 +204,17 @@ def weigh_events(
     ``objective`` its :func:`~repro.maxsat.instance.objective_weight` at
     :data:`~repro.maxsat.instance.DEFAULT_PRECISION`, for the event's rank
     (:attr:`~repro.fta.compiled.CompiledStructure.event_ranks`) among the
-    structure's events; the objective's rank term comes from
-    :attr:`~repro.fta.compiled.CompiledStructure.rank_terms`.  A ``float``
-    in (0, 1] passes :func:`~repro.core.weights.log_weight`'s checks, and
-    its weight, at least :data:`~repro.core.weights.MIN_WEIGHT` and finite,
-    passes :func:`~repro.maxsat.instance.scale_weight`'s, so both are
-    computed inline; any other value goes through both functions and raises
-    their errors.
+    structure's events.  The weight is quantised by
+    :func:`~repro.maxsat.instance.scale_weight`; the rank lookup and the
+    shift are shared by the pass.
     """
-    terms = structure.rank_terms
-    shift = len(terms) + 1
-    precision = DEFAULT_PRECISION
-    log = math.log
+    ranks = structure.event_ranks
+    count = len(ranks)
+    shift = count + 1
     for name, probability in probabilities:
-        if probability.__class__ is float and 0.0 < probability <= 1.0:
-            # The values of max(-log(p), MIN_WEIGHT) and
-            # max(1, int(round(weight * precision))), without the calls.
-            weight = -log(probability)
-            if MIN_WEIGHT > weight:
-                weight = MIN_WEIGHT
-            scaled = round(weight * precision)
-            if scaled < 1:
-                scaled = 1
-        else:
-            weight = log_weight(probability)
-            scaled = scale_weight(weight, precision)
-        yield name, weight, ((scaled * shift + 1) << shift) - terms[name]
+        weight = log_weight(probability)
+        scaled = scale_weight(weight, DEFAULT_PRECISION)
+        yield name, weight, ((scaled * shift + 1) << shift) - (1 << (count - ranks[name]))
 
 
 def event_weights(tree: FaultTree) -> Tuple[Dict[str, float], Dict[str, int]]:

@@ -147,7 +147,6 @@ class CompiledStructure:
     event_ranks:
         Each basic event's place in sorted name order, the ranks of the
         MPMCS objective (:func:`~repro.maxsat.instance.objective_weight`).
-        :attr:`rank_terms` holds the objective's rank terms.
     """
 
     __slots__ = (
@@ -155,7 +154,6 @@ class CompiledStructure:
         "top",
         "gates",
         "event_ranks",
-        "_rank_terms",
         "_leaves",
         "_program",
         "_node_hashes",
@@ -172,7 +170,6 @@ class CompiledStructure:
             name: index[name] for name in sorted(self.order) if name not in gates
         }
         self.event_ranks: Dict[str, int] = {name: rank for rank, name in enumerate(self._leaves)}
-        self._rank_terms: Optional[Dict[str, int]] = None
         self.gates: Tuple[Gate, ...] = tuple(gates[name] for name in self.order if name in gates)
         position = index.__getitem__
         self._program: Tuple[Tuple[int, GateType, int, Tuple[int, ...]], ...] = tuple(
@@ -211,23 +208,6 @@ class CompiledStructure:
                 value = _at_least(k, [values[child] for child in children])
             values[node] = value
         return values[self.top]
-
-    @property
-    def rank_terms(self) -> Dict[str, int]:
-        """Each basic event's rank term ``1 << (N − r)`` of the MPMCS objective.
-
-        ``N`` is the number of events and ``r`` the event's rank
-        (:attr:`event_ranks`); the term is the part of
-        :func:`~repro.maxsat.instance.objective_weight` that depends on the
-        structure alone.  Computed on first use and shared by every copy;
-        treat it as read-only.
-        """
-        if self._rank_terms is None:
-            count = len(self.event_ranks)
-            self._rank_terms = {
-                name: 1 << (count - rank) for name, rank in self.event_ranks.items()
-            }
-        return self._rank_terms
 
     @property
     def node_hashes(self) -> Dict[str, str]:

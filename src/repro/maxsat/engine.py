@@ -28,28 +28,24 @@ def new_sat_solver(
     An instance that keeps a loaded solver
     (:meth:`~repro.maxsat.instance.WPMaxSATInstance.keep_loaded_solver`) —
     a structure's memoised hard clauses and the encodings copied from them —
-    gets a copy of that solver, loaded on first use, with any variables it
-    declared since; every other instance is loaded clause by clause.  Both
-    give the same solver state.
+    gets a copy of that solver, loaded on first use, with the variables and
+    hard clauses it declared since added in order; every other instance is
+    loaded clause by clause.  Both give the same solver state.
     """
     memo = instance.solver_memo
     if memo is None:
-        return _load(
-            CDCLSolver(max_conflicts=max_conflicts, stop_check=stop_check),
-            instance.num_vars,
-            instance.hard,
-        )
+        solver = CDCLSolver(max_conflicts=max_conflicts, stop_check=stop_check)
+        return _load(solver, instance.num_vars, instance.hard)
+    hard = instance.hard
     if memo.solver is None:
-        memo.solver = _load(CDCLSolver(), memo.num_vars, instance.hard)
+        memo.solver = _load(CDCLSolver(), memo.num_vars, hard[: memo.num_hard])
     solver = memo.solver.copy(max_conflicts=max_conflicts, stop_check=stop_check)
-    for _ in range(memo.num_vars, instance.num_vars):
-        solver.new_var()
-    return solver
+    return _load(solver, instance.num_vars, hard[memo.num_hard :])
 
 
 def _load(solver: CDCLSolver, num_vars: int, hard: Iterable[Sequence[Literal]]) -> CDCLSolver:
-    """``solver`` with variables ``1..num_vars`` reserved, then ``hard`` added."""
-    for _ in range(num_vars):
+    """``solver`` with variables up to ``num_vars`` reserved, then ``hard`` added."""
+    for _ in range(solver.num_vars, num_vars):
         solver.new_var()
     for clause in hard:
         solver.add_clause(clause)

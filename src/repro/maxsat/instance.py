@@ -75,25 +75,25 @@ def _checked_clause(literals: Sequence[Literal]) -> Tuple[Literal, ...]:
 
 
 class SolverMemo:
-    """A slot for one solver loaded with an instance's hard clauses.
+    """A slot for one solver loaded with an instance's first hard clauses.
 
-    :meth:`WPMaxSATInstance.keep_loaded_solver` gives an instance one, its
-    copies share it, and :meth:`WPMaxSATInstance.add_hard` drops it, so an
-    instance that holds a memo holds exactly the hard clauses it was made
-    for.  :func:`~repro.maxsat.engine.new_sat_solver` fills ``solver`` on
-    first use, over the first ``num_vars`` variables, and hands out copies
-    of it; nothing solves on it.  A pickle keeps the slot but not the
-    solver.
+    :meth:`WPMaxSATInstance.keep_loaded_solver` gives an instance one and its
+    copies share it; hard clauses are only ever appended, so every holder's
+    first ``num_hard`` hard clauses are the ones it was made for.
+    :func:`~repro.maxsat.engine.new_sat_solver` fills ``solver`` on first
+    use, over the first ``num_vars`` variables, and hands out copies of it;
+    nothing solves on it.  A pickle keeps the slot but not the solver.
     """
 
-    __slots__ = ("num_vars", "solver")
+    __slots__ = ("num_vars", "num_hard", "solver")
 
-    def __init__(self, num_vars: int) -> None:
+    def __init__(self, num_vars: int, num_hard: int) -> None:
         self.num_vars = num_vars
+        self.num_hard = num_hard
         self.solver = None
 
     def __reduce__(self):
-        return SolverMemo, (self.num_vars,)
+        return SolverMemo, (self.num_vars, self.num_hard)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,8 @@ class WPMaxSATInstance:
 
     @property
     def solver_memo(self) -> Optional[SolverMemo]:
-        """The memo of a solver loaded with these hard clauses, if kept."""
+        """The memo of a solver loaded with this instance's first hard
+        clauses, if kept."""
         return self._solver_memo
 
     def keep_loaded_solver(self) -> None:
@@ -151,9 +152,10 @@ class WPMaxSATInstance:
         For an instance whose copies are solved many times over, such as a
         structure's memoised hard clauses: each engine then copies one
         solver (:meth:`~repro.sat.cdcl.CDCLSolver.copy`) instead of loading
-        every clause again.  The instance must not change afterwards.
+        every clause again.  Hard clauses added later are loaded on top of
+        the copy.
         """
-        self._solver_memo = SolverMemo(self._num_vars)
+        self._solver_memo = SolverMemo(self._num_vars, len(self._hard))
 
     @property
     def hard(self) -> Tuple[Tuple[Literal, ...], ...]:
@@ -190,7 +192,6 @@ class WPMaxSATInstance:
             raise SolverError("hard clause cannot be empty")
         self.ensure_num_vars(max(map(abs, clause)))
         self._hard.append(clause)
-        self._solver_memo = None
 
     def add_soft(
         self,

@@ -159,37 +159,21 @@ class CDCLSolver(BaseSatSolver):
             self.new_var()
 
     def add_clause(self, literals: Sequence[Literal]) -> None:
-        """Add a problem clause.  Must be called at decision level 0.
-
-        A literal of exact type ``int`` is checked for 0 alone; any other is
-        checked in full, so ``bool`` and non-integer literals are refused and
-        ``int`` subclasses such as ``IntEnum`` members accepted.  The
-        variables of the literals read so far are allocated on every exit,
-        also a tautology's or an invalid literal's, as if one by one.
-        """
+        """Add a problem clause.  Must be called at decision level 0."""
         if self._trail_lim:
             raise SolverError("clauses can only be added at decision level 0")
         seen: Set[int] = set()
         clause_lits: List[int] = []
-        top = 0
-        try:
-            for lit in literals:
-                if lit.__class__ is int:
-                    if not lit:
-                        raise SolverError(f"invalid literal {lit!r}")
-                elif lit == 0 or not isinstance(lit, int) or isinstance(lit, bool):
-                    raise SolverError(f"invalid literal {lit!r}")
-                if -lit in seen:
-                    return  # tautology, trivially satisfied
-                if lit in seen:
-                    continue
-                seen.add(lit)
-                clause_lits.append(lit)
-                var = lit if lit > 0 else -lit
-                if var > top:
-                    top = var
-        finally:
-            self._ensure_var(top)
+        for lit in literals:
+            if lit == 0 or not isinstance(lit, int) or isinstance(lit, bool):
+                raise SolverError(f"invalid literal {lit!r}")
+            if -lit in seen:
+                return  # tautology, trivially satisfied
+            if lit in seen:
+                continue
+            seen.add(lit)
+            clause_lits.append(lit)
+            self._ensure_var(abs(lit))
 
         if not self._ok:
             return

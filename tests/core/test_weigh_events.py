@@ -1,9 +1,8 @@
 """The one-pass event weighing equals the per-event definition.
 
 ``weigh_events`` computes each event's ``-log`` weight and integer
-objective inline, with the objective's rank term memoised on the compiled
-structure; ``log_weight`` then ``objective_weight`` stay the definition it
-must equal, errors included.
+objective in one pass over the events; ``log_weight`` then
+``objective_weight`` stay the definition it must equal, errors included.
 """
 
 import math
@@ -56,9 +55,6 @@ class TestOnePassEqualsTheDefinition:
             structure = tree.compiled()
             ranks = structure.event_ranks
             count = len(ranks)
-            assert structure.rank_terms == {
-                name: 1 << (count - rank) for name, rank in ranks.items()
-            }
             events = [(name, event.probability) for name, event in tree.events.items()]
             for name, weight, objective in weigh_events(events, structure):
                 probability = tree.events[name].probability

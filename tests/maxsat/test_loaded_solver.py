@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
+from repro.core.topk import enumerate_mpmcs
 from repro.exceptions import SolverError
 from repro.maxsat import RC2Engine
 from repro.maxsat.engine import new_sat_solver
@@ -203,17 +204,40 @@ class TestCopiesAreIndependent:
 
 
 class TestWhenTheMemoApplies:
-    def test_an_extra_hard_clause_drops_the_memo(self):
+    def test_extra_hard_clauses_load_on_top_of_a_copy(self):
         tree = NAMED_TREES["fps"]()
+        record = tree.compiled().cnf.instance
         encoding = encode_mpmcs(tree)
-        assert encoding.instance.solver_memo is tree.compiled().cnf.instance.solver_memo
         encoding.instance.add_hard([-encoding.event_vars["x1"]])
-        assert encoding.instance.solver_memo is None
-        # The record keeps it, and the blocked instance loads clause by clause.
-        assert tree.compiled().cnf.instance.solver_memo is not None
-        assert _state(new_sat_solver(encoding.instance)) == _state(
-            _fresh_load(encoding.instance)
-        )
+        extra = encoding.instance.new_var()
+        encoding.instance.add_hard([extra, -encoding.event_vars["x2"]])
+        # The blocked instance keeps the record's memo, over its first clauses.
+        assert encoding.instance.solver_memo is record.solver_memo
+        assert record.solver_memo.num_hard == record.num_hard
+        blocked = new_sat_solver(encoding.instance)
+        assert _state(blocked) == _state(_fresh_load(encoding.instance))
+        # The memo is filled from the record's clauses alone.
+        assert _state(record.solver_memo.solver) == _state(_fresh_load(record))
+
+    @pytest.mark.parametrize("name,factory", FACTORIES[:12], ids=[n for n, _ in FACTORIES[:12]])
+    def test_every_blocked_ranking_solve_is_the_same(self, monkeypatch, name, factory):
+        def ranked_solves(memoised):
+            results = []
+            solve = CDCLSolver.solve
+
+            def recording(self, assumptions=()):
+                outcome = solve(self, assumptions)
+                results.append(_result(outcome))
+                return outcome
+
+            with monkeypatch.context() as patch:
+                patch.setattr(CDCLSolver, "solve", recording)
+                if not memoised:
+                    patch.setattr(WPMaxSATInstance, "keep_loaded_solver", lambda self: None)
+                ranking = enumerate_mpmcs(factory(), 4)
+            return [(entry.events, entry.cost) for entry in ranking], results
+
+        assert ranked_solves(memoised=True) == ranked_solves(memoised=False)
 
     def test_a_pickle_keeps_the_slot_but_not_the_solver(self):
         tree = NAMED_TREES["fps"]()
@@ -223,4 +247,5 @@ class TestWhenTheMemoApplies:
         restored = pickle.loads(pickle.dumps(tree)).compiled().cnf.instance
         assert restored.solver_memo.solver is None
         assert restored.solver_memo.num_vars == instance.solver_memo.num_vars
+        assert restored.solver_memo.num_hard == instance.solver_memo.num_hard
         assert _state(new_sat_solver(restored)) == _state(new_sat_solver(instance))

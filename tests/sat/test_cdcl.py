@@ -179,9 +179,10 @@ class _Lit(enum.IntEnum):
 
 
 class TestAddClauseChecks:
-    """``add_clause`` checks an exact ``int`` literal for 0 alone and any
-    other literal in full; every exit allocates the variables of the
-    literals read so far, as a one-by-one allocation would."""
+    """``add_clause`` refuses 0, ``bool`` and non-integer literals, accepts
+    ``int`` subclasses such as ``IntEnum`` members, and allocates the
+    variables of the literals read before any exit, also a tautology's or an
+    invalid literal's."""
 
     @pytest.mark.parametrize(
         "clause,message,num_vars",
