@@ -9,16 +9,20 @@ against the BDD baseline.
 The ladder cases solve with RC2 alone, one whole-tree encoding; the 8-of-15
 one stalls (a known RC2 weakness on voting gates).  The facade cases run
 ``MPMCSSolver()``, which solves a vote over independent modules by rule,
-without a SAT call.
+without a SAT call, and rank its top 10 through the facade, again without a
+SAT call.
 """
 
 import time
 
 import pytest
 
+from repro.api import AnalysisSession
 from repro.bdd.probability import bdd_mpmcs
+from repro.core.encoder import event_weights
 from repro.core.pipeline import MPMCSSolver
 from repro.maxsat import RC2Engine
+from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import redundant_power_supply
 
@@ -62,7 +66,7 @@ def test_bench_voting_gate_ladders(benchmark, width, k):
     [lambda: k_of_n_ladder(15, 8), lambda: k_of_n_ladder(31, 16), lambda: flat_vote(15, 8)],
     ids=["ladder-8of15", "ladder-16of31", "flat-8of15"],
 )
-def test_bench_voting_gate_facade(benchmark, build):
+def test_bench_voting_gate_facade(benchmark, build, monkeypatch):
     tree = build()
     solver = MPMCSSolver()
 
@@ -77,11 +81,38 @@ def test_bench_voting_gate_facade(benchmark, build):
         solver.solve(tree)
         best = min(best, time.perf_counter() - start)
     assert best <= 0.010, f"{tree.name}: {best * 1e3:.1f} ms"
+
+    # A top-10 ranking through the facade merges the modules' ranked cut
+    # sets: no SAT call, and in canonical (objective) order.
+    sat_calls = []
+    real_solve = CDCLSolver.solve
+
+    def counting(self, *args, **kwargs):
+        sat_calls.append(1)
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(CDCLSolver, "solve", counting)
+    session = AnalysisSession()
+    ranking_best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        report = session.analyze(tree, ["ranking"], backend="maxsat", top_k=10)
+        ranking_best = min(ranking_best, time.perf_counter() - start)
+    assert sat_calls == []
+    assert ranking_best <= 0.050, f"{tree.name} top-10: {ranking_best * 1e3:.1f} ms"
+    ranking = report.ranking
+    assert len(ranking) == 10
+    assert ranking[0].events == result.events
+    assert all(tree.is_minimal_cut_set(entry.events) for entry in ranking)
+    _, objective = event_weights(tree)
+    costs = [sum(objective[name] for name in entry.events) for entry in ranking]
+    assert all(earlier < later for earlier, later in zip(costs, costs[1:]))
     emit(
         f"E7 — voting gates through MPMCSSolver(): {tree.name}",
         [
             f"MPMCS = {{{', '.join(result.events)}}}  P = {result.probability:.3e}  "
-            f"engine = {result.engine}  best of 3 = {best * 1e3:.2f} ms"
+            f"engine = {result.engine}  best of 3 = {best * 1e3:.2f} ms",
+            f"facade top-10 ranking: best of 3 = {ranking_best * 1e3:.2f} ms, no SAT call",
         ],
     )
 

@@ -5,7 +5,7 @@ Each backend wraps one resolution strategy behind the common
 
 ===============  =======================================================
 ``maxsat``       The paper's six-step Weighted Partial MaxSAT pipeline
-                 (MPMCS and blocking-clause top-k ranking).
+                 (MPMCS and top-k ranking).
 ``mocus``        Classical top-down MOCUS enumeration plus the analyses
                  derived from a full cut-set collection (importance,
                  probability bounds, SPOF, modules, truncation).
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
 from repro.analysis.cutsets import CutSet, CutSetCollection
@@ -50,12 +50,13 @@ from repro.bdd.manager import BDD, BDDManager
 from repro.bdd.ordering import variable_order
 from repro.bdd.probability import FlatBDD, flatten_bdd, mpmcs_of_bdd, probability_of_bdd
 from repro.core.pipeline import ModuleOptima, MPMCSResult, MPMCSSolver
-from repro.core.topk import Found, RankedCutSet, rank_optima
-from repro.core.weights import probability_of_cut_set, weight_of_cut_set
+from repro.core.topk import RankedCutSet
+from repro.core.weights import weight_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError, ReproError
 from repro.fta.tree import FaultTree
 from repro import kernels
-from repro.maxsat.incremental import IncrementalMaxSATSession, IncrementalSolveResult
+from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.observability.metrics import get_metrics
 
 __all__ = [
@@ -65,9 +66,6 @@ __all__ = [
     "MocusBackend",
     "MonteCarloBackend",
 ]
-
-#: A warm state the ``maxsat`` backend keeps per structure.
-W = TypeVar("W")
 
 #: Maximum number of cut sets for which the exact inclusion-exclusion
 #: top-event probability is attempted by the cut-set based backends.
@@ -183,39 +181,31 @@ class _CutSetBackend(AnalysisBackend):
         return report
 
 
-def _module_optima(tree: FaultTree) -> ModuleOptima:
-    return ModuleOptima(tree.compiled())
-
-
 @register_backend
 class MaxSATBackend(AnalysisBackend):
     """The paper's Weighted Partial MaxSAT pipeline behind the facade.
 
-    :meth:`run` is the cold route, :meth:`MPMCSSolver.optima
-    <repro.core.pipeline.MPMCSSolver.optima>` under one
-    :func:`~repro.core.topk.rank_optima` call that serves ``mpmcs`` and
-    ``ranking``.  Its first optimum is :meth:`MPMCSSolver.solve
-    <repro.core.pipeline.MPMCSSolver.solve>`: the tree's independent
-    modules are solved bottom-up, by rule where a module's children are
-    independent and otherwise by one portfolio solve over the module's
-    skeleton, its sub-modules collapsed into pseudo-events; a tree without
-    shared nodes takes no SAT call.  Each further rank is one blocked
-    portfolio solve of a whole-tree :func:`~repro.core.encoder.encode_mpmcs`
-    (a copy of the structure's hard clauses plus the tree's soft clauses),
-    built at the first of them.  :meth:`run_batch` is the warm route, with
-    one warm state per structure.  A structure whose modules all solve by
-    rule keeps its :class:`~repro.core.pipeline.ModuleOptima` for
-    one-optimum requests, so a probability-only tree re-applies the rules
-    above its changed events only.  Everything else goes to a persistent
-    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`, loaded from
-    the same hard clauses, so the probability-only trees of a batch become
-    weight-only re-solves.  Module analysis, hard clauses and skeleton
-    clauses are computed once per structure
-    (:class:`~repro.fta.compiled.CompiledStructure`).  Every route
-    optimises the canonical order itself
+    ``mpmcs`` and ``ranking`` come from :meth:`MPMCSSolver.rank
+    <repro.core.pipeline.MPMCSSolver.rank>` on :meth:`run`, the cold route,
+    and on :meth:`run_batch` whenever more than one cut set is asked for.
+    Its first optimum solves the tree's independent modules bottom-up, by
+    rule where a module's children are independent and otherwise by one
+    portfolio solve over the module's skeleton; a ranking of a tree whose
+    modules all solve by rule merges the modules' ranked cut sets.  Either
+    way a tree without shared nodes takes no SAT call.  Any other ranking
+    adds one blocked portfolio solve of a whole-tree
+    :func:`~repro.core.encoder.encode_mpmcs` per further entry.
+
+    :meth:`run_batch` keeps one warm state per structure for one-optimum
+    requests, chosen when it is built: the structure's
+    :class:`~repro.core.pipeline.ModuleOptima` when its modules all solve
+    by rule, so a probability-only tree re-applies the rules above its
+    changed events only; else a persistent
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`, so the
+    probability-only trees of a batch become weight-only re-solves.  Every
+    route optimises the canonical order itself
     (:func:`~repro.maxsat.instance.objective_weight`), so ties need no extra
-    solves: a ranking of ``top_k`` takes ``top_k`` solves and equals every
-    other backend's, and the modular answer is the whole-tree one.  One-off
+    solves and every ranking equals every other backend's.  One-off
     analyses stay cold on purpose: on the E4 corpus a cold session cut the
     median analysis time 7x but raised the p95 from 466 to 747 ms (2-core
     host, CPython 3.11), because a many-core structure's first solve costs
@@ -232,10 +222,10 @@ class MaxSATBackend(AnalysisBackend):
 
     def __init__(self, context=None) -> None:
         super().__init__(context)
-        #: Warm states (incremental sessions and module optima) keyed by the
-        #: structure-only hash of the tree's top subtree and the state's
-        #: builder, least recently used first.
-        self._warm_sessions: "OrderedDict[Tuple[str, Callable[[FaultTree], Any]], Any]" = (
+        #: Warm states (module optima or incremental sessions) keyed by the
+        #: structure-only hash of the tree's top subtree, least recently
+        #: used first.
+        self._warm_sessions: "OrderedDict[str, Union[ModuleOptima, IncrementalMaxSATSession]]" = (
             OrderedDict()
         )
 
@@ -244,68 +234,53 @@ class MaxSATBackend(AnalysisBackend):
             self.context.solver = MPMCSSolver()
         return self.context.solver
 
-    def _warm(self, tree: FaultTree, kind: Callable[[FaultTree], W]) -> Tuple[W, bool]:
-        """The (LRU-bounded) warm state ``kind`` builds for ``tree``'s
-        structure, and whether this call built it."""
-        key = (self.context.artifacts.structure_keys_for(tree)[tree.top_event], kind)
-        state = self._warm_sessions.get(key)
-        if state is not None:
-            self._warm_sessions.move_to_end(key)
-            return state, False
-        state = self._warm_sessions[key] = kind(tree)
+    def _solve_warm(self, tree: FaultTree) -> Tuple[List[MPMCSResult], float]:
+        """The warm route: the optimum (none if the tree has no cut set) and
+        the session encode time this call paid.
+
+        The warm state of ``tree``'s structure (LRU-bounded) is chosen when
+        it is built: the structure's module optima when its modules all
+        solve by rule, else an incremental session.  Raises
+        :class:`BudgetExceededError` when the session blows its core budget;
+        the caller then falls back to the cold route.
+        """
+        key = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
+        state = self._warm_sessions.pop(key, None)
+        built = state is None
+        if state is None:
+            structure = tree.compiled()
+            if all(skeleton.by_rule for skeleton in structure.modules):
+                state = ModuleOptima(structure)
+            else:
+                state = IncrementalMaxSATSession(tree)
+        self._warm_sessions[key] = state
         while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
             self._warm_sessions.popitem(last=False)
-        return state, True
-
-    def _solve_warm(self, tree: FaultTree, count: int) -> Tuple[List[MPMCSResult], float]:
-        """The warm route: ``count`` optima and the encode time paid.
-
-        One optimum of a structure whose modules all solve by rule comes
-        from the structure's warm :class:`~repro.core.pipeline.ModuleOptima`,
-        which re-solves only the modules above the events whose probability
-        changed; anything else goes to the incremental session
-        (:meth:`_rank_warm`).
-        """
-        if count == 1 and all(skeleton.by_rule for skeleton in tree.compiled().modules):
-            optima, _ = self._warm(tree, _module_optima)
-            return [self._solver().solve_modules(tree, optima)], 0.0
-        return self._rank_warm(tree, count)
-
-    def _rank_warm(self, tree: FaultTree, count: int) -> Tuple[List[MPMCSResult], float]:
-        """:func:`rank_optima` over the warm session's ``solve_tree``; returns
-        the optima and the session encode time this call paid (non-zero only
-        when it built the session).  Raises :class:`BudgetExceededError` when
-        the session blows its core budget — the caller then falls back to the
-        cold portfolio path.
-        """
-        session, built = self._warm(tree, IncrementalMaxSATSession)
-        encode_seconds = session.encode_time if built else 0.0
-        probabilities = tree.probabilities()
-
-        def result(outcome: IncrementalSolveResult) -> MPMCSResult:
-            if not tree.is_minimal_cut_set(outcome.events):
-                raise AnalysisError(
-                    f"internal error: extracted set {outcome.events} is not a minimal "
-                    f"cut set of {tree.name!r}; please report this as a bug"
-                )
-            return MPMCSResult(
-                tree_name=tree.name,
-                events=outcome.events,
-                probability=probability_of_cut_set(outcome.events, probabilities),
-                cost=outcome.cost,
-                weights=dict(outcome.probability_weights),
-                engine=self.WARM_ENGINE,
-                solve_time=outcome.solve_time,
-                total_time=outcome.solve_time,
-                num_soft=len(session.event_vars),
-                encoding_sizes=(session.num_vars, session.num_hard, session.num_aux_vars),
-            )
-
-        def solve(found: Found) -> Optional[MPMCSResult]:
-            outcome = session.solve_tree(tree, found)
-            return None if outcome is None else result(outcome)
-
-        return rank_optima(solve, count), encode_seconds
+        if isinstance(state, ModuleOptima):
+            return [self._solver().solve_modules(tree, state)], 0.0
+        encode_seconds = state.encode_time if built else 0.0
+        started = time.perf_counter()
+        outcome = state.solve_tree(tree)
+        if outcome is None:
+            return [], encode_seconds
+        solved = MaxSATResult(
+            MaxSATStatus.OPTIMUM,
+            cost=outcome.scaled_cost,
+            float_cost=outcome.cost,
+            engine=self.WARM_ENGINE,
+            solve_time=outcome.solve_time,
+        )
+        result = MPMCSSolver._result(
+            tree,
+            outcome.events,
+            outcome.probability_weights,
+            solved,
+            None,
+            started,
+            len(state.event_vars),
+            (state.num_vars, state.num_hard, state.num_aux_vars),
+        )
+        return [result], encode_seconds
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         return self._run(tree, request, warm=False)
@@ -324,10 +299,10 @@ class MaxSATBackend(AnalysisBackend):
         count = request.top_k if wants_ranking else 1
         enumerated: Optional[List[MPMCSResult]] = None
         registry = get_metrics()
-        if warm:
+        if warm and count == 1:
             solve_start = time.perf_counter()
             try:
-                enumerated, encode_seconds = self._solve_warm(tree, count)
+                enumerated, encode_seconds = self._solve_warm(tree)
             except BudgetExceededError:
                 # Pathological structure for the hitting-set loop: fall back
                 # to the cold portfolio for this tree.
@@ -343,7 +318,7 @@ class MaxSATBackend(AnalysisBackend):
         if enumerated is None:
             registry.inc("repro_solver_cold_solves_total")
             started = time.perf_counter()
-            enumerated = rank_optima(self._solver().optima(tree), count)
+            enumerated = self._solver().rank(tree, count)
             # Encoding, module walks and checks are everything but the engines.
             solve_seconds = sum(result.solve_time for result in enumerated)
             report.profile["encode_seconds"] = time.perf_counter() - started - solve_seconds

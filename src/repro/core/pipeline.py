@@ -24,9 +24,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.encoder import MPMCSEncoding, encode_mpmcs, weigh_events
+from repro.core.encoder import MPMCSEncoding, encode_mpmcs, event_weights, weigh_events
 from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError, NoCutSetError
 from repro.fta.compiled import CompiledStructure, Skeleton
@@ -36,7 +37,14 @@ from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.portfolio import PortfolioReport, PortfolioSolver
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
-__all__ = ["MODULE_RULE_ENGINE", "MPMCSResult", "MPMCSSolver", "ModuleOptima", "find_mpmcs"]
+__all__ = [
+    "MODULE_RULE_ENGINE",
+    "MPMCSResult",
+    "MPMCSSolver",
+    "ModuleOptima",
+    "find_mpmcs",
+    "rank_optima",
+]
 
 
 @dataclass
@@ -135,6 +143,35 @@ class MPMCSResult:
 
 #: Engine and portfolio winner reported when every module is solved by rule.
 MODULE_RULE_ENGINE = "modules"
+
+
+#: The cut sets a blocked solve excludes, each with all its supersets.
+Found = Sequence[Tuple[str, ...]]
+
+#: A ranked cut set of a module: its integer objective and its parts, a
+#: basic event's name or the tuple of the children's entries it joins.
+Entry = Tuple[int, Union[str, Tuple[Any, ...]]]
+
+
+def rank_optima(
+    solve: Callable[[Found], Optional[MPMCSResult]], count: int
+) -> List[MPMCSResult]:
+    """Blocked enumeration of up to ``count`` optima, in canonical order.
+
+    ``solve(found)`` returns the canonical optimum among the cut sets that
+    are neither in ``found`` nor a superset of one, or ``None``.  The loop
+    solves until it holds ``count`` optima or ``solve`` finds none.
+    """
+    held: List[MPMCSResult] = []
+    found: List[Tuple[str, ...]] = []
+    while len(held) < count:
+        optimum = solve(found)
+        if optimum is None:
+            break
+        held.append(optimum)
+        found.append(optimum.events)
+    return held
+
 
 #: ``solve(skeleton, value)`` of :meth:`ModuleOptima.update`: the leaves a
 #: module's optimum takes, given each leaf's ``(objective, weight)``, and the
@@ -365,10 +402,48 @@ class MPMCSSolver:
             (instance.num_vars, instance.num_hard, encoding.num_aux_vars),
         )
 
-    def optima(
-        self, tree: FaultTree
-    ) -> Callable[[Sequence[Tuple[str, ...]]], Optional[MPMCSResult]]:
-        """The cold ``solve`` callable of :func:`~repro.core.topk.rank_optima`.
+    def rank(self, tree: FaultTree, count: int) -> List[MPMCSResult]:
+        """Up to ``count`` minimal cut sets of ``tree``, in canonical order.
+
+        With the portfolio, two or more cut sets of a tree whose modules all
+        solve by rule take no solve: walking the modules bottom-up, an OR
+        merges its children's ``count`` cheapest entries (:data:`Entry`) and
+        an AND or k-of-n searches them (:func:`_k_best`).  The objective adds
+        up over independent children and no two cut sets tie, so the sums
+        order cut sets canonically.  Anything else is :func:`rank_optima`
+        over :meth:`optima`: :meth:`solve`, then blocked whole-tree solves.
+        """
+        structure = tree.compiled()
+        if count < 2 or self.portfolio is None or not all(
+            skeleton.by_rule for skeleton in structure.modules
+        ):
+            return rank_optima(self.optima(tree), count)
+        start = time.perf_counter()
+        weights, objectives = event_weights(tree)
+        ranked: Dict[str, List[Entry]] = {
+            name: [(objective, name)] for name, objective in objectives.items()
+        }
+        for skeleton in structure.modules:
+            gate = skeleton.gates[-1]
+            children = [ranked[child] for child in gate.children]
+            if gate.gate_type is GateType.OR:
+                ranked[skeleton.root] = list(islice(heapq.merge(*children), count))
+            else:
+                k = len(children) if gate.gate_type is GateType.AND else gate.k
+                ranked[skeleton.root] = _k_best(children, k, count)
+        results = []
+        for objective, parts in ranked[structure.order[structure.top]]:
+            cut_set = _cut_set(parts)
+            report = _merged_report((), objective, sum(weights[name] for name in cut_set))
+            results.append(
+                self._result(
+                    tree, cut_set, weights, report.result, report, start, len(weights), structure
+                )
+            )
+        return results
+
+    def optima(self, tree: FaultTree) -> Callable[[Found], Optional[MPMCSResult]]:
+        """The cold ``solve`` callable of :func:`rank_optima`.
 
         The first, unblocked call is :meth:`solve`.  The first blocked call
         builds the whole-tree encoding (:func:`encode_mpmcs`), which the
@@ -472,6 +547,76 @@ def _optimum_by_rule(gate: Gate, value: Dict[str, Tuple[int, float]]) -> Sequenc
     if gate.gate_type is GateType.OR:
         return [min(gate.children, key=lambda child: value[child][0])]
     return sorted(gate.children, key=lambda child: value[child][0])[: gate.k]
+
+
+def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
+    """The ``count`` cheapest cut sets of a k-of-n gate over independent children.
+
+    ``children`` holds each child's cheapest entries, cheapest first; a cut
+    set of the gate joins one entry from each of ``k`` distinct children (an
+    AND is ``k = n``: the k-best sums of Frederickson & Johnson, JCSS 24(2),
+    1982).  The search is best-first over states ``((position, rank), ...)``
+    of chosen children, positioned in the order of their cheapest entries.
+    A successor raises one chosen child's rank by one, or swaps a chosen
+    child at rank 0 for the next child in that order, if that one is
+    unchosen.  Every other state has a strictly cheaper predecessor (lower a
+    raised rank; or swap back a chosen child whose previous child is
+    unchosen), so states leave the heap in cost order.  Two cuts drop only
+    states that ``count`` cheaper states precede: choosing a position
+    ``p ≥ k + count - 1`` takes at least ``count`` swaps, and an AND that
+    raises any child but the ``count - 1`` whose second entry adds least
+    costs more than the all-heads state and each of those raised alone.
+    """
+    heads = sorted(children, key=lambda entries: entries[0][0])[: k + count - 1]
+    if k == len(heads):
+        kept = heapq.nsmallest(
+            count - 1,
+            (position for position, entries in enumerate(heads) if len(entries) > 1),
+            key=lambda position: heads[position][1][0] - heads[position][0][0],
+        )
+        heads = [
+            entries if position in kept else entries[:1] for position, entries in enumerate(heads)
+        ]
+    start = tuple((position, 0) for position in range(k))
+    heap = [(sum(heads[position][0][0] for position in range(k)), start)]
+    seen = {start}
+    ranked: List[Entry] = []
+
+    def push(cost: int, state: Tuple[Tuple[int, int], ...]) -> None:
+        if state not in seen:
+            seen.add(state)
+            heapq.heappush(heap, (cost, state))
+
+    while heap and len(ranked) < count:
+        cost, state = heapq.heappop(heap)
+        ranked.append((cost, tuple(heads[position][rank] for position, rank in state)))
+        for index, (position, rank) in enumerate(state):
+            entries = heads[position]
+            if rank + 1 < len(entries):
+                successor = state[:index] + ((position, rank + 1),) + state[index + 1 :]
+                push(cost - entries[rank][0] + entries[rank + 1][0], successor)
+            following = position + 1
+            if (
+                rank == 0
+                and following < len(heads)
+                and (index + 1 == k or state[index + 1][0] != following)
+            ):
+                successor = state[:index] + ((following, 0),) + state[index + 1 :]
+                push(cost - entries[0][0] + heads[following][0][0], successor)
+    return ranked
+
+
+def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:
+    """The sorted events of an :data:`Entry`'s parts, walked without recursion."""
+    events: List[str] = []
+    stack = [parts]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, str):
+            events.append(part)
+        else:
+            stack.extend(entry[1] for entry in part)
+    return tuple(sorted(events))
 
 
 def _merged_report(

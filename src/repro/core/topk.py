@@ -2,39 +2,28 @@
 
 The paper computes the single Maximum Probability Minimal Cut Set; a natural
 extension (useful for risk ranking and implemented by several FTA tools) is to
-enumerate the k most probable minimal cut sets.  We obtain them by repeatedly
-solving the MPMCS MaxSAT instance and *blocking* each solution ``S`` with the
-hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)`` over the members of ``S``: the clause
-forbids ``S`` and every superset of it, so each subsequent optimum is again an
-inclusion-minimal cut set — the next most probable one.
-
-:func:`rank_optima` is the one blocked enumeration: the cold portfolio, the
-facade's warm session and :func:`enumerate_mpmcs` plug a ``solve`` into it.
-The MaxSAT objective is the canonical order itself (see
-:func:`~repro.maxsat.instance.objective_weight`), so every optimum is unique
-and each blocked solve returns the next cut set in that order: a ranking of
-``k`` takes ``k`` solves and breaks ties like every other backend.
+enumerate the k most probable minimal cut sets, here with
+:meth:`MPMCSSolver.rank <repro.core.pipeline.MPMCSSolver.rank>`.  A tree
+whose modules all solve by rule is ranked module by module, without a solve;
+any other by :func:`rank_optima`, which repeatedly solves the MPMCS instance
+and *blocks* each solution ``S`` with the hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)``
+over the members of ``S``: the clause forbids ``S`` and every superset of
+it, so each subsequent optimum is again an inclusion-minimal cut set — the
+next most probable one.  The MaxSAT objective is the canonical order itself
+(see :func:`~repro.maxsat.instance.objective_weight`), so every optimum is
+unique and ties cost no extra solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar
+from typing import List, Optional, Tuple
 
-from repro.core.pipeline import MPMCSSolver
+from repro.core.pipeline import MPMCSSolver, rank_optima
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
 
 __all__ = ["RankedCutSet", "enumerate_mpmcs", "rank_optima"]
-
-
-class _HasEvents(Protocol):
-    events: Tuple[str, ...]
-
-
-#: An optimum of a blocked solve: any object with an ``events`` tuple.
-Optimum = TypeVar("Optimum", bound=_HasEvents)
-Found = Sequence[Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -51,24 +40,6 @@ class RankedCutSet:
         return len(self.events)
 
 
-def rank_optima(solve: Callable[[Found], Optional[Optimum]], count: int) -> List[Optimum]:
-    """Blocked enumeration of up to ``count`` optima, in canonical order.
-
-    ``solve(found)`` returns the canonical optimum among the cut sets that
-    are neither in ``found`` nor a superset of one, or ``None``.  The loop
-    solves until it holds ``count`` optima or ``solve`` finds none.
-    """
-    held: List[Optimum] = []
-    found: List[Tuple[str, ...]] = []
-    while len(held) < count:
-        optimum = solve(found)
-        if optimum is None:
-            break
-        held.append(optimum)
-        found.append(optimum.events)
-    return held
-
-
 def enumerate_mpmcs(
     tree: FaultTree,
     k: int,
@@ -79,8 +50,9 @@ def enumerate_mpmcs(
 
     Ties are broken canonically (smaller set, then lexicographic events),
     also at the ``k``-th rank, so the ranking equals every other backend's.
-    Takes ``k`` solves: the MPMCS by :meth:`MPMCSSolver.solve`, then ``k - 1`` blocked
-    solves of one whole-tree encoding (:meth:`MPMCSSolver.optima`).
+    Computed by :meth:`MPMCSSolver.rank`: without a solve when every module
+    of ``tree`` solves by rule, else the MPMCS and ``k - 1`` blocked solves
+    of one whole-tree encoding (:meth:`MPMCSSolver.optima`).
 
     Parameters
     ----------
@@ -100,7 +72,5 @@ def enumerate_mpmcs(
         RankedCutSet(
             rank=rank, events=result.events, probability=result.probability, cost=result.cost
         )
-        for rank, result in enumerate(
-            rank_optima(pipeline.optima(tree), k), start=1
-        )
+        for rank, result in enumerate(pipeline.rank(tree, k), start=1)
     ]

@@ -19,7 +19,7 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
   implicit-hitting-set solving for weight-only re-solves across scenario
   sweeps: one persistent CDCL solver, weight-independent cached cores, and
-  activation-literal blocking clauses.
+  a candidate pool that certifies optima without a SAT call.
 """
 
 from repro.maxsat.instance import SoftClause, WPMaxSATInstance

@@ -21,31 +21,28 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
 
 1. compute a minimum-cost hitting set of the cached cores under the
    *current* scenario's weights;
-2. when the hitting set is a cut set that no active blocking clause forbids,
-   it is the answer, with no oracle call (see
-   :meth:`IncrementalMaxSATSession.solve`).  It is known to be a cut set when
-   it contains one the session has already produced (its *candidate pool*),
-   or, when the session solves for a tree, by evaluating the tree.  In a
-   weight-only sweep most scenarios are answered this way;
+2. when the hitting set is a cut set, it is the answer, with no oracle call
+   (see :meth:`IncrementalMaxSATSession.solve`).  It is known to be a cut
+   set when it contains one the session has already produced (its
+   *candidate pool*), or, when the session solves for a tree, by evaluating
+   the tree.  In a weight-only sweep most scenarios are answered this way;
 3. otherwise one SAT call assuming every soft clause outside the hitting set.
    SAT: the model is optimal (its cost is bounded by the hitting set's cost,
    which lower-bounds every solution).  UNSAT: cache the new core and repeat.
 
 Each event's weight is its :func:`~repro.maxsat.instance.objective_weight`,
 as in the cold encoding, which orders cut sets by scaled cost, then size,
-then sorted names, so the optimum is unique and each blocked solve returns
-the next cut set of a ranking in canonical order.  Event ranks depend only
-on the structure, so the session computes them once.  So do the hard
-clauses, which are encoded once per structure, not cached per tree: the
-session loads them from ``tree.compiled().cnf``, as the cold encoding does.
+then sorted names, so the optimum is unique and equals the cold one.  Event
+ranks depend only on the structure, so the session computes them once.  So
+do the hard clauses, which are encoded once per structure, not cached per
+tree: the session loads them from ``tree.compiled().cnf``, as the cold
+encoding does.
 
-Blocking clauses for top-k enumeration are added once with an
-*activation literal* ``r`` — ``(r ∨ ¬x_1 ∨ … ∨ ¬x_k)`` constrains nothing
-until ``¬r`` is assumed — so they too persist and are reused by every later
-scenario that blocks the same cut set.  Nothing the session ever adds to the
-solver is scenario-specific, which is what makes a maintenance or
-probability sweep a sequence of *weight-only re-solves*: no re-encoding, no
-solver restart.
+Nothing the session ever adds to the solver is scenario-specific, which is
+what makes a maintenance or probability sweep a sequence of *weight-only
+re-solves*: no re-encoding, no solver restart.  The session answers one
+optimum per solve; rankings are
+:meth:`MPMCSSolver.rank <repro.core.pipeline.MPMCSSolver.rank>`'s.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import AnalysisError, BudgetExceededError
+from repro.exceptions import BudgetExceededError
 from repro.fta.tree import FaultTree
 from repro.logic.cnf import Literal
 from repro.maxsat.engine import new_sat_solver
@@ -134,18 +131,12 @@ class IncrementalMaxSATSession:
         self.num_hard = structure.instance.num_hard
         self.num_aux_vars = structure.num_aux_vars
 
-        #: Cached cores: sets of assumption literals (event selectors and
-        #: possibly block-activation assumptions), each kept split into its
-        #: block literals and the rest — which literals are block assumptions
-        #: is fixed when the core is found.  Weight-independent.
-        self._cores: List[Tuple[FrozenSet[Literal], FrozenSet[Literal]]] = []
-        #: Persistent blocking clauses: cut set -> activation variable ``r``.
-        self._block_vars: Dict[Tuple[str, ...], int] = {}
-        self._block_var_set: Set[int] = set()
-        #: Last optimal hitting set per block signature: in a weight-only
-        #: sweep the optimum rarely moves, so the previous solution seeds the
-        #: branch-and-bound with a near-tight upper bound.
-        self._hs_memo: Dict[FrozenSet[Literal], Set[Literal]] = {}
+        #: Cached cores: sets of event selectors.  Weight-independent.
+        self._cores: List[FrozenSet[Literal]] = []
+        #: The last optimal hitting set: in a weight-only sweep the optimum
+        #: rarely moves, so it seeds the branch-and-bound with a near-tight
+        #: upper bound.
+        self._hs_seed: Optional[Set[Literal]] = None
 
         #: Candidate pool: every optimal cut set this session has ever
         #: produced.  Feasibility ("the hard clauses admit a model whose true
@@ -187,37 +178,9 @@ class IncrementalMaxSATSession:
             for name, selector, rank in self._objective_terms
         }
 
-    # -- blocking --------------------------------------------------------------
-
-    def _block_assumption(self, cut_set: Tuple[str, ...]) -> Literal:
-        """The assumption literal activating the blocking clause of ``cut_set``.
-
-        Created on first use: the clause ``(r ∨ ¬x_1 ∨ … ∨ ¬x_k)`` is inert
-        while ``r`` is free and forbids the cut set (and all supersets) while
-        ``¬r`` is assumed.  The clause persists, so re-blocking the same cut
-        set in a later scenario costs nothing.
-        """
-        key = tuple(sorted(cut_set))
-        var = self._block_vars.get(key)
-        if var is None:
-            var = self._solver.new_var()
-            try:
-                literals = [var] + [-self.event_vars[name] for name in key]
-            except KeyError as exc:
-                raise AnalysisError(
-                    f"cannot block cut set {key!r}: event {exc.args[0]!r} is not part "
-                    "of this structure"
-                ) from None
-            self._solver.add_clause(literals)
-            self._block_vars[key] = var
-            self._block_var_set.add(var)
-        return -var
-
     # -- solving ---------------------------------------------------------------
 
-    def solve_tree(
-        self, tree: FaultTree, blocked: Sequence[Tuple[str, ...]] = ()
-    ) -> Optional[IncrementalSolveResult]:
+    def solve_tree(self, tree: FaultTree) -> Optional[IncrementalSolveResult]:
         """Solve for ``tree``'s probabilities (its structure must match).
 
         Derives the ``-log`` weights from the tree's event probabilities
@@ -231,44 +194,34 @@ class IncrementalMaxSATSession:
         weights = {
             name: log_weight(probabilities[name]) for name in self.event_vars
         }
-        return self._solve(weights, blocked, tree)
+        return self._solve(weights, tree)
 
-    def solve(
-        self,
-        weights: Dict[str, float],
-        blocked: Sequence[Tuple[str, ...]] = (),
-    ) -> Optional[IncrementalSolveResult]:
-        """Minimum ``-log``-weight cut set under ``weights``; ``None`` if none.
+    def solve(self, weights: Dict[str, float]) -> Optional[IncrementalSolveResult]:
+        """Minimum ``-log``-weight cut set under ``weights``; ``None`` if the
+        structure has no cut set at all.
 
-        ``None`` mirrors the cold path's exhausted-enumeration signal: either
-        the structure has no cut set at all, or every remaining cut set is
-        forbidden by ``blocked``.  Raises :class:`BudgetExceededError` when
-        the core-discovery loop exceeds :data:`MAX_ROUNDS` (callers then fall
-        back to a cold solve).
+        Raises :class:`BudgetExceededError` when the core-discovery loop
+        exceeds :data:`MAX_ROUNDS` (callers then fall back to a cold solve).
 
-        A round whose minimum-cost hitting set is a cut set, with no blocked
-        set inside it, returns that hitting set without a SAT call.  Here
-        the hitting set counts as a cut set when it contains a pooled one;
-        :meth:`solve_tree` also evaluates its tree.  This is exactly what
-        the SAT call would return: the hitting set is a cut set that no
-        active blocking clause forbids, so the call is satisfiable; the
+        A round whose minimum-cost hitting set is a cut set returns that
+        hitting set without a SAT call.  Here the hitting set counts as a
+        cut set when it contains a pooled one; :meth:`solve_tree` also
+        evaluates its tree.  This is exactly what the SAT call would return:
+        the hitting set is a cut set, so the call is satisfiable; the
         model's true events hit every cached core, so they cost at least as
         much as the hitting set, and with every objective weight positive a
         subset of equal cost is the hitting set itself.  The objective is the
         canonical order, so the answer is the canonical optimum.
         """
-        return self._solve(weights, blocked, None)
+        return self._solve(weights, None)
 
     def _solve(
-        self,
-        weights: Dict[str, float],
-        blocked: Sequence[Tuple[str, ...]],
-        tree: Optional[FaultTree],
+        self, weights: Dict[str, float], tree: Optional[FaultTree]
     ) -> Optional[IncrementalSolveResult]:
-        with _trace.span("maxsat.solve", blocked=len(blocked)) as span:
+        with _trace.span("maxsat.solve") as span:
             calls_before = self.sat_calls
             rounds_before = self.rounds
-            result = self._solve_impl(weights, blocked, tree)
+            result = self._solve_impl(weights, tree)
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 span.add("hs_rounds", self.rounds - rounds_before)
@@ -276,17 +229,13 @@ class IncrementalMaxSATSession:
             return result
 
     def solve_batch(
-        self,
-        weights_seq: Sequence[Dict[str, float]],
-        blocked: Sequence[Tuple[str, ...]] = (),
+        self, weights_seq: Sequence[Dict[str, float]]
     ) -> List[Optional[IncrementalSolveResult]]:
         """:meth:`solve` for each weight vector in order, in one span."""
-        with _trace.span(
-            "maxsat.solve_batch", scenarios=len(weights_seq), blocked=len(blocked)
-        ) as span:
+        with _trace.span("maxsat.solve_batch", scenarios=len(weights_seq)) as span:
             stats_before = dict(self.rerank_stats)
             calls_before = self.sat_calls
-            results = [self.solve(weights, blocked) for weights in weights_seq]
+            results = [self.solve(weights) for weights in weights_seq]
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 for tier, count in self.rerank_stats.items():
@@ -297,39 +246,25 @@ class IncrementalMaxSATSession:
             return results
 
     def _solve_impl(
-        self,
-        weights: Dict[str, float],
-        blocked: Sequence[Tuple[str, ...]],
-        tree: Optional[FaultTree],
+        self, weights: Dict[str, float], tree: Optional[FaultTree]
     ) -> Optional[IncrementalSolveResult]:
         started = time.perf_counter()
         objective = self._objective(weights)
-        block_assumptions = sorted(
-            (self._block_assumption(cut_set) for cut_set in blocked), key=abs
-        )
-        active_blocks = set(block_assumptions)
-        signature = frozenset(active_blocks)
-        blocked_sets = tuple(frozenset(cut_set) for cut_set in blocked)
-
         sat_calls = 0
         certified = False
         events: Optional[Tuple[str, ...]] = None
         for _ in range(MAX_ROUNDS):
             self.rounds += 1
-            usable, exhausted = self._usable_cores(active_blocks)
-            if exhausted:
-                break
-
             hitting_set, _ = minimum_cost_hitting_set(
-                usable, objective, seed=self._hs_memo.get(signature)
+                self._cores, objective, seed=self._hs_seed
             )
-            self._hs_memo[signature] = hitting_set
+            self._hs_seed = hitting_set
             candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
-            if self._admissible(candidate, blocked_sets) and self._is_cut_set(candidate, tree):
+            if self._is_cut_set(candidate, tree):
                 events, certified = candidate, True
                 break
 
-            assumptions = block_assumptions + [
+            assumptions = [
                 selector for selector in self._selectors if selector not in hitting_set
             ]
             result = self._solver.solve(assumptions)
@@ -351,10 +286,7 @@ class IncrementalMaxSATSession:
                 # Conflict independent of every assumption: the structure
                 # itself is unsatisfiable — the top event cannot occur.
                 break
-            block_part = frozenset(
-                literal for literal in core if abs(literal) in self._block_var_set
-            )
-            self._cores.append((block_part, core - block_part))
+            self._cores.append(core)
         else:
             raise BudgetExceededError(
                 f"incremental MaxSAT session exceeded {MAX_ROUNDS} core rounds"
@@ -378,24 +310,6 @@ class IncrementalMaxSATSession:
             sat_calls=sat_calls,
             solve_time=time.perf_counter() - started,
         )
-
-    def _usable_cores(
-        self, active_blocks: Set[Literal]
-    ) -> Tuple[List[FrozenSet[Literal]], bool]:
-        """Cached cores valid under ``active_blocks``, stripped of block literals.
-
-        The second element is the exhaustion flag: a core consisting solely of
-        active block assumptions means the blocked cut sets alone already
-        exhaust the structure, so the solve's answer is ``None``.
-        """
-        usable: List[FrozenSet[Literal]] = []
-        for block_part, stripped in self._cores:
-            if not block_part <= active_blocks:
-                continue  # depends on a blocking clause that is not active
-            if not stripped:
-                return [], True
-            usable.append(stripped)
-        return usable, False
 
     # -- candidate pool --------------------------------------------------------
 
@@ -431,23 +345,11 @@ class IncrementalMaxSATSession:
         with ``tree`` at hand, by evaluating it."""
         return self._contains_pooled(events) or (tree is not None and tree.is_cut_set(events))
 
-    @staticmethod
-    def _admissible(
-        events: Tuple[str, ...], blocked_sets: Tuple[FrozenSet[str], ...]
-    ) -> bool:
-        """No active blocking clause forbids ``events`` (or a superset rule)."""
-        event_set = frozenset(events)
-        return all(not blocked <= event_set for blocked in blocked_sets)
-
     # -- introspection ---------------------------------------------------------
 
     @property
     def num_cores(self) -> int:
         return len(self._cores)
-
-    @property
-    def num_block_clauses(self) -> int:
-        return len(self._block_vars)
 
     @property
     def num_learnts(self) -> int:
@@ -460,7 +362,6 @@ class IncrementalMaxSATSession:
             "sat_calls": self.sat_calls,
             "rounds": self.rounds,
             "cores": len(self._cores),
-            "block_clauses": len(self._block_vars),
             "learnt_clauses": self._solver.num_learnts,
             "num_vars": self.num_vars,
             "num_hard": self.num_hard,

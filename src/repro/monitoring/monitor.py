@@ -16,12 +16,13 @@ re-analysis rides the full incremental stack:
 * with a cut-set backend (``mocus``, ``brute-force``), the subtree cut-set
   structure is one cache hit per update (structure-only hashes never change);
   the default ``maxsat`` backend never reads cut sets, so none are built;
-* with the ``maxsat`` backend, each update re-solves on the structure's warm
-  state: a one-optimum request on a tree whose modules all solve by rule
-  re-applies the structure's :class:`~repro.core.pipeline.ModuleOptima`
-  (only the modules above the changed events are solved again); any other
-  request is a weight-only re-solve on the persistent
-  :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`;
+* with the ``maxsat`` backend, a one-optimum request re-solves on the
+  structure's warm state: a tree whose modules all solve by rule re-applies
+  the structure's :class:`~repro.core.pipeline.ModuleOptima` (only the
+  modules above the changed events are solved again); any other is a
+  weight-only re-solve on the persistent
+  :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`.  A longer
+  ranking is computed as in a cold analysis;
 * the exact P(top) comes from the ``bdd`` backend's structure-keyed diagram,
   compiled once and evaluated in linear time per update.
 
@@ -153,7 +154,8 @@ class TreeMonitor:
         The per-update analysis request, with the same semantics as a sweep:
         ``maxsat`` runs MPMCS on the structure's warm state (its module
         optima when every module solves by rule, else the incremental
-        session) and P(top) through the structure-keyed BDD.
+        session), a longer ranking as a cold analysis does, and P(top)
+        through the structure-keyed BDD.
     rules:
         Alert rules evaluated on every delta (see :mod:`.alerts`).
     store:
@@ -383,12 +385,12 @@ class TreeMonitor:
         :meth:`SweepExecutor.analyze_batch`: their exact top-event
         probabilities come from a single kernel call over the whole
         ``(updates × events)`` grid, and the MaxSAT re-solves are the
-        per-update ones on the structure's warm state: its module optima
-        when every module solves by rule and one optimum is asked for, else
-        the incremental session, which answers from its candidate pool where
-        that certifies the optimum.  The per-update deltas, reports, alerts
-        and streamed events are identical to calling :meth:`apply_update` in
-        a loop — batching only removes per-update BDD work.
+        per-update ones on the structure's warm state for one optimum: its
+        module optima when every module solves by rule, else the incremental
+        session, which answers from its candidate pool where that certifies
+        the optimum.  The per-update deltas, reports, alerts and streamed
+        events are identical to calling :meth:`apply_update` in a loop —
+        batching only removes per-update BDD work.
 
         Staging and analysis happen in local state; the monitor commits the
         batch only once every update has staged and analysed.  An update

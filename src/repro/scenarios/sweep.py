@@ -5,9 +5,10 @@
 :meth:`~repro.api.session.AnalysisSession.run_batch`, through the same
 backend registry, request validation and report types as a one-off analysis,
 and each backend shares repeated work across the batch (``maxsat`` keeps one
-warm state per structure — the module optima of a tree whose modules all
-solve by rule when one optimum is asked for, else an incremental solver
-session — and ``bdd`` evaluates the top events in one kernel call).  Per
+warm state per structure for one-optimum requests — the module optima of a
+tree whose modules all solve by rule, else an incremental solver session —
+and ranks longer rankings as a cold analysis does; ``bdd`` evaluates the
+top events in one kernel call).  Per
 scenario the executor adds two things:
 
 * **Cut-set seeding.**  When an analysis is routed to a backend that reads

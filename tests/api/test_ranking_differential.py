@@ -1,21 +1,37 @@
 """Differential ranking: the ``maxsat`` top-k ranking equals the ``bdd`` one.
 
 Probabilities come from a three-value palette, so optima tie often — at the
-head of the ranking and at its ``top_k`` boundary.  Both ``maxsat`` routes
-are checked: the cold portfolio and the warm incremental session a sweep's
-batch uses.  Two library trees with near-tied cut sets check every cut-set
-backend against ``maxsat``.
+head of the ranking and at its ``top_k`` boundary.  Every ``maxsat`` entry
+point is checked: the cold ``run``, the warm ``run_batch`` a sweep's batch
+uses, and :func:`enumerate_mpmcs`.  Trees whose modules all solve by rule
+are ranked module by module; they are checked against MOCUS on random
+trees without shared nodes, and the voting ladders against a brute force.
+Two library trees with near-tied cut sets check every cut-set backend
+against ``maxsat``.
 """
 
+import heapq
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import AnalysisSession
+from repro.analysis.mocus import mocus_minimal_cut_sets
+from repro.api import AnalysisRequest, AnalysisSession
+from repro.core.pipeline import MPMCSSolver
+from repro.core.topk import enumerate_mpmcs
+from repro.core.weights import log_weight, probability_of_cut_set
+from repro.fta.gates import GateType
+from repro.fta.tree import FaultTree
+from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
+from repro.sat.cdcl import CDCLSolver
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES
-from tests.conftest import voting_reuse_tree
+from tests.conftest import flat_vote, k_of_n_ladder, voting_reuse_tree
 
 TOP_KS = (1, 2, 3, 5)
 PALETTE = (0.05, 0.1, 0.2)
@@ -94,3 +110,132 @@ def test_bdd_mpmcs_is_bit_equal_to_maxsat(tree):
         expected.cost,
         expected.probability,
     )
+
+
+LIBRARY_AND_VOTING_TREES = [factory() for _, factory in sorted(NAMED_TREES.items())] + [
+    voting_reuse_tree(3 + seed % 6, seed) for seed in range(40)
+]
+
+
+def _entries(ranking):
+    return [(entry.events, entry.probability, entry.cost) for entry in ranking]
+
+
+@pytest.mark.parametrize("tree", LIBRARY_AND_VOTING_TREES, ids=lambda tree: tree.name)
+def test_every_maxsat_entry_point_ranks_like_bdd_and_mocus(tree):
+    for top_k in (1, 3, 10):
+
+        def ranking(backend):
+            request = AnalysisRequest.create(("ranking",), backend=backend, top_k=top_k)
+            return AnalysisSession().run(tree, request).ranking
+
+        expected = _entries(ranking("bdd"))
+        assert _entries(ranking("mocus")) == expected, ("mocus", top_k)
+        assert _entries(ranking("maxsat")) == expected, ("run", top_k)
+        request = AnalysisRequest.create(("ranking",), backend="maxsat", top_k=top_k)
+        (warm,) = AnalysisSession().run_batch([tree], request)
+        assert _entries(warm.ranking) == expected, ("run_batch", top_k)
+        assert _entries(enumerate_mpmcs(tree, top_k)) == expected, ("enumerate_mpmcs", top_k)
+
+
+@st.composite
+def independent_trees(draw, depth=3):
+    """A random tree of AND, OR and k-of-n gates in which no node is shared,
+    its probabilities from :data:`PALETTE` (so cut sets tie often)."""
+    tree = FaultTree("independent")
+    names = itertools.count()
+
+    def node(level):
+        if level < depth and (level == 0 or draw(st.booleans())):
+            children = [node(level + 1) for _ in range(draw(st.integers(1, 3)))]
+            kind = draw(st.sampled_from([GateType.AND, GateType.OR, GateType.VOTING]))
+            k = draw(st.integers(1, len(children))) if kind is GateType.VOTING else None
+            name = f"g{next(names)}"
+            tree.add_gate(name, kind, children, k=k)
+        else:
+            name = f"e{next(names)}"
+            tree.add_basic_event(name, draw(st.sampled_from(PALETTE)))
+        return name
+
+    tree.set_top_event(node(0))
+    tree.validate()
+    return tree
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=independent_trees(), top_k=st.integers(1, 12))
+def test_merged_ranking_equals_mocus_on_trees_without_shared_nodes(tree, top_k):
+    assert all(skeleton.by_rule for skeleton in tree.compiled().modules)
+    expected = [
+        (tuple(sorted(cut_set)), probability)
+        for cut_set, probability in mocus_minimal_cut_sets(tree).ranked(top_k)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CDCLSolver, "solve", _no_sat_call)
+        ranked = MPMCSSolver().rank(tree, top_k)
+    assert [(result.events, result.probability) for result in ranked] == expected
+
+
+def _no_sat_call(self, *args, **kwargs):
+    raise AssertionError("a ranking by rule makes no SAT call")
+
+
+def _brute_force_vote(tree, count):
+    """The ``count`` first cut sets of a k-of-n vote over independent
+    channels: choices of k channels and of one event per channel, ordered by
+    (scaled cost, size, sorted names).  Only channel choices whose cheapest
+    events cost at most the ``count``-th cheapest such choice are expanded:
+    no other can hold a cut set of the first ``count``."""
+    top = tree.gates[tree.top_event]
+    channels = [
+        tree.gates[child].children if child in tree.gates else (child,) for child in top.children
+    ]
+    probabilities = tree.probabilities()
+    scaled = {
+        name: scale_weight(log_weight(probability), DEFAULT_PRECISION)
+        for name, probability in probabilities.items()
+    }
+
+    def cost(events):
+        return sum(scaled[name] for name in events)
+
+    choices = [
+        (cost(min(channel, key=scaled.get) for channel in chosen), chosen)
+        for chosen in itertools.combinations(channels, top.k)
+    ]
+    bound = sorted(head for head, _ in choices)[count - 1]
+    cut_sets = (
+        tuple(sorted(events))
+        for head, chosen in choices
+        if head <= bound
+        for events in itertools.product(*chosen)
+    )
+    best = heapq.nsmallest(count, cut_sets, key=lambda events: (cost(events), events))
+    return [(events, probability_of_cut_set(events, probabilities)) for events in best]
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [k_of_n_ladder(9, 5), k_of_n_ladder(11, 6), k_of_n_ladder(15, 8), flat_vote(15, 8)],
+    ids=lambda tree: tree.name,
+)
+def test_votes_rank_like_a_brute_force(tree):
+    expected = _brute_force_vote(tree, 10)
+    report = AnalysisSession().analyze(tree, ["ranking"], backend="maxsat", top_k=10)
+    assert [(entry.events, entry.probability) for entry in report.ranking] == expected
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [k_of_n_ladder(11, 6), k_of_n_ladder(15, 8), k_of_n_ladder(31, 16), flat_vote(15, 8)],
+    ids=lambda tree: tree.name,
+)
+def test_vote_top_10_through_the_facade_takes_under_50_ms(tree):
+    """Blocked solves gave no top-3 in 60 s on the 8-of-15 ladder and vote."""
+    session = AnalysisSession()
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        session.analyze(tree, ["ranking"], backend="maxsat", top_k=10)
+        best = min(best, time.perf_counter() - start)
+    assert best <= 0.050, f"{best * 1e3:.1f} ms"

@@ -15,7 +15,7 @@ from repro.api.cache import ARTIFACT_CUT_SETS
 from repro.core import encoder as encoder_module
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
-from repro.workloads.library import fire_protection_system, redundant_power_supply
+from repro.workloads.library import data_center_power, fire_protection_system, redundant_power_supply
 
 MPMCS_BACKENDS = sorted(
     name for name, caps in backend_capabilities().items() if "mpmcs" in caps
@@ -176,14 +176,25 @@ class TestSolveBudget:
 
             monkeypatch.setattr(MPMCSSolver, method, counting)
         report = AnalysisSession().analyze(
+            data_center_power(), ["mpmcs", "ranking"], top_k=3
+        )
+        # The tree has a shared node, so 3 ranked entries take 3 solves (the
+        # objective is the canonical order, so no solve proves the ranking):
+        # the first is the modular MPMCS, the others blocked whole-tree
+        # solves.  The MPMCS falls out of the same enumeration for free.
+        assert calls == ["solve", "solve_encoding", "solve_encoding"]
+        assert report.mpmcs.events == report.ranking[0].events == ("transfer_switch_fails",)
+        assert [entry.events for entry in report.ranking] == [
+            ("transfer_switch_fails",),
+            ("generator_fails_to_start", "utility_outage"),
+            ("ups_a_fails", "ups_b_fails"),
+        ]
+        # Fig. 1 has no shared node: its modules rank by rule, without a solve.
+        calls.clear()
+        report = AnalysisSession().analyze(
             fire_protection_system(), ["mpmcs", "ranking"], top_k=3
         )
-        # 3 ranked entries take 3 solves (the objective is the canonical
-        # order, so no solve proves the ranking): the first is the modular
-        # MPMCS, the others blocked whole-tree solves.  The MPMCS falls out of
-        # the same enumeration for free.
-        assert calls == ["solve", "solve_encoding", "solve_encoding"]
-        assert report.mpmcs.events == report.ranking[0].events == ("x1", "x2")
+        assert calls == []
         assert [entry.events for entry in report.ranking] == [
             ("x1", "x2"),
             ("x5", "x6"),
@@ -201,7 +212,7 @@ class TestSolveBudget:
             return real(self, tree, encoding)
 
         monkeypatch.setattr(MPMCSSolver, "solve_encoding", recording)
-        tree = fire_protection_system()
+        tree = data_center_power()
         AnalysisSession().analyze(tree, ["ranking"], top_k=4)
         memo = tree.compiled().cnf
         base = memo.instance.num_hard
@@ -228,9 +239,10 @@ class TestArtifactReuse:
 
         monkeypatch.setattr(encoder_module, "assemble_structure_cnf", counting)
         session = AnalysisSession()
-        tree = fire_protection_system()
+        tree = data_center_power()
         # One composite request (mpmcs + top-k ranking) plus a repeat call:
-        # the structure function is Tseitin-encoded exactly once.
+        # the structure function is Tseitin-encoded exactly once, for the
+        # blocked solves of the ranking.
         session.analyze(tree, ["mpmcs", "ranking"], top_k=3)
         session.analyze(tree, ["mpmcs"])
         assert len(calls) == 1

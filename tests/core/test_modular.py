@@ -120,9 +120,31 @@ def _wide_gate(gate_type, k=None, width=1000):
     return tree
 
 
+def _and_of_ors(width, chained):
+    """An AND over ``width`` ORs of ``a_i`` (0.1) and ``b_i`` (0.05, less
+    1e-5 per index), as one wide gate or as a chain of two-input ANDs.  Its
+    cheapest cut set takes every ``a_i``; the next nine each swap one
+    ``a_i`` for ``b_i``, for ``i`` = 0..8: any two swaps cost more."""
+    tree = FaultTree(f"and-of-{width}-ors{'-chained' if chained else ''}")
+    for index in range(width):
+        tree.add_basic_event(f"a{index:04d}", 0.1)
+        tree.add_basic_event(f"b{index:04d}", 0.05 - index * 1e-5)
+        tree.add_gate(f"o{index:04d}", GateType.OR, [f"a{index:04d}", f"b{index:04d}"])
+    if chained:
+        below = f"o{width - 1:04d}"
+        for index in range(width - 2, -1, -1):
+            tree.add_gate(f"g{index:04d}", GateType.AND, [f"o{index:04d}", below])
+            below = f"g{index:04d}"
+        tree.set_top_event(below)
+    else:
+        tree.add_gate("top", GateType.AND, [f"o{index:04d}" for index in range(width)])
+        tree.set_top_event("top")
+    return tree
+
+
 class TestExtremes:
     """Fan-in 1000: the maxsat and bdd facades answer within a wall-clock
-    bound and agree on the MPMCS."""
+    bound and agree on the MPMCS; a wide or deep AND ranks within it too."""
 
     #: Seconds per analysis; each takes at most 0.08 s on a 2-core host.
     BOUND_S = 2.0
@@ -147,6 +169,23 @@ class TestExtremes:
             assert time.perf_counter() - started < self.BOUND_S, backend
         assert answers["maxsat"].events == answers["bdd"].events
         assert answers["maxsat"].probability == answers["bdd"].probability
+
+    @pytest.mark.parametrize(
+        "width, chained", [(1000, False), (1500, True)], ids=["and-of-1000-ors", "1500-deep-and-chain"]
+    )
+    def test_ranking_of_a_wide_or_deep_and(self, width, chained):
+        """Blocked whole-tree solves took over two minutes for a top 10 of
+        such a chain on a 2-core host."""
+        tree = _and_of_ors(width, chained)
+        started = time.perf_counter()
+        report = AnalysisSession().analyze(tree, ["ranking"], backend="maxsat", top_k=10)
+        assert time.perf_counter() - started < self.BOUND_S
+        heads = [f"a{index:04d}" for index in range(width)]
+        expected = [tuple(heads)] + [
+            tuple(sorted(heads[:index] + [f"b{index:04d}"] + heads[index + 1 :]))
+            for index in range(9)
+        ]
+        assert [entry.events for entry in report.ranking] == expected
 
 
 class TestRules:

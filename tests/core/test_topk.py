@@ -11,6 +11,7 @@ from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
 from repro.maxsat import RC2Engine
 from repro.scenarios.sweep import SweepExecutor
+from repro.workloads.library import data_center_power
 
 
 class TestFPSRanking:
@@ -86,7 +87,7 @@ class TestConfiguration:
 
 
 class TestSingleEncoding:
-    def test_tree_is_encoded_once_for_every_rank(self, fps_tree, monkeypatch):
+    def _encodings(self, monkeypatch):
         calls = []
         original = pipeline.encode_mpmcs
 
@@ -94,11 +95,23 @@ class TestSingleEncoding:
             calls.append(tree.name)
             return original(tree, **kwargs)
 
+        monkeypatch.setattr(pipeline, "encode_mpmcs", counting_encode)
+        return calls
+
+    def test_tree_is_encoded_once_for_every_rank(self, monkeypatch):
         # The MPMCS is solved module by module; the blocked solves share one
         # whole-tree encoding.
-        monkeypatch.setattr(pipeline, "encode_mpmcs", counting_encode)
-        ranked = enumerate_mpmcs(fps_tree, 4)
+        calls = self._encodings(monkeypatch)
+        tree = data_center_power()
+        ranked = enumerate_mpmcs(tree, 4)
         assert len(calls) == 1
+        expected = AnalysisSession().analyze(tree, ["ranking"], backend="bdd", top_k=4)
+        assert [entry.events for entry in ranked] == [entry.events for entry in expected.ranking]
+
+    def test_by_rule_tree_is_never_encoded(self, fps_tree, monkeypatch):
+        calls = self._encodings(monkeypatch)
+        ranked = enumerate_mpmcs(fps_tree, 4)
+        assert calls == []
         assert [entry.events for entry in ranked] == [
             ("x1", "x2"),
             ("x5", "x6"),
@@ -179,9 +192,10 @@ class TestBoundaryTies:
             assert [entry.events for entry in report.ranking] == self.EXPECTED, backend
 
     def test_facade_warm_route(self):
+        # A ranking takes the cold route's ``rank`` on the warm route too.
         executor = SweepExecutor(AnalysisSession(), backend="maxsat")
         (report,) = executor.analyze_batch(
             [_boundary_tie_tree()], executor.prepare_analyses(("ranking",)), top_k=2
         )
-        assert report.profile.get("warm_solves") == 1
+        assert "warm_solves" not in report.profile
         assert [entry.events for entry in report.ranking] == self.EXPECTED

@@ -3,8 +3,8 @@
 Every event's weight is ``objective_weight``, which orders cut sets by scaled
 cost, then size, then sorted names.  So every exact engine returns the
 canonical optimum in one solve, each blocked solve returns the next one, and
-a ranking of k takes exactly k solves on the cold and the warm route however
-many optima tie.
+a ranking of a tree whose modules all solve by rule takes no solve at all on
+the cold and the warm route, however many optima tie.
 """
 
 import json
@@ -21,6 +21,7 @@ from repro.maxsat import BruteForceEngine, HittingSetEngine, RC2Engine
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 from repro.monitoring import ProbabilityUpdate, TreeMonitor
+from repro.sat.cdcl import CDCLSolver
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import probability_walk, random_fault_tree
 
@@ -127,21 +128,26 @@ def _expected_and_of_ors(width):
 
 
 class TestTieHeavyRegressions:
-    """Exponentially many ties cost k solves: the counts are the contract."""
+    """Exponentially many ties cost no solve: the counts are the contract."""
 
     ANALYSES = ["mpmcs", "ranking"]
 
     def _routes(self, tree, monkeypatch):
-        """The cold and the warm report, each checked to take exactly 3 solves
-        (cold: the modular MPMCS, then two blocked whole-tree solves)."""
-        modular_calls = _count_calls(monkeypatch, MPMCSSolver, "solve")
-        blocked_calls = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
-        warm_calls = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve_tree")
+        """The cold and the warm report, each checked to take no solve: every
+        module of these trees solves by rule, so both rank module by module."""
+        calls = [
+            _count_calls(monkeypatch, owner, attribute)
+            for owner, attribute in (
+                (MPMCSSolver, "solve"),
+                (MPMCSSolver, "solve_encoding"),
+                (IncrementalMaxSATSession, "solve_tree"),
+                (CDCLSolver, "solve"),
+            )
+        ]
         cold = AnalysisSession().analyze(tree, self.ANALYSES, backend="maxsat", top_k=3)
         request = AnalysisRequest.create(self.ANALYSES, backend="maxsat", top_k=3)
         (warm,) = list(AnalysisSession().run_batch([tree], request))
-        assert warm.profile.get("warm_solves") == 1
-        assert (len(modular_calls), len(blocked_calls), len(warm_calls)) == (1, 2, 3)
+        assert [len(made) for made in calls] == [0, 0, 0, 0]
         return cold, warm
 
     @pytest.mark.parametrize(
@@ -169,14 +175,8 @@ class TestTieHeavyRegressions:
 
 class TestWarmEnumerationWithTies:
     def test_solves_per_scenario_do_not_grow_with_ties(self, monkeypatch):
-        calls = []
-        solve_tree = IncrementalMaxSATSession.solve_tree
-
-        def counting(self, tree, blocked=()):
-            calls.append(len(blocked))
-            return solve_tree(self, tree, blocked)
-
-        monkeypatch.setattr(IncrementalMaxSATSession, "solve_tree", counting)
+        warm_calls = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve_tree")
+        sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
         analyses = ("mpmcs", "ranking")
         for rungs in (3, 5, 9):
             tree = _ladder(rungs)
@@ -184,12 +184,12 @@ class TestWarmEnumerationWithTies:
                 tree, backend="maxsat", analyses=analyses, top_k=3, include_reports=True
             )
             monitor.ensure_base()
-            calls.clear()
             delta = monitor.apply_update(
                 ProbabilityUpdate.create({"a0": 0.1, "b1": 0.1}, seq=1)
             )
-            # One solve_tree per ranked entry, however many optima tie.
-            assert calls == [0, 1, 2]
+            # The ladder's modules all solve by rule: no solve, however many
+            # optima tie.
+            assert warm_calls == sat_calls == []
             fresh = SweepExecutor(AnalysisSession(), backend="maxsat")
             expected = fresh.analyze_tree(tree.copy(), fresh.prepare_analyses(analyses), top_k=3)
             assert _canonical(delta.report) == _canonical(expected)

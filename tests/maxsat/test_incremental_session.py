@@ -1,9 +1,8 @@
 """Tests for the warm-started incremental MaxSAT session.
 
-The session must return exactly the cold pipeline's optima (and blocked
-enumeration) while actually being incremental: weight-only re-solves reuse
-cached cores (typically a single SAT call), learned clauses persist in the
-underlying CDCL solver, and blocking clauses persist via activation literals.
+The session must return exactly the cold pipeline's optima while actually
+being incremental: weight-only re-solves reuse cached cores (typically a
+single SAT call), and learned clauses persist in the underlying CDCL solver.
 """
 
 import pytest
@@ -114,34 +113,6 @@ class TestSessionAgainstColdPipeline:
         cold = MPMCSSolver(mode="sequential").solve(tree)
         assert outcome.events == cold.events
 
-    def test_blocked_enumeration_matches_cold_ranking(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        blocked = []
-        warm_costs = []
-        for _ in range(4):
-            outcome = session.solve_tree(tree, blocked)
-            assert outcome is not None
-            warm_costs.append((outcome.scaled_cost, outcome.events))
-            blocked.append(outcome.events)
-        # Costs rise monotonically and every set is a minimal cut set.
-        assert warm_costs == sorted(warm_costs, key=lambda item: item[0])
-        for _, events in warm_costs:
-            assert tree.is_minimal_cut_set(events)
-
-    def test_exhausted_enumeration_returns_none(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        blocked = []
-        while True:
-            outcome = session.solve_tree(tree, blocked)
-            if outcome is None:
-                break
-            blocked.append(outcome.events)
-            assert len(blocked) < 50  # FPS has a handful of cut sets
-        # Re-solving with no blocks still works after exhaustion.
-        assert session.solve_tree(tree) is not None
-
 
 class TestWeightOnlyResolve:
     def test_weight_changes_reuse_cores(self):
@@ -171,16 +142,6 @@ class TestWeightOnlyResolve:
         certified = session.rerank_stats["certified"] - certified_after_first
         assert session.sat_calls - calls_after_first == (3 - certified) + new_cores
         assert new_cores <= 3
-
-    def test_blocking_clauses_are_reused_across_solves(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        first = session.solve_tree(tree)
-        session.solve_tree(tree, [first.events])
-        blocks_after = session.num_block_clauses
-        # Blocking the same cut set again must not add a second clause.
-        session.solve_tree(tree, [first.events])
-        assert session.num_block_clauses == blocks_after
 
     def test_structure_clauses_feed_the_session(self, assemblies):
         tree = fire_protection_system()

@@ -1,13 +1,12 @@
 """Weight-only re-solves on a warm session and the candidate-pool certificate.
 
-``solve_batch(weights_seq, blocked)`` returns exactly what calling
-``solve(weights, blocked)`` once per scenario would — same events, same
-scaled cost, same float cost.  Inside ``solve``, a round whose minimum-cost
-hitting set contains a pooled cut set that no active block forbids is
-answered without a SAT call (``solve_tree`` also certifies a hitting set by
-evaluating its tree); the tests below check that this keeps SAT work near
-zero on warm sessions and never changes an answer against a fresh session
-or brute force.  ``sat_calls``/``solve_time`` are telemetry and
+``solve_batch(weights_seq)`` returns exactly what calling ``solve(weights)``
+once per scenario would — same events, same scaled cost, same float cost.
+Inside ``solve``, a round whose minimum-cost hitting set contains a pooled
+cut set is answered without a SAT call (``solve_tree`` also certifies a
+hitting set by evaluating its tree); the tests below check that this keeps
+SAT work near zero on warm sessions and never changes an answer against a
+fresh session or brute force.  ``sat_calls``/``solve_time`` are telemetry and
 deliberately excluded from equality.
 """
 
@@ -40,16 +39,6 @@ def _weight_grid(session, seed, count, jumpy=False):
     return rows
 
 
-def _blocked_sets(session, seed, count):
-    rng = random.Random(seed)
-    names = sorted(session.event_vars)
-    blocked = []
-    for _ in range(count):
-        size = rng.randint(1, max(1, len(names) // 3))
-        blocked.append(tuple(sorted(rng.sample(names, size))))
-    return blocked
-
-
 def _tree_weights(session, tree):
     """The ``-log`` weights ``solve_tree`` derives from ``tree``."""
     probabilities = tree.probabilities()
@@ -68,13 +57,13 @@ def _essence(result):
     )
 
 
-def _assert_batch_matches_sequential(tree, weights_seq, blocked=(), tier=None):
+def _assert_batch_matches_sequential(tree, weights_seq, tier=None):
     # ``tier`` is kept for the parametrised test ids: no solve step reads the
     # kernel tier, so the session no longer takes one.
     batch_session = IncrementalMaxSATSession(tree)
     loop_session = IncrementalMaxSATSession(tree)
-    batched = batch_session.solve_batch(weights_seq, blocked)
-    sequential = [loop_session.solve(weights, blocked) for weights in weights_seq]
+    batched = batch_session.solve_batch(weights_seq)
+    sequential = [loop_session.solve(weights) for weights in weights_seq]
     assert [_essence(r) for r in batched] == [_essence(r) for r in sequential]
     return batch_session
 
@@ -95,42 +84,10 @@ class TestBatchEqualsSequential:
         weights_seq = _weight_grid(session, seed=seed + 100, count=8, jumpy=True)
         _assert_batch_matches_sequential(tree, weights_seq, tier=tier)
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_with_blocked_sets(self, tier):
-        tree = fire_protection_system()
-        probe = IncrementalMaxSATSession(tree)
-        first = probe.solve_tree(tree)
-        weights_seq = _weight_grid(probe, seed=3, count=10)
-        # Block the unweighted optimum plus an arbitrary pair: forces the
-        # batch through the blocked-enumeration machinery.
-        blocked = [first.events] + _blocked_sets(probe, seed=4, count=2)
-        _assert_batch_matches_sequential(tree, weights_seq, blocked, tier=tier)
-
     def test_empty_batch(self):
         tree = fire_protection_system()
         session = IncrementalMaxSATSession(tree)
         assert session.solve_batch([]) == []
-
-    def test_exhausted_enumeration_yields_nones(self):
-        tree = fire_protection_system()
-        probe = IncrementalMaxSATSession(tree)
-        blocked = []
-        while True:
-            outcome = probe.solve_tree(tree, blocked)
-            if outcome is None:
-                break
-            blocked.append(outcome.events)
-        session = IncrementalMaxSATSession(tree)
-        weights_seq = _weight_grid(session, seed=5, count=4)
-        assert session.solve_batch(weights_seq, blocked) == [None] * 4
-        # Proving exhaustion on a cold session needs SAT calls once; every
-        # scenario after that is answered from the cores alone.
-        assert session.rerank_stats == {
-            "pooled": 0,
-            "certified": 0,
-            "bnb": 0,
-            "fallback": 1,
-        }
 
 
 class TestRerankLadder:
@@ -182,27 +139,6 @@ class TestRerankLadder:
         assert session.sat_calls == calls_before
         assert session.rerank_stats["fallback"] == fallbacks_before
 
-    def test_blocked_pooled_set_is_not_certified(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        weights = _weight_grid(session, seed=31, count=1)[0]
-        optimum = session.solve(weights).events
-        assert session.pool_size == 1
-        # The pooled optimum is the unblocked hitting set, but its block
-        # forbids it: the solve must go back to the oracle, not certify it.
-        calls_before = session.sat_calls
-        blocked = session.solve(weights, [optimum])
-        assert blocked is not None and blocked.events != optimum
-        assert session.sat_calls > calls_before
-        fresh = IncrementalMaxSATSession(tree).solve(weights, [optimum])
-        assert _essence(blocked) == _essence(fresh)
-        # Once the runner-up is pooled too, the same blocked solve is
-        # certified by it: no SAT call.
-        calls_before = session.sat_calls
-        again = session.solve(weights, [optimum])
-        assert _essence(again) == _essence(fresh)
-        assert session.sat_calls == calls_before
-
     def test_solve_tree_certifies_cut_sets_by_evaluation(self):
         tree = random_fault_tree(num_basic_events=25, seed=7)
         session = IncrementalMaxSATSession(tree)
@@ -214,15 +150,6 @@ class TestRerankLadder:
         assert session.rerank_stats["fallback"] == 0
         fresh = IncrementalMaxSATSession(tree).solve(_tree_weights(session, tree))
         assert _essence(result) == _essence(fresh)
-
-    def test_blocked_cut_set_is_not_certified_by_evaluation(self):
-        tree = random_fault_tree(num_basic_events=25, seed=7)
-        session = IncrementalMaxSATSession(tree)
-        optimum = session.solve_tree(tree).events
-        blocked = session.solve_tree(tree, [optimum])
-        assert blocked is not None and blocked.events != optimum
-        fresh = IncrementalMaxSATSession(tree).solve(_tree_weights(session, tree), [optimum])
-        assert _essence(blocked) == _essence(fresh)
 
     def test_stats_expose_the_ladder(self):
         tree = fire_protection_system()
@@ -240,19 +167,16 @@ class TestRerankLadder:
 
 
 class TestBatchProperty:
-    """S3: randomized equivalence across trees, grids, blocks and tiers."""
+    """S3: randomized equivalence across trees, grids and tiers."""
 
     @settings(max_examples=30, deadline=None)
     @given(
         tree_seed=st.integers(min_value=0, max_value=25),
         grid_seed=st.integers(min_value=0, max_value=1000),
         scenarios=st.integers(min_value=1, max_value=6),
-        blocks=st.integers(min_value=0, max_value=2),
         tier=st.sampled_from(TIERS),
     )
-    def test_solve_batch_equals_solve_loop(
-        self, tree_seed, grid_seed, scenarios, blocks, tier
-    ):
+    def test_solve_batch_equals_solve_loop(self, tree_seed, grid_seed, scenarios, tier):
         tree = random_fault_tree(
             num_basic_events=10, seed=tree_seed, voting_ratio=0.15
         )
@@ -260,8 +184,7 @@ class TestBatchProperty:
         weights_seq = _weight_grid(
             probe, seed=grid_seed, count=scenarios, jumpy=grid_seed % 2 == 0
         )
-        blocked = _blocked_sets(probe, seed=grid_seed + 1, count=blocks)
-        _assert_batch_matches_sequential(tree, weights_seq, blocked, tier=tier)
+        _assert_batch_matches_sequential(tree, weights_seq, tier=tier)
 
 
 def _probability_walk(names, rng, steps):
@@ -275,14 +198,9 @@ def _probability_walk(names, rng, steps):
     return walk
 
 
-def _brute_force_optimum(session, minimal_cut_sets, weights, blocked):
-    """Least scaled cost over the minimal cut sets no blocked set is inside."""
-    costs = [
-        session.scaled_cost_of(cut_set, weights)
-        for cut_set in minimal_cut_sets
-        if not any(set(block) <= cut_set for block in blocked)
-    ]
-    return min(costs) if costs else None
+def _brute_force_optimum(session, minimal_cut_sets, weights):
+    """Least scaled cost over the minimal cut sets."""
+    return min(session.scaled_cost_of(cut_set, weights) for cut_set in minimal_cut_sets)
 
 
 class TestCertificateProperty:
@@ -308,17 +226,12 @@ class TestCertificateProperty:
             for name, probability in probabilities.items():
                 scenario.set_probability(name, probability)
             weights = {name: log_weight(probability) for name, probability in probabilities.items()}
-            blocked = _blocked_sets(warm, seed=rng.randrange(10_000), count=rng.randint(0, 2))
             results = [
-                warm.solve(weights, blocked),
-                warm_tree.solve_tree(scenario, blocked),
-                IncrementalMaxSATSession(tree).solve(weights, blocked),
+                warm.solve(weights),
+                warm_tree.solve_tree(scenario),
+                IncrementalMaxSATSession(tree).solve(weights),
             ]
-            expected = _brute_force_optimum(warm, minimal_cut_sets, weights, blocked)
-            if expected is None:
-                assert results == [None, None, None]
-                continue
+            expected = _brute_force_optimum(warm, minimal_cut_sets, weights)
             assert [result.scaled_cost for result in results] == [expected] * 3
             for result in results[:2]:
                 assert tree.is_minimal_cut_set(result.events)
-                assert not any(set(block) <= set(result.events) for block in blocked)
