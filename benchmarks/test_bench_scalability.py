@@ -11,7 +11,8 @@ wall-clock time of the full pipeline (encode + solve + extract) and asserts:
 * the result is a genuine minimal cut set of the tree (soundness),
 * the multi-thousand-node instances complete within a seconds-scale budget —
   the *shape* of the paper's claim — and
-* the solve makes exactly the pinned number of SAT calls with no conflict:
+* the solve makes exactly the pinned number of SAT calls with no conflict,
+  and its SAT calls propagate exactly the pinned number of literals:
   counted work, which a loaded host cannot blur the way it blurs wall time,
   so a change to the encoding or the solver that adds work shows here.
 """
@@ -22,12 +23,16 @@ import pytest
 
 from repro.core.pipeline import MPMCSSolver
 from repro.maxsat import RC2Engine
+from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
 
 from benchmarks.conftest import emit
 
 #: SAT calls RC2 makes on each row's tree (0 conflicts on every row).
 SAT_CALLS = {100: 15, 250: 4, 500: 2, 1000: 4, 2000: 3, 4000: 3}
+
+#: Literals those SAT calls propagate, summed over every ``CDCLSolver.solve``.
+PROPAGATIONS = {100: 740, 250: 910, 500: 566, 1000: 2682, 2000: 4080, 4000: 7094}
 
 #: (number of basic events, seconds budget for one full pipeline run).
 SIZES = [
@@ -51,7 +56,16 @@ class _CountingRC2(RC2Engine):
 
 
 @pytest.mark.parametrize("num_events,budget_s", SIZES, ids=[f"n{n}" for n, _ in SIZES])
-def test_bench_scalability(benchmark, num_events, budget_s):
+def test_bench_scalability(benchmark, monkeypatch, num_events, budget_s):
+    propagations = []
+    solve = CDCLSolver.solve
+
+    def counting_solve(self, assumptions=()):
+        result = solve(self, assumptions)
+        propagations.append(result.propagations)
+        return result
+
+    monkeypatch.setattr(CDCLSolver, "solve", counting_solve)
     tree = random_fault_tree(
         num_basic_events=num_events, seed=42, voting_ratio=0.05, event_reuse=0.05
     )
@@ -68,6 +82,7 @@ def test_bench_scalability(benchmark, num_events, budget_s):
         f"{tree.num_nodes}-node tree took {elapsed:.1f}s, above the seconds-scale budget"
     )
     assert (engine.last.sat_calls, engine.last.conflicts) == (SAT_CALLS[num_events], 0)
+    assert sum(propagations) == PROPAGATIONS[num_events]
 
     _series.append(
         f"events={num_events:5d}  nodes={tree.num_nodes:5d}  vars={result.num_vars:6d}  "

@@ -561,11 +561,14 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
     child at rank 0 for the next child in that order, if that one is
     unchosen.  Every other state has a strictly cheaper predecessor (lower a
     raised rank; or swap back a chosen child whose previous child is
-    unchosen), so states leave the heap in cost order.  Two cuts drop only
+    unchosen), so states leave the heap in cost order.  Three cuts drop only
     states that ``count`` cheaper states precede: choosing a position
-    ``p ≥ k + count - 1`` takes at least ``count`` swaps, and an AND that
+    ``p ≥ k + count - 1`` takes at least ``count`` swaps; an AND that
     raises any child but the ``count - 1`` whose second entry adds least
-    costs more than the all-heads state and each of those raised alone.
+    costs more than the all-heads state and each of those raised alone; and
+    a successor dearer than ``count`` states already pushed is not pushed
+    (costs never fall along successor edges, so nothing it leads to is
+    needed either).
     """
     heads = sorted(children, key=lambda entries: entries[0][0])[: k + count - 1]
     if k == len(heads):
@@ -578,14 +581,29 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
             entries if position in kept else entries[:1] for position, entries in enumerate(heads)
         ]
     start = tuple((position, 0) for position in range(k))
-    heap = [(sum(heads[position][0][0] for position in range(k)), start)]
+    start_cost = sum(heads[position][0][0] for position in range(k))
+    heap = [(start_cost, start)]
     seen = {start}
+    # The ``count`` smallest costs pushed so far, negated (a max-heap): a
+    # successor dearer than the largest of them is preceded by ``count``
+    # cheaper states, and so is everything reached through it.
+    bound = [-start_cost]
     ranked: List[Entry] = []
 
-    def push(cost: int, state: Tuple[Tuple[int, int], ...]) -> None:
-        if state not in seen:
-            seen.add(state)
-            heapq.heappush(heap, (cost, state))
+    def push(
+        cost: int, state: Tuple[Tuple[int, int], ...], index: int, pair: Tuple[int, int]
+    ) -> None:
+        """Push ``state`` with ``pair`` at ``index``, unless ``count`` cheaper precede it."""
+        if len(bound) == count and cost > -bound[0]:
+            return
+        successor = state[:index] + (pair,) + state[index + 1 :]
+        if successor not in seen:
+            seen.add(successor)
+            heapq.heappush(heap, (cost, successor))
+            if len(bound) < count:
+                heapq.heappush(bound, -cost)
+            elif cost < -bound[0]:
+                heapq.heapreplace(bound, -cost)
 
     while heap and len(ranked) < count:
         cost, state = heapq.heappop(heap)
@@ -593,16 +611,15 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
         for index, (position, rank) in enumerate(state):
             entries = heads[position]
             if rank + 1 < len(entries):
-                successor = state[:index] + ((position, rank + 1),) + state[index + 1 :]
-                push(cost - entries[rank][0] + entries[rank + 1][0], successor)
+                raised = cost - entries[rank][0] + entries[rank + 1][0]
+                push(raised, state, index, (position, rank + 1))
             following = position + 1
             if (
                 rank == 0
                 and following < len(heads)
                 and (index + 1 == k or state[index + 1][0] != following)
             ):
-                successor = state[:index] + ((following, 0),) + state[index + 1 :]
-                push(cost - entries[0][0] + heads[following][0][0], successor)
+                push(cost - entries[0][0] + heads[following][0][0], state, index, (following, 0))
     return ranked
 
 

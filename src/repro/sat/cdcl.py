@@ -337,18 +337,25 @@ class CDCLSolver(BaseSatSolver):
     # ----------------------------------------------------------------- search
 
     def _search(self, conflict_budget: int, assumptions: List[int]) -> Optional[SatResult]:
+        """Search until a model, a core, or ``conflict_budget`` conflicts.
+
+        Each round propagates to a fixpoint, deciding the pending assumptions
+        on the way (:meth:`_propagate`).  Then it learns from the conflict it
+        reached, reduces the learned clauses when they outgrow their budget,
+        and either reports the assumption found false or makes one VSIDS
+        decision.  Assumption levels come first and stay in step with the
+        assumption list: level ``i`` decides ``assumptions[i - 1]``.
+        """
         local_conflicts = 0
         while True:
-            conflict = self._propagate()
+            conflict = self._propagate(assumptions)
             if conflict is not None:
                 self._conflicts += 1
                 local_conflicts += 1
                 if self._decision_level() == 0:
                     self._ok = False
                     return SatResult(status=SatStatus.UNSAT, core=frozenset())
-                if self._decision_level() <= len(self._trail_lim) and self._assumption_conflict(
-                    conflict, assumptions
-                ):
+                if assumptions and self._decision_level() <= len(assumptions):
                     core = self._analyze_final_conflict(conflict, assumptions)
                     return SatResult(status=SatStatus.UNSAT, core=core)
                 learnt, backjump_level = self._analyze(conflict)
@@ -359,45 +366,20 @@ class CDCLSolver(BaseSatSolver):
                     return None
                 continue
 
-            if len(self._learnts) > self._max_learnt_factor * max(len(self._clauses), 100):
+            if self._learnts_over_budget():
                 self._reduce_learnts()
 
-            # Pick the next decision: pending assumptions first, then VSIDS.
-            lit = self._next_assumption(assumptions)
-            if lit is not None and isinstance(lit, SatResult):
-                return lit
+            level = self._decision_level()
+            if level < len(assumptions):
+                # _propagate decides every assumption it reaches that is not false.
+                core = self._analyze_final(-assumptions[level], assumptions)
+                return SatResult(status=SatStatus.UNSAT, core=core)
+            lit = self._pick_branch_literal()
             if lit is None:
-                lit = self._pick_branch_literal()
-                if lit is None:
-                    return SatResult(status=SatStatus.SAT, model=self._extract_model())
-                self._decisions += 1
+                return SatResult(status=SatStatus.SAT, model=self._extract_model())
+            self._decisions += 1
             self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
-
-    def _next_assumption(self, assumptions: List[int]):
-        """Return the next assumption literal to decide, a SatResult if an
-        assumption is already violated, or None when all assumptions hold."""
-        assigns = self._assigns
-        trail_lim = self._trail_lim
-        level = len(trail_lim)
-        while level < len(assumptions):
-            lit = assumptions[level]
-            value = assigns[lit] if lit > 0 else -assigns[-lit]
-            if value == _TRUE:
-                # Already satisfied: open an empty decision level to keep the
-                # level <-> assumption-index correspondence.
-                trail_lim.append(len(self._trail))
-                level += 1
-                continue
-            if value == _FALSE:
-                core = self._analyze_final(-lit, assumptions)
-                return SatResult(status=SatStatus.UNSAT, core=core)
-            return lit
-        return None
-
-    def _assumption_conflict(self, conflict: _Clause, assumptions: List[int]) -> bool:
-        """True when the conflict happened while assumption decisions are on the trail."""
-        return bool(assumptions) and self._decision_level() <= len(assumptions)
 
     # ----------------------------------------------------------- propagation
 
@@ -406,80 +388,116 @@ class CDCLSolver(BaseSatSolver):
         self._watches.setdefault(lits[0], []).append(clause)
         self._watches.setdefault(lits[1], []).append(clause)
 
-    def _propagate(self) -> Optional[_Clause]:
-        """Unit propagation; returns a conflicting clause or None.
+    def _propagate(self, assumptions: Sequence[int] = ()) -> Optional[_Clause]:
+        """Unit propagation, deciding pending assumptions at each fixpoint;
+        returns a conflicting clause or None.
 
-        This is the solver's hottest loop.  The assignment buffer and the
-        watch map are bound to locals, and literal values are computed inline
-        against the buffer (``assigns[lit]`` sign-adjusted), never through a
-        helper call per literal — same reads in the same order, so
-        propagation behaviour (and thus every learned clause and
-        model) is unchanged.  A unit clause's literal, unassigned by then, is
-        assigned inline as :meth:`_enqueue` would.
+        This is the solver's hottest loop.  Arrays are bound to locals and
+        literal values are read inline from the assignment buffer
+        (``assigns[lit]`` sign-adjusted).  Each visited watch list is
+        compacted in place, in its order: a watcher that stays is written
+        back at ``kept``, and the watchers that moved to another literal
+        leave a gap that one ``del`` closes.
+
+        At a fixpoint below ``len(assumptions)`` the next assumption is
+        decided as a search decision would be: one already true gets an
+        empty level, one unassigned gets a level of its own (no reason) and
+        propagation goes on, and one false stops the call, returning None at
+        that level for :meth:`_search` to explain.  When the learned clauses
+        are over budget, they are reduced right before an unassigned
+        assumption is decided, at the fixpoint where :meth:`_search` reduces
+        them before any other decision.  No clause is learnt within a call,
+        so the budget test is evaluated once on entry and again only after a
+        reduction.
         """
         assigns = self._assigns
         watches = self._watches
         trail = self._trail
+        trail_lim = self._trail_lim
         levels = self._levels
         reasons = self._reasons
         phase = self._phase
-        level = len(self._trail_lim)
-        while self._propagation_head < len(trail):
-            lit = trail[self._propagation_head]
-            self._propagation_head += 1
-            false_lit = -lit
-            watch_list = watches.get(false_lit)
-            if not watch_list:
-                continue
-            new_watch_list: List[_Clause] = []
-            idx = 0
-            conflict: Optional[_Clause] = None
-            while idx < len(watch_list):
-                clause = watch_list[idx]
-                idx += 1
-                lits = clause.literals
-                # Ensure the falsified literal sits at position 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                first_value = assigns[first] if first > 0 else -assigns[-first]
-                if first_value == _TRUE:
-                    new_watch_list.append(clause)
+        level = len(trail_lim)
+        num_assumptions = len(assumptions)
+        head = self._propagation_head
+        propagations = 0
+        reduce_due = self._learnts_over_budget()
+        while True:
+            while head < len(trail):
+                false_lit = -trail[head]
+                head += 1
+                watch_list = watches.get(false_lit)
+                if not watch_list:
                     continue
-                # Look for a replacement watch.
-                replaced = False
-                for k in range(2, len(lits)):
-                    other = lits[k]
-                    if (assigns[other] if other > 0 else -assigns[-other]) != _FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches.setdefault(lits[1], []).append(clause)
-                        replaced = True
-                        break
-                if replaced:
-                    continue
-                # Clause is unit or conflicting.
-                new_watch_list.append(clause)
-                if first_value == _FALSE:
-                    # Conflict: keep the remaining watchers and stop.
-                    new_watch_list.extend(watch_list[idx:])
-                    conflict = clause
+                kept = moved = 0
+                conflict: Optional[_Clause] = None
+                for clause in watch_list:
+                    lits = clause.literals
+                    # Ensure the falsified literal sits at position 1.
+                    if lits[0] == false_lit:
+                        lits[0], lits[1] = lits[1], lits[0]
+                    first = lits[0]
+                    first_value = assigns[first] if first > 0 else -assigns[-first]
+                    if first_value == _TRUE:
+                        watch_list[kept] = clause
+                        kept += 1
+                        continue
+                    # Look for a replacement watch.
+                    for k in range(2, len(lits)):
+                        other = lits[k]
+                        if (assigns[other] if other > 0 else -assigns[-other]) != _FALSE:
+                            lits[1], lits[k] = other, lits[1]
+                            watches.setdefault(other, []).append(clause)
+                            moved += 1
+                            break
+                    else:
+                        # Clause is unit or conflicting: it keeps this watch.
+                        watch_list[kept] = clause
+                        kept += 1
+                        if first_value == _FALSE:
+                            conflict = clause
+                            break
+                        if first > 0:
+                            assigns[first] = _TRUE
+                            var = first
+                        else:
+                            var = -first
+                            assigns[var] = _FALSE
+                        levels[var] = level
+                        reasons[var] = clause
+                        phase[var] = first > 0
+                        trail.append(first)
+                        propagations += 1
+                if moved:
+                    del watch_list[kept : kept + moved]
+                if conflict is not None:
+                    self._propagation_head = len(trail)
+                    self._propagations += propagations
+                    return conflict
+
+            while level < num_assumptions:
+                lit = assumptions[level]
+                value = assigns[lit] if lit > 0 else -assigns[-lit]
+                if value == _FALSE:
                     break
-                if first > 0:
-                    assigns[first] = _TRUE
-                    var = first
-                else:
-                    var = -first
-                    assigns[var] = _FALSE
+                trail_lim.append(len(trail))
+                level += 1
+                if value == _TRUE:
+                    continue  # an empty level keeps levels in step with assumptions
+                if reduce_due:
+                    self._reduce_learnts()
+                    reduce_due = self._learnts_over_budget()
+                var = lit if lit > 0 else -lit
+                assigns[var] = _TRUE if lit > 0 else _FALSE
                 levels[var] = level
-                reasons[var] = clause
-                phase[var] = first > 0
-                trail.append(first)
-                self._propagations += 1
-            watches[false_lit] = new_watch_list
-            if conflict is not None:
-                self._propagation_head = len(trail)
-                return conflict
-        return None
+                reasons[var] = None
+                phase[var] = lit > 0
+                trail.append(lit)
+                break
+            if head == len(trail):
+                self._propagation_head = head
+                self._propagations += propagations
+                return None
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
         """Assign ``lit`` at the current level, unless it already has a value:
@@ -668,6 +686,9 @@ class CDCLSolver(BaseSatSolver):
         if best_var is None:
             return None
         return best_var if self._phase[best_var] else -best_var
+
+    def _learnts_over_budget(self) -> bool:
+        return len(self._learnts) > self._max_learnt_factor * max(len(self._clauses), 100)
 
     def _reduce_learnts(self) -> None:
         """Remove the less active half of the learned clauses (keeping reasons)."""
