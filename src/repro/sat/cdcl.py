@@ -13,6 +13,15 @@ This is the production SAT engine underneath every MaxSAT algorithm in
   assumptions (unsat core), which the MaxSAT algorithms (OLL/RC2 and the
   implicit hitting set engine) rely on.
 
+Clauses live in one arena and are referred to by number, as MiniSat refers
+to clauses by ``CRef`` offsets into its ``ClauseAllocator`` region (Eén &
+Sörensson, SAT 2003): ``_lits[ci]`` is clause ``ci``'s literal list, the
+learnt flag and activity of clause ``ci`` sit at index ``ci`` of the
+parallel ``_learnt`` and ``_clause_activity`` lists, and watch lists and
+``_reasons`` hold clause numbers.  Deleting learned clauses frees their
+slots, which later learned clauses reuse.  A copy of a solver is therefore
+a slice of each list, with no object per clause to rebuild.
+
 The solver is deliberately self-contained (pure Python, no third-party
 dependencies), so the library installs and runs anywhere the standard
 library does, with no MaxSAT or SAT package to provide.
@@ -34,17 +43,6 @@ __all__ = ["CDCLSolver"]
 _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
-
-
-class _Clause:
-    """Internal clause representation (literals list plus an activity score)."""
-
-    __slots__ = ("literals", "learnt", "activity")
-
-    def __init__(self, literals: List[int], learnt: bool = False) -> None:
-        self.literals = literals
-        self.learnt = learnt
-        self.activity = 0.0
 
 
 class CDCLSolver(BaseSatSolver):
@@ -85,16 +83,22 @@ class CDCLSolver(BaseSatSolver):
         if restart_base <= 0:
             raise SolverError("restart_base must be positive")
 
-        self._clauses: List[_Clause] = []
-        self._learnts: List[_Clause] = []
-        self._watches: Dict[int, List[_Clause]] = {}
+        # The clause arena, indexed by clause number.  A freed slot holds an
+        # empty literal list until a learned clause reuses it.
+        self._lits: List[List[int]] = []
+        self._learnt: List[bool] = []
+        self._clause_activity: List[float] = []
+        self._free: List[int] = []
+        # Live learned clauses, in the order reduction sorts them from.
+        self._learnts: List[int] = []
+        self._watches: Dict[int, List[int]] = {}
 
         self._num_vars = 0
         # Contiguous signed-byte buffer (repro.kernels.bitset); indexed by
         # var, slot 0 unused.
         self._assigns = make_assign_buffer([_UNASSIGNED])
         self._levels: List[int] = [0]
-        self._reasons: List[Optional[_Clause]] = [None]
+        self._reasons: List[Optional[int]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [default_phase]
         self._seen: List[bool] = [False]
@@ -132,7 +136,7 @@ class CDCLSolver(BaseSatSolver):
     @property
     def num_clauses(self) -> int:
         """Number of problem (non-learnt) clauses currently attached."""
-        return len(self._clauses)
+        return len(self._lits) - len(self._learnts) - len(self._free)
 
     @property
     def num_learnts(self) -> int:
@@ -159,44 +163,56 @@ class CDCLSolver(BaseSatSolver):
             self.new_var()
 
     def add_clause(self, literals: Sequence[Literal]) -> None:
-        """Add a problem clause.  Must be called at decision level 0."""
+        """Add a problem clause.  Must be called at decision level 0.
+
+        Literals are read in order.  A ``0``, a ``bool`` or a non-``int``
+        raises :class:`SolverError`, and a literal whose complement was read
+        makes the clause a tautology, which is dropped.  Whichever way the
+        call ends, the variables of the literals read so far are reserved.
+        """
         if self._trail_lim:
             raise SolverError("clauses can only be added at decision level 0")
         seen: Set[int] = set()
         clause_lits: List[int] = []
+        top = 0
         for lit in literals:
-            if lit == 0 or not isinstance(lit, int) or isinstance(lit, bool):
-                raise SolverError(f"invalid literal {lit!r}")
+            if type(lit) is not int or not lit:
+                if lit == 0 or not isinstance(lit, int) or isinstance(lit, bool):
+                    self._ensure_var(top)
+                    raise SolverError(f"invalid literal {lit!r}")
+                lit = int(lit)
             if -lit in seen:
+                self._ensure_var(top)
                 return  # tautology, trivially satisfied
             if lit in seen:
                 continue
             seen.add(lit)
             clause_lits.append(lit)
-            self._ensure_var(abs(lit))
+            var = lit if lit > 0 else -lit
+            if var > top:
+                top = var
+        self._ensure_var(top)
 
         if not self._ok:
             return
-        # Remove literals already falsified at level 0 and drop satisfied clauses.
-        assigns = self._assigns
-        levels = self._levels
-        filtered: List[int] = []
-        for lit in clause_lits:
-            if lit > 0:
-                var, value = lit, assigns[lit]
-            else:
-                var, value = -lit, -assigns[-lit]
-            if value != _UNASSIGNED and levels[var] == 0:
+        if self._trail:
+            # Drop satisfied clauses and remove falsified literals.  At
+            # decision level 0 every assigned variable is a level-0 one.
+            assigns = self._assigns
+            filtered: List[int] = []
+            for lit in clause_lits:
+                value = assigns[lit] if lit > 0 else -assigns[-lit]
                 if value == _TRUE:
                     return
-                continue
-            filtered.append(lit)
+                if value == _UNASSIGNED:
+                    filtered.append(lit)
+            clause_lits = filtered
 
-        if not filtered:
+        if not clause_lits:
             self._ok = False
             return
-        if len(filtered) == 1:
-            if not self._enqueue(filtered[0], None):
+        if len(clause_lits) == 1:
+            if not self._enqueue(clause_lits[0], None):
                 self._ok = False
             else:
                 conflict = self._propagate()
@@ -204,8 +220,10 @@ class CDCLSolver(BaseSatSolver):
                     self._ok = False
             return
 
-        clause = _Clause(filtered, learnt=False)
-        self._clauses.append(clause)
+        clause = len(self._lits)
+        self._lits.append(clause_lits)
+        self._learnt.append(False)
+        self._clause_activity.append(0.0)
         self._attach(clause)
 
     def add_clauses(self, clauses: Iterable[Sequence[Literal]]) -> None:
@@ -234,12 +252,13 @@ class CDCLSolver(BaseSatSolver):
         budget and stop hook.  Must be called at decision level 0.
 
         Solving or adding clauses on either solver afterwards leaves the
-        other as it was: every mutable array is copied, and so is each
+        other as it was: every mutable array is sliced, and so is each
         clause's literal list, since propagation swaps watched literals in
-        place.  Watch lists keep their order and reasons point at the copied
-        clauses, so the copy searches exactly as this solver would.  The copy
-        is built through ``__init__`` and then given this solver's state, so
-        its attributes are laid out as every other solver's are.
+        place.  Clause numbers are kept, so the sliced watch lists and
+        reasons refer to the copied clauses in the same order, and the copy
+        searches exactly as this solver would.  The copy is built through
+        ``__init__`` and then given this solver's state, so its attributes
+        are laid out as every other solver's are.
         """
         if self._trail_lim:
             raise SolverError("a solver can only be copied at decision level 0")
@@ -252,20 +271,13 @@ class CDCLSolver(BaseSatSolver):
             default_phase=self._default_phase,
             stop_check=stop_check,
         )
-        twins: Dict[int, _Clause] = {}
-        for source, target in ((self._clauses, clone._clauses), (self._learnts, clone._learnts)):
-            for clause in source:
-                twin = _Clause(clause.literals[:], clause.learnt)
-                twin.activity = clause.activity
-                twins[id(clause)] = twin
-                target.append(twin)
-        clone._watches = {
-            lit: [twins[id(clause)] for clause in watchers]
-            for lit, watchers in self._watches.items()
-        }
-        clone._reasons = [
-            None if reason is None else twins[id(reason)] for reason in self._reasons
-        ]
+        clone._lits = [lits[:] for lits in self._lits]
+        clone._learnt = self._learnt[:]
+        clone._clause_activity = self._clause_activity[:]
+        clone._free = self._free[:]
+        clone._learnts = self._learnts[:]
+        clone._watches = {lit: watchers[:] for lit, watchers in self._watches.items()}
+        clone._reasons = self._reasons[:]
         clone._num_vars = self._num_vars
         clone._assigns = self._assigns[:]
         clone._levels = self._levels[:]
@@ -286,11 +298,16 @@ class CDCLSolver(BaseSatSolver):
 
     def solve(self, assumptions: Iterable[Literal] = ()) -> SatResult:
         """Solve the current clause database under ``assumptions``."""
-        assumption_list = [int(lit) for lit in assumptions]
+        assumption_list = [lit if type(lit) is int else int(lit) for lit in assumptions]
+        top = 0
         for lit in assumption_list:
-            if lit == 0:
+            var = lit if lit > 0 else -lit
+            if not var:
+                self._ensure_var(top)
                 raise SolverError("assumption literal cannot be 0")
-            self._ensure_var(abs(lit))
+            if var > top:
+                top = var
+        self._ensure_var(top)
 
         self._decisions = 0
         self._propagations = 0
@@ -383,14 +400,14 @@ class CDCLSolver(BaseSatSolver):
 
     # ----------------------------------------------------------- propagation
 
-    def _attach(self, clause: _Clause) -> None:
-        lits = clause.literals
+    def _attach(self, clause: int) -> None:
+        lits = self._lits[clause]
         self._watches.setdefault(lits[0], []).append(clause)
         self._watches.setdefault(lits[1], []).append(clause)
 
-    def _propagate(self, assumptions: Sequence[int] = ()) -> Optional[_Clause]:
+    def _propagate(self, assumptions: Sequence[int] = ()) -> Optional[int]:
         """Unit propagation, deciding pending assumptions at each fixpoint;
-        returns a conflicting clause or None.
+        returns the number of a conflicting clause or None.
 
         This is the solver's hottest loop.  Arrays are bound to locals and
         literal values are read inline from the assignment buffer
@@ -411,6 +428,7 @@ class CDCLSolver(BaseSatSolver):
         reduction.
         """
         assigns = self._assigns
+        clause_lits = self._lits
         watches = self._watches
         trail = self._trail
         trail_lim = self._trail_lim
@@ -430,9 +448,9 @@ class CDCLSolver(BaseSatSolver):
                 if not watch_list:
                     continue
                 kept = moved = 0
-                conflict: Optional[_Clause] = None
+                conflict: Optional[int] = None
                 for clause in watch_list:
-                    lits = clause.literals
+                    lits = clause_lits[clause]
                     # Ensure the falsified literal sits at position 1.
                     if lits[0] == false_lit:
                         lits[0], lits[1] = lits[1], lits[0]
@@ -499,7 +517,7 @@ class CDCLSolver(BaseSatSolver):
                 self._propagations += propagations
                 return None
 
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
+    def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
         """Assign ``lit`` at the current level, unless it already has a value:
         then return whether that value makes it true."""
         assigns = self._assigns
@@ -523,23 +541,23 @@ class CDCLSolver(BaseSatSolver):
 
     # ------------------------------------------------------ conflict analysis
 
-    def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
+    def _analyze(self, conflict: int) -> Tuple[List[int], int]:
         """1-UIP conflict analysis; returns (learnt clause, backjump level)."""
         learnt: List[int] = [0]  # placeholder for the asserting literal
         seen = self._seen
         counter = 0
         lit_iter: Optional[int] = None
-        clause: Optional[_Clause] = conflict
+        clause: Optional[int] = conflict
         trail_index = len(self._trail) - 1
         current_level = self._decision_level()
         to_clear: List[int] = []
 
         while True:
             assert clause is not None
-            if clause.learnt:
+            if self._learnt[clause]:
                 self._bump_clause(clause)
-            start = 1 if lit_iter is not None else 0
-            for lit in clause.literals[start:] if lit_iter is not None else clause.literals:
+            lits = self._lits[clause]
+            for lit in lits[1:] if lit_iter is not None else lits:
                 var = abs(lit)
                 if lit_iter is not None and lit == lit_iter:
                     continue
@@ -584,7 +602,16 @@ class CDCLSolver(BaseSatSolver):
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
             return
-        clause = _Clause(list(learnt), learnt=True)
+        if self._free:
+            # Only learned clauses are freed, so the slot's flag is set.
+            clause = self._free.pop()
+            self._lits[clause] = learnt
+            self._clause_activity[clause] = 0.0
+        else:
+            clause = len(self._lits)
+            self._lits.append(learnt)
+            self._learnt.append(True)
+            self._clause_activity.append(0.0)
         self._learnts.append(clause)
         self._attach(clause)
         self._bump_clause(clause)
@@ -613,7 +640,7 @@ class CDCLSolver(BaseSatSolver):
                 if lit in assumption_set:
                     core.add(lit)
             else:
-                for other in reason.literals:
+                for other in self._lits[reason]:
                     other_var = abs(other)
                     if other_var != var and self._levels[other_var] > 0 and not seen[other_var]:
                         seen[other_var] = True
@@ -624,14 +651,14 @@ class CDCLSolver(BaseSatSolver):
         return frozenset(core)
 
     def _analyze_final_conflict(
-        self, conflict: _Clause, assumptions: List[int]
+        self, conflict: int, assumptions: List[int]
     ) -> FrozenSet[int]:
         """Derive failed assumptions from a conflict reached during assumption decisions."""
         assumption_set = set(assumptions)
         core: Set[int] = set()
         seen = self._seen
         to_clear: List[int] = []
-        for lit in conflict.literals:
+        for lit in self._lits[conflict]:
             var = abs(lit)
             if self._levels[var] > 0 and not seen[var]:
                 seen[var] = True
@@ -646,7 +673,7 @@ class CDCLSolver(BaseSatSolver):
                 if lit in assumption_set:
                     core.add(lit)
             else:
-                for other in reason.literals:
+                for other in self._lits[reason]:
                     other_var = abs(other)
                     if other_var != var and self._levels[other_var] > 0 and not seen[other_var]:
                         seen[other_var] = True
@@ -665,11 +692,12 @@ class CDCLSolver(BaseSatSolver):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
 
-    def _bump_clause(self, clause: _Clause) -> None:
-        clause.activity += self._clause_inc
-        if clause.activity > 1e20:
-            for c in self._learnts:
-                c.activity *= 1e-20
+    def _bump_clause(self, clause: int) -> None:
+        activity = self._clause_activity
+        activity[clause] += self._clause_inc
+        if activity[clause] > 1e20:
+            for learnt in self._learnts:
+                activity[learnt] *= 1e-20
             self._clause_inc *= 1e-20
 
     def _decay_activities(self) -> None:
@@ -688,24 +716,30 @@ class CDCLSolver(BaseSatSolver):
         return best_var if self._phase[best_var] else -best_var
 
     def _learnts_over_budget(self) -> bool:
-        return len(self._learnts) > self._max_learnt_factor * max(len(self._clauses), 100)
+        return len(self._learnts) > self._max_learnt_factor * max(self.num_clauses, 100)
 
     def _reduce_learnts(self) -> None:
-        """Remove the less active half of the learned clauses (keeping reasons)."""
-        locked = {id(self._reasons[abs(lit)]) for lit in self._trail if self._reasons[abs(lit)]}
-        self._learnts.sort(key=lambda c: c.activity)
-        keep_from = len(self._learnts) // 2
-        removed = [
-            c for c in self._learnts[:keep_from] if id(c) not in locked and len(c.literals) > 2
-        ]
-        kept = [c for c in self._learnts[:keep_from] if id(c) in locked or len(c.literals) <= 2]
-        self._learnts = kept + self._learnts[keep_from:]
-        removed_ids = {id(c) for c in removed}
-        if not removed_ids:
+        """Remove the less active half of the learned clauses (keeping
+        reasons and binary clauses) and free their slots."""
+        reasons = self._reasons
+        locked = {reasons[abs(lit)] for lit in self._trail}
+        lits = self._lits
+        learnts = self._learnts
+        learnts.sort(key=self._clause_activity.__getitem__)
+        keep_from = len(learnts) // 2
+        removed = [c for c in learnts[:keep_from] if c not in locked and len(lits[c]) > 2]
+        if not removed:
             return
-        for lit, watchers in self._watches.items():
+        removed_set = set(removed)
+        kept = [c for c in learnts[:keep_from] if c not in removed_set]
+        self._learnts = kept + learnts[keep_from:]
+        for clause in removed:
+            lits[clause] = []
+        self._free += removed
+        watches = self._watches
+        for lit, watchers in watches.items():
             if watchers:
-                self._watches[lit] = [c for c in watchers if id(c) not in removed_ids]
+                watches[lit] = [c for c in watchers if c not in removed_set]
 
     # ----------------------------------------------------------------- helpers
 

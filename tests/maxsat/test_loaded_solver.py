@@ -7,7 +7,9 @@ as a solver loaded clause by clause would, and solving one copy must leave
 the memo and every other copy untouched.
 """
 
+import array
 import pickle
+import random
 
 import pytest
 
@@ -61,12 +63,17 @@ WHOLE_TREE = [(name, factory) for name, factory in FACTORIES if name.startswith(
 
 
 def _state(solver):
-    """Every piece of a solver's search state, with clauses as literal tuples."""
+    """Every piece of a solver's search state, with each clause number
+    replaced by the clause's literal tuple, learnt flag and activity."""
     def clause(c):
-        return None if c is None else (tuple(c.literals), c.learnt, c.activity)
+        if c is None:
+            return None
+        return (tuple(solver._lits[c]), solver._learnt[c], solver._clause_activity[c])
 
     return {
-        "clauses": [clause(c) for c in solver._clauses],
+        "clauses": [
+            clause(c) for c, lits in enumerate(solver._lits) if lits and not solver._learnt[c]
+        ],
         "learnts": [clause(c) for c in solver._learnts],
         "watches": {lit: [clause(c) for c in ws] for lit, ws in solver._watches.items()},
         "reasons": [clause(c) for c in solver._reasons],
@@ -188,6 +195,34 @@ class TestCopiesAreIndependent:
         assert _result(sibling.solve(selectors)) == _result(
             _fresh_load(instance).solve(selectors)
         )
+
+    def test_a_copy_shares_no_list_with_its_source(self):
+        # Small learned clause budgets free slots, so the arena holds
+        # placeholders as well as problem and learned clauses.
+        rng = random.Random(0)
+
+        def literals(count):
+            return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 41), count)]
+
+        solver = CDCLSolver(restart_base=20, max_learnt_factor=0.02)
+        for _ in range(170):
+            solver.add_clause(literals(3))
+        solver.solve(literals(3))
+        solver.add_clause(literals(1))  # a level-0 unit, so the trail is not empty
+        assert solver._free and solver._learnts and solver._trail
+        copied = solver.copy()
+        assert _state(copied) == _state(solver)
+
+        containers = 0
+        for name, value in vars(solver).items():
+            if isinstance(value, (list, dict, array.array)):
+                assert getattr(copied, name) is not value, name
+                containers += 1
+        assert containers == 14
+        assert all(a is not b for a, b in zip(copied._lits, solver._lits))
+        assert any(not lits for lits in solver._lits)  # a freed slot's placeholder
+        assert copied._watches.keys() == solver._watches.keys()
+        assert all(copied._watches[lit] is not ws for lit, ws in solver._watches.items())
 
     def test_a_copy_is_made_at_level_zero_only(self):
         solver = CDCLSolver()

@@ -1,12 +1,18 @@
 """Unit tests for the CDCL SAT solver."""
 
 import enum
+import random
 
 import pytest
 
 from repro.exceptions import BudgetExceededError, SolverError, SolverInterrupted
 from repro.sat.cdcl import CDCLSolver, _luby
 from repro.sat.types import SatStatus
+
+
+class _Lit(enum.IntEnum):
+    ZERO = 0
+    FOUR = 4
 
 
 class TestBasicSolving:
@@ -131,6 +137,17 @@ class TestAssumptions:
         assert result.status is SatStatus.UNSAT
         assert result.core <= {3, -3}
 
+    @pytest.mark.parametrize(
+        "assumptions,num_vars", [([3, -6, 0, 9], 6), ([0], 0), ([_Lit.FOUR, 0], 4), ([2.0, 0], 2)]
+    )
+    def test_zero_assumption_raises_after_reserving_the_read_variables(
+        self, assumptions, num_vars
+    ):
+        solver = CDCLSolver()
+        with pytest.raises(SolverError, match="assumption literal cannot be 0"):
+            solver.solve(assumptions)
+        assert solver.num_vars == num_vars
+
     def test_many_assumptions_all_satisfiable(self):
         solver = CDCLSolver()
         for i in range(1, 21):
@@ -171,11 +188,6 @@ class TestBudgetsAndInterruption:
                     solver.add_clause([-var(a, j), -var(b, j)])
         with pytest.raises(SolverInterrupted):
             solver.solve()
-
-
-class _Lit(enum.IntEnum):
-    ZERO = 0
-    FOUR = 4
 
 
 class TestAddClauseChecks:
@@ -227,6 +239,44 @@ class TestAddClauseChecks:
         solver.add_clause([1])
         result = solver.solve()
         assert result.status is SatStatus.SAT and result.model[4] is True
+
+
+class TestLearntSlots:
+    def test_freed_learnt_slots_are_reused(self, monkeypatch):
+        """A long incremental run whose learned clauses are reduced again and
+        again keeps its clause arena no longer than the problem clauses plus
+        the most learned clauses ever live at once."""
+        rng = random.Random(11)
+        solver = CDCLSolver(restart_base=20, max_learnt_factor=0.02)
+
+        def clause():
+            variables = rng.sample(range(1, 61), 3)
+            return [var if rng.random() < 0.5 else -var for var in variables]
+
+        for _ in range(250):
+            solver.add_clause(clause())
+
+        counts = {"recorded": 0, "peak": 0, "reused": 0}
+        record = CDCLSolver._record_learnt
+
+        def recording(self, learnt):
+            reusable = len(learnt) > 1 and bool(self._free)
+            record(self, learnt)
+            counts["recorded"] += len(learnt) > 1
+            counts["reused"] += reusable
+            counts["peak"] = max(counts["peak"], len(self._learnts))
+            assert len(self._lits) <= self.num_clauses + counts["peak"]
+
+        monkeypatch.setattr(CDCLSolver, "_record_learnt", recording)
+        for _ in range(40):
+            assumptions = [var if rng.random() < 0.5 else -var for var in rng.sample(range(1, 61), 4)]
+            solver.solve(assumptions)
+            assert len(solver._lits) <= solver.num_clauses + counts["peak"]
+            solver.add_clause(clause())
+
+        # Without reuse the arena would hold every learned clause ever made.
+        assert counts["reused"] > 0
+        assert counts["recorded"] > 2 * counts["peak"]
 
 
 class TestLuby:
