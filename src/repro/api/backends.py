@@ -53,9 +53,11 @@ from repro.core.pipeline import ModuleOptima, MPMCSResult, MPMCSSolver
 from repro.core.topk import RankedCutSet
 from repro.core.weights import weight_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError, ReproError
+from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.tree import FaultTree
 from repro import kernels
 from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.portfolio import PortfolioReport
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.observability.metrics import get_metrics
 
@@ -197,15 +199,15 @@ class MaxSATBackend(AnalysisBackend):
     :func:`~repro.core.encoder.encode_mpmcs` per further entry.
 
     :meth:`run_batch` keeps one warm state per structure for one-optimum
-    requests, chosen when it is built: the structure's
-    :class:`~repro.core.pipeline.ModuleOptima` when its modules all solve
-    by rule, so a probability-only tree re-applies the rules above its
-    changed events only; else a persistent
-    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`, so the
-    probability-only trees of a batch become weight-only re-solves.  Every
-    route optimises the canonical order itself
-    (:func:`~repro.maxsat.instance.objective_weight`), so ties need no extra
-    solves and every ranking equals every other backend's.  One-off
+    requests: the structure's :class:`~repro.core.pipeline.ModuleOptima`, so
+    a probability-only tree re-solves only the modules above its changed
+    events.  The warm route differs from the cold one only in how a
+    skeleton that needs a search is solved: by a persistent
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` of that
+    skeleton, kept with the optima, so the probability-only trees of a batch
+    become weight-only re-solves.  Every route optimises the canonical order
+    itself (:func:`~repro.maxsat.instance.objective_weight`), so ties need
+    no extra solves and every ranking equals every other backend's.  One-off
     analyses stay cold on purpose: on the E4 corpus a cold session cut the
     median analysis time 7x but raised the p95 from 466 to 747 ms (2-core
     host, CPython 3.11), because a many-core structure's first solve costs
@@ -215,72 +217,61 @@ class MaxSATBackend(AnalysisBackend):
     name = "maxsat"
     CAPABILITIES = frozenset({"mpmcs", "ranking"})
 
-    #: Engine label reported by warm incremental solves.
+    #: Engine label of warm results on a structure with a searched skeleton.
     WARM_ENGINE = "incremental-hitting-set"
-    #: Default bound on live warm states (a session owns a persistent solver).
+    #: Default bound on live warm states (each session owns a persistent solver).
     WARM_SESSION_LIMIT = 4
 
     def __init__(self, context=None) -> None:
         super().__init__(context)
-        #: Warm states (module optima or incremental sessions) keyed by the
-        #: structure-only hash of the tree's top subtree, least recently
-        #: used first.
-        self._warm_sessions: "OrderedDict[str, Union[ModuleOptima, IncrementalMaxSATSession]]" = (
-            OrderedDict()
-        )
+        #: Warm module optima keyed by their compiled structure, which every
+        #: probability-only copy of a tree shares, least recently used first.
+        self._warm_sessions: "OrderedDict[CompiledStructure, ModuleOptima]" = OrderedDict()
 
     def _solver(self) -> MPMCSSolver:
         if self.context.solver is None:
             self.context.solver = MPMCSSolver()
         return self.context.solver
 
-    def _solve_warm(self, tree: FaultTree) -> Tuple[List[MPMCSResult], float]:
-        """The warm route: the optimum (none if the tree has no cut set) and
-        the session encode time this call paid.
-
-        The warm state of ``tree``'s structure (LRU-bounded) is chosen when
-        it is built: the structure's module optima when its modules all
-        solve by rule, else an incremental session.  Raises
-        :class:`BudgetExceededError` when the session blows its core budget;
-        the caller then falls back to the cold route.
+    def _solve_warm(self, tree: FaultTree) -> MPMCSResult:
+        """The warm route: ``tree``'s optimum from its structure's module
+        optima (LRU-bounded), each searched skeleton re-solved by its own
+        incremental session.  Raises :class:`BudgetExceededError` when a
+        session blows its core budget; the caller then falls back to the
+        cold route.
         """
-        key = self.context.artifacts.structure_keys_for(tree)[tree.top_event]
-        state = self._warm_sessions.pop(key, None)
-        built = state is None
-        if state is None:
-            structure = tree.compiled()
-            if all(skeleton.by_rule for skeleton in structure.modules):
-                state = ModuleOptima(structure)
-            else:
-                state = IncrementalMaxSATSession(tree)
-        self._warm_sessions[key] = state
+        structure = tree.compiled()
+        optima = self._warm_sessions.pop(structure, None) or ModuleOptima(structure)
+        self._warm_sessions[structure] = optima
         while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
             self._warm_sessions.popitem(last=False)
-        if isinstance(state, ModuleOptima):
-            return [self._solver().solve_modules(tree, state)], 0.0
-        encode_seconds = state.encode_time if built else 0.0
-        started = time.perf_counter()
-        outcome = state.solve_tree(tree)
-        if outcome is None:
-            return [], encode_seconds
-        solved = MaxSATResult(
-            MaxSATStatus.OPTIMUM,
-            cost=outcome.scaled_cost,
-            float_cost=outcome.cost,
-            engine=self.WARM_ENGINE,
-            solve_time=outcome.solve_time,
-        )
-        result = MPMCSSolver._result(
-            tree,
-            outcome.events,
-            outcome.probability_weights,
-            solved,
-            None,
-            started,
-            len(state.event_vars),
-            (state.num_vars, state.num_hard, state.num_aux_vars),
-        )
-        return [result], encode_seconds
+
+        def solve(
+            skeleton: Skeleton, value: Dict[str, Tuple[int, float]]
+        ) -> Tuple[List[str], PortfolioReport]:
+            session = optima.sessions.get(skeleton)
+            if session is None:
+                session = optima.sessions[skeleton] = IncrementalMaxSATSession(skeleton)
+            started = time.perf_counter()
+            calls = session.sat_calls
+            leaves = session.solve(value)
+            elapsed = time.perf_counter() - started
+            solved = MaxSATResult(
+                MaxSATStatus.OPTIMUM,
+                engine=self.WARM_ENGINE,
+                solve_time=elapsed,
+                sat_calls=session.sat_calls - calls,
+            )
+            report = PortfolioReport(
+                self.WARM_ENGINE, solved, {self.WARM_ENGINE: elapsed}, total_time=elapsed
+            )
+            return leaves, report
+
+        result = self._solver().solve_modules(tree, optima, solve)
+        if optima.sessions:
+            # A scenario that re-solves no skeleton still reads the sessions' optima.
+            result.engine = self.WARM_ENGINE
+        return result
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         return self._run(tree, request, warm=False)
@@ -299,30 +290,24 @@ class MaxSATBackend(AnalysisBackend):
         count = request.top_k if wants_ranking else 1
         enumerated: Optional[List[MPMCSResult]] = None
         registry = get_metrics()
+        started = time.perf_counter()
         if warm and count == 1:
-            solve_start = time.perf_counter()
             try:
-                enumerated, encode_seconds = self._solve_warm(tree)
+                enumerated = [self._solve_warm(tree)]
             except BudgetExceededError:
                 # Pathological structure for the hitting-set loop: fall back
                 # to the cold portfolio for this tree.
-                enumerated = None
                 registry.inc("repro_solver_warm_fallbacks_total")
             else:
-                report.profile["encode_seconds"] = encode_seconds
-                report.profile["solve_seconds"] = (
-                    time.perf_counter() - solve_start - encode_seconds
-                )
                 report.profile["warm_solves"] = 1
                 registry.inc("repro_solver_warm_solves_total")
         if enumerated is None:
             registry.inc("repro_solver_cold_solves_total")
-            started = time.perf_counter()
             enumerated = self._solver().rank(tree, count)
-            # Encoding, module walks and checks are everything but the engines.
-            solve_seconds = sum(result.solve_time for result in enumerated)
-            report.profile["encode_seconds"] = time.perf_counter() - started - solve_seconds
-            report.profile["solve_seconds"] = solve_seconds
+        # Encoding, module walks and checks are everything but the engines.
+        solve_seconds = sum(result.solve_time for result in enumerated)
+        report.profile["encode_seconds"] = time.perf_counter() - started - solve_seconds
+        report.profile["solve_seconds"] = solve_seconds
         if not enumerated:
             raise AnalysisError(f"fault tree {tree.name!r} has no cut set")
         if wants_mpmcs:

@@ -34,6 +34,7 @@ from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
+from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.maxsat.portfolio import PortfolioReport, PortfolioSolver
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
@@ -191,7 +192,8 @@ class ModuleOptima:
     first update, or one for a tree of another structure, solves every
     module.  A cold analysis uses a fresh instance; the ``maxsat`` backend's
     warm route keeps one per structure across the probability-only trees of
-    a batch.
+    a batch, with an incremental session per searched skeleton
+    (:attr:`sessions`).
     """
 
     def __init__(self, structure: CompiledStructure) -> None:
@@ -210,6 +212,9 @@ class ModuleOptima:
         #: optimum, and the leaves of its skeleton each module's optimum takes.
         self._value: Dict[str, Tuple[int, float]] = {}
         self._chosen: Dict[str, Sequence[str]] = {}
+        #: The incremental session a warm caller keeps for each skeleton that
+        #: needs a search, forgotten with the optima.
+        self.sessions: Dict[Skeleton, IncrementalMaxSATSession] = {}
 
     def update(self, tree: FaultTree, solve: SkeletonSolve) -> List[PortfolioReport]:
         """Bring every module's optimum in line with ``tree``.
@@ -356,14 +361,17 @@ class MPMCSSolver:
         result.total_time = time.perf_counter() - start
         return result
 
-    def solve_modules(self, tree: FaultTree, optima: ModuleOptima) -> MPMCSResult:
+    def solve_modules(
+        self, tree: FaultTree, optima: ModuleOptima, solve: Optional[SkeletonSolve] = None
+    ) -> MPMCSResult:
         """Steps 3-6 module by module: ``optima`` brought in line with
         ``tree`` (:meth:`ModuleOptima.update`), the skeletons that need a
-        search solved by the portfolio.  The reported instance size is the
-        whole-tree encoding's, assembled only if it is read."""
+        search solved by ``solve``, by default one portfolio solve each.  The
+        reported instance size is the whole-tree encoding's, assembled only
+        if it is read."""
         start = time.perf_counter()
         reports = optima.update(
-            tree, lambda skeleton, value: self._solve_skeleton(tree, skeleton, value)
+            tree, solve or (lambda skeleton, value: self._solve_skeleton(tree, skeleton, value))
         )
         cut_set, objective, weight = optima.optimum()
         report = _merged_report(reports, objective, weight)

@@ -29,7 +29,7 @@ first and second visit.  Both passes are iterative, so depth is unbounded.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fta.gates import Gate, GateType
 
@@ -110,6 +110,21 @@ class Skeleton:
         children's optima without a search.
         """
         return len(self.gates) == 1
+
+    def reaches_root(self, leaves: Iterable[str]) -> bool:
+        """Whether the root occurs when exactly ``leaves`` (and no other leaf) occur."""
+        occurred = set(leaves)
+        for gate in self.gates:
+            kind = gate.gate_type
+            if kind is _AND:
+                fired = all(child in occurred for child in gate.children)
+            elif kind is _OR:
+                fired = any(child in occurred for child in gate.children)
+            else:
+                fired = sum(child in occurred for child in gate.children) >= (gate.k or 1)
+            if fired:
+                occurred.add(gate.name)
+        return self.root in occurred
 
     @property
     def cnf(self) -> "StructureCNF":

@@ -17,9 +17,11 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   RC2, then the hitting set engine, run in order in-process, or race in
   worker processes (``mode="process"``); the first conclusive result wins.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
-  implicit-hitting-set solving for weight-only re-solves across scenario
-  sweeps: one persistent CDCL solver, weight-independent cached cores, and
-  a candidate pool that certifies optima without a SAT call.
+  implicit-hitting-set solving of one module's skeleton for weight-only
+  re-solves across scenario sweeps: one persistent CDCL solver,
+  weight-independent cached cores, and hitting sets certified as cut sets
+  (from a pool of earlier optima or by evaluating the skeleton) without a
+  SAT call.
 """
 
 from repro.maxsat.instance import SoftClause, WPMaxSATInstance
@@ -27,7 +29,7 @@ from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.hitting_set import HittingSetEngine
-from repro.maxsat.incremental import IncrementalMaxSATSession, IncrementalSolveResult
+from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.maxsat.bruteforce import BruteForceEngine
 from repro.maxsat.portfolio import PortfolioSolver, PortfolioReport
 
@@ -35,7 +37,6 @@ __all__ = [
     "BruteForceEngine",
     "HittingSetEngine",
     "IncrementalMaxSATSession",
-    "IncrementalSolveResult",
     "MaxSATEngine",
     "MaxSATResult",
     "MaxSATStatus",

@@ -21,9 +21,10 @@ must pay for every one of them separately.  Without it the search is
 exponential on independent ties: 20 disjoint two-element cores of equal
 weights have 2^20 optimal hitting sets, and the bound settles them at the
 root.  The search is cheap on most fault trees, but not on all: on the
-600-event E4 structure (generator seed 1) a cold incremental session
-collects up to 223 cores, and one of its first solves spent about 73% of its
-time in :func:`minimum_cost_hitting_set` under cProfile.
+600-event E4 structure (generator seed 1) a cold incremental session over
+the whole structure collected up to 223 cores, and one of its first solves
+spent about 73% of its time in :func:`minimum_cost_hitting_set` under
+cProfile.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
 """Warm-started incremental MaxSAT sessions for weight-only re-solves.
 
-The MPMCS encoding has a very particular shape: the *hard* clauses are the
-Tseitin CNF of the fault tree's structure function — fixed across every
-scenario of a probability or maintenance sweep — while the *soft* clauses are
-unit clauses ``(¬x_i)`` whose weights are the only thing a weight-only
-scenario changes.  Two classical facts make this shape perfectly incremental:
+The warm route (``MaxSATBackend.run_batch``: sweeps and monitors) keeps one
+:class:`~repro.core.pipeline.ModuleOptima` per structure, as the cold route
+does per analysis, and hands each skeleton that needs a search
+(:attr:`~repro.fta.compiled.Skeleton.by_rule` false) to a session of its
+own.  A skeleton's MPMCS encoding has a very particular shape: the *hard*
+clauses are the Tseitin CNF of its gates (:attr:`Skeleton.cnf
+<repro.fta.compiled.Skeleton.cnf>`) — fixed across every scenario of a
+probability or maintenance sweep — while the *soft* clauses are unit clauses
+``(¬x_i)``, one per leaf, whose weights are the only thing a weight-only
+scenario changes.  Two classical facts make this shape perfectly
+incremental:
 
 * **Unsat cores are weight-independent.**  A core is a set of assumption
   literals that cannot hold together given the hard clauses; weights never
@@ -20,118 +26,81 @@ scenario changes.  Two classical facts make this shape perfectly incremental:
 hitting set loop (Davies & Bacchus) over one persistent solver:
 
 1. compute a minimum-cost hitting set of the cached cores under the
-   *current* scenario's weights;
-2. when the hitting set is a cut set, it is the answer, with no oracle call
-   (see :meth:`IncrementalMaxSATSession.solve`).  It is known to be a cut
-   set when it contains one the session has already produced (its
-   *candidate pool*), or, when the session solves for a tree, by evaluating
-   the tree.  In a weight-only sweep most scenarios are answered this way;
+   *current* scenario's leaf objectives;
+2. when the hitting set is a cut set of the skeleton, it is the answer, with
+   no oracle call (see :meth:`IncrementalMaxSATSession.solve`).  It is known
+   to be one when it contains a cut set the session has already produced
+   (its *candidate pool*), or when evaluating the skeleton's gates over it
+   reaches the root;
 3. otherwise one SAT call assuming every soft clause outside the hitting set.
-   SAT: the model is optimal (its cost is bounded by the hitting set's cost,
-   which lower-bounds every solution).  UNSAT: cache the new core and repeat.
+   UNSAT: cache the new core and repeat.  With the gates evaluated first the
+   call is never satisfiable; a model would still be optimal, its cost
+   bounded by the hitting set's.
 
-Each event's weight is its :func:`~repro.maxsat.instance.objective_weight`,
-as in the cold encoding, which orders cut sets by scaled cost, then size,
-then sorted names, so the optimum is unique and equals the cold one.  Event
-ranks depend only on the structure, so the session computes them once.  So
-do the hard clauses, which are encoded once per structure, not cached per
-tree: the session loads them from ``tree.compiled().cnf``, as the cold
-encoding does.
-
-Nothing the session ever adds to the solver is scenario-specific, which is
-what makes a maintenance or probability sweep a sequence of *weight-only
-re-solves*: no re-encoding, no solver restart.  The session answers one
-optimum per solve; rankings are
-:meth:`MPMCSSolver.rank <repro.core.pipeline.MPMCSSolver.rank>`'s.
+The session weighs nothing itself: each leaf's ``(objective, weight)`` is
+the value :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an
+event's :func:`~repro.maxsat.instance.objective_weight`, or a sub-module
+optimum's sum of them), exactly what the cold route's skeleton solve is
+given, so the two routes agree on every optimum.  Nothing the session ever
+adds to the solver is scenario-specific, which is what makes a sweep a
+sequence of *weight-only re-solves*: no re-encoding, no solver restart.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import BudgetExceededError
-from repro.fta.tree import FaultTree
+from repro.exceptions import BudgetExceededError, NoCutSetError
+from repro.fta.compiled import Skeleton
 from repro.logic.cnf import Literal
 from repro.maxsat.engine import new_sat_solver
 from repro.maxsat.hitting_set import minimum_cost_hitting_set
-from repro.maxsat.instance import DEFAULT_PRECISION, objective_weight, scale_weight
 from repro.observability import trace as _trace
 from repro.sat.types import SatStatus
 
-__all__ = ["IncrementalMaxSATSession", "IncrementalSolveResult", "MAX_ROUNDS"]
+__all__ = ["IncrementalMaxSATSession", "MAX_ROUNDS"]
 
 #: Safety cap on core-discovery rounds per solve; a solve that exceeds it
 #: raises :class:`BudgetExceededError`, and the caller falls back to the
 #: cold portfolio.
 MAX_ROUNDS = 100_000
 
-
-@dataclass(frozen=True)
-class IncrementalSolveResult:
-    """One optimal solution of a weight-only re-solve.
-
-    ``events`` is the extracted minimal cut set, ``scaled_cost`` the sum of
-    its events' scaled weights (the cost the canonical order ranks by first)
-    and ``cost`` the float ``-log`` objective.
-    """
-
-    events: Tuple[str, ...]
-    scaled_cost: int
-    cost: float
-    probability_weights: Dict[str, float]
-    sat_calls: int
-    solve_time: float
+#: ``(objective, weight)`` of each leaf, keyed by name: the values of
+#: :class:`~repro.core.pipeline.ModuleOptima`.
+LeafValues = Mapping[str, Tuple[int, float]]
 
 
 class IncrementalMaxSATSession:
-    """Persistent MaxSAT solving for one fault-tree *structure*.
+    """Persistent MaxSAT solving for one module's skeleton.
 
-    A session is keyed by the structure-only hash of the tree it was built
-    from: any tree sharing that hash (every probability/maintenance scenario
-    of a sweep) can be re-solved through the same session by passing its
-    weights, because the hard clauses, the event variable numbering (by
-    *name*) and the unsat cores all depend on structure alone.
+    A session serves every tree of the skeleton's structure (every
+    probability/maintenance scenario of a sweep), because the hard clauses,
+    the leaf variable numbering and the unsat cores all depend on structure
+    alone.
 
     Parameters
     ----------
-    tree:
-        The tree whose structure's hard clauses (``tree.compiled().cnf``)
-        the solver is loaded with.  Only its structure is retained —
-        per-solve weights come from :meth:`solve_tree` / :meth:`solve`.
+    skeleton:
+        The skeleton whose hard clauses (:attr:`Skeleton.cnf
+        <repro.fta.compiled.Skeleton.cnf>`) the solver is loaded with.
     """
 
-    def __init__(self, tree: FaultTree) -> None:
-        started = time.perf_counter()
-        compiled = tree.compiled()
-        structure = compiled.cnf
-        self._solver = new_sat_solver(structure.instance)
-
-        # A valid tree reaches every basic event, so each has a variable;
-        # they come in increasing variable order.
-        self.event_vars: Dict[str, int] = dict(structure.event_vars)
-        self._var_events: Dict[int, str] = {
-            var: name for name, var in self.event_vars.items()
-        }
+    def __init__(self, skeleton: Skeleton) -> None:
+        self.skeleton = skeleton
+        cnf = skeleton.cnf
+        self._solver = new_sat_solver(cnf.instance)
+        #: Each leaf's variable, in increasing variable order.
+        self.event_vars: Dict[str, int] = dict(cnf.event_vars)
+        self._var_events: Dict[int, str] = {var: name for name, var in self.event_vars.items()}
         #: Soft selectors in deterministic (variable) order: assuming the
-        #: selector means "this event stays out of the cut set".
+        #: selector means "this leaf stays out of the cut set".
         self._selectors: Tuple[Literal, ...] = tuple(-var for var in self.event_vars.values())
-        #: Bit position of each event in the pool's bitmasks.
+        #: Bit position of each leaf in the pool's bitmasks.
         self._event_column: Dict[str, int] = {
             name: column for column, name in enumerate(self.event_vars)
         }
-        #: ``(name, selector, rank)`` per event, ``rank`` its place in sorted
-        #: name order (the structure's ranks): the structure-only part of the
-        #: objective weights.
-        self._objective_terms: Tuple[Tuple[str, Literal, int], ...] = tuple(
-            (name, -self.event_vars[name], rank) for name, rank in compiled.event_ranks.items()
-        )
-        self.num_vars = structure.instance.num_vars
-        self.num_hard = structure.instance.num_hard
-        self.num_aux_vars = structure.num_aux_vars
 
-        #: Cached cores: sets of event selectors.  Weight-independent.
+        #: Cached cores: sets of leaf selectors.  Weight-independent.
         self._cores: List[FrozenSet[Literal]] = []
         #: The last optimal hitting set: in a weight-only sweep the optimum
         #: rarely moves, so it seeds the branch-and-bound with a near-tight
@@ -140,12 +109,11 @@ class IncrementalMaxSATSession:
 
         #: Candidate pool: every optimal cut set this session has ever
         #: produced.  Feasibility ("the hard clauses admit a model whose true
-        #: events are exactly this set") is weight-independent, so a pooled
-        #: candidate certifies later scenarios without an oracle call.
-        #: Maps each candidate to its event-column bitmask.
+        #: leaves are exactly this set") is weight-independent, so a pooled
+        #: candidate certifies later scenarios without evaluating the gates.
+        #: Maps each candidate to its leaf-column bitmask.
         self._pool: Dict[Tuple[str, ...], int] = {}
 
-        self.encode_time = time.perf_counter() - started
         self.sat_calls = 0
         self.solves = 0
         self.rounds = 0
@@ -160,132 +128,78 @@ class IncrementalMaxSATSession:
             "fallback": 0,
         }
 
-    # -- weights ---------------------------------------------------------------
-
-    def scaled_cost_of(self, events: Iterable[str], weights: Dict[str, float]) -> int:
-        """The scaled cost of a cut set under ``weights``."""
-        return sum(scale_weight(weights[name], DEFAULT_PRECISION) for name in events)
-
-    def _objective(self, weights: Dict[str, float]) -> Dict[Literal, int]:
-        """Each event selector's :func:`objective_weight` under ``weights``.
-
-        The cold encoding uses the same function, so the warm and cold
-        paths agree on every optimum.
-        """
-        count = len(self._objective_terms)
-        return {
-            selector: objective_weight(weights[name], rank, count, DEFAULT_PRECISION)
-            for name, selector, rank in self._objective_terms
-        }
-
     # -- solving ---------------------------------------------------------------
 
-    def solve_tree(self, tree: FaultTree) -> Optional[IncrementalSolveResult]:
-        """Solve for ``tree``'s probabilities (its structure must match).
+    def solve(self, value: LeafValues) -> List[str]:
+        """The leaves the skeleton's optimum takes under ``value``, in
+        variable order, as the cold route's skeleton solve returns them.
 
-        Derives the ``-log`` weights from the tree's event probabilities
-        exactly like the cold pipeline's Step 3, then solves like
-        :meth:`solve`, with ``tree`` at hand to certify hitting sets by
-        evaluation.
-        """
-        from repro.core.weights import log_weight  # lazy: avoids an import cycle
-
-        probabilities = tree.probabilities()
-        weights = {
-            name: log_weight(probabilities[name]) for name in self.event_vars
-        }
-        return self._solve(weights, tree)
-
-    def solve(self, weights: Dict[str, float]) -> Optional[IncrementalSolveResult]:
-        """Minimum ``-log``-weight cut set under ``weights``; ``None`` if the
-        structure has no cut set at all.
-
-        Raises :class:`BudgetExceededError` when the core-discovery loop
-        exceeds :data:`MAX_ROUNDS` (callers then fall back to a cold solve).
+        Raises :class:`NoCutSetError` when the skeleton has no cut set and
+        :class:`BudgetExceededError` when the core-discovery loop exceeds
+        :data:`MAX_ROUNDS` (callers then fall back to a cold solve).
 
         A round whose minimum-cost hitting set is a cut set returns that
-        hitting set without a SAT call.  Here the hitting set counts as a
-        cut set when it contains a pooled one; :meth:`solve_tree` also
-        evaluates its tree.  This is exactly what the SAT call would return:
-        the hitting set is a cut set, so the call is satisfiable; the
-        model's true events hit every cached core, so they cost at least as
-        much as the hitting set, and with every objective weight positive a
-        subset of equal cost is the hitting set itself.  The objective is the
-        canonical order, so the answer is the canonical optimum.
+        hitting set without a SAT call: it contains a pooled cut set, or
+        evaluating the gates over it reaches the root.  This is exactly what
+        the SAT call would return: the hitting set is a cut set, so the call
+        is satisfiable; the model's true leaves hit every cached core, so
+        they cost at least as much as the hitting set, and with every
+        objective positive a subset of equal cost is the hitting set itself.
+        The objective is the canonical order, so the answer is the canonical
+        optimum.
         """
-        return self._solve(weights, None)
-
-    def _solve(
-        self, weights: Dict[str, float], tree: Optional[FaultTree]
-    ) -> Optional[IncrementalSolveResult]:
         with _trace.span("maxsat.solve") as span:
             calls_before = self.sat_calls
             rounds_before = self.rounds
-            result = self._solve_impl(weights, tree)
+            leaves = self._solve(value)
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 span.add("hs_rounds", self.rounds - rounds_before)
-                span.add("solutions", 0 if result is None else 1)
-            return result
+            return leaves
 
-    def solve_batch(
-        self, weights_seq: Sequence[Dict[str, float]]
-    ) -> List[Optional[IncrementalSolveResult]]:
-        """:meth:`solve` for each weight vector in order, in one span."""
-        with _trace.span("maxsat.solve_batch", scenarios=len(weights_seq)) as span:
+    #: The name the benchmark tracer (``perfbench/tracing.py``) times warm
+    #: solves by; nothing in the library calls it.
+    solve_tree = solve
+
+    def solve_batch(self, values: Sequence[LeafValues]) -> List[List[str]]:
+        """:meth:`solve` for each value map in order, in one span."""
+        with _trace.span("maxsat.solve_batch", scenarios=len(values)) as span:
             stats_before = dict(self.rerank_stats)
             calls_before = self.sat_calls
-            results = [self.solve(weights) for weights in weights_seq]
+            results = [self.solve(value) for value in values]
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 for tier, count in self.rerank_stats.items():
                     span.add(tier, count - stats_before[tier])
-                span.add(
-                    "solutions", sum(1 for result in results if result is not None)
-                )
             return results
 
-    def _solve_impl(
-        self, weights: Dict[str, float], tree: Optional[FaultTree]
-    ) -> Optional[IncrementalSolveResult]:
-        started = time.perf_counter()
-        objective = self._objective(weights)
-        sat_calls = 0
+    def _solve(self, value: LeafValues) -> List[str]:
+        objective = {-var: value[leaf][0] for leaf, var in self.event_vars.items()}
         certified = False
-        events: Optional[Tuple[str, ...]] = None
+        leaves: Optional[Tuple[str, ...]] = None
         for _ in range(MAX_ROUNDS):
             self.rounds += 1
-            hitting_set, _ = minimum_cost_hitting_set(
-                self._cores, objective, seed=self._hs_seed
-            )
+            hitting_set, _ = minimum_cost_hitting_set(self._cores, objective, seed=self._hs_seed)
             self._hs_seed = hitting_set
             candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
-            if self._is_cut_set(candidate, tree):
-                events, certified = candidate, True
+            if self._contains_pooled(candidate) or self.skeleton.reaches_root(candidate):
+                leaves, certified = candidate, True
                 break
 
-            assumptions = [
-                selector for selector in self._selectors if selector not in hitting_set
-            ]
+            assumptions = [selector for selector in self._selectors if selector not in hitting_set]
             result = self._solver.solve(assumptions)
-            sat_calls += 1
-
+            self.sat_calls += 1
             if result.status is SatStatus.SAT:
                 model = result.model or {}
-                events = tuple(
-                    sorted(
-                        name
-                        for name, var in self.event_vars.items()
-                        if model.get(var, False)
-                    )
+                leaves = tuple(
+                    sorted(name for name, var in self.event_vars.items() if model.get(var, False))
                 )
                 break
-
             core = frozenset(result.core)
             if not core:
-                # Conflict independent of every assumption: the structure
-                # itself is unsatisfiable — the top event cannot occur.
-                break
+                # Conflict independent of every assumption: the skeleton's
+                # root cannot occur at all.
+                raise NoCutSetError(f"the skeleton of module {self.skeleton.root!r} has no cut set")
             self._cores.append(core)
         else:
             raise BudgetExceededError(
@@ -293,57 +207,34 @@ class IncrementalMaxSATSession:
             )
 
         self.solves += 1
-        self.sat_calls += sat_calls
-        if certified:
-            self.rerank_stats["certified"] += 1
-        elif sat_calls:
-            self.rerank_stats["fallback"] += 1
-        if events is None:
-            return None
-        self._register_candidate(events)
-        probability_weights = {name: weights[name] for name in events}
-        return IncrementalSolveResult(
-            events=events,
-            scaled_cost=self.scaled_cost_of(events, weights),
-            cost=sum(probability_weights.values()),
-            probability_weights=probability_weights,
-            sat_calls=sat_calls,
-            solve_time=time.perf_counter() - started,
-        )
+        self.rerank_stats["certified" if certified else "fallback"] += 1
+        if leaves not in self._pool:
+            self._pool[leaves] = self._event_mask(leaves)
+        chosen = set(leaves)
+        return [leaf for leaf in self.event_vars if leaf in chosen]
 
     # -- candidate pool --------------------------------------------------------
-
-    def _register_candidate(self, events: Tuple[str, ...]) -> None:
-        """Admit a verified optimal cut set into the candidate pool."""
-        if events not in self._pool:
-            self._pool[events] = self._event_mask(events)
 
     @property
     def pool_size(self) -> int:
         return len(self._pool)
 
-    def _event_mask(self, events: Tuple[str, ...]) -> int:
+    def _event_mask(self, leaves: Tuple[str, ...]) -> int:
         mask = 0
-        for name in events:
+        for name in leaves:
             mask |= 1 << self._event_column[name]
         return mask
 
-    def _contains_pooled(self, events: Tuple[str, ...]) -> bool:
-        """Whether some pooled candidate is a subset of ``events``.
+    def _contains_pooled(self, leaves: Tuple[str, ...]) -> bool:
+        """Whether some pooled candidate is a subset of ``leaves``.
 
         The weight-free feasibility certificate: a pooled candidate is a
-        verified cut set, and any superset of a cut set admits a model, so the
-        oracle call of a solve round on ``events`` is guaranteed to succeed.
+        verified cut set, and any superset of a cut set admits a model.
         """
-        if events in self._pool:
+        if leaves in self._pool:
             return True
-        mask = self._event_mask(events)
+        mask = self._event_mask(leaves)
         return any(candidate & ~mask == 0 for candidate in self._pool.values())
-
-    def _is_cut_set(self, events: Tuple[str, ...], tree: Optional[FaultTree]) -> bool:
-        """Whether ``events`` is a cut set: a superset of a pooled one, or,
-        with ``tree`` at hand, by evaluating it."""
-        return self._contains_pooled(events) or (tree is not None and tree.is_cut_set(events))
 
     # -- introspection ---------------------------------------------------------
 
@@ -363,9 +254,6 @@ class IncrementalMaxSATSession:
             "rounds": self.rounds,
             "cores": len(self._cores),
             "learnt_clauses": self._solver.num_learnts,
-            "num_vars": self.num_vars,
-            "num_hard": self.num_hard,
-            "encode_seconds": self.encode_time,
             "pool_candidates": len(self._pool),
             "rerank_pooled": self.rerank_stats["pooled"],
             "rerank_certified": self.rerank_stats["certified"],
@@ -375,6 +263,6 @@ class IncrementalMaxSATSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"IncrementalMaxSATSession(events={len(self.event_vars)}, "
-            f"cores={len(self._cores)}, solves={self.solves})"
+            f"IncrementalMaxSATSession(root={self.skeleton.root!r}, "
+            f"leaves={len(self.event_vars)}, cores={len(self._cores)}, solves={self.solves})"
         )

@@ -40,7 +40,7 @@ def scale_weight(weight: float, precision: int) -> int:
     """Quantise a float weight to the integer solver scale (rounding, min 1).
 
     The single definition of weight quantisation: every consumer — instance
-    construction, the MPMCS objective, the warm incremental session — must
+    construction, the MPMCS objective of both MaxSAT routes — must
     agree bit-for-bit on this mapping, or two solvers could disagree on
     which of two near-tied optima is cheaper.
     """

@@ -17,12 +17,11 @@ re-analysis rides the full incremental stack:
   structure is one cache hit per update (structure-only hashes never change);
   the default ``maxsat`` backend never reads cut sets, so none are built;
 * with the ``maxsat`` backend, a one-optimum request re-solves on the
-  structure's warm state: a tree whose modules all solve by rule re-applies
-  the structure's :class:`~repro.core.pipeline.ModuleOptima` (only the
-  modules above the changed events are solved again); any other is a
-  weight-only re-solve on the persistent
-  :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`.  A longer
-  ranking is computed as in a cold analysis;
+  structure's :class:`~repro.core.pipeline.ModuleOptima`: only the modules
+  above the changed events are solved again, by rule, or, for a skeleton
+  that needs a search, as a weight-only re-solve on that skeleton's
+  persistent :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`.
+  A longer ranking is computed as in a cold analysis;
 * the exact P(top) comes from the ``bdd`` backend's structure-keyed diagram,
   compiled once and evaluated in linear time per update.
 

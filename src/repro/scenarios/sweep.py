@@ -4,11 +4,11 @@
 :class:`~repro.api.session.AnalysisSession`: a sweep's scenarios are one
 :meth:`~repro.api.session.AnalysisSession.run_batch`, through the same
 backend registry, request validation and report types as a one-off analysis,
-and each backend shares repeated work across the batch (``maxsat`` keeps one
-warm state per structure for one-optimum requests — the module optima of a
-tree whose modules all solve by rule, else an incremental solver session —
-and ranks longer rankings as a cold analysis does; ``bdd`` evaluates the
-top events in one kernel call).  Per
+and each backend shares repeated work across the batch (``maxsat`` keeps
+each structure's module optima for one-optimum requests, with an
+incremental solver session per module skeleton that needs a search, and
+ranks longer rankings as a cold analysis does; ``bdd`` evaluates the top
+events in one kernel call).  Per
 scenario the executor adds two things:
 
 * **Cut-set seeding.**  When an analysis is routed to a backend that reads
@@ -321,8 +321,9 @@ class SweepExecutor:
         """Does nothing and returns 0.
 
         Kept only because the benchmark tracer wraps it by name: every MaxSAT
-        solve now runs per scenario, certified from the warm session's
-        candidate pool where possible (see
+        solve now runs per scenario on the warm module optima, each searched
+        skeleton re-solved by its own session without a SAT call where its
+        certificate allows (see
         :meth:`~repro.maxsat.incremental.IncrementalMaxSATSession.solve`).
         """
         return 0

@@ -115,7 +115,8 @@ def test_maxsat_batch_is_warm_and_run_is_cold():
     (warm,) = session.run_batch([fire_protection_system()], request)
     cold = session.run(fire_protection_system(), request)
     # Fig. 1 has no shared node: the warm route keeps its module optima and
-    # needs no solver; a shared tree goes to the incremental session.
+    # needs no solver; a shared tree's searched skeleton goes to an
+    # incremental session.
     assert warm.profile["warm_solves"] == 1
     assert "warm_solves" not in cold.profile
     assert warm.mpmcs.engine == cold.mpmcs.engine == MODULE_RULE_ENGINE
@@ -146,10 +147,10 @@ def test_bdd_batch_evaluates_each_structure_once():
 
 
 def test_maxsat_batch_falls_back_to_cold_when_the_warm_session_gives_up(monkeypatch):
-    def over_budget(self, tree):
+    def over_budget(self, value):
         raise BudgetExceededError("core budget exhausted")
 
-    monkeypatch.setattr(IncrementalMaxSATSession, "solve_tree", over_budget)
+    monkeypatch.setattr(IncrementalMaxSATSession, "solve", over_budget)
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     with scoped_metrics() as registry:
         (warm,) = AnalysisSession().run_batch([railway_level_crossing()], request)
@@ -204,3 +205,35 @@ def test_warm_ranking_makes_the_cold_work(monkeypatch):
         portfolio_solves.clear()
         sat_calls.clear()
 
+
+def test_warm_optimum_makes_no_more_sat_calls_than_cold(monkeypatch):
+    """A one-optimum ``run_batch`` over the four draws makes at most 1.5x the
+    SAT calls of cold ``run``s, with equal bytes.  A session over the whole
+    tree once made 109 calls here against cold's 36; one session per searched
+    skeleton, fed the module optima, makes about as many as cold."""
+    sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
+    request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
+    draws = _e4_draws()
+    cold = [AnalysisSession().run(draw, request) for draw in draws]
+    cold_calls = len(sat_calls)
+    sat_calls.clear()
+    warm = list(AnalysisSession().run_batch(draws, request))
+    assert cold_calls > 0
+    assert len(sat_calls) <= 1.5 * cold_calls
+    assert [_canonical(report) for report in warm] == [_canonical(report) for report in cold]
+
+
+def test_equal_structures_built_apart_keep_their_own_warm_state(monkeypatch):
+    """Two separately built trees of one structure, alternating in a batch,
+    each keep their module optima: every searched skeleton gets one session."""
+    built = _count_calls(monkeypatch, IncrementalMaxSATSession, "__init__")
+    first, second = (
+        random_fault_tree(num_basic_events=60, seed=5, voting_ratio=0.05, event_reuse=0.2)
+        for _ in range(2)
+    )
+    request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
+    warm = list(AnalysisSession().run_batch([first, second] * 3, request))
+    searched = [skeleton for skeleton in first.compiled().modules if not skeleton.by_rule]
+    assert len(built) == 2 * len(searched) > 0
+    cold = AnalysisSession().run(first, request)
+    assert {_canonical(report) for report in warm} == {_canonical(cold)}

@@ -6,12 +6,14 @@ import hashlib
 import itertools
 import json
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.encoder import weigh_events
 from repro.fta.builder import FaultTreeBuilder
+from repro.fta.compiled import Skeleton
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 from repro.logic.formula import And, AtLeast, Formula, Not, Or, Var
@@ -235,6 +237,49 @@ def assemblies(monkeypatch) -> list:
 
     monkeypatch.setattr(encoder, "assemble_structure_cnf", counting)
     return calls
+
+
+@pytest.fixture
+def skeleton_assemblies(monkeypatch) -> list:
+    """The skeletons whose hard clauses get assembled, one entry per call of
+    :func:`repro.core.encoder.assemble_skeleton_cnf`."""
+    from repro.core import encoder
+
+    calls: list = []
+    original = encoder.assemble_skeleton_cnf
+
+    def counting(skeleton):
+        calls.append(skeleton)
+        return original(skeleton)
+
+    monkeypatch.setattr(encoder, "assemble_skeleton_cnf", counting)
+    return calls
+
+
+def searched_skeletons(tree: FaultTree) -> list:
+    """The skeletons of ``tree``'s modules that need a search, bottom-up."""
+    return [skeleton for skeleton in tree.compiled().modules if not skeleton.by_rule]
+
+
+def whole_tree_skeleton(tree: FaultTree) -> Skeleton:
+    """A skeleton of ``tree``'s whole structure: every gate kept, every basic
+    event a leaf, so a session over it solves the whole tree."""
+    structure = tree.compiled()
+    return Skeleton(structure.order, structure.gates)
+
+
+def leaf_values(
+    tree: FaultTree, probabilities: Optional[Mapping[str, float]] = None
+) -> Dict[str, Tuple[int, float]]:
+    """Each basic event's ``(objective, weight)``, as
+    :class:`~repro.core.pipeline.ModuleOptima` keeps it, under ``tree``'s
+    probabilities or the ``probabilities`` given."""
+    if probabilities is None:
+        probabilities = tree.probabilities()
+    return {
+        name: (objective, weight)
+        for name, weight, objective in weigh_events(probabilities.items(), tree.compiled())
+    }
 
 
 def brute_force_cnf_satisfiable(clauses: List[List[int]]) -> bool:

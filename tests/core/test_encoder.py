@@ -18,7 +18,7 @@ from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 from repro.workloads.library import NAMED_TREES, fire_protection_system
 
-from tests.conftest import voting_reuse_trees
+from tests.conftest import voting_reuse_trees, whole_tree_skeleton
 
 
 class TestEncoding:
@@ -123,9 +123,9 @@ class TestDeepTrees:
 
     def test_deep_or_chain_builds_a_session(self):
         tree = _or_chain(1500)
-        session = IncrementalMaxSATSession(tree)
+        session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
         assert len(session.event_vars) == 1501
-        assert session.num_aux_vars == 1500
+        assert session.skeleton.cnf.num_aux_vars == 1500
 
 
 def _rebuilt(tree: FaultTree) -> FaultTree:
@@ -180,7 +180,8 @@ class TestEncodedOncePerStructure:
         request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
         warm = list(AnalysisSession().run_batch([tree, copy], request))
         assert [report.profile["warm_solves"] for report in warm] == [1, 1]
-        IncrementalMaxSATSession(copy)
+        # A session loads its skeleton's clauses, never the whole tree's.
+        IncrementalMaxSATSession(copy.compiled().modules[-1])
         assert len(calls) == 1
         assert copy.compiled().cnf is memo
         encoding = encode_mpmcs(copy)

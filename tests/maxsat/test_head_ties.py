@@ -140,7 +140,7 @@ class TestTieHeavyRegressions:
             for owner, attribute in (
                 (MPMCSSolver, "solve"),
                 (MPMCSSolver, "solve_encoding"),
-                (IncrementalMaxSATSession, "solve_tree"),
+                (IncrementalMaxSATSession, "solve"),
                 (CDCLSolver, "solve"),
             )
         ]
@@ -175,7 +175,7 @@ class TestTieHeavyRegressions:
 
 class TestWarmEnumerationWithTies:
     def test_solves_per_scenario_do_not_grow_with_ties(self, monkeypatch):
-        warm_calls = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve_tree")
+        warm_calls = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve")
         sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
         analyses = ("mpmcs", "ranking")
         for rungs in (3, 5, 9):

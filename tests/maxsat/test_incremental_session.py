@@ -3,6 +3,9 @@
 The session must return exactly the cold pipeline's optima while actually
 being incremental: weight-only re-solves reuse cached cores (typically a
 single SAT call), and learned clauses persist in the underlying CDCL solver.
+A session over :func:`~tests.conftest.whole_tree_skeleton` solves a whole
+tree, fed every event's value; the warm route builds one per searched
+module skeleton instead.
 """
 
 import pytest
@@ -10,7 +13,6 @@ from hypothesis import given, settings
 
 from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
-from repro.exceptions import SolverError
 from repro.maxsat import engine as engine_module
 from repro.maxsat import incremental as incremental_module
 from repro.maxsat.incremental import IncrementalMaxSATSession
@@ -18,9 +20,19 @@ from repro.maxsat.rc2 import RC2Engine
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import NAMED_TREES, fire_protection_system, get_tree
+from repro.workloads.library import (
+    NAMED_TREES,
+    fire_protection_system,
+    get_tree,
+    three_motor_system,
+)
 
-from tests.conftest import voting_reuse_trees
+from tests.conftest import (
+    leaf_values,
+    searched_skeletons,
+    voting_reuse_trees,
+    whole_tree_skeleton,
+)
 
 
 class TestCDCLIncrementalInterface:
@@ -47,9 +59,10 @@ class TestCDCLIncrementalInterface:
         assert solver.solve().status is SatStatus.UNSAT
 
 
-def _loaded_clauses(tree):
-    """What the cold RC2 solve and a warm session each load into their solver:
-    the hard clauses and the declared variable count.
+def _loaded_clauses(instance, skeleton):
+    """What a cold RC2 solve of ``instance`` and a warm session over
+    ``skeleton`` each load into their solver: the hard clauses and the
+    declared variable count.
 
     A cold solve that outgrows RC2's core budget hands over to the hitting set
     engine, which loads a solver of its own from the same instance; every
@@ -66,101 +79,109 @@ def _loaded_clauses(tree):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "new_sat_solver", recording)
         patch.setattr(incremental_module, "new_sat_solver", recording)
-        RC2Engine().solve(encode_mpmcs(tree).instance)
+        RC2Engine().solve(instance)
         loaded = warm_loads
-        IncrementalMaxSATSession(tree)
+        IncrementalMaxSATSession(skeleton)
     cold, *handed_over = cold_loads
     assert all(load == cold for load in handed_over)
     (warm,) = warm_loads
     return cold, warm
 
 
+def _assert_one_clause_path(tree):
+    """The whole-tree encoding and each module skeleton's instance (one soft
+    clause per leaf, as the cold skeleton solve adds) load what a session
+    over the same skeleton loads."""
+    cold, warm = _loaded_clauses(encode_mpmcs(tree).instance, whole_tree_skeleton(tree))
+    assert cold == warm
+    for skeleton in tree.compiled().modules:
+        instance = skeleton.cnf.instance.copy()
+        for leaf, var in skeleton.cnf.event_vars.items():
+            instance.add_soft([-var], 1.0, label=leaf)
+        cold, warm = _loaded_clauses(instance, skeleton)
+        assert cold == warm
+
+
 class TestOneClausePath:
-    """The cold encoding and the warm session load the same clause list."""
+    """The cold solves and the warm session load the same clause list."""
 
     @pytest.mark.parametrize("name", sorted(NAMED_TREES))
     def test_library_trees(self, name):
-        cold, warm = _loaded_clauses(get_tree(name))
-        assert cold == warm
+        _assert_one_clause_path(get_tree(name))
 
     @settings(max_examples=30, deadline=None)
     @given(voting_reuse_trees(min_events=3, max_events=9))
     def test_voting_and_shared_subtrees(self, tree):
-        cold, warm = _loaded_clauses(tree)
-        assert cold == warm
+        _assert_one_clause_path(tree)
 
     def test_solver_holds_every_declared_variable(self):
         tree = random_fault_tree(num_basic_events=30, seed=5, voting_ratio=0.2)
-        session = IncrementalMaxSATSession(tree)
-        assert session.num_vars == encode_mpmcs(tree).instance.num_vars
-        assert session._solver.num_vars == session.num_vars
+        session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
+        assert session._solver.num_vars == encode_mpmcs(tree).instance.num_vars
+
+
+def _solved_events(session, tree):
+    """The sorted events of ``session``'s optimum under ``tree``'s probabilities."""
+    return tuple(sorted(session.solve(leaf_values(tree))))
 
 
 class TestSessionAgainstColdPipeline:
     def test_fps_optimum_matches_cold(self):
         tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        outcome = session.solve_tree(tree)
+        session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
+        values = leaf_values(tree)
+        events = tuple(sorted(session.solve(values)))
         cold = MPMCSSolver(mode="sequential").solve(tree)
-        assert outcome.events == cold.events
-        assert outcome.cost == pytest.approx(cold.cost, rel=1e-12)
+        assert events == cold.events
+        assert sum(values[name][1] for name in events) == pytest.approx(cold.cost, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_tree_optima_match_cold(self, seed):
         tree = random_fault_tree(num_basic_events=18, seed=seed, voting_ratio=0.25)
-        session = IncrementalMaxSATSession(tree)
-        outcome = session.solve_tree(tree)
+        session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
         cold = MPMCSSolver(mode="sequential").solve(tree)
-        assert outcome.events == cold.events
+        assert _solved_events(session, tree) == cold.events
 
 
 class TestWeightOnlyResolve:
     def test_weight_changes_reuse_cores(self):
         tree = random_fault_tree(num_basic_events=25, seed=7)
-        session = IncrementalMaxSATSession(tree)
-        first = session.solve_tree(tree)
-        assert first is not None
+        session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
+        first = _solved_events(session, tree)
+        assert first
         cores_after_first = session.num_cores
         calls_after_first = session.sat_calls
         certified_after_first = session.rerank_stats["certified"]
 
-        event = first.events[0]
+        event = first[0]
         for index, probability in enumerate((0.002, 0.04, 0.3)):
             scenario = tree.copy(name=f"scenario-{index}")
             scenario.set_probability(event, probability)
-            outcome = session.solve_tree(scenario)
-            assert outcome is not None
             cold = MPMCSSolver(mode="sequential").solve(scenario)
-            assert outcome.events == cold.events
+            assert _solved_events(session, scenario) == cold.events
         # Weight-only re-solves: every round is one SAT call, and a round
         # only repeats when it discovered a new core — so the scenarios cost
         # exactly one call each plus one per newly certified core, less one
-        # for each scenario whose last round the candidate pool certified
-        # without a SAT call.  On a warm session that stays within a handful
-        # of calls for any weights.
+        # for each scenario whose last round was certified (from the pool or
+        # by evaluating the skeleton) without a SAT call.  On a warm session
+        # that stays within a handful of calls for any weights.
         new_cores = session.num_cores - cores_after_first
         certified = session.rerank_stats["certified"] - certified_after_first
         assert session.sat_calls - calls_after_first == (3 - certified) + new_cores
         assert new_cores <= 3
 
-    def test_structure_clauses_feed_the_session(self, assemblies):
-        tree = fire_protection_system()
-        IncrementalMaxSATSession(tree)
-        assert assemblies == [tree.compiled()]
-        # A second session over the same structure, here through a
+    def test_skeleton_clauses_feed_the_session(self, skeleton_assemblies):
+        tree = three_motor_system()
+        skeleton = searched_skeletons(tree)[0]
+        IncrementalMaxSATSession(skeleton)
+        assert skeleton_assemblies == [skeleton]
+        # A second session over the same skeleton, here through a
         # probability-only copy, assembles nothing: it loads the memoised
         # clauses.
         copy = tree.copy()
-        copy.set_probability("x1", 0.5)
-        second = IncrementalMaxSATSession(copy)
-        assert len(assemblies) == 1
-        assert copy.compiled().cnf is tree.compiled().cnf
-        assert second.num_hard == tree.compiled().cnf.instance.num_hard
-
-    def test_invalid_weight_rejected(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        weights = {name: 1.0 for name in session.event_vars}
-        weights[next(iter(weights))] = 0.0
-        with pytest.raises(SolverError):
-            session.solve(weights)
+        copy.set_probability("motor_1", 0.5)
+        again = searched_skeletons(copy)[0]
+        second = IncrementalMaxSATSession(again)
+        assert len(skeleton_assemblies) == 1
+        assert again.cnf is skeleton.cnf
+        assert second.event_vars == skeleton.cnf.event_vars

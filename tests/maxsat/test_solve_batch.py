@@ -1,15 +1,16 @@
-"""Weight-only re-solves on a warm session and the candidate-pool certificate.
+"""Weight-only re-solves on a warm session and the cut-set certificate.
 
-``solve_batch(weights_seq)`` returns exactly what calling ``solve(weights)``
-once per scenario would — same events, same scaled cost, same float cost.
-Inside ``solve``, a round whose minimum-cost hitting set contains a pooled
-cut set is answered without a SAT call (``solve_tree`` also certifies a
-hitting set by evaluating its tree); the tests below check that this keeps
-SAT work near zero on warm sessions and never changes an answer against a
-fresh session or brute force.  ``sat_calls``/``solve_time`` are telemetry and
-deliberately excluded from equality.
+``solve_batch(values)`` returns exactly the leaves that calling
+``solve(value)`` once per scenario would.  Inside ``solve``, a round whose
+minimum-cost hitting set contains a pooled cut set, or reaches the root when
+the skeleton's gates are evaluated over it, is answered without a SAT call;
+the tests below check that this keeps SAT work near zero on warm sessions
+and never changes an answer against a fresh session, the warm route or brute
+force.  The sessions here are over :func:`~tests.conftest.whole_tree_skeleton`,
+so every leaf is a basic event.
 """
 
+import math
 import random
 
 import pytest
@@ -18,53 +19,41 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
-from repro.core.weights import log_weight
+from repro.api import AnalysisSession
+from repro.api.report import AnalysisRequest
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import fire_protection_system
 
+from tests.conftest import leaf_values, whole_tree_skeleton
+
 TIERS = kernels.available_tiers()
 
 
-def _weight_grid(session, seed, count, jumpy=False):
-    """Random strictly-positive weight rows over the session's events."""
+def _weight_grid(tree, seed, count, jumpy=False):
+    """Random value rows over ``tree``'s events: each event's ``-log``
+    weight drawn strictly positive, with its objective."""
     rng = random.Random(seed)
-    names = sorted(session.event_vars)
-    rows = []
-    for _ in range(count):
-        if jumpy:
-            rows.append({name: rng.uniform(0.01, 40.0) for name in names})
-        else:
-            rows.append({name: rng.uniform(0.5, 9.0) for name in names})
-    return rows
+    names = sorted(tree.events)
+    low, high = (0.01, 40.0) if jumpy else (0.5, 9.0)
+    return [
+        leaf_values(tree, {name: math.exp(-rng.uniform(low, high)) for name in names})
+        for _ in range(count)
+    ]
 
 
-def _tree_weights(session, tree):
-    """The ``-log`` weights ``solve_tree`` derives from ``tree``."""
-    probabilities = tree.probabilities()
-    return {name: log_weight(probabilities[name]) for name in session.event_vars}
+def _session(tree):
+    return IncrementalMaxSATSession(whole_tree_skeleton(tree))
 
 
-def _essence(result):
-    """The comparable part of a solve result (telemetry stripped)."""
-    if result is None:
-        return None
-    return (
-        result.events,
-        result.scaled_cost,
-        result.cost,
-        result.probability_weights,
-    )
-
-
-def _assert_batch_matches_sequential(tree, weights_seq, tier=None):
+def _assert_batch_matches_sequential(tree, values, tier=None):
     # ``tier`` is kept for the parametrised test ids: no solve step reads the
     # kernel tier, so the session no longer takes one.
-    batch_session = IncrementalMaxSATSession(tree)
-    loop_session = IncrementalMaxSATSession(tree)
-    batched = batch_session.solve_batch(weights_seq)
-    sequential = [loop_session.solve(weights) for weights in weights_seq]
-    assert [_essence(r) for r in batched] == [_essence(r) for r in sequential]
+    batch_session = _session(tree)
+    loop_session = _session(tree)
+    batched = batch_session.solve_batch(values)
+    sequential = [loop_session.solve(value) for value in values]
+    assert batched == sequential
     return batch_session
 
 
@@ -72,35 +61,31 @@ class TestBatchEqualsSequential:
     @pytest.mark.parametrize("tier", TIERS)
     def test_fps_drift_grid(self, tier):
         tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        weights_seq = _weight_grid(session, seed=1, count=12)
-        _assert_batch_matches_sequential(tree, weights_seq, tier=tier)
+        values = _weight_grid(tree, seed=1, count=12)
+        _assert_batch_matches_sequential(tree, values, tier=tier)
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("seed", range(4))
     def test_random_trees_jumpy_grid(self, tier, seed):
         tree = random_fault_tree(num_basic_events=14, seed=seed, voting_ratio=0.2)
-        session = IncrementalMaxSATSession(tree)
-        weights_seq = _weight_grid(session, seed=seed + 100, count=8, jumpy=True)
-        _assert_batch_matches_sequential(tree, weights_seq, tier=tier)
+        values = _weight_grid(tree, seed=seed + 100, count=8, jumpy=True)
+        _assert_batch_matches_sequential(tree, values, tier=tier)
 
     def test_empty_batch(self):
-        tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        assert session.solve_batch([]) == []
+        assert _session(fire_protection_system()).solve_batch([]) == []
 
 
 class TestRerankLadder:
-    """The pool certificate inside ``solve``."""
+    """The cut-set certificate inside ``solve``."""
 
     def test_warm_batch_is_mostly_sat_free(self):
         tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        session.solve_tree(tree)  # warm the core collection
+        session = _session(tree)
+        session.solve(leaf_values(tree))  # warm the core collection
         calls_before = session.sat_calls
-        weights_seq = _weight_grid(session, seed=7, count=50)
-        results = [session.solve(weights) for weights in weights_seq]
-        assert all(result is not None for result in results)
+        values = _weight_grid(tree, seed=7, count=50)
+        results = [session.solve(value) for value in values]
+        assert all(results)
         stats = session.rerank_stats
         assert stats["certified"] + stats["fallback"] == 51
         # The certificate must carry the loop: SAT work stays far below one
@@ -112,49 +97,51 @@ class TestRerankLadder:
 
     def test_pool_grows_from_solves(self):
         tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
+        session = _session(tree)
         assert session.pool_size == 0
-        session.solve_tree(tree)
+        session.solve(leaf_values(tree))
         assert session.pool_size >= 1
 
     def test_flips_between_pooled_optima_are_sat_free(self):
         tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        first = _weight_grid(session, seed=23, count=1)[0]
-        optimum = session.solve(first).events
+        session = _session(tree)
+        first = _weight_grid(tree, seed=23, count=1)[0]
+        optimum = session.solve(first)
         # Make the first optimum expensive so the second vector moves it.
-        second = {
-            name: weight * 10.0 if name in optimum else weight
-            for name, weight in first.items()
-        }
-        assert session.solve(second).events != optimum
+        second = leaf_values(
+            tree,
+            {
+                name: math.exp(-weight * 10.0 if name in optimum else -weight)
+                for name, (_, weight) in first.items()
+            },
+        )
+        assert session.solve(second) != optimum
         assert session.pool_size == 2
 
-        weights_seq = [first, second] * 5
+        values = [first, second] * 5
         calls_before = session.sat_calls
         fallbacks_before = session.rerank_stats["fallback"]
-        warm = [session.solve(weights) for weights in weights_seq]
-        fresh = [IncrementalMaxSATSession(tree).solve(weights) for weights in weights_seq]
-        assert [_essence(r) for r in warm] == [_essence(r) for r in fresh]
+        warm = [session.solve(value) for value in values]
+        fresh = [_session(tree).solve(value) for value in values]
+        assert warm == fresh
         assert session.sat_calls == calls_before
         assert session.rerank_stats["fallback"] == fallbacks_before
 
-    def test_solve_tree_certifies_cut_sets_by_evaluation(self):
+    def test_solve_certifies_cut_sets_by_evaluation(self):
         tree = random_fault_tree(num_basic_events=25, seed=7)
-        session = IncrementalMaxSATSession(tree)
-        result = session.solve_tree(tree)
+        session = _session(tree)
+        result = session.solve(leaf_values(tree))
         # Cold, with an empty pool: every SAT call found a core, and the
-        # final hitting set was certified by evaluating the tree.
+        # final hitting set was certified by evaluating the skeleton.
         assert session.sat_calls == session.num_cores
         assert session.rerank_stats["certified"] == 1
         assert session.rerank_stats["fallback"] == 0
-        fresh = IncrementalMaxSATSession(tree).solve(_tree_weights(session, tree))
-        assert _essence(result) == _essence(fresh)
+        assert result == _session(tree).solve(leaf_values(tree))
 
     def test_stats_expose_the_ladder(self):
         tree = fire_protection_system()
-        session = IncrementalMaxSATSession(tree)
-        session.solve_batch(_weight_grid(session, seed=13, count=3))
+        session = _session(tree)
+        session.solve_batch(_weight_grid(tree, seed=13, count=3))
         stats = session.stats()
         for key in (
             "pool_candidates",
@@ -180,11 +167,8 @@ class TestBatchProperty:
         tree = random_fault_tree(
             num_basic_events=10, seed=tree_seed, voting_ratio=0.15
         )
-        probe = IncrementalMaxSATSession(tree)
-        weights_seq = _weight_grid(
-            probe, seed=grid_seed, count=scenarios, jumpy=grid_seed % 2 == 0
-        )
-        _assert_batch_matches_sequential(tree, weights_seq, tier=tier)
+        values = _weight_grid(tree, seed=grid_seed, count=scenarios, jumpy=grid_seed % 2 == 0)
+        _assert_batch_matches_sequential(tree, values, tier=tier)
 
 
 def _probability_walk(names, rng, steps):
@@ -198,13 +182,13 @@ def _probability_walk(names, rng, steps):
     return walk
 
 
-def _brute_force_optimum(session, minimal_cut_sets, weights):
-    """Least scaled cost over the minimal cut sets."""
-    return min(session.scaled_cost_of(cut_set, weights) for cut_set in minimal_cut_sets)
+def _objective(events, values):
+    """The objective of a set of events: the canonical order's sort key."""
+    return sum(values[name][0] for name in events)
 
 
 class TestCertificateProperty:
-    """Warm (certificate firing), fresh and brute-force optima agree."""
+    """Warm (certificate firing), fresh, warm-route and brute-force optima agree."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -214,24 +198,26 @@ class TestCertificateProperty:
     )
     def test_warm_fresh_and_brute_force_agree(self, tree_seed, walk_seed, steps):
         tree = random_fault_tree(num_basic_events=9, seed=tree_seed, voting_ratio=0.2)
-        # One warm session certifies from its pool only (``solve``), the
-        # other also by evaluating the scenario tree (``solve_tree``).
-        warm = IncrementalMaxSATSession(tree)
-        warm_tree = IncrementalMaxSATSession(tree)
-        names = sorted(warm.event_vars)
+        # One warm session is fed every scenario; the warm route keeps the
+        # module optima and a session per searched skeleton.
+        warm = _session(tree)
+        route = AnalysisSession()
+        request = AnalysisRequest.create(["mpmcs"], backend="maxsat")
+        names = sorted(tree.events)
         minimal_cut_sets = [frozenset(cut_set) for cut_set in brute_force_minimal_cut_sets(tree)]
         rng = random.Random(walk_seed)
         for probabilities in _probability_walk(names, rng, steps):
             scenario = tree.copy()
             for name, probability in probabilities.items():
                 scenario.set_probability(name, probability)
-            weights = {name: log_weight(probability) for name, probability in probabilities.items()}
+            values = leaf_values(scenario)
+            (report,) = route.run_batch([scenario], request)
             results = [
-                warm.solve(weights),
-                warm_tree.solve_tree(scenario),
-                IncrementalMaxSATSession(tree).solve(weights),
+                warm.solve(values),
+                report.mpmcs.events,
+                _session(tree).solve(values),
             ]
-            expected = _brute_force_optimum(warm, minimal_cut_sets, weights)
-            assert [result.scaled_cost for result in results] == [expected] * 3
+            expected = min(_objective(cut_set, values) for cut_set in minimal_cut_sets)
+            assert [_objective(result, values) for result in results] == [expected] * 3
             for result in results[:2]:
-                assert tree.is_minimal_cut_set(result.events)
+                assert tree.is_minimal_cut_set(tuple(sorted(result)))

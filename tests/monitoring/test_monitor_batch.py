@@ -106,8 +106,17 @@ class TestWarmAgainstCold:
     byte-for-byte what a cold analysis of each cumulative state answers."""
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_long_walk_matches_cold_analyses(self, chunk):
-        tree = random_fault_tree(num_basic_events=60, seed=5, voting_ratio=0.05)
+    @pytest.mark.parametrize(
+        "event_reuse",
+        # Without shared nodes every module solves by rule; with them a
+        # searched skeleton is re-solved on its warm session.
+        [0.0, 0.2],
+        ids=["modular", "shared"],
+    )
+    def test_long_walk_matches_cold_analyses(self, event_reuse, chunk):
+        tree = random_fault_tree(
+            num_basic_events=60, seed=5, voting_ratio=0.05, event_reuse=event_reuse
+        )
         updates = [
             ProbabilityUpdate.create(values, seq=seq)
             for seq, values in enumerate(

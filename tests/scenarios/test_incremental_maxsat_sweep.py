@@ -33,6 +33,8 @@ from repro.workloads.library import (
     three_motor_system,
 )
 
+from tests.conftest import searched_skeletons
+
 
 def _canonical(report):
     return json.dumps(report.to_canonical_dict(), sort_keys=True)
@@ -141,17 +143,23 @@ class TestAssemblyAccounting:
             assert patched.compiled() is tree.compiled()
         assert assemblies == []
 
-    def test_probability_scenarios_reuse_the_warm_session_clauses(self, assemblies):
-        # No proper module: the warm session loads the whole-tree clauses once.
+    def test_probability_scenarios_reuse_the_warm_session_clauses(
+        self, assemblies, skeleton_assemblies
+    ):
+        # Shared events: each skeleton that needs a search gets a warm
+        # session, which loads that skeleton's clauses once; the whole-tree
+        # clauses are never assembled.
         tree = three_motor_system()
         analyze = self._warm_maxsat()
         analyze(tree)
-        assert assemblies == [tree.compiled()]
+        searched = searched_skeletons(tree)
+        assert searched and skeleton_assemblies == searched
         for probability in (0.002, 0.05, 0.7):
             patched = Scenario("p", [SetProbability("motor_1", probability)]).apply(tree)
             analyze(patched)
-            assert patched.compiled().cnf is tree.compiled().cnf
-        assert len(assemblies) == 1
+            assert patched.compiled() is tree.compiled()
+        assert skeleton_assemblies == searched
+        assert assemblies == []
 
     def test_maintenance_sweep_is_weight_only(self, assemblies):
         """Repair-rate scenarios never change structure, and Fig. 1 solves
@@ -180,8 +188,8 @@ class TestAssemblyAccounting:
         ],
         ids=["remove-event", "add-redundancy"],
     )
-    def test_structural_patch_assembles_once(self, make_patch, assemblies):
-        # Shared events: the warm session, not the module rules, solves it.
+    def test_structural_patch_assembles_once(self, make_patch, assemblies, skeleton_assemblies):
+        # Shared events: the warm sessions, not the module rules, solve it.
         tree = random_fault_tree(num_basic_events=24, seed=9, event_reuse=0.2)
         analyze = self._warm_maxsat()
         analyze(tree)
@@ -191,10 +199,12 @@ class TestAssemblyAccounting:
         analyze(patched)
 
         assert report.profile["warm_solves"] == 1
-        assert assemblies == [tree.compiled(), patched.compiled()]
+        assert searched_skeletons(patched)
+        assert skeleton_assemblies == searched_skeletons(tree) + searched_skeletons(patched)
+        assert assemblies == []
 
-    def test_voting_threshold_patch_assembles_once(self, assemblies):
-        # Shared events: the warm session, not the module rules, solves it.
+    def test_voting_threshold_patch_assembles_once(self, assemblies, skeleton_assemblies):
+        # Shared events: the warm sessions, not the module rules, solve it.
         tree = railway_level_crossing()
         voting_gates = [
             name
@@ -213,4 +223,6 @@ class TestAssemblyAccounting:
         analyze(patched)
 
         assert patched.compiled() is not tree.compiled()
-        assert assemblies == [tree.compiled(), patched.compiled()]
+        assert searched_skeletons(patched)
+        assert skeleton_assemblies == searched_skeletons(tree) + searched_skeletons(patched)
+        assert assemblies == []

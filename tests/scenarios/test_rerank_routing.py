@@ -1,9 +1,10 @@
-"""MaxSAT solves of sweeps and monitors go through the warm session's one path.
+"""MaxSAT solves of sweeps and monitors go through the warm route's one path.
 
 The certificate itself is proven in ``tests/maxsat/test_solve_batch``; here we
 assert the plumbing: a ``maxsat`` sweep matches fresh per-scenario analysis,
-a batched monitor update is certified from the candidate pool like a single
-one, and the no-op kept for the benchmark tracer stays a no-op.
+a batched monitor update keeps the structure's module optima and certifies
+its searched skeleton's optima without a SAT call, like a single one, and
+the no-op kept for the benchmark tracer stays a no-op.
 """
 
 from repro.api import AnalysisSession
@@ -13,6 +14,8 @@ from repro.monitoring import SyntheticFeed, TreeMonitor
 from repro.scenarios import SweepExecutor, probability_sweep
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import data_center_power, fire_protection_system
+
+from tests.conftest import searched_skeletons
 
 
 class TestSweepRouting:
@@ -41,13 +44,16 @@ class TestSweepRouting:
 
 class TestMonitorRouting:
     def test_apply_batch_solves_are_certified_from_the_pool(self):
-        # A tree with shared nodes: some module needs a search, so updates go
-        # to the incremental session.
+        # A tree with shared nodes: some module needs a search, so updates
+        # re-solve its skeleton on that skeleton's incremental session.
         tree = data_center_power()
         updates = list(SyntheticFeed(tree, updates=10, seed=5))
         monitor = TreeMonitor(tree, backend="maxsat")
         monitor.apply_batch(updates)
-        (session,) = monitor.executor.session.backend("maxsat")._warm_sessions.values()
+        (optima,) = monitor.executor.session.backend("maxsat")._warm_sessions.values()
+        assert isinstance(optima, ModuleOptima)
+        assert list(optima.sessions) == searched_skeletons(tree)
+        (session,) = optima.sessions.values()
         assert isinstance(session, IncrementalMaxSATSession)
         assert session.rerank_stats["certified"] > 0
         assert session.rerank_stats["pooled"] == session.rerank_stats["bnb"] == 0
