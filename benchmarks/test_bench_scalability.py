@@ -29,10 +29,10 @@ from repro.workloads.generator import random_fault_tree
 from benchmarks.conftest import emit
 
 #: SAT calls RC2 makes on each row's tree (0 conflicts on every row).
-SAT_CALLS = {100: 15, 250: 4, 500: 2, 1000: 4, 2000: 3, 4000: 3}
+SAT_CALLS = {100: 13, 250: 2, 500: 2, 1000: 3, 2000: 2, 4000: 2}
 
 #: Literals those SAT calls propagate, summed over every ``CDCLSolver.solve``.
-PROPAGATIONS = {100: 740, 250: 910, 500: 566, 1000: 2682, 2000: 4080, 4000: 7094}
+PROPAGATIONS = {100: 625, 250: 341, 500: 562, 1000: 1995, 2000: 2704, 4000: 4935}
 
 #: (number of basic events, seconds budget for one full pipeline run).
 SIZES = [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.exceptions import SolverError, SolverInterrupted
 from repro.logic.cnf import Literal
@@ -12,7 +12,7 @@ from repro.maxsat.instance import SoftClause, WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.sat.cdcl import CDCLSolver
 
-__all__ = ["MaxSATEngine", "SelectorMap", "new_sat_solver"]
+__all__ = ["MaxSATEngine", "SelectorMap", "heaviest_first", "new_sat_solver"]
 
 
 def new_sat_solver(
@@ -41,6 +41,12 @@ def new_sat_solver(
         memo.solver = _load(CDCLSolver(), memo.num_vars, hard[: memo.num_hard])
     solver = memo.solver.copy(max_conflicts=max_conflicts, stop_check=stop_check)
     return _load(solver, instance.num_vars, hard[memo.num_hard :])
+
+
+def heaviest_first(weights: Mapping[Literal, float]) -> List[Literal]:
+    """The selectors of ``weights`` by descending weight, ties in mapping
+    order: the order RC2 and the warm session assume them in."""
+    return sorted(weights, key=weights.__getitem__, reverse=True)
 
 
 def _load(solver: CDCLSolver, num_vars: int, hard: Iterable[Sequence[Literal]]) -> CDCLSolver:

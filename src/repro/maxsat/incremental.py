@@ -32,10 +32,11 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
    to be one when it contains a cut set the session has already produced
    (its *candidate pool*), or when evaluating the skeleton's gates over it
    reaches the root;
-3. otherwise one SAT call assuming every soft clause outside the hitting set.
-   UNSAT: cache the new core and repeat.  With the gates evaluated first the
-   call is never satisfiable; a model would still be optimal, its cost
-   bounded by the hitting set's.
+3. otherwise one SAT call assuming every soft clause outside the hitting set,
+   highest objective first, as RC2 orders its selectors.  UNSAT: cache the
+   new core and repeat.  With the gates evaluated first the call is never
+   satisfiable; a model would still be optimal, its cost bounded by the
+   hitting set's.
 
 The session weighs nothing itself: each leaf's ``(objective, weight)`` is
 the value :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an
@@ -53,7 +54,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
 from repro.exceptions import BudgetExceededError, NoCutSetError
 from repro.fta.compiled import Skeleton
 from repro.logic.cnf import Literal
-from repro.maxsat.engine import new_sat_solver
+from repro.maxsat.engine import heaviest_first, new_sat_solver
 from repro.maxsat.hitting_set import minimum_cost_hitting_set
 from repro.observability import trace as _trace
 from repro.sat.types import SatStatus
@@ -92,9 +93,6 @@ class IncrementalMaxSATSession:
         #: Each leaf's variable, in increasing variable order.
         self.event_vars: Dict[str, int] = dict(cnf.event_vars)
         self._var_events: Dict[int, str] = {var: name for name, var in self.event_vars.items()}
-        #: Soft selectors in deterministic (variable) order: assuming the
-        #: selector means "this leaf stays out of the cut set".
-        self._selectors: Tuple[Literal, ...] = tuple(-var for var in self.event_vars.values())
         #: Bit position of each leaf in the pool's bitmasks.
         self._event_column: Dict[str, int] = {
             name: column for column, name in enumerate(self.event_vars)
@@ -174,7 +172,9 @@ class IncrementalMaxSATSession:
             return results
 
     def _solve(self, value: LeafValues) -> List[str]:
+        # Assuming a leaf's selector ``-var`` keeps it out of the cut set.
         objective = {-var: value[leaf][0] for leaf, var in self.event_vars.items()}
+        selectors = heaviest_first(objective)
         certified = False
         leaves: Optional[Tuple[str, ...]] = None
         for _ in range(MAX_ROUNDS):
@@ -186,7 +186,7 @@ class IncrementalMaxSATSession:
                 leaves, certified = candidate, True
                 break
 
-            assumptions = [selector for selector in self._selectors if selector not in hitting_set]
+            assumptions = [selector for selector in selectors if selector not in hitting_set]
             result = self._solver.solve(assumptions)
             self.sat_calls += 1
             if result.status is SatStatus.SAT:

@@ -17,6 +17,7 @@ from repro.maxsat import (
     WPMaxSATInstance,
 )
 from repro.maxsat import cardinality, rc2
+from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
 
 ALL_ENGINES = [
@@ -202,6 +203,48 @@ class TestGrowingSums:
             assert RC2Engine().solve(instance).cost == expected, seed
         # Some sum went from bound 1 to 2 and on to 3.
         assert max(bounds) >= 4
+
+
+class TestRC2AssumptionOrder:
+    """RC2 assumes its selectors heaviest first: the original selectors in
+    non-increasing initial weight, ties in soft clause order, then the sum
+    selectors in the order they were created."""
+
+    def test_assumptions_come_heaviest_first(self, monkeypatch):
+        assumption_lists, created = [], []
+        solve = CDCLSolver.solve
+        at_least = cardinality.Totalizer.at_least
+
+        def recording_solve(solver, assumptions=()):
+            assumption_lists.append(list(assumptions))
+            return solve(solver, assumptions)
+
+        def recording_at_least(totalizer, k):
+            output = at_least(totalizer, k)
+            created.append(-output)
+            return output
+
+        monkeypatch.setattr(CDCLSolver, "solve", recording_solve)
+        monkeypatch.setattr(cardinality.Totalizer, "at_least", recording_at_least)
+        sums_seen = 0
+        for seed in TestGrowingSums.SEEDS:
+            instance = TestGrowingSums.covering_instance(seed)
+            initial = {soft.literals[0]: soft.scaled_weight for soft in instance.soft}
+            # A stable sort: equal weights keep soft clause order.
+            order = sorted(initial, key=lambda sel: -initial[sel])
+            assumption_lists.clear()
+            created.clear()
+            RC2Engine().solve(instance)
+            creation = list(dict.fromkeys(created))
+            assert len(assumption_lists) > 1, seed
+            for assumptions in assumption_lists:
+                originals = [sel for sel in assumptions if sel in initial]
+                sums = assumptions[len(originals) :]
+                assert assumptions[: len(originals)] == originals, seed
+                assert originals == [sel for sel in order if sel in originals], seed
+                assert sums == [sel for sel in creation if sel in sums], seed
+                sums_seen += len(sums)
+        assert sums_seen > 0
 
 
 class TestRC2CoreBudget:

@@ -143,6 +143,34 @@ class TestSessionAgainstColdPipeline:
         assert _solved_events(session, tree) == cold.events
 
 
+class TestAssumptionOrder:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_session_assumes_heaviest_leaves_first(self, monkeypatch, seed):
+        # The session assumes the leaves outside the hitting set in
+        # non-increasing objective.
+        assumption_lists = []
+        solve = CDCLSolver.solve
+
+        def recording_solve(solver, assumptions=()):
+            assumption_lists.append(list(assumptions))
+            return solve(solver, assumptions)
+
+        monkeypatch.setattr(CDCLSolver, "solve", recording_solve)
+        tree = random_fault_tree(num_basic_events=18, seed=seed, voting_ratio=0.25)
+        session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
+        values = leaf_values(tree)
+        session.solve(values)
+        objective = {-var: values[leaf][0] for leaf, var in session.event_vars.items()}
+        assert assumption_lists
+        for assumptions in assumption_lists:
+            weights = [objective[sel] for sel in assumptions]
+            assert weights == sorted(weights, reverse=True)
+        # Variable order (a selector is ``-var``) would not pass.
+        assert any(
+            assumptions != sorted(assumptions, reverse=True) for assumptions in assumption_lists
+        )
+
+
 class TestWeightOnlyResolve:
     def test_weight_changes_reuse_cores(self):
         tree = random_fault_tree(num_basic_events=25, seed=7)
