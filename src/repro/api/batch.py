@@ -76,12 +76,11 @@ class BatchResult:
         return self
 
 
-def _analyze_one(payload: Tuple[int, FaultTree, AnalysisRequest, str]) -> BatchItem:
+def _analyze_one(payload: Tuple[int, FaultTree, AnalysisRequest]) -> BatchItem:
     """Worker: analyse one tree in its own session (runs in a subprocess)."""
-    index, tree, request, mode = payload
+    index, tree, request = payload
     try:
-        session = AnalysisSession(mode=mode)
-        report = session.run(tree, request)
+        report = AnalysisSession().run(tree, request)
         return BatchItem(index=index, tree_name=tree.name, report=report)
     except Exception as exc:  # noqa: BLE001 - failures are data in a batch
         return BatchItem(index=index, tree_name=tree.name, error=str(exc))
@@ -95,7 +94,6 @@ def analyze_many(
     workers: Optional[int] = None,
     session: Optional[AnalysisSession] = None,
     request: Optional[AnalysisRequest] = None,
-    mode: str = "sequential",
     top_k: int = 5,
     samples: int = 0,
     seed: int = 0,
@@ -119,10 +117,8 @@ def analyze_many(
         to sequential execution.
     session:
         Optional pre-built session for the sequential path (its artifact
-        cache then persists across batches).
-    mode:
-        MaxSAT portfolio mode (``"sequential"`` or ``"process"``) of the
-        sessions the batch creates.
+        cache then persists across batches, and its solver sets Step 5's
+        mode).  The sessions the batch creates use the sequential portfolio.
     """
     tree_list: Sequence[FaultTree] = list(trees)
     if request is None:
@@ -136,7 +132,7 @@ def analyze_many(
             deterministic=deterministic,
         )
 
-    payloads = [(index, tree, request, mode) for index, tree in enumerate(tree_list)]
+    payloads = [(index, tree, request) for index, tree in enumerate(tree_list)]
 
     if workers is not None and workers > 1 and len(tree_list) > 1:
         try:
@@ -147,9 +143,9 @@ def analyze_many(
         except (OSError, PermissionError):  # pragma: no cover - platform dependent
             pass  # sandboxed platforms without fork/spawn: degrade gracefully
 
-    shared = session if session is not None else AnalysisSession(mode=mode)
+    shared = session if session is not None else AnalysisSession()
     items = []
-    for index, tree, scoped_request, _ in payloads:
+    for index, tree, scoped_request in payloads:
         try:
             report = shared.run(tree, scoped_request)
             items.append(BatchItem(index=index, tree_name=tree.name, report=report))

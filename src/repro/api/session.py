@@ -103,11 +103,11 @@ class AnalysisSession:
 
     Parameters
     ----------
-    mode:
-        Execution mode of the MaxSAT portfolio (``"sequential"``, the
-        default, or ``"process"``).  Ignored when ``solver`` is given.
     solver:
-        Optional pre-configured :class:`MPMCSSolver` shared by the session.
+        The :class:`MPMCSSolver` shared by the session; a default one
+        (sequential portfolio) otherwise.  Step 5's mode is chosen on the
+        solver: ``AnalysisSession(solver=MPMCSSolver(mode="process"))``
+        races the engines in worker processes.
     cache:
         Optional pre-existing :class:`ArtifactCache` (e.g. to share artifacts
         across sessions); a fresh one is created otherwise.
@@ -122,13 +122,12 @@ class AnalysisSession:
     def __init__(
         self,
         *,
-        mode: str = "sequential",
         solver: Optional[MPMCSSolver] = None,
         cache: Optional[ArtifactCache] = None,
         kernel_tier: Optional[str] = None,
     ) -> None:
         self.artifacts = cache if cache is not None else ArtifactCache()
-        self.solver = solver if solver is not None else MPMCSSolver(mode=mode)
+        self.solver = solver if solver is not None else MPMCSSolver()
         self.kernels = kernels.select(kernel_tier)
         self.context = BackendContext(
             artifacts=self.artifacts,

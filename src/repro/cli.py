@@ -45,6 +45,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.analysis.contributions import cut_set_contributions
 from repro.api import AnalysisSession, available_backends, backend_class
+from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import ReproError
 from repro.fta.parsers.galileo import parse_galileo_file
 from repro.fta.parsers.json_format import parse_json_file
@@ -1721,8 +1722,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if handler is not None:
             tree = _load_tree(args)
             session = AnalysisSession(
+                solver=MPMCSSolver(mode=getattr(args, "mode", "sequential")),
                 kernel_tier=getattr(args, "kernel", None),
-                **({"mode": args.mode} if "mode" in args else {}),
             )
             return handler(session, tree, args)
         return _PLAIN_COMMANDS[args.command](args)

@@ -305,17 +305,15 @@ class MPMCSSolver:
 
     Parameters
     ----------
-    engines:
-        MaxSAT engine configurations for the portfolio (Step 5).  ``None``
-        selects :func:`~repro.maxsat.portfolio.default_engines`: RC2, then
-        the implicit hitting set engine.
     mode:
-        Portfolio execution mode: ``"sequential"`` (default; RC2 answers and
-        the next engine runs only if it is inconclusive) or ``"process"``
-        (the engines race in parallel worker processes).
+        Step 5's execution mode, chosen here and nowhere else:
+        ``"sequential"`` (default; RC2 answers and the hitting set engine
+        runs only if it is inconclusive) or ``"process"`` (the two race in
+        worker processes; the first conclusive answer wins).
     single_engine:
-        When given, the portfolio is bypassed and this engine is used alone —
-        the configuration exercised by the portfolio ablation benchmark.
+        When given, the portfolio is bypassed and this engine is used alone
+        on the whole-tree encoding: the oracle of the tests and the
+        paper reproductions.
 
     With the portfolio, :meth:`solve` works module by module.  The MaxSAT
     objective (:func:`~repro.maxsat.instance.objective_weight`) is additive
@@ -340,12 +338,11 @@ class MPMCSSolver:
     def __init__(
         self,
         *,
-        engines: Optional[Sequence[MaxSATEngine]] = None,
         mode: str = "sequential",
         single_engine: Optional[MaxSATEngine] = None,
     ) -> None:
         self.single_engine = single_engine
-        self.portfolio = None if single_engine is not None else PortfolioSolver(engines, mode=mode)
+        self.portfolio = None if single_engine is not None else PortfolioSolver(mode=mode)
 
     # -- public API ----------------------------------------------------------------
 

@@ -15,7 +15,8 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   solver used by the test suite on small instances.
 * :class:`repro.maxsat.portfolio.PortfolioSolver` — the portfolio of Step 5:
   RC2, then the hitting set engine, run in order in-process, or race in
-  worker processes (``mode="process"``); the first conclusive result wins.
+  worker processes; the first conclusive result wins.  Callers choose the
+  mode on :class:`~repro.core.pipeline.MPMCSSolver` (``mode="process"``).
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
   implicit-hitting-set solving of one module's skeleton for weight-only
   re-solves across scenario sweeps: one persistent CDCL solver,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import SolverError
 from repro.logic.cnf import Literal
@@ -32,14 +32,15 @@ class BruteForceEngine(MaxSATEngine):
     Parameters
     ----------
     max_soft:
-        Safety limit on the number of soft clauses; larger instances raise
-        :class:`SolverError` instead of silently running for hours.
+        Safety limit on the number of soft clauses, the engine's only budget;
+        larger instances raise :class:`SolverError` instead of silently
+        running for hours.
     """
 
     name = "brute-force"
 
-    def __init__(self, *, max_soft: int = 22, max_conflicts: Optional[int] = None) -> None:
-        super().__init__(max_conflicts=max_conflicts)
+    def __init__(self, *, max_soft: int = 22) -> None:
+        super().__init__()
         self.max_soft = max_soft
 
     def solve(self, instance: WPMaxSATInstance) -> MaxSATResult:

@@ -16,14 +16,12 @@ __all__ = ["MaxSATEngine", "SelectorMap", "heaviest_first", "new_sat_solver"]
 
 
 def new_sat_solver(
-    instance: WPMaxSATInstance,
-    *,
-    max_conflicts: Optional[int] = None,
-    stop_check: Optional[Callable[[], bool]] = None,
+    instance: WPMaxSATInstance, *, stop_check: Optional[Callable[[], bool]] = None
 ) -> CDCLSolver:
     """A CDCL solver holding the hard clauses of ``instance``, with the
     instance's declared variables reserved first: the one loader of the
-    engines and the warm session.
+    engines and the warm session.  It has no conflict budget; only
+    ``stop_check`` ends a search early.
 
     An instance that keeps a loaded solver
     (:meth:`~repro.maxsat.instance.WPMaxSATInstance.keep_loaded_solver`) —
@@ -34,12 +32,12 @@ def new_sat_solver(
     """
     memo = instance.solver_memo
     if memo is None:
-        solver = CDCLSolver(max_conflicts=max_conflicts, stop_check=stop_check)
+        solver = CDCLSolver(stop_check=stop_check)
         return _load(solver, instance.num_vars, instance.hard)
     hard = instance.hard
     if memo.solver is None:
         memo.solver = _load(CDCLSolver(), memo.num_vars, hard[: memo.num_hard])
-    solver = memo.solver.copy(max_conflicts=max_conflicts, stop_check=stop_check)
+    solver = memo.solver.copy(stop_check=stop_check)
     return _load(solver, instance.num_vars, hard[memo.num_hard :])
 
 
@@ -90,14 +88,14 @@ class MaxSATEngine:
 
     Subclasses implement :meth:`solve`.  The helpers below build the underlying
     CDCL solver, attach selectors to soft clauses, and assemble results, so the
-    engines only contain algorithmic logic.
+    engines only contain algorithmic logic.  Engines carry no conflict
+    budget; a solve stopped through :attr:`stop_check` returns ``UNKNOWN``.
     """
 
     #: Human-readable engine name used in results and portfolio reports.
     name = "base"
 
-    def __init__(self, *, max_conflicts: Optional[int] = None) -> None:
-        self.max_conflicts = max_conflicts
+    def __init__(self) -> None:
         #: Optional cooperative-cancellation hook (set by the portfolio runner):
         #: a zero-argument callable returning True when the engine should stop.
         self.stop_check = None
@@ -123,10 +121,8 @@ class MaxSATEngine:
             raise SolverInterrupted("engine stopped by cooperative cancellation")
 
     def _new_sat_solver(self, instance: WPMaxSATInstance) -> CDCLSolver:
-        """:func:`new_sat_solver` under this engine's budget and stop hook."""
-        return new_sat_solver(
-            instance, max_conflicts=self.max_conflicts, stop_check=self.stop_check
-        )
+        """:func:`new_sat_solver` under this engine's stop hook."""
+        return new_sat_solver(instance, stop_check=self.stop_check)
 
     def _attach_selectors(
         self, solver: CDCLSolver, instance: WPMaxSATInstance

@@ -169,20 +169,14 @@ class HittingSetEngine(MaxSATEngine):
     ----------
     max_iterations:
         Safety cap on the number of core/hitting-set iterations; when exceeded
-        the engine returns UNKNOWN.
-    max_conflicts:
-        Optional conflict budget for the underlying CDCL solver.
+        the engine returns UNKNOWN, as it does when a hitting set search
+        exceeds its node budget or :attr:`stop_check` fires.
     """
 
     name = "hitting-set"
 
-    def __init__(
-        self,
-        *,
-        max_iterations: int = 100_000,
-        max_conflicts: Optional[int] = None,
-    ) -> None:
-        super().__init__(max_conflicts=max_conflicts)
+    def __init__(self, *, max_iterations: int = 100_000) -> None:
+        super().__init__()
         self.max_iterations = max_iterations
 
     def solve(self, instance: WPMaxSATInstance) -> MaxSATResult:

@@ -41,7 +41,7 @@ import dataclasses
 import time
 from typing import Dict, List, Tuple
 
-from repro.exceptions import BudgetExceededError, SolverInterrupted
+from repro.exceptions import SolverInterrupted
 from repro.logic.cnf import Literal
 from repro.maxsat.cardinality import Totalizer
 from repro.maxsat.engine import MaxSATEngine, heaviest_first
@@ -60,15 +60,11 @@ CORE_SLACK = 16
 class RC2Engine(MaxSATEngine):
     """Core-guided (OLL) Weighted Partial MaxSAT solver.
 
-    Parameters
-    ----------
-    max_conflicts:
-        Optional conflict budget for the underlying CDCL solver; when exhausted
-        the engine returns a result with status ``UNKNOWN``.
-
     A solve that relaxes more cores than its budget returns the
     :class:`~repro.maxsat.hitting_set.HittingSetEngine` result for the same
-    instance, named ``"rc2+hitting-set"``, with both engines' counters.
+    instance, named ``"rc2+hitting-set"``, with both engines' counters.  The
+    core budget is the engine's only one; a solve stopped by
+    :attr:`stop_check` returns ``UNKNOWN``.
     """
 
     name = "rc2"
@@ -118,7 +114,7 @@ class RC2Engine(MaxSATEngine):
                     return self._hand_over(instance, start, sat_calls, solver.conflicts)
                 min_weight = min(weights[sel] for sel in core)
                 self._process_core(solver, core, min_weight, weights, sums)
-        except (BudgetExceededError, SolverInterrupted):
+        except SolverInterrupted:
             return MaxSATResult(
                 status=MaxSATStatus.UNKNOWN,
                 engine=self.name,
@@ -131,7 +127,7 @@ class RC2Engine(MaxSATEngine):
         self, instance: WPMaxSATInstance, start: float, sat_calls: int, conflicts: int
     ) -> MaxSATResult:
         """Solve ``instance`` with the hitting set engine once the core budget is spent."""
-        fallback = HittingSetEngine(max_conflicts=self.max_conflicts)
+        fallback = HittingSetEngine()
         fallback.stop_check = self.stop_check
         result = fallback.solve(instance)
         return dataclasses.replace(

@@ -490,7 +490,7 @@ def exact_plan(
     """
     validate_actions(tree, actions)
     structure = _cut_set_structure(tree, cache)
-    portfolio = solver if solver is not None else PortfolioSolver(mode="sequential")
+    portfolio = solver if solver is not None else PortfolioSolver()
     probe = _ThresholdProbe(tree, structure, actions, portfolio, precision)
     thresholds = probe.thresholds
 
@@ -740,7 +740,7 @@ def pareto_frontier(
     selections: List[Tuple[HardeningAction, ...]] = [()]
     if method in ("auto", "exact") and actions:
         try:
-            portfolio = solver if solver is not None else PortfolioSolver(mode="sequential")
+            portfolio = solver if solver is not None else PortfolioSolver()
             probe = _ThresholdProbe(tree, structure, actions, portfolio, precision)
         except AnalysisError:
             if method == "exact":

@@ -286,9 +286,9 @@ class JobRunner:
 
     One runner per worker thread: the session (and its memory cache tier) is
     reused across jobs, while the disk store shares artifacts with every
-    other runner, process and past service run.  ``mode`` is the session's
-    MaxSAT portfolio mode; the default ``"sequential"`` polls the job guard,
-    so cancelling a job stops its running analysis.
+    other runner, process and past service run.  The session runs the
+    sequential portfolio, which polls the job guard, so cancelling a job
+    stops its running analysis.
     """
 
     def __init__(
@@ -298,7 +298,6 @@ class JobRunner:
         store: Optional[DiskArtifactStore] = None,
         cache_max_entries: Optional[int] = None,
         sweep_workers: int = 0,
-        mode: str = "sequential",
     ) -> None:
         if store is None:
             store = open_store(store_path)
@@ -309,8 +308,7 @@ class JobRunner:
         self.cache_max_entries = cache_max_entries
         self.sweep_workers = sweep_workers
         self.session = AnalysisSession(
-            mode=mode,
-            cache=ArtifactCache(max_entries=cache_max_entries, backend=store),
+            cache=ArtifactCache(max_entries=cache_max_entries, backend=store)
         )
 
     # -- payload decoding -------------------------------------------------------------

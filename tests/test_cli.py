@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.fta.serializers import to_galileo, to_json
+from repro.maxsat.portfolio import PortfolioSolver
 from repro.workloads.library import fire_protection_system
 
 
@@ -55,6 +56,23 @@ class TestAnalyzeCommand:
 
     def test_sequential_mode(self, capsys):
         assert main(["analyze", "--builtin", "fps", "--quiet", "--mode", "sequential"]) == 0
+
+    @pytest.mark.parametrize("mode_args, races", [([], 0), (["--mode", "process"], 1)])
+    def test_mode_reaches_the_race(self, capsys, monkeypatch, mode_args, races):
+        # data-center-power has a skeleton that needs a search, so its
+        # analysis reaches the portfolio (Fig. 1 solves by rule).
+        solve_process = PortfolioSolver._solve_process
+        calls = []
+
+        def counted(self, instance):
+            calls.append(instance)
+            return solve_process(self, instance)
+
+        monkeypatch.setattr(PortfolioSolver, "_solve_process", counted)
+        argv = ["analyze", "--builtin", "data-center-power", "--quiet", *mode_args]
+        assert main(argv) == 0
+        assert "MPMCS      : {transfer_switch_fails}" in capsys.readouterr().out
+        assert len(calls) == races
 
     @pytest.mark.parametrize("backend", ["maxsat", "mocus", "bdd", "brute-force"])
     def test_explicit_backend(self, capsys, backend):
