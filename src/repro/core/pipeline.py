@@ -646,8 +646,10 @@ def _merged_report(
 ) -> PortfolioReport:
     """One report for a modular solve: its skeleton solves' engine times summed.
 
-    The winner names the skeleton solves' winners, or
-    :data:`MODULE_RULE_ENGINE` when every module was solved by rule.
+    The winner names the engines that answered the skeleton solves, each
+    once in order of first appearance (a solve RC2 handed over counts as
+    ``rc2`` then ``hitting-set``), or :data:`MODULE_RULE_ENGINE` when every
+    module was solved by rule.
     """
     times: Dict[str, float] = {}
     statuses: Dict[str, str] = {}
@@ -655,7 +657,8 @@ def _merged_report(
         for name, seconds in report.engine_times.items():
             times[name] = times.get(name, 0.0) + seconds
         statuses.update(report.engine_statuses)
-    winner = "+".join(dict.fromkeys(report.winner for report in reports)) or MODULE_RULE_ENGINE
+    engines = (name for report in reports for name in report.result.engine.split("+"))
+    winner = "+".join(dict.fromkeys(engines)) or MODULE_RULE_ENGINE
     result = MaxSATResult(
         MaxSATStatus.OPTIMUM,
         cost=cost,

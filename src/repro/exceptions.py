@@ -31,7 +31,10 @@ class SolverError(ReproError):
 
 
 class BudgetExceededError(SolverError):
-    """Raised when a solver exceeds a user-provided conflict or time budget."""
+    """Raised when a search exceeds one of its safety budgets: a
+    :class:`~repro.sat.cdcl.CDCLSolver`'s ``max_conflicts``, the hitting set
+    search's node budget, or the warm session's round budget
+    (:data:`~repro.maxsat.hitting_set.MAX_ROUNDS`)."""
 
 
 class SolverInterrupted(SolverError):
@@ -41,10 +44,6 @@ class SolverInterrupted(SolverError):
     engine finishes; the remaining engines observe the flag at their next
     restart boundary and unwind by raising this exception.
     """
-
-
-class UnsatisfiableError(SolverError):
-    """Raised when an operation requires a satisfiable instance but none exists."""
 
 
 class FaultTreeError(ReproError):

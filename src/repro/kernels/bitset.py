@@ -11,9 +11,9 @@ property tests compare the packed search against.
 
 Contents:
 
-* :class:`CoverageIndex` — packed-int coverage masks over a family of sets
-  (the hitting-set search's ``unhit_mask`` machinery, extracted from
-  :mod:`repro.maxsat.hitting_set`).
+* :class:`CoverageIndex` — packed-int coverage masks over a family of sets:
+  each element's coverage and the mask of cores a set of elements hits (the
+  ``unhit_mask`` machinery of :mod:`repro.maxsat.hitting_set`'s search).
 * :func:`set_based_hitting_set` — reference minimum-cost hitting set using
   plain sets of core indices; exponential bookkeeping, test-only.
 * :func:`make_assign_buffer` — the CDCL assignment buffer (contiguous signed
@@ -94,30 +94,6 @@ class CoverageIndex:
         for element in elements:
             mask |= coverage.get(element, 0)
         return mask
-
-    def covers_all(self, elements: Iterable[Hashable]) -> bool:
-        """True when ``elements`` hit every core."""
-        return self.mask_of(elements) == self.all_mask
-
-    def greedy_cover(
-        self, weights: Dict[Hashable, int]
-    ) -> Tuple[Set[Hashable], int]:
-        """Greedy hitting set: repeatedly take the element hitting the most
-        still-unhit cores, ties broken by lower weight (then first-seen
-        order).  Returns ``(chosen set, total cost)`` — a feasible upper
-        bound for the exact search.
-        """
-        chosen: Set[Hashable] = set()
-        unhit = list(self.cores)
-        while unhit:
-            counts: Dict[Hashable, int] = {}
-            for core in unhit:
-                for element in core:
-                    counts[element] = counts.get(element, 0) + 1
-            element = max(counts, key=lambda lit: (counts[lit], -weights.get(lit, 0)))
-            chosen.add(element)
-            unhit = [core for core in unhit if element not in core]
-        return chosen, sum(weights.get(lit, 0) for lit in chosen)
 
 
 def set_based_hitting_set(

@@ -20,11 +20,15 @@ node leaves unhit, and add the cheapest element of each, since any completion
 must pay for every one of them separately.  Without it the search is
 exponential on independent ties: 20 disjoint two-element cores of equal
 weights have 2^20 optimal hitting sets, and the bound settles them at the
-root.  The search is cheap on most fault trees, but not on all: on the
-600-event E4 structure (generator seed 1) a cold incremental session over
-the whole structure collected up to 223 cores, and one of its first solves
-spent about 73% of its time in :func:`minimum_cost_hitting_set` under
-cProfile.
+root.  The search starts with no incumbent: every hitting-set instance the
+MPMCS pipeline builds has one optimum (the objective is the canonical
+order), so a starting upper bound would change neither the answer nor the
+number of SAT calls.
+
+The engine's loop and the warm session's
+(:class:`~repro.maxsat.incremental.IncrementalMaxSATSession`) both assume
+their selectors heaviest first (:func:`~repro.maxsat.engine.heaviest_first`)
+and share one round budget, :data:`MAX_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -35,12 +39,17 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.exceptions import BudgetExceededError, SolverInterrupted
 from repro.kernels.bitset import CoverageIndex
 from repro.logic.cnf import Literal
-from repro.maxsat.engine import MaxSATEngine
+from repro.maxsat.engine import MaxSATEngine, heaviest_first
 from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.sat.types import SatStatus
 
-__all__ = ["HittingSetEngine", "minimum_cost_hitting_set"]
+__all__ = ["HittingSetEngine", "MAX_ROUNDS", "minimum_cost_hitting_set"]
+
+#: Safety cap on core/hitting-set rounds per solve, for the engine and the
+#: warm session alike: past it the engine returns UNKNOWN and the session
+#: raises :class:`BudgetExceededError`.
+MAX_ROUNDS = 100_000
 
 #: Poll the cooperative stop flag every this many search nodes.
 _STOP_CHECK_INTERVAL = 256
@@ -51,7 +60,6 @@ def minimum_cost_hitting_set(
     weights: Dict[Literal, int],
     *,
     max_nodes: int = 2_000_000,
-    seed: Optional[Set[Literal]] = None,
     stop_check: Optional[Callable[[], bool]] = None,
 ) -> Tuple[Set[Literal], int]:
     """Exact minimum-cost hitting set of ``cores`` by branch and bound.
@@ -62,12 +70,6 @@ def minimum_cost_hitting_set(
     unhit cores reaches the best cost found is pruned (module docstring).
     Raises :class:`BudgetExceededError` when the search exceeds ``max_nodes``
     nodes (a safety valve; never reached on realistic inputs).
-
-    ``seed`` optionally provides a known feasible hitting set (e.g. the
-    previous solve's solution in an incremental sweep); its cost becomes the
-    initial upper bound, which can prune the search dramatically when the
-    optimum moved little.  The seed is only used when it actually hits every
-    core.
 
     ``stop_check`` is the portfolio's cooperative cancellation hook: it is
     polled every few hundred search nodes and, when it returns true, the
@@ -87,21 +89,9 @@ def minimum_cost_hitting_set(
     coverage = index.coverage
     all_mask = index.all_mask
 
-    # Greedy warm start: repeatedly pick the element hitting the most
-    # still-unhit cores (ties broken by weight) to obtain an upper bound.
-    best_set, best_cost = index.greedy_cover(weights)
-    if seed is not None:
-        if index.mask_of(seed) == all_mask:
-            seed_cost = sum(weights.get(element, 0) for element in seed)
-            # ``<=``: the seed wins cost ties against the greedy warm start,
-            # and the search below only replaces on *strict* improvement — so
-            # whenever the seed is optimal, the search returns the seed
-            # itself.  Incremental callers rely on this: it makes the result
-            # a deterministic function of (cores, weights, seed), independent
-            # of greedy/search exploration order, so a still-optimal previous
-            # optimum is kept and can be certified from the session's pool.
-            if seed_cost <= best_cost:
-                best_set, best_cost = set(seed), seed_cost
+    # No incumbent: every hitting set costs less than all elements together.
+    best_set: Set[Literal] = set()
+    best_cost = sum(weights.get(element, 0) for element in coverage) + 1
 
     # Branching order inside a core: cheapest element first.
     sorted_cores = [
@@ -165,32 +155,25 @@ def minimum_cost_hitting_set(
 class HittingSetEngine(MaxSATEngine):
     """MaxHS-style implicit hitting set Weighted Partial MaxSAT solver.
 
-    Parameters
-    ----------
-    max_iterations:
-        Safety cap on the number of core/hitting-set iterations; when exceeded
-        the engine returns UNKNOWN, as it does when a hitting set search
-        exceeds its node budget or :attr:`stop_check` fires.
+    Each SAT call assumes the selectors outside the hitting set heaviest
+    first, by initial weight with ties in soft clause order.  The engine
+    returns UNKNOWN after :data:`MAX_ROUNDS` rounds, as it does when a
+    hitting set search exceeds its node budget or :attr:`stop_check` fires.
     """
 
     name = "hitting-set"
 
-    def __init__(self, *, max_iterations: int = 100_000) -> None:
-        super().__init__()
-        self.max_iterations = max_iterations
-
     def solve(self, instance: WPMaxSATInstance) -> MaxSATResult:
         start = time.perf_counter()
         solver = self._new_sat_solver(instance)
-        selector_map = self._attach_selectors(solver, instance)
-        weights = dict(selector_map.weights)
-        selectors = list(weights)
+        weights = self._attach_selectors(solver, instance).weights
+        selectors = heaviest_first(weights)
 
         cores: List[FrozenSet[Literal]] = []
         sat_calls = 0
 
         try:
-            for _ in range(self.max_iterations):
+            for _ in range(MAX_ROUNDS):
                 self._check_stop()
                 hitting_set, _ = minimum_cost_hitting_set(
                     cores, weights, stop_check=self.stop_check

@@ -33,10 +33,10 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
    (its *candidate pool*), or when evaluating the skeleton's gates over it
    reaches the root;
 3. otherwise one SAT call assuming every soft clause outside the hitting set,
-   highest objective first, as RC2 orders its selectors.  UNSAT: cache the
-   new core and repeat.  With the gates evaluated first the call is never
-   satisfiable; a model would still be optimal, its cost bounded by the
-   hitting set's.
+   highest objective first, as RC2 and the hitting set engine order their
+   selectors.  UNSAT: cache the new core and repeat.  With the gates
+   evaluated first the call is never satisfiable; a model would still be
+   optimal, its cost bounded by the hitting set's.
 
 The session weighs nothing itself: each leaf's ``(objective, weight)`` is
 the value :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an
@@ -49,22 +49,17 @@ sequence of *weight-only re-solves*: no re-encoding, no solver restart.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import BudgetExceededError, NoCutSetError
 from repro.fta.compiled import Skeleton
 from repro.logic.cnf import Literal
 from repro.maxsat.engine import heaviest_first, new_sat_solver
-from repro.maxsat.hitting_set import minimum_cost_hitting_set
+from repro.maxsat.hitting_set import MAX_ROUNDS, minimum_cost_hitting_set
 from repro.observability import trace as _trace
 from repro.sat.types import SatStatus
 
-__all__ = ["IncrementalMaxSATSession", "MAX_ROUNDS"]
-
-#: Safety cap on core-discovery rounds per solve; a solve that exceeds it
-#: raises :class:`BudgetExceededError`, and the caller falls back to the
-#: cold portfolio.
-MAX_ROUNDS = 100_000
+__all__ = ["IncrementalMaxSATSession"]
 
 #: ``(objective, weight)`` of each leaf, keyed by name: the values of
 #: :class:`~repro.core.pipeline.ModuleOptima`.
@@ -100,10 +95,6 @@ class IncrementalMaxSATSession:
 
         #: Cached cores: sets of leaf selectors.  Weight-independent.
         self._cores: List[FrozenSet[Literal]] = []
-        #: The last optimal hitting set: in a weight-only sweep the optimum
-        #: rarely moves, so it seeds the branch-and-bound with a near-tight
-        #: upper bound.
-        self._hs_seed: Optional[Set[Literal]] = None
 
         #: Candidate pool: every optimal cut set this session has ever
         #: produced.  Feasibility ("the hard clauses admit a model whose true
@@ -134,7 +125,8 @@ class IncrementalMaxSATSession:
 
         Raises :class:`NoCutSetError` when the skeleton has no cut set and
         :class:`BudgetExceededError` when the core-discovery loop exceeds
-        :data:`MAX_ROUNDS` (callers then fall back to a cold solve).
+        :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` (callers then fall back
+        to a cold solve).
 
         A round whose minimum-cost hitting set is a cut set returns that
         hitting set without a SAT call: it contains a pooled cut set, or
@@ -179,8 +171,7 @@ class IncrementalMaxSATSession:
         leaves: Optional[Tuple[str, ...]] = None
         for _ in range(MAX_ROUNDS):
             self.rounds += 1
-            hitting_set, _ = minimum_cost_hitting_set(self._cores, objective, seed=self._hs_seed)
-            self._hs_seed = hitting_set
+            hitting_set, _ = minimum_cost_hitting_set(self._cores, objective)
             candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
             if self._contains_pooled(candidate) or self.skeleton.reaches_root(candidate):
                 leaves, certified = candidate, True

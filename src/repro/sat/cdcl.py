@@ -373,7 +373,7 @@ class CDCLSolver(BaseSatSolver):
                     self._ok = False
                     return SatResult(status=SatStatus.UNSAT, core=frozenset())
                 if assumptions and self._decision_level() <= len(assumptions):
-                    core = self._analyze_final_conflict(conflict, assumptions)
+                    core = self._analyze_final(self._lits[conflict], assumptions)
                     return SatResult(status=SatStatus.UNSAT, core=core)
                 learnt, backjump_level = self._analyze(conflict)
                 self._cancel_until(backjump_level)
@@ -389,7 +389,8 @@ class CDCLSolver(BaseSatSolver):
             level = self._decision_level()
             if level < len(assumptions):
                 # _propagate decides every assumption it reaches that is not false.
-                core = self._analyze_final(-assumptions[level], assumptions)
+                falsified = assumptions[level]
+                core = self._analyze_final([-falsified], assumptions) | {falsified}
                 return SatResult(status=SatStatus.UNSAT, core=core)
             lit = self._pick_branch_literal()
             if lit is None:
@@ -617,48 +618,17 @@ class CDCLSolver(BaseSatSolver):
         self._bump_clause(clause)
         self._enqueue(learnt[0], clause)
 
-    def _analyze_final(self, falsified_lit: int, assumptions: List[int]) -> FrozenSet[int]:
-        """Compute a set of failed assumptions given an assumption whose
-        complement is implied by the others (MiniSat's ``analyzeFinal``)."""
-        assumption_set = set(assumptions)
-        core: Set[int] = set()
-        if -falsified_lit in assumption_set:
-            core.add(-falsified_lit)
-        seen = self._seen
-        to_clear: List[int] = []
-        var0 = abs(falsified_lit)
-        if self._levels[var0] > 0:
-            seen[var0] = True
-            to_clear.append(var0)
-        for i in range(len(self._trail) - 1, -1, -1):
-            lit = self._trail[i]
-            var = abs(lit)
-            if not seen[var]:
-                continue
-            reason = self._reasons[var]
-            if reason is None:
-                if lit in assumption_set:
-                    core.add(lit)
-            else:
-                for other in self._lits[reason]:
-                    other_var = abs(other)
-                    if other_var != var and self._levels[other_var] > 0 and not seen[other_var]:
-                        seen[other_var] = True
-                        to_clear.append(other_var)
-            seen[var] = False
-        for var in to_clear:
-            seen[var] = False
-        return frozenset(core)
-
-    def _analyze_final_conflict(
-        self, conflict: int, assumptions: List[int]
-    ) -> FrozenSet[int]:
-        """Derive failed assumptions from a conflict reached during assumption decisions."""
+    def _analyze_final(self, seeds: Sequence[int], assumptions: List[int]) -> FrozenSet[int]:
+        """The assumptions that imply the false literals ``seeds``, found by
+        walking the trail back through reasons (MiniSat's ``analyzeFinal``).
+        ``seeds`` is the conflict clause reached while deciding assumptions,
+        or the complement of a falsified assumption; the caller adds that
+        assumption to the core."""
         assumption_set = set(assumptions)
         core: Set[int] = set()
         seen = self._seen
         to_clear: List[int] = []
-        for lit in self._lits[conflict]:
+        for lit in seeds:
             var = abs(lit)
             if self._levels[var] > 0 and not seen[var]:
                 seen[var] = True

@@ -48,10 +48,6 @@ class SatResult:
     propagations: int = 0
 
     @property
-    def is_sat(self) -> bool:
-        return self.status is SatStatus.SAT
-
-    @property
     def is_unsat(self) -> bool:
         return self.status is SatStatus.UNSAT
 

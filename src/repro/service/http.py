@@ -380,13 +380,6 @@ class AnalysisService:
         """The process-wide registry in Prometheus text exposition format."""
         return self.metrics.render_prometheus()
 
-    def job_trace(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """The span tree recorded for a terminal job, or ``None`` if absent."""
-        job = self.queue.get(job_id)
-        if not job.status.terminal:
-            return None
-        return job.trace
-
     @staticmethod
     def backends() -> Dict[str, List[str]]:
         return {

@@ -348,9 +348,6 @@ class JobQueue:
 
     # -- internals (callers hold the lock) --------------------------------------------
 
-    def _queued_count(self) -> int:
-        return sum(1 for job in self._jobs.values() if job.status is JobStatus.QUEUED)
-
     def _update_gauges(self) -> None:
         """Refresh the queue-depth and per-state job-count gauges.
 

@@ -245,6 +245,20 @@ class TestSkeletonSolves:
         assert calls == [len(tree.events)]
         assert result.portfolio.winner == result.engine == "rc2"
 
+    def test_engine_names_the_engines_that_answered(self):
+        # RC2 spends its core budget on this tree's one searched skeleton
+        # and hands the solve over to the hitting set engine.
+        e4 = random_fault_tree(num_basic_events=300, seed=0, voting_ratio=0.05, event_reuse=0.05)
+        for tree, engine in (
+            (voting_reuse_tree(40, 27), "rc2+hitting-set"),
+            (fire_protection_system(), MODULE_RULE_ENGINE),
+            (e4, "rc2"),
+        ):
+            result = MPMCSSolver().solve(tree)
+            assert result.engine == result.portfolio.winner == engine, tree.name
+            report = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat")
+            assert report.mpmcs.engine == engine, tree.name
+
     def test_cancellation_hook_reaches_skeleton_solves(self):
         solver = MPMCSSolver()
         solver.portfolio.external_stop = lambda: True

@@ -41,15 +41,6 @@ class TestCoverageIndex:
         assert index.all_mask == 0b111
         assert index.mask_of(["b"]) == 0b011
         assert index.mask_of(["unknown"]) == 0
-        assert not index.covers_all(["b"])
-        assert index.covers_all(["b", "d"])
-
-    def test_greedy_cover_is_feasible(self):
-        cores = [frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "c"})]
-        weights = {"a": 3, "b": 1, "c": 2}
-        chosen, cost = CoverageIndex(cores).greedy_cover(weights)
-        assert all(chosen & core for core in cores)
-        assert cost == sum(weights[element] for element in chosen)
 
 
 def _cores_and_weights():

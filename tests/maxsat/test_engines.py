@@ -247,6 +247,35 @@ class TestRC2AssumptionOrder:
         assert sums_seen > 0
 
 
+class TestHittingSetAssumptionOrder:
+    """The hitting set engine assumes its selectors heaviest first, as RC2
+    does: non-increasing weight, ties in soft clause order."""
+
+    def test_assumptions_come_heaviest_first(self, monkeypatch):
+        assumption_lists = []
+        solve = CDCLSolver.solve
+
+        def recording_solve(solver, assumptions=()):
+            assumption_lists.append(list(assumptions))
+            return solve(solver, assumptions)
+
+        monkeypatch.setattr(CDCLSolver, "solve", recording_solve)
+        reordered = 0
+        for seed in TestGrowingSums.SEEDS:
+            instance = TestGrowingSums.covering_instance(seed)
+            weights = {soft.literals[0]: soft.scaled_weight for soft in instance.soft}
+            # A stable sort: equal weights keep soft clause order.
+            order = sorted(weights, key=lambda sel: -weights[sel])
+            assumption_lists.clear()
+            HittingSetEngine().solve(instance)
+            assert len(assumption_lists) > 1, seed
+            for assumptions in assumption_lists:
+                assert assumptions == [sel for sel in order if sel in assumptions], seed
+                reordered += assumptions != [sel for sel in weights if sel in assumptions]
+        # Soft clause order alone would not pass.
+        assert reordered > 0
+
+
 class TestRC2CoreBudget:
     """A solve past its core budget finishes with the hitting set engine."""
 

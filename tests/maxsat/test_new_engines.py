@@ -11,6 +11,7 @@ from repro.maxsat import (
     MaxSATStatus,
     WPMaxSATInstance,
 )
+from repro.maxsat import hitting_set
 from repro.maxsat.hitting_set import minimum_cost_hitting_set
 
 NEW_ENGINES = [HittingSetEngine]
@@ -153,7 +154,8 @@ class TestMinimumCostHittingSet:
 
 
 class TestIterationCap:
-    def test_hitting_set_iteration_cap_returns_unknown(self):
-        engine = HittingSetEngine(max_iterations=1)
-        result = engine.solve(chain_instance())
+    def test_hitting_set_iteration_cap_returns_unknown(self, monkeypatch):
+        # The first round finds the core {x1}; the optimum needs a second.
+        monkeypatch.setattr(hitting_set, "MAX_ROUNDS", 1)
+        result = HittingSetEngine().solve(chain_instance())
         assert result.status is MaxSATStatus.UNKNOWN

@@ -11,8 +11,9 @@ clause reduction changes the digest.
 
 The corpus is checked to reach every path of the search: conflicts,
 restarts, learned clause reduction (also at a fixpoint where assumptions
-are still to be decided), cores from a falsified assumption and assumptions
-that are already true when their level comes.  Seeds are
+are still to be decided), cores from a falsified assumption and from a
+conflict among the assumption levels, and assumptions that are already
+true when their level comes.  Seeds are
 integers, so the corpus is the same on every supported Python.
 """
 
@@ -54,7 +55,15 @@ def _empty_assumption_levels(solver, assumptions):
 
 def _solve_corpus(monkeypatch):
     seen = dict.fromkeys(
-        ("searches", "reductions", "reductions_mid_assumptions", "falsified", "already_true"), 0
+        (
+            "searches",
+            "reductions",
+            "reductions_mid_assumptions",
+            "falsified",
+            "conflict_cores",
+            "already_true",
+        ),
+        0,
     )
     current = {}
 
@@ -62,28 +71,33 @@ def _solve_corpus(monkeypatch):
         method = getattr(CDCLSolver, name)
 
         def wrapper(self, *args):
-            count(self)
+            count(self, *args)
             return method(self, *args)
 
         monkeypatch.setattr(CDCLSolver, name, wrapper)
 
     def tally(key):
-        def count(solver):
+        def count(solver, *args):
             seen[key] += 1
 
         return count
+
+    def core_seeds(solver, seeds, assumptions):
+        # A conflict clause has at least two literals; a falsified
+        # assumption seeds the walk with its one complement.
+        seen["falsified" if len(seeds) == 1 else "conflict_cores"] += 1
 
     def reduction(solver):
         seen["reductions"] += 1
         seen["reductions_mid_assumptions"] += len(solver._trail_lim) < len(current["assumptions"])
 
-    def final_state(solver):
+    def final_state(solver, *args):
         seen["already_true"] += _empty_assumption_levels(solver, current["assumptions"])
 
     hook("_search", tally("searches"))
     hook("_reduce_learnts", reduction)
-    hook("_analyze_final", tally("falsified"))
-    for name in ("_extract_model", "_analyze_final", "_analyze_final_conflict"):
+    hook("_analyze_final", core_seeds)
+    for name in ("_extract_model", "_analyze_final"):
         hook(name, final_state)
 
     digest = hashlib.sha256()
@@ -134,6 +148,7 @@ def test_search_is_pinned(monkeypatch):
         "reductions",
         "reductions_mid_assumptions",
         "falsified",
+        "conflict_cores",
         "already_true",
     ):
         assert seen[path] > 0, path
