@@ -26,7 +26,6 @@ from repro.bdd.probability import top_event_probability
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
-from repro.maxsat import RC2Engine
 
 __all__ = ["MPMCSStabilityReport", "TornadoEntry", "mpmcs_stability", "tornado_analysis"]
 
@@ -76,7 +75,7 @@ def mpmcs_stability(
     if error_factor <= 1.0:
         raise AnalysisError("error_factor must be greater than 1")
 
-    pipeline = solver if solver is not None else MPMCSSolver(single_engine=RC2Engine())
+    pipeline = solver if solver is not None else MPMCSSolver()
     baseline = pipeline.solve(tree)
 
     rng = random.Random(seed)

@@ -53,12 +53,9 @@ from repro.core.pipeline import ModuleOptima, MPMCSResult, MPMCSSolver
 from repro.core.topk import RankedCutSet
 from repro.core.weights import weight_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError, ReproError
-from repro.fta.compiled import CompiledStructure, Skeleton
+from repro.fta.compiled import CompiledStructure
 from repro.fta.tree import FaultTree
 from repro import kernels
-from repro.maxsat.incremental import IncrementalMaxSATSession
-from repro.maxsat.portfolio import PortfolioReport
-from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.observability.metrics import get_metrics
 
 __all__ = [
@@ -191,34 +188,29 @@ class MaxSATBackend(AnalysisBackend):
     <repro.core.pipeline.MPMCSSolver.rank>` on :meth:`run`, the cold route,
     and on :meth:`run_batch` whenever more than one cut set is asked for.
     Its first optimum solves the tree's independent modules bottom-up, by
-    rule where a module's children are independent and otherwise by one
-    portfolio solve over the module's skeleton; a ranking of a tree whose
-    modules all solve by rule merges the modules' ranked cut sets.  Either
-    way a tree without shared nodes takes no SAT call.  Any other ranking
-    adds one blocked portfolio solve of a whole-tree
+    rule where a module's children are independent and otherwise by the
+    module skeleton's
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`; a ranking
+    of a tree whose modules all solve by rule merges the modules' ranked cut
+    sets.  Either way a tree without shared nodes takes no SAT call.  Any
+    other ranking adds one blocked portfolio solve of a whole-tree
     :func:`~repro.core.encoder.encode_mpmcs` per further entry.
 
     :meth:`run_batch` keeps one warm state per structure for one-optimum
     requests: the structure's :class:`~repro.core.pipeline.ModuleOptima`, so
     a probability-only tree re-solves only the modules above its changed
-    events.  The warm route differs from the cold one only in how a
-    skeleton that needs a search is solved: by a persistent
-    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` of that
-    skeleton, kept with the optima, so the probability-only trees of a batch
-    become weight-only re-solves.  Every route optimises the canonical order
-    itself (:func:`~repro.maxsat.instance.objective_weight`), so ties need
-    no extra solves and every ranking equals every other backend's.  One-off
-    analyses stay cold on purpose: on the E4 corpus a cold session cut the
-    median analysis time 7x but raised the p95 from 466 to 747 ms (2-core
-    host, CPython 3.11), because a many-core structure's first solve costs
-    far more than one RC2 solve.
+    events, each on a session that keeps its cores, learned clauses and
+    candidate pool from the earlier trees of the batch.  That is the only
+    difference between the routes: a cold analysis solves on fresh optima,
+    so nothing persists across :meth:`run` calls.  Every route optimises the
+    canonical order itself (:func:`~repro.maxsat.instance.objective_weight`),
+    so ties need no extra solves and every ranking equals every other
+    backend's.
     """
 
     name = "maxsat"
     CAPABILITIES = frozenset({"mpmcs", "ranking"})
 
-    #: Engine label of warm results on a structure with a searched skeleton.
-    WARM_ENGINE = "incremental-hitting-set"
     #: Default bound on live warm states (each session owns a persistent solver).
     WARM_SESSION_LIMIT = 4
 
@@ -234,44 +226,17 @@ class MaxSATBackend(AnalysisBackend):
         return self.context.solver
 
     def _solve_warm(self, tree: FaultTree) -> MPMCSResult:
-        """The warm route: ``tree``'s optimum from its structure's module
-        optima (LRU-bounded), each searched skeleton re-solved by its own
-        incremental session.  Raises :class:`BudgetExceededError` when a
-        session blows its core budget; the caller then falls back to the
-        cold route.
+        """The warm route: ``tree``'s optimum from its structure's kept
+        module optima (LRU-bounded), whose sessions keep their cores and
+        learned clauses.  Raises :class:`BudgetExceededError` when a session
+        blows its core budget; the caller then falls back to the cold route.
         """
         structure = tree.compiled()
         optima = self._warm_sessions.pop(structure, None) or ModuleOptima(structure)
         self._warm_sessions[structure] = optima
         while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
             self._warm_sessions.popitem(last=False)
-
-        def solve(
-            skeleton: Skeleton, value: Dict[str, Tuple[int, float]]
-        ) -> Tuple[List[str], PortfolioReport]:
-            session = optima.sessions.get(skeleton)
-            if session is None:
-                session = optima.sessions[skeleton] = IncrementalMaxSATSession(skeleton)
-            started = time.perf_counter()
-            calls = session.sat_calls
-            leaves = session.solve(value)
-            elapsed = time.perf_counter() - started
-            solved = MaxSATResult(
-                MaxSATStatus.OPTIMUM,
-                engine=self.WARM_ENGINE,
-                solve_time=elapsed,
-                sat_calls=session.sat_calls - calls,
-            )
-            report = PortfolioReport(
-                self.WARM_ENGINE, solved, {self.WARM_ENGINE: elapsed}, total_time=elapsed
-            )
-            return leaves, report
-
-        result = self._solver().solve_modules(tree, optima, solve)
-        if optima.sessions:
-            # A scenario that re-solves no skeleton still reads the sessions' optima.
-            result.engine = self.WARM_ENGINE
-        return result
+        return self._solver().solve_modules(tree, optima)
 
     def run(self, tree: FaultTree, request: AnalysisRequest) -> AnalysisReport:
         return self._run(tree, request, warm=False)
@@ -295,8 +260,8 @@ class MaxSATBackend(AnalysisBackend):
             try:
                 enumerated = [self._solve_warm(tree)]
             except BudgetExceededError:
-                # Pathological structure for the hitting-set loop: fall back
-                # to the cold portfolio for this tree.
+                # A kept session's cores outgrew its hitting-set search: fall
+                # back to a cold analysis, whose sessions start afresh.
                 registry.inc("repro_solver_warm_fallbacks_total")
             else:
                 report.profile["warm_solves"] = 1

@@ -98,7 +98,6 @@ def analyze_many(
     samples: int = 0,
     seed: int = 0,
     cutoff: float = 1e-9,
-    deterministic: bool = True,
 ) -> BatchResult:
     """Analyse every tree in ``trees`` and return a :class:`BatchResult`.
 
@@ -106,7 +105,7 @@ def analyze_many(
     ----------
     trees:
         The fault trees to analyse (materialised up front to fix the order).
-    analyses / backend / top_k / samples / seed / cutoff / deterministic:
+    analyses / backend / top_k / samples / seed / cutoff:
         Forwarded to :meth:`AnalysisSession.analyze` for every tree; ignored
         when an explicit ``request`` is given.
     workers:
@@ -129,7 +128,6 @@ def analyze_many(
             samples=samples,
             seed=seed,
             cutoff=cutoff,
-            deterministic=deterministic,
         )
 
     payloads = [(index, tree, request) for index, tree in enumerate(tree_list)]

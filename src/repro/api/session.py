@@ -177,7 +177,6 @@ class AnalysisSession:
         samples: int = 0,
         seed: int = 0,
         cutoff: float = 1e-9,
-        deterministic: bool = True,
     ) -> AnalysisReport:
         """Run the requested analyses on ``tree`` and return one merged report.
 
@@ -193,7 +192,6 @@ class AnalysisSession:
             samples=samples,
             seed=seed,
             cutoff=cutoff,
-            deterministic=deterministic,
         )
         return self.run(tree, request)
 

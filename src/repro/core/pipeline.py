@@ -2,9 +2,10 @@
 
 :class:`MPMCSSolver` wires together the fault-tree formula transformation, the
 Tseitin CNF conversion, the log-space weight transformation, the Weighted
-Partial MaxSAT encoding, the parallel portfolio resolution and the reverse
-log-space transformation, and returns an :class:`MPMCSResult` describing the
-Maximum Probability Minimal Cut Set of a fault tree.
+Partial MaxSAT encoding, its resolution (module by module, or by the
+parallel portfolio on a whole-tree encoding) and the reverse log-space
+transformation, and returns an :class:`MPMCSResult` describing the Maximum
+Probability Minimal Cut Set of a fault tree.
 
 Example
 -------
@@ -34,7 +35,7 @@ from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
-from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.maxsat.portfolio import PortfolioReport, PortfolioSolver
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
@@ -174,14 +175,6 @@ def rank_optima(
     return held
 
 
-#: ``solve(skeleton, value)`` of :meth:`ModuleOptima.update`: the leaves a
-#: module's optimum takes, given each leaf's ``(objective, weight)``, and the
-#: report of the solve that found them.
-SkeletonSolve = Callable[
-    [Skeleton, Dict[str, Tuple[int, float]]], Tuple[Sequence[str], PortfolioReport]
-]
-
-
 class ModuleOptima:
     """The optimum of every independent module of one structure, kept up to date.
 
@@ -190,10 +183,11 @@ class ModuleOptima:
     re-weighed, and only the modules above them are solved again, bottom-up:
     a module whose solve leaves its objective unchanged stops the climb.  A
     first update, or one for a tree of another structure, solves every
-    module.  A cold analysis uses a fresh instance; the ``maxsat`` backend's
-    warm route keeps one per structure across the probability-only trees of
-    a batch, with an incremental session per searched skeleton
-    (:attr:`sessions`).
+    module.  Each skeleton that needs a search is solved by its own
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`
+    (:attr:`sessions`).  A cold analysis uses a fresh instance; the
+    ``maxsat`` backend's warm route keeps one per structure, sessions and
+    all, across the probability-only trees of a batch.
     """
 
     def __init__(self, structure: CompiledStructure) -> None:
@@ -212,28 +206,33 @@ class ModuleOptima:
         #: optimum, and the leaves of its skeleton each module's optimum takes.
         self._value: Dict[str, Tuple[int, float]] = {}
         self._chosen: Dict[str, Sequence[str]] = {}
-        #: The incremental session a warm caller keeps for each skeleton that
-        #: needs a search, forgotten with the optima.
+        #: The incremental session of each skeleton that needs a search,
+        #: created by its first solve and forgotten with the optima.
         self.sessions: Dict[Skeleton, IncrementalMaxSATSession] = {}
 
-    def update(self, tree: FaultTree, solve: SkeletonSolve) -> List[PortfolioReport]:
+    def update(
+        self, tree: FaultTree, stop_check: Optional[Callable[[], bool]] = None
+    ) -> Tuple[float, int]:
         """Bring every module's optimum in line with ``tree``.
 
         A module whose root's children are all leaves takes its optimum by
-        rule (:func:`_optimum_by_rule`); any other goes to ``solve``.  Returns
-        the reports of the solves made.  A failed update forgets every
-        optimum, so the next one starts afresh.
+        rule (:func:`_optimum_by_rule`); any other is solved by its session,
+        under the cooperative cancellation hook ``stop_check``.  Returns the
+        seconds and the SAT calls the session solves took.  A failed update
+        forgets every optimum, so the next one starts afresh.
         """
         structure = tree.compiled()
         if structure is not self.structure:
             self._reset(structure)
         try:
-            return self._update(tree, solve)
+            return self._update(tree, stop_check)
         except BaseException:
             self._reset(structure)
             raise
 
-    def _update(self, tree: FaultTree, solve: SkeletonSolve) -> List[PortfolioReport]:
+    def _update(
+        self, tree: FaultTree, stop_check: Optional[Callable[[], bool]]
+    ) -> Tuple[float, int]:
         modules = self.structure.modules
         value = self._value
         # A first update solves every module; a later one only those above a
@@ -266,14 +265,21 @@ class ModuleOptima:
             value[name] = (objective, weight)
             if not fresh:
                 touch(name)
-        reports: List[PortfolioReport] = []
+        seconds = 0.0
+        sat_calls = 0
         while pending:
             skeleton = modules[heapq.heappop(pending)]
             if skeleton.by_rule:
                 leaves = _optimum_by_rule(skeleton.gates[-1], value)
             else:
-                leaves, report = solve(skeleton, value)
-                reports.append(report)
+                session = self.sessions.get(skeleton)
+                if session is None:
+                    session = self.sessions[skeleton] = IncrementalMaxSATSession(skeleton)
+                started = time.perf_counter()
+                calls = session.sat_calls
+                leaves = session.solve(value, stop_check)
+                seconds += time.perf_counter() - started
+                sat_calls += session.sat_calls - calls
             self._chosen[skeleton.root] = leaves
             optimum = (
                 sum(value[leaf][0] for leaf in leaves),
@@ -283,7 +289,7 @@ class ModuleOptima:
                 value[skeleton.root] = optimum
                 if not fresh:
                     touch(skeleton.root)
-        return reports
+        return seconds, sat_calls
 
     def optimum(self) -> Tuple[Tuple[str, ...], int, float]:
         """The top's optimal cut set (sorted), its objective and its weight."""
@@ -306,26 +312,34 @@ class MPMCSSolver:
     Parameters
     ----------
     mode:
-        Step 5's execution mode, chosen here and nowhere else:
-        ``"sequential"`` (default; RC2 answers and the hitting set engine
-        runs only if it is inconclusive) or ``"process"`` (the two race in
-        worker processes; the first conclusive answer wins).
+        Step 5's execution mode for whole-tree solves, chosen here and
+        nowhere else: ``"sequential"`` (default; RC2 answers and the hitting
+        set engine runs only if it is inconclusive) or ``"process"`` (the
+        two race in worker processes; the first conclusive answer wins).
+        Module-by-module solves do not use the portfolio, so ``mode``
+        reaches only the blocked whole-tree solves of a ranking
+        (:meth:`optima`) and :meth:`solve_encoding`.
     single_engine:
         When given, the portfolio is bypassed and this engine is used alone
         on the whole-tree encoding: the oracle of the tests and the
         paper reproductions.
 
-    With the portfolio, :meth:`solve` works module by module.  The MaxSAT
-    objective (:func:`~repro.maxsat.instance.objective_weight`) is additive
-    over disjoint event sets and no two sets tie, so the optimum of an
-    independent module follows from the optima of its maximal proper
+    Without ``single_engine``, :meth:`solve` works module by module.  The
+    MaxSAT objective (:func:`~repro.maxsat.instance.objective_weight`) is
+    additive over disjoint event sets and no two sets tie, so the optimum of
+    an independent module follows from the optima of its maximal proper
     sub-modules (:attr:`~repro.fta.compiled.CompiledStructure.modules`).
     The modules are solved bottom-up: one whose root's children are all
     leaves takes its optimum by rule (AND: every child; OR: the cheapest
     child; k-of-n: the k cheapest children), and every other one takes one
-    portfolio solve over its skeleton, in which each sub-module is a single
-    pseudo-event weighted by its optimum's objective.  The result is the
-    whole-tree optimum, found with fewer and smaller solves.  With
+    solve of its skeleton's
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` (an implicit
+    hitting set loop), in which each sub-module is a single pseudo-event
+    weighted by its optimum's objective.  The result is the whole-tree
+    optimum, found with fewer and smaller solves; its ``engine`` reads
+    :data:`~repro.maxsat.incremental.SESSION_ENGINE` when some module needs a
+    search and :data:`MODULE_RULE_ENGINE` otherwise.  The portfolio's
+    ``external_stop`` hook cancels those solves too.  With
     ``single_engine``, :meth:`solve` solves one whole-tree encoding.
 
     Every returned cut set is checked to be a minimal cut set of the fault
@@ -358,20 +372,16 @@ class MPMCSSolver:
         result.total_time = time.perf_counter() - start
         return result
 
-    def solve_modules(
-        self, tree: FaultTree, optima: ModuleOptima, solve: Optional[SkeletonSolve] = None
-    ) -> MPMCSResult:
+    def solve_modules(self, tree: FaultTree, optima: ModuleOptima) -> MPMCSResult:
         """Steps 3-6 module by module: ``optima`` brought in line with
-        ``tree`` (:meth:`ModuleOptima.update`), the skeletons that need a
-        search solved by ``solve``, by default one portfolio solve each.  The
-        reported instance size is the whole-tree encoding's, assembled only
-        if it is read."""
+        ``tree`` (:meth:`ModuleOptima.update`).  The reported instance size
+        is the whole-tree encoding's, assembled only if it is read."""
         start = time.perf_counter()
-        reports = optima.update(
-            tree, solve or (lambda skeleton, value: self._solve_skeleton(tree, skeleton, value))
-        )
+        stop_check = self.portfolio.external_stop if self.portfolio is not None else None
+        seconds, sat_calls = optima.update(tree, stop_check)
         cut_set, objective, weight = optima.optimum()
-        report = _merged_report(reports, objective, weight)
+        engine = SESSION_ENGINE if optima.sessions else MODULE_RULE_ENGINE
+        report = _merged_report(engine, objective, weight, seconds, sat_calls)
         return self._result(
             tree,
             cut_set,
@@ -439,7 +449,8 @@ class MPMCSSolver:
         results = []
         for objective, parts in ranked[structure.order[structure.top]]:
             cut_set = _cut_set(parts)
-            report = _merged_report((), objective, sum(weights[name] for name in cut_set))
+            weight = sum(weights[name] for name in cut_set)
+            report = _merged_report(MODULE_RULE_ENGINE, objective, weight)
             results.append(
                 self._result(
                     tree, cut_set, weights, report.result, report, start, len(weights), structure
@@ -475,20 +486,6 @@ class MPMCSSolver:
         return solve
 
     # -- internals --------------------------------------------------------------------
-
-    def _solve_skeleton(
-        self, tree: FaultTree, skeleton: Skeleton, value: Dict[str, Tuple[int, float]]
-    ) -> Tuple[List[str], PortfolioReport]:
-        """One portfolio solve over a module's skeleton; returns the leaves it takes."""
-        assert self.portfolio is not None
-        cnf = skeleton.cnf
-        instance = cnf.instance.copy()
-        for leaf, var in cnf.event_vars.items():
-            scaled, weight = value[leaf]
-            instance.add_soft([-var], weight, label=leaf, scaled_weight=scaled)
-        report = self.portfolio.solve_with_report(instance)
-        model = self._model(tree, report.result)
-        return [leaf for leaf, var in cnf.event_vars.items() if model.get(var, False)], report
 
     @staticmethod
     def _model(tree: FaultTree, maxsat_result: MaxSATResult) -> Dict[int, bool]:
@@ -642,38 +639,25 @@ def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:
 
 
 def _merged_report(
-    reports: Sequence[PortfolioReport], cost: int, float_cost: float
+    engine: str, cost: int, float_cost: float, seconds: float = 0.0, sat_calls: int = 0
 ) -> PortfolioReport:
-    """One report for a modular solve: its skeleton solves' engine times summed.
-
-    The winner names the engines that answered the skeleton solves, each
-    once in order of first appearance (a solve RC2 handed over counts as
-    ``rc2`` then ``hitting-set``), or :data:`MODULE_RULE_ENGINE` when every
-    module was solved by rule.
-    """
-    times: Dict[str, float] = {}
-    statuses: Dict[str, str] = {}
-    for report in reports:
-        for name, seconds in report.engine_times.items():
-            times[name] = times.get(name, 0.0) + seconds
-        statuses.update(report.engine_statuses)
-    engines = (name for report in reports for name in report.result.engine.split("+"))
-    winner = "+".join(dict.fromkeys(engines)) or MODULE_RULE_ENGINE
+    """One report for a modular solve, its skeleton solves' ``seconds`` and
+    ``sat_calls`` summed, under the engine name ``engine``."""
     result = MaxSATResult(
         MaxSATStatus.OPTIMUM,
         cost=cost,
         float_cost=float_cost,
-        engine=winner,
-        solve_time=sum((report.result.solve_time for report in reports), 0.0),
-        sat_calls=sum(report.result.sat_calls for report in reports),
-        conflicts=sum(report.result.conflicts for report in reports),
+        engine=engine,
+        solve_time=seconds,
+        sat_calls=sat_calls,
     )
+    searched = engine != MODULE_RULE_ENGINE
     return PortfolioReport(
-        winner=winner,
+        winner=engine,
         result=result,
-        engine_times=times,
-        engine_statuses=statuses,
-        total_time=sum((report.total_time for report in reports), 0.0),
+        engine_times={engine: seconds} if searched else {},
+        engine_statuses={engine: result.status.value} if searched else {},
+        total_time=seconds,
     )
 
 

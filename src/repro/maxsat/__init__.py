@@ -13,16 +13,18 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   also hands a solve to once it outgrows its core budget.
 * :class:`repro.maxsat.bruteforce.BruteForceEngine` — an exhaustive reference
   solver used by the test suite on small instances.
-* :class:`repro.maxsat.portfolio.PortfolioSolver` — the portfolio of Step 5:
-  RC2, then the hitting set engine, run in order in-process, or race in
-  worker processes; the first conclusive result wins.  Callers choose the
-  mode on :class:`~repro.core.pipeline.MPMCSSolver` (``mode="process"``).
-* :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — warm-started
-  implicit-hitting-set solving of one module's skeleton for weight-only
-  re-solves across scenario sweeps: one persistent CDCL solver,
+* :class:`repro.maxsat.portfolio.PortfolioSolver` — the portfolio of Step 5
+  for whole-tree instances: RC2, then the hitting set engine, run in order
+  in-process, or race in worker processes; the first conclusive result
+  wins.  Callers choose the mode on :class:`~repro.core.pipeline.MPMCSSolver`
+  (``mode="process"``).
+* :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — the module
+  route's one skeleton solver, cold and warm: implicit-hitting-set solving
+  of one module's skeleton over one persistent CDCL solver, with
   weight-independent cached cores, and hitting sets certified as cut sets
   (from a pool of earlier optima or by evaluating the skeleton) without a
-  SAT call.
+  SAT call, so a kept session turns a scenario sweep into weight-only
+  re-solves.
 """
 
 from repro.maxsat.instance import SoftClause, WPMaxSATInstance

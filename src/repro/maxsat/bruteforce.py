@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import SolverError
 from repro.logic.cnf import Literal
 from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.instance import WPMaxSATInstance
-from repro.maxsat.result import MaxSATResult, MaxSATStatus
-from repro.sat.cdcl import CDCLSolver
+from repro.maxsat.result import MaxSATResult
 from repro.sat.types import SatStatus
 
 __all__ = ["BruteForceEngine"]
@@ -52,8 +51,8 @@ class BruteForceEngine(MaxSATEngine):
             )
 
         solver = self._new_sat_solver(instance)
-        selector_map = self._attach_selectors(solver, instance)
-        selectors = selector_map.selectors
+        weights = self._attach_selectors(solver, instance)
+        selectors = list(weights)
         sat_calls = 0
 
         # Quick feasibility check of the hard clauses alone.
@@ -68,7 +67,7 @@ class BruteForceEngine(MaxSATEngine):
         subsets: List[Tuple[int, Tuple[Literal, ...]]] = []
         for size in range(len(selectors) + 1):
             for combo in itertools.combinations(selectors, size):
-                weight = sum(selector_map.weights[sel] for sel in combo)
+                weight = sum(weights[sel] for sel in combo)
                 subsets.append((weight, combo))
         subsets.sort(key=lambda item: item[0])
 

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.exceptions import SolverError, SolverInterrupted
 from repro.logic.cnf import Literal
-from repro.maxsat.instance import SoftClause, WPMaxSATInstance
+from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 from repro.sat.cdcl import CDCLSolver
 
-__all__ = ["MaxSATEngine", "SelectorMap", "heaviest_first", "new_sat_solver"]
+__all__ = ["MaxSATEngine", "heaviest_first", "new_sat_solver"]
 
 
 def new_sat_solver(
@@ -55,33 +54,6 @@ def _load(solver: CDCLSolver, num_vars: int, hard: Iterable[Sequence[Literal]]) 
     for clause in hard:
         solver.add_clause(clause)
     return solver
-
-
-@dataclass
-class SelectorMap:
-    """Bookkeeping linking soft clauses to their selector (assumption) literals.
-
-    For a *unit* soft clause ``(l)`` the selector is ``l`` itself.  For a wider
-    soft clause ``C`` a fresh relaxation variable ``r`` is introduced together
-    with the hard clause ``C ∨ r``; assuming ``¬r`` then forces ``C`` to be
-    satisfied, so the selector is ``¬r``.
-
-    Attributes
-    ----------
-    weights:
-        Mapping from selector literal to its (remaining) scaled integer weight.
-        Selectors of duplicated soft clauses are merged by summing weights.
-    originals:
-        Mapping from selector literal to the soft clauses it represents, used
-        to recompute model costs.
-    """
-
-    weights: Dict[Literal, int]
-    originals: Dict[Literal, List[SoftClause]]
-
-    @property
-    def selectors(self) -> List[Literal]:
-        return list(self.weights.keys())
 
 
 class MaxSATEngine:
@@ -127,10 +99,17 @@ class MaxSATEngine:
 
     def _attach_selectors(
         self, solver: CDCLSolver, instance: WPMaxSATInstance
-    ) -> SelectorMap:
-        """Create selector literals for every soft clause of ``instance``."""
+    ) -> Dict[Literal, int]:
+        """Create a selector literal for every soft clause of ``instance``.
+
+        Returns each selector's scaled integer weight.  For a *unit* soft
+        clause ``(l)`` the selector is ``l`` itself.  For a wider soft clause
+        ``C`` a fresh relaxation variable ``r`` is introduced together with
+        the hard clause ``C ∨ r``; assuming ``¬r`` then forces ``C`` to be
+        satisfied, so the selector is ``¬r``.  Selectors of duplicated soft
+        clauses are merged by summing their weights.
+        """
         weights: Dict[Literal, int] = {}
-        originals: Dict[Literal, List[SoftClause]] = {}
         for soft in instance.soft:
             if len(soft.literals) == 1:
                 selector = soft.literals[0]
@@ -139,8 +118,7 @@ class MaxSATEngine:
                 solver.add_clause(list(soft.literals) + [relax])
                 selector = -relax
             weights[selector] = weights.get(selector, 0) + soft.scaled_weight
-            originals.setdefault(selector, []).append(soft)
-        return SelectorMap(weights=weights, originals=originals)
+        return weights
 
     def _result_from_model(
         self,

@@ -20,15 +20,17 @@ node leaves unhit, and add the cheapest element of each, since any completion
 must pay for every one of them separately.  Without it the search is
 exponential on independent ties: 20 disjoint two-element cores of equal
 weights have 2^20 optimal hitting sets, and the bound settles them at the
-root.  The search starts with no incumbent: every hitting-set instance the
-MPMCS pipeline builds has one optimum (the objective is the canonical
-order), so a starting upper bound would change neither the answer nor the
-number of SAT calls.
+root.  The engine's search starts with no incumbent.  The module route's
+session (:class:`~repro.maxsat.incremental.IncrementalMaxSATSession`)
+starts each later round of a solve from the previous round's hitting set
+plus the new core's cheapest member, which hits every core.  Every
+hitting-set instance the MPMCS pipeline builds has one optimum (the
+objective is the canonical order), so that bound changes neither the answer
+nor the number of SAT calls, only the nodes searched.
 
-The engine's loop and the warm session's
-(:class:`~repro.maxsat.incremental.IncrementalMaxSATSession`) both assume
-their selectors heaviest first (:func:`~repro.maxsat.engine.heaviest_first`)
-and share one round budget, :data:`MAX_ROUNDS`.
+The engine's loop and the session's both assume their selectors heaviest
+first (:func:`~repro.maxsat.engine.heaviest_first`) and share one round
+budget, :data:`MAX_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ def minimum_cost_hitting_set(
     cores: List[FrozenSet[Literal]],
     weights: Dict[Literal, int],
     *,
+    incumbent: Optional[Set[Literal]] = None,
     max_nodes: int = 2_000_000,
     stop_check: Optional[Callable[[], bool]] = None,
 ) -> Tuple[Set[Literal], int]:
@@ -71,11 +74,15 @@ def minimum_cost_hitting_set(
     Raises :class:`BudgetExceededError` when the search exceeds ``max_nodes``
     nodes (a safety valve; never reached on realistic inputs).
 
-    ``stop_check`` is the portfolio's cooperative cancellation hook: it is
+    ``incumbent``, when given, is a set known to hit every core: the search
+    starts with its cost as the bound and returns it unless a strictly
+    cheaper hitting set exists.
+
+    ``stop_check`` is the caller's cooperative cancellation hook: it is
     polled every few hundred search nodes and, when it returns true, the
     search unwinds with :class:`SolverInterrupted` — so a cancelled engine
-    stops promptly even while deep inside this recursion, not just at its
-    next SAT call.
+    or session stops promptly even while deep inside this recursion, not
+    just at its next SAT call.
 
     The packed-bitset machinery (cores a partial choice still misses as one
     arbitrary-precision mask, per-element coverage masks) comes from
@@ -89,9 +96,13 @@ def minimum_cost_hitting_set(
     coverage = index.coverage
     all_mask = index.all_mask
 
-    # No incumbent: every hitting set costs less than all elements together.
-    best_set: Set[Literal] = set()
-    best_cost = sum(weights.get(element, 0) for element in coverage) + 1
+    if incumbent is None:
+        # Every hitting set costs less than all elements together.
+        best_set: Set[Literal] = set()
+        best_cost = sum(weights.get(element, 0) for element in coverage) + 1
+    else:
+        best_set = set(incumbent)
+        best_cost = sum(weights.get(element, 0) for element in best_set)
 
     # Branching order inside a core: cheapest element first.
     sorted_cores = [
@@ -166,7 +177,7 @@ class HittingSetEngine(MaxSATEngine):
     def solve(self, instance: WPMaxSATInstance) -> MaxSATResult:
         start = time.perf_counter()
         solver = self._new_sat_solver(instance)
-        weights = self._attach_selectors(solver, instance).weights
+        weights = self._attach_selectors(solver, instance)
         selectors = heaviest_first(weights)
 
         cores: List[FrozenSet[Literal]] = []

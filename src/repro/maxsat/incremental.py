@@ -1,11 +1,14 @@
-"""Warm-started incremental MaxSAT sessions for weight-only re-solves.
+"""Incremental MaxSAT sessions: the module route's one skeleton solver.
 
-The warm route (``MaxSATBackend.run_batch``: sweeps and monitors) keeps one
-:class:`~repro.core.pipeline.ModuleOptima` per structure, as the cold route
-does per analysis, and hands each skeleton that needs a search
+:class:`~repro.core.pipeline.ModuleOptima` solves a tree module by module
+and hands each skeleton that needs a search
 (:attr:`~repro.fta.compiled.Skeleton.by_rule` false) to a session of its
-own.  A skeleton's MPMCS encoding has a very particular shape: the *hard*
-clauses are the Tseitin CNF of its gates (:attr:`Skeleton.cnf
+own, created on first use.  A cold analysis uses fresh optima, so its
+sessions live for one solve; the warm route (``MaxSATBackend.run_batch``:
+sweeps and monitors) keeps one ``ModuleOptima`` per structure, and with it
+the sessions, across the probability-only trees of a batch.  A skeleton's
+MPMCS encoding has a very particular shape: the *hard* clauses are the
+Tseitin CNF of its gates (:attr:`Skeleton.cnf
 <repro.fta.compiled.Skeleton.cnf>`) — fixed across every scenario of a
 probability or maintenance sweep — while the *soft* clauses are unit clauses
 ``(¬x_i)``, one per leaf, whose weights are the only thing a weight-only
@@ -26,7 +29,9 @@ incremental:
 hitting set loop (Davies & Bacchus) over one persistent solver:
 
 1. compute a minimum-cost hitting set of the cached cores under the
-   *current* scenario's leaf objectives;
+   *current* scenario's leaf objectives; a round after the first of a solve
+   starts that search from the previous hitting set plus the new core's
+   cheapest member;
 2. when the hitting set is a cut set of the skeleton, it is the answer, with
    no oracle call (see :meth:`IncrementalMaxSATSession.solve`).  It is known
    to be one when it contains a cut set the session has already produced
@@ -41,17 +46,18 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
 The session weighs nothing itself: each leaf's ``(objective, weight)`` is
 the value :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an
 event's :func:`~repro.maxsat.instance.objective_weight`, or a sub-module
-optimum's sum of them), exactly what the cold route's skeleton solve is
-given, so the two routes agree on every optimum.  Nothing the session ever
-adds to the solver is scenario-specific, which is what makes a sweep a
-sequence of *weight-only re-solves*: no re-encoding, no solver restart.
+optimum's sum of them), so a kept session and a fresh one agree on every
+optimum.  Nothing the session ever adds to the solver is scenario-specific,
+which is what makes a sweep a sequence of *weight-only re-solves*: no
+re-encoding, no solver restart.  Every solve reports the engine name
+:data:`SESSION_ENGINE`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import BudgetExceededError, NoCutSetError
+from repro.exceptions import BudgetExceededError, NoCutSetError, SolverInterrupted
 from repro.fta.compiled import Skeleton
 from repro.logic.cnf import Literal
 from repro.maxsat.engine import heaviest_first, new_sat_solver
@@ -59,7 +65,10 @@ from repro.maxsat.hitting_set import MAX_ROUNDS, minimum_cost_hitting_set
 from repro.observability import trace as _trace
 from repro.sat.types import SatStatus
 
-__all__ = ["IncrementalMaxSATSession"]
+__all__ = ["IncrementalMaxSATSession", "SESSION_ENGINE"]
+
+#: The engine name of every session solve, in results and reports.
+SESSION_ENGINE = "incremental-hitting-set"
 
 #: ``(objective, weight)`` of each leaf, keyed by name: the values of
 #: :class:`~repro.core.pipeline.ModuleOptima`.
@@ -119,14 +128,20 @@ class IncrementalMaxSATSession:
 
     # -- solving ---------------------------------------------------------------
 
-    def solve(self, value: LeafValues) -> List[str]:
+    def solve(
+        self, value: LeafValues, stop_check: Optional[Callable[[], bool]] = None
+    ) -> List[str]:
         """The leaves the skeleton's optimum takes under ``value``, in
-        variable order, as the cold route's skeleton solve returns them.
+        variable order.
 
         Raises :class:`NoCutSetError` when the skeleton has no cut set and
         :class:`BudgetExceededError` when the core-discovery loop exceeds
-        :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` (callers then fall back
-        to a cold solve).
+        :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` (the warm route then
+        falls back to a fresh session).  ``stop_check`` is the caller's
+        cooperative cancellation hook (the portfolio's ``external_stop``):
+        polled every round, by the SAT solver and by the hitting set search,
+        it ends the solve with :class:`SolverInterrupted` once it returns
+        true.
 
         A round whose minimum-cost hitting set is a cut set returns that
         hitting set without a SAT call: it contains a pooled cut set, or
@@ -141,7 +156,7 @@ class IncrementalMaxSATSession:
         with _trace.span("maxsat.solve") as span:
             calls_before = self.sat_calls
             rounds_before = self.rounds
-            leaves = self._solve(value)
+            leaves = self._solve(value, stop_check)
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 span.add("hs_rounds", self.rounds - rounds_before)
@@ -163,15 +178,23 @@ class IncrementalMaxSATSession:
                     span.add(tier, count - stats_before[tier])
             return results
 
-    def _solve(self, value: LeafValues) -> List[str]:
+    def _solve(
+        self, value: LeafValues, stop_check: Optional[Callable[[], bool]]
+    ) -> List[str]:
         # Assuming a leaf's selector ``-var`` keeps it out of the cut set.
         objective = {-var: value[leaf][0] for leaf, var in self.event_vars.items()}
         selectors = heaviest_first(objective)
+        self._solver.stop_check = stop_check
         certified = False
         leaves: Optional[Tuple[str, ...]] = None
+        incumbent: Optional[Set[Literal]] = None
         for _ in range(MAX_ROUNDS):
+            if stop_check is not None and stop_check():
+                raise SolverInterrupted("session solve stopped by cooperative cancellation")
             self.rounds += 1
-            hitting_set, _ = minimum_cost_hitting_set(self._cores, objective)
+            hitting_set, _ = minimum_cost_hitting_set(
+                self._cores, objective, incumbent=incumbent, stop_check=stop_check
+            )
             candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
             if self._contains_pooled(candidate) or self.skeleton.reaches_root(candidate):
                 leaves, certified = candidate, True
@@ -192,6 +215,9 @@ class IncrementalMaxSATSession:
                 # root cannot occur at all.
                 raise NoCutSetError(f"the skeleton of module {self.skeleton.root!r} has no cut set")
             self._cores.append(core)
+            # The core is disjoint from the hitting set (it holds only assumed
+            # selectors), so adding its cheapest member hits every core.
+            incumbent = hitting_set | {min(core, key=objective.__getitem__)}
         else:
             raise BudgetExceededError(
                 f"incremental MaxSAT session exceeded {MAX_ROUNDS} core rounds"

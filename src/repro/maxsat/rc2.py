@@ -74,10 +74,9 @@ class RC2Engine(MaxSATEngine):
     def solve(self, instance: WPMaxSATInstance) -> MaxSATResult:
         start = time.perf_counter()
         solver = self._new_sat_solver(instance)
-        selector_map = self._attach_selectors(solver, instance)
+        initial = self._attach_selectors(solver, instance)
 
         # Remaining weight per active selector literal, heaviest first.
-        initial = selector_map.weights
         weights: Dict[Literal, int] = {sel: initial[sel] for sel in heaviest_first(initial)}
         # Totalizer bookkeeping for "sum" selectors:  selector -> (totalizer, bound).
         sums: Dict[Literal, Tuple[Totalizer, int]] = {}

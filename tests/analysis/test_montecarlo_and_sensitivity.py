@@ -5,11 +5,12 @@ import pytest
 from repro.analysis.montecarlo import estimate_top_event_probability
 from repro.analysis.sensitivity import mpmcs_stability, tornado_analysis
 from repro.bdd.probability import top_event_probability
+from repro.core import pipeline
 from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import RC2Engine
 from repro.workloads.generator import random_fault_tree
+from tests.conftest import k_of_n_ladder
 
 
 class TestMonteCarlo:
@@ -56,6 +57,23 @@ class TestMonteCarlo:
         )
         estimate = estimate_top_event_probability(tree, samples=500, seed=0)
         assert estimate.probability == pytest.approx(1.0)
+
+    def test_default_solver_takes_the_module_route(self, monkeypatch):
+        """The voting ladder solves by rule, module by module, with no
+        whole-tree encoding; RC2 alone on it needs one per sample."""
+        tree = k_of_n_ladder(9, 5)
+        encodings = []
+        encode = pipeline.encode_mpmcs
+
+        def counting(tree):
+            encodings.append(tree.name)
+            return encode(tree)
+
+        monkeypatch.setattr(pipeline, "encode_mpmcs", counting)
+        report = mpmcs_stability(tree, samples=3)
+        assert encodings == []
+        assert report.baseline == MPMCSSolver().solve(tree).events
+        assert sum(report.win_counts.values()) == 3
 
     def test_invalid_parameters_rejected(self, fps_tree):
         with pytest.raises(AnalysisError):
@@ -111,6 +129,23 @@ class TestMPMCSStability:
         low, high = report.probability_range
         assert 0.0 < low <= high <= 1.0
 
+    def test_default_solver_takes_the_module_route(self, monkeypatch):
+        """The voting ladder solves by rule, module by module, with no
+        whole-tree encoding; RC2 alone on it needs one per sample."""
+        tree = k_of_n_ladder(9, 5)
+        encodings = []
+        encode = pipeline.encode_mpmcs
+
+        def counting(tree):
+            encodings.append(tree.name)
+            return encode(tree)
+
+        monkeypatch.setattr(pipeline, "encode_mpmcs", counting)
+        report = mpmcs_stability(tree, samples=3)
+        assert encodings == []
+        assert report.baseline == MPMCSSolver().solve(tree).events
+        assert sum(report.win_counts.values()) == 3
+
     def test_invalid_parameters_rejected(self, fps_tree):
         with pytest.raises(AnalysisError):
             mpmcs_stability(fps_tree, samples=0)
@@ -143,6 +178,23 @@ class TestTornado:
         for entry in tornado_analysis(fps_tree, factor=3.0):
             assert entry.low_top_probability <= baseline + 1e-12
             assert entry.high_top_probability >= baseline - 1e-12
+
+    def test_default_solver_takes_the_module_route(self, monkeypatch):
+        """The voting ladder solves by rule, module by module, with no
+        whole-tree encoding; RC2 alone on it needs one per sample."""
+        tree = k_of_n_ladder(9, 5)
+        encodings = []
+        encode = pipeline.encode_mpmcs
+
+        def counting(tree):
+            encodings.append(tree.name)
+            return encode(tree)
+
+        monkeypatch.setattr(pipeline, "encode_mpmcs", counting)
+        report = mpmcs_stability(tree, samples=3)
+        assert encodings == []
+        assert report.baseline == MPMCSSolver().solve(tree).events
+        assert sum(report.win_counts.values()) == 3
 
     def test_invalid_parameters_rejected(self, fps_tree):
         with pytest.raises(AnalysisError):

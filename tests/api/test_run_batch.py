@@ -11,9 +11,9 @@ from repro.api import AnalysisSession
 from repro.api.backends import MaxSATBackend
 from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MODULE_RULE_ENGINE, MPMCSSolver
-from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError
+from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError, SolverInterrupted
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat.incremental import IncrementalMaxSATSession
+from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.observability.metrics import scoped_metrics
 from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
@@ -116,14 +116,25 @@ def test_maxsat_batch_is_warm_and_run_is_cold():
     cold = session.run(fire_protection_system(), request)
     # Fig. 1 has no shared node: the warm route keeps its module optima and
     # needs no solver; a shared tree's searched skeleton goes to an
-    # incremental session.
+    # incremental session on both routes, kept only on the warm one.
     assert warm.profile["warm_solves"] == 1
     assert "warm_solves" not in cold.profile
     assert warm.mpmcs.engine == cold.mpmcs.engine == MODULE_RULE_ENGINE
     assert _canonical(warm) == _canonical(cold)
     (shared,) = session.run_batch([data_center_power()], request)
-    assert shared.mpmcs.engine == MaxSATBackend.WARM_ENGINE
-    assert _canonical(shared) == _canonical(session.run(data_center_power(), request))
+    cold_shared = session.run(data_center_power(), request)
+    assert shared.mpmcs.engine == cold_shared.mpmcs.engine == SESSION_ENGINE
+    assert _canonical(shared) == _canonical(cold_shared)
+
+
+def test_warm_solves_honour_the_cancellation_hook():
+    """The solver's stop hook (a service job's guard) reaches a kept
+    session's solve, which the tree's result then reports."""
+    solver = MPMCSSolver()
+    solver.portfolio.external_stop = lambda: True
+    request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
+    (result,) = AnalysisSession(solver=solver).run_batch([data_center_power()], request)
+    assert isinstance(result, SolverInterrupted)
 
 
 def test_bdd_batch_evaluates_each_structure_once():
@@ -147,10 +158,19 @@ def test_bdd_batch_evaluates_each_structure_once():
 
 
 def test_maxsat_batch_falls_back_to_cold_when_the_warm_session_gives_up(monkeypatch):
-    def over_budget(self, value):
-        raise BudgetExceededError("core budget exhausted")
+    """The kept session's first solve blows its budget; the cold analysis
+    the warm route falls back to solves on a fresh session."""
+    solve = IncrementalMaxSATSession.solve
+    failures = []
 
-    monkeypatch.setattr(IncrementalMaxSATSession, "solve", over_budget)
+    def over_budget_once(self, value, stop_check=None):
+        if not failures:
+            failures.append(self)
+            raise BudgetExceededError("core budget exhausted")
+        assert self is not failures[0]
+        return solve(self, value, stop_check)
+
+    monkeypatch.setattr(IncrementalMaxSATSession, "solve", over_budget_once)
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     with scoped_metrics() as registry:
         (warm,) = AnalysisSession().run_batch([railway_level_crossing()], request)
@@ -211,7 +231,9 @@ def test_warm_optimum_makes_no_more_sat_calls_than_cold(monkeypatch):
     than cold ``run``s, with equal bytes.  A session over the whole tree once
     made 109 calls here against cold's 36; one session per searched skeleton,
     fed the module optima, made about as many as cold.  Assuming the
-    heaviest selectors first, cold makes 18 and warm 7."""
+    heaviest selectors first, the portfolio's cold solves made 18 and warm
+    7; with every searched skeleton solved by a fresh session, cold makes
+    15."""
     sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     draws = _e4_draws()

@@ -1,8 +1,8 @@
 """The modular MPMCS path answers exactly like the whole-tree path and the BDD.
 
 ``MPMCSSolver()`` solves a tree module by module: a module over independent
-children by rule, every other one with one portfolio solve over its
-skeleton.  ``MPMCSSolver(single_engine=RC2Engine())`` solves one whole-tree
+children by rule, every other one with one solve of its skeleton's
+incremental session.  ``MPMCSSolver(single_engine=RC2Engine())`` solves one whole-tree
 encoding and is the oracle here.  The objective orders cut sets canonically
 and no two sets tie, so both must return the same cut set, and every report
 must be byte-identical in canonical form.
@@ -24,7 +24,9 @@ from repro.exceptions import ReproError
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat import RC2Engine
+from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.maxsat.portfolio import PortfolioSolver
+from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES, fire_protection_system, three_motor_system
 from tests.conftest import flat_vote, k_of_n_ladder, or_chain, voting_reuse_tree, voting_reuse_trees
@@ -230,34 +232,53 @@ class TestRules:
 
 
 class TestSkeletonSolves:
-    def test_shared_structure_goes_through_the_portfolio(self, monkeypatch):
+    def test_shared_structure_takes_one_session_solve(self, monkeypatch):
+        _forbid_portfolio(monkeypatch)
         calls = []
-        original = PortfolioSolver.solve_with_report
+        original = IncrementalMaxSATSession.solve
 
-        def counting(self, instance):
-            calls.append(instance.num_soft)
-            return original(self, instance)
+        def counting(self, value, stop_check=None):
+            calls.append(len(self.event_vars))
+            return original(self, value, stop_check)
 
-        monkeypatch.setattr(PortfolioSolver, "solve_with_report", counting)
+        monkeypatch.setattr(IncrementalMaxSATSession, "solve", counting)
         tree = three_motor_system()
         result = MPMCSSolver().solve(tree)
         # No proper module: one solve over the whole tree's events.
         assert calls == [len(tree.events)]
-        assert result.portfolio.winner == result.engine == "rc2"
+        assert result.portfolio.winner == result.engine == SESSION_ENGINE
 
     def test_engine_names_the_engines_that_answered(self):
-        # RC2 spends its core budget on this tree's one searched skeleton
-        # and hands the solve over to the hitting set engine.
         e4 = random_fault_tree(num_basic_events=300, seed=0, voting_ratio=0.05, event_reuse=0.05)
+        request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
         for tree, engine in (
-            (voting_reuse_tree(40, 27), "rc2+hitting-set"),
+            (voting_reuse_tree(40, 27), SESSION_ENGINE),
             (fire_protection_system(), MODULE_RULE_ENGINE),
-            (e4, "rc2"),
+            (e4, SESSION_ENGINE),
         ):
             result = MPMCSSolver().solve(tree)
             assert result.engine == result.portfolio.winner == engine, tree.name
             report = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat")
             assert report.mpmcs.engine == engine, tree.name
+            (warm,) = AnalysisSession().run_batch([tree], request)
+            assert warm.mpmcs.engine == engine, tree.name
+
+    def test_module_route_makes_no_portfolio_call(self, monkeypatch):
+        """The one searched skeleton of this tree took the portfolio 83 SAT
+        calls (RC2 spent its core budget and handed over to the hitting set
+        engine); its session takes 30."""
+        _forbid_portfolio(monkeypatch)
+        calls = []
+        original = CDCLSolver.solve
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CDCLSolver, "solve", counting)
+        report = AnalysisSession().analyze(voting_reuse_tree(40, 27), ["mpmcs"], backend="maxsat")
+        assert report.mpmcs.engine == SESSION_ENGINE
+        assert len(calls) == report.mpmcs.detail.portfolio.result.sat_calls <= 31
 
     def test_cancellation_hook_reaches_skeleton_solves(self):
         solver = MPMCSSolver()

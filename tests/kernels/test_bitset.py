@@ -66,6 +66,13 @@ class TestHittingSetAgainstOracle:
         assert all(chosen & core for core in cores)
         assert cost == sum(weights.get(element, 0) for element in chosen)
         assert all(oracle_set & core for core in cores)
+        # Any hitting set may start the search as its incumbent.
+        for incumbent in (set().union(*cores), oracle_set):
+            started, started_cost = minimum_cost_hitting_set(
+                list(cores), dict(weights), incumbent=incumbent
+            )
+            assert started_cost == oracle_cost
+            assert all(started & core for core in cores)
 
     def test_empty_instance(self):
         assert minimum_cost_hitting_set([], {}) == (set(), 0)

@@ -60,7 +60,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("mode_args, races", [([], 0), (["--mode", "process"], 1)])
     def test_mode_reaches_the_race(self, capsys, monkeypatch, mode_args, races):
         # data-center-power has a skeleton that needs a search, so its
-        # analysis reaches the portfolio (Fig. 1 solves by rule).
+        # second-ranked cut set takes a blocked whole-tree solve, the one
+        # solve the portfolio makes (its first solves module by module).
         solve_process = PortfolioSolver._solve_process
         calls = []
 
@@ -69,7 +70,7 @@ class TestAnalyzeCommand:
             return solve_process(self, instance)
 
         monkeypatch.setattr(PortfolioSolver, "_solve_process", counted)
-        argv = ["analyze", "--builtin", "data-center-power", "--quiet", *mode_args]
+        argv = ["analyze", "--builtin", "data-center-power", "--quiet", "--top-k", "2", *mode_args]
         assert main(argv) == 0
         assert "MPMCS      : {transfer_switch_fails}" in capsys.readouterr().out
         assert len(calls) == races
