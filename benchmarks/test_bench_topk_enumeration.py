@@ -4,19 +4,26 @@ The paper computes the single MPMCS; ranking the k most probable minimal cut
 sets is the natural extension used for fault prioritisation (Section IV).
 This benchmark measures the iterated-MaxSAT enumeration on the paper's example
 and on larger random trees, and checks the ranking against full MOCUS
-enumeration wherever the latter is feasible.
+enumeration wherever the latter is feasible.  The default solver ranks
+module by module, blocking solves of each searched skeleton alone; its top
+10 on two trees with shared subtrees must equal RC2's blocked whole-tree
+solves, with at most 10 skeleton solves per searched skeleton.
 """
+
+import time
+from collections import Counter
 
 import pytest
 
 from repro.analysis.mocus import mocus_minimal_cut_sets
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs
-from repro.maxsat import RC2Engine
+from repro.maxsat import HittingSetEngine, RC2Engine
 from repro.workloads.generator import GeneratorConfig, random_fault_tree
 from repro.workloads.library import fire_protection_system
 
 from benchmarks.conftest import emit
+from tests.conftest import searched_skeletons, voting_reuse_tree
 
 #: The full probability ranking of the FPS tree's five minimal cut sets.
 FPS_RANKING = [
@@ -74,4 +81,46 @@ def test_bench_topk_random_trees(benchmark, num_events, k):
     emit(
         f"E8 — random tree ({num_events} events): top-{k} cut sets via blocking clauses",
         rows,
+    )
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: voting_reuse_tree(40, 27),
+        lambda: random_fault_tree(
+            num_basic_events=1000, seed=1, voting_ratio=0.05, event_reuse=0.05
+        ),
+    ],
+    ids=["voting-reuse-40-27", "e4-1000-1"],
+)
+def test_bench_topk_default_solver_matches_the_whole_tree_oracle(factory, monkeypatch):
+    tree = factory()
+    solves = []
+    solve = HittingSetEngine.solve
+
+    def counting(self, instance):
+        solves.append(instance)
+        return solve(self, instance)
+
+    monkeypatch.setattr(HittingSetEngine, "solve", counting)
+    start = time.perf_counter()
+    ranking = enumerate_mpmcs(tree, 10)
+    elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+    # The solves of one skeleton share its working copy, which ``solves`` keeps alive.
+    per_skeleton = list(Counter(map(id, solves)).values())
+    assert len(per_skeleton) == len(searched_skeletons(tree))
+    assert max(per_skeleton) <= 10
+
+    start = time.perf_counter()
+    oracle = enumerate_mpmcs(tree, 10, solver=MPMCSSolver(single_engine=RC2Engine()))
+    oracle_elapsed = time.perf_counter() - start
+    assert ranking == oracle
+    emit(
+        f"E8 — {tree.name}: top-10 by skeleton (default solver) vs whole tree (RC2)",
+        [
+            f"skeleton solves per searched skeleton: {per_skeleton}",
+            f"default solver {elapsed:.3f}s, RC2 blocked whole-tree solves {oracle_elapsed:.3f}s",
+        ],
     )

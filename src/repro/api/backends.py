@@ -187,14 +187,14 @@ class MaxSATBackend(AnalysisBackend):
     ``mpmcs`` and ``ranking`` come from :meth:`MPMCSSolver.rank
     <repro.core.pipeline.MPMCSSolver.rank>` on :meth:`run`, the cold route,
     and on :meth:`run_batch` whenever more than one cut set is asked for.
-    Its first optimum solves the tree's independent modules bottom-up, by
-    rule where a module's children are independent and otherwise by the
-    module skeleton's
-    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`; a ranking
-    of a tree whose modules all solve by rule merges the modules' ranked cut
-    sets.  Either way a tree without shared nodes takes no SAT call.  Any
-    other ranking adds one blocked portfolio solve of a whole-tree
-    :func:`~repro.core.encoder.encode_mpmcs` per further entry.
+    One optimum solves the tree's independent modules bottom-up, by rule
+    where a module's children are independent and otherwise by the module
+    skeleton's :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`.
+    A ranking walks the modules the same way, merging the modules' ranked
+    cut sets, and enumerates a searched skeleton's own cut sets by at most
+    ``top_k`` blocked solves of that skeleton.  Either way a tree without
+    shared nodes takes no SAT call, and no route builds a whole-tree
+    encoding.
 
     :meth:`run_batch` keeps one warm state per structure for one-optimum
     requests: the structure's :class:`~repro.core.pipeline.ModuleOptima`, so

@@ -4,8 +4,7 @@
 shares a single :class:`~repro.api.session.AnalysisSession` across all trees
 — structurally identical trees therefore share cached artifacts — and with
 ``workers > 1`` it fans the trees out over a :class:`ProcessPoolExecutor`,
-which is what the portfolio ablation and scalability studies need to saturate
-a multi-core host.
+which is what the scalability studies need to saturate a multi-core host.
 
 Failures are captured per tree (one malformed model must not sink a
 thousand-tree sweep): each :class:`BatchItem` carries either a report or the
@@ -116,8 +115,9 @@ def analyze_many(
         to sequential execution.
     session:
         Optional pre-built session for the sequential path (its artifact
-        cache then persists across batches, and its solver sets Step 5's
-        mode).  The sessions the batch creates use the sequential portfolio.
+        cache then persists across batches, and its solver answers every
+        tree).  The sessions the batch creates use a default
+        :class:`~repro.core.pipeline.MPMCSSolver`.
     """
     tree_list: Sequence[FaultTree] = list(trees)
     if request is None:

@@ -432,9 +432,10 @@ class AnalysisReport:
     #: wall-clock timings, cache telemetry, the profiling breakdown and the
     #: span trace (span ids and durations are run telemetry).
     VOLATILE_KEYS = ("timings_s", "cache", "profile", "trace")
-    #: Volatile keys inside the ``mpmcs`` section: which engine won (a race
-    #: in process mode, or the warm incremental path vs the cold portfolio)
-    #: and how long it took are run telemetry, not analysis results.
+    #: Volatile keys inside the ``mpmcs`` section: which engine answered
+    #: (rules, a session or the ranking's hitting set engine, or a
+    #: single engine) and how long it took are run telemetry, not analysis
+    #: results.
     VOLATILE_MPMCS_KEYS = ("engine", "solve_time_s", "total_time_s")
 
     @staticmethod
@@ -460,8 +461,8 @@ class AnalysisReport:
     def to_canonical_dict(self) -> Dict[str, Any]:
         """:meth:`to_dict` minus run telemetry (timings, cache, profile, engine).
 
-        Two analyses of the same tree with the same request — cold portfolio
-        or warm incremental, fresh session or fully cached — produce
+        Two analyses of the same tree with the same request — cold or warm
+        route, fresh session or fully cached — produce
         byte-identical canonical dicts (``json.dumps(..., sort_keys=True)``);
         only wall-clock and reuse telemetry may differ between runs.  The
         incremental-sweep benchmark asserts its speedup against exactly this

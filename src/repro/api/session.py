@@ -7,7 +7,7 @@ A session owns three pieces of shared state:
   encoding is not among them: its hard clauses are encoded once per
   structure on the tree itself
   (:attr:`~repro.fta.compiled.CompiledStructure.cnf`);
-* one :class:`~repro.core.pipeline.MPMCSSolver` (the MaxSAT portfolio),
+* one :class:`~repro.core.pipeline.MPMCSSolver` (the MaxSAT pipeline),
   constructed once instead of per call;
 * one instance of each backend, created lazily from the registry.
 
@@ -105,9 +105,9 @@ class AnalysisSession:
     ----------
     solver:
         The :class:`MPMCSSolver` shared by the session; a default one
-        (sequential portfolio) otherwise.  Step 5's mode is chosen on the
-        solver: ``AnalysisSession(solver=MPMCSSolver(mode="process"))``
-        races the engines in worker processes.
+        (module by module) otherwise.  A solver with one engine on the
+        whole-tree encoding is the paper's route:
+        ``AnalysisSession(solver=MPMCSSolver(single_engine=RC2Engine()))``.
     cache:
         Optional pre-existing :class:`ArtifactCache` (e.g. to share artifacts
         across sessions); a fresh one is created otherwise.

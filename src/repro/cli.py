@@ -45,7 +45,6 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.analysis.contributions import cut_set_contributions
 from repro.api import AnalysisSession, available_backends, backend_class
-from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import ReproError
 from repro.fta.parsers.galileo import parse_galileo_file
 from repro.fta.parsers.json_format import parse_json_file
@@ -138,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("-o", "--output", type=Path, help="write the JSON report to this path")
     analyze.add_argument(
         "--top-k", type=int, default=1, help="number of cut sets to enumerate (default: 1)"
-    )
-    analyze.add_argument(
-        "--mode",
-        choices=("sequential", "process"),
-        default="sequential",
-        help="portfolio execution mode (default: sequential)",
     )
     analyze.add_argument("--dot", type=Path, help="also write a Graphviz DOT rendering")
     analyze.add_argument(
@@ -1721,10 +1714,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handler = _TREE_COMMANDS.get(args.command)
         if handler is not None:
             tree = _load_tree(args)
-            session = AnalysisSession(
-                solver=MPMCSSolver(mode=getattr(args, "mode", "sequential")),
-                kernel_tier=getattr(args, "kernel", None),
-            )
+            session = AnalysisSession(kernel_tier=getattr(args, "kernel", None))
             return handler(session, tree, args)
         return _PLAIN_COMMANDS[args.command](args)
     except ReproError as exc:

@@ -2,10 +2,10 @@
 
 :class:`MPMCSSolver` wires together the fault-tree formula transformation, the
 Tseitin CNF conversion, the log-space weight transformation, the Weighted
-Partial MaxSAT encoding, its resolution (module by module, or by the
-parallel portfolio on a whole-tree encoding) and the reverse log-space
-transformation, and returns an :class:`MPMCSResult` describing the Maximum
-Probability Minimal Cut Set of a fault tree.
+Partial MaxSAT encoding, its resolution (module by module, or by one engine
+on a whole-tree encoding) and the reverse log-space transformation, and
+returns an :class:`MPMCSResult` describing the Maximum Probability Minimal
+Cut Set of a fault tree.
 
 Example
 -------
@@ -30,13 +30,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs, event_weights, weigh_events
 from repro.core.weights import probability_of_cut_set
-from repro.exceptions import AnalysisError, NoCutSetError
+from repro.exceptions import AnalysisError, NoCutSetError, SolverInterrupted
 from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
+from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
-from repro.maxsat.portfolio import PortfolioReport, PortfolioSolver
+from repro.maxsat.portfolio import PortfolioReport
+from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
 __all__ = [
@@ -78,7 +80,9 @@ class MPMCSResult:
         Size of the encoded MaxSAT instance, reported for the scalability
         benchmarks.
     portfolio:
-        The full per-engine report when the parallel portfolio was used.
+        The per-engine report of a module-by-module solve or ranking
+        (the engine that answered, its seconds and status); ``None`` for a
+        whole-tree solve.
     encoding_sizes:
         ``(num_vars, num_hard, num_aux_vars)`` of the whole-tree encoding,
         or the compiled structure whose memoised hard clauses give them on
@@ -311,18 +315,11 @@ class MPMCSSolver:
 
     Parameters
     ----------
-    mode:
-        Step 5's execution mode for whole-tree solves, chosen here and
-        nowhere else: ``"sequential"`` (default; RC2 answers and the hitting
-        set engine runs only if it is inconclusive) or ``"process"`` (the
-        two race in worker processes; the first conclusive answer wins).
-        Module-by-module solves do not use the portfolio, so ``mode``
-        reaches only the blocked whole-tree solves of a ranking
-        (:meth:`optima`) and :meth:`solve_encoding`.
     single_engine:
-        When given, the portfolio is bypassed and this engine is used alone
-        on the whole-tree encoding: the oracle of the tests and the
-        paper reproductions.
+        When given, this engine alone solves one whole-tree encoding per
+        optimum, and a ranking is a blocked enumeration of them
+        (:func:`rank_optima`): the oracle of the tests and the paper
+        reproductions.
 
     Without ``single_engine``, :meth:`solve` works module by module.  The
     MaxSAT objective (:func:`~repro.maxsat.instance.objective_weight`) is
@@ -338,9 +335,14 @@ class MPMCSSolver:
     weighted by its optimum's objective.  The result is the whole-tree
     optimum, found with fewer and smaller solves; its ``engine`` reads
     :data:`~repro.maxsat.incremental.SESSION_ENGINE` when some module needs a
-    search and :data:`MODULE_RULE_ENGINE` otherwise.  The portfolio's
-    ``external_stop`` hook cancels those solves too.  With
-    ``single_engine``, :meth:`solve` solves one whole-tree encoding.
+    search and :data:`MODULE_RULE_ENGINE` otherwise.  :meth:`rank` walks the
+    modules the same way (see there), so the default solver never builds a
+    whole-tree encoding.
+
+    :attr:`stop_check` is the cooperative cancellation hook (a service job's
+    guard): the sessions, the ranking's skeleton solves and the engine of
+    :meth:`solve_encoding` all poll it, and a module-route solve or ranking
+    it stops raises :class:`~repro.exceptions.SolverInterrupted`.
 
     Every returned cut set is checked to be a minimal cut set of the fault
     tree; an :class:`AnalysisError` is raised otherwise.  The check is one
@@ -349,14 +351,10 @@ class MPMCSSolver:
     encoding or solver regressions early.
     """
 
-    def __init__(
-        self,
-        *,
-        mode: str = "sequential",
-        single_engine: Optional[MaxSATEngine] = None,
-    ) -> None:
+    def __init__(self, *, single_engine: Optional[MaxSATEngine] = None) -> None:
         self.single_engine = single_engine
-        self.portfolio = None if single_engine is not None else PortfolioSolver(mode=mode)
+        #: Zero-argument callable returning true once every solve should stop.
+        self.stop_check: Optional[Callable[[], bool]] = None
 
     # -- public API ----------------------------------------------------------------
 
@@ -364,7 +362,7 @@ class MPMCSSolver:
         """Run the full six-step pipeline on ``tree``, module by module
         unless ``single_engine`` is set (see the class docstring)."""
         start = time.perf_counter()
-        if self.portfolio is None:
+        if self.single_engine is not None:
             # Steps 1-4 over the whole tree, then Steps 5-6.
             result = self.solve_encoding(tree, encode_mpmcs(tree))
         else:
@@ -377,8 +375,7 @@ class MPMCSSolver:
         ``tree`` (:meth:`ModuleOptima.update`).  The reported instance size
         is the whole-tree encoding's, assembled only if it is read."""
         start = time.perf_counter()
-        stop_check = self.portfolio.external_stop if self.portfolio is not None else None
-        seconds, sat_calls = optima.update(tree, stop_check)
+        seconds, sat_calls = optima.update(tree, self.stop_check)
         cut_set, objective, weight = optima.optimum()
         engine = SESSION_ENGINE if optima.sessions else MODULE_RULE_ENGINE
         report = _merged_report(engine, objective, weight, seconds, sat_calls)
@@ -396,22 +393,20 @@ class MPMCSSolver:
     def solve_encoding(
         self, tree: FaultTree, encoding: MPMCSEncoding
     ) -> MPMCSResult:
-        """Solve an already-built encoding (Steps 5-6)."""
+        """Solve an already-built encoding (Steps 5-6) with ``single_engine``,
+        or with RC2 (which hands a solve that outgrows its core budget to the
+        hitting set engine)."""
         start = time.perf_counter()
-        report: Optional[PortfolioReport] = None
-        if self.single_engine is not None:
-            maxsat_result = self.single_engine.solve(encoding.instance)
-        else:
-            assert self.portfolio is not None
-            report = self.portfolio.solve_with_report(encoding.instance)
-            maxsat_result = report.result
+        engine = self.single_engine or RC2Engine()
+        engine.stop_check = self.stop_check
+        maxsat_result = engine.solve(encoding.instance)
         instance = encoding.instance
         return self._result(
             tree,
             encoding.cut_set_from_model(self._model(tree, maxsat_result)),
             encoding.weights,
             maxsat_result,
-            report,
+            None,
             start,
             instance.num_soft,
             (instance.num_vars, instance.num_hard, encoding.num_aux_vars),
@@ -420,25 +415,37 @@ class MPMCSSolver:
     def rank(self, tree: FaultTree, count: int) -> List[MPMCSResult]:
         """Up to ``count`` minimal cut sets of ``tree``, in canonical order.
 
-        With the portfolio, two or more cut sets of a tree whose modules all
-        solve by rule take no solve: walking the modules bottom-up, an OR
-        merges its children's ``count`` cheapest entries (:data:`Entry`) and
-        an AND or k-of-n searches them (:func:`_k_best`).  The objective adds
-        up over independent children and no two cut sets tie, so the sums
-        order cut sets canonically.  Anything else is :func:`rank_optima`
-        over :meth:`optima`: :meth:`solve`, then blocked whole-tree solves.
+        One cut set is :meth:`solve`.  Without ``single_engine``, two or
+        more walk the modules bottom-up, each keeping its ``count`` cheapest
+        entries (:data:`Entry`): an OR merges its children's lists, an AND
+        or k-of-n searches them (:func:`_k_best`), and a skeleton that needs
+        a search enumerates its own cut sets (:func:`_rank_skeleton`).  The
+        objective adds up over independent children and no two cut sets
+        tie, so the sums order cut sets canonically.  The skeleton solves'
+        seconds and SAT calls are reported on the first entry, so a sum over
+        the ranking counts them once.  With ``single_engine`` it is
+        :func:`rank_optima` over :meth:`optima`.
         """
-        structure = tree.compiled()
-        if count < 2 or self.portfolio is None or not all(
-            skeleton.by_rule for skeleton in structure.modules
-        ):
+        if count < 2 or self.single_engine is not None:
             return rank_optima(self.optima(tree), count)
         start = time.perf_counter()
+        structure = tree.compiled()
         weights, objectives = event_weights(tree)
         ranked: Dict[str, List[Entry]] = {
             name: [(objective, name)] for name, objective in objectives.items()
         }
+        engine = MODULE_RULE_ENGINE
+        seconds = 0.0
+        sat_calls = 0
         for skeleton in structure.modules:
+            if not skeleton.by_rule:
+                engine = HittingSetEngine.name
+                ranked[skeleton.root], took, calls = _rank_skeleton(
+                    skeleton, ranked, weights, count, self.stop_check
+                )
+                seconds += took
+                sat_calls += calls
+                continue
             gate = skeleton.gates[-1]
             children = [ranked[child] for child in gate.children]
             if gate.gate_type is GateType.OR:
@@ -450,7 +457,8 @@ class MPMCSSolver:
         for objective, parts in ranked[structure.order[structure.top]]:
             cut_set = _cut_set(parts)
             weight = sum(weights[name] for name in cut_set)
-            report = _merged_report(MODULE_RULE_ENGINE, objective, weight)
+            report = _merged_report(engine, objective, weight, seconds, sat_calls)
+            seconds, sat_calls = 0.0, 0
             results.append(
                 self._result(
                     tree, cut_set, weights, report.result, report, start, len(weights), structure
@@ -464,7 +472,8 @@ class MPMCSSolver:
         The first, unblocked call is :meth:`solve`.  The first blocked call
         builds the whole-tree encoding (:func:`encode_mpmcs`), which the
         callable owns; each blocked call adds the blocking clauses of the
-        newly found cut sets to it and solves it.
+        newly found cut sets to it and solves it.  :meth:`rank` uses it for
+        one cut set, or with ``single_engine``.
         """
         encoding: Optional[MPMCSEncoding] = None
         blocks = 0
@@ -623,6 +632,61 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
             ):
                 push(cost - entries[0][0] + heads[following][0][0], state, index, (following, 0))
     return ranked
+
+
+def _rank_skeleton(
+    skeleton: Skeleton,
+    ranked: Dict[str, List[Entry]],
+    weights: Dict[str, float],
+    count: int,
+    stop_check: Optional[Callable[[], bool]],
+) -> Tuple[List[Entry], float, int]:
+    """The ``count`` cheapest entries of a module whose skeleton needs a search.
+
+    Lawler's partition (Management Science 18(7), 1972) over the skeleton
+    alone: every minimal cut set of the module joins one minimal cut set
+    ``S`` of the skeleton with one entry of each leaf in ``S``, so the
+    module's entries are the union, over ``S``, of the :func:`_k_best`
+    joins of the leaves' lists.  ``S`` costs at least its *base cost*, the
+    sum of its leaves' cheapest entries.  A copy of the skeleton's hard
+    clauses, with one unit soft clause per leaf weighted by that leaf's
+    cheapest entry, is solved by :class:`HittingSetEngine` cheapest set
+    first, each set blocked (it and its supersets) once found.  The walk
+    stops after ``count`` sets, or at a set whose base cost exceeds the
+    ``count``-th entry held: no later set can add an entry.  Returns the
+    entries and the solves' seconds and SAT calls.
+    """
+    cnf = skeleton.cnf
+    instance = cnf.instance.copy()
+    for leaf, var in cnf.event_vars.items():
+        objective, parts = ranked[leaf][0]
+        weight = sum(weights[name] for name in _cut_set(parts))
+        instance.add_soft([-var], weight, label=leaf, scaled_weight=objective)
+    engine = HittingSetEngine()
+    engine.stop_check = stop_check
+    entries: List[Entry] = []
+    seconds = 0.0
+    sat_calls = 0
+    for _ in range(count):
+        result = engine.solve(instance)
+        seconds += result.solve_time
+        sat_calls += result.sat_calls
+        if result.status is MaxSATStatus.UNSATISFIABLE:
+            break
+        if result.status is not MaxSATStatus.OPTIMUM or result.model is None:
+            if stop_check is not None and stop_check():
+                raise SolverInterrupted("ranking stopped by cooperative cancellation")
+            raise AnalysisError(
+                f"the skeleton of module {skeleton.root!r} gave no optimum "
+                f"(status: {result.status.value})"
+            )
+        if len(entries) == count and result.cost > entries[-1][0]:
+            break
+        chosen = [leaf for leaf, var in cnf.event_vars.items() if result.model.get(var, False)]
+        joined = _k_best([ranked[leaf] for leaf in chosen], len(chosen), count)
+        entries = list(islice(heapq.merge(entries, joined), count))
+        instance.add_hard([-cnf.event_vars[leaf] for leaf in chosen])
+    return entries, seconds, sat_calls
 
 
 def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:

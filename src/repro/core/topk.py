@@ -3,15 +3,19 @@
 The paper computes the single Maximum Probability Minimal Cut Set; a natural
 extension (useful for risk ranking and implemented by several FTA tools) is to
 enumerate the k most probable minimal cut sets, here with
-:meth:`MPMCSSolver.rank <repro.core.pipeline.MPMCSSolver.rank>`.  A tree
-whose modules all solve by rule is ranked module by module, without a solve;
-any other by :func:`rank_optima`, which repeatedly solves the MPMCS instance
-and *blocks* each solution ``S`` with the hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)``
-over the members of ``S``: the clause forbids ``S`` and every superset of
-it, so each subsequent optimum is again an inclusion-minimal cut set — the
-next most probable one.  The MaxSAT objective is the canonical order itself
-(see :func:`~repro.maxsat.instance.objective_weight`), so every optimum is
-unique and ties cost no extra solve.
+:meth:`MPMCSSolver.rank <repro.core.pipeline.MPMCSSolver.rank>`.  The
+default solver ranks module by module: modules whose children are
+independent merge their children's ranked cut sets without a solve, and a
+module skeleton that needs a search enumerates its own cut sets, cheapest
+first, by at most ``k`` blocked solves of that skeleton (Lawler's
+partition).  A blocked solve adds the hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)``
+over the members of the last solution ``S``: the clause forbids ``S`` and
+every superset of it, so each subsequent optimum is again an
+inclusion-minimal cut set — the next cheapest one.  A solver with a
+``single_engine`` blocks whole-tree solves instead (:func:`rank_optima`).
+The MaxSAT objective is the canonical order itself (see
+:func:`~repro.maxsat.instance.objective_weight`), so every optimum is unique
+and ties cost no extra solve.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ def enumerate_mpmcs(
 
     Ties are broken canonically (smaller set, then lexicographic events),
     also at the ``k``-th rank, so the ranking equals every other backend's.
-    Computed by :meth:`MPMCSSolver.rank`: without a solve when every module
-    of ``tree`` solves by rule, else the MPMCS and ``k - 1`` blocked solves
-    of one whole-tree encoding (:meth:`MPMCSSolver.optima`).
+    Computed by :meth:`MPMCSSolver.rank`: module by module, without a solve
+    when every module of ``tree`` solves by rule and with at most ``k``
+    blocked solves of each skeleton that needs a search; with a
+    ``single_engine``, the MPMCS and ``k - 1`` blocked solves of one
+    whole-tree encoding (:meth:`MPMCSSolver.optima`).
 
     Parameters
     ----------

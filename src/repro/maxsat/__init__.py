@@ -13,11 +13,12 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   also hands a solve to once it outgrows its core budget.
 * :class:`repro.maxsat.bruteforce.BruteForceEngine` — an exhaustive reference
   solver used by the test suite on small instances.
-* :class:`repro.maxsat.portfolio.PortfolioSolver` — the portfolio of Step 5
-  for whole-tree instances: RC2, then the hitting set engine, run in order
-  in-process, or race in worker processes; the first conclusive result
-  wins.  Callers choose the mode on :class:`~repro.core.pipeline.MPMCSSolver`
-  (``mode="process"``).
+* :class:`repro.maxsat.portfolio.PortfolioSolver` — the paper's Step 5
+  portfolio for whole-tree instances: RC2, then the hitting set engine, run
+  in order in-process, or raced in worker processes (``mode="process"``);
+  the first conclusive result wins.  A component of its own:
+  :class:`~repro.core.pipeline.MPMCSSolver` solves module by module and
+  never calls it.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — the module
   route's one skeleton solver, cold and warm: implicit-hitting-set solving
   of one module's skeleton over one persistent CDCL solver, with
@@ -25,6 +26,9 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   (from a pool of earlier optima or by evaluating the skeleton) without a
   SAT call, so a kept session turns a scenario sweep into weight-only
   re-solves.
+
+A ranking of two or more cut sets enumerates a searched skeleton's cut
+sets with the hitting set engine, one blocked solve per cut set.
 """
 
 from repro.maxsat.instance import SoftClause, WPMaxSATInstance

@@ -138,7 +138,8 @@ class IncrementalMaxSATSession:
         :class:`BudgetExceededError` when the core-discovery loop exceeds
         :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` (the warm route then
         falls back to a fresh session).  ``stop_check`` is the caller's
-        cooperative cancellation hook (the portfolio's ``external_stop``):
+        cooperative cancellation hook (:attr:`MPMCSSolver.stop_check
+        <repro.core.pipeline.MPMCSSolver.stop_check>`):
         polled every round, by the SAT solver and by the hitting set search,
         it ends the solve with :class:`SolverInterrupted` once it returns
         true.

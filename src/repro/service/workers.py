@@ -20,7 +20,7 @@ Two layers live here:
   repeated jobs over structurally similar trees get warmer and warmer.
   Runners enforce the queue's cooperative cancellation and per-job timeouts:
   a :class:`_JobGuard` is polled at scenario/chunk boundaries (and wired into
-  the MaxSAT portfolio's engine ``stop_check`` hook), so a cancelled job
+  the MaxSAT solver's ``stop_check`` hook), so a cancelled job
   settles as ``cancelled`` and a timed-out one fails with a distinguishable
   ``timed out after …`` reason.
 """
@@ -257,7 +257,7 @@ def run_parallel_sweep(
 class _JobGuard:
     """Cancellation/timeout guard for one running job.
 
-    Callable form (``guard()`` -> bool) feeds the MaxSAT portfolio's engine
+    Callable form (``guard()`` -> bool) feeds the MaxSAT solver's
     ``stop_check`` hook; :meth:`check` is the raising form polled at
     scenario/chunk boundaries.  Timeouts are measured from the job's claim
     time, so queue wait does not count against the budget.
@@ -286,9 +286,8 @@ class JobRunner:
 
     One runner per worker thread: the session (and its memory cache tier) is
     reused across jobs, while the disk store shares artifacts with every
-    other runner, process and past service run.  The session runs the
-    sequential portfolio, which polls the job guard, so cancelling a job
-    stops its running analysis.
+    other runner, process and past service run.  The session's solver
+    polls the job guard, so cancelling a job stops its running analysis.
     """
 
     def __init__(
@@ -333,8 +332,10 @@ class JobRunner:
         """Run one claimed job and return its JSON-serialisable result.
 
         The job's cancellation/timeout guard is active for the whole run:
-        wired into the session's MaxSAT portfolio (engine ``stop_check``) and
-        polled at scenario/chunk boundaries by the sweep and campaign paths.
+        wired into the session's solver (:attr:`MPMCSSolver.stop_check
+        <repro.core.pipeline.MPMCSSolver.stop_check>`, polled by its skeleton
+        solves and engines) and polled at scenario/chunk boundaries by the
+        sweep and campaign paths.
         :class:`JobCancelled` / :class:`JobTimeout` escape to the worker
         loop, which settles the job accordingly.
 
@@ -343,9 +344,8 @@ class JobRunner:
         fails, so ``GET /jobs/<id>/trace`` covers error postmortems too.
         """
         guard = _JobGuard(job)
-        portfolio = getattr(self.session.solver, "portfolio", None)
-        if portfolio is not None:
-            portfolio.external_stop = guard
+        solver = self.session.solver
+        solver.stop_check = guard
         tracer = Tracer()
         try:
             with use_tracer(tracer), tracer.span(
@@ -365,8 +365,7 @@ class JobRunner:
                 raise JobError(f"unknown job kind {job.kind!r}")
         finally:
             job.trace = tracer.to_dict()
-            if portfolio is not None:
-                portfolio.external_stop = None
+            solver.stop_check = None
 
     def _run_analyze(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         tree = self._tree_from(payload)
@@ -500,7 +499,7 @@ class WorkerPool:
     provides job-level concurrency (a long sweep does not block a quick
     status-probe analysis); true parallel compute comes from the process
     fan-out inside sweep/campaign jobs (``workers`` in the payload).  Each
-    runner solves MaxSAT in-process with the sequential portfolio.
+    runner solves MaxSAT in-process.
     """
 
     def __init__(

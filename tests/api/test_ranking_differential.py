@@ -6,8 +6,10 @@ point is checked: the cold ``run``, the warm ``run_batch`` a sweep's batch
 uses, and :func:`enumerate_mpmcs`.  Trees whose modules all solve by rule
 are ranked module by module; they are checked against MOCUS on random
 trees without shared nodes, and the voting ladders against a brute force.
-Two library trees with near-tied cut sets check every cut-set backend
-against ``maxsat``.
+Trees with shared subtrees, whose searched skeletons rank by blocked
+skeleton solves, are checked against the whole-tree RC2 oracle, MOCUS and a
+brute force.  Two library trees with near-tied cut sets check every cut-set
+backend against ``maxsat``.
 """
 
 import hashlib
@@ -28,12 +30,13 @@ from repro.core.topk import enumerate_mpmcs
 from repro.core.weights import log_weight, probability_of_cut_set
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
+from repro.maxsat import RC2Engine
 from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 from repro.sat.cdcl import CDCLSolver
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES
-from tests.conftest import flat_vote, k_of_n_ladder, voting_reuse_tree
+from tests.conftest import flat_vote, k_of_n_ladder, voting_reuse_tree, voting_reuse_trees
 
 TOP_KS = (1, 2, 3, 5)
 PALETTE = (0.05, 0.1, 0.2)
@@ -176,6 +179,29 @@ def test_merged_ranking_equals_mocus_on_trees_without_shared_nodes(tree, top_k):
         patch.setattr(CDCLSolver, "solve", _no_sat_call)
         ranked = MPMCSSolver().rank(tree, top_k)
     assert [(result.events, result.probability) for result in ranked] == expected
+
+
+def _ranking_bytes(report):
+    return json.dumps(report.to_canonical_dict()["ranking"], sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=voting_reuse_trees(min_events=3, max_events=8))
+def test_skeleton_ranking_equals_the_whole_tree_oracle(tree):
+    """The default solver's top-k, on ``run`` and ``run_batch``, is byte for
+    byte the ranking of RC2 alone on blocked whole-tree solves, of MOCUS and
+    of a brute force."""
+    oracle = AnalysisSession(solver=MPMCSSolver(single_engine=RC2Engine()))
+    for top_k in (2, 3, 10):
+        request = AnalysisRequest.create(("ranking",), backend="maxsat", top_k=top_k)
+        expected = _ranking_bytes(oracle.run(tree, request))
+        assert _ranking_bytes(AnalysisSession().run(tree, request)) == expected, ("run", top_k)
+        (warm,) = AnalysisSession().run_batch([tree], request)
+        assert _ranking_bytes(warm) == expected, ("run_batch", top_k)
+        for backend in ("mocus", "brute-force"):
+            other = AnalysisRequest.create(("ranking",), backend=backend, top_k=top_k)
+            report = AnalysisSession().run(tree, other)
+            assert _ranking_bytes(report) == expected, (backend, top_k)
 
 
 def _no_sat_call(self, *args, **kwargs):

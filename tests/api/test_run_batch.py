@@ -13,6 +13,7 @@ from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MODULE_RULE_ENGINE, MPMCSSolver
 from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError, SolverInterrupted
 from repro.fta.builder import FaultTreeBuilder
+from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.observability.metrics import scoped_metrics
 from repro.sat.cdcl import CDCLSolver
@@ -23,6 +24,7 @@ from repro.workloads.library import (
     pressure_tank,
     railway_level_crossing,
 )
+from tests.conftest import searched_skeletons
 
 
 def _canonical(report):
@@ -131,7 +133,7 @@ def test_warm_solves_honour_the_cancellation_hook():
     """The solver's stop hook (a service job's guard) reaches a kept
     session's solve, which the tree's result then reports."""
     solver = MPMCSSolver()
-    solver.portfolio.external_stop = lambda: True
+    solver.stop_check = lambda: True
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     (result,) = AnalysisSession(solver=solver).run_batch([data_center_power()], request)
     assert isinstance(result, SolverInterrupted)
@@ -209,20 +211,24 @@ def _count_calls(monkeypatch, owner, attribute):
 
 def test_warm_ranking_makes_the_cold_work(monkeypatch):
     """A ``run_batch`` top-3 ranking on a tree with a searched skeleton does
-    exactly the work of a cold ``run``, counted in portfolio solves and SAT
-    calls.  Blocked re-solves on the warm incremental session once took
-    9.7-174.5 s per draw here on a 2-core host, against 0.16-0.24 s cold."""
-    portfolio_solves = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
+    exactly the work of a cold ``run``, counted in skeleton solves and SAT
+    calls: at most 3 solves per searched skeleton, and no whole-tree solve.
+    Blocked re-solves on the warm incremental session once took 9.7-174.5 s
+    per draw here on a 2-core host, against 0.16-0.24 s cold."""
+    skeleton_solves = _count_calls(monkeypatch, HittingSetEngine, "solve")
+    whole_tree_solves = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
     sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
     request = AnalysisRequest.create(("ranking",), backend="maxsat", top_k=3)
     for draw in _e4_draws():
         cold = AnalysisSession().run(draw, request)
-        cold_work = (len(portfolio_solves), len(sat_calls))
+        cold_work = (len(skeleton_solves), len(sat_calls))
+        assert 0 < cold_work[0] <= 3 * len(searched_skeletons(draw))
         (warm,) = AnalysisSession().run_batch([draw], request)
-        warm_work = (len(portfolio_solves) - cold_work[0], len(sat_calls) - cold_work[1])
+        warm_work = (len(skeleton_solves) - cold_work[0], len(sat_calls) - cold_work[1])
         assert warm_work == cold_work
+        assert whole_tree_solves == []
         assert _canonical(warm) == _canonical(cold)
-        portfolio_solves.clear()
+        skeleton_solves.clear()
         sat_calls.clear()
 
 

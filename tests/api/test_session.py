@@ -12,7 +12,6 @@ import pytest
 import repro.api.backends as backends_module
 from repro.api import AnalysisSession, available_backends, backend_capabilities
 from repro.api.cache import ARTIFACT_CUT_SETS
-from repro.core import encoder as encoder_module
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
 from repro.workloads.library import data_center_power, fire_protection_system, redundant_power_supply
@@ -165,24 +164,30 @@ class TestDegradedProviders:
 class TestSolveBudget:
     def test_composite_mpmcs_and_ranking_share_one_enumeration(self, monkeypatch):
         from repro.core.pipeline import MPMCSSolver
+        from repro.maxsat.hitting_set import HittingSetEngine
 
         calls = []
-        for method in ("solve", "solve_encoding"):
-            real = getattr(MPMCSSolver, method)
+        for owner, method in (
+            (MPMCSSolver, "solve"),
+            (MPMCSSolver, "solve_encoding"),
+            (HittingSetEngine, "solve"),
+        ):
+            real = getattr(owner, method)
 
-            def counting(self, tree, *args, method=method, real=real):
-                calls.append(method)
-                return real(self, tree, *args)
+            def counting(self, *args, label=f"{owner.__name__}.{method}", real=real):
+                calls.append(label)
+                return real(self, *args)
 
-            monkeypatch.setattr(MPMCSSolver, method, counting)
+            monkeypatch.setattr(owner, method, counting)
         report = AnalysisSession().analyze(
             data_center_power(), ["mpmcs", "ranking"], top_k=3
         )
-        # The tree has a shared node, so 3 ranked entries take 3 solves (the
-        # objective is the canonical order, so no solve proves the ranking):
-        # the first is the modular MPMCS, the others blocked whole-tree
-        # solves.  The MPMCS falls out of the same enumeration for free.
-        assert calls == ["solve", "solve_encoding", "solve_encoding"]
+        # The tree has a shared node, so its top module's skeleton needs a
+        # search: 3 ranked entries take 3 blocked solves of that skeleton
+        # (the objective is the canonical order, so no solve proves the
+        # ranking), and no whole-tree solve.  The MPMCS falls out of the
+        # same enumeration for free.
+        assert calls == ["HittingSetEngine.solve"] * 3
         assert report.mpmcs.events == report.ranking[0].events == ("transfer_switch_fails",)
         assert [entry.events for entry in report.ranking] == [
             ("transfer_switch_fails",),
@@ -202,50 +207,45 @@ class TestSolveBudget:
         ]
 
     def test_ranking_blocks_extend_one_working_copy(self, monkeypatch):
-        from repro.core.pipeline import MPMCSSolver
+        from repro.maxsat.hitting_set import HittingSetEngine
+        from tests.conftest import searched_skeletons
 
         seen = []
-        real = MPMCSSolver.solve_encoding
+        real = HittingSetEngine.solve
 
-        def recording(self, tree, encoding):
-            seen.append((encoding.instance, encoding.instance.num_hard))
-            return real(self, tree, encoding)
+        def recording(self, instance):
+            seen.append((instance, instance.num_hard))
+            return real(self, instance)
 
-        monkeypatch.setattr(MPMCSSolver, "solve_encoding", recording)
+        monkeypatch.setattr(HittingSetEngine, "solve", recording)
         tree = data_center_power()
         AnalysisSession().analyze(tree, ["ranking"], top_k=4)
-        memo = tree.compiled().cnf
+        (skeleton,) = searched_skeletons(tree)
+        memo = skeleton.cnf
         base = memo.instance.num_hard
-        # The first optimum comes from the modules; the analysis then owns
-        # one whole-tree encoding: the three blocked solves all use it, each
-        # after one more blocking clause.  The structure's memoised clauses
-        # are never extended, so a new encoding of the same structure starts
-        # from them again.
+        # The ranking owns one copy of the skeleton's clauses: the four
+        # solves all use it, each after one more blocking clause.  The
+        # skeleton's memoised clauses are never extended, so the next
+        # ranking of the structure starts from them again.
         assert len({id(instance) for instance, _ in seen}) == 1
         assert seen[0][0] is not memo.instance
-        assert [hard for _, hard in seen] == [base + 1, base + 2, base + 3]
+        assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3]
         assert memo.instance.num_hard == base
-        assert encoder_module.encode_mpmcs(tree).instance.num_hard == base
+        assert len(seen[0][0].soft) == len(memo.event_vars)
 
 
 class TestArtifactReuse:
-    def test_cnf_encoding_computed_once_per_session(self, monkeypatch):
-        calls = []
-        real = encoder_module.assemble_structure_cnf
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(encoder_module, "assemble_structure_cnf", counting)
+    def test_cnf_encoding_computed_once_per_session(self, assemblies, skeleton_assemblies):
         session = AnalysisSession()
         tree = data_center_power()
         # One composite request (mpmcs + top-k ranking) plus a repeat call:
-        # the structure function is Tseitin-encoded exactly once, for the
-        # blocked solves of the ranking.
+        # the searched skeleton is Tseitin-encoded exactly once, for the
+        # ranking's blocked solves and the session of the repeat call, and
+        # the whole structure function never is.
         session.analyze(tree, ["mpmcs", "ranking"], top_k=3)
         session.analyze(tree, ["mpmcs"])
-        assert len(calls) == 1
+        assert len(skeleton_assemblies) == 1
+        assert assemblies == []
 
     def test_minimal_cut_sets_computed_once_per_session(self, monkeypatch):
         calls = []

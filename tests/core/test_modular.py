@@ -282,7 +282,7 @@ class TestSkeletonSolves:
 
     def test_cancellation_hook_reaches_skeleton_solves(self):
         solver = MPMCSSolver()
-        solver.portfolio.external_stop = lambda: True
+        solver.stop_check = lambda: True
         with pytest.raises(ReproError):
             solver.solve(three_motor_system())
         # A tree solved by rule needs no engine, so nothing is cancelled.
@@ -364,12 +364,12 @@ class TestModuleOptimaUpdates:
         tree = three_motor_system()
         optima = ModuleOptima(tree.compiled())
         solver = MPMCSSolver()
-        solver.portfolio.external_stop = lambda: True
+        solver.stop_check = lambda: True
         changed = tree.copy()
         changed.set_probability(sorted(tree.events)[0], 0.4)
         with pytest.raises(ReproError):
             solver.solve_modules(changed, optima)
-        solver.portfolio.external_stop = None
+        solver.stop_check = None
         assert _result_fields(solver.solve_modules(changed, optima)) == _result_fields(
             solver.solve(changed)
         )

@@ -1,5 +1,7 @@
 """Unit tests for top-k MPMCS enumeration."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.bruteforce import brute_force_minimal_cut_sets
@@ -7,11 +9,13 @@ from repro.api import AnalysisSession
 from repro.core import pipeline
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs, rank_optima
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ReproError
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import RC2Engine
+from repro.maxsat import HittingSetEngine, PortfolioSolver, RC2Engine
 from repro.scenarios.sweep import SweepExecutor
+from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import data_center_power
+from tests.conftest import searched_skeletons, voting_reuse_tree
 
 
 class TestFPSRanking:
@@ -98,15 +102,25 @@ class TestSingleEncoding:
         monkeypatch.setattr(pipeline, "encode_mpmcs", counting_encode)
         return calls
 
-    def test_tree_is_encoded_once_for_every_rank(self, monkeypatch):
-        # The MPMCS is solved module by module; the blocked solves share one
-        # whole-tree encoding.
+    def test_default_solver_never_encodes_the_whole_tree(self, monkeypatch):
+        # The searched skeleton ranks by blocked solves of its own clauses.
         calls = self._encodings(monkeypatch)
         tree = data_center_power()
         ranked = enumerate_mpmcs(tree, 4)
-        assert len(calls) == 1
+        assert calls == []
         expected = AnalysisSession().analyze(tree, ["ranking"], backend="bdd", top_k=4)
         assert [entry.events for entry in ranked] == [entry.events for entry in expected.ranking]
+
+    def test_single_engine_blocked_solves_share_one_encoding(self, monkeypatch):
+        # The MPMCS takes one whole-tree encoding; the blocked solves share
+        # a second one.
+        calls = self._encodings(monkeypatch)
+        tree = data_center_power()
+        ranked = enumerate_mpmcs(tree, 4, solver=MPMCSSolver(single_engine=RC2Engine()))
+        assert len(calls) == 2
+        assert [entry.events for entry in ranked] == [
+            entry.events for entry in enumerate_mpmcs(tree, 4)
+        ]
 
     def test_by_rule_tree_is_never_encoded(self, fps_tree, monkeypatch):
         calls = self._encodings(monkeypatch)
@@ -117,6 +131,58 @@ class TestSingleEncoding:
             ("x5", "x6"),
             ("x5", "x7"),
             ("x4",),
+        ]
+
+
+def _e4_tree(events, seed):
+    """An E4 generator tree (5% voting gates, 5% event reuse)."""
+    return random_fault_tree(
+        num_basic_events=events, seed=seed, voting_ratio=0.05, event_reuse=0.05
+    )
+
+
+class TestSkeletonRanking:
+    """A ranking of a tree with a searched skeleton solves that skeleton
+    alone, at most ``k`` times, and never the whole tree."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [data_center_power, lambda: voting_reuse_tree(40, 27), lambda: _e4_tree(1000, 1)],
+        ids=["data-center-power", "voting-reuse-40-27", "e4-1000-1"],
+    )
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_at_most_k_skeleton_solves_and_no_whole_tree_solve(self, monkeypatch, factory, k):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a whole-tree solve was made")
+
+        monkeypatch.setattr(pipeline, "encode_mpmcs", forbidden)
+        monkeypatch.setattr(PortfolioSolver, "solve_with_report", forbidden)
+        instances = []
+        solve = HittingSetEngine.solve
+
+        def recording(self, instance):
+            instances.append(instance)
+            return solve(self, instance)
+
+        monkeypatch.setattr(HittingSetEngine, "solve", recording)
+        tree = factory()
+        ranked = MPMCSSolver().rank(tree, k)
+        # Each skeleton's solves share its one working copy, kept alive here.
+        solves = Counter(map(id, instances))
+        assert len(solves) == len(searched_skeletons(tree)) > 0
+        assert max(solves.values()) <= k
+        assert ranked[0].portfolio.result.sat_calls > 0
+
+    def test_a_stop_hook_cancels_a_ranking(self):
+        solver = MPMCSSolver()
+        solver.stop_check = lambda: True
+        with pytest.raises(ReproError):
+            solver.rank(data_center_power(), 3)
+        solver.stop_check = None
+        assert [result.events for result in solver.rank(data_center_power(), 3)] == [
+            ("transfer_switch_fails",),
+            ("generator_fails_to_start", "utility_outage"),
+            ("ups_a_fails", "ups_b_fails"),
         ]
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.analysis.mocus import mocus_minimal_cut_sets
+from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs
 from repro.exceptions import SolverError
@@ -13,6 +14,7 @@ from repro.maxsat import (
     HittingSetEngine,
     MaxSATResult,
     MaxSATStatus,
+    PortfolioSolver,
     RC2Engine,
     WPMaxSATInstance,
 )
@@ -304,10 +306,10 @@ class TestRC2CoreBudget:
         tree = random_fault_tree(
             num_basic_events=events, seed=seed, voting_ratio=voting_ratio
         )
-        result = MPMCSSolver(mode="process").solve(tree)
-        best, probability = mocus_minimal_cut_sets(tree).ranked()[0]
-        assert result.events == tuple(sorted(best))
-        assert result.probability == pytest.approx(probability, rel=1e-9)
+        encoding = encode_mpmcs(tree)
+        result = PortfolioSolver(mode="process").solve(encoding.instance)
+        best, _ = mocus_minimal_cut_sets(tree).ranked()[0]
+        assert encoding.cut_set_from_model(result.model) == tuple(sorted(best))
 
     def test_solve_within_budget_is_rc2_alone(self):
         result = RC2Engine().solve(simple_instance())

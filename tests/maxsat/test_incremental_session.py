@@ -131,7 +131,7 @@ class TestSessionAgainstColdPipeline:
         session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
         values = leaf_values(tree)
         events = tuple(sorted(session.solve(values)))
-        cold = MPMCSSolver(mode="sequential").solve(tree)
+        cold = MPMCSSolver().solve(tree)
         assert events == cold.events
         assert sum(values[name][1] for name in events) == pytest.approx(cold.cost, rel=1e-12)
 
@@ -139,7 +139,7 @@ class TestSessionAgainstColdPipeline:
     def test_random_tree_optima_match_cold(self, seed):
         tree = random_fault_tree(num_basic_events=18, seed=seed, voting_ratio=0.25)
         session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
-        cold = MPMCSSolver(mode="sequential").solve(tree)
+        cold = MPMCSSolver().solve(tree)
         assert _solved_events(session, tree) == cold.events
 
 
@@ -185,7 +185,7 @@ class TestWeightOnlyResolve:
         for index, probability in enumerate((0.002, 0.04, 0.3)):
             scenario = tree.copy(name=f"scenario-{index}")
             scenario.set_probability(event, probability)
-            cold = MPMCSSolver(mode="sequential").solve(scenario)
+            cold = MPMCSSolver().solve(scenario)
             assert _solved_events(session, scenario) == cold.events
         # Weight-only re-solves: every round is one SAT call, and a round
         # only repeats when it discovered a new core — so the scenarios cost

@@ -63,7 +63,7 @@ class TestMarkdownReport:
 
     def test_portfolio_section_present_when_portfolio_used(self):
         tree = fire_protection_system()
-        result = MPMCSSolver(mode="sequential").solve(tree)
+        result = MPMCSSolver().solve(tree)
         text = markdown_report(tree, result)
         assert "Portfolio winner" in text
 

@@ -50,7 +50,7 @@ class TestJsonReport:
         assert document["solution"]["mpmcs"] == ["x1", "x2"]
 
     def test_portfolio_section_present_when_portfolio_used(self, fps_tree):
-        result = MPMCSSolver(mode="sequential").solve(fps_tree)
+        result = MPMCSSolver().solve(fps_tree)
         report = analysis_report(fps_tree, result)
         assert report["solver"]["portfolio"] is not None
         assert report["solver"]["portfolio"]["winner"]

@@ -77,15 +77,22 @@ class TestRunnerCancellation:
             runner._run_batch(job.payload, guard)
         assert seen["items"] == 2
 
-    def test_guard_resets_portfolio_hook_after_execute(self, tmp_path):
+    def test_guard_resets_the_solver_hook_after_execute(self, tmp_path):
         queue = JobQueue()
         job = queue.submit("analyze", {"tree": _tree_doc()})
         queue.claim(timeout=0)
         runner = JobRunner(store_path=str(tmp_path))
+        hooks = []
+        original = runner._run_analyze
+
+        def recording(payload):
+            hooks.append(runner.session.solver.stop_check)
+            return original(payload)
+
+        runner._run_analyze = recording
         runner.execute(job)
-        portfolio = getattr(runner.session.solver, "portfolio", None)
-        if portfolio is not None:
-            assert portfolio.external_stop is None
+        assert hooks and callable(hooks[0])
+        assert runner.session.solver.stop_check is None
 
 
 class TestWorkerPoolSettlement:

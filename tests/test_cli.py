@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.fta.serializers import to_galileo, to_json
-from repro.maxsat.portfolio import PortfolioSolver
 from repro.workloads.library import fire_protection_system
 
 
@@ -54,27 +53,6 @@ class TestAnalyzeCommand:
         assert main(["analyze"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_sequential_mode(self, capsys):
-        assert main(["analyze", "--builtin", "fps", "--quiet", "--mode", "sequential"]) == 0
-
-    @pytest.mark.parametrize("mode_args, races", [([], 0), (["--mode", "process"], 1)])
-    def test_mode_reaches_the_race(self, capsys, monkeypatch, mode_args, races):
-        # data-center-power has a skeleton that needs a search, so its
-        # second-ranked cut set takes a blocked whole-tree solve, the one
-        # solve the portfolio makes (its first solves module by module).
-        solve_process = PortfolioSolver._solve_process
-        calls = []
-
-        def counted(self, instance):
-            calls.append(instance)
-            return solve_process(self, instance)
-
-        monkeypatch.setattr(PortfolioSolver, "_solve_process", counted)
-        argv = ["analyze", "--builtin", "data-center-power", "--quiet", "--top-k", "2", *mode_args]
-        assert main(argv) == 0
-        assert "MPMCS      : {transfer_switch_fails}" in capsys.readouterr().out
-        assert len(calls) == races
-
     @pytest.mark.parametrize("backend", ["maxsat", "mocus", "bdd", "brute-force"])
     def test_explicit_backend(self, capsys, backend):
         assert main(["analyze", "--builtin", "fps", "--quiet", "--backend", backend]) == 0
@@ -85,6 +63,11 @@ class TestAnalyzeCommand:
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "--builtin", "fps", "--backend", "nope"])
+
+    def test_analyze_takes_no_mode(self):
+        # The solver never calls the portfolio, so there is no mode to set.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "--builtin", "fps", "--mode", "process"])
 
 
 class TestBackendsCommand:
