@@ -5,9 +5,9 @@ sets is the natural extension used for fault prioritisation (Section IV).
 This benchmark measures the iterated-MaxSAT enumeration on the paper's example
 and on larger random trees, and checks the ranking against full MOCUS
 enumeration wherever the latter is feasible.  The default solver ranks
-module by module, blocking solves of each searched skeleton alone; its top
-10 on two trees with shared subtrees must equal RC2's blocked whole-tree
-solves, with at most 10 skeleton solves per searched skeleton.
+module by module, with blocked solves of one incremental session per
+searched skeleton; its top 10 on two trees with shared subtrees must equal
+RC2's blocked whole-tree solves, with at most 10 solves per session.
 """
 
 import time
@@ -18,7 +18,8 @@ import pytest
 from repro.analysis.mocus import mocus_minimal_cut_sets
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs
-from repro.maxsat import HittingSetEngine, RC2Engine
+from repro.maxsat import RC2Engine
+from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.workloads.generator import GeneratorConfig, random_fault_tree
 from repro.workloads.library import fire_protection_system
 
@@ -97,18 +98,18 @@ def test_bench_topk_random_trees(benchmark, num_events, k):
 def test_bench_topk_default_solver_matches_the_whole_tree_oracle(factory, monkeypatch):
     tree = factory()
     solves = []
-    solve = HittingSetEngine.solve
+    solve = IncrementalMaxSATSession.solve
 
-    def counting(self, instance):
-        solves.append(instance)
-        return solve(self, instance)
+    def counting(self, *args, **kwargs):
+        solves.append(self)
+        return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(HittingSetEngine, "solve", counting)
+    monkeypatch.setattr(IncrementalMaxSATSession, "solve", counting)
     start = time.perf_counter()
     ranking = enumerate_mpmcs(tree, 10)
     elapsed = time.perf_counter() - start
     monkeypatch.undo()
-    # The solves of one skeleton share its working copy, which ``solves`` keeps alive.
+    # The solves of one skeleton share its session, which ``solves`` keeps alive.
     per_skeleton = list(Counter(map(id, solves)).values())
     assert len(per_skeleton) == len(searched_skeletons(tree))
     assert max(per_skeleton) <= 10

@@ -433,9 +433,8 @@ class AnalysisReport:
     #: span trace (span ids and durations are run telemetry).
     VOLATILE_KEYS = ("timings_s", "cache", "profile", "trace")
     #: Volatile keys inside the ``mpmcs`` section: which engine answered
-    #: (rules, a session or the ranking's hitting set engine, or a
-    #: single engine) and how long it took are run telemetry, not analysis
-    #: results.
+    #: (rules, a session, or a single engine) and how long it took are run
+    #: telemetry, not analysis results.
     VOLATILE_MPMCS_KEYS = ("engine", "solve_time_s", "total_time_s")
 
     @staticmethod

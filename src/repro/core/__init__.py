@@ -10,8 +10,8 @@ The package implements the six-step resolution method of Section III:
    :mod:`repro.core.weights`.
 4. **Weighted Partial MaxSAT instance** — :mod:`repro.core.encoder`.
 5. **MaxSAT resolution** — module by module in :mod:`repro.core.pipeline`
-   (rules, one :mod:`repro.maxsat.incremental` session per searched
-   skeleton, and blocked hitting-set solves of a skeleton for rankings);
+   (rules, and one :mod:`repro.maxsat.incremental` session per searched
+   skeleton, blocked once per cut set in a ranking);
    the paper's parallel portfolio stays in :mod:`repro.maxsat.portfolio`.
 6. **Reverse log-space transformation** — :mod:`repro.core.weights` and the
    result assembly in :mod:`repro.core.pipeline`.

@@ -30,12 +30,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.core.encoder import MPMCSEncoding, encode_mpmcs, event_weights, weigh_events
 from repro.core.weights import probability_of_cut_set
-from repro.exceptions import AnalysisError, NoCutSetError, SolverInterrupted
+from repro.exceptions import AnalysisError, BudgetExceededError, NoCutSetError
 from repro.fta.compiled import CompiledStructure, Skeleton
 from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
-from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.maxsat.portfolio import PortfolioReport
 from repro.maxsat.rc2 import RC2Engine
@@ -340,7 +339,7 @@ class MPMCSSolver:
     whole-tree encoding.
 
     :attr:`stop_check` is the cooperative cancellation hook (a service job's
-    guard): the sessions, the ranking's skeleton solves and the engine of
+    guard): the sessions, a ranking's among them, and the engine of
     :meth:`solve_encoding` all poll it, and a module-route solve or ranking
     it stops raises :class:`~repro.exceptions.SolverInterrupted`.
 
@@ -419,9 +418,9 @@ class MPMCSSolver:
         more walk the modules bottom-up, each keeping its ``count`` cheapest
         entries (:data:`Entry`): an OR merges its children's lists, an AND
         or k-of-n searches them (:func:`_k_best`), and a skeleton that needs
-        a search enumerates its own cut sets (:func:`_rank_skeleton`).  The
-        objective adds up over independent children and no two cut sets
-        tie, so the sums order cut sets canonically.  The skeleton solves'
+        a search lists its own cut sets on a session (:func:`_rank_skeleton`).
+        The objective adds up over independent children and no two cut sets
+        tie, so the sums order cut sets canonically.  The skeleton walks'
         seconds and SAT calls are reported on the first entry, so a sum over
         the ranking counts them once.  With ``single_engine`` it is
         :func:`rank_optima` over :meth:`optima`.
@@ -439,9 +438,9 @@ class MPMCSSolver:
         sat_calls = 0
         for skeleton in structure.modules:
             if not skeleton.by_rule:
-                engine = HittingSetEngine.name
+                engine = SESSION_ENGINE
                 ranked[skeleton.root], took, calls = _rank_skeleton(
-                    skeleton, ranked, weights, count, self.stop_check
+                    skeleton, ranked, count, self.stop_check
                 )
                 seconds += took
                 sat_calls += calls
@@ -637,7 +636,6 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
 def _rank_skeleton(
     skeleton: Skeleton,
     ranked: Dict[str, List[Entry]],
-    weights: Dict[str, float],
     count: int,
     stop_check: Optional[Callable[[], bool]],
 ) -> Tuple[List[Entry], float, int]:
@@ -645,48 +643,35 @@ def _rank_skeleton(
 
     Lawler's partition (Management Science 18(7), 1972) over the skeleton
     alone: every minimal cut set of the module joins one minimal cut set
-    ``S`` of the skeleton with one entry of each leaf in ``S``, so the
-    module's entries are the union, over ``S``, of the :func:`_k_best`
-    joins of the leaves' lists.  ``S`` costs at least its *base cost*, the
-    sum of its leaves' cheapest entries.  A copy of the skeleton's hard
-    clauses, with one unit soft clause per leaf weighted by that leaf's
-    cheapest entry, is solved by :class:`HittingSetEngine` cheapest set
-    first, each set blocked (it and its supersets) once found.  The walk
-    stops after ``count`` sets, or at a set whose base cost exceeds the
-    ``count``-th entry held: no later set can add an entry.  Returns the
-    entries and the solves' seconds and SAT calls.
+    ``S`` of the skeleton with one entry of each leaf in ``S`` (the
+    :func:`_k_best` join of the leaves' lists), and costs at least ``S``'s
+    *base cost*, the sum of its leaves' cheapest entries.  A session of the
+    ranking's own, each leaf weighed by its cheapest entry, lists the sets
+    ``S`` cheapest first, blocking each once found, so every solve starts
+    from the cores of the solves before it.  The walk stops after ``count``
+    sets, when none is left, or at a set whose base cost exceeds the
+    ``count``-th entry held.  Returns the entries and the walk's seconds and
+    SAT calls; a session over its budget raises :class:`AnalysisError`.
     """
-    cnf = skeleton.cnf
-    instance = cnf.instance.copy()
-    for leaf, var in cnf.event_vars.items():
-        objective, parts = ranked[leaf][0]
-        weight = sum(weights[name] for name in _cut_set(parts))
-        instance.add_soft([-var], weight, label=leaf, scaled_weight=objective)
-    engine = HittingSetEngine()
-    engine.stop_check = stop_check
+    started = time.perf_counter()
+    session = IncrementalMaxSATSession(skeleton)
+    cheapest = {leaf: ranked[leaf][0] for leaf in session.event_vars}
     entries: List[Entry] = []
-    seconds = 0.0
-    sat_calls = 0
     for _ in range(count):
-        result = engine.solve(instance)
-        seconds += result.solve_time
-        sat_calls += result.sat_calls
-        if result.status is MaxSATStatus.UNSATISFIABLE:
+        try:
+            chosen = session.solve(cheapest, stop_check)
+        except NoCutSetError:
             break
-        if result.status is not MaxSATStatus.OPTIMUM or result.model is None:
-            if stop_check is not None and stop_check():
-                raise SolverInterrupted("ranking stopped by cooperative cancellation")
+        except BudgetExceededError as exc:
             raise AnalysisError(
-                f"the skeleton of module {skeleton.root!r} gave no optimum "
-                f"(status: {result.status.value})"
-            )
-        if len(entries) == count and result.cost > entries[-1][0]:
+                f"the skeleton of module {skeleton.root!r} gave no optimum ({exc})"
+            ) from exc
+        if len(entries) == count and sum(cheapest[leaf][0] for leaf in chosen) > entries[-1][0]:
             break
-        chosen = [leaf for leaf, var in cnf.event_vars.items() if result.model.get(var, False)]
         joined = _k_best([ranked[leaf] for leaf in chosen], len(chosen), count)
         entries = list(islice(heapq.merge(entries, joined), count))
-        instance.add_hard([-cnf.event_vars[leaf] for leaf in chosen])
-    return entries, seconds, sat_calls
+        session.block(chosen)
+    return entries, time.perf_counter() - started, session.sat_calls
 
 
 def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:

@@ -25,10 +25,7 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   weight-independent cached cores, and hitting sets certified as cut sets
   (from a pool of earlier optima or by evaluating the skeleton) without a
   SAT call, so a kept session turns a scenario sweep into weight-only
-  re-solves.
-
-A ranking of two or more cut sets enumerates a searched skeleton's cut
-sets with the hitting set engine, one blocked solve per cut set.
+  re-solves; a ranking blocks each cut set it finds on a session of its own.
 """
 
 from repro.maxsat.instance import SoftClause, WPMaxSATInstance

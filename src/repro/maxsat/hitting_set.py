@@ -30,7 +30,8 @@ nor the number of SAT calls, only the nodes searched.
 
 The engine's loop and the session's both assume their selectors heaviest
 first (:func:`~repro.maxsat.engine.heaviest_first`) and share one round
-budget, :data:`MAX_ROUNDS`.
+budget, :data:`MAX_ROUNDS`.  The module route, rankings included, runs
+the session's loop (engine ``incremental-hitting-set``).
 """
 
 from __future__ import annotations

@@ -34,28 +34,32 @@ hitting set loop (Davies & Bacchus) over one persistent solver:
    cheapest member;
 2. when the hitting set is a cut set of the skeleton, it is the answer, with
    no oracle call (see :meth:`IncrementalMaxSATSession.solve`).  It is known
-   to be one when it contains a cut set the session has already produced
-   (its *candidate pool*), or when evaluating the skeleton's gates over it
-   reaches the root;
+   to be one when it contains no blocked set (see below) and it contains a
+   cut set the session has already produced (its *candidate pool*), or
+   evaluating the skeleton's gates over it reaches the root;
 3. otherwise one SAT call assuming every soft clause outside the hitting set,
    highest objective first, as RC2 and the hitting set engine order their
    selectors.  UNSAT: cache the new core and repeat.  With the gates
    evaluated first the call is never satisfiable; a model would still be
    optimal, its cost bounded by the hitting set's.
 
-The session weighs nothing itself: each leaf's ``(objective, weight)`` is
-the value :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an
-event's :func:`~repro.maxsat.instance.objective_weight`, or a sub-module
-optimum's sum of them), so a kept session and a fresh one agree on every
-optimum.  Nothing the session ever adds to the solver is scenario-specific,
-which is what makes a sweep a sequence of *weight-only re-solves*: no
-re-encoding, no solver restart.  Every solve reports the engine name
-:data:`SESSION_ENGINE`.
+The session weighs nothing itself: each leaf's objective is the one
+:class:`~repro.core.pipeline.ModuleOptima` keeps for it (an event's
+:func:`~repro.maxsat.instance.objective_weight`, or a sub-module optimum's
+sum of them), so a kept session and a fresh one agree on every optimum.
+Nothing a kept session adds to the solver is scenario-specific, which is
+what makes a sweep a sequence of *weight-only re-solves*.  A ranking
+(:func:`~repro.core.pipeline._rank_skeleton`) blocks each cut set it finds
+(:meth:`IncrementalMaxSATSession.block`) on a session of its own, never a
+kept one: a blocking clause only adds to the hard clauses, so every core
+stays valid.  Every solve reports the engine name :data:`SESSION_ENGINE`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 from repro.exceptions import BudgetExceededError, NoCutSetError, SolverInterrupted
 from repro.fta.compiled import Skeleton
@@ -70,9 +74,9 @@ __all__ = ["IncrementalMaxSATSession", "SESSION_ENGINE"]
 #: The engine name of every session solve, in results and reports.
 SESSION_ENGINE = "incremental-hitting-set"
 
-#: ``(objective, weight)`` of each leaf, keyed by name: the values of
-#: :class:`~repro.core.pipeline.ModuleOptima`.
-LeafValues = Mapping[str, Tuple[int, float]]
+#: Each leaf's value, keyed by name, led by its objective (the only item read):
+#: ``ModuleOptima``'s ``(objective, weight)`` or a ranking's cheapest entry.
+LeafValues = Mapping[str, Tuple[int, Any]]
 
 
 class IncrementalMaxSATSession:
@@ -111,6 +115,8 @@ class IncrementalMaxSATSession:
         #: candidate certifies later scenarios without evaluating the gates.
         #: Maps each candidate to its leaf-column bitmask.
         self._pool: Dict[Tuple[str, ...], int] = {}
+        #: The leaf-column bitmask of each set :meth:`block` excluded.
+        self._blocked: List[int] = []
 
         self.sat_calls = 0
         self.solves = 0
@@ -134,25 +140,24 @@ class IncrementalMaxSATSession:
         """The leaves the skeleton's optimum takes under ``value``, in
         variable order.
 
-        Raises :class:`NoCutSetError` when the skeleton has no cut set and
+        Raises :class:`NoCutSetError` when no cut set is left unblocked and
         :class:`BudgetExceededError` when the core-discovery loop exceeds
         :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` (the warm route then
         falls back to a fresh session).  ``stop_check`` is the caller's
         cooperative cancellation hook (:attr:`MPMCSSolver.stop_check
-        <repro.core.pipeline.MPMCSSolver.stop_check>`):
-        polled every round, by the SAT solver and by the hitting set search,
-        it ends the solve with :class:`SolverInterrupted` once it returns
-        true.
+        <repro.core.pipeline.MPMCSSolver.stop_check>`), polled every round,
+        by the SAT solver and by the hitting set search: it ends the solve
+        with :class:`SolverInterrupted` once it returns true.
 
-        A round whose minimum-cost hitting set is a cut set returns that
-        hitting set without a SAT call: it contains a pooled cut set, or
-        evaluating the gates over it reaches the root.  This is exactly what
-        the SAT call would return: the hitting set is a cut set, so the call
-        is satisfiable; the model's true leaves hit every cached core, so
-        they cost at least as much as the hitting set, and with every
-        objective positive a subset of equal cost is the hitting set itself.
-        The objective is the canonical order, so the answer is the canonical
-        optimum.
+        A round whose minimum-cost hitting set is a cut set returns it
+        without a SAT call: it contains no blocked set, and it contains a
+        pooled cut set or evaluating the gates over it reaches the root.
+        This is exactly what the SAT call would return: the hitting set is
+        a cut set, so the call is satisfiable; the model's true leaves hit
+        every cached core, so they cost at least as much as the hitting set,
+        and with every objective positive a subset of equal cost is the
+        hitting set itself.  The objective is the canonical order, so the
+        answer is the canonical optimum.
         """
         with _trace.span("maxsat.solve") as span:
             calls_before = self.sat_calls
@@ -179,6 +184,17 @@ class IncrementalMaxSATSession:
                     span.add(tier, count - stats_before[tier])
             return results
 
+    def block(self, leaves: Sequence[str]) -> None:
+        """Exclude every cut set that contains ``leaves`` from later solves.
+
+        The clause ``(¬x_l …)`` goes to this session's copy of the skeleton's
+        memoised solver.  A hitting set that contains a blocked set is never
+        certified, by the pool or by the gates (see :meth:`solve`), so the
+        SAT call's core rules it out.
+        """
+        self._solver.add_clause([-self.event_vars[leaf] for leaf in leaves])
+        self._blocked.append(self._event_mask(leaves))
+
     def _solve(
         self, value: LeafValues, stop_check: Optional[Callable[[], bool]]
     ) -> List[str]:
@@ -197,7 +213,11 @@ class IncrementalMaxSATSession:
                 self._cores, objective, incumbent=incumbent, stop_check=stop_check
             )
             candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
-            if self._contains_pooled(candidate) or self.skeleton.reaches_root(candidate):
+            if not (self._blocked and self._contains(candidate, self._blocked)) and (
+                candidate in self._pool
+                or self._contains(candidate, self._pool.values())
+                or self.skeleton.reaches_root(candidate)
+            ):
                 leaves, certified = candidate, True
                 break
 
@@ -237,22 +257,20 @@ class IncrementalMaxSATSession:
     def pool_size(self) -> int:
         return len(self._pool)
 
-    def _event_mask(self, leaves: Tuple[str, ...]) -> int:
+    def _event_mask(self, leaves: Iterable[str]) -> int:
         mask = 0
         for name in leaves:
             mask |= 1 << self._event_column[name]
         return mask
 
-    def _contains_pooled(self, leaves: Tuple[str, ...]) -> bool:
-        """Whether some pooled candidate is a subset of ``leaves``.
+    def _contains(self, leaves: Tuple[str, ...], masks: Iterable[int]) -> bool:
+        """Whether one of the leaf sets ``masks`` is a subset of ``leaves``.
 
-        The weight-free feasibility certificate: a pooled candidate is a
-        verified cut set, and any superset of a cut set admits a model.
+        Over the pool, the weight-free feasibility certificate: a superset
+        of a verified cut set that contains no blocked set admits a model.
         """
-        if leaves in self._pool:
-            return True
         mask = self._event_mask(leaves)
-        return any(candidate & ~mask == 0 for candidate in self._pool.values())
+        return any(candidate & ~mask == 0 for candidate in masks)
 
     # -- introspection ---------------------------------------------------------
 

@@ -13,7 +13,6 @@ from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MODULE_RULE_ENGINE, MPMCSSolver
 from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError, SolverInterrupted
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.observability.metrics import scoped_metrics
 from repro.sat.cdcl import CDCLSolver
@@ -215,7 +214,7 @@ def test_warm_ranking_makes_the_cold_work(monkeypatch):
     calls: at most 3 solves per searched skeleton, and no whole-tree solve.
     Blocked re-solves on the warm incremental session once took 9.7-174.5 s
     per draw here on a 2-core host, against 0.16-0.24 s cold."""
-    skeleton_solves = _count_calls(monkeypatch, HittingSetEngine, "solve")
+    skeleton_solves = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve")
     whole_tree_solves = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
     sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
     request = AnalysisRequest.create(("ranking",), backend="maxsat", top_k=3)

@@ -164,13 +164,13 @@ class TestDegradedProviders:
 class TestSolveBudget:
     def test_composite_mpmcs_and_ranking_share_one_enumeration(self, monkeypatch):
         from repro.core.pipeline import MPMCSSolver
-        from repro.maxsat.hitting_set import HittingSetEngine
+        from repro.maxsat.incremental import IncrementalMaxSATSession
 
         calls = []
         for owner, method in (
             (MPMCSSolver, "solve"),
             (MPMCSSolver, "solve_encoding"),
-            (HittingSetEngine, "solve"),
+            (IncrementalMaxSATSession, "solve"),
         ):
             real = getattr(owner, method)
 
@@ -187,7 +187,7 @@ class TestSolveBudget:
         # (the objective is the canonical order, so no solve proves the
         # ranking), and no whole-tree solve.  The MPMCS falls out of the
         # same enumeration for free.
-        assert calls == ["HittingSetEngine.solve"] * 3
+        assert calls == ["IncrementalMaxSATSession.solve"] * 3
         assert report.mpmcs.events == report.ranking[0].events == ("transfer_switch_fails",)
         assert [entry.events for entry in report.ranking] == [
             ("transfer_switch_fails",),
@@ -207,31 +207,32 @@ class TestSolveBudget:
         ]
 
     def test_ranking_blocks_extend_one_working_copy(self, monkeypatch):
-        from repro.maxsat.hitting_set import HittingSetEngine
+        from repro.maxsat.incremental import IncrementalMaxSATSession
         from tests.conftest import searched_skeletons
 
         seen = []
-        real = HittingSetEngine.solve
+        real = IncrementalMaxSATSession.solve
 
-        def recording(self, instance):
-            seen.append((instance, instance.num_hard))
-            return real(self, instance)
+        def recording(self, *args, **kwargs):
+            seen.append((self, len(self._blocked)))
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(HittingSetEngine, "solve", recording)
+        monkeypatch.setattr(IncrementalMaxSATSession, "solve", recording)
         tree = data_center_power()
         AnalysisSession().analyze(tree, ["ranking"], top_k=4)
         (skeleton,) = searched_skeletons(tree)
         memo = skeleton.cnf
         base = memo.instance.num_hard
-        # The ranking owns one copy of the skeleton's clauses: the four
-        # solves all use it, each after one more blocking clause.  The
-        # skeleton's memoised clauses are never extended, so the next
-        # ranking of the structure starts from them again.
-        assert len({id(instance) for instance, _ in seen}) == 1
-        assert seen[0][0] is not memo.instance
-        assert [hard for _, hard in seen] == [base, base + 1, base + 2, base + 3]
+        # The ranking owns one session of the skeleton: the four solves all
+        # use it, each after one more blocking clause in the session's own
+        # solver.  The skeleton's memoised clauses are never extended, so
+        # the next ranking of the structure starts from them again.
+        assert len({id(session) for session, _ in seen}) == 1
+        session = seen[0][0]
+        assert session.skeleton is skeleton
+        assert session._solver is not memo.instance.solver_memo.solver
+        assert [blocked for _, blocked in seen] == [0, 1, 2, 3]
         assert memo.instance.num_hard == base
-        assert len(seen[0][0].soft) == len(memo.event_vars)
 
 
 class TestArtifactReuse:

@@ -11,7 +11,8 @@ from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs, rank_optima
 from repro.exceptions import AnalysisError, ReproError
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import HittingSetEngine, PortfolioSolver, RC2Engine
+from repro.maxsat import PortfolioSolver, RC2Engine, incremental
+from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import data_center_power
@@ -146,32 +147,51 @@ class TestSkeletonRanking:
     alone, at most ``k`` times, and never the whole tree."""
 
     @pytest.mark.parametrize(
-        "factory",
-        [data_center_power, lambda: voting_reuse_tree(40, 27), lambda: _e4_tree(1000, 1)],
+        "factory, max_sat_calls",
+        [
+            (data_center_power, None),
+            # Each blocked solve starts from the cores of the solves before
+            # it: 51 SAT calls for the top 10, against 426 when every solve
+            # started afresh.
+            (lambda: voting_reuse_tree(40, 27), 70),
+            (lambda: _e4_tree(1000, 1), None),
+        ],
         ids=["data-center-power", "voting-reuse-40-27", "e4-1000-1"],
     )
     @pytest.mark.parametrize("k", [3, 10])
-    def test_at_most_k_skeleton_solves_and_no_whole_tree_solve(self, monkeypatch, factory, k):
+    def test_at_most_k_skeleton_solves_and_no_whole_tree_solve(
+        self, monkeypatch, factory, max_sat_calls, k
+    ):
         def forbidden(*args, **kwargs):
             raise AssertionError("a whole-tree solve was made")
 
         monkeypatch.setattr(pipeline, "encode_mpmcs", forbidden)
         monkeypatch.setattr(PortfolioSolver, "solve_with_report", forbidden)
-        instances = []
-        solve = HittingSetEngine.solve
+        sessions = []
+        solve = IncrementalMaxSATSession.solve
 
-        def recording(self, instance):
-            instances.append(instance)
-            return solve(self, instance)
+        def recording(self, *args, **kwargs):
+            sessions.append(self)
+            return solve(self, *args, **kwargs)
 
-        monkeypatch.setattr(HittingSetEngine, "solve", recording)
+        monkeypatch.setattr(IncrementalMaxSATSession, "solve", recording)
         tree = factory()
         ranked = MPMCSSolver().rank(tree, k)
-        # Each skeleton's solves share its one working copy, kept alive here.
-        solves = Counter(map(id, instances))
+        # Each searched skeleton is ranked by one session of its own.
+        solves = Counter(map(id, sessions))
         assert len(solves) == len(searched_skeletons(tree)) > 0
         assert max(solves.values()) <= k
-        assert ranked[0].portfolio.result.sat_calls > 0
+        sat_calls = ranked[0].portfolio.result.sat_calls
+        assert sat_calls > 0
+        if max_sat_calls is not None:
+            assert sat_calls <= max_sat_calls
+
+    def test_a_ranking_over_budget_raises_analysis_error(self, monkeypatch):
+        # The session's BudgetExceededError is a SolverError; the ranking
+        # reports it as the AnalysisError that AnalysisSession degrades on.
+        monkeypatch.setattr(incremental, "MAX_ROUNDS", 1)
+        with pytest.raises(AnalysisError, match="gave no optimum"):
+            MPMCSSolver().rank(data_center_power(), 3)
 
     def test_a_stop_hook_cancels_a_ranking(self):
         solver = MPMCSSolver()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.encoder import encode_mpmcs
-from repro.core.pipeline import MPMCSSolver
+from repro.core.pipeline import ModuleOptima, MPMCSSolver
+from repro.exceptions import NoCutSetError
 from repro.maxsat import engine as engine_module
 from repro.maxsat import incremental as incremental_module
 from repro.maxsat.incremental import IncrementalMaxSATSession
@@ -213,3 +214,51 @@ class TestWeightOnlyResolve:
         assert len(skeleton_assemblies) == 1
         assert again.cnf is skeleton.cnf
         assert second.event_vars == skeleton.cnf.event_vars
+
+
+def _minimal_cut_sets(skeleton, leaves):
+    """Every minimal cut set of ``skeleton``, by brute force over ``leaves``,
+    each in the order of ``leaves``."""
+    subsets = (
+        [leaf for column, leaf in enumerate(leaves) if mask >> column & 1]
+        for mask in range(1 << len(leaves))
+    )
+    return [
+        subset
+        for subset in subsets
+        if skeleton.reaches_root(subset)
+        and not any(
+            skeleton.reaches_root([leaf for leaf in subset if leaf != dropped])
+            for dropped in subset
+        )
+    ]
+
+
+class TestBlockedEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(voting_reuse_trees())
+    def test_solve_and_block_list_every_minimal_cut_set_in_order(self, tree):
+        structure = tree.compiled()
+        before = ModuleOptima(structure)
+        before.update(tree)
+        for skeleton in searched_skeletons(tree):
+            num_hard = skeleton.cnf.instance.num_hard
+            session = IncrementalMaxSATSession(skeleton)
+            leaves = list(session.event_vars)
+            # Powers of two: no two leaf sets tie.
+            value = {leaf: (1 << column, 0.0) for column, leaf in enumerate(leaves)}
+            expected = sorted(
+                _minimal_cut_sets(skeleton, leaves),
+                key=lambda cut_set: sum(value[leaf][0] for leaf in cut_set),
+            )
+            listed = []
+            with pytest.raises(NoCutSetError):
+                for _ in range(len(expected) + 1):
+                    listed.append(session.solve(value))
+                    session.block(listed[-1])
+            assert listed == expected
+            # The blocking clauses went to the session's own solver only.
+            assert skeleton.cnf.instance.num_hard == num_hard
+        after = ModuleOptima(structure)
+        after.update(tree)
+        assert after.optimum() == before.optimum()
