@@ -2,7 +2,7 @@
 
 The paper states the MPMCS of the example fault tree is {x1, x2} with a joint
 probability of 0.02.  This benchmark runs the full six-step pipeline on that
-tree (with the default parallel portfolio) and asserts the exact result.
+tree (with the default module-by-module solver) and asserts the exact result.
 """
 
 import pytest

@@ -61,7 +61,7 @@ def _count_assemblies(monkeypatch):
 
 
 def _cold_canonical(trees):
-    """Fresh session per scenario: full re-encode + cold portfolio solve."""
+    """Fresh session per scenario: a cold module-by-module solve each."""
     documents = []
     for patched in trees:
         report = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat")

@@ -13,7 +13,7 @@ diagnosis into decisions:
    vector, applied non-destructively;
 4. budgeted mitigation planning — the greedy cost-effectiveness baseline
    against the exact MaxSAT planner, which re-encodes budgeted MPMCS
-   minimisation over the library's solver portfolio.
+   minimisation as Weighted Partial MaxSAT and solves it with RC2.
 
 Run it with::
 

@@ -75,7 +75,7 @@ Package map
 ``repro.logic``      Boolean formulas, the AND/OR/k-of-n Tseitin clause
                      generators, DIMACS I/O.
 ``repro.sat``        The CDCL SAT solver with assumptions/cores.
-``repro.maxsat``     Weighted Partial MaxSAT engines and the parallel portfolio.
+``repro.maxsat``     Weighted Partial MaxSAT engines and the incremental session.
 ``repro.fta``        Fault-tree model, builder, Galileo/JSON parsers.
 ``repro.core``       The six-step MPMCS pipeline (hard clauses assembled gate by
                      gate), modular solving and top-k enumeration.

@@ -36,7 +36,6 @@ from repro.fta.gates import Gate, GateType
 from repro.fta.tree import FaultTree
 from repro.maxsat.engine import MaxSATEngine
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
-from repro.maxsat.portfolio import PortfolioReport
 from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
 
@@ -70,7 +69,7 @@ class MPMCSResult:
         Per-event ``-log`` weights of the cut-set members (Table I values for
         the events in the solution).
     engine:
-        Name of the MaxSAT engine that produced the winning solution.
+        Name of the MaxSAT engine that produced the solution.
     solve_time:
         Wall-clock seconds spent in the MaxSAT resolution step (Step 5).
     total_time:
@@ -78,10 +77,9 @@ class MPMCSResult:
     num_vars / num_hard / num_soft / num_aux_vars:
         Size of the encoded MaxSAT instance, reported for the scalability
         benchmarks.
-    portfolio:
-        The per-engine report of a module-by-module solve or ranking
-        (the engine that answered, its seconds and status); ``None`` for a
-        whole-tree solve.
+    sat_calls:
+        SAT calls of the MaxSAT resolution step; a ranking counts its
+        skeleton walks on the first entry only.
     encoding_sizes:
         ``(num_vars, num_hard, num_aux_vars)`` of the whole-tree encoding,
         or the compiled structure whose memoised hard clauses give them on
@@ -97,7 +95,7 @@ class MPMCSResult:
     solve_time: float = 0.0
     total_time: float = 0.0
     num_soft: int = 0
-    portfolio: Optional[PortfolioReport] = None
+    sat_calls: int = 0
     encoding_sizes: Union[Tuple[int, int, int], CompiledStructure] = field(
         default=(0, 0, 0), repr=False, compare=False
     )
@@ -146,7 +144,7 @@ class MPMCSResult:
         }
 
 
-#: Engine and portfolio winner reported when every module is solved by rule.
+#: Engine reported when every module is solved by rule.
 MODULE_RULE_ENGINE = "modules"
 
 
@@ -377,13 +375,11 @@ class MPMCSSolver:
         seconds, sat_calls = optima.update(tree, self.stop_check)
         cut_set, objective, weight = optima.optimum()
         engine = SESSION_ENGINE if optima.sessions else MODULE_RULE_ENGINE
-        report = _merged_report(engine, objective, weight, seconds, sat_calls)
         return self._result(
             tree,
             cut_set,
             optima.weights,
-            report.result,
-            report,
+            _merged_result(engine, objective, weight, seconds, sat_calls),
             start,
             len(optima.weights),
             optima.structure,
@@ -405,7 +401,6 @@ class MPMCSSolver:
             encoding.cut_set_from_model(self._model(tree, maxsat_result)),
             encoding.weights,
             maxsat_result,
-            None,
             start,
             instance.num_soft,
             (instance.num_vars, instance.num_hard, encoding.num_aux_vars),
@@ -456,12 +451,10 @@ class MPMCSSolver:
         for objective, parts in ranked[structure.order[structure.top]]:
             cut_set = _cut_set(parts)
             weight = sum(weights[name] for name in cut_set)
-            report = _merged_report(engine, objective, weight, seconds, sat_calls)
+            merged = _merged_result(engine, objective, weight, seconds, sat_calls)
             seconds, sat_calls = 0.0, 0
             results.append(
-                self._result(
-                    tree, cut_set, weights, report.result, report, start, len(weights), structure
-                )
+                self._result(tree, cut_set, weights, merged, start, len(weights), structure)
             )
         return results
 
@@ -515,7 +508,6 @@ class MPMCSSolver:
         cut_set: Tuple[str, ...],
         weights: Dict[str, float],
         maxsat_result: MaxSATResult,
-        report: Optional[PortfolioReport],
         start: float,
         num_soft: int,
         encoding_sizes: Union[Tuple[int, int, int], CompiledStructure],
@@ -540,7 +532,7 @@ class MPMCSSolver:
             solve_time=maxsat_result.solve_time,
             total_time=time.perf_counter() - start,
             num_soft=num_soft,
-            portfolio=report,
+            sat_calls=maxsat_result.sat_calls,
             encoding_sizes=encoding_sizes,
         )
 
@@ -687,26 +679,18 @@ def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:
     return tuple(sorted(events))
 
 
-def _merged_report(
-    engine: str, cost: int, float_cost: float, seconds: float = 0.0, sat_calls: int = 0
-) -> PortfolioReport:
-    """One report for a modular solve, its skeleton solves' ``seconds`` and
+def _merged_result(
+    engine: str, cost: int, float_cost: float, seconds: float, sat_calls: int
+) -> MaxSATResult:
+    """One result for a modular solve, its skeleton solves' ``seconds`` and
     ``sat_calls`` summed, under the engine name ``engine``."""
-    result = MaxSATResult(
+    return MaxSATResult(
         MaxSATStatus.OPTIMUM,
         cost=cost,
         float_cost=float_cost,
         engine=engine,
         solve_time=seconds,
         sat_calls=sat_calls,
-    )
-    searched = engine != MODULE_RULE_ENGINE
-    return PortfolioReport(
-        winner=engine,
-        result=result,
-        engine_times={engine: seconds} if searched else {},
-        engine_statuses={engine: result.status.value} if searched else {},
-        total_time=seconds,
     )
 
 

@@ -40,9 +40,9 @@ class BudgetExceededError(SolverError):
 class SolverInterrupted(SolverError):
     """Raised when a cooperative stop signal interrupts a running solver.
 
-    The parallel portfolio (paper Step 5) sets a stop flag once the first
-    engine finishes; the remaining engines observe the flag at their next
-    restart boundary and unwind by raising this exception.
+    A cancelled analysis (a service job's cancel or timeout) sets a stop
+    flag; the running engine or session observes it at its next restart
+    boundary or iteration and unwinds by raising this exception.
     """
 
 
@@ -71,7 +71,7 @@ class BDDError(ReproError):
 
 
 class ConfigurationError(ReproError):
-    """Raised when pipeline or portfolio configuration values are invalid."""
+    """Raised when pipeline or solver configuration values are invalid."""
 
 
 class MissingDependencyError(ReproError):

@@ -13,12 +13,6 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   also hands a solve to once it outgrows its core budget.
 * :class:`repro.maxsat.bruteforce.BruteForceEngine` — an exhaustive reference
   solver used by the test suite on small instances.
-* :class:`repro.maxsat.portfolio.PortfolioSolver` — the paper's Step 5
-  portfolio for whole-tree instances: RC2, then the hitting set engine, run
-  in order in-process, or raced in worker processes (``mode="process"``);
-  the first conclusive result wins.  A component of its own:
-  :class:`~repro.core.pipeline.MPMCSSolver` solves module by module and
-  never calls it.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — the module
   route's one skeleton solver, cold and warm: implicit-hitting-set solving
   of one module's skeleton over one persistent CDCL solver, with
@@ -26,6 +20,11 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
   (from a pool of earlier optima or by evaluating the skeleton) without a
   SAT call, so a kept session turns a scenario sweep into weight-only
   re-solves; a ranking blocks each cut set it finds on a session of its own.
+
+The paper's Step 5 races several solvers and keeps the first answer.  That
+race is not reproduced: measured, it lost to the module route on 172 of 173
+searched trees.  Step 5 runs on one engine at a time: the module route's
+sessions, or RC2 (with its hand-over) on a whole-tree encoding.
 """
 
 from repro.maxsat.instance import SoftClause, WPMaxSATInstance
@@ -35,7 +34,6 @@ from repro.maxsat.rc2 import RC2Engine
 from repro.maxsat.hitting_set import HittingSetEngine
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.maxsat.bruteforce import BruteForceEngine
-from repro.maxsat.portfolio import PortfolioSolver, PortfolioReport
 
 __all__ = [
     "BruteForceEngine",
@@ -44,8 +42,6 @@ __all__ = [
     "MaxSATEngine",
     "MaxSATResult",
     "MaxSATStatus",
-    "PortfolioReport",
-    "PortfolioSolver",
     "RC2Engine",
     "SoftClause",
     "WPMaxSATInstance",

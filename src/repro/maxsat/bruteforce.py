@@ -47,7 +47,7 @@ class BruteForceEngine(MaxSATEngine):
         if instance.num_soft > self.max_soft:
             raise SolverError(
                 f"brute-force engine refuses {instance.num_soft} soft clauses "
-                f"(limit {self.max_soft}); use RC2 or the portfolio instead"
+                f"(limit {self.max_soft}); use RC2 or the hitting set engine instead"
             )
 
         solver = self._new_sat_solver(instance)

@@ -65,12 +65,13 @@ class MaxSATEngine:
     budget; a solve stopped through :attr:`stop_check` returns ``UNKNOWN``.
     """
 
-    #: Human-readable engine name used in results and portfolio reports.
+    #: Human-readable engine name, reported as a result's ``engine``.
     name = "base"
 
     def __init__(self) -> None:
-        #: Optional cooperative-cancellation hook (set by the portfolio runner):
-        #: a zero-argument callable returning True when the engine should stop.
+        #: Optional cooperative-cancellation hook (``MPMCSSolver`` wires its
+        #: ``stop_check`` here): a zero-argument callable returning True when
+        #: the engine should stop.
         self.stop_check = None
 
     # -- public API -----------------------------------------------------------

@@ -35,8 +35,8 @@ class MaxSATResult:
     float_cost:
         The sum of the float weights of the falsified soft clauses.
     engine:
-        Name of the engine configuration that produced the result (useful when
-        the portfolio reports which member won).
+        Name of the engine configuration that produced the result
+        (``rc2+hitting-set`` when RC2 handed the solve over).
     solve_time / sat_calls / conflicts:
         Performance counters for the benchmark harness.
     """

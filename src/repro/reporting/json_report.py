@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.api.report import AnalysisReport
 from repro.core.pipeline import MPMCSResult
@@ -75,7 +75,7 @@ def analysis_report(tree: FaultTree, result: MPMCSResult) -> Dict[str, Any]:
             "engine": result.engine,
             "solve_time_s": result.solve_time,
             "total_time_s": result.total_time,
-            "portfolio": _portfolio_section(result),
+            "sat_calls": result.sat_calls,
         },
         "instance": {
             "variables": result.num_vars,
@@ -84,17 +84,6 @@ def analysis_report(tree: FaultTree, result: MPMCSResult) -> Dict[str, Any]:
             "auxiliary_variables": result.num_aux_vars,
         },
         "statistics": tree.statistics(),
-    }
-
-
-def _portfolio_section(result: MPMCSResult) -> Optional[Dict[str, Any]]:
-    if result.portfolio is None:
-        return None
-    return {
-        "winner": result.portfolio.winner,
-        "engine_times_s": dict(result.portfolio.engine_times),
-        "engine_statuses": dict(result.portfolio.engine_statuses),
-        "total_time_s": result.portfolio.total_time,
     }
 
 

@@ -3,7 +3,7 @@
 Combines, in one human-readable document, the pieces an analyst would want
 after an MPMCS run: the tree statistics, the Table I-style weight table, the
 MPMCS itself, an optional ranking of the top-k cut sets, importance measures,
-single points of failure and the solver/portfolio information.  Used by the
+single points of failure and the solver information.  Used by the
 CLI's ``report`` sub-command and by the examples.
 """
 
@@ -80,7 +80,7 @@ def markdown_report(
     lines.append(f"* **Joint probability**: {result.probability:.6g}")
     lines.append(f"* **MaxSAT objective (-log cost)**: {result.cost:.6f}")
     lines.append(f"* **Cut set size**: {result.size}")
-    lines.append(f"* **Winning engine**: {result.engine}")
+    lines.append(f"* **Engine**: {result.engine}")
     lines.append(f"* **Solve time**: {result.solve_time * 1000.0:.2f} ms")
     lines.append("")
 
@@ -139,16 +139,6 @@ def markdown_report(
             [[result.num_vars, result.num_hard, result.num_soft, result.num_aux_vars]],
         )
     )
-    if result.portfolio is not None:
-        lines.append("")
-        lines.append(f"Portfolio winner: **{result.portfolio.winner}**")
-        lines.append("")
-        rows = [
-            [name, result.portfolio.engine_statuses.get(name, "?"),
-             f"{seconds * 1000.0:.2f} ms"]
-            for name, seconds in sorted(result.portfolio.engine_times.items())
-        ]
-        lines.append(markdown_table(["Engine", "Status", "Time"], rows))
     lines.append("")
     return "\n".join(lines)
 

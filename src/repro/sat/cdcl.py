@@ -60,11 +60,11 @@ class CDCLSolver(BaseSatSolver):
         ``max_learnt_factor`` times the number of original clauses.
     max_conflicts:
         Optional global conflict budget; when exceeded, :class:`BudgetExceededError`
-        is raised.  The MaxSAT portfolio uses this to bound stragglers.
+        is raised.
     stop_check:
         Optional zero-argument callable polled at every restart boundary; when
         it returns true the solver raises :class:`SolverInterrupted`.  This is
-        the cooperative-cancellation hook used by the parallel portfolio.
+        the cooperative-cancellation hook of a cancelled analysis.
     """
 
     def __init__(

@@ -36,8 +36,7 @@ class SatResult:
         assumptions* / unsat core).  Empty when the instance is unsatisfiable
         on its own.
     conflicts / decisions / propagations:
-        Search statistics, useful for the benchmark harness and the portfolio
-        scheduler.
+        Search statistics, useful for the benchmark harness.
     """
 
     status: SatStatus

@@ -15,8 +15,7 @@ layers:
   for one structural cut-set enumeration instead of hundreds;
 * a **mitigation planner** (:mod:`~repro.scenarios.planner`): a greedy
   cost-effectiveness baseline plus an exact MaxSAT re-encoding of budgeted
-  MPMCS minimisation over the existing solver portfolio, with a
-  tornado-style action ranking.
+  MPMCS minimisation solved with RC2, with a tornado-style action ranking.
 
 Quickstart:
 

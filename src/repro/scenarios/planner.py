@@ -10,13 +10,13 @@ the Maximum Probability Minimal Cut Set down the most:
   Fast, and optimal surprisingly often, but it can be trapped (hardening the
   current MPMCS may just promote the runner-up cut set).
 * :func:`exact_plan` — an exact re-encoding into Weighted Partial MaxSAT,
-  reusing the library's solver portfolio.  The objective ``min_H max_C
-  P'(C)`` becomes, in the paper's ``-log`` weight space, ``max_H min_C
-  w'(C)`` — a bottleneck problem solved by binary search over the finite set
-  of achievable cut-set weights.  Each feasibility probe asks: *is there a
-  selection of actions, of minimal total cost, under which every minimal cut
-  set weighs at least θ?*  Per-cut-set weight constraints are pseudo-Boolean
-  and compile through the generalized totalizer
+  solved with RC2 (:class:`~repro.maxsat.rc2.RC2Engine`).  The objective
+  ``min_H max_C P'(C)`` becomes, in the paper's ``-log`` weight space,
+  ``max_H min_C w'(C)`` — a bottleneck problem solved by binary search over
+  the finite set of achievable cut-set weights.  Each feasibility probe
+  asks: *is there a selection of actions, of minimal total cost, under which
+  every minimal cut set weighs at least θ?*  Per-cut-set weight constraints
+  are pseudo-Boolean and compile through the generalized totalizer
   (:func:`repro.maxsat.pb.encode_weighted_at_most`); action costs become soft
   clauses, so the MaxSAT optimum is the cheapest plan reaching θ.
 
@@ -45,11 +45,12 @@ from repro.analysis.cutsets import CutSet, CutSetCollection
 from repro.analysis.topevent import top_event_probability_from_cut_sets
 from repro.api.cache import ArtifactCache
 from repro.core.weights import log_weight
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, SolverError
 from repro.fta.tree import FaultTree
 from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.pb import encode_weighted_at_most
-from repro.maxsat.portfolio import PortfolioSolver
+from repro.maxsat.rc2 import RC2Engine
+from repro.maxsat.result import MaxSATStatus
 from repro.scenarios.incremental import incremental_cut_sets
 from repro.scenarios.patches import DEFAULT_HARDENING_FACTOR, Harden
 
@@ -374,7 +375,8 @@ class _ThresholdProbe:
     question both :func:`exact_plan` and :func:`pareto_frontier` ask:
     :meth:`cheapest`, the minimum-cost action subset under which every minimal
     cut set weighs at least ``theta`` (a Weighted Partial MaxSAT instance
-    solved with the engine portfolio).
+    solved with RC2, which hands a solve that outgrows its core budget to
+    the hitting set engine).
     """
 
     def __init__(
@@ -382,11 +384,9 @@ class _ThresholdProbe:
         tree: FaultTree,
         structure: Sequence[CutSet],
         actions: Sequence[HardeningAction],
-        portfolio: PortfolioSolver,
         precision: int,
     ) -> None:
         self.structure = structure
-        self.portfolio = portfolio
         self.precision = precision
 
         base_weights = {name: log_weight(p) for name, p in tree.probabilities().items()}
@@ -432,7 +432,9 @@ class _ThresholdProbe:
         """Cheapest action set making every cut set weigh >= ``theta``, or ``None``.
 
         ``budget`` additionally rejects selections costing more than it;
-        ``None`` means unconstrained (the frontier walk's mode).
+        ``None`` means unconstrained (the frontier walk's mode).  A solve
+        that reaches no conclusion raises :class:`SolverError` rather than
+        read as "no selection reaches ``theta``".
         """
         instance = WPMaxSATInstance(precision=self.precision)
         harden_vars = {event: instance.new_var() for event in sorted(self.deltas)}
@@ -459,9 +461,13 @@ class _ThresholdProbe:
             instance.add_soft([-var], self.costs[event])
         if instance.num_soft == 0:
             return []  # theta is free: no constraint requires any action
-        result = self.portfolio.solve(instance)
-        if not result.is_optimum:
+        result = RC2Engine().solve(instance)
+        if result.status is MaxSATStatus.UNSATISFIABLE:
             return None
+        if not result.is_optimum:
+            raise SolverError(
+                f"the threshold probe reached no conclusion (status: {result.status.value})"
+            )
         if budget is not None and result.float_cost > budget + 1e-9:
             return None
         return [
@@ -477,7 +483,6 @@ def exact_plan(
     budget: float,
     *,
     cache: Optional[ArtifactCache] = None,
-    solver: Optional[PortfolioSolver] = None,
     precision: int = 10**6,
 ) -> MitigationPlan:
     """Exact budgeted MPMCS minimisation via Weighted Partial MaxSAT.
@@ -485,13 +490,12 @@ def exact_plan(
     Maximises ``min_C w'(C)`` (equivalently minimises the post-hardening
     MPMCS probability) over all action subsets within budget, by binary
     search over the finite candidate thresholds; each feasibility probe is a
-    WPMaxSAT instance solved with the library's engine portfolio.  Among all
+    WPMaxSAT instance solved with RC2.  Among all
     subsets reaching the optimal threshold the *cheapest* one is returned.
     """
     validate_actions(tree, actions)
     structure = _cut_set_structure(tree, cache)
-    portfolio = solver if solver is not None else PortfolioSolver()
-    probe = _ThresholdProbe(tree, structure, actions, portfolio, precision)
+    probe = _ThresholdProbe(tree, structure, actions, precision)
     thresholds = probe.thresholds
 
     best_selection: List[HardeningAction] = []
@@ -710,7 +714,6 @@ def pareto_frontier(
     *,
     method: str = "auto",
     cache: Optional[ArtifactCache] = None,
-    solver: Optional[PortfolioSolver] = None,
     precision: int = 10**6,
 ) -> ParetoFrontier:
     """Enumerate the Pareto-optimal cost-vs-MPMCS trade-off curve.
@@ -740,8 +743,7 @@ def pareto_frontier(
     selections: List[Tuple[HardeningAction, ...]] = [()]
     if method in ("auto", "exact") and actions:
         try:
-            portfolio = solver if solver is not None else PortfolioSolver()
-            probe = _ThresholdProbe(tree, structure, actions, portfolio, precision)
+            probe = _ThresholdProbe(tree, structure, actions, precision)
         except AnalysisError:
             if method == "exact":
                 raise

@@ -23,9 +23,8 @@ from repro.core.pipeline import MODULE_RULE_ENGINE, ModuleOptima, MPMCSSolver
 from repro.exceptions import ReproError
 from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
-from repro.maxsat import RC2Engine
+from repro.maxsat import HittingSetEngine, RC2Engine
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
-from repro.maxsat.portfolio import PortfolioSolver
 from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import NAMED_TREES, fire_protection_system, three_motor_system
@@ -75,11 +74,12 @@ def _assert_matches_bdd(tree):
     assert maxsat.probability == pytest.approx(bdd.probability, rel=1e-12)
 
 
-def _forbid_portfolio(monkeypatch):
+def _forbid_whole_tree_solve(monkeypatch):
     def forbidden(self, instance):
-        raise AssertionError("the portfolio was called")
+        raise AssertionError("a whole-tree engine solve was made")
 
-    monkeypatch.setattr(PortfolioSolver, "solve_with_report", forbidden)
+    monkeypatch.setattr(RC2Engine, "solve", forbidden)
+    monkeypatch.setattr(HittingSetEngine, "solve", forbidden)
 
 
 class TestDifferential:
@@ -198,13 +198,14 @@ class TestRules:
         [k_of_n_ladder(15, 8), k_of_n_ladder(31, 16), flat_vote(15, 8), fire_protection_system()],
         ids=["8of15-ladder", "16of31-ladder", "8of15-vote", "fig1"],
     )
-    def test_no_portfolio_call(self, tree, monkeypatch):
-        _forbid_portfolio(monkeypatch)
+    def test_no_whole_tree_solve(self, tree, monkeypatch):
+        _forbid_whole_tree_solve(monkeypatch)
         expected_events, expected_probability = bdd_mpmcs(tree)
         result = MPMCSSolver().solve(tree)
         assert result.events == tuple(sorted(expected_events))
         assert result.probability == pytest.approx(expected_probability, rel=1e-12)
-        assert result.engine == result.portfolio.winner == MODULE_RULE_ENGINE
+        assert result.engine == MODULE_RULE_ENGINE
+        assert result.sat_calls == 0
         report = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat")
         assert report.mpmcs.events == result.events
 
@@ -219,7 +220,7 @@ class TestRules:
         assert sizes == (cnf.instance.num_vars, cnf.instance.num_hard, cnf.num_aux_vars)
 
     def test_basic_event_top(self, monkeypatch):
-        _forbid_portfolio(monkeypatch)
+        _forbid_whole_tree_solve(monkeypatch)
         tree = FaultTree("single", top_event="a")
         tree.add_basic_event("a", 0.3)
         assert tree.compiled().modules == ()
@@ -233,7 +234,7 @@ class TestRules:
 
 class TestSkeletonSolves:
     def test_shared_structure_takes_one_session_solve(self, monkeypatch):
-        _forbid_portfolio(monkeypatch)
+        _forbid_whole_tree_solve(monkeypatch)
         calls = []
         original = IncrementalMaxSATSession.solve
 
@@ -246,7 +247,8 @@ class TestSkeletonSolves:
         result = MPMCSSolver().solve(tree)
         # No proper module: one solve over the whole tree's events.
         assert calls == [len(tree.events)]
-        assert result.portfolio.winner == result.engine == SESSION_ENGINE
+        assert result.engine == SESSION_ENGINE
+        assert result.sat_calls > 0
 
     def test_engine_names_the_engines_that_answered(self):
         e4 = random_fault_tree(num_basic_events=300, seed=0, voting_ratio=0.05, event_reuse=0.05)
@@ -257,17 +259,18 @@ class TestSkeletonSolves:
             (e4, SESSION_ENGINE),
         ):
             result = MPMCSSolver().solve(tree)
-            assert result.engine == result.portfolio.winner == engine, tree.name
+            assert result.engine == engine, tree.name
+            assert (result.sat_calls > 0) == (engine == SESSION_ENGINE), tree.name
             report = AnalysisSession().analyze(tree, ["mpmcs"], backend="maxsat")
             assert report.mpmcs.engine == engine, tree.name
             (warm,) = AnalysisSession().run_batch([tree], request)
             assert warm.mpmcs.engine == engine, tree.name
 
-    def test_module_route_makes_no_portfolio_call(self, monkeypatch):
-        """The one searched skeleton of this tree took the portfolio 83 SAT
-        calls (RC2 spent its core budget and handed over to the hitting set
-        engine); its session takes 30."""
-        _forbid_portfolio(monkeypatch)
+    def test_module_route_makes_no_whole_tree_solve(self, monkeypatch):
+        """The one searched skeleton of this tree took a whole-tree RC2 solve
+        83 SAT calls (RC2 spent its core budget and handed over to the
+        hitting set engine); its session takes 30."""
+        _forbid_whole_tree_solve(monkeypatch)
         calls = []
         original = CDCLSolver.solve
 
@@ -278,7 +281,7 @@ class TestSkeletonSolves:
         monkeypatch.setattr(CDCLSolver, "solve", counting)
         report = AnalysisSession().analyze(voting_reuse_tree(40, 27), ["mpmcs"], backend="maxsat")
         assert report.mpmcs.engine == SESSION_ENGINE
-        assert len(calls) == report.mpmcs.detail.portfolio.result.sat_calls <= 31
+        assert len(calls) == report.mpmcs.detail.sat_calls <= 31
 
     def test_cancellation_hook_reaches_skeleton_solves(self):
         solver = MPMCSSolver()

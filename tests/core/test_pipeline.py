@@ -39,7 +39,8 @@ class TestPaperExample:
         assert result.num_vars > 7
         assert result.engine
         assert result.total_time >= result.solve_time >= 0.0
-        assert result.portfolio is not None
+        # Every module of Fig. 1 solves by rule.
+        assert result.sat_calls == 0
 
     def test_to_dict_round_trips_key_fields(self, fps_tree):
         result = MPMCSSolver().solve(fps_tree)
@@ -60,9 +61,9 @@ class TestSingleEngineConfigurations:
         assert result.events == ("x1", "x2")
         assert result.probability == pytest.approx(0.02)
 
-    def test_single_engine_bypasses_portfolio(self, fps_tree):
+    def test_single_engine_reports_its_sat_calls(self, fps_tree):
         result = MPMCSSolver(single_engine=RC2Engine()).solve(fps_tree)
-        assert result.portfolio is None
+        assert result.sat_calls > 0
         assert result.engine == "rc2"
 
 

@@ -11,7 +11,7 @@ from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs, rank_optima
 from repro.exceptions import AnalysisError, ReproError
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import PortfolioSolver, RC2Engine, incremental
+from repro.maxsat import RC2Engine, incremental
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
@@ -166,7 +166,6 @@ class TestSkeletonRanking:
             raise AssertionError("a whole-tree solve was made")
 
         monkeypatch.setattr(pipeline, "encode_mpmcs", forbidden)
-        monkeypatch.setattr(PortfolioSolver, "solve_with_report", forbidden)
         sessions = []
         solve = IncrementalMaxSATSession.solve
 
@@ -181,7 +180,7 @@ class TestSkeletonRanking:
         solves = Counter(map(id, sessions))
         assert len(solves) == len(searched_skeletons(tree)) > 0
         assert max(solves.values()) <= k
-        sat_calls = ranked[0].portfolio.result.sat_calls
+        sat_calls = ranked[0].sat_calls
         assert sat_calls > 0
         if max_sat_calls is not None:
             assert sat_calls <= max_sat_calls

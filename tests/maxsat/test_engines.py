@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.analysis.mocus import mocus_minimal_cut_sets
-from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs
 from repro.exceptions import SolverError
@@ -14,7 +13,6 @@ from repro.maxsat import (
     HittingSetEngine,
     MaxSATResult,
     MaxSATStatus,
-    PortfolioSolver,
     RC2Engine,
     WPMaxSATInstance,
 )
@@ -143,6 +141,34 @@ class TestAllEnginesAgree:
         assert result.engine
         assert result.sat_calls >= 1
         assert result.solve_time >= 0.0
+
+
+class TestCancellation:
+    @pytest.mark.parametrize(
+        "engine_factory",
+        [RC2Engine, HittingSetEngine],
+        ids=["rc2", "hitting-set"],
+    )
+    def test_cancellation_observed_between_engine_iterations(self, engine_factory):
+        """A pre-fired stop check halts the engine before its first oracle call.
+
+        The CDCL solver polls the stop check at restart boundaries; the
+        engines must *also* poll it between their own iterations (oracle
+        rebuilds, core relaxations) so that a cancelled analysis stops
+        promptly even when each individual SAT call is short.
+        """
+        engine = engine_factory()
+        calls = {"n": 0}
+
+        def stop_immediately():
+            calls["n"] += 1
+            return True
+
+        engine.stop_check = stop_immediately
+        result = engine.solve(simple_instance())
+        assert result.status is MaxSATStatus.UNKNOWN
+        assert result.sat_calls == 0
+        assert calls["n"] >= 1
 
 
 class TestEngineSpecificBehaviour:
@@ -300,16 +326,15 @@ class TestRC2CoreBudget:
             assert entry.probability == pytest.approx(probability, rel=1e-9)
 
     @pytest.mark.parametrize("events,seed,voting_ratio", CREEPING_TREES)
-    def test_process_race_finds_the_mocus_optimum(self, events, seed, voting_ratio):
-        # Process mode races RC2 against the hitting set engine; whichever
-        # answers first, the optimum is the canonical one.
+    def test_hitting_set_engine_finds_the_mocus_optimum(self, events, seed, voting_ratio):
+        # The engine RC2 hands over to, alone on the whole tree, finds the
+        # canonical optimum too.
         tree = random_fault_tree(
             num_basic_events=events, seed=seed, voting_ratio=voting_ratio
         )
-        encoding = encode_mpmcs(tree)
-        result = PortfolioSolver(mode="process").solve(encoding.instance)
+        result = MPMCSSolver(single_engine=HittingSetEngine()).solve(tree)
         best, _ = mocus_minimal_cut_sets(tree).ranked()[0]
-        assert encoding.cut_set_from_model(result.model) == tuple(sorted(best))
+        assert result.events == tuple(sorted(best))
 
     def test_solve_within_budget_is_rc2_alone(self):
         result = RC2Engine().solve(simple_instance())

@@ -17,7 +17,7 @@ from repro.core.encoder import encode_mpmcs
 from repro.core.pipeline import MPMCSSolver
 from repro.core.weights import log_weight
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import BruteForceEngine, HittingSetEngine, PortfolioSolver, RC2Engine
+from repro.maxsat import BruteForceEngine, HittingSetEngine, RC2Engine
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.maxsat.instance import DEFAULT_PRECISION, scale_weight
 from repro.monitoring import ProbabilityUpdate, TreeMonitor
@@ -100,9 +100,6 @@ class TestEnginesAgreeOnTies:
         }
         for label, solver in solvers.items():
             assert solver.solve_encoding(tree, encoding).events == expected, label
-        # The process race, whichever engine answers first.
-        raced = PortfolioSolver(mode="process").solve(encoding.instance)
-        assert encoding.cut_set_from_model(raced.model) == expected, "process"
 
 
 def _count_calls(monkeypatch, owner, attribute):

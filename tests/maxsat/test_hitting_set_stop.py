@@ -1,6 +1,6 @@
 """Cooperative cancellation inside the hitting-set branch-and-bound.
 
-A portfolio loser must cancel promptly even while deep inside the B&B
+A cancelled solve must stop promptly even while deep inside the B&B
 recursion — not only at its next SAT call.  The search polls ``stop_check``
 every few hundred nodes and unwinds with :class:`SolverInterrupted`; the
 engine maps that to an UNKNOWN result.

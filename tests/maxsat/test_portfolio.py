@@ -1,10 +1,12 @@
-"""Unit tests for the parallel MaxSAT portfolio (paper Step 5)."""
+"""Unit tests for the sequential MaxSAT portfolio."""
 
-import multiprocessing
-import time
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.maxsat
 from repro.exceptions import ConfigurationError, SolverError
 from repro.maxsat import (
     BruteForceEngine,
@@ -12,11 +14,10 @@ from repro.maxsat import (
     MaxSATEngine,
     MaxSATResult,
     MaxSATStatus,
-    PortfolioSolver,
     RC2Engine,
     WPMaxSATInstance,
 )
-from repro.maxsat.portfolio import default_engines
+from repro.maxsat.portfolio import PortfolioSolver, default_engines
 
 
 def sample_instance():
@@ -34,16 +35,10 @@ class TestConfiguration:
         engines = default_engines()
         assert [engine.name for engine in engines] == ["rc2", "hitting-set"]
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PortfolioSolver(mode="gpu")
-
-    def test_thread_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PortfolioSolver(mode="thread")
-
-    def test_default_mode_is_sequential(self):
-        assert PortfolioSolver().mode == "sequential"
+    def test_mode_keyword_is_gone(self):
+        # The process race was deleted with its ``mode`` knob.
+        with pytest.raises(TypeError):
+            PortfolioSolver(mode="process")
 
     def test_empty_engine_list_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,47 +49,53 @@ class TestConfiguration:
             PortfolioSolver(engines=[RC2Engine(), RC2Engine()])
 
 
-@pytest.mark.parametrize("mode", ["sequential", "process"])
 class TestSolving:
-    def test_portfolio_returns_optimum(self, mode):
-        portfolio = PortfolioSolver(mode=mode)
+    def test_portfolio_returns_optimum(self):
+        portfolio = PortfolioSolver()
         result = portfolio.solve(sample_instance())
         assert result.status is MaxSATStatus.OPTIMUM
         # Optimal cover of clauses (1|2) and (2|3): set x1 and x3 true (4 + 2 = 6),
         # cheaper than x2 alone (9).
         assert result.cost == 6
 
-    def test_report_contains_every_engine(self, mode):
-        portfolio = PortfolioSolver(engines=[RC2Engine(), HittingSetEngine()], mode=mode)
+    def test_report_contains_every_engine(self):
+        portfolio = PortfolioSolver(engines=[RC2Engine(), HittingSetEngine()])
         report = portfolio.solve_with_report(sample_instance())
         assert report.winner in {"rc2", "hitting-set"}
         assert report.result.status is MaxSATStatus.OPTIMUM
         assert set(report.engine_statuses) <= {"rc2", "hitting-set"}
         assert report.total_time >= 0.0
 
-    def test_single_engine_portfolio(self, mode):
-        portfolio = PortfolioSolver(engines=[RC2Engine()], mode=mode)
+    def test_single_engine_portfolio(self):
+        portfolio = PortfolioSolver(engines=[RC2Engine()])
         result = portfolio.solve(sample_instance())
         assert result.engine == "rc2"
         assert result.status is MaxSATStatus.OPTIMUM
 
-    def test_unsatisfiable_instance(self, mode):
+    def test_hitting_set_first_answers_alone(self):
+        portfolio = PortfolioSolver(engines=[HittingSetEngine(), RC2Engine()])
+        report = portfolio.solve_with_report(sample_instance())
+        assert report.winner == "hitting-set"
+        assert report.result.cost == 6
+        assert set(report.engine_statuses) == set(report.engine_times) == {"hitting-set"}
+
+    def test_unsatisfiable_instance(self):
         instance = WPMaxSATInstance(precision=1)
         instance.add_hard([1])
         instance.add_hard([-1])
         instance.add_soft([2], 1)
-        result = PortfolioSolver(mode=mode).solve(instance)
+        result = PortfolioSolver().solve(instance)
         assert result.status is MaxSATStatus.UNSATISFIABLE
 
-    def test_winner_result_matches_brute_force(self, mode):
+    def test_winner_result_matches_brute_force(self):
         reference = BruteForceEngine().solve(sample_instance())
-        result = PortfolioSolver(mode=mode).solve(sample_instance())
+        result = PortfolioSolver().solve(sample_instance())
         assert result.cost == reference.cost
 
 
 class TestCostOfSampleInstance:
     def test_reference_cost(self):
-        """Pin down the sample instance's optimum so the parametrised tests above
+        """Pin down the sample instance's optimum so the tests above
         assert a meaningful value: covering clauses (1|2) and (2|3) costs
         min(weight(x2)=9, weight(x1)+weight(x3)=4+2) = 6."""
         result = BruteForceEngine().solve(sample_instance())
@@ -119,7 +120,7 @@ class TestSequentialStopsAtFirstConclusive:
     def test_second_engine_never_runs_after_a_conclusive_first(self):
         first = CountingEngine("first", MaxSATStatus.OPTIMUM)
         second = CountingEngine("second", MaxSATStatus.OPTIMUM)
-        report = PortfolioSolver(engines=[first, second], mode="sequential").solve_with_report(
+        report = PortfolioSolver(engines=[first, second]).solve_with_report(
             sample_instance()
         )
         assert report.winner == "first"
@@ -129,49 +130,47 @@ class TestSequentialStopsAtFirstConclusive:
     def test_inconclusive_engine_falls_through_to_the_next(self):
         first = CountingEngine("first", MaxSATStatus.UNKNOWN)
         second = CountingEngine("second", MaxSATStatus.OPTIMUM)
-        report = PortfolioSolver(engines=[first, second], mode="sequential").solve_with_report(
+        report = PortfolioSolver(engines=[first, second]).solve_with_report(
             sample_instance()
         )
         assert report.winner == "second"
         assert (first.calls, second.calls) == (1, 1)
         assert report.engine_statuses == {"first": "unknown", "second": "optimum"}
 
+    def test_unsatisfiable_first_engine_is_conclusive(self):
+        first = CountingEngine("first", MaxSATStatus.UNSATISFIABLE)
+        second = CountingEngine("second", MaxSATStatus.OPTIMUM)
+        report = PortfolioSolver(engines=[first, second]).solve_with_report(
+            sample_instance()
+        )
+        assert report.winner == "first"
+        assert report.result.status is MaxSATStatus.UNSATISFIABLE
+        assert (first.calls, second.calls) == (1, 0)
 
-class SlowEngine(MaxSATEngine):
-    """Stub engine that sleeps before giving up (module level: picklable)."""
+    def test_engine_error_is_recorded_and_the_next_engine_answers(self):
+        class FailingEngine(MaxSATEngine):
+            name = "failing"
 
-    name = "slow"
-    SLEEP_S = 3.0
+            def solve(self, instance):
+                raise SolverError("out of budget")
 
-    def solve(self, instance):
-        time.sleep(self.SLEEP_S)
-        return MaxSATResult(status=MaxSATStatus.UNKNOWN, engine=self.name)
-
-
-class TestProcessMode:
-    def test_returns_at_first_conclusive_result_and_stops_the_losers(self):
-        portfolio = PortfolioSolver(engines=[SlowEngine(), RC2Engine()], mode="process")
-        start = time.perf_counter()
-        report = portfolio.solve_with_report(sample_instance())
-        elapsed = time.perf_counter() - start
-        assert report.winner == "rc2"
-        assert report.result.cost == 6
-        assert elapsed < SlowEngine.SLEEP_S / 2
-        assert "slow" not in report.engine_statuses
-        assert multiprocessing.active_children() == []
+        second = CountingEngine("second", MaxSATStatus.OPTIMUM)
+        report = PortfolioSolver(engines=[FailingEngine(), second]).solve_with_report(
+            sample_instance()
+        )
+        assert report.winner == "second"
+        assert report.engine_statuses == {"failing": "error: out of budget", "second": "optimum"}
+        assert set(report.engine_times) == {"failing", "second"}
 
     def test_all_inconclusive_raises(self):
-        portfolio = PortfolioSolver(
-            engines=[CountingEngine("first", MaxSATStatus.UNKNOWN)], mode="process"
-        )
+        portfolio = PortfolioSolver(engines=[CountingEngine("first", MaxSATStatus.UNKNOWN)])
         with pytest.raises(SolverError):
             portfolio.solve_with_report(sample_instance())
-        assert multiprocessing.active_children() == []
 
 
 class TestCancellation:
     def test_default_portfolio_polls_external_stop_in_every_engine(self):
-        """The service cancels a running analysis through ``external_stop``."""
+        """Every engine polls the portfolio's ``external_stop``."""
         portfolio = PortfolioSolver()
         polls = {engine.name: 0 for engine in portfolio.engines}
         running = [None]
@@ -192,28 +191,49 @@ class TestCancellation:
             portfolio.solve_with_report(sample_instance())
         assert all(count >= 1 for count in polls.values()), polls
 
-    @pytest.mark.parametrize(
-        "engine_factory",
-        [RC2Engine, HittingSetEngine],
-        ids=["rc2", "hitting-set"],
-    )
-    def test_cancellation_observed_between_engine_iterations(self, engine_factory):
-        """A pre-fired stop check halts the engine before its first oracle call.
 
-        The CDCL solver polls the stop check at restart boundaries; the
-        engines must *also* poll it between their own iterations (oracle
-        rebuilds, core relaxations) so that a lost race stops promptly even
-        when each individual SAT call is short.
-        """
-        engine = engine_factory()
-        calls = {"n": 0}
+SRC = Path(repro.__file__).parent
 
-        def stop_immediately():
-            calls["n"] += 1
-            return True
 
-        engine.stop_check = stop_immediately
-        result = engine.solve(sample_instance())
-        assert result.status is MaxSATStatus.UNKNOWN
-        assert result.sat_calls == 0
-        assert calls["n"] >= 1
+def _imported_modules(path):
+    """Every module name ``path`` imports, ``from`` imports as ``module.name``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestNothingInTheLibraryRaces:
+    @pytest.mark.parametrize("name", ["PortfolioSolver", "PortfolioReport"])
+    def test_repro_maxsat_does_not_export(self, name):
+        assert name not in repro.maxsat.__all__
+        assert not hasattr(repro.maxsat, name)
+
+    def test_only_the_portfolio_module_mentions_it_in_an_import(self):
+        importers = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if path.name != "portfolio.py"
+            and any(
+                module == "repro.maxsat.portfolio"
+                or module.startswith("repro.maxsat.portfolio.")
+                or module in ("repro.maxsat.PortfolioSolver", "repro.maxsat.PortfolioReport")
+                for module in _imported_modules(path)
+            )
+        ]
+        assert importers == []
+
+    def test_no_maxsat_module_imports_multiprocessing(self):
+        importers = [
+            path.name
+            for path in sorted((SRC / "maxsat").glob("*.py"))
+            if any(
+                module == "multiprocessing" or module.startswith("multiprocessing.")
+                for module in _imported_modules(path)
+            )
+        ]
+        assert importers == []

@@ -61,11 +61,11 @@ class TestMarkdownReport:
         assert path.exists()
         assert "MPMCS" in path.read_text(encoding="utf-8")
 
-    def test_portfolio_section_present_when_portfolio_used(self):
-        tree = fire_protection_system()
-        result = MPMCSSolver().solve(tree)
+    def test_engine_line_names_the_engine_and_no_portfolio_table(self, fps_result):
+        tree, result = fps_result
         text = markdown_report(tree, result)
-        assert "Portfolio winner" in text
+        assert "* **Engine**: rc2" in text
+        assert "Portfolio winner" not in text
 
 
 class TestHtmlReport:

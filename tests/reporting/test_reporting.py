@@ -49,11 +49,11 @@ class TestJsonReport:
         document = json.loads(path.read_text(encoding="utf-8"))
         assert document["solution"]["mpmcs"] == ["x1", "x2"]
 
-    def test_portfolio_section_present_when_portfolio_used(self, fps_tree):
-        result = MPMCSSolver().solve(fps_tree)
+    def test_solver_section_reports_sat_calls(self, fps_tree):
+        result = MPMCSSolver(single_engine=RC2Engine()).solve(fps_tree)
         report = analysis_report(fps_tree, result)
-        assert report["solver"]["portfolio"] is not None
-        assert report["solver"]["portfolio"]["winner"]
+        assert report["solver"]["sat_calls"] == result.sat_calls > 0
+        assert "portfolio" not in report["solver"]
 
 
 class TestDot:

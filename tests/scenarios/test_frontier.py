@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from repro.api.cache import ArtifactCache
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, SolverError
+from repro.maxsat import MaxSATResult, MaxSATStatus, RC2Engine
 from repro.scenarios import (
     HardeningAction,
     exact_plan,
@@ -63,6 +64,17 @@ FPS_ACTIONS = [
 
 
 class TestExactFrontier:
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_inconclusive_probe_raises(self, monkeypatch, method):
+        # "auto" falls back to greedy only when the threshold guard trips;
+        # an inconclusive solve is an error, not a reason to approximate.
+        def inconclusive(self, instance):
+            return MaxSATResult(status=MaxSATStatus.UNKNOWN, engine=self.name)
+
+        monkeypatch.setattr(RC2Engine, "solve", inconclusive)
+        with pytest.raises(SolverError, match="no conclusion"):
+            pareto_frontier(fire_protection_system(), FPS_ACTIONS, method=method)
+
     def test_matches_brute_force_on_fig1(self):
         tree = fire_protection_system()
         frontier = pareto_frontier(tree, FPS_ACTIONS, method="exact")

@@ -84,7 +84,7 @@ class TestWarmSweepEquivalence:
             assert ours.top_event == pytest.approx(theirs.top_event)
 
     def test_warm_opt_in_is_scoped_to_the_sweep(self):
-        """One-off analyses on a shared session keep the cold portfolio."""
+        """One-off analyses on a shared session keep the cold route."""
         session = AnalysisSession()
         executor = SweepExecutor(session, backend="maxsat")
         backend = session.backend("maxsat")

@@ -1,16 +1,19 @@
 """Mitigation planner: greedy baseline, exact MaxSAT planner, action ranking."""
 
+import inspect
 import itertools
 
 import pytest
 
 from repro.api.cache import ArtifactCache
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, SolverError
+from repro.maxsat import MaxSATResult, MaxSATStatus, RC2Engine
 from repro.scenarios import (
     HardeningAction,
     exact_plan,
     greedy_plan,
     incremental_cut_sets,
+    pareto_frontier,
     plan_mitigation,
     rank_actions,
 )
@@ -116,6 +119,31 @@ class TestExactPlanner:
         plan = exact_plan(tree, actions, budget=2.0)
         optimum, _ = brute_force_optimum(tree, actions, budget=2.0)
         assert plan.new_mpmcs_probability == pytest.approx(optimum, rel=1e-6)
+
+    def test_inconclusive_probe_raises(self, monkeypatch):
+        # An UNKNOWN probe is no evidence that a threshold is out of reach:
+        # reading it as infeasible would quietly return a worse plan.
+        def inconclusive(self, instance):
+            return MaxSATResult(status=MaxSATStatus.UNKNOWN, engine=self.name)
+
+        monkeypatch.setattr(RC2Engine, "solve", inconclusive)
+        with pytest.raises(SolverError, match="no conclusion"):
+            exact_plan(fire_protection_system(), FPS_ACTIONS, budget=3.0)
+
+    def test_unsatisfiable_probe_reads_as_out_of_reach(self, monkeypatch):
+        # A proof that no selection reaches a threshold keeps the base plan.
+        def unsatisfiable(self, instance):
+            return MaxSATResult(status=MaxSATStatus.UNSATISFIABLE, engine=self.name)
+
+        monkeypatch.setattr(RC2Engine, "solve", unsatisfiable)
+        plan = exact_plan(fire_protection_system(), FPS_ACTIONS, budget=3.0)
+        assert plan.selected == ()
+        assert plan.new_mpmcs_probability == plan.base_mpmcs_probability
+
+    @pytest.mark.parametrize("planner", [exact_plan, pareto_frontier], ids=lambda f: f.__name__)
+    def test_planner_takes_no_solver(self, planner):
+        # Every probe solves with RC2; there is no portfolio to pass in.
+        assert "solver" not in inspect.signature(planner).parameters
 
 
 class TestGreedyPlanner:

@@ -65,7 +65,7 @@ class TestAnalyzeCommand:
             build_parser().parse_args(["analyze", "--builtin", "fps", "--backend", "nope"])
 
     def test_analyze_takes_no_mode(self):
-        # The solver never calls the portfolio, so there is no mode to set.
+        # Step 5 runs on one engine, so there is no race mode to set.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "--builtin", "fps", "--mode", "process"])
 
