@@ -52,7 +52,7 @@ from repro.bdd.probability import FlatBDD, flatten_bdd, mpmcs_of_bdd, probabilit
 from repro.core.pipeline import ModuleOptima, MPMCSResult, MPMCSSolver
 from repro.core.topk import RankedCutSet
 from repro.core.weights import weight_of_cut_set
-from repro.exceptions import AnalysisError, BudgetExceededError, ReproError
+from repro.exceptions import AnalysisError, ReproError
 from repro.fta.compiled import CompiledStructure
 from repro.fta.tree import FaultTree
 from repro import kernels
@@ -201,8 +201,10 @@ class MaxSATBackend(AnalysisBackend):
     a probability-only tree re-solves only the modules above its changed
     events, each on a session that keeps its cores, learned clauses and
     candidate pool from the earlier trees of the batch.  That is the only
-    difference between the routes: a cold analysis solves on fresh optima,
-    so nothing persists across :meth:`run` calls.  Every route optimises the
+    difference between the routes: a cold analysis solves on fresh optima
+    and sessions, which like warm ones start from the unsat cores the
+    structure's skeletons keep (:attr:`Skeleton.cores
+    <repro.fta.compiled.Skeleton.cores>`).  Every route optimises the
     canonical order itself (:func:`~repro.maxsat.instance.objective_weight`),
     so ties need no extra solves and every ranking equals every other
     backend's.
@@ -229,7 +231,7 @@ class MaxSATBackend(AnalysisBackend):
         """The warm route: ``tree``'s optimum from its structure's kept
         module optima (LRU-bounded), whose sessions keep their cores and
         learned clauses.  Raises :class:`BudgetExceededError` when a session
-        blows its core budget; the caller then falls back to the cold route.
+        blows its core budget even after its retry from no core.
         """
         structure = tree.compiled()
         optima = self._warm_sessions.pop(structure, None) or ModuleOptima(structure)
@@ -253,20 +255,13 @@ class MaxSATBackend(AnalysisBackend):
         if not (wants_mpmcs or wants_ranking):
             return report
         count = request.top_k if wants_ranking else 1
-        enumerated: Optional[List[MPMCSResult]] = None
         registry = get_metrics()
         started = time.perf_counter()
         if warm and count == 1:
-            try:
-                enumerated = [self._solve_warm(tree)]
-            except BudgetExceededError:
-                # A kept session's cores outgrew its hitting-set search: fall
-                # back to a cold analysis, whose sessions start afresh.
-                registry.inc("repro_solver_warm_fallbacks_total")
-            else:
-                report.profile["warm_solves"] = 1
-                registry.inc("repro_solver_warm_solves_total")
-        if enumerated is None:
+            enumerated: List[MPMCSResult] = [self._solve_warm(tree)]
+            report.profile["warm_solves"] = 1
+            registry.inc("repro_solver_warm_solves_total")
+        else:
             registry.inc("repro_solver_cold_solves_total")
             enumerated = self._solver().rank(tree, count)
         # Encoding, module walks and checks are everything but the engines.

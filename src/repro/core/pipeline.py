@@ -186,9 +186,10 @@ class ModuleOptima:
     first update, or one for a tree of another structure, solves every
     module.  Each skeleton that needs a search is solved by its own
     :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`
-    (:attr:`sessions`).  A cold analysis uses a fresh instance; the
-    ``maxsat`` backend's warm route keeps one per structure, sessions and
-    all, across the probability-only trees of a batch.
+    (:attr:`sessions`), which starts from the skeleton's core memo.  A cold
+    analysis uses a fresh instance; the ``maxsat`` backend's warm route
+    keeps one per structure, sessions and all, across the probability-only
+    trees of a batch.
     """
 
     def __init__(self, structure: CompiledStructure) -> None:
@@ -640,10 +641,11 @@ def _rank_skeleton(
     *base cost*, the sum of its leaves' cheapest entries.  A session of the
     ranking's own, each leaf weighed by its cheapest entry, lists the sets
     ``S`` cheapest first, blocking each once found, so every solve starts
-    from the cores of the solves before it.  The walk stops after ``count``
-    sets, when none is left, or at a set whose base cost exceeds the
-    ``count``-th entry held.  Returns the entries and the walk's seconds and
-    SAT calls; a session over its budget raises :class:`AnalysisError`.
+    from the skeleton's core memo and the cores of the solves before it.
+    The walk stops after ``count`` sets, when none is left, or at a set
+    whose base cost exceeds the ``count``-th entry held.  Returns the
+    entries and the walk's seconds and SAT calls; a session over its budget
+    (after its retry from no core) raises :class:`AnalysisError`.
     """
     started = time.perf_counter()
     session = IncrementalMaxSATSession(skeleton)

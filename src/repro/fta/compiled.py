@@ -1,9 +1,10 @@
 """The compiled structure of a validated fault tree.
 
-Validating a :class:`~repro.fta.tree.FaultTree` builds one immutable
-:class:`CompiledStructure`: the bottom-up node order and a flat gate program
-over node indices.  It depends on the gates and the top event alone, so
-every probability-only copy of a tree (:meth:`FaultTree.copy` followed by
+Validating a :class:`~repro.fta.tree.FaultTree` builds one
+:class:`CompiledStructure`, immutable but for its skeletons' core memos:
+the bottom-up node order and a flat gate program over node indices.  It
+depends on the gates and the top event alone, so every probability-only
+copy of a tree (:meth:`FaultTree.copy` followed by
 :meth:`FaultTree.set_probability`, as in sweeps and live monitors) shares
 the object, and structure-only work — the order, the event ranks, the
 per-node structure hashes, the independent modules, the MPMCS encoding's
@@ -91,15 +92,31 @@ class Skeleton:
         :attr:`CompiledStructure.order`), the root last.
     gates:
         The skeleton's gates in :attr:`order`, the root last.
+    cores:
+        The unsat cores over :attr:`cnf` that sessions over the skeleton
+        proved, which every new
+        :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` starts
+        from; a session replaces the tuple in one assignment.  A pickle
+        leaves it out, as it leaves out the loaded solver of :attr:`cnf`.
     """
 
-    __slots__ = ("root", "order", "gates", "_cnf")
+    __slots__ = ("root", "order", "gates", "_cnf", "cores")
 
     def __init__(self, order: Sequence[str], gates: Sequence[Gate]) -> None:
         self.order: Tuple[str, ...] = tuple(order)
         self.gates: Tuple[Gate, ...] = tuple(gates)
         self.root: str = self.order[-1]
         self._cnf: Optional["StructureCNF"] = None
+        self.cores: Tuple[frozenset, ...] = ()
+
+    def __getstate__(self) -> tuple:
+        return None, {name: getattr(self, name) for name in self.__slots__ if name != "cores"}
+
+    def __setstate__(self, state: tuple) -> None:
+        # A payload pickled before skeletons kept cores has the same state.
+        self.cores = ()
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     @property
     def by_rule(self) -> bool:
@@ -143,12 +160,15 @@ class Skeleton:
 
 
 class CompiledStructure:
-    """Immutable bottom-up form of one validated fault-tree structure.
+    """Bottom-up form of one validated fault-tree structure, immutable
+    except for each module skeleton's core memo (:attr:`Skeleton.cores`),
+    which sessions replace in a single assignment.
 
     Built by :meth:`FaultTree.validate` and shared by every copy of the tree
-    that changes probabilities only; a structural edit (a new event or gate,
-    another top event) drops the tree's reference and the next validation
-    builds a fresh one, so copies never see each other's edits.
+    that changes probabilities only, core memos included; a structural edit
+    (a new event or gate, another top event) drops the tree's reference and
+    the next validation builds a fresh one, so copies never see each
+    other's edits.
 
     Attributes
     ----------

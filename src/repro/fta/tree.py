@@ -219,9 +219,12 @@ class FaultTree:
     def compiled(self) -> CompiledStructure:
         """The tree's :class:`~repro.fta.compiled.CompiledStructure`, built on first use.
 
-        Building it validates the tree.  The object is immutable and shared
-        with every copy until a structural edit (:meth:`add_basic_event`,
-        :meth:`add_event`, :meth:`add_gate`, :meth:`set_top_event`) drops it.
+        Building it validates the tree.  The object is shared with every
+        copy until a structural edit (:meth:`add_basic_event`,
+        :meth:`add_event`, :meth:`add_gate`, :meth:`set_top_event`) drops
+        it, and is immutable except for its skeletons' core memos
+        (:attr:`~repro.fta.compiled.Skeleton.cores`), which every copy
+        shares and sessions replace in a single assignment.
         """
         if self._compiled is None:
             self._compiled = CompiledStructure(self._checked_order(), self._gates, self.top_event)

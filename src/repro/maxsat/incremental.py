@@ -18,7 +18,9 @@ incremental:
 * **Unsat cores are weight-independent.**  A core is a set of assumption
   literals that cannot hold together given the hard clauses; weights never
   participate.  Cores discovered while solving one scenario are therefore
-  valid for *every* scenario sharing the structure.
+  valid for *every* scenario sharing the structure: every new session
+  starts from the skeleton's memo of them (:attr:`Skeleton.cores
+  <repro.fta.compiled.Skeleton.cores>`).
 * **CDCL state is reusable.**  Learned clauses are logical consequences of
   the clause database alone, so a solver that keeps its learned clauses,
   VSIDS activities and saved phases across calls (see
@@ -52,7 +54,8 @@ what makes a sweep a sequence of *weight-only re-solves*.  A ranking
 (:func:`~repro.core.pipeline._rank_skeleton`) blocks each cut set it finds
 (:meth:`IncrementalMaxSATSession.block`) on a session of its own, never a
 kept one: a blocking clause only adds to the hard clauses, so every core
-stays valid.  Every solve reports the engine name :data:`SESSION_ENGINE`.
+stays valid, but one found after it is never published to the memo.
+Every solve reports the engine name :data:`SESSION_ENGINE`.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from repro.logic.cnf import Literal
 from repro.maxsat.engine import heaviest_first, new_sat_solver
 from repro.maxsat.hitting_set import MAX_ROUNDS, minimum_cost_hitting_set
 from repro.observability import trace as _trace
+from repro.sat.cdcl import CDCLSolver
 from repro.sat.types import SatStatus
 
 __all__ = ["IncrementalMaxSATSession", "SESSION_ENGINE"]
@@ -97,7 +101,8 @@ class IncrementalMaxSATSession:
     def __init__(self, skeleton: Skeleton) -> None:
         self.skeleton = skeleton
         cnf = skeleton.cnf
-        self._solver = new_sat_solver(cnf.instance)
+        #: Made by the first SAT call or :meth:`block` (:meth:`_sat_solver`).
+        self._solver: Optional[CDCLSolver] = None
         #: Each leaf's variable, in increasing variable order.
         self.event_vars: Dict[str, int] = dict(cnf.event_vars)
         self._var_events: Dict[int, str] = {var: name for name, var in self.event_vars.items()}
@@ -106,8 +111,11 @@ class IncrementalMaxSATSession:
             name: column for column, name in enumerate(self.event_vars)
         }
 
-        #: Cached cores: sets of leaf selectors.  Weight-independent.
-        self._cores: List[FrozenSet[Literal]] = []
+        #: Cached cores: sets of leaf selectors.  Weight-independent, so they
+        #: start as the skeleton's memo.
+        self._cores: List[FrozenSet[Literal]] = list(skeleton.cores)
+        #: How many cores the session took from the memo.
+        self.seeded_cores = len(self._cores)
 
         #: Candidate pool: every optimal cut set this session has ever
         #: produced.  Feasibility ("the hard clauses admit a model whose true
@@ -142,9 +150,12 @@ class IncrementalMaxSATSession:
 
         Raises :class:`NoCutSetError` when no cut set is left unblocked and
         :class:`BudgetExceededError` when the core-discovery loop exceeds
-        :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` (the warm route then
-        falls back to a fresh session).  ``stop_check`` is the caller's
-        cooperative cancellation hook (:attr:`MPMCSSolver.stop_check
+        :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` or the hitting set
+        search its node budget.  That empties the skeleton's memo, and a
+        session that held any core when the solve started, the memo's or
+        its own, retries the solve once from no core, so no held core fails
+        a solve that succeeds without it.  ``stop_check``
+        is the caller's cooperative cancellation hook (:attr:`MPMCSSolver.stop_check
         <repro.core.pipeline.MPMCSSolver.stop_check>`), polled every round,
         by the SAT solver and by the hitting set search: it ends the solve
         with :class:`SolverInterrupted` once it returns true.
@@ -157,15 +168,30 @@ class IncrementalMaxSATSession:
         every cached core, so they cost at least as much as the hitting set,
         and with every objective positive a subset of equal cost is the
         hitting set itself.  The objective is the canonical order, so the
-        answer is the canonical optimum.
+        answer is the canonical optimum.  A session that has blocked
+        nothing then publishes its cores to the skeleton's memo.
         """
         with _trace.span("maxsat.solve") as span:
             calls_before = self.sat_calls
             rounds_before = self.rounds
-            leaves = self._solve(value, stop_check)
+            held = bool(self._cores)
+            try:
+                leaves = self._solve(value, stop_check)
+            except BudgetExceededError:
+                # The cores held may be what outgrew the search.
+                self.skeleton.cores = ()
+                if not held:
+                    raise
+                self._cores, self.seeded_cores = [], 0
+                leaves = self._solve(value, stop_check)
+            # Unlocked: every tuple a session publishes holds sound cores, so
+            # a concurrent publish lost here loses work, never an answer.
+            if not self._blocked and len(self._cores) > len(self.skeleton.cores):
+                self.skeleton.cores = tuple(self._cores)
             if span.is_recording:
                 span.add("sat_calls", self.sat_calls - calls_before)
                 span.add("hs_rounds", self.rounds - rounds_before)
+                span.add("seeded_cores", self.seeded_cores)
             return leaves
 
     #: The name the benchmark tracer (``perfbench/tracing.py``) times warm
@@ -190,9 +216,10 @@ class IncrementalMaxSATSession:
         The clause ``(¬x_l …)`` goes to this session's copy of the skeleton's
         memoised solver.  A hitting set that contains a blocked set is never
         certified, by the pool or by the gates (see :meth:`solve`), so the
-        SAT call's core rules it out.
+        SAT call's core rules it out.  A core found under a blocking clause
+        may not hold without it, so the session no longer publishes cores.
         """
-        self._solver.add_clause([-self.event_vars[leaf] for leaf in leaves])
+        self._sat_solver().add_clause([-self.event_vars[leaf] for leaf in leaves])
         self._blocked.append(self._event_mask(leaves))
 
     def _solve(
@@ -201,7 +228,6 @@ class IncrementalMaxSATSession:
         # Assuming a leaf's selector ``-var`` keeps it out of the cut set.
         objective = {-var: value[leaf][0] for leaf, var in self.event_vars.items()}
         selectors = heaviest_first(objective)
-        self._solver.stop_check = stop_check
         certified = False
         leaves: Optional[Tuple[str, ...]] = None
         incumbent: Optional[Set[Literal]] = None
@@ -222,7 +248,9 @@ class IncrementalMaxSATSession:
                 break
 
             assumptions = [selector for selector in selectors if selector not in hitting_set]
-            result = self._solver.solve(assumptions)
+            solver = self._sat_solver()
+            solver.stop_check = stop_check
+            result = solver.solve(assumptions)
             self.sat_calls += 1
             if result.status is SatStatus.SAT:
                 model = result.model or {}
@@ -250,6 +278,13 @@ class IncrementalMaxSATSession:
             self._pool[leaves] = self._event_mask(leaves)
         chosen = set(leaves)
         return [leaf for leaf in self.event_vars if leaf in chosen]
+
+    def _sat_solver(self) -> CDCLSolver:
+        """This session's solver, copied from the skeleton's memoised one on
+        first use: a solve the cores and the pool answer needs none."""
+        if self._solver is None:
+            self._solver = new_sat_solver(self.skeleton.cnf.instance)
+        return self._solver
 
     # -- candidate pool --------------------------------------------------------
 
@@ -280,7 +315,7 @@ class IncrementalMaxSATSession:
 
     @property
     def num_learnts(self) -> int:
-        return self._solver.num_learnts
+        return self._solver.num_learnts if self._solver is not None else 0
 
     def stats(self) -> Dict[str, Any]:
         """Counters for logging and the profiling report."""
@@ -289,7 +324,7 @@ class IncrementalMaxSATSession:
             "sat_calls": self.sat_calls,
             "rounds": self.rounds,
             "cores": len(self._cores),
-            "learnt_clauses": self._solver.num_learnts,
+            "learnt_clauses": self.num_learnts,
             "pool_candidates": len(self._pool),
             "rerank_pooled": self.rerank_stats["pooled"],
             "rerank_certified": self.rerank_stats["certified"],

@@ -13,15 +13,14 @@ from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MODULE_RULE_ENGINE, MPMCSSolver
 from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError, SolverInterrupted
 from repro.fta.builder import FaultTreeBuilder
+from repro.maxsat import incremental as incremental_module
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
-from repro.observability.metrics import scoped_metrics
 from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
 from repro.workloads.library import (
     data_center_power,
     fire_protection_system,
     pressure_tank,
-    railway_level_crossing,
 )
 from tests.conftest import searched_skeletons
 
@@ -158,27 +157,56 @@ def test_bdd_batch_evaluates_each_structure_once():
         assert report.top_event.exact == scalar.top_event.exact
 
 
-def test_maxsat_batch_falls_back_to_cold_when_the_warm_session_gives_up(monkeypatch):
-    """The kept session's first solve blows its budget; the cold analysis
-    the warm route falls back to solves on a fresh session."""
-    solve = IncrementalMaxSATSession.solve
-    failures = []
+def test_maxsat_batch_retries_a_kept_session_over_budget_from_no_core(monkeypatch):
+    """The kept session's second solve blows its budget while it holds the
+    first tree's cores: the same session solves again from no core, with
+    the answer of a cold analysis.  No cold fallback builds another."""
+    search = incremental_module.minimum_cost_hitting_set
+    failed = []
 
-    def over_budget_once(self, value, stop_check=None):
-        if not failures:
-            failures.append(self)
-            raise BudgetExceededError("core budget exhausted")
-        assert self is not failures[0]
-        return solve(self, value, stop_check)
+    def over_budget_once(cores, objective, **kwargs):
+        if failed == [False] and cores:
+            failed[0] = True
+            raise BudgetExceededError("hitting set search exceeded its node budget")
+        return search(cores, objective, **kwargs)
 
-    monkeypatch.setattr(IncrementalMaxSATSession, "solve", over_budget_once)
+    monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", over_budget_once)
+    sessions = _count_calls(monkeypatch, IncrementalMaxSATSession, "__init__")
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
-    with scoped_metrics() as registry:
-        (warm,) = AnalysisSession().run_batch([railway_level_crossing()], request)
-        assert registry.counter_value("repro_solver_warm_fallbacks_total") == 1
-    cold = AnalysisSession().run(railway_level_crossing(), request)
+    draws = _e4_draws()[:2]
+    batch = AnalysisSession().run_batch(draws, request)
+    next(batch)
+    failed.append(False)
+    warm = next(batch)
+    assert failed == [True]
+    assert len(sessions) == len(searched_skeletons(draws[1]))
+    assert warm.profile["warm_solves"] == 1
+    monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", search)
+    cold = AnalysisSession().run(_e4_draws()[1], request)
     assert _canonical(warm) == _canonical(cold)
-    assert "warm_solves" not in warm.profile
+
+
+def test_maxsat_batch_gives_a_session_over_budget_without_cores_its_error(monkeypatch):
+    """A session that held no core when its solve blew the budget has
+    nothing to retry from: the tree gets the error, as a cold ``run`` does,
+    and the next tree of the batch still answers."""
+    search = incremental_module.minimum_cost_hitting_set
+    armed = [True]
+
+    def over_budget(cores, objective, **kwargs):
+        if armed[0]:
+            raise BudgetExceededError("hitting set search exceeded its node budget")
+        return search(cores, objective, **kwargs)
+
+    monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", over_budget)
+    request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
+    draws = _e4_draws()[:2]
+    with pytest.raises(BudgetExceededError):
+        AnalysisSession().run(_e4_draws()[0], request)
+    batch = AnalysisSession().run_batch(draws, request)
+    assert isinstance(next(batch), BudgetExceededError)
+    armed[0] = False
+    assert next(batch).mpmcs is not None
 
 
 def _e4_draws():
@@ -213,16 +241,18 @@ def test_warm_ranking_makes_the_cold_work(monkeypatch):
     exactly the work of a cold ``run``, counted in skeleton solves and SAT
     calls: at most 3 solves per searched skeleton, and no whole-tree solve.
     Blocked re-solves on the warm incremental session once took 9.7-174.5 s
-    per draw here on a 2-core host, against 0.16-0.24 s cold."""
+    per draw here on a 2-core host, against 0.16-0.24 s cold.  The two
+    routes analyse draws of structures built apart, so each starts from
+    its own skeletons' core memos, filled alike by the draws before."""
     skeleton_solves = _count_calls(monkeypatch, IncrementalMaxSATSession, "solve")
     whole_tree_solves = _count_calls(monkeypatch, MPMCSSolver, "solve_encoding")
     sat_calls = _count_calls(monkeypatch, CDCLSolver, "solve")
     request = AnalysisRequest.create(("ranking",), backend="maxsat", top_k=3)
-    for draw in _e4_draws():
+    for draw, apart in zip(_e4_draws(), _e4_draws()):
         cold = AnalysisSession().run(draw, request)
         cold_work = (len(skeleton_solves), len(sat_calls))
         assert 0 < cold_work[0] <= 3 * len(searched_skeletons(draw))
-        (warm,) = AnalysisSession().run_batch([draw], request)
+        (warm,) = AnalysisSession().run_batch([apart], request)
         warm_work = (len(skeleton_solves) - cold_work[0], len(sat_calls) - cold_work[1])
         assert warm_work == cold_work
         assert whole_tree_solves == []

@@ -67,7 +67,8 @@ def _loaded_clauses(instance, skeleton):
 
     A cold solve that outgrows RC2's core budget hands over to the hitting set
     engine, which loads a solver of its own from the same instance; every
-    cold load must match, and the session loads exactly one.
+    cold load must match.  The session loads exactly one, at its first SAT
+    call: a first solve from an empty core memo makes one.
     """
     cold_loads, warm_loads = [], []
     loaded = cold_loads
@@ -82,7 +83,9 @@ def _loaded_clauses(instance, skeleton):
         patch.setattr(incremental_module, "new_sat_solver", recording)
         RC2Engine().solve(instance)
         loaded = warm_loads
-        IncrementalMaxSATSession(skeleton)
+        session = IncrementalMaxSATSession(skeleton)
+        assert warm_loads == []
+        session.solve({leaf: (1, 1.0) for leaf in session.event_vars})
     cold, *handed_over = cold_loads
     assert all(load == cold for load in handed_over)
     (warm,) = warm_loads
@@ -118,6 +121,8 @@ class TestOneClausePath:
     def test_solver_holds_every_declared_variable(self):
         tree = random_fault_tree(num_basic_events=30, seed=5, voting_ratio=0.2)
         session = IncrementalMaxSATSession(whole_tree_skeleton(tree))
+        assert session._solver is None
+        session.solve(leaf_values(tree))
         assert session._solver.num_vars == encode_mpmcs(tree).instance.num_vars
 
 
