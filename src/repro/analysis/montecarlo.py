@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List
 
 from repro.exceptions import AnalysisError
 from repro.fta.tree import FaultTree
@@ -89,24 +89,22 @@ def estimate_top_event_probability(
     }
 
     rng = random.Random(seed)
-    order = tree.topological_order()
-    gates = tree.gates
 
     total_weight = 0.0
     total_weight_squared = 0.0
 
     for _ in range(samples):
-        states: Dict[str, bool] = {}
+        happened: List[str] = []
         likelihood_ratio = 1.0
         for name in events:
             q = sampling_probabilities[name]
             p = probabilities[name]
             occurred = rng.random() < q
-            states[name] = occurred
+            if occurred:
+                happened.append(name)
             if importance_factor != 1.0:
                 likelihood_ratio *= (p / q) if occurred else ((1.0 - p) / (1.0 - q))
-        top_occurred = _evaluate(order, gates, states)
-        weight = likelihood_ratio if top_occurred else 0.0
+        weight = likelihood_ratio if tree.is_cut_set(happened) else 0.0
         total_weight += weight
         total_weight_squared += weight * weight
 
@@ -123,24 +121,6 @@ def estimate_top_event_probability(
         hits=total_weight,
         seed=seed,
     )
-
-
-def _evaluate(order, gates, states: Dict[str, bool]) -> bool:
-    """Evaluate the tree bottom-up given sampled basic-event states."""
-    values: Dict[str, bool] = {}
-    for name in order:
-        gate = gates.get(name)
-        if gate is None:
-            values[name] = states.get(name, False)
-            continue
-        child_values = [values[child] for child in gate.children]
-        if gate.gate_type.value == "and":
-            values[name] = all(child_values)
-        elif gate.gate_type.value == "or":
-            values[name] = any(child_values)
-        else:
-            values[name] = sum(child_values) >= (gate.k or 0)
-    return values[order[-1]]
 
 
 def _z_score(confidence: float) -> float:

@@ -33,7 +33,7 @@ class SolverError(ReproError):
 class BudgetExceededError(SolverError):
     """Raised when a search exceeds one of its safety budgets: a
     :class:`~repro.sat.cdcl.CDCLSolver`'s ``max_conflicts``, the hitting set
-    search's node budget, or the warm session's round budget
+    search's node budget, or the implicit hitting set loop's round budget
     (:data:`~repro.maxsat.hitting_set.MAX_ROUNDS`)."""
 
 

@@ -14,8 +14,8 @@ top of the CDCL SAT engine of :mod:`repro.sat`:
 * :class:`repro.maxsat.bruteforce.BruteForceEngine` — an exhaustive reference
   solver used by the test suite on small instances.
 * :class:`repro.maxsat.incremental.IncrementalMaxSATSession` — the module
-  route's one skeleton solver, cold and warm: implicit-hitting-set solving
-  of one module's skeleton over one persistent CDCL solver, with
+  route's one skeleton solver, cold and warm: the hitting set engine's loop
+  over one module's skeleton and one persistent CDCL solver, with
   weight-independent cached cores, and hitting sets certified as cut sets
   (from a pool of earlier optima or by evaluating the skeleton) without a
   SAT call, so a kept session turns a scenario sweep into weight-only

@@ -42,8 +42,8 @@ def new_sat_solver(
 
 def heaviest_first(weights: Mapping[Literal, float]) -> List[Literal]:
     """The selectors of ``weights`` by descending weight, ties in mapping
-    order: the order every MaxSAT loop assumes them in (RC2, the hitting set
-    engine and the warm session)."""
+    order: the order every MaxSAT loop assumes them in (RC2 and
+    :func:`~repro.maxsat.hitting_set.implicit_hitting_set`)."""
     return sorted(weights, key=weights.__getitem__, reverse=True)
 
 

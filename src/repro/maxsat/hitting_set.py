@@ -1,37 +1,34 @@
-"""Implicit hitting set (MaxHS-style) Weighted Partial MaxSAT engine.
+"""Implicit hitting set (MaxHS-style) Weighted Partial MaxSAT: Step 5's one search loop.
 
 The implicit hitting set approach (Davies & Bacchus, the paper's reference
 [5]) alternates between two sub-problems:
 
 1. a **minimum-cost hitting set** over the unsat cores discovered so far —
    the cheapest set of soft clauses whose violation could explain every core;
-2. a **SAT check** that assumes every other soft clause satisfied.
+2. a **SAT check** that assumes every other soft clause satisfied, heaviest
+   first (:func:`~repro.maxsat.engine.heaviest_first`).
 
 If the SAT check succeeds, the model's cost cannot exceed the hitting set's
 cost, and no solution can cost less than a minimum hitting set of a subset of
 the cores, so the model is optimal.  If it fails, the returned core is added
-to the collection and the loop repeats.
-
-The hitting set sub-problem is solved exactly with a branch-and-bound search
-(a safety cap turns pathological runs into an UNKNOWN result instead of
-letting them run away).  A node is pruned once its cost plus a disjoint-core
-lower bound reaches the best cost: greedily pick pairwise-disjoint cores the
-node leaves unhit, and add the cheapest element of each, since any completion
-must pay for every one of them separately.  Without it the search is
-exponential on independent ties: 20 disjoint two-element cores of equal
-weights have 2^20 optimal hitting sets, and the bound settles them at the
-root.  The engine's search starts with no incumbent.  The module route's
-session (:class:`~repro.maxsat.incremental.IncrementalMaxSATSession`)
-starts each later round of a solve from the previous round's hitting set
+to the collection and the loop repeats.  :func:`implicit_hitting_set` is
+that loop, for :class:`HittingSetEngine` (RC2's hand-over included) and for
+every :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`, which
+also passes a certificate that accepts a hitting set without a SAT call.
+Each round after the first starts its search from the previous hitting set
 plus the new core's cheapest member, which hits every core.  Every
 hitting-set instance the MPMCS pipeline builds has one optimum (the
 objective is the canonical order), so that bound changes neither the answer
 nor the number of SAT calls, only the nodes searched.
 
-The engine's loop and the session's both assume their selectors heaviest
-first (:func:`~repro.maxsat.engine.heaviest_first`) and share one round
-budget, :data:`MAX_ROUNDS`.  The module route, rankings included, runs
-the session's loop (engine ``incremental-hitting-set``).
+The hitting set sub-problem is solved exactly with a branch-and-bound search.
+A node is pruned once its cost plus a disjoint-core lower bound reaches the
+best cost: greedily pick pairwise-disjoint cores the node leaves unhit, and
+add the cheapest element of each, since any completion must pay for every
+one of them separately.  Without it the search is exponential on independent
+ties: 20 disjoint two-element cores of equal weights have 2^20 optimal
+hitting sets, and the bound settles them at the root.  A node budget and
+:data:`MAX_ROUNDS` turn pathological runs into :class:`BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -45,13 +42,11 @@ from repro.logic.cnf import Literal
 from repro.maxsat.engine import MaxSATEngine, heaviest_first
 from repro.maxsat.instance import WPMaxSATInstance
 from repro.maxsat.result import MaxSATResult, MaxSATStatus
-from repro.sat.types import SatStatus
+from repro.sat.types import SatResult, SatStatus
 
-__all__ = ["HittingSetEngine", "MAX_ROUNDS", "minimum_cost_hitting_set"]
+__all__ = ["HittingSetEngine", "MAX_ROUNDS", "implicit_hitting_set", "minimum_cost_hitting_set"]
 
-#: Safety cap on core/hitting-set rounds per solve, for the engine and the
-#: warm session alike: past it the engine returns UNKNOWN and the session
-#: raises :class:`BudgetExceededError`.
+#: Safety cap on the rounds of one :func:`implicit_hitting_set` loop.
 MAX_ROUNDS = 100_000
 
 #: Poll the cooperative stop flag every this many search nodes.
@@ -164,13 +159,52 @@ def minimum_cost_hitting_set(
     return best_set, best_cost
 
 
+def implicit_hitting_set(
+    cores: List[FrozenSet[Literal]],
+    objective: Dict[Literal, int],
+    check: Callable[[List[Literal]], SatResult],
+    *,
+    certified: Optional[Callable[[Set[Literal]], bool]] = None,
+    stop_check: Optional[Callable[[], bool]] = None,
+) -> Tuple[Set[Literal], Optional[SatResult]]:
+    """Minimise ``objective`` over its selectors by the implicit hitting set loop.
+
+    Each round takes a minimum-cost hitting set of ``cores``.  When
+    ``certified`` accepts it, the loop returns it and ``None``.  Otherwise
+    ``check`` makes one SAT call assuming the selectors outside it, heaviest
+    first; a model or an empty core (the hard clauses alone are
+    unsatisfiable) ends the loop with that result, and any other core is
+    appended to ``cores``.  Raises :class:`BudgetExceededError` after
+    :data:`MAX_ROUNDS` rounds or when a search exceeds its node budget, and
+    :class:`SolverInterrupted` once ``stop_check`` returns true.
+    """
+    selectors = heaviest_first(objective)
+    incumbent: Optional[Set[Literal]] = None
+    for _ in range(MAX_ROUNDS):
+        if stop_check is not None and stop_check():
+            raise SolverInterrupted("hitting set loop stopped by cooperative cancellation")
+        hitting_set, _ = minimum_cost_hitting_set(
+            cores, objective, incumbent=incumbent, stop_check=stop_check
+        )
+        if certified is not None and certified(hitting_set):
+            return hitting_set, None
+        result = check([selector for selector in selectors if selector not in hitting_set])
+        if result.status is SatStatus.SAT or not result.core:
+            return hitting_set, result
+        core = frozenset(result.core)
+        cores.append(core)
+        # The core is disjoint from the hitting set (it holds only assumed
+        # selectors), so adding its cheapest member hits every core.
+        incumbent = hitting_set | {min(core, key=objective.__getitem__)}
+    raise BudgetExceededError(f"implicit hitting set loop exceeded {MAX_ROUNDS} rounds")
+
+
 class HittingSetEngine(MaxSATEngine):
     """MaxHS-style implicit hitting set Weighted Partial MaxSAT solver.
 
-    Each SAT call assumes the selectors outside the hitting set heaviest
-    first, by initial weight with ties in soft clause order.  The engine
-    returns UNKNOWN after :data:`MAX_ROUNDS` rounds, as it does when a
-    hitting set search exceeds its node budget or :attr:`stop_check` fires.
+    Runs :func:`implicit_hitting_set` over the selectors of
+    :meth:`_attach_selectors`.  A budget error or a stop through
+    :attr:`stop_check` returns UNKNOWN.
     """
 
     name = "hitting-set"
@@ -178,44 +212,32 @@ class HittingSetEngine(MaxSATEngine):
     def solve(self, instance: WPMaxSATInstance) -> MaxSATResult:
         start = time.perf_counter()
         solver = self._new_sat_solver(instance)
-        weights = self._attach_selectors(solver, instance)
-        selectors = heaviest_first(weights)
-
-        cores: List[FrozenSet[Literal]] = []
         sat_calls = 0
 
+        def check(assumptions: List[Literal]) -> SatResult:
+            nonlocal sat_calls
+            result = solver.solve(assumptions)
+            sat_calls += 1
+            return result
+
         try:
-            for _ in range(MAX_ROUNDS):
-                self._check_stop()
-                hitting_set, _ = minimum_cost_hitting_set(
-                    cores, weights, stop_check=self.stop_check
-                )
-                assumptions = [sel for sel in selectors if sel not in hitting_set]
-                result = solver.solve(assumptions)
-                sat_calls += 1
-
-                if result.status is SatStatus.SAT:
-                    return self._result_from_model(
-                        instance,
-                        result.model or {},
-                        start_time=start,
-                        sat_calls=sat_calls,
-                        conflicts=solver.conflicts,
-                    )
-
-                core = frozenset(result.core)
-                if not core:
-                    return self._unsat_result(
-                        start_time=start, sat_calls=sat_calls, conflicts=solver.conflicts
-                    )
-                cores.append(core)
+            _, result = implicit_hitting_set(
+                [], self._attach_selectors(solver, instance), check, stop_check=self.stop_check
+            )
         except (BudgetExceededError, SolverInterrupted):
-            pass
-
-        return MaxSATResult(
-            status=MaxSATStatus.UNKNOWN,
-            engine=self.name,
-            solve_time=time.perf_counter() - start,
-            sat_calls=sat_calls,
-            conflicts=solver.conflicts,
-        )
+            return MaxSATResult(
+                status=MaxSATStatus.UNKNOWN,
+                engine=self.name,
+                solve_time=time.perf_counter() - start,
+                sat_calls=sat_calls,
+                conflicts=solver.conflicts,
+            )
+        if result is not None and result.status is SatStatus.SAT:
+            return self._result_from_model(
+                instance,
+                result.model or {},
+                start_time=start,
+                sat_calls=sat_calls,
+                conflicts=solver.conflicts,
+            )
+        return self._unsat_result(start_time=start, sat_calls=sat_calls, conflicts=solver.conflicts)

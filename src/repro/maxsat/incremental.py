@@ -27,23 +27,12 @@ incremental:
   :meth:`repro.sat.cdcl.CDCLSolver.add_clauses`) answers later, similar
   queries dramatically faster than a cold start.
 
-:class:`IncrementalMaxSATSession` exploits both with a MaxHS-style implicit
-hitting set loop (Davies & Bacchus) over one persistent solver:
-
-1. compute a minimum-cost hitting set of the cached cores under the
-   *current* scenario's leaf objectives; a round after the first of a solve
-   starts that search from the previous hitting set plus the new core's
-   cheapest member;
-2. when the hitting set is a cut set of the skeleton, it is the answer, with
-   no oracle call (see :meth:`IncrementalMaxSATSession.solve`).  It is known
-   to be one when it contains no blocked set (see below) and it contains a
-   cut set the session has already produced (its *candidate pool*), or
-   evaluating the skeleton's gates over it reaches the root;
-3. otherwise one SAT call assuming every soft clause outside the hitting set,
-   highest objective first, as RC2 and the hitting set engine order their
-   selectors.  UNSAT: cache the new core and repeat.  With the gates
-   evaluated first the call is never satisfiable; a model would still be
-   optimal, its cost bounded by the hitting set's.
+Each solve of an :class:`IncrementalMaxSATSession` runs the implicit hitting
+set loop (:func:`~repro.maxsat.hitting_set.implicit_hitting_set`) over the
+session's cores and one persistent solver, copied from the skeleton's
+memoised one on its first SAT call.  A round's hitting set is the answer,
+with no SAT call, when it is a cut set of the skeleton (see
+:meth:`IncrementalMaxSATSession.solve`).
 
 The session weighs nothing itself: each leaf's objective is the one
 :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an event's
@@ -64,14 +53,14 @@ from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 )
 
-from repro.exceptions import BudgetExceededError, NoCutSetError, SolverInterrupted
+from repro.exceptions import BudgetExceededError, NoCutSetError
 from repro.fta.compiled import Skeleton
 from repro.logic.cnf import Literal
-from repro.maxsat.engine import heaviest_first, new_sat_solver
-from repro.maxsat.hitting_set import MAX_ROUNDS, minimum_cost_hitting_set
+from repro.maxsat.engine import new_sat_solver
+from repro.maxsat.hitting_set import implicit_hitting_set
 from repro.observability import trace as _trace
 from repro.sat.cdcl import CDCLSolver
-from repro.sat.types import SatStatus
+from repro.sat.types import SatResult, SatStatus
 
 __all__ = ["IncrementalMaxSATSession", "SESSION_ENGINE"]
 
@@ -148,21 +137,17 @@ class IncrementalMaxSATSession:
         """The leaves the skeleton's optimum takes under ``value``, in
         variable order.
 
-        Raises :class:`NoCutSetError` when no cut set is left unblocked and
-        :class:`BudgetExceededError` when the core-discovery loop exceeds
-        :data:`~repro.maxsat.hitting_set.MAX_ROUNDS` or the hitting set
-        search its node budget.  That empties the skeleton's memo, and a
-        session that held any core when the solve started, the memo's or
-        its own, retries the solve once from no core, so no held core fails
-        a solve that succeeds without it.  ``stop_check``
-        is the caller's cooperative cancellation hook (:attr:`MPMCSSolver.stop_check
-        <repro.core.pipeline.MPMCSSolver.stop_check>`), polled every round,
-        by the SAT solver and by the hitting set search: it ends the solve
-        with :class:`SolverInterrupted` once it returns true.
+        Raises :class:`NoCutSetError` when no cut set is left unblocked, and
+        the loop's :class:`BudgetExceededError` and :class:`SolverInterrupted`
+        (``stop_check`` is the caller's cancellation hook,
+        :attr:`MPMCSSolver.stop_check <repro.core.pipeline.MPMCSSolver.stop_check>`).
+        A budget error empties the skeleton's memo, and a session that held
+        any core when the solve started, the memo's or its own, retries once
+        from no core, so no held core fails a solve that succeeds without it.
 
-        A round whose minimum-cost hitting set is a cut set returns it
-        without a SAT call: it contains no blocked set, and it contains a
-        pooled cut set or evaluating the gates over it reaches the root.
+        The loop's certificate accepts a round's hitting set without a SAT
+        call when it contains no blocked set, and it contains a pooled cut
+        set or evaluating the gates over it reaches the root.
         This is exactly what the SAT call would return: the hitting set is
         a cut set, so the call is satisfiable; the model's true leaves hit
         every cached core, so they cost at least as much as the hitting set,
@@ -225,59 +210,49 @@ class IncrementalMaxSATSession:
     def _solve(
         self, value: LeafValues, stop_check: Optional[Callable[[], bool]]
     ) -> List[str]:
-        # Assuming a leaf's selector ``-var`` keeps it out of the cut set.
-        objective = {-var: value[leaf][0] for leaf, var in self.event_vars.items()}
-        selectors = heaviest_first(objective)
-        certified = False
-        leaves: Optional[Tuple[str, ...]] = None
-        incumbent: Optional[Set[Literal]] = None
-        for _ in range(MAX_ROUNDS):
-            if stop_check is not None and stop_check():
-                raise SolverInterrupted("session solve stopped by cooperative cancellation")
-            self.rounds += 1
-            hitting_set, _ = minimum_cost_hitting_set(
-                self._cores, objective, incumbent=incumbent, stop_check=stop_check
-            )
-            candidate = tuple(sorted(self._var_events[-literal] for literal in hitting_set))
-            if not (self._blocked and self._contains(candidate, self._blocked)) and (
-                candidate in self._pool
-                or self._contains(candidate, self._pool.values())
-                or self.skeleton.reaches_root(candidate)
-            ):
-                leaves, certified = candidate, True
-                break
-
-            assumptions = [selector for selector in selectors if selector not in hitting_set]
+        def check(assumptions: List[Literal]) -> SatResult:
             solver = self._sat_solver()
             solver.stop_check = stop_check
             result = solver.solve(assumptions)
             self.sat_calls += 1
-            if result.status is SatStatus.SAT:
-                model = result.model or {}
-                leaves = tuple(
-                    sorted(name for name, var in self.event_vars.items() if model.get(var, False))
-                )
-                break
-            core = frozenset(result.core)
-            if not core:
-                # Conflict independent of every assumption: the skeleton's
-                # root cannot occur at all.
-                raise NoCutSetError(f"the skeleton of module {self.skeleton.root!r} has no cut set")
-            self._cores.append(core)
-            # The core is disjoint from the hitting set (it holds only assumed
-            # selectors), so adding its cheapest member hits every core.
-            incumbent = hitting_set | {min(core, key=objective.__getitem__)}
+            return result
+
+        # Assuming a leaf's selector ``-var`` keeps it out of the cut set.
+        objective = {-var: value[leaf][0] for leaf, var in self.event_vars.items()}
+        hitting_set, result = implicit_hitting_set(
+            self._cores, objective, check, certified=self._certified, stop_check=stop_check
+        )
+        if result is None:
+            leaves = self._leaves(hitting_set)
+        elif result.status is SatStatus.SAT:
+            model = result.model or {}
+            leaves = tuple(sorted(name for name, var in self.event_vars.items() if model.get(var)))
         else:
-            raise BudgetExceededError(
-                f"incremental MaxSAT session exceeded {MAX_ROUNDS} core rounds"
-            )
+            # Conflict independent of every assumption: the skeleton's root
+            # cannot occur at all.
+            raise NoCutSetError(f"the skeleton of module {self.skeleton.root!r} has no cut set")
 
         self.solves += 1
-        self.rerank_stats["certified" if certified else "fallback"] += 1
+        self.rerank_stats["certified" if result is None else "fallback"] += 1
         if leaves not in self._pool:
             self._pool[leaves] = self._event_mask(leaves)
         chosen = set(leaves)
         return [leaf for leaf in self.event_vars if leaf in chosen]
+
+    def _certified(self, hitting_set: Set[Literal]) -> bool:
+        """Whether a round's hitting set is a cut set (see :meth:`solve`);
+        the loop asks once per round, so this counts :attr:`rounds`."""
+        self.rounds += 1
+        candidate = self._leaves(hitting_set)
+        return not (self._blocked and self._contains(candidate, self._blocked)) and (
+            candidate in self._pool
+            or self._contains(candidate, self._pool.values())
+            or self.skeleton.reaches_root(candidate)
+        )
+
+    def _leaves(self, selectors: Iterable[Literal]) -> Tuple[str, ...]:
+        """The sorted leaf names of ``selectors``, each a leaf's ``-var``."""
+        return tuple(sorted(self._var_events[-selector] for selector in selectors))
 
     def _sat_solver(self) -> CDCLSolver:
         """This session's solver, copied from the skeleton's memoised one on

@@ -1,5 +1,8 @@
 """Unit tests for Monte Carlo estimation and sensitivity/uncertainty analysis."""
 
+import math
+import random
+
 import pytest
 
 from repro.analysis.montecarlo import estimate_top_event_probability
@@ -10,7 +13,8 @@ from repro.core.pipeline import MPMCSSolver
 from repro.exceptions import AnalysisError
 from repro.fta.builder import FaultTreeBuilder
 from repro.workloads.generator import random_fault_tree
-from tests.conftest import k_of_n_ladder
+from repro.workloads.library import get_tree
+from tests.conftest import k_of_n_ladder, voting_reuse_tree
 
 
 class TestMonteCarlo:
@@ -88,6 +92,44 @@ class TestMonteCarlo:
         exact = top_event_probability(tree)
         estimate = estimate_top_event_probability(tree, samples=30_000, seed=7)
         assert estimate.within(exact, sigmas=5.0)
+
+    @pytest.mark.parametrize("importance_factor", [1.0, 4.0])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: get_tree("fps"),
+            lambda: k_of_n_ladder(5, 3),
+            lambda: voting_reuse_tree(20, 3),
+            lambda: random_fault_tree(num_basic_events=30, seed=5, voting_ratio=0.2),
+        ],
+    )
+    def test_fixed_seed_estimate_equals_a_reference_loop(self, factory, importance_factor):
+        """The same draws, with the top event evaluated by the oracle
+        :meth:`FaultTree.evaluate`, give the same floats."""
+        tree = factory()
+        samples, seed = 500, 3
+        estimate = estimate_top_event_probability(
+            tree, samples=samples, seed=seed, importance_factor=importance_factor
+        )
+        probabilities = tree.probabilities()
+        rng = random.Random(seed)
+        total = total_squared = 0.0
+        for _ in range(samples):
+            states, ratio = {}, 1.0
+            for name in sorted(tree.events_reachable_from_top()):
+                p = probabilities[name]
+                q = min(0.5, p * importance_factor) if p < 0.5 else p
+                states[name] = rng.random() < q
+                if importance_factor != 1.0:
+                    ratio *= (p / q) if states[name] else ((1.0 - p) / (1.0 - q))
+            weight = ratio if tree.evaluate(states) else 0.0
+            total += weight
+            total_squared += weight * weight
+        assert estimate.hits == total
+        assert estimate.probability == total / samples
+        mean = total / samples
+        variance = max(total_squared / samples - mean * mean, 0.0)
+        assert estimate.standard_error == math.sqrt(variance / samples)
 
 
 class TestMPMCSStability:

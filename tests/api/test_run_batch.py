@@ -13,7 +13,7 @@ from repro.api.report import AnalysisReport, AnalysisRequest
 from repro.core.pipeline import MODULE_RULE_ENGINE, MPMCSSolver
 from repro.exceptions import AnalysisError, BudgetExceededError, FaultTreeError, SolverInterrupted
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import incremental as incremental_module
+from repro.maxsat import hitting_set as hitting_set_module
 from repro.maxsat.incremental import SESSION_ENGINE, IncrementalMaxSATSession
 from repro.sat.cdcl import CDCLSolver
 from repro.workloads.generator import random_fault_tree
@@ -161,7 +161,7 @@ def test_maxsat_batch_retries_a_kept_session_over_budget_from_no_core(monkeypatc
     """The kept session's second solve blows its budget while it holds the
     first tree's cores: the same session solves again from no core, with
     the answer of a cold analysis.  No cold fallback builds another."""
-    search = incremental_module.minimum_cost_hitting_set
+    search = hitting_set_module.minimum_cost_hitting_set
     failed = []
 
     def over_budget_once(cores, objective, **kwargs):
@@ -170,7 +170,7 @@ def test_maxsat_batch_retries_a_kept_session_over_budget_from_no_core(monkeypatc
             raise BudgetExceededError("hitting set search exceeded its node budget")
         return search(cores, objective, **kwargs)
 
-    monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", over_budget_once)
+    monkeypatch.setattr(hitting_set_module, "minimum_cost_hitting_set", over_budget_once)
     sessions = _count_calls(monkeypatch, IncrementalMaxSATSession, "__init__")
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     draws = _e4_draws()[:2]
@@ -181,7 +181,7 @@ def test_maxsat_batch_retries_a_kept_session_over_budget_from_no_core(monkeypatc
     assert failed == [True]
     assert len(sessions) == len(searched_skeletons(draws[1]))
     assert warm.profile["warm_solves"] == 1
-    monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", search)
+    monkeypatch.setattr(hitting_set_module, "minimum_cost_hitting_set", search)
     cold = AnalysisSession().run(_e4_draws()[1], request)
     assert _canonical(warm) == _canonical(cold)
 
@@ -190,7 +190,7 @@ def test_maxsat_batch_gives_a_session_over_budget_without_cores_its_error(monkey
     """A session that held no core when its solve blew the budget has
     nothing to retry from: the tree gets the error, as a cold ``run`` does,
     and the next tree of the batch still answers."""
-    search = incremental_module.minimum_cost_hitting_set
+    search = hitting_set_module.minimum_cost_hitting_set
     armed = [True]
 
     def over_budget(cores, objective, **kwargs):
@@ -198,7 +198,7 @@ def test_maxsat_batch_gives_a_session_over_budget_without_cores_its_error(monkey
             raise BudgetExceededError("hitting set search exceeded its node budget")
         return search(cores, objective, **kwargs)
 
-    monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", over_budget)
+    monkeypatch.setattr(hitting_set_module, "minimum_cost_hitting_set", over_budget)
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     draws = _e4_draws()[:2]
     with pytest.raises(BudgetExceededError):

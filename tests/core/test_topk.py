@@ -11,7 +11,7 @@ from repro.core.pipeline import MPMCSSolver
 from repro.core.topk import enumerate_mpmcs, rank_optima
 from repro.exceptions import AnalysisError, ReproError
 from repro.fta.builder import FaultTreeBuilder
-from repro.maxsat import RC2Engine, incremental
+from repro.maxsat import RC2Engine, hitting_set
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
@@ -188,7 +188,7 @@ class TestSkeletonRanking:
     def test_a_ranking_over_budget_raises_analysis_error(self, monkeypatch):
         # The session's BudgetExceededError is a SolverError; the ranking
         # reports it as the AnalysisError that AnalysisSession degrades on.
-        monkeypatch.setattr(incremental, "MAX_ROUNDS", 1)
+        monkeypatch.setattr(hitting_set, "MAX_ROUNDS", 1)
         with pytest.raises(AnalysisError, match="gave no optimum"):
             MPMCSSolver().rank(data_center_power(), 3)
 

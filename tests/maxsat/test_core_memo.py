@@ -19,7 +19,7 @@ from repro.api import AnalysisSession
 from repro.api.report import AnalysisRequest
 from repro.exceptions import BudgetExceededError
 from repro.fta.compiled import Skeleton
-from repro.maxsat import incremental as incremental_module
+from repro.maxsat import hitting_set as hitting_set_module
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.observability.trace import Tracer, use_tracer
 from repro.sat.cdcl import CDCLSolver
@@ -195,7 +195,7 @@ class TestBudgetFallback:
         (skeleton,) = searched_skeletons(tree)
         seeded = len(skeleton.cores)
         assert seeded
-        search = incremental_module.minimum_cost_hitting_set
+        search = hitting_set_module.minimum_cost_hitting_set
         rounds = []
 
         def over_budget_on_the_memo(cores, objective, *, incumbent=None, stop_check=None):
@@ -205,7 +205,7 @@ class TestBudgetFallback:
             return search(cores, objective, incumbent=incumbent, stop_check=stop_check)
 
         monkeypatch.setattr(
-            incremental_module, "minimum_cost_hitting_set", over_budget_on_the_memo
+            hitting_set_module, "minimum_cost_hitting_set", over_budget_on_the_memo
         )
         built = _built_sessions(monkeypatch)
         request = _ranking(top_k) if top_k > 1 else MPMCS
@@ -227,7 +227,7 @@ class TestBudgetFallback:
         def over_budget(cores, objective, *, incumbent=None, stop_check=None):
             raise BudgetExceededError("hitting set search exceeded its node budget")
 
-        monkeypatch.setattr(incremental_module, "minimum_cost_hitting_set", over_budget)
+        monkeypatch.setattr(hitting_set_module, "minimum_cost_hitting_set", over_budget)
         (skeleton,) = searched_skeletons(_e4_tree())
         session = IncrementalMaxSATSession(skeleton)
         with pytest.raises(BudgetExceededError):
