@@ -7,13 +7,14 @@ cut set, or reaches the root when the gates are evaluated over it, is the
 optimum — so the loop spends **< 0.1 SAT calls per scenario** in steady state
 and agrees with fresh sessions on every sampled scenario's optimum.  The
 session is over the whole tree's skeleton (every basic event a leaf), fed
-each event's ``(objective, weight)`` as the warm route feeds a searched
-module's skeleton.  Its throughput (``loop_scenarios_per_s``) is recorded for
+each event's objective as the warm route feeds a searched module's
+skeleton its leaves' cheapest entries.  Its throughput (``loop_scenarios_per_s``) is recorded for
 the perf history.
 
 The sweep-level variant asserts what users see: a warm ``maxsat``
 ``SweepExecutor`` produces the same per-scenario MPMCS and P(top) as fresh
-per-scenario analysis.
+per-scenario analysis, and a warm top-5 ranking sweep the same reports as
+fresh cold rankings.
 
 The smoke variant emits a machine-readable ``BENCH_rerank.json`` (scenario
 count, wall-clock, throughput, SAT calls per scenario, certified/fallback
@@ -26,13 +27,19 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.api import AnalysisSession
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.scenarios import SweepExecutor, probability_sweep
 from repro.workloads.generator import random_fault_tree
 
 from benchmarks.conftest import emit
-from tests.conftest import leaf_values, whole_tree_skeleton
+from tests.conftest import leaf_values, searched_skeletons, voting_reuse_tree, whole_tree_skeleton
+
+
+def _canonical(report):
+    return json.dumps(report.to_canonical_dict(), sort_keys=True)
 
 
 def _drift_grid(tree, scenarios=500):
@@ -106,13 +113,31 @@ def test_bench_rerank_loop_smoke(tmp_path):
     assert sat_per_scenario < 0.1
 
 
-def test_bench_rerank_sweep_byte_identity():
-    """Sweep-level contract: a warm maxsat sweep equals fresh analysis."""
-    tree = random_fault_tree(num_basic_events=30, seed=13)
-    event = sorted(tree.events_reachable_from_top())[0]
+def _swept_event(analyses):
+    """The tree and the event a sweep-level case sweeps.  The ranking case
+    sweeps ``e13``, a leaf of the one searched skeleton (below a module taken
+    by rule) that moves the top 5, so every scenario re-lists that
+    skeleton's cut sets."""
+    if "ranking" not in analyses:
+        tree = random_fault_tree(num_basic_events=30, seed=13)
+        return tree, sorted(tree.events_reachable_from_top())[0]
+    tree = voting_reuse_tree(30, 3)
+    (skeleton,) = searched_skeletons(tree)
+    assert skeleton.root != tree.top_event and "e13" in skeleton.order
+    return tree, "e13"
+
+
+@pytest.mark.parametrize(
+    "analyses", [("mpmcs", "top_event"), ("mpmcs", "ranking")], ids=["mpmcs", "top-5-ranking"]
+)
+def test_bench_rerank_sweep_byte_identity(analyses):
+    """Sweep-level contract: a warm maxsat sweep equals fresh analysis; a
+    top-5 ranking sweep's reports equal fresh cold rankings byte for byte."""
+    tree, event = _swept_event(analyses)
     scenarios = probability_sweep(event, start=1e-4, stop=0.6, steps=60)
 
-    report = SweepExecutor(backend="maxsat").run(tree, scenarios)
+    executor = SweepExecutor(backend="maxsat")
+    report = executor.run(tree, scenarios, analyses=analyses, top_k=5)
 
     swept = [
         (outcome.mpmcs_events, outcome.mpmcs_probability, outcome.top_event)
@@ -122,12 +147,26 @@ def test_bench_rerank_sweep_byte_identity():
     for scenario in scenarios:
         patched = scenario.apply(tree)
         mpmcs = AnalysisSession().analyze(patched, ["mpmcs"], backend="maxsat").mpmcs
-        exact = AnalysisSession().analyze(patched, ["top_event"], backend="bdd").top_event
-        fresh.append((mpmcs.events, mpmcs.probability, exact.best_estimate))
+        exact = None
+        if "top_event" in analyses:
+            exact = AnalysisSession().analyze(patched, ["top_event"], backend="bdd").top_event
+            exact = exact.best_estimate
+        fresh.append((mpmcs.events, mpmcs.probability, exact))
     assert swept == fresh
+    if "ranking" in analyses:
+        patched = [scenario.apply(tree) for scenario in scenarios]
+        warm = list(executor.analyze_batch(patched, executor.prepare_analyses(analyses), top_k=5))
+        assert len({tuple(cut.events for cut in report.ranking) for report in warm}) > 1
+        for tree_of_scenario, warm_report in zip(patched, warm):
+            assert warm_report.profile["warm_solves"] == 1
+            cold = AnalysisSession().analyze(
+                tree_of_scenario, list(analyses), backend="maxsat", top_k=5
+            )
+            assert _canonical(warm_report) == _canonical(cold)
     emit(
         "E16 — sweep-level identity with fresh analysis",
         [
+            f"{'analyses':26}: {', '.join(analyses)}",
             f"{'scenarios':26}: {len(report)}",
             f"{'identical':26}: True",
         ],

@@ -184,30 +184,34 @@ class _CutSetBackend(AnalysisBackend):
 class MaxSATBackend(AnalysisBackend):
     """The paper's Weighted Partial MaxSAT pipeline behind the facade.
 
-    ``mpmcs`` and ``ranking`` come from :meth:`MPMCSSolver.rank
-    <repro.core.pipeline.MPMCSSolver.rank>` on :meth:`run`, the cold route,
-    and on :meth:`run_batch` whenever more than one cut set is asked for.
-    One optimum solves the tree's independent modules bottom-up, by rule
-    where a module's children are independent and otherwise by the module
-    skeleton's :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`.
-    A ranking walks the modules the same way, merging the modules' ranked
-    cut sets, and enumerates a searched skeleton's own cut sets by at most
-    ``top_k`` blocked solves of that skeleton.  Either way a tree without
-    shared nodes takes no SAT call, and no route builds a whole-tree
-    encoding.
+    ``mpmcs`` and ``ranking`` are the ``top_k`` cheapest cut sets (one for
+    ``mpmcs`` alone) of a walk over the tree's independent modules
+    (:meth:`MPMCSSolver.solve_modules
+    <repro.core.pipeline.MPMCSSolver.solve_modules>`), bottom-up: a module
+    whose children are independent takes its cheapest cut sets by rule, and
+    any other lists its skeleton's own cut sets on an
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`, by at most
+    ``top_k`` blocked solves.  A tree without shared nodes takes no SAT
+    call, and no route builds a whole-tree encoding.
 
-    :meth:`run_batch` keeps one warm state per structure for one-optimum
-    requests: the structure's :class:`~repro.core.pipeline.ModuleOptima`, so
-    a probability-only tree re-solves only the modules above its changed
-    events, each on a session that keeps its cores, learned clauses and
-    candidate pool from the earlier trees of the batch.  That is the only
-    difference between the routes: a cold analysis solves on fresh optima
-    and sessions, which like warm ones start from the unsat cores the
-    structure's skeletons keep (:attr:`Skeleton.cores
-    <repro.fta.compiled.Skeleton.cores>`).  Every route optimises the
-    canonical order itself (:func:`~repro.maxsat.instance.objective_weight`),
-    so ties need no extra solves and every ranking equals every other
-    backend's.
+    :meth:`run` is the cold route (:meth:`MPMCSSolver.rank
+    <repro.core.pipeline.MPMCSSolver.rank>`, a fresh walk per tree), and so
+    is :meth:`run_batch` for a solver with a ``single_engine``.  Otherwise
+    :meth:`run_batch` keeps one warm walk per structure, the structure's
+    :class:`~repro.core.pipeline.ModuleOptima` for the request's count, so
+    a probability-only tree re-walks only the modules above its changed
+    events.  For one cut set each searched skeleton keeps its session, with
+    its cores, learned clauses and candidate pool, across the trees of the
+    batch; a longer ranking lists a re-walked skeleton's cut sets on a fresh
+    session.  That is the only difference between the routes: every session
+    starts from the unsat cores the structure's skeletons keep
+    (:attr:`Skeleton.cores <repro.fta.compiled.Skeleton.cores>`).  A session
+    that blows its budget even after its retry from no core fails the tree
+    with an :class:`~repro.exceptions.AnalysisError` chained from the
+    :class:`~repro.exceptions.BudgetExceededError`, at every count and on
+    both routes.  Every route optimises the canonical order itself
+    (:func:`~repro.maxsat.instance.objective_weight`), so ties need no extra
+    solves and every ranking equals every other backend's.
     """
 
     name = "maxsat"
@@ -227,14 +231,15 @@ class MaxSATBackend(AnalysisBackend):
             self.context.solver = MPMCSSolver()
         return self.context.solver
 
-    def _solve_warm(self, tree: FaultTree) -> MPMCSResult:
-        """The warm route: ``tree``'s optimum from its structure's kept
-        module optima (LRU-bounded), whose sessions keep their cores and
-        learned clauses.  Raises :class:`BudgetExceededError` when a session
-        blows its core budget even after its retry from no core.
+    def _solve_warm(self, tree: FaultTree, count: int) -> List[MPMCSResult]:
+        """The warm route: ``tree``'s ``count`` cheapest cut sets from its
+        structure's kept module walk (LRU-bounded), replaced by a new one
+        when it keeps another count.
         """
         structure = tree.compiled()
-        optima = self._warm_sessions.pop(structure, None) or ModuleOptima(structure)
+        optima = self._warm_sessions.pop(structure, None)
+        if optima is None or optima.count != count:
+            optima = ModuleOptima(structure, count)
         self._warm_sessions[structure] = optima
         while len(self._warm_sessions) > self.WARM_SESSION_LIMIT:
             self._warm_sessions.popitem(last=False)
@@ -257,8 +262,8 @@ class MaxSATBackend(AnalysisBackend):
         count = request.top_k if wants_ranking else 1
         registry = get_metrics()
         started = time.perf_counter()
-        if warm and count == 1:
-            enumerated: List[MPMCSResult] = [self._solve_warm(tree)]
+        if warm and self._solver().single_engine is None:
+            enumerated = self._solve_warm(tree, count)
             report.profile["warm_solves"] = 1
             registry.inc("repro_solver_warm_solves_total")
         else:

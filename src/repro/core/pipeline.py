@@ -25,10 +25,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.encoder import MPMCSEncoding, encode_mpmcs, event_weights, weigh_events
+from repro.core.encoder import MPMCSEncoding, encode_mpmcs, weigh_events
 from repro.core.weights import probability_of_cut_set
 from repro.exceptions import AnalysisError, BudgetExceededError, NoCutSetError
 from repro.fta.compiled import CompiledStructure, Skeleton
@@ -155,6 +155,9 @@ Found = Sequence[Tuple[str, ...]]
 #: basic event's name or the tuple of the children's entries it joins.
 Entry = Tuple[int, Union[str, Tuple[Any, ...]]]
 
+#: A node's cheapest entries, cheapest first.
+Ranked = Tuple[Entry, ...]
+
 
 def rank_optima(
     solve: Callable[[Found], Optional[MPMCSResult]], count: int
@@ -177,51 +180,60 @@ def rank_optima(
 
 
 class ModuleOptima:
-    """The optimum of every independent module of one structure, kept up to date.
+    """The ``count`` cheapest cut sets of every independent module of one
+    structure, kept up to date.
 
-    :meth:`update` brings the optima in line with a tree's probabilities.
-    Only the events whose probability changed since the previous update are
-    re-weighed, and only the modules above them are solved again, bottom-up:
-    a module whose solve leaves its objective unchanged stops the climb.  A
-    first update, or one for a tree of another structure, solves every
-    module.  Each skeleton that needs a search is solved by its own
-    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`
-    (:attr:`sessions`), which starts from the skeleton's core memo.  A cold
-    analysis uses a fresh instance; the ``maxsat`` backend's warm route
-    keeps one per structure, sessions and all, across the probability-only
-    trees of a batch.
+    :attr:`ranked` holds each event's entry and each module root's ``count``
+    cheapest entries (:data:`Entry`), cheapest first; entries are tuples
+    because the garbage collector untracks tuples of atoms but walks every
+    list on each full collection.  :meth:`update` brings them in line with
+    a tree's probabilities.  Only the events whose probability changed
+    since the previous update are re-weighed, and only the modules above
+    them are walked again, bottom-up: a module whose entries keep their
+    objectives stops the climb (an objective fixes its event set, see
+    :func:`~repro.maxsat.instance.objective_weight`).  A first update, or
+    one for a tree of another structure, walks every module.  Each skeleton
+    that needs a search is walked on an
+    :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`,
+    which starts from the skeleton's core memo: one kept across updates
+    (:attr:`sessions`) for one cut set, a fresh one per walk for more (a
+    ranking blocks the sets it finds).  A cold analysis uses a fresh
+    instance; the ``maxsat`` backend's warm route keeps one per structure,
+    sessions and all, across the probability-only trees of a batch.
     """
 
-    def __init__(self, structure: CompiledStructure) -> None:
+    def __init__(self, structure: CompiledStructure, count: int = 1) -> None:
+        self.count = count
         self._reset(structure)
 
     def _reset(self, structure: CompiledStructure) -> None:
         self.structure = structure
         #: The index, in ``structure.modules``, of the skeleton that holds each
         #: node other than the top; built by the first update that keeps
-        #: earlier optima.
+        #: earlier entries.
         self._parent: Optional[Dict[str, int]] = None
         self._probabilities: Dict[str, float] = {}
         #: Each event's ``-log`` weight.
         self.weights: Dict[str, float] = {}
-        #: The ``(objective, weight)`` of every event and of each module's
-        #: optimum, and the leaves of its skeleton each module's optimum takes.
-        self._value: Dict[str, Tuple[int, float]] = {}
-        self._chosen: Dict[str, Sequence[str]] = {}
-        #: The incremental session of each skeleton that needs a search,
-        #: created by its first solve and forgotten with the optima.
+        #: The ``count`` cheapest entries of every event and module root.
+        self.ranked: Dict[str, Ranked] = {}
+        #: Whether some module's skeleton needs a search.
+        self.searched = False
+        #: At count 1, the session of each skeleton that needs a search,
+        #: forgotten with the entries.
         self.sessions: Dict[Skeleton, IncrementalMaxSATSession] = {}
 
     def update(
         self, tree: FaultTree, stop_check: Optional[Callable[[], bool]] = None
     ) -> Tuple[float, int]:
-        """Bring every module's optimum in line with ``tree``.
+        """Bring every module's entries in line with ``tree``.
 
-        A module whose root's children are all leaves takes its optimum by
-        rule (:func:`_optimum_by_rule`); any other is solved by its session,
-        under the cooperative cancellation hook ``stop_check``.  Returns the
-        seconds and the SAT calls the session solves took.  A failed update
-        forgets every optimum, so the next one starts afresh.
+        A module whose root's children are all leaves takes its entries by
+        rule (:func:`_ranked_by_rule`); any other lists them on a session
+        (:func:`_rank_skeleton`), under the cooperative cancellation hook
+        ``stop_check``.  Returns the seconds and the SAT calls the session
+        solves took.  A failed update forgets every entry, so the next one
+        starts afresh.
         """
         structure = tree.compiled()
         if structure is not self.structure:
@@ -236,11 +248,12 @@ class ModuleOptima:
         self, tree: FaultTree, stop_check: Optional[Callable[[], bool]]
     ) -> Tuple[float, int]:
         modules = self.structure.modules
-        value = self._value
-        # A first update solves every module; a later one only those above a
+        ranked = self.ranked
+        count = self.count
+        # A first update walks every module; a later one only those above a
         # change.  Skeletons are numbered bottom-up and a sorted list is a
-        # heap, so either way a module is solved after every sub-module below it.
-        fresh = not self._chosen
+        # heap, so either way a module is walked after every sub-module below it.
+        fresh = not ranked
         pending: List[int] = list(range(len(modules))) if fresh else []
         queued: Set[int] = set()
 
@@ -264,7 +277,7 @@ class ModuleOptima:
         self._probabilities.update(changed)
         for name, weight, objective in weigh_events(changed.items(), self.structure):
             self.weights[name] = weight
-            value[name] = (objective, weight)
+            ranked[name] = ((objective, name),)
             if not fresh:
                 touch(name)
         seconds = 0.0
@@ -272,40 +285,23 @@ class ModuleOptima:
         while pending:
             skeleton = modules[heapq.heappop(pending)]
             if skeleton.by_rule:
-                leaves = _optimum_by_rule(skeleton.gates[-1], value)
+                entries = _ranked_by_rule(skeleton.gates[-1], ranked, count)
             else:
+                self.searched = True
                 session = self.sessions.get(skeleton)
                 if session is None:
-                    session = self.sessions[skeleton] = IncrementalMaxSATSession(skeleton)
-                started = time.perf_counter()
-                calls = session.sat_calls
-                leaves = session.solve(value, stop_check)
-                seconds += time.perf_counter() - started
-                sat_calls += session.sat_calls - calls
-            self._chosen[skeleton.root] = leaves
-            optimum = (
-                sum(value[leaf][0] for leaf in leaves),
-                sum(value[leaf][1] for leaf in leaves),
-            )
-            if value.get(skeleton.root) != optimum:
-                value[skeleton.root] = optimum
-                if not fresh:
-                    touch(skeleton.root)
+                    session = IncrementalMaxSATSession(skeleton)
+                    if count == 1:
+                        # A ranking's session keeps the sets it blocked.
+                        self.sessions[skeleton] = session
+                entries, took, calls = _rank_skeleton(session, ranked, count, stop_check)
+                seconds += took
+                sat_calls += calls
+            previous = ranked.get(skeleton.root, ())
+            ranked[skeleton.root] = entries
+            if not fresh and [entry[0] for entry in previous] != [entry[0] for entry in entries]:
+                touch(skeleton.root)
         return seconds, sat_calls
-
-    def optimum(self) -> Tuple[Tuple[str, ...], int, float]:
-        """The top's optimal cut set (sorted), its objective and its weight."""
-        top = self.structure.order[self.structure.top]
-        cut_set: List[str] = []
-        stack = [top]
-        while stack:
-            name = stack.pop()
-            if name in self._chosen:
-                stack.extend(self._chosen[name])
-            else:
-                cut_set.append(name)
-        objective, weight = self._value[top]
-        return tuple(sorted(cut_set)), objective, weight
 
 
 class MPMCSSolver:
@@ -319,28 +315,32 @@ class MPMCSSolver:
         (:func:`rank_optima`): the oracle of the tests and the paper
         reproductions.
 
-    Without ``single_engine``, :meth:`solve` works module by module.  The
-    MaxSAT objective (:func:`~repro.maxsat.instance.objective_weight`) is
-    additive over disjoint event sets and no two sets tie, so the optimum of
-    an independent module follows from the optima of its maximal proper
-    sub-modules (:attr:`~repro.fta.compiled.CompiledStructure.modules`).
-    The modules are solved bottom-up: one whose root's children are all
-    leaves takes its optimum by rule (AND: every child; OR: the cheapest
-    child; k-of-n: the k cheapest children), and every other one takes one
-    solve of its skeleton's
+    Without ``single_engine``, :meth:`solve` and :meth:`rank` walk the
+    modules (:meth:`solve_modules`).  The MaxSAT objective
+    (:func:`~repro.maxsat.instance.objective_weight`) is additive over
+    disjoint event sets and no two sets tie, so the cheapest cut sets of an
+    independent module follow from those of its maximal proper sub-modules
+    (:attr:`~repro.fta.compiled.CompiledStructure.modules`).  The modules are
+    walked bottom-up, each keeping its ``count`` cheapest entries
+    (:data:`Entry`): one whose root's children are all leaves takes them by
+    rule (:func:`_ranked_by_rule`), and every other one lists its
+    skeleton's own cut sets on an
     :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` (an implicit
-    hitting set loop), in which each sub-module is a single pseudo-event
-    weighted by its optimum's objective.  The result is the whole-tree
-    optimum, found with fewer and smaller solves; its ``engine`` reads
+    hitting set loop per cut set, :func:`_rank_skeleton`), in which each
+    sub-module is a single pseudo-event weighted by its cheapest entry's
+    objective.  The result is the whole-tree ranking, found with fewer and
+    smaller solves; its ``engine`` reads
     :data:`~repro.maxsat.incremental.SESSION_ENGINE` when some module needs a
-    search and :data:`MODULE_RULE_ENGINE` otherwise.  :meth:`rank` walks the
-    modules the same way (see there), so the default solver never builds a
-    whole-tree encoding.
+    search and :data:`MODULE_RULE_ENGINE` otherwise.  The default solver
+    never builds a whole-tree encoding.
 
     :attr:`stop_check` is the cooperative cancellation hook (a service job's
-    guard): the sessions, a ranking's among them, and the engine of
-    :meth:`solve_encoding` all poll it, and a module-route solve or ranking
-    it stops raises :class:`~repro.exceptions.SolverInterrupted`.
+    guard): the sessions and the engine of :meth:`solve_encoding` poll it,
+    and a module walk it stops raises
+    :class:`~repro.exceptions.SolverInterrupted`.  A session over its budget
+    (after its retry from no core) fails the walk with an
+    :class:`AnalysisError` chained from the
+    :class:`~repro.exceptions.BudgetExceededError`, whatever the count.
 
     Every returned cut set is checked to be a minimal cut set of the fault
     tree; an :class:`AnalysisError` is raised otherwise.  The check is one
@@ -364,27 +364,31 @@ class MPMCSSolver:
             # Steps 1-4 over the whole tree, then Steps 5-6.
             result = self.solve_encoding(tree, encode_mpmcs(tree))
         else:
-            result = self.solve_modules(tree, ModuleOptima(tree.compiled()))
+            (result,) = self.solve_modules(tree, ModuleOptima(tree.compiled()))
         result.total_time = time.perf_counter() - start
         return result
 
-    def solve_modules(self, tree: FaultTree, optima: ModuleOptima) -> MPMCSResult:
-        """Steps 3-6 module by module: ``optima`` brought in line with
-        ``tree`` (:meth:`ModuleOptima.update`).  The reported instance size
-        is the whole-tree encoding's, assembled only if it is read."""
+    def solve_modules(self, tree: FaultTree, optima: ModuleOptima) -> List[MPMCSResult]:
+        """Steps 3-6 module by module: up to ``optima.count`` cut sets of
+        ``tree`` in canonical order, from ``optima`` brought in line with
+        ``tree`` (:meth:`ModuleOptima.update`).  The walk's seconds and SAT
+        calls are reported on the first result, so a sum over the list
+        counts them once.  The reported instance size is the whole-tree
+        encoding's, assembled only if it is read."""
         start = time.perf_counter()
         seconds, sat_calls = optima.update(tree, self.stop_check)
-        cut_set, objective, weight = optima.optimum()
-        engine = SESSION_ENGINE if optima.sessions else MODULE_RULE_ENGINE
-        return self._result(
-            tree,
-            cut_set,
-            optima.weights,
-            _merged_result(engine, objective, weight, seconds, sat_calls),
-            start,
-            len(optima.weights),
-            optima.structure,
-        )
+        engine = SESSION_ENGINE if optima.searched else MODULE_RULE_ENGINE
+        structure, weights = optima.structure, optima.weights
+        results = []
+        for _, parts in optima.ranked[structure.order[structure.top]]:
+            walk = MaxSATResult(
+                MaxSATStatus.OPTIMUM, engine=engine, solve_time=seconds, sat_calls=sat_calls
+            )
+            seconds, sat_calls = 0.0, 0
+            results.append(
+                self._result(tree, _cut_set(parts), weights, walk, start, len(weights), structure)
+            )
+        return results
 
     def solve_encoding(
         self, tree: FaultTree, encoding: MPMCSEncoding
@@ -408,65 +412,23 @@ class MPMCSSolver:
         )
 
     def rank(self, tree: FaultTree, count: int) -> List[MPMCSResult]:
-        """Up to ``count`` minimal cut sets of ``tree``, in canonical order.
-
-        One cut set is :meth:`solve`.  Without ``single_engine``, two or
-        more walk the modules bottom-up, each keeping its ``count`` cheapest
-        entries (:data:`Entry`): an OR merges its children's lists, an AND
-        or k-of-n searches them (:func:`_k_best`), and a skeleton that needs
-        a search lists its own cut sets on a session (:func:`_rank_skeleton`).
-        The objective adds up over independent children and no two cut sets
-        tie, so the sums order cut sets canonically.  The skeleton walks'
-        seconds and SAT calls are reported on the first entry, so a sum over
-        the ranking counts them once.  With ``single_engine`` it is
-        :func:`rank_optima` over :meth:`optima`.
-        """
-        if count < 2 or self.single_engine is not None:
+        """Up to ``count`` minimal cut sets of ``tree``, in canonical order:
+        :meth:`solve_modules` on fresh ``ModuleOptima(structure, count)``, or
+        with ``single_engine`` :func:`rank_optima` over :meth:`optima`."""
+        if count < 1:
+            return []
+        if self.single_engine is not None:
             return rank_optima(self.optima(tree), count)
-        start = time.perf_counter()
-        structure = tree.compiled()
-        weights, objectives = event_weights(tree)
-        ranked: Dict[str, List[Entry]] = {
-            name: [(objective, name)] for name, objective in objectives.items()
-        }
-        engine = MODULE_RULE_ENGINE
-        seconds = 0.0
-        sat_calls = 0
-        for skeleton in structure.modules:
-            if not skeleton.by_rule:
-                engine = SESSION_ENGINE
-                ranked[skeleton.root], took, calls = _rank_skeleton(
-                    skeleton, ranked, count, self.stop_check
-                )
-                seconds += took
-                sat_calls += calls
-                continue
-            gate = skeleton.gates[-1]
-            children = [ranked[child] for child in gate.children]
-            if gate.gate_type is GateType.OR:
-                ranked[skeleton.root] = list(islice(heapq.merge(*children), count))
-            else:
-                k = len(children) if gate.gate_type is GateType.AND else gate.k
-                ranked[skeleton.root] = _k_best(children, k, count)
-        results = []
-        for objective, parts in ranked[structure.order[structure.top]]:
-            cut_set = _cut_set(parts)
-            weight = sum(weights[name] for name in cut_set)
-            merged = _merged_result(engine, objective, weight, seconds, sat_calls)
-            seconds, sat_calls = 0.0, 0
-            results.append(
-                self._result(tree, cut_set, weights, merged, start, len(weights), structure)
-            )
-        return results
+        return self.solve_modules(tree, ModuleOptima(tree.compiled(), count))
 
     def optima(self, tree: FaultTree) -> Callable[[Found], Optional[MPMCSResult]]:
-        """The cold ``solve`` callable of :func:`rank_optima`.
+        """The cold ``solve`` callable of :func:`rank_optima`, for
+        ``single_engine``.
 
         The first, unblocked call is :meth:`solve`.  The first blocked call
         builds the whole-tree encoding (:func:`encode_mpmcs`), which the
         callable owns; each blocked call adds the blocking clauses of the
-        newly found cut sets to it and solves it.  :meth:`rank` uses it for
-        one cut set, or with ``single_engine``.
+        newly found cut sets to it and solves it.
         """
         encoding: Optional[MPMCSEncoding] = None
         blocks = 0
@@ -538,21 +500,21 @@ class MPMCSSolver:
         )
 
 
-def _optimum_by_rule(gate: Gate, value: Dict[str, Tuple[int, float]]) -> Sequence[str]:
-    """The children a module root over independent children takes in its optimum.
+def _ranked_by_rule(gate: Gate, ranked: Dict[str, Ranked], count: int) -> Ranked:
+    """The ``count`` cheapest entries of a module root over independent children.
 
-    The children's event sets are disjoint, so their optima add up: an AND
-    gate takes every child, an OR gate its cheapest child and a k-of-n gate
-    its k cheapest children (no two children cost the same).
+    The children's event sets are disjoint, so their entries join by adding
+    objectives: an OR takes the cheapest of its children's entries, an AND
+    one entry of every child and a k-of-n one of each of k children
+    (:func:`_k_best`).
     """
-    if gate.gate_type is GateType.AND:
-        return gate.children
+    children = [ranked[child] for child in gate.children]
     if gate.gate_type is GateType.OR:
-        return [min(gate.children, key=lambda child: value[child][0])]
-    return sorted(gate.children, key=lambda child: value[child][0])[: gate.k]
+        return tuple(heapq.nsmallest(count, chain.from_iterable(children)))
+    return _k_best(children, len(children) if gate.gate_type is GateType.AND else gate.k, count)
 
 
-def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
+def _k_best(children: Sequence[Ranked], k: int, count: int) -> Ranked:
     """The ``count`` cheapest cut sets of a k-of-n gate over independent children.
 
     ``children`` holds each child's cheapest entries, cheapest first; a cut
@@ -571,8 +533,15 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
     costs more than the all-heads state and each of those raised alone; and
     a successor dearer than ``count`` states already pushed is not pushed
     (costs never fall along successor edges, so nothing it leads to is
-    needed either).
+    needed either).  One cut set is the ``k`` cheapest heads.
     """
+    # The search below, run for one cut set, costs the cold count-1 walk
+    # about a fifth of its throughput (E4 trees of 600 events).
+    if count == 1:
+        heads = [entries[0] for entries in children]
+        if k < len(heads):
+            heads = heapq.nsmallest(k, heads)
+        return ((sum(entry[0] for entry in heads), tuple(heads)),)
     heads = sorted(children, key=lambda entries: entries[0][0])[: k + count - 1]
     if k == len(heads):
         kept = heapq.nsmallest(
@@ -623,49 +592,53 @@ def _k_best(children: Sequence[List[Entry]], k: int, count: int) -> List[Entry]:
                 and (index + 1 == k or state[index + 1][0] != following)
             ):
                 push(cost - entries[0][0] + heads[following][0][0], state, index, (following, 0))
-    return ranked
+    return tuple(ranked)
 
 
 def _rank_skeleton(
-    skeleton: Skeleton,
-    ranked: Dict[str, List[Entry]],
+    session: IncrementalMaxSATSession,
+    ranked: Dict[str, Ranked],
     count: int,
     stop_check: Optional[Callable[[], bool]],
-) -> Tuple[List[Entry], float, int]:
+) -> Tuple[Ranked, float, int]:
     """The ``count`` cheapest entries of a module whose skeleton needs a search.
 
     Lawler's partition (Management Science 18(7), 1972) over the skeleton
     alone: every minimal cut set of the module joins one minimal cut set
     ``S`` of the skeleton with one entry of each leaf in ``S`` (the
-    :func:`_k_best` join of the leaves' lists), and costs at least ``S``'s
-    *base cost*, the sum of its leaves' cheapest entries.  A session of the
-    ranking's own, each leaf weighed by its cheapest entry, lists the sets
-    ``S`` cheapest first, blocking each once found, so every solve starts
-    from the skeleton's core memo and the cores of the solves before it.
-    The walk stops after ``count`` sets, when none is left, or at a set
-    whose base cost exceeds the ``count``-th entry held.  Returns the
-    entries and the walk's seconds and SAT calls; a session over its budget
-    (after its retry from no core) raises :class:`AnalysisError`.
+    :func:`_k_best` join of the leaves' entries), and costs at least ``S``'s
+    *base cost*, the sum of its leaves' cheapest entries.  ``session``, each
+    leaf weighed by its cheapest entry, lists the sets ``S`` cheapest first,
+    blocking the previous set only before it solves again, so one cut set
+    blocks nothing and leaves the session fit for later updates.  Every
+    solve starts from the session's cores.  The walk stops after ``count``
+    sets, when none is left, or at a set whose base cost exceeds the
+    ``count``-th entry held.  Returns the entries and the walk's seconds and
+    SAT calls; a session over its budget (after its retry from no core)
+    raises :class:`AnalysisError`, chained from its
+    :class:`BudgetExceededError`.
     """
     started = time.perf_counter()
-    session = IncrementalMaxSATSession(skeleton)
+    calls = session.sat_calls
     cheapest = {leaf: ranked[leaf][0] for leaf in session.event_vars}
-    entries: List[Entry] = []
-    for _ in range(count):
+    entries: Ranked = ()
+    chosen: List[str] = []
+    for solved in range(count):
+        if solved:
+            session.block(chosen)
         try:
             chosen = session.solve(cheapest, stop_check)
         except NoCutSetError:
             break
         except BudgetExceededError as exc:
             raise AnalysisError(
-                f"the skeleton of module {skeleton.root!r} gave no optimum ({exc})"
+                f"the skeleton of module {session.skeleton.root!r} gave no optimum ({exc})"
             ) from exc
         if len(entries) == count and sum(cheapest[leaf][0] for leaf in chosen) > entries[-1][0]:
             break
         joined = _k_best([ranked[leaf] for leaf in chosen], len(chosen), count)
-        entries = list(islice(heapq.merge(entries, joined), count))
-        session.block(chosen)
-    return entries, time.perf_counter() - started, session.sat_calls
+        entries = tuple(islice(heapq.merge(entries, joined), count)) if entries else joined
+    return entries, time.perf_counter() - started, session.sat_calls - calls
 
 
 def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:
@@ -679,21 +652,6 @@ def _cut_set(parts: Union[str, Tuple[Any, ...]]) -> Tuple[str, ...]:
         else:
             stack.extend(entry[1] for entry in part)
     return tuple(sorted(events))
-
-
-def _merged_result(
-    engine: str, cost: int, float_cost: float, seconds: float, sat_calls: int
-) -> MaxSATResult:
-    """One result for a modular solve, its skeleton solves' ``seconds`` and
-    ``sat_calls`` summed, under the engine name ``engine``."""
-    return MaxSATResult(
-        MaxSATStatus.OPTIMUM,
-        cost=cost,
-        float_cost=float_cost,
-        engine=engine,
-        solve_time=seconds,
-        sat_calls=sat_calls,
-    )
 
 
 def find_mpmcs(tree: FaultTree, **kwargs: object) -> MPMCSResult:

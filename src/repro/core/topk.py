@@ -4,11 +4,12 @@ The paper computes the single Maximum Probability Minimal Cut Set; a natural
 extension (useful for risk ranking and implemented by several FTA tools) is to
 enumerate the k most probable minimal cut sets, here with
 :meth:`MPMCSSolver.rank <repro.core.pipeline.MPMCSSolver.rank>`.  The
-default solver ranks module by module: modules whose children are
-independent merge their children's ranked cut sets without a solve, and a
-module skeleton that needs a search enumerates its own cut sets, cheapest
-first, by at most ``k`` blocked solves of that skeleton (Lawler's
-partition).  A blocked solve adds the hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)``
+default solver ranks with the module walk that finds one MPMCS
+(:class:`~repro.core.pipeline.ModuleOptima`), each module keeping its ``k``
+cheapest cut sets: modules whose children are independent join their
+children's ranked cut sets without a solve, and a module skeleton that
+needs a search enumerates its own cut sets, cheapest first, by at most
+``k`` blocked solves of that skeleton (Lawler's partition).  A blocked solve adds the hard clause ``(¬x_1 ∨ ... ∨ ¬x_m)``
 over the members of the last solution ``S``: the clause forbids ``S`` and
 every superset of it, so each subsequent optimum is again an
 inclusion-minimal cut set — the next cheapest one.  A solver with a

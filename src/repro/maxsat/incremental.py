@@ -1,12 +1,12 @@
 """Incremental MaxSAT sessions: the module route's one skeleton solver.
 
-:class:`~repro.core.pipeline.ModuleOptima` solves a tree module by module
-and hands each skeleton that needs a search
-(:attr:`~repro.fta.compiled.Skeleton.by_rule` false) to a session of its
-own, created on first use.  A cold analysis uses fresh optima, so its
-sessions live for one solve; the warm route (``MaxSATBackend.run_batch``:
-sweeps and monitors) keeps one ``ModuleOptima`` per structure, and with it
-the sessions, across the probability-only trees of a batch.  A skeleton's
+:class:`~repro.core.pipeline.ModuleOptima` walks a tree module by module,
+keeping each module's cheapest cut sets, and hands each skeleton that
+needs a search (:attr:`~repro.fta.compiled.Skeleton.by_rule` false) to a
+session.  A cold analysis walks on fresh state, so its sessions live for
+one walk; the warm route (``MaxSATBackend.run_batch``: sweeps and
+monitors) keeps one ``ModuleOptima`` per structure, and for one optimum
+its sessions, across the probability-only trees of a batch.  A skeleton's
 MPMCS encoding has a very particular shape: the *hard* clauses are the
 Tseitin CNF of its gates (:attr:`Skeleton.cnf
 <repro.fta.compiled.Skeleton.cnf>`) — fixed across every scenario of a
@@ -34,12 +34,13 @@ memoised one on its first SAT call.  A round's hitting set is the answer,
 with no SAT call, when it is a cut set of the skeleton (see
 :meth:`IncrementalMaxSATSession.solve`).
 
-The session weighs nothing itself: each leaf's objective is the one
-:class:`~repro.core.pipeline.ModuleOptima` keeps for it (an event's
-:func:`~repro.maxsat.instance.objective_weight`, or a sub-module optimum's
-sum of them), so a kept session and a fresh one agree on every optimum.
-Nothing a kept session adds to the solver is scenario-specific, which is
-what makes a sweep a sequence of *weight-only re-solves*.  A ranking
+The session weighs nothing itself: each leaf's objective is that of the
+cheapest entry :class:`~repro.core.pipeline.ModuleOptima` keeps for it (an
+event's :func:`~repro.maxsat.instance.objective_weight`, or the sum of them
+over a sub-module's cheapest cut set), so a kept session and a fresh one
+agree on every optimum.  Nothing a kept session adds to the solver is
+scenario-specific, which is what makes a sweep a sequence of *weight-only
+re-solves*.  A ranking of more than one cut set
 (:func:`~repro.core.pipeline._rank_skeleton`) blocks each cut set it finds
 (:meth:`IncrementalMaxSATSession.block`) on a session of its own, never a
 kept one: a blocking clause only adds to the hard clauses, so every core
@@ -67,8 +68,8 @@ __all__ = ["IncrementalMaxSATSession", "SESSION_ENGINE"]
 #: The engine name of every session solve, in results and reports.
 SESSION_ENGINE = "incremental-hitting-set"
 
-#: Each leaf's value, keyed by name, led by its objective (the only item read):
-#: ``ModuleOptima``'s ``(objective, weight)`` or a ranking's cheapest entry.
+#: Each leaf's cheapest entry, keyed by name: its objective (the only item
+#: read) and its parts (see :data:`repro.core.pipeline.Entry`).
 LeafValues = Mapping[str, Tuple[int, Any]]
 
 

@@ -16,12 +16,13 @@ re-analysis rides the full incremental stack:
 * with a cut-set backend (``mocus``, ``brute-force``), the subtree cut-set
   structure is one cache hit per update (structure-only hashes never change);
   the default ``maxsat`` backend never reads cut sets, so none are built;
-* with the ``maxsat`` backend, a one-optimum request re-solves on the
-  structure's :class:`~repro.core.pipeline.ModuleOptima`: only the modules
-  above the changed events are solved again, by rule, or, for a skeleton
-  that needs a search, as a weight-only re-solve on that skeleton's
-  persistent :class:`~repro.maxsat.incremental.IncrementalMaxSATSession`.
-  A longer ranking is computed as in a cold analysis;
+* with the ``maxsat`` backend, the request re-walks the structure's
+  :class:`~repro.core.pipeline.ModuleOptima`, which keeps each module's
+  ``top_k`` cheapest cut sets (one without a ranking): only the modules
+  above the changed events are walked again, by rule, or, for a skeleton
+  that needs a search, on an
+  :class:`~repro.maxsat.incremental.IncrementalMaxSATSession` (for one
+  optimum a weight-only re-solve on that skeleton's persistent session);
 * the exact P(top) comes from the ``bdd`` backend's structure-keyed diagram,
   compiled once and evaluated in linear time per update.
 
@@ -151,10 +152,9 @@ class TreeMonitor:
         (optionally store-backed via ``store``) is created otherwise.
     backend / analyses / top_k:
         The per-update analysis request, with the same semantics as a sweep:
-        ``maxsat`` runs MPMCS on the structure's warm state (its module
-        optima when every module solves by rule, else the incremental
-        session), a longer ranking as a cold analysis does, and P(top)
-        through the structure-keyed BDD.
+        ``maxsat`` runs the MPMCS and the ranking on the structure's warm
+        module walk (its sessions for the modules that need a search), and
+        P(top) through the structure-keyed BDD.
     rules:
         Alert rules evaluated on every delta (see :mod:`.alerts`).
     store:
@@ -384,10 +384,9 @@ class TreeMonitor:
         :meth:`SweepExecutor.analyze_batch`: their exact top-event
         probabilities come from a single kernel call over the whole
         ``(updates × events)`` grid, and the MaxSAT re-solves are the
-        per-update ones on the structure's warm state for one optimum: its
-        module optima when every module solves by rule, else the incremental
-        session, which answers from its candidate pool where that certifies
-        the optimum.  The per-update deltas, reports, alerts and streamed
+        per-update ones on the structure's warm module walk, whose
+        incremental sessions answer one optimum from their candidate pools
+        where that certifies it.  The per-update deltas, reports, alerts and streamed
         events are identical to calling :meth:`apply_update` in a loop —
         batching only removes per-update BDD work.
 

@@ -5,10 +5,9 @@
 :meth:`~repro.api.session.AnalysisSession.run_batch`, through the same
 backend registry, request validation and report types as a one-off analysis,
 and each backend shares repeated work across the batch (``maxsat`` keeps
-each structure's module optima for one-optimum requests, with an
-incremental solver session per module skeleton that needs a search, and
-ranks longer rankings as a cold analysis does; ``bdd`` evaluates the top
-events in one kernel call).  Per
+each structure's module walk, the ``top_k`` cheapest cut sets of every
+module, with an incremental solver session per module skeleton that needs
+a search; ``bdd`` evaluates the top events in one kernel call).  Per
 scenario the executor adds two things:
 
 * **Cut-set seeding.**  When an analysis is routed to a backend that reads
@@ -321,7 +320,7 @@ class SweepExecutor:
         """Does nothing and returns 0.
 
         Kept only because the benchmark tracer wraps it by name: every MaxSAT
-        solve now runs per scenario on the warm module optima, each searched
+        solve now runs per scenario on the warm module walk, each searched
         skeleton re-solved by its own session without a SAT call where its
         certificate allows (see
         :meth:`~repro.maxsat.incremental.IncrementalMaxSATSession.solve`).

@@ -188,8 +188,9 @@ def test_maxsat_batch_retries_a_kept_session_over_budget_from_no_core(monkeypatc
 
 def test_maxsat_batch_gives_a_session_over_budget_without_cores_its_error(monkeypatch):
     """A session that held no core when its solve blew the budget has
-    nothing to retry from: the tree gets the error, as a cold ``run`` does,
-    and the next tree of the batch still answers."""
+    nothing to retry from: the tree gets the error, an ``AnalysisError``
+    chained from the budget error as a cold ``run`` raises it, and the next
+    tree of the batch still answers."""
     search = hitting_set_module.minimum_cost_hitting_set
     armed = [True]
 
@@ -201,10 +202,13 @@ def test_maxsat_batch_gives_a_session_over_budget_without_cores_its_error(monkey
     monkeypatch.setattr(hitting_set_module, "minimum_cost_hitting_set", over_budget)
     request = AnalysisRequest.create(("mpmcs",), backend="maxsat")
     draws = _e4_draws()[:2]
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(AnalysisError) as raised:
         AnalysisSession().run(_e4_draws()[0], request)
+    assert isinstance(raised.value.__cause__, BudgetExceededError)
     batch = AnalysisSession().run_batch(draws, request)
-    assert isinstance(next(batch), BudgetExceededError)
+    error = next(batch)
+    assert isinstance(error, AnalysisError)
+    assert isinstance(error.__cause__, BudgetExceededError)
     armed[0] = False
     assert next(batch).mpmcs is not None
 

@@ -271,9 +271,10 @@ def whole_tree_skeleton(tree: FaultTree) -> Skeleton:
 def leaf_values(
     tree: FaultTree, probabilities: Optional[Mapping[str, float]] = None
 ) -> Dict[str, Tuple[int, float]]:
-    """Each basic event's ``(objective, weight)``, as
-    :class:`~repro.core.pipeline.ModuleOptima` keeps it, under ``tree``'s
-    probabilities or the ``probabilities`` given."""
+    """Each basic event's objective and weight, under ``tree``'s
+    probabilities or the ``probabilities`` given: a session reads only the
+    objective, the first item of the entry
+    :class:`~repro.core.pipeline.ModuleOptima` feeds it."""
     if probabilities is None:
         probabilities = tree.probabilities()
     return {

@@ -306,6 +306,10 @@ def _result_fields(result):
     return (result.events, result.probability, result.cost, result.weights)
 
 
+def _events(results):
+    return [result.events for result in results]
+
+
 def _redrawn(tree, rng, changes):
     """A probability-only copy of ``tree`` with ``changes`` events redrawn."""
     copy = tree.copy()
@@ -315,8 +319,9 @@ def _redrawn(tree, rng, changes):
 
 
 class TestModuleOptimaUpdates:
-    """A kept :class:`ModuleOptima` answers like a fresh solve after every update."""
+    """A kept :class:`ModuleOptima` answers like a fresh walk after every update."""
 
+    @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize(
         "tree",
         [NAMED_TREES[name]() for name in sorted(NAMED_TREES)]
@@ -324,43 +329,48 @@ class TestModuleOptimaUpdates:
         + [k_of_n_ladder(9, 5), random_fault_tree(num_basic_events=40, seed=5)],
         ids=lambda tree: tree.name,
     )
-    def test_updates_match_fresh_solves(self, tree):
+    def test_updates_match_fresh_solves(self, tree, count):
         rng = random.Random(tree.name)
         solver = MPMCSSolver()
-        optima = ModuleOptima(tree.compiled())
+        optima = ModuleOptima(tree.compiled(), count)
         current = tree
         for step in range(12):
             kept = solver.solve_modules(current, optima)
-            fresh = solver.solve(current)
-            assert _result_fields(kept) == _result_fields(fresh), step
-            whole = MPMCSSolver(single_engine=RC2Engine()).solve(current)
-            assert (kept.events, kept.cost) == (whole.events, whole.cost), step
+            fresh = solver.solve_modules(current, ModuleOptima(current.compiled(), count))
+            assert [_result_fields(result) for result in kept] == [
+                _result_fields(result) for result in fresh
+            ], step
+            whole = MPMCSSolver(single_engine=RC2Engine()).rank(current, count)
+            assert [(result.events, result.cost) for result in kept] == [
+                (result.events, result.cost) for result in whole
+            ], step
             # One, a few or every event redrawn; every fourth step goes back
             # to the base probabilities.
             current = tree.copy() if step % 4 == 3 else _redrawn(current, rng, 1 + step % 3 * 3)
 
-    def test_update_solves_only_the_modules_above_a_change(self, monkeypatch):
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_update_solves_only_the_modules_above_a_change(self, monkeypatch, count):
         calls = []
-        rule = pipeline._optimum_by_rule
+        rule = pipeline._ranked_by_rule
 
-        def counting(gate, value):
+        def counting(gate, ranked, count):
             calls.append(gate.name)
-            return rule(gate, value)
+            return rule(gate, ranked, count)
 
-        monkeypatch.setattr(pipeline, "_optimum_by_rule", counting)
+        monkeypatch.setattr(pipeline, "_ranked_by_rule", counting)
         tree = k_of_n_ladder(15, 8)
-        optima = ModuleOptima(tree.compiled())
+        optima = ModuleOptima(tree.compiled(), count)
         solver = MPMCSSolver()
         copy = tree.copy()
         copy.set_probability("sensor_3", 0.3)
-        expected = [solver.solve(tree).events, solver.solve(copy).events]
+        expected = [_events(solver.rank(tree, count)), _events(solver.rank(copy, count))]
         calls.clear()
         solver.solve_modules(tree, optima)
         assert len(calls) == 16
         calls.clear()
-        assert solver.solve_modules(tree.copy(), optima).events == expected[0]
+        assert _events(solver.solve_modules(tree.copy(), optima)) == expected[0]
         assert calls == []
-        assert solver.solve_modules(copy, optima).events == expected[1]
+        assert _events(solver.solve_modules(copy, optima)) == expected[1]
         assert calls == ["channel_3", "top"]
 
     def test_failed_update_starts_afresh(self, monkeypatch):
@@ -373,15 +383,13 @@ class TestModuleOptimaUpdates:
         with pytest.raises(ReproError):
             solver.solve_modules(changed, optima)
         solver.stop_check = None
-        assert _result_fields(solver.solve_modules(changed, optima)) == _result_fields(
-            solver.solve(changed)
-        )
+        (kept,) = solver.solve_modules(changed, optima)
+        assert _result_fields(kept) == _result_fields(solver.solve(changed))
 
     def test_tree_of_another_structure_starts_afresh(self):
         optima = ModuleOptima(fire_protection_system().compiled())
         solver = MPMCSSolver()
         for tree in (fire_protection_system(), k_of_n_ladder(5, 3), fire_protection_system()):
-            assert _result_fields(solver.solve_modules(tree, optima)) == _result_fields(
-                solver.solve(tree)
-            )
+            (kept,) = solver.solve_modules(tree, optima)
+            assert _result_fields(kept) == _result_fields(solver.solve(tree))
             assert optima.structure is tree.compiled()

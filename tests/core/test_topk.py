@@ -15,8 +15,8 @@ from repro.maxsat import RC2Engine, hitting_set
 from repro.maxsat.incremental import IncrementalMaxSATSession
 from repro.scenarios.sweep import SweepExecutor
 from repro.workloads.generator import random_fault_tree
-from repro.workloads.library import data_center_power
-from tests.conftest import searched_skeletons, voting_reuse_tree
+from repro.workloads.library import data_center_power, fire_protection_system
+from tests.conftest import k_of_n_ladder, searched_skeletons, voting_reuse_tree
 
 
 class TestFPSRanking:
@@ -89,6 +89,41 @@ class TestConfiguration:
         ranked = enumerate_mpmcs(voting_tree, 8)
         seen = [entry.events for entry in ranked]
         assert len(seen) == len(set(seen))
+
+
+def _basic_event_top():
+    return FaultTreeBuilder("one-event").basic_event("a", 0.1).top("a").build()
+
+
+class TestRankCount:
+    """The count of a ranking at its edges, on every kind of structure: a
+    basic event as the top, modules by rule only, searched skeletons."""
+
+    FACTORIES = {
+        "basic-event-top": _basic_event_top,
+        "fps": fire_protection_system,
+        "ladder-5-3": lambda: k_of_n_ladder(5, 3),
+        "data-center-power": data_center_power,
+        "voting-reuse-10-2": lambda: voting_reuse_tree(10, 2),
+        "voting-reuse-10-10": lambda: voting_reuse_tree(10, 10),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_a_count_of_zero_ranks_nothing(self, name):
+        tree = self.FACTORIES[name]()
+        assert MPMCSSolver().rank(tree, 0) == []
+        assert MPMCSSolver(single_engine=RC2Engine()).rank(tree, 0) == []
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_a_count_above_the_cut_sets_ranks_them_all(self, name):
+        tree = self.FACTORIES[name]()
+        cut_sets = brute_force_minimal_cut_sets(tree)
+        ranked = [result.events for result in MPMCSSolver().rank(tree, len(cut_sets) + 5)]
+        assert sorted(ranked) == sorted(tuple(sorted(cut_set)) for cut_set in cut_sets)
+        expected = AnalysisSession().analyze(
+            tree, ["ranking"], backend="bdd", top_k=len(cut_sets) + 5
+        )
+        assert ranked == [entry.events for entry in expected.ranking]
 
 
 class TestSingleEncoding:
@@ -277,10 +312,10 @@ class TestBoundaryTies:
             assert [entry.events for entry in report.ranking] == self.EXPECTED, backend
 
     def test_facade_warm_route(self):
-        # A ranking takes the cold route's ``rank`` on the warm route too.
+        # A ranking takes the warm route's kept module walk, as one optimum does.
         executor = SweepExecutor(AnalysisSession(), backend="maxsat")
         (report,) = executor.analyze_batch(
             [_boundary_tie_tree()], executor.prepare_analyses(("ranking",)), top_k=2
         )
-        assert "warm_solves" not in report.profile
+        assert report.profile["warm_solves"] == 1
         assert [entry.events for entry in report.ranking] == self.EXPECTED

@@ -251,7 +251,7 @@ class TestBlockedEnumeration:
             session = IncrementalMaxSATSession(skeleton)
             leaves = list(session.event_vars)
             # Powers of two: no two leaf sets tie.
-            value = {leaf: (1 << column, 0.0) for column, leaf in enumerate(leaves)}
+            value = {leaf: (1 << column, leaf) for column, leaf in enumerate(leaves)}
             expected = sorted(
                 _minimal_cut_sets(skeleton, leaves),
                 key=lambda cut_set: sum(value[leaf][0] for leaf in cut_set),
@@ -266,4 +266,4 @@ class TestBlockedEnumeration:
             assert skeleton.cnf.instance.num_hard == num_hard
         after = ModuleOptima(structure)
         after.update(tree)
-        assert after.optimum() == before.optimum()
+        assert after.ranked == before.ranked
